@@ -41,6 +41,7 @@ from .field import (
 )
 from .mse import (
     BoundAxis,
+    ClosedForm,
     MseValue,
     ReindexedField,
     Scheme,
@@ -54,6 +55,7 @@ from .mse import (
     mse_no_infer,
     mse_syn_infer,
     mse_syn_infer_approx,
+    mssc_weights,
     psi_values,
     reindex_by_correlation,
     upsilon,

@@ -39,6 +39,7 @@ from .mse import (
     mse_asyn_infer_approx,
     mse_no_infer,
     mse_syn_infer_approx,
+    mssc_weights,
 )
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength_syn
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
@@ -257,17 +258,19 @@ def _analytic_row(spec, point):
     source, field, link, scheme, eps, rho = _apply_point(spec, point)
     eps_val = blep_average(link) if eps is None else eps
     rho_val = mssc(source, field) if rho is None else rho
+    # the BLEP-axis bound must cover the weights the value was computed with
+    weights = field
     if rho is None:
         val = average_mse(source, field, link, scheme, eps_bar=eps).value
+    # sweep over the MSSC axis uses the substituted closed forms
+    elif scheme.scheme is Scheme.SYN_INFER:
+        val = mse_syn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
+    elif scheme.scheme is Scheme.ASYN_INFER:
+        val = mse_asyn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
+        weights = mssc_weights(scheme.M, scheme.m, rho_val)
     else:
-        # sweep over the MSSC axis uses the substituted closed forms
-        if scheme.scheme is Scheme.SYN_INFER:
-            val = mse_syn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
-        elif scheme.scheme is Scheme.ASYN_INFER:
-            val = mse_asyn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
-        else:
-            val = mse_no_infer(source, link, scheme, eps_bar=eps).value
-    lo, hi = bounds(source, field, link, scheme, BoundAxis.BLEP, eps_bar=eps)
+        val = mse_no_infer(source, link, scheme, eps_bar=eps).value
+    lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps)
     return [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
             scheme.h if scheme.h is not None else "",
             scheme.M, rho_val, eps_val, val, lo.value, hi.value]
@@ -299,6 +302,12 @@ def _sim_row(spec, point):
     bi = np.concatenate([r.aux["batch_integrals"] for r in reports])
     bd = np.concatenate([r.aux["batch_durations"] for r in reports])
     nz = bd > 0
+    if nz.sum() < 2:
+        raise InvalidConfigError(
+            f"{spec.periods} periods x {spec.replicas} replicas filled "
+            f"{int(nz.sum())} non-empty batches; the batch-means standard "
+            "error needs at least 2, raise periods"
+        )
     mse_mc = float(bi.sum() / bd.sum())
     ratios = bi[nz] / bd[nz]
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(nz.sum()))
@@ -434,15 +443,8 @@ def _write_csv(path, columns, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(c) for c in row])
+    writer.writerows(rows)  # floats are written with repr, so they round-trip
     Path(path).write_text(buf.getvalue())
-
-
-def _cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    return c
 
 
 def _record(manifest, path, rows):
@@ -464,8 +466,10 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
     """Row-wise agreement check between an analytic and a simulation CSV.
 
     Adds z-score and relative-error columns; a row fails when |z| > 4 or
-    the relative error exceeds ``rel_bound``.  Returns (passed, rows) where
-    rows are dicts including the verdict per row.
+    the relative error exceeds ``rel_bound``.  A row whose standard error
+    is zero, missing or not finite passes only when the value equals the
+    reference exactly (z = 0), and fails with z = inf otherwise.  Returns
+    (passed, rows) where rows are dicts including the verdict per row.
     """
     a_rows = _read_csv(analytic_csv)
     b_rows = _read_csv(sim_csv)
@@ -479,7 +483,11 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
         ref = float(ra.get("mse_analytic", ra.get("mse_mc")))
         val = float(rb.get("mse_mc", rb.get("mse_analytic")))
         stderr = float(rb.get("stderr", 0.0) or 0.0)
-        z = (val - ref) / stderr if stderr > 0 else 0.0
+        if stderr > 0 and math.isfinite(stderr):
+            z = (val - ref) / stderr
+        else:
+            # no usable error bar: only an exact match passes
+            z = 0.0 if val == ref else math.inf
         rel = abs(val - ref) / abs(ref) if ref != 0 else math.inf
         ok = abs(z) <= 4.0 and rel <= rel_bound
         passed &= ok

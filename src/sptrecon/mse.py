@@ -25,6 +25,7 @@ the interior minimum when packet loss actually helps.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -135,17 +136,139 @@ def _eps(link: LinkParams, eps_bar) -> float:
     return e
 
 
-def _prefactor(source: SourceParams, tau: float, T: float) -> float:
-    """sigma2 gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1))."""
-    return (source.sigma2_x * source.gamma_o * math.exp(-2.0 * source.a * tau)
+# ---------------------------------------------------------------------------
+# array kernel: every closed form below is a thin wrapper over it
+# ---------------------------------------------------------------------------
+
+def _prefactor(source: SourceParams, tau, T: float):
+    """sigma2 gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1)), elementwise in tau."""
+    return (source.sigma2_x * source.gamma_o * np.exp(-2.0 * source.a * tau)
             / (2.0 * source.a * T * (source.gamma_o + 1.0)))
 
 
-def _geo_ratio(eps: float, M: int) -> float:
-    """(eps - eps^M) / (1 - eps), continuous at eps = 1 where it equals M-1."""
-    if eps >= 1.0:
-        return float(M - 1)
-    return (eps - eps ** M) / (1.0 - eps)
+def _dquot(u, du, v, dv):
+    """Derivative of u / v from the derivatives of u and v."""
+    return (du * v - u * dv) / v ** 2
+
+
+# sum over the last axis of an elementwise product, broadcasting the rest
+_vecdot = getattr(np, "vecdot", None) or (lambda x, y: (x * y).sum(axis=-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _eps_powers(M: int, asyn: bool):
+    """Slot numbers n = 1..M, the eps power of rank n (synchronous) or slot
+    n (asynchronous), and the power in its derivative (whose coefficient is
+    0 where it clips at 0)."""
+    n = np.arange(1.0, M + 1)
+    p = M - n if asyn else n - 1.0
+    out = (n, p, np.maximum(p - 1.0, 0.0))
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _lift(x):
+    """x, and x with a trailing axis for the M per-sensor terms.
+
+    A float stays a float, which keeps the scalar wrappers cheap.
+    """
+    if isinstance(x, float):
+        return x, x
+    x = np.asarray(x, dtype=float)
+    return x, x[..., None]
+
+
+class ClosedForm:
+    """Closed-form average MSE as an array kernel in the average BLEP eps.
+
+    The constructor computes everything that does not depend on eps, so a
+    search over eps (a grid scan, a root finder) pays for it once.
+
+    T, M : period and number of sensors
+    tau  : packet delay; it only scales :meth:`mse` and :meth:`dmse`
+    h    : time shift for the asynchronous form, or None for the
+           synchronous form (M = 1 is the no-inference form)
+
+    tau and h may be arrays.  They broadcast against each other, against
+    the ``eps`` passed to the methods and against ``weights[..., 0]``,
+    whose last axis runs over the M sensors: in descending order for the
+    synchronous form (target first), in transmission-slot order for the
+    asynchronous one.  Every form is a quotient with a positive
+    denominator on eps in [0, 1], so eps = 1 needs no special case.
+    """
+
+    def __init__(self, source: SourceParams, T: float, tau, M: int, h=None):
+        a = source.a
+        self.s2, self.M, self.h = source.sigma2_x, M, h
+        self.E = math.exp(-2.0 * a * T)
+        self.c = _prefactor(source, tau, T)
+        n, self.p, self.p1 = _eps_powers(M, h is not None)
+        if h is not None:
+            h, hn = _lift(h)
+            self.q = np.exp(-2.0 * a * h)
+            self.one_q = 1.0 - _lift(self.q)[1]
+            # exp(2 a h (n-1)) (q^M - E)
+            self.slot = np.exp(2.0 * a * hn * (n - 1.0)) * (np.exp(-2.0 * a * hn * M) - self.E)
+
+    def psi(self, eps, deriv: bool = False):
+        """Asynchronous slot weights Psi_n on a new last axis n = 1..M.
+
+        Psi_n = 1 - q + exp(2ah(n-1)) (q^M - E) eps^(M-n) (1-eps) / (1 - E eps^M).
+        With ``deriv`` returns (Psi, d Psi / d eps).
+        """
+        M, E = self.M, self.E
+        e = _lift(eps)[1]
+        pw, one_e = e ** self.p, 1.0 - e
+        u, den = pw * one_e, 1.0 - E * e ** M
+        psi = self.one_q + self.slot * u / den
+        if not deriv:
+            return psi
+        du = self.p * one_e * e ** self.p1 - pw
+        return psi, self.slot * _dquot(u, du, den, -M * E * e ** (M - 1))
+
+    def _reduction(self, eps, weights, deriv=False):
+        """R with MSE = sigma2 - c R; with ``deriv`` returns (R, dR / d eps)."""
+        e, en = _lift(eps)
+        if self.h is None:
+            # R = (1-E) (1-eps) sum_s w_s eps^(s-1) / (1 - E eps^M)
+            M, E = self.M, self.E
+            series = _vecdot(weights, en ** self.p)
+            u, den = (1.0 - e) * series, 1.0 - E * e ** M
+            R = (1.0 - E) * u / den
+            if not deriv:
+                return R
+            dseries = _vecdot(weights, self.p * en ** self.p1)
+            du = (1.0 - e) * dseries - series
+            return R, (1.0 - E) * _dquot(u, du, den, -M * E * e ** (M - 1))
+        # R = (1-eps) sum_n w_n Psi_n / (1 - q eps)
+        q = self.q
+        if not deriv:
+            return (1.0 - e) * _vecdot(weights, self.psi(eps)) / (1.0 - q * e)
+        psi, dpsi = self.psi(eps, deriv=True)
+        S, dS = _vecdot(weights, psi), _vecdot(weights, dpsi)
+        u = (1.0 - e) * S
+        return u / (1.0 - q * e), _dquot(u, (1.0 - e) * dS - S, 1.0 - q * e, -q)
+
+    def mse(self, eps, weights):
+        """Average MSE sigma2 - c R(eps)."""
+        return self.s2 - self.c * self._reduction(eps, weights)
+
+    def dmse(self, eps, weights):
+        """d MSE / d eps."""
+        return -self.c * self._reduction(eps, weights, deriv=True)[1]
+
+
+# the weight vector of the M = 1 (no-inference) form: the target's own
+_OWN = np.ones(1)
+
+
+def mssc_weights(M: int, target: int, mssc_value: float) -> np.ndarray:
+    """Squared spatial weights with every non-target entry set to the MSSC."""
+    w = np.empty(M)
+    w.fill(mssc_value)
+    w[target - 1] = 1.0
+    return w
 
 
 def psi_values(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.ndarray:
@@ -157,13 +280,7 @@ def psi_values(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.nda
     where D is the gap until the next successful reception given the last
     success came from transmission slot n.
     """
-    a, h, T, M = source.a, scheme.h, scheme.T, scheme.M
-    q = math.exp(-2.0 * a * h)
-    E = math.exp(-2.0 * a * T)
-    P = math.exp(-2.0 * a * h * M) - E
-    n = np.arange(1, M + 1)
-    tail = np.exp(2.0 * a * h * (n - 1)) * eps ** (M - n) * (1.0 - eps) * P
-    return (1.0 - q) + tail / (1.0 - E * eps ** M)
+    return ClosedForm(source, scheme.T, 0.0, scheme.M, scheme.h).psi(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +292,8 @@ def mse_no_infer(source: SourceParams, link: LinkParams, scheme: SchemeConfig,
     """Average MSE when only the target's own packets are used (M = 1 form)."""
     _check_timing(link, scheme)
     eps = _eps(link, eps_bar)
-    E = math.exp(-2.0 * source.a * scheme.T)
-    c = _prefactor(source, link.tau, scheme.T)
-    val = source.sigma2_x - c * (1.0 - E) * (1.0 - eps) / (1.0 - E * eps)
-    return MseValue(val, {"eps_bar": eps})
+    val = ClosedForm(source, scheme.T, link.tau, 1).mse(eps, _OWN)
+    return MseValue(float(val), {"eps_bar": eps})
 
 
 def mse_syn_infer(source: SourceParams, field: SensorField, link: LinkParams,
@@ -191,8 +306,9 @@ def mse_syn_infer(source: SourceParams, field: SensorField, link: LinkParams,
     """
     _check_timing(link, scheme)
     eps = _eps(link, eps_bar)
-    ranked = reindex_by_correlation(source, field)
-    return _syn_value(source, link, scheme, eps, np.asarray(ranked.factors))
+    factors = _weights_of(reindex_by_correlation(source, field).factors, source, scheme)
+    val = ClosedForm(source, scheme.T, link.tau, scheme.M).mse(eps, factors)
+    return MseValue(float(val), {"eps_bar": eps})
 
 
 def mse_syn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
@@ -202,27 +318,10 @@ def mse_syn_infer_approx(source: SourceParams, mssc_value: float, link: LinkPara
         raise InvalidConfigError("the MSSC approximation needs M >= 2")
     _check_timing(link, scheme)
     eps = _eps(link, eps_bar)
-    E = math.exp(-2.0 * source.a * scheme.T)
-    c = _prefactor(source, link.tau, scheme.T)
-    # (1-eps) * sum_s fac_s eps^(s-1) collapses to (1-eps) + mssc (eps - eps^M)
-    num = (1.0 - eps) + mssc_value * (eps - eps ** scheme.M)
-    val = source.sigma2_x - c * (1.0 - E) * num / (1.0 - E * eps ** scheme.M)
-    return MseValue(val, {"eps_bar": eps, "mssc": mssc_value})
-
-
-def _syn_value(source, link, scheme, eps, factors_desc) -> MseValue:
-    M = scheme.M
-    if len(factors_desc) != M:
-        raise InvalidConfigError(
-            f"field has {len(factors_desc)} sensors but scheme.M = {M}"
-        )
-    E = math.exp(-2.0 * source.a * scheme.T)
-    c = _prefactor(source, link.tau, scheme.T)
-    s = np.arange(1, M + 1)
-    series = float(np.sum(factors_desc * eps ** (s - 1)))
-    val = (source.sigma2_x
-           - c * (1.0 - E) * (1.0 - eps) * series / (1.0 - E * eps ** M))
-    return MseValue(val, {"eps_bar": eps, "series": series})
+    # the target leads the descending order
+    val = ClosedForm(source, scheme.T, link.tau, scheme.M).mse(
+        eps, mssc_weights(scheme.M, 1, mssc_value))
+    return MseValue(float(val), {"eps_bar": eps, "mssc": mssc_value})
 
 
 def mse_asyn_infer(source: SourceParams, field: SensorField, link: LinkParams,
@@ -235,12 +334,9 @@ def mse_asyn_infer(source: SourceParams, field: SensorField, link: LinkParams,
     """
     _check_timing(link, scheme, need_h=True)
     eps = _eps(link, eps_bar)
-    w = field.target_factors(source.b, power=2.0)
-    if len(w) != scheme.M:
-        raise InvalidConfigError(
-            f"field has {len(w)} sensors but scheme.M = {scheme.M}"
-        )
-    return _asyn_value(source, link, scheme, eps, w)
+    w = _weights_of(field, source, scheme)
+    val = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h).mse(eps, w)
+    return MseValue(float(val), {"eps_bar": eps})
 
 
 def mse_asyn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
@@ -250,20 +346,9 @@ def mse_asyn_infer_approx(source: SourceParams, mssc_value: float, link: LinkPar
         raise InvalidConfigError("the MSSC approximation needs M >= 2")
     _check_timing(link, scheme, need_h=True)
     eps = _eps(link, eps_bar)
-    w = np.full(scheme.M, mssc_value, dtype=float)
-    w[scheme.m - 1] = 1.0
-    out = _asyn_value(source, link, scheme, eps, w)
-    out.components["mssc"] = mssc_value
-    return out
-
-
-def _asyn_value(source, link, scheme, eps, weights) -> MseValue:
-    q = math.exp(-2.0 * source.a * scheme.h)
-    psi = psi_values(source, scheme, eps)
-    c = _prefactor(source, link.tau, scheme.T)
-    S = float(np.dot(weights, psi))
-    val = source.sigma2_x - c * (1.0 - eps) * S / (1.0 - q * eps)
-    return MseValue(val, {"eps_bar": eps, "psi": psi, "weighted_psi_sum": S})
+    val = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h).mse(
+        eps, mssc_weights(scheme.M, scheme.m, mssc_value))
+    return MseValue(float(val), {"eps_bar": eps, "mssc": mssc_value})
 
 
 def average_mse(source, field, link, scheme, eps_bar=None) -> MseValue:
@@ -280,27 +365,8 @@ def average_mse(source, field, link, scheme, eps_bar=None) -> MseValue:
 # ---------------------------------------------------------------------------
 
 def dpsi_deps(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.ndarray:
-    """d Psi_n / d eps for n = 1..M.
-
-    exp(2ah(n-1)) (q^M - E) eps^(M-n-1)
-        [ (M-n)(1-eps) - eps + E eps^M (n(1-eps) + eps) ] / (1 - E eps^M)^2
-
-    The n = M term is evaluated with the eps factored in, so eps = 0 is fine.
-    """
-    a, h, T, M = source.a, scheme.h, scheme.T, scheme.M
-    E = math.exp(-2.0 * a * T)
-    P = math.exp(-2.0 * a * h * M) - E
-    den = (1.0 - E * eps ** M) ** 2
-    n = np.arange(1, M + 1)
-    pref = np.exp(2.0 * a * h * (n - 1)) * P / den
-    out = np.empty(M, dtype=float)
-    head = n[:-1]
-    bracket = ((M - head) * (1.0 - eps) - eps
-               + E * eps ** M * (head * (1.0 - eps) + eps))
-    out[:-1] = pref[:-1] * eps ** (M - head - 1) * bracket
-    # slot M: eps^(-1) * (-eps + E eps^M (M(1-eps) + eps)) = -1 + E eps^(M-1) (...)
-    out[-1] = pref[-1] * (-1.0 + E * eps ** (M - 1) * (M * (1.0 - eps) + eps))
-    return out
+    """d Psi_n / d eps for n = 1..M, the derivative of :func:`psi_values`."""
+    return ClosedForm(source, scheme.T, 0.0, scheme.M, scheme.h).psi(eps, deriv=True)[1]
 
 
 def dmse_asyn_deps(source: SourceParams, field_or_weights, link: LinkParams,
@@ -312,12 +378,8 @@ def dmse_asyn_deps(source: SourceParams, field_or_weights, link: LinkParams,
         d MSE / d eps = -c [ (1-eps)(1-q eps) S' - (1-q) S ] / (1-q eps)^2
     """
     w = _weights_of(field_or_weights, source, scheme)
-    q = math.exp(-2.0 * source.a * scheme.h)
-    S = float(np.dot(w, psi_values(source, scheme, eps)))
-    Sp = float(np.dot(w, dpsi_deps(source, scheme, eps)))
-    c = _prefactor(source, link.tau, scheme.T)
-    num = (1.0 - eps) * (1.0 - q * eps) * Sp - (1.0 - q) * S
-    return -c * num / (1.0 - q * eps) ** 2
+    cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
+    return float(cf.dmse(eps, w))
 
 
 def _weights_of(field_or_weights, source, scheme):
@@ -334,32 +396,27 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
                   tol=1e-10):
     """Global minimizer of the asynchronous MSE over eps in [0, 1).
 
-    Scans a dense grid, then refines the best interior cell by bracketed
-    root finding on the analytic eps-derivative.  Returns (eps_star, mse).
-    The error is not convex in eps for every geometry (it can rise, dip,
-    then rise again), so a global scan rather than a single root chase is
+    Scores a dense grid of ``grid_size`` points in one :class:`ClosedForm`
+    call, then refines the best interior cell by bracketed root finding
+    (brentq) on the analytic eps-derivative.  Returns (eps_star, mse).  The
+    error is not convex in eps for every geometry (it can rise, dip, then
+    rise again), so a global scan rather than a single root chase is
     required for a valid bound.
     """
     w = _weights_of(field_or_weights, source, scheme)
-
-    def val(e):
-        return _asyn_value(source, link, scheme, e, w).value
-
+    cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    vals = np.array([val(e) for e in grid])
+    vals = cf.mse(grid, w)
     k = int(np.argmin(vals))
     if k == 0:
         return 0.0, float(vals[0])
 
-    dm = lambda e: dmse_asyn_deps(source, w, link, scheme, e)
-    lo = grid[max(k - 1, 0)]
+    lo = grid[k - 1]
     hi = grid[min(k + 1, grid_size - 1)]
-    try:
-        if dm(lo) < 0.0 < dm(hi):
-            root = brentq(dm, lo, hi, xtol=tol)
-            return float(root), val(float(root))
-    except ValueError:
-        pass
+    d_lo, d_hi = cf.dmse(np.array([lo, hi]), w)
+    if d_lo < 0.0 < d_hi:
+        root = float(brentq(lambda e: float(cf.dmse(e, w)), lo, hi, xtol=tol))
+        return root, float(cf.mse(root, w))
     return float(grid[k]), float(vals[k])
 
 
@@ -401,18 +458,21 @@ class BoundAxis(str, enum.Enum):
     SPATIAL = "spatial"
 
 
-def bounds(source, field, link, scheme, axis, eps_bar=None):
+def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
     """Lower/upper bounds of the average MSE along one axis.
 
     axis = BLEP    : extremes over the average block error probability
                      (upper bound sigma2 in both schemes; the asynchronous
-                     lower bound sits at the global eps-minimizer, which is
-                     eps = 0 in the monotone case)
+                     lower bound sits at the global eps-minimizer of the
+                     given spatial weights, which is eps = 0 in the
+                     monotone case)
     axis = SPATIAL : extremes over the non-target spatial weights in [0, 1]
 
-    Returns (lower, upper) as MseValue with the defining pieces in
-    ``components``.  The no-inference scheme is treated as the synchronous
-    scheme with M = 1.
+    ``field_or_weights`` is a field or the squared spatial weights in slot
+    order (e.g. MSSC-substituted ones); only the asynchronous BLEP axis
+    reads it.  Returns (lower, upper) as MseValue with the defining pieces
+    in ``components``.  The no-inference scheme is treated as the
+    synchronous scheme with M = 1.
     """
     axis = BoundAxis(axis)
     eff = scheme
@@ -421,47 +481,35 @@ def bounds(source, field, link, scheme, axis, eps_bar=None):
     _check_timing(link, eff, need_h=eff.scheme is Scheme.ASYN_INFER)
     eps = _eps(link, eps_bar)
     s2 = source.sigma2_x
-    E = math.exp(-2.0 * source.a * eff.T)
-    c = _prefactor(source, link.tau, eff.T)
-    M = eff.M
-
-    if eff.scheme is Scheme.SYN_INFER:
-        if axis is BoundAxis.BLEP:
-            lower = s2 - c * (1.0 - E)
-            return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
-        beta = c * (1.0 - E) * (1.0 - eps) / (1.0 - E * eps ** M)
-        upper = s2 - beta
-        lower = s2 - beta * _geo_series(eps, M)
-        comp = {"beta_syn": beta, "eps_bar": eps}
-        return (MseValue(lower, dict(comp, at="weights=1")),
-                MseValue(upper, dict(comp, at="weights=0")))
-
-    # asynchronous
     if axis is BoundAxis.BLEP:
-        e_star, lower = eps_star_asyn(source, field, link, eff)
-        return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
-                MseValue(s2, {"at": "eps=1"}))
-    q = math.exp(-2.0 * source.a * eff.h)
-    psi = psi_values(source, eff, eps)
-    beta = c * (1.0 - eps) / (1.0 - q * eps)
-    upper = s2 - beta * float(psi[eff.m - 1])
-    lower = s2 - beta * float(psi.sum())
-    comp = {"beta_asyn": beta, "eps_bar": eps}
+        if eff.scheme is Scheme.ASYN_INFER:
+            e_star, lower = eps_star_asyn(source, field_or_weights, link, eff)
+            return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
+                    MseValue(s2, {"at": "eps=1"}))
+        # synchronous: at eps = 0 only the target's own term survives,
+        # sigma2 - c (1 - E)
+        E = math.exp(-2.0 * source.a * eff.T)
+        lower = float(s2 - _prefactor(source, link.tau, eff.T) * (1.0 - E))
+        return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
+
+    M = eff.M
+    cf = ClosedForm(source, eff.T, link.tau, M, eff.h)
+    # spatial axis: every non-target weight at 1, then at 0
+    target = 1 if eff.scheme is Scheme.SYN_INFER else eff.m
+    extremes = np.array([np.ones(M), mssc_weights(M, target, 0.0)])
+    lower, upper = (float(v) for v in cf.mse(eps, extremes))
+    comp = {"eps_bar": eps}
+    if eff.scheme is Scheme.SYN_INFER:
+        # reduction by the target's own packets; sensor s adds beta_syn eps^(s-1)
+        comp["beta_syn"] = s2 - upper
     return (MseValue(lower, dict(comp, at="weights=1")),
             MseValue(upper, dict(comp, at="weights=0")))
 
 
-def _geo_series(eps: float, M: int) -> float:
-    """(1 - eps^M) / (1 - eps), continuous at eps = 1 where it equals M."""
-    if eps >= 1.0:
-        return float(M)
-    return (1.0 - eps ** M) / (1.0 - eps)
-
-
 __all__ = [
     "Scheme", "SchemeConfig", "MseValue", "ReindexedField", "BoundAxis",
-    "reindex_by_correlation", "psi_values", "dpsi_deps",
-    "mse_no_infer", "mse_syn_infer", "mse_syn_infer_approx",
+    "reindex_by_correlation", "ClosedForm", "mssc_weights", "psi_values",
+    "dpsi_deps", "mse_no_infer", "mse_syn_infer", "mse_syn_infer_approx",
     "mse_asyn_infer", "mse_asyn_infer_approx", "average_mse",
     "dmse_asyn_deps", "eps_star_asyn", "upsilon", "bounds",
 ]

@@ -34,15 +34,18 @@ from .blep import (
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
 from .mse import (
+    ClosedForm,
     Scheme,
     SchemeConfig,
-    dpsi_deps,
     mse_asyn_infer,
     mse_no_infer,
     mse_syn_infer,
-    psi_values,
     reindex_by_correlation,
 )
+
+# (N, h) points the asynchronous exhaustive search scores per array call;
+# bounds its temporaries to about M * 32 kB each
+_GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -100,41 +103,23 @@ class OptResult:
 # objectives under the simplified BLEP model (consistent with H, J, F)
 # ---------------------------------------------------------------------------
 
+def _syn_factors(source, field, scheme):
+    """Descending squared spatial weights; just the target's own for M = 1."""
+    if scheme.M == 1:
+        return np.array([1.0])
+    return np.asarray(reindex_by_correlation(source, field).factors)
+
+
 def _syn_objective(source, field, link, scheme, N):
     eps = blep_average_simplified(link, N=N)
-    return _syn_mse_at(source, field, link, scheme, float(N), eps)
-
-
-def _syn_mse_at(source, field, link, scheme, N, eps):
-    tau = N * link.T_s
-    if scheme.M == 1:
-        factors = np.array([1.0])
-    else:
-        factors = np.asarray(reindex_by_correlation(source, field).factors)
-    E = math.exp(-2.0 * source.a * scheme.T)
-    c = (source.sigma2_x * source.gamma_o * math.exp(-2.0 * source.a * tau)
-         / (2.0 * source.a * scheme.T * (source.gamma_o + 1.0)))
-    s = np.arange(1, scheme.M + 1)
-    series = float(np.sum(factors * eps ** (s - 1)))
-    return (source.sigma2_x
-            - c * (1.0 - E) * (1.0 - eps) * series / (1.0 - E * eps ** scheme.M))
-
-
-def _asyn_mse_at(source, weights, link, scheme, N, h, eps):
-    tau = N * link.T_s
-    cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T, h=h, M=scheme.M, m=scheme.m)
-    q = math.exp(-2.0 * source.a * h)
-    psi = psi_values(source, cfg, eps)
-    c = (source.sigma2_x * source.gamma_o * math.exp(-2.0 * source.a * tau)
-         / (2.0 * source.a * scheme.T * (source.gamma_o + 1.0)))
-    S = float(np.dot(weights, psi))
-    return source.sigma2_x - c * (1.0 - eps) * S / (1.0 - q * eps)
+    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M)
+    return float(cf.mse(eps, _syn_factors(source, field, scheme)))
 
 
 def _asyn_objective(source, field, link, scheme, N, h):
     eps = blep_average_simplified(link, N=N)
     w = field.target_factors(source.b, power=2.0)
-    return _asyn_mse_at(source, w, link, scheme, float(N), h, eps)
+    return float(ClosedForm(source, scheme.T, N * link.T_s, scheme.M, h).mse(eps, w))
 
 
 def _exact_mse(source, field, link, scheme, N, h=None):
@@ -156,29 +141,15 @@ def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float) -> float:
     """d MSE_syn / dN at real-valued N (simplified BLEP model inside).
 
-    Expanded quotient form; algebraically identical to the per-slot sum
-    with eps^(s-2) factors but free of the removable singularity at eps=0.
+    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau), so
+    H = 2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN).
     """
-    a, T, Ts, M = source.a, scheme.T, link.T_s, scheme.M
     eps = blep_average_simplified(link, N=N)
     deps = dblep_dN(link, N=N)
-    if scheme.M == 1:
-        fac = np.array([1.0])
-    else:
-        fac = np.asarray(reindex_by_correlation(source, field).factors)
-    E = math.exp(-2.0 * a * T)
-    s = np.arange(1, M + 1)
-    pow_s1 = eps ** (s - 1)
-    u = (1.0 - eps) * float(np.sum(fac * pow_s1))
-    D = 1.0 - E * eps ** M
-    up = -float(np.sum(fac * pow_s1))
-    if M > 1:
-        up += (1.0 - eps) * float(np.sum(fac[1:] * (s[1:] - 1) * eps ** (s[1:] - 2)))
-    Gp = (up * D + u * M * E * eps ** (M - 1)) / (D * D)
-    c0 = (source.sigma2_x * source.gamma_o
-          / (2.0 * a * T * (source.gamma_o + 1.0)))
-    tau = N * Ts
-    return c0 * (1.0 - E) * math.exp(-2.0 * a * tau) * (2.0 * a * Ts * (u / D) - Gp * deps)
+    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M)
+    fac = _syn_factors(source, field, scheme)
+    gap = source.sigma2_x - cf.mse(eps, fac)
+    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, fac) * deps)
 
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
@@ -191,38 +162,31 @@ def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
     a, T, M = source.a, scheme.T, scheme.M
     eps = blep_average_simplified(link) if eps_bar is None else float(eps_bar)
     w = field.target_factors(source.b, power=2.0)
-    q = math.exp(-2.0 * a * h)
-    E = math.exp(-2.0 * a * T)
+    cf = ClosedForm(source, T, link.tau, M, h)
+    q, E = cf.q, cf.E
     n = np.arange(1, M + 1)
     decay = np.exp(-2.0 * a * h * (M - n))            # e^{2ahn} q^M
     cross = np.exp(-2.0 * a * (T - h * n))            # e^{2ahn} E
     inner = ((1.0 - q * eps) * M * decay
              + (1.0 - n * (1.0 - q * eps)) * (decay - cross))
     B = 1.0 - eps ** (M - n) * inner / (1.0 - E * eps ** M)
-    c = (source.sigma2_x * source.gamma_o * math.exp(-2.0 * a * link.tau)
-         / (scheme.T * (source.gamma_o + 1.0)))
-    return -c * (1.0 - eps) ** 2 * q / (1.0 - q * eps) ** 2 * float(np.dot(w, B))
+    return float(-cf.c * (1.0 - eps) ** 2 * q / (1.0 - q * eps) ** 2
+                 * 2.0 * a * np.dot(w, B))
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float, h: float | None = None) -> float:
-    """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside)."""
-    a, T, Ts, M = source.a, scheme.T, link.T_s, scheme.M
+    """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside).
+
+    Same split as :func:`eval_H`: 2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN).
+    """
     hh = scheme.h if h is None else h
-    cfg = SchemeConfig(Scheme.ASYN_INFER, T=T, h=hh, M=M, m=scheme.m)
     eps = blep_average_simplified(link, N=N)
     deps = dblep_dN(link, N=N)
     w = field.target_factors(source.b, power=2.0)
-    q = math.exp(-2.0 * a * hh)
-    S = float(np.dot(w, psi_values(source, cfg, eps)))
-    Sp = float(np.dot(w, dpsi_deps(source, cfg, eps)))
-    c = (source.sigma2_x * source.gamma_o
-         / (2.0 * a * T * (source.gamma_o + 1.0)))
-    tau = N * Ts
-    one_qe = 1.0 - q * eps
-    bracket = (-2.0 * a * Ts * (1.0 - eps) * one_qe * S
-               + deps * ((1.0 - eps) * one_qe * Sp - (1.0 - q) * S))
-    return -c * math.exp(-2.0 * a * tau) * bracket / one_qe ** 2
+    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M, hh)
+    gap = source.sigma2_x - cf.mse(eps, w)
+    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps)
 
 
 # ---------------------------------------------------------------------------
@@ -492,72 +456,54 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
 
     ``objective`` picks the BLEP model used for the scanned values
     ("simplified" matches the stationarity functions, "exact" the
-    closed-form average).  Ties break toward smaller N, then smaller h,
-    independent of scan order.  ``evaluations`` counts objective calls.
+    closed-form average).  The syn/no blocklength range is scored in one
+    :class:`ClosedForm` call; the asynchronous (N, h) grid in row-major
+    chunks of at most ``_GRID_CHUNK`` points, each one call.  Ties break
+    toward smaller N, then smaller h, independent of chunking.
+    ``evaluations`` counts scored grid points.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
     K = int(math.floor(T / Ts + 1e-9))
+    eps_of = blep_average_simplified if objective == "simplified" else blep_average
+    syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
+    n_hi = K if syn else K - (M - 1)
+    if cfg.N_max is not None:
+        n_hi = min(n_hi, cfg.N_max)
+    Ns = np.arange(cfg.N_min, n_hi + 1)
+    if Ns.size == 0:
+        raise InvalidConfigError("empty blocklength range" if syn else
+                                 "constraint leaves no feasible (N, h) point")
+    eps = np.array([eps_of(link, N=int(n)) for n in Ns])
 
-    def eps_at(n):
-        if objective == "simplified":
-            return blep_average_simplified(link, N=n)
-        return blep_average(link, N=n)
-
-    evals = 0
-    if scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER):
-        n_hi = K if cfg.N_max is None else min(K, cfg.N_max)
-        best = (math.inf, None)
-        for n in range(cfg.N_min, n_hi + 1):
-            v = _syn_mse_at(source, field, link, scheme, float(n), eps_at(n))
-            evals += 1
-            if v < best[0] or (v == best[0] and n < best[1]):
-                best = (v, n)
-        n_star = best[1]
-        if n_star is None:
-            raise InvalidConfigError("empty blocklength range")
+    if syn:
+        cf = ClosedForm(source, T, Ns * Ts, M)
+        vals = cf.mse(eps, _syn_factors(source, field, scheme))
+        k = int(np.argmin(vals))  # first minimum: the smallest N among ties
+        n_star = int(Ns[k])
         mse = _exact_mse(source, field, link, scheme, n_star)
-        return OptResult(scheme.scheme, n_star, None, mse, best[0], 1, True,
-                         "exhaustive", evaluations=evals)
+        return OptResult(scheme.scheme, n_star, None, mse, float(vals[k]), 1, True,
+                         "exhaustive", evaluations=int(Ns.size))
 
     w = field.target_factors(source.b, power=2.0)
-    n_hi = K - (M - 1) if cfg.N_max is None else min(K - (M - 1), cfg.N_max)
-    a = source.a
-    E = math.exp(-2.0 * a * T)
+    steps = (K - Ns) // (M - 1)  # feasible shifts T_s .. steps*T_s, non-increasing
     best = (math.inf, None, None)
-    for n in range(cfg.N_min, n_hi + 1):
-        n_steps = (K - n) // (M - 1)
-        if n_steps < 1:
-            continue
-        hs = Ts * np.arange(1, n_steps + 1)
-        eps = eps_at(n)
-        vals = _asyn_mse_h_vec(source, w, scheme, n * Ts, eps, hs, E)
-        evals += len(hs)
-        k = int(np.argmin(vals))
-        v, hk = float(vals[k]), float(hs[k])
-        if (v < best[0]
-                or (v == best[0] and (n, hk) < (best[1], best[2]))):
-            best = (v, n, hk)
-    if best[1] is None:
-        raise InvalidConfigError("constraint leaves no feasible (N, h) point")
+    i = 0
+    while i < Ns.size:
+        width = int(steps[i])
+        j = min(Ns.size, i + max(1, _GRID_CHUNK // width))
+        hs = Ts * np.arange(1, width + 1)
+        cf = ClosedForm(source, T, Ns[i:j, None] * Ts, M, hs)
+        vals = cf.mse(eps[i:j, None], w)
+        vals[np.arange(width) >= steps[i:j, None]] = np.inf
+        k = int(np.argmin(vals))  # row-major: smallest N, then smallest h
+        if vals.flat[k] < best[0]:  # strict: an earlier chunk keeps a tie
+            row, col = divmod(k, width)
+            best = (float(vals.flat[k]), int(Ns[i + row]), float(hs[col]))
+        i = j
     mse = _exact_mse(source, field, link, scheme, best[1], best[2])
     return OptResult(scheme.scheme, best[1], best[2], mse, best[0], 1, True,
-                     "exhaustive", evaluations=evals)
-
-
-def _asyn_mse_h_vec(source, w, scheme, tau, eps, hs, E):
-    """Asynchronous MSE over a vector of time shifts at fixed N."""
-    a, T, M = source.a, scheme.T, scheme.M
-    q = np.exp(-2.0 * a * hs)
-    P = np.exp(-2.0 * a * hs * M) - E
-    n = np.arange(1, M + 1)[:, None]
-    psi = (1.0 - q)[None, :] + (np.exp(2.0 * a * hs[None, :] * (n - 1))
-                                * eps ** (M - n) * (1.0 - eps) * P[None, :]
-                                / (1.0 - E * eps ** M))
-    S = np.asarray(w) @ psi
-    c = (source.sigma2_x * source.gamma_o * math.exp(-2.0 * a * tau)
-         / (2.0 * a * T * (source.gamma_o + 1.0)))
-    return source.sigma2_x - c * (1.0 - eps) * S / (1.0 - q * eps)
+                     "exhaustive", evaluations=int(steps.sum()))
 
 
 def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:

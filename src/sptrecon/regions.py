@@ -22,7 +22,6 @@ from .mse import (
     Scheme,
     SchemeConfig,
     _eps,
-    _geo_ratio,
     mse_asyn_infer_approx,
     mse_no_infer,
     mse_syn_infer_approx,
@@ -84,7 +83,8 @@ def threshold_asyn_over_syn(source: SourceParams, link: LinkParams,
     psi = psi_values(source, scheme, eps)
     psi_m = float(psi[m - 1])
     psi_rest = float(psi.sum() - psi_m)
-    den = psi_rest - lam * _geo_ratio(eps, M)
+    geo = sum(eps ** k for k in range(1, M))  # (eps - eps^M)/(1 - eps), also at eps = 1
+    den = psi_rest - lam * geo
     if den <= 0.0:
         # asyn wins iff rho * den > lam - psi_m; with den <= 0 the left side
         # ranges over [den, 0], so the outcome no longer depends on a threshold

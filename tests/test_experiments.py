@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -145,6 +147,43 @@ def test_compare_pass_and_injected_fault(tmp_path):
     passed_bad, rows_bad = compare_report(bad, sim, rel_bound=0.01)
     assert not passed_bad
     assert rows_bad[0]["verdict"] == "fail"
+
+
+def test_compare_zero_or_nonfinite_stderr_needs_exact_match(tmp_path):
+    ana = tmp_path / "ana.csv"
+    ana.write_text("mse_analytic\n0.5\n0.5\n0.5\n0.5\n")
+    sim = tmp_path / "sim.csv"
+    sim.write_text("mse_mc,stderr\n0.5,0.0\n0.5000001,0.0\n0.5000001,inf\n"
+                   "0.5000001,nan\n")
+    passed, rows = compare_report(ana, sim)
+    assert not passed
+    assert [r["verdict"] for r in rows] == ["pass", "fail", "fail", "fail"]
+    assert rows[0]["z_score"] == 0.0
+    assert all(r["z_score"] == math.inf for r in rows[1:])
+
+
+def test_simulate_needs_two_nonempty_batches(tmp_path):
+    # one period puts every reception into a single batch
+    text = SIM_SPEC.replace("scheme = syn-infer",
+                            "scheme = asyn-infer\ntime_shift_s = 0.005")
+    text = text.replace("outputs = analytic, simulate", "outputs = simulate")
+    text = text.replace("periods = 8000", "periods = 1")
+    text += "\n[link]\ngamma_r_bar_db = 30.0\n"
+    with pytest.raises(InvalidConfigError, match="1 periods.*1 non-empty batches"):
+        run_experiment(parse_spec(text), tmp_path)
+    manifest = json.loads((tmp_path / "smallsim.manifest.json").read_text())
+    assert manifest["status"] == "partial"
+
+
+def test_asyn_surface_spec_rows_within_bounds(tmp_path):
+    # MSSC sweep rows take the BLEP-axis bound from the substituted weights
+    run_experiment(load_spec("asyn_surface_short_shift"), tmp_path)
+    with open(tmp_path / "asyn_surface_short_shift_analytic.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 850
+    outside = [i for i, r in enumerate(rows)
+               if not float(r["mse_lb"]) <= float(r["mse_analytic"]) <= float(r["mse_ub"])]
+    assert outside == []
 
 
 def test_trace_dump(tmp_path):

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import sptrecon as sp
 from sptrecon.errors import InvalidConfigError
+from sptrecon.mse import dpsi_deps
 
 
 def dip_setup():
@@ -267,6 +271,31 @@ def test_eps_star_zero_when_monotone():
     assert e_star == 0.0
 
 
+def _scalar_scan_eps_star(src, f, link, scheme, grid_size=512, tol=1e-10):
+    """Reference: the grid scored one closed-form call per point."""
+    grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
+    vals = np.array([sp.mse_asyn_infer(src, f, link, scheme, eps_bar=e).value
+                     for e in grid])
+    k = int(np.argmin(vals))
+    if k == 0:
+        return 0.0, float(vals[0])
+    dm = lambda e: sp.dmse_asyn_deps(src, f, link, scheme, e)
+    lo, hi = grid[k - 1], grid[min(k + 1, grid_size - 1)]
+    if dm(lo) < 0.0 < dm(hi):
+        root = brentq(dm, lo, hi, xtol=tol)
+        return root, sp.mse_asyn_infer(src, f, link, scheme, eps_bar=root).value
+    return float(grid[k]), float(vals[k])
+
+
+@pytest.mark.parametrize("setup", [dip_setup, monotone_setup])
+def test_eps_star_matches_scalar_scan(setup):
+    src, f, scheme = setup()
+    link = sp.LinkParams.from_db()
+    got = sp.eps_star_asyn(src, f, link, scheme)
+    want = _scalar_scan_eps_star(src, f, link, scheme)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_upsilon_classifies_dip_then_rise():
     src, f, scheme = dip_setup()
     link = sp.LinkParams.from_db()
@@ -361,3 +390,67 @@ def test_bounds_contain_mse_on_random_configs():
                 assert lo.value - 1e-9 <= v <= hi.value + 1e-9
                 checked += 1
     assert checked == 400
+
+
+# ---------------------------------------------------------------------------
+# array kernel against the scalar wrappers and the written-out closed forms
+# ---------------------------------------------------------------------------
+
+def _literal_mse(src, T, tau, eps, w, h=None):
+    """The closed forms written out term by term in plain floats."""
+    a, M = src.a, len(w)
+    c = (src.sigma2_x * src.gamma_o * math.exp(-2 * a * tau)
+         / (2 * a * T * (src.gamma_o + 1)))
+    E = math.exp(-2 * a * T)
+    if h is None:
+        series = sum(w[s - 1] * eps ** (s - 1) for s in range(1, M + 1))
+        return src.sigma2_x - c * (1 - E) * (1 - eps) * series / (1 - E * eps ** M)
+    q = math.exp(-2 * a * h)
+    S = sum(w[n - 1] * ((1 - q) + math.exp(2 * a * h * (n - 1)) * eps ** (M - n)
+                        * (1 - eps) * (q ** M - E) / (1 - E * eps ** M))
+            for n in range(1, M + 1))
+    return src.sigma2_x - c * (1 - eps) * S / (1 - q * eps)
+
+
+ROWS = 4
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(M=st.integers(2, 6), a=st.floats(0.2, 4.0), b=st.floats(0.0, 0.2),
+       data=st.data())
+def test_kernel_matches_scalar_wrappers(M, a, b, data):
+    src = sp.SourceParams(sigma2_x=1.0, gamma_o=5.0, a=a, b=b)
+    T = 0.150
+    rows = []
+    for _ in range(ROWS):
+        f = sp.place_sensors(M, 10.0, seed=data.draw(st.integers(0, 10 ** 6)),
+                             target_index=data.draw(st.integers(1, M)))
+        link = sp.LinkParams.from_db(N=data.draw(st.integers(10, 800)))
+        h_max = (T - link.tau) / (M - 1)
+        h = link.T_s + data.draw(st.floats(0.0, 1.0)) * (h_max - link.T_s)
+        eps = data.draw(st.floats(0.0, 1.0))
+        rows.append((f, link, h, eps))
+    eps = np.array([r[3] for r in rows])
+    tau = np.array([r[1].tau for r in rows])
+    h = np.array([r[2] for r in rows])
+    w = np.array([f.target_factors(b, power=2.0) for f, *_ in rows])
+    fac = -np.sort(-w, axis=1)
+
+    asyn = sp.ClosedForm(src, T, tau, M, h)
+    syn = sp.ClosedForm(src, T, tau, M)
+    got = {"asyn": asyn.mse(eps, w), "dasyn": asyn.dmse(eps, w),
+           "syn": syn.mse(eps, fac), "no": sp.ClosedForm(src, T, tau, 1).mse(eps, [1.0])}
+    psi, dpsi = asyn.psi(eps, deriv=True)
+    close = lambda x, y: x == pytest.approx(y, rel=1e-12, abs=1e-12)
+    for i, (f, link, hi, e) in enumerate(rows):
+        s_asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=hi, M=M, m=f.target_index)
+        s_syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=f.target_index)
+        s_no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=T, M=1, m=1)
+        assert close(got["asyn"][i], sp.mse_asyn_infer(src, f, link, s_asyn, e).value)
+        assert close(got["dasyn"][i], sp.dmse_asyn_deps(src, f, link, s_asyn, e))
+        assert close(got["syn"][i], sp.mse_syn_infer(src, f, link, s_syn, e).value)
+        assert close(got["no"][i], sp.mse_no_infer(src, link, s_no, e).value)
+        assert close(psi[i], sp.psi_values(src, s_asyn, e))
+        assert close(dpsi[i], dpsi_deps(src, s_asyn, e))
+        assert close(got["asyn"][i], _literal_mse(src, T, link.tau, e, w[i], hi))
+        assert close(got["syn"][i], _literal_mse(src, T, link.tau, e, fac[i]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sptrecon as sp
+from sptrecon import optimize
 from sptrecon.optimize import _asyn_objective, _syn_objective
 
 
@@ -281,9 +282,8 @@ def test_exhaustive_count_matches_closed_form(source, field, link):
             predicted, rel=0.05)
 
 
-def test_exhaustive_argmin_independent_of_scan_order(source, field, link):
+def test_exhaustive_argmin_independent_of_scan_order(source, field, link, monkeypatch):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.05, h=link.T_s, M=5, m=1)
-    ex = sp.exhaustive_search(source, field, link, scheme)
     # independent rescan, shuffled candidate order, explicit tie-break
     rng = np.random.default_rng(8)
     K = int(round(scheme.T / link.T_s))
@@ -296,7 +296,27 @@ def test_exhaustive_argmin_independent_of_scan_order(source, field, link):
         v = _asyn_objective(source, field, link, scheme, n, h)
         if v < best[0] or (v == best[0] and (n, h) < (best[1], best[2])):
             best = (v, n, h)
-    assert (ex.N_star, ex.h_star) == (best[1], best[2])
+    # one N per chunk, chunks of several N rows, the default chunk
+    for chunk in (1, 300, optimize._GRID_CHUNK):
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+        ex = sp.exhaustive_search(source, field, link, scheme)
+        assert (ex.N_star, ex.h_star) == (best[1], best[2])
+
+
+def test_exhaustive_exact_ties_break_to_smallest_n_then_h(source, field, monkeypatch):
+    # a payload far above capacity saturates the BLEP at 1, so every grid
+    # point ties at sigma2 within and across chunks
+    link = sp.LinkParams.from_db(L=2000.0)
+    T, M = 0.015, 5
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=M, m=1)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1)
+    for chunk in (1, 7, 300, optimize._GRID_CHUNK):
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+        ex = sp.exhaustive_search(source, field, link, asyn)
+        assert (ex.N_star, ex.h_star) == (10, link.T_s)
+        assert ex.objective_star == source.sigma2_x
+        assert ex.evaluations == sp.expected_evaluation_count(T, link.T_s, M)
+    assert sp.exhaustive_search(source, field, link, syn).N_star == 10
 
 
 def test_small_information_payload_warns(source, field):
