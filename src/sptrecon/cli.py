@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-    sptrecon run <spec-file-or-name> [--seed S] [--out-dir D]
-                 [--replicas R] [--threads K]
+    sptrecon run <spec-file-or-name> [--seed S] [--out-dir D] [--replicas R]
     sptrecon compare <analytic.csv> <sim.csv> [--rel-bound B] [--out FILE]
     sptrecon list-specs
 
-Exit codes: 0 success, 1 configuration error, 2 acceptance failure.
+Exit codes: 0 success, 1 usage or configuration error (or a failed run),
+2 comparison failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out-dir", default=".")
     p_run.add_argument("--replicas", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_cmp = sub.add_parser("compare", help="check a simulation CSV against an analytic CSV")
     p_cmp.add_argument("analytic_csv")
@@ -36,7 +35,10 @@ def main(argv=None) -> int:
 
     sub.add_parser("list-specs", help="list bundled experiment configs")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
 
     if args.command == "list-specs":
         for name in list_bundled_specs():
@@ -46,15 +48,11 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             spec = load_spec(args.spec, seed=args.seed, replicas=args.replicas)
+            manifest = run_experiment(spec, args.out_dir)
         except InvalidConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
-        try:
-            manifest = run_experiment(spec, args.out_dir, threads=args.threads)
-        except InvalidConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:  # mid-run failure: partial manifest on disk
+        except Exception as exc:  # a run that fails midway leaves a partial manifest
             print(f"run failed: {exc}", file=sys.stderr)
             return 1
         for entry in manifest["outputs"]:
@@ -66,7 +64,8 @@ def main(argv=None) -> int:
             passed, rows = compare_report(args.analytic_csv, args.sim_csv,
                                           rel_bound=args.rel_bound,
                                           out_path=args.out)
-        except (InvalidConfigError, OSError, KeyError, TypeError) as exc:
+        # ValueError covers InvalidConfigError and a non-numeric cell
+        except (ValueError, OSError, KeyError, TypeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
         failures = [r for r in rows if r["verdict"] == "fail"]

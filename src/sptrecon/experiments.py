@@ -19,7 +19,6 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -172,8 +171,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
 
         sim = cp["sim"] if cp.has_section("sim") else {}
         periods = int(_getf(sim, "periods", 100000))
-        dump_trace = (str(sim.get("dump_trace", "false")).strip().lower()
-                      in ("1", "true", "yes") if hasattr(sim, "get") else False)
+        dump_trace = _getbool(sim, "dump_trace")
 
         opt = cp["optimize"] if cp.has_section("optimize") else {}
         optimizer = OptimizerConfig(
@@ -183,8 +181,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
             tol_h=_getf(opt, "tol_h_s", 1e-4),
             tol_N=_getf(opt, "tol_N", 1.0),
         )
-        include_exhaustive = (str(opt.get("include_exhaustive", "false")).strip().lower()
-                              in ("1", "true", "yes") if hasattr(opt, "get") else False)
+        include_exhaustive = _getbool(opt, "include_exhaustive")
 
         sweep = {}
         if cp.has_section("sweep"):
@@ -202,7 +199,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
     if not outputs:
         raise InvalidConfigError("at least one output must be requested")
     for out in outputs:
-        if out not in ("analytic", "simulate", "optimize", "regions"):
+        if out not in OUTPUTS:
             raise InvalidConfigError(f"unknown output kind {out!r}")
 
     return ExperimentSpec(
@@ -217,13 +214,18 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
 
 
 def _getf(section, key, default):
-    if hasattr(section, "get"):
-        val = section.get(key, None)
-    else:
-        val = None
-    if val is None or (isinstance(val, str) and not val.strip()):
+    val = section.get(key, None)
+    if val is None or not val.strip():
         return default
     return float(val)
+
+
+def _getbool(section, key):
+    """A boolean key under configparser's rules (1/yes/true/on, 0/no/false/off)."""
+    val = section.get(key, "false").strip().lower()
+    if val not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise InvalidConfigError(f"{key} = {val!r} is not a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[val]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +273,8 @@ def _analytic_row(spec, point):
     else:
         val = mse_no_infer(source, link, scheme, eps_bar=eps).value
     lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps)
-    return [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
-            scheme.h if scheme.h is not None else "",
-            scheme.M, rho_val, eps_val, val, lo.value, hi.value]
+    return [[scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
+             scheme.M, rho_val, eps_val, val, lo.value, hi.value]], None
 
 
 def _region_row(spec, point):
@@ -287,7 +288,7 @@ def _region_row(spec, point):
         thr2 = math.inf
         winner = "degenerate:" + ("asyn" if exc.always_superior else "syn/no")
     db = 10.0 * math.log10(link.gamma_r_bar)
-    return [scheme.T, db, rho_val, thr1, thr2, winner]
+    return [[scheme.T, db, rho_val, thr1, thr2, winner]], None
 
 
 def _sim_row(spec, point):
@@ -313,12 +314,12 @@ def _sim_row(spec, point):
     stderr = float(np.std(ratios, ddof=1) / math.sqrt(nz.sum()))
     ana = average_mse(source, field, link, scheme).value
     z = (mse_mc - ana) / stderr if stderr > 0 else math.inf
-    row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
-           scheme.h if scheme.h is not None else "", scheme.M, rho_val,
-           spec.periods, spec.seed, mse_mc, stderr, ana, z]
-    events = [[e.period, e.sensor, e.t_start_s, e.gamma_r, int(e.success)]
-              for r in reports for e in r.events]
-    return row, events
+    row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
+           scheme.M, rho_val, spec.periods, spec.seed, mse_mc, stderr, ana, z]
+    if not spec.dump_trace:
+        return [row], None
+    return [row], [[e.period, e.sensor, e.t_start_s, e.gamma_r, int(e.success)]
+                   for r in reports for e in r.events]
 
 
 def _optimize_rows(spec, point):
@@ -342,16 +343,11 @@ def _optimize_rows(spec, point):
                          ("asyn-infer", asyn_cfg)):
             res = exhaustive_search(source, field, link, cfg, spec.optimizer)
             runs.append((tag + ":exhaustive", res))
-    rows = []
-    trace = []
-    for tag, res in runs:
-        eps_val = blep_average(link.with_blocklength(res.N_star))
-        rows.append([tag, link.T_s, link.L, res.N_star, scheme.T,
-                     res.h_star if res.h_star is not None else "", scheme.M,
-                     rho_val, eps_val, res.mse_star, "", ""])
-        if tag == "asyn-infer":
-            trace = [[t.iteration, t.h_s if t.h_s is not None else "", t.N,
-                      t.mse, t.residual_h, t.residual_N] for t in res.trace]
+    rows = [[tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
+             rho_val, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
+             "", ""] for tag, res in runs]
+    trace = [[t.iteration, t.h_s, t.N, t.mse, t.residual_h, t.residual_N]
+             for t in runs[2][1].trace]  # the jtsbo run
     return rows, trace
 
 
@@ -359,11 +355,21 @@ def _optimize_rows(spec, point):
 # runner
 # ---------------------------------------------------------------------------
 
-def run_experiment(spec: ExperimentSpec, out_dir, threads=1) -> dict:
+# output kind -> (columns, point function, (side-file stem, side columns));
+# the side file is written per sweep point whose function returns side rows
+OUTPUTS = {
+    "analytic": (ANALYTIC_COLUMNS, _analytic_row, None),
+    "regions": (REGION_COLUMNS, _region_row, None),
+    "simulate": (SIM_COLUMNS, _sim_row, ("events", EVENT_COLUMNS)),
+    "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
+}
+
+
+def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Execute every requested output; returns the manifest dict.
 
-    Sweep points are dispatched to a thread pool but rows are written in
-    sweep order, so outputs are byte-identical regardless of thread count.
+    Sweep points are evaluated in sweep order.  Each output writes its CSV,
+    then its side files ``<name>_<stem>_<point index>.csv`` in point order.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -379,24 +385,16 @@ def run_experiment(spec: ExperimentSpec, out_dir, threads=1) -> dict:
         "status": "complete",
     }
 
-    builders = {
-        "analytic": (ANALYTIC_COLUMNS, _analytic_row),
-        "regions": (REGION_COLUMNS, _region_row),
-    }
-
     try:
         for kind in spec.outputs:
-            if kind == "optimize":
-                _run_optimize_output(spec, points, out_dir, manifest, threads)
-                continue
-            if kind == "simulate":
-                _run_simulate_output(spec, points, out_dir, manifest, threads)
-                continue
-            columns, fn = builders[kind]
-            rows = _map_points(fn, spec, points, threads)
-            path = out_dir / f"{spec.name}_{kind}.csv"
-            _write_csv(path, columns, rows)
-            _record(manifest, path, len(rows))
+            columns, point_fn, side = OUTPUTS[kind]
+            results = [point_fn(spec, p) for p in points]
+            rows = [row for point_rows, _ in results for row in point_rows]
+            _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, rows)
+            for idx, (_, side_rows) in enumerate(results):
+                if side_rows is not None:
+                    _record(manifest, out_dir / f"{spec.name}_{side[0]}_{idx}.csv",
+                            side[1], side_rows)
     except Exception as exc:
         manifest["status"] = "partial"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -407,50 +405,21 @@ def run_experiment(spec: ExperimentSpec, out_dir, threads=1) -> dict:
     return manifest
 
 
-def _run_simulate_output(spec, points, out_dir, manifest, threads):
-    results = _map_points(_sim_row, spec, points, threads)
-    rows = [row for row, _ in results]
-    path = out_dir / f"{spec.name}_simulate.csv"
-    _write_csv(path, SIM_COLUMNS, rows)
-    _record(manifest, path, len(rows))
-    if spec.dump_trace:
-        for idx, (_, events) in enumerate(results):
-            epath = out_dir / f"{spec.name}_events_{idx}.csv"
-            _write_csv(epath, EVENT_COLUMNS, events)
-            _record(manifest, epath, len(events))
-
-
-def _run_optimize_output(spec, points, out_dir, manifest, threads):
-    results = _map_points(_optimize_rows, spec, points, threads)
-    rows = [row for rs, _ in results for row in rs]
-    path = out_dir / f"{spec.name}_optimize.csv"
-    _write_csv(path, ANALYTIC_COLUMNS, rows)
-    _record(manifest, path, len(rows))
-    for idx, (_, trace) in enumerate(results):
-        tpath = out_dir / f"{spec.name}_optimize_trace_{idx}.csv"
-        _write_csv(tpath, TRACE_COLUMNS, trace)
-        _record(manifest, tpath, len(trace))
-
-
-def _map_points(fn, spec, points, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: fn(spec, p), points))
-    return [fn(spec, p) for p in points]
-
-
 def _write_csv(path, columns, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(rows)  # floats are written with repr, so they round-trip
+    # floats are written with repr, so they round-trip; None as an empty cell
+    writer.writerows(rows)
     Path(path).write_text(buf.getvalue())
 
 
-def _record(manifest, path, rows):
+def _record(manifest, path, columns, rows):
+    """Write one output CSV and list it, with its hash, in the manifest."""
+    _write_csv(path, columns, rows)
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     manifest["outputs"].append({"file": Path(path).name, "sha256": digest,
-                                "rows": rows})
+                                "rows": len(rows)})
 
 
 def _write_manifest(out_dir, spec, manifest):

@@ -137,19 +137,23 @@ def _exact_mse(source, field, link, scheme, N, h=None):
 # stationarity functions
 # ---------------------------------------------------------------------------
 
-def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
-           scheme: SchemeConfig, N: float) -> float:
-    """d MSE_syn / dN at real-valued N (simplified BLEP model inside).
+def _dmse_dN(source, link, cf, weights, N):
+    """2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN) at real-valued N.
 
-    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau), so
-    H = 2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN).
+    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau); ``cf`` holds
+    the geometry at that delay, eps is the simplified average BLEP.
     """
     eps = blep_average_simplified(link, N=N)
     deps = dblep_dN(link, N=N)
+    gap = source.sigma2_x - cf.mse(eps, weights)
+    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, weights) * deps)
+
+
+def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
+           scheme: SchemeConfig, N: float) -> float:
+    """d MSE_syn / dN at real-valued N (simplified BLEP model inside)."""
     cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M)
-    fac = _syn_factors(source, field, scheme)
-    gap = source.sigma2_x - cf.mse(eps, fac)
-    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, fac) * deps)
+    return _dmse_dN(source, link, cf, _syn_factors(source, field, scheme), N)
 
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
@@ -176,17 +180,10 @@ def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float, h: float | None = None) -> float:
-    """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside).
-
-    Same split as :func:`eval_H`: 2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN).
-    """
-    hh = scheme.h if h is None else h
-    eps = blep_average_simplified(link, N=N)
-    deps = dblep_dN(link, N=N)
-    w = field.target_factors(source.b, power=2.0)
-    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M, hh)
-    gap = source.sigma2_x - cf.mse(eps, w)
-    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps)
+    """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside)."""
+    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M,
+                    scheme.h if h is None else h)
+    return _dmse_dN(source, link, cf, field.target_factors(source.b, power=2.0), N)
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +212,54 @@ def _effective_lower(link, n_lo, n_hi):
     return hi
 
 
-def _bracket_root(f, lo, hi, xtol, root_tol, label):
-    flo, fhi = f(lo), f(hi)
-    if not (np.isfinite(flo) and np.isfinite(fhi)):
+def _blocklength_range(link, cfg, n_cap):
+    """(N_min, upper bound, plateau edge) of a blocklength step.
+
+    ``n_cap`` is the largest blocklength the timing allows; ``cfg.N_max``
+    can lower it further.
+    """
+    n_lo = cfg.N_min
+    n_hi = n_cap if cfg.N_max is None else min(n_cap, cfg.N_max)
+    if n_hi < n_lo:
+        raise InvalidConfigError(f"empty blocklength range [{n_lo}, {n_hi}]")
+    n_eff = _effective_lower(link, n_lo, n_hi)
+    if n_eff is None:
+        raise BracketError(
+            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]"
+        )
+    return n_lo, n_hi, n_eff
+
+
+def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
+    """Minimizer on [lo, hi] of a 1-D objective whose derivative is f.
+
+    In order: f > 0 at lo is the "lower-boundary", f < 0 at hi the
+    "upper-boundary"; a blocklength step passes the plateau edge, and
+    f >= 0 there is the "plateau-edge", snapped to the grid; otherwise the
+    root of f on [edge, hi] (edge = lo for a time shift), snapped to the
+    grid, is the "interior-root".  Each endpoint is evaluated once.
+    Returns (x, branch, |f| where the branch was decided).
+    """
+    f_lo = f(lo)
+    if f_lo > 0.0:
+        return lo, "lower-boundary", abs(f_lo)
+    f_hi = f(hi)
+    if f_hi < 0.0:
+        return hi, "upper-boundary", abs(f_hi)
+    if edge is not None:
+        lo, f_lo = edge, (f_lo if edge == lo else f(edge))
+        if f_lo >= 0.0:
+            return snap(lo), "plateau-edge", abs(f_lo)
+    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
         raise BracketError(f"{label}: non-finite values at bracket "
-                           f"({flo} at {lo}, {fhi} at {hi})")
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    if flo * fhi > 0:
-        raise BracketError(f"{label}: no sign change on [{lo}, {hi}] "
-                           f"({flo:.3e}, {fhi:.3e})")
+                           f"({f_lo} at {lo}, {f_hi} at {hi})")
+    if f_lo == 0.0 or f_hi == 0.0:
+        return snap(lo if f_lo == 0.0 else hi), "interior-root", 0.0
     root = brentq(f, lo, hi, xtol=xtol)
     res = abs(f(root))
     if res > root_tol:
         raise BracketError(f"{label}: residual {res:.3e} exceeds {root_tol}")
-    return root, res
+    return snap(root), "interior-root", res
 
 
 def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult:
@@ -241,39 +269,18 @@ def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult
     otherwise the better of the two integers around the root of H.
     """
     cfg = cfg or OptimizerConfig()
-    warn = source_l_warn(link)
-    n_lo = cfg.N_min
-    n_hi = int(math.floor(scheme.T / link.T_s + 1e-9))
-    if cfg.N_max is not None:
-        n_hi = min(n_hi, cfg.N_max)
-    if n_hi < n_lo:
-        raise InvalidConfigError(f"empty blocklength range [{n_lo}, {n_hi}]")
-
+    n_cap = int(math.floor(scheme.T / link.T_s + 1e-9))
+    n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
     obj = lambda n: _syn_objective(source, field, link, scheme, n)
-    Hf = lambda n: eval_H(source, field, link, scheme, n)
-
-    n_eff = _effective_lower(link, n_lo, n_hi)
-    if n_eff is None:
-        raise BracketError(
-            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]"
-        )
-    if Hf(n_lo) > 0.0:
-        n_star, branch, res = n_lo, "lower-boundary", abs(Hf(n_lo))
-    elif Hf(n_hi) < 0.0:
-        n_star, branch, res = n_hi, "upper-boundary", abs(Hf(n_hi))
-    elif Hf(n_eff) >= 0.0:
-        n_star = _best_int(obj, n_eff, n_lo, n_hi)
-        branch, res = "plateau-edge", abs(Hf(n_eff))
-    else:
-        root, res = _bracket_root(Hf, n_eff, n_hi, 1e-9, cfg.root_tol, "H(N)")
-        n_star = _best_int(obj, root, n_lo, n_hi)
-        branch = "interior-root"
-
-    mse = _exact_mse(source, field, link, scheme, n_star)
-    result = OptResult(scheme.scheme, n_star, None, mse, obj(n_star), 1, True,
-                       branch, convexity_warning=warn)
-    result.trace.append(TraceRow(1, None, n_star, obj(n_star), 0.0, res))
-    return result
+    n_star, branch, res = _stationary_point(
+        lambda n: eval_H(source, field, link, scheme, n), n_lo, n_hi,
+        lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9, cfg.root_tol, "H(N)",
+        edge=n_eff)
+    val = obj(n_star)
+    return OptResult(scheme.scheme, n_star, None,
+                     _exact_mse(source, field, link, scheme, n_star), val, 1, True,
+                     branch, trace=[TraceRow(1, None, n_star, val, 0.0, res)],
+                     convexity_warning=source_l_warn(link))
 
 
 def optimize_time_shift(source, field, link, scheme, cfg=None, N=None) -> OptResult:
@@ -290,21 +297,14 @@ def optimize_time_shift(source, field, link, scheme, cfg=None, N=None) -> OptRes
     h_hi = max(h_hi, h_lo)  # guard a band degenerate to one grid point
     link_n = link.with_blocklength(n)
     obj = lambda hh: _asyn_objective(source, field, link_n, scheme, n, hh)
-    Jf = lambda hh: eval_J(source, field, link_n, scheme, hh)
-
-    if Jf(h_lo) > 0.0:
-        h_star, branch, res = h_lo, "lower-boundary", abs(Jf(h_lo))
-    elif Jf(h_hi) < 0.0:
-        h_star, branch, res = h_hi, "upper-boundary", abs(Jf(h_hi))
-    else:
-        root, res = _bracket_root(Jf, h_lo, h_hi, 1e-13, cfg.root_tol, "J(h)")
-        h_star = _best_h(obj, root, link.T_s, h_lo, h_hi)
-        branch = "interior-root"
-
-    mse = _exact_mse(source, field, link_n, scheme, n, h_star)
-    result = OptResult(scheme.scheme, n, h_star, mse, obj(h_star), 1, True, branch)
-    result.trace.append(TraceRow(1, h_star, n, obj(h_star), res, 0.0))
-    return result
+    h_star, branch, res = _stationary_point(
+        lambda hh: eval_J(source, field, link_n, scheme, hh), h_lo, h_hi,
+        lambda x: _best_h(obj, x, link.T_s, h_lo, h_hi), 1e-13, cfg.root_tol,
+        "J(h)")
+    val = obj(h_star)
+    return OptResult(scheme.scheme, n, h_star,
+                     _exact_mse(source, field, link_n, scheme, n, h_star), val, 1,
+                     True, branch, trace=[TraceRow(1, h_star, n, val, res, 0.0)])
 
 
 def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> OptResult:
@@ -315,48 +315,27 @@ def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> 
     h = T/M).
     """
     cfg = cfg or OptimizerConfig()
-    warn = source_l_warn(link)
     hh = scheme.h if h is None else h
-    n_lo = cfg.N_min
-    n_hi = int(math.floor((scheme.T - (scheme.M - 1) * hh) / link.T_s + 1e-9))
-    if cfg.N_max is not None:
-        n_hi = min(n_hi, cfg.N_max)
-    if n_hi < n_lo:
-        raise InvalidConfigError(f"empty blocklength range [{n_lo}, {n_hi}]")
-
+    n_cap = int(math.floor((scheme.T - (scheme.M - 1) * hh) / link.T_s + 1e-9))
+    n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
     obj = lambda n: _asyn_objective(source, field, link, scheme, n, hh)
     Ff = lambda n: eval_F(source, field, link, scheme, n, h=hh)
 
-    n_eff = _effective_lower(link, n_lo, n_hi)
-    if n_eff is None:
-        raise BracketError(
-            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]"
-        )
     probe = np.linspace(n_eff, n_hi, min(33, n_hi - n_lo + 1))
     signs = np.sign([Ff(p) for p in probe])
-    changes = int(np.sum(np.abs(np.diff(signs[signs != 0])) > 0))
-    if changes > 1:
+    if int(np.sum(np.abs(np.diff(signs[signs != 0])) > 0)) > 1:
         grid = np.arange(n_lo, n_hi + 1)
-        vals = [obj(int(n)) for n in grid]
-        n_star = int(grid[int(np.argmin(vals))])
+        n_star = int(grid[int(np.argmin([obj(int(n)) for n in grid]))])
         branch, res = "grid-fallback", abs(Ff(n_star))
-    elif Ff(n_lo) > 0.0:
-        n_star, branch, res = n_lo, "lower-boundary", abs(Ff(n_lo))
-    elif Ff(n_hi) < 0.0:
-        n_star, branch, res = n_hi, "upper-boundary", abs(Ff(n_hi))
-    elif Ff(n_eff) >= 0.0:
-        n_star = _best_int(obj, n_eff, n_lo, n_hi)
-        branch, res = "plateau-edge", abs(Ff(n_eff))
     else:
-        root, res = _bracket_root(Ff, n_eff, n_hi, 1e-9, cfg.root_tol, "F(N)")
-        n_star = _best_int(obj, root, n_lo, n_hi)
-        branch = "interior-root"
-
-    mse = _exact_mse(source, field, link, scheme, n_star, hh)
-    result = OptResult(scheme.scheme, n_star, hh, mse, obj(n_star), 1, True,
-                       branch, convexity_warning=warn)
-    result.trace.append(TraceRow(1, hh, n_star, obj(n_star), 0.0, res))
-    return result
+        n_star, branch, res = _stationary_point(
+            Ff, n_lo, n_hi, lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9,
+            cfg.root_tol, "F(N)", edge=n_eff)
+    val = obj(n_star)
+    return OptResult(scheme.scheme, n_star, hh,
+                     _exact_mse(source, field, link, scheme, n_star, hh), val, 1,
+                     True, branch, trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
+                     convexity_warning=source_l_warn(link))
 
 
 def _best_int(obj, root, lo, hi):

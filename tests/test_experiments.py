@@ -101,15 +101,6 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert m1["outputs"][0]["rows"] == 6  # cartesian product in declared order
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    text = POINT_SPEC + "\n[sweep]\neps_bar = 0.1, 0.3, 0.5, 0.7\n"
-    spec = parse_spec(text)
-    run_experiment(spec, tmp_path / "serial", threads=1)
-    run_experiment(spec, tmp_path / "pool", threads=4)
-    assert ((tmp_path / "serial" / "point_eval_analytic.csv").read_bytes()
-            == (tmp_path / "pool" / "point_eval_analytic.csv").read_bytes())
-
-
 def test_manifest_lists_all_outputs_with_hashes(tmp_path):
     spec = parse_spec(SIM_SPEC)
     manifest = run_experiment(spec, tmp_path)
@@ -231,6 +222,41 @@ def test_cli_round_trip(tmp_path, capsys):
     wrong.write_text("\n".join([lines[0], ",".join(row)]) + "\n")
     assert cli_main(["compare", str(wrong),
                      str(out / "smallsim_simulate.csv")]) == 2
+
+
+def test_cli_usage_error_exits_1(capsys):
+    # 2 is reserved for a failed comparison
+    assert cli_main(["run", "x", "--threads", "4"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert cli_main(["no-such-command"]) == 1
+    assert cli_main(["--help"]) == 0
+
+
+def test_cli_compare_non_numeric_cell_is_config_error(tmp_path, capsys):
+    spec = parse_spec(SIM_SPEC)
+    run_experiment(spec, tmp_path)
+    ana = tmp_path / "smallsim_analytic.csv"
+    lines = ana.read_text().splitlines()
+    header, row = lines[0].split(","), lines[1].split(",")
+    row[header.index("mse_analytic")] = "n/a"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], ",".join(row)]) + "\n")
+    assert cli_main(["compare", str(bad), str(tmp_path / "smallsim_simulate.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("optimize", "include_exhaustive"),
+                                          ("sim", "dump_trace")])
+def test_boolean_keys_parse_or_fail_loudly(section, key):
+    def spec_with(value):
+        return parse_spec(POINT_SPEC + f"\n[{section}]\n{key} = {value}\n")
+
+    for value, expected in (("true", True), ("Yes", True), ("on", True), ("1", True),
+                            ("false", False), ("no", False), ("off", False), ("0", False)):
+        assert getattr(spec_with(value), key) is expected
+    assert getattr(parse_spec(POINT_SPEC), key) is False
+    with pytest.raises(InvalidConfigError, match=key):
+        spec_with("ture")
 
 
 def test_cli_list_specs(capsys):

@@ -195,6 +195,53 @@ def test_time_shift_lower_boundary_branch(field):
     assert res.branch == "lower-boundary"
 
 
+@pytest.fixture(scope="module")
+def short_period():
+    """Lossy short-payload link and a 50 ms period: both coordinates want to grow."""
+    src = sp.SourceParams()
+    field = sp.place_sensors(5, region_half_width=10, seed=7, target_index=1)
+    link = sp.LinkParams.from_db(L=80, N=80, gamma_r_bar_db=-5.0)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.050, h=0.0005, M=5, m=1)
+    return src, field, link, scheme
+
+
+def test_time_shift_upper_boundary_branch(short_period):
+    src, field, link, scheme = short_period
+    res = sp.optimize_time_shift(src, field, link, scheme)
+    assert res.branch == "upper-boundary"
+    assert (res.N_star, res.h_star) == (80, pytest.approx(0.0105, abs=1e-15))
+
+
+def test_blocklength_asyn_upper_boundary_branch(short_period):
+    src, field, link, scheme = short_period
+    res = sp.optimize_blocklength_asyn(src, field, link, scheme, h=0.0094)
+    assert (res.N_star, res.h_star, res.branch) == (124, 0.0094, "upper-boundary")
+
+
+def test_blocklength_syn_upper_boundary_branch():
+    src = sp.SourceParams()
+    field = sp.place_sensors(2, region_half_width=10, seed=7, target_index=1)
+    link = sp.LinkParams.from_db(L=20, N=80, gamma_r_bar_db=-10.0)
+    scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.010, M=2, m=1)
+    res = sp.optimize_blocklength_syn(src, field, link, scheme,
+                                      sp.OptimizerConfig(N_max=30))
+    assert (res.N_star, res.h_star, res.branch) == (30, None, "upper-boundary")
+
+
+def test_blocklength_asyn_grid_fallback_branch():
+    # F changes sign more than once on the feasible range: the integer scan
+    # takes over from the root finder
+    src = sp.SourceParams(a=0.5, b=0.01)
+    field = sp.place_sensors(M=7, region_half_width=10, seed=7, target_index=1)
+    link = sp.LinkParams.from_db(L=50, N=10, T_s=1e-4, gamma_r_bar_db=14.0)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.020, h=0.0005, M=7, m=1)
+    res = sp.optimize_blocklength_asyn(src, field, link, scheme,
+                                       sp.OptimizerConfig(N_min=10))
+    assert (res.N_star, res.h_star, res.branch) == (13, 0.0005, "grid-fallback")
+    grid = [_asyn_objective(src, field, link, scheme, n, 0.0005) for n in range(10, 171)]
+    assert res.N_star == 10 + int(np.argmin(grid))
+
+
 def test_time_shift_matches_dense_grid(fig_time_shift):
     src, field, link, scheme = fig_time_shift
     res = sp.optimize_time_shift(src, field, link, scheme)
