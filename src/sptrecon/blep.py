@@ -129,18 +129,17 @@ def blep_segmented(link: LinkParams, gamma_r, N=None):
     """Piecewise-linear BLEP: 1 below the linear band, 0 above it.
 
     The band is centred on eta with half-width -1/(2 lambda); the form is
-    continuous at both knots.
+    continuous at both knots, so it is the linear segment
+    lambda (g - eta) + 1/2 clipped to [0, 1], computed in one new buffer.
     """
     g = np.asarray(gamma_r, dtype=float)
     if np.any(g <= 0):
         raise DomainError("instantaneous SNR must be > 0")
     n = float(link.N if N is None else N)
-    eta = _eta(link.L, n)
-    lam = _lam(link.L, n)
-    lo = eta + 1.0 / (2.0 * lam)
-    hi = eta - 1.0 / (2.0 * lam)
-    mid = lam * (g - eta) + 0.5
-    out = np.where(g < lo, 1.0, np.where(g > hi, 0.0, mid))
+    out = np.subtract(g, _eta(link.L, n), out=np.empty_like(g))
+    out *= _lam(link.L, n)
+    out += 0.5
+    np.clip(out, 0.0, 1.0, out=out)
     return float(out) if np.isscalar(gamma_r) else out
 
 

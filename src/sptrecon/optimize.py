@@ -212,6 +212,15 @@ def _effective_lower(link, n_lo, n_hi):
     return hi
 
 
+def _syn_blocklength_cap(T, T_s):
+    """Largest N whose delay N T_s stays below the period T.
+
+    A ratio T / T_s within 1e-9 of an integer counts as that integer, so
+    the blocklength that would fill the whole period is excluded.
+    """
+    return int(math.ceil(T / T_s - 1e-9)) - 1
+
+
 def _blocklength_range(link, cfg, n_cap):
     """(N_min, upper bound, plateau edge) of a blocklength step.
 
@@ -230,6 +239,18 @@ def _blocklength_range(link, cfg, n_cap):
     return n_lo, n_hi, n_eff
 
 
+def _evaluated_once(f):
+    """f with one evaluation per point (10 and 10.0 are the same point)."""
+    values = {}
+
+    def once(x):
+        if x not in values:
+            values[x] = f(x)
+        return values[x]
+
+    return once
+
+
 def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
     """Minimizer on [lo, hi] of a 1-D objective whose derivative is f.
 
@@ -237,9 +258,11 @@ def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
     "upper-boundary"; a blocklength step passes the plateau edge, and
     f >= 0 there is the "plateau-edge", snapped to the grid; otherwise the
     root of f on [edge, hi] (edge = lo for a time shift), snapped to the
-    grid, is the "interior-root".  Each endpoint is evaluated once.
+    grid, is the "interior-root".  f is evaluated once per point: brentq
+    re-evaluates its bracket ends and the residual check the root.
     Returns (x, branch, |f| where the branch was decided).
     """
+    f = _evaluated_once(f)
     f_lo = f(lo)
     if f_lo > 0.0:
         return lo, "lower-boundary", abs(f_lo)
@@ -247,7 +270,7 @@ def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
     if f_hi < 0.0:
         return hi, "upper-boundary", abs(f_hi)
     if edge is not None:
-        lo, f_lo = edge, (f_lo if edge == lo else f(edge))
+        lo, f_lo = edge, f(edge)
         if f_lo >= 0.0:
             return snap(lo), "plateau-edge", abs(f_lo)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
@@ -269,7 +292,7 @@ def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult
     otherwise the better of the two integers around the root of H.
     """
     cfg = cfg or OptimizerConfig()
-    n_cap = int(math.floor(scheme.T / link.T_s + 1e-9))
+    n_cap = _syn_blocklength_cap(scheme.T, link.T_s)
     n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
     obj = lambda n: _syn_objective(source, field, link, scheme, n)
     n_star, branch, res = _stationary_point(
@@ -319,7 +342,8 @@ def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> 
     n_cap = int(math.floor((scheme.T - (scheme.M - 1) * hh) / link.T_s + 1e-9))
     n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
     obj = lambda n: _asyn_objective(source, field, link, scheme, n, hh)
-    Ff = lambda n: eval_F(source, field, link, scheme, n, h=hh)
+    # shared with the decision rule: the probe holds the plateau edge and N_max
+    Ff = _evaluated_once(lambda n: eval_F(source, field, link, scheme, n, h=hh))
 
     probe = np.linspace(n_eff, n_hi, min(33, n_hi - n_lo + 1))
     signs = np.sign([Ff(p) for p in probe])
@@ -446,7 +470,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     K = int(math.floor(T / Ts + 1e-9))
     eps_of = blep_average_simplified if objective == "simplified" else blep_average
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
-    n_hi = K if syn else K - (M - 1)
+    n_hi = _syn_blocklength_cap(T, Ts) if syn else K - (M - 1)
     if cfg.N_max is not None:
         n_hi = min(n_hi, cfg.N_max)
     Ns = np.arange(cfg.N_min, n_hi + 1)

@@ -45,7 +45,12 @@ class TransmissionEvent:
 
 @dataclass
 class SimReport:
-    """Time-averaged reconstruction error with batch-means error bar."""
+    """Time-averaged reconstruction error with batch-means error bar.
+
+    ``aux`` holds what the oracle measured (keys listed under
+    :func:`simulate_event_level` and :func:`simulate_data_level`);
+    ``events`` the per-attempt rows of a traced run.
+    """
 
     avg_mse: float
     stderr: float
@@ -88,10 +93,19 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
                             draw (0.0 forces every packet through)
     use_q_model           : draw successes from the Q-function form instead
                             of the segmented linear model
-    collect_trace         : keep per-attempt TransmissionEvent rows
+    collect_trace         : keep per-attempt TransmissionEvent rows; only a
+                            traced run keeps the (sensors, periods) SNR draws
+
+    ``aux`` keys: ``gaps_s`` (spacing of consecutive receptions),
+    ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
+    ``batch_durations`` (per batch of contiguous periods),
+    ``per_sensor_success_rate``, ``gen_times_s``, ``used_fac2`` and
+    ``used_sensor`` (per reception), and for the asynchronous scheme
+    ``slot_index`` (slot k M + n - 1 of each reception).  Statistics that
+    only :func:`empirical_gap_stats` reads are derived there.
     """
-    if periods < 1:
-        raise InvalidConfigError("periods must be >= 1")
+    if periods < 1 or n_batches < 1:
+        raise InvalidConfigError("periods and n_batches must be >= 1")
     M = scheme.M
     if field.n_sensors != M and scheme.scheme is not Scheme.NO_INFER:
         raise InvalidConfigError(f"field has {field.n_sensors} sensors, scheme.M={M}")
@@ -104,21 +118,25 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             raise InvalidConfigError(f"time shift outside [{link.T_s}, {h_max}]")
 
     n_active = 1 if scheme.scheme is Scheme.NO_INFER else M
-    gamma = np.empty((n_active, periods))
+    gamma = np.empty((n_active, periods)) if collect_trace else None
     success = np.empty((n_active, periods), dtype=bool)
     for s in range(n_active):
         sensor_id = field.target_index if n_active == 1 else s + 1
         rng = np.random.default_rng([seed, replica, sensor_id])
-        g = rng.exponential(link.gamma_r_bar, periods)
+        # the stream of rng.exponential(gamma_r_bar, periods), scaled in place
+        g = rng.standard_exponential(periods)
+        g *= link.gamma_r_bar
         u = rng.random(periods)
         if success_prob_override is not None:
-            fail = np.full(periods, float(success_prob_override))
+            fail = float(success_prob_override)
         elif use_q_model:
             fail = blep_instantaneous(link, g)
         else:
             fail = blep_segmented(link, g)
-        gamma[s] = g
-        success[s] = u >= fail
+        np.greater_equal(u, fail, out=success[s])
+        if collect_trace:
+            gamma[s] = g
+    del g, u, fail  # the last sensor's draws; the masks hold what is needed
 
     T, tau, a = scheme.T, link.tau, source.a
     m = field.target_index
@@ -148,12 +166,11 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         # flatten slots in time order: slot j = k*M + (n-1)
         ok_flat = success.T.reshape(-1)            # period-major, slot-minor
         idx = np.nonzero(ok_flat)[0]
-        k_idx, n_idx = idx // M, idx % M
+        k_idx, n_idx = np.divmod(idx, M)
         gen_times = k_idx * T + n_idx * h
         used_fac2 = fac2[n_idx]
         used_sensor = n_idx + 1
         period_of = k_idx
-        ks = idx
 
     if len(gen_times) < 2:
         raise InvalidConfigError(
@@ -161,21 +178,28 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         )
 
     # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
-    # over each interval [u_v + tau, u_{v+1} + tau)
+    # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
+    # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
     D = np.diff(gen_times)
     go = source.gamma_o
-    s2 = source.sigma2_x
-    coef = go / (go + 1.0) * used_fac2[:-1]
-    decay = (math.exp(-2.0 * a * tau) - np.exp(-2.0 * a * (tau + D))) / (2.0 * a)
-    integrals = s2 * (D - coef * decay)
+    integrals = D + tau
+    integrals *= -2.0 * a
+    np.exp(integrals, out=integrals)
+    np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
+    integrals /= 2.0 * a
+    integrals *= go / (go + 1.0) * used_fac2[:-1]
+    np.subtract(D, integrals, out=integrals)
+    integrals *= source.sigma2_x
 
     total_i = float(integrals.sum())
     total_d = float(D.sum())
     avg = total_i / total_d
 
-    # batch means over contiguous period ranges
+    # batch means over contiguous period ranges: period_of is sorted, so
+    # batch b holds the intervals between the cuts at edges b and b + 1
     edges = np.linspace(0, periods, n_batches + 1)
-    batch_of = np.searchsorted(edges, period_of[:-1], side="right") - 1
+    cuts = np.searchsorted(period_of[:-1], edges, side="left")
+    batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
     bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
     nz = bd > 0
@@ -186,18 +210,16 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     aux = {
         "gaps_s": D,
         "mean_gap_s": float(D.mean()),
-        "mean_exp_gap": float(np.exp(-2.0 * a * D).mean()),
         "receptions": int(len(gen_times)),
         "batch_integrals": bi,
         "batch_durations": bd,
-        "per_sensor_success_rate": success.mean(axis=1),
+        "per_sensor_success_rate": np.count_nonzero(success, axis=1) / periods,
         "gen_times_s": gen_times,
         "used_fac2": used_fac2,
         "used_sensor": used_sensor,
     }
     if asyn:
-        aux["prev_slot"] = (ks % M)[:-1] + 1
-        aux["slot_steps"] = np.diff(ks.astype(np.int64))
+        aux["slot_index"] = idx
 
     report = SimReport(avg, stderr, periods, scheme.scheme, aux)
     if collect_trace:
@@ -223,11 +245,11 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
     a, T, M = source.a, scheme.T, scheme.M
     out = {
         "mean_gap_s": report.aux["mean_gap_s"],
-        "mean_exp_gap": report.aux["mean_exp_gap"],
+        "mean_exp_gap": float(np.exp(-2.0 * a * report.aux["gaps_s"]).mean()),
     }
     if report.scheme is Scheme.ASYN_INFER:
         out["theory_mean_gap_s"] = expected_gap_asyn(T, eps, M)
-        steps = report.aux["slot_steps"]
+        steps = np.diff(report.aux["slot_index"])
         smax = min(int(steps.max()), 4 * M)
         rows = []
         for s in range(1, smax + 1):

@@ -66,6 +66,26 @@ def test_segmented_non_increasing(link):
     assert np.all((v >= 0) & (v <= 1))
 
 
+def test_segmented_matches_three_segment_reference(link):
+    # the clipped linear segment against the nested 1 / linear / 0 form, on
+    # a dense grid holding both knots and their floating-point neighbours
+    for n in (link.N, 30, 400):
+        ln = link.with_blocklength(n)
+        eta, lam = ln.eta, float(ln.lam)
+        lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
+        knots = [lo, hi, eta]
+        near = [np.nextafter(k, d) for k in knots for d in (0.0, np.inf)]
+        g = np.sort(np.concatenate([np.linspace(1e-3, 2 * hi, 20_001), knots,
+                                    near]))
+        ref = np.where(g < lo, 1.0, np.where(g > hi, 0.0, lam * (g - eta) + 0.5))
+        out = sp.blep_segmented(ln, g)
+        assert np.max(np.abs(out - ref)) <= 2e-16
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert not np.shares_memory(out, g)
+    assert isinstance(sp.blep_segmented(link, link.eta), float)
+    assert isinstance(sp.blep_segmented(link, np.float64(link.eta)), float)
+
+
 def test_segmented_close_to_q_form_on_band(link):
     # frozen observed maximum over [eta/2, 2 eta] was 0.1205
     g = np.linspace(link.eta / 2, 2 * link.eta, 4001)

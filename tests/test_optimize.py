@@ -372,3 +372,38 @@ def test_small_information_payload_warns(source, field):
     with pytest.warns(UserWarning):
         res = sp.optimize_blocklength_syn(source, field, link, scheme)
     assert res.convexity_warning
+
+
+def test_syn_blocklength_range_stops_before_the_period():
+    # T / T_s = 500 and the upper end wins: N = 500 would make the delay
+    # equal to the period, so the range ends at N = 499
+    src = sp.SourceParams(a=1)
+    field = sp.place_sensors(2, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=100, T_s=1e-3, gamma_r_bar_db=-14.5)
+    for scheme, M in ((sp.Scheme.SYN_INFER, 2), (sp.Scheme.NO_INFER, 1)):
+        cfg = sp.SchemeConfig(scheme, T=0.5, M=M, m=1)
+        opt = sp.optimize_blocklength_syn(src, field, link, cfg)
+        ex = sp.exhaustive_search(src, field, link, cfg)
+        assert opt.branch == "upper-boundary"
+        assert opt.N_star == ex.N_star == 499
+        assert math.isfinite(opt.mse_star) and math.isfinite(ex.mse_star)
+        assert ex.evaluations == 499 - 10 + 1
+
+
+def test_stationarity_points_evaluated_once(source, field, link, syn_scheme,
+                                            asyn_scheme, monkeypatch):
+    calls = []
+    for name in ("eval_H", "eval_J", "eval_F"):
+        def counted(*args, _fn=getattr(optimize, name), _name=name, **kw):
+            calls.append((_name, float(args[4]), kw.get("h")))
+            return _fn(*args, **kw)
+        monkeypatch.setattr(optimize, name, counted)
+    steps = [
+        lambda: sp.optimize_blocklength_syn(source, field, link, syn_scheme),
+        lambda: sp.optimize_time_shift(source, field, link, asyn_scheme),
+        lambda: sp.optimize_blocklength_asyn(source, field, link, asyn_scheme),
+    ]
+    for step in steps:
+        calls.clear()
+        assert step().branch == "interior-root"
+        assert calls and len(set(calls)) == len(calls)

@@ -87,6 +87,12 @@ def test_requires_enough_successes(source, field, link, syn_scheme):
                                 success_prob_override=1.0 - 1e-12)
 
 
+def test_rejects_no_batches(source, field, link, syn_scheme):
+    with pytest.raises(InvalidConfigError):
+        sp.simulate_event_level(source, field, link, syn_scheme, periods=100,
+                                seed=0, n_batches=0)
+
+
 def test_gap_statistics_syn(source, field, link, syn_scheme):
     rep = sp.simulate_event_level(source, field, link, syn_scheme, PERIODS, seed=8)
     st = sp.empirical_gap_stats(rep, source, link, syn_scheme)
@@ -176,3 +182,111 @@ def test_data_level_scale_limit(source, field, link, syn_scheme):
     with pytest.raises(ScaleLimitError):
         sp.simulate_data_level(source, field, link, syn_scheme, periods=5_000,
                                seed=1, n_draws=10)
+
+
+# ---------------------------------------------------------------------------
+# frozen values of the event-level oracle
+# ---------------------------------------------------------------------------
+
+# 30,011 periods in 7 batches: the linspace batch edges are non-integer
+FROZEN_PERIODS, FROZEN_BATCHES = 30_011, 7
+
+# case -> (avg_mse, stderr, receptions, batch_integrals, batch_durations)
+FROZEN_EVENT_LEVEL = {
+    "no": (
+        0.8453629810557491, 0.0017088151537945897, 4021,
+        [543.3454923082335, 540.666367389875, 540.8944656509957, 544.1814181119825,
+         548.5318353404405, 544.0199691706338, 543.6351068031415],
+        [645.3, 641.8499999999999, 643.05, 643.9500000000003, 642.2999999999997,
+         644.0999999999999, 640.7999999999997]),
+    "syn": (
+        0.6320478988154387, 0.0010534043915248867, 15392,
+        [408.8620048059166, 405.8313511694329, 404.26789634039574, 407.8425851996543,
+         408.0742551950985, 405.8964845571328, 404.2942320652397],
+        [643.1999999999999, 643.35, 642.75, 644.1000000000001, 642.1499999999996,
+         643.2000000000003, 642.5999999999995]),
+    "asyn": (
+        0.6382849591792542, 0.0009819927204338782, 20103,
+        [412.9881021831752, 409.9399027332259, 408.67700345196283, 411.58746521022044,
+         411.5482976477572, 410.44348124494064, 407.97251422942855],
+        [643.2149999999999, 643.3500000000001, 642.74, 644.1000000000001,
+         642.1599999999994, 643.1900000000005, 642.6149999999998]),
+    "syn_override": (
+        0.46961660948466455, 0.000506025301874234, 27622,
+        [302.5344234344192, 302.2807712273647, 301.08838217446805, 303.6081680664152,
+         301.5377041812282, 301.850752176605, 301.07896633468],
+        [643.1999999999999, 643.0500000000001, 643.05, 643.2, 643.0499999999997,
+         643.0500000000002, 642.9000000000001]),
+    "asyn_q_model": (
+        0.6384646040648547, 0.0010557707454975237, 20095,
+        [412.9555692724252, 409.37281746403977, 408.649145301858, 411.09174732700336,
+         412.54445709942325, 411.1352203016824, 408.21645803297395],
+        [643.2149999999999, 643.3500000000001, 642.74, 643.4999999999998,
+         642.7599999999998, 643.1900000000005, 642.6149999999998]),
+}
+
+FROZEN_STEP_LAW = [
+    (1, 0.13720027857924585, 0.1349409362397016),
+    (2, 0.11332205750671576, 0.11673187996645439),
+    (3, 0.09849766192418664, 0.10097997079476057),
+    (4, 0.08909561237687792, 0.08735363899425785),
+    (5, 0.07755447219182171, 0.0755660571644278),
+    (6, 0.0625310914336882, 0.0653691026627171),
+    (7, 0.057208237986270026, 0.05654813474826088),
+    (8, 0.047756442145060196, 0.048917476502721755),
+    (9, 0.04263257387324644, 0.042316506424960876),
+    (10, 0.03735946671972938, 0.036606277429583306),
+    (11, 0.029350313401651576, 0.03166659208098508),
+    (12, 0.027758431996816237, 0.02739347249805623),
+    (13, 0.02288329519450801, 0.023696971672312005),
+    (14, 0.02198786190428813, 0.020499280128804535),
+    (15, 0.018157397273903093, 0.01773308807598374),
+    (16, 0.015918814048353398, 0.015340168568589406),
+    (17, 0.013829469704507014, 0.013270151859869109),
+    (18, 0.013133021589891554, 0.011479465143855352),
+    (19, 0.009899512486319768, 0.009930415369812491),
+    (20, 0.008257884787583325, 0.00859039582256087),
+]
+
+
+@pytest.fixture(scope="module")
+def frozen_runs(source, field, link, syn_scheme, asyn_scheme, no_scheme):
+    cases = {
+        "no": (no_scheme, {}),
+        "syn": (syn_scheme, {}),
+        "asyn": (asyn_scheme, {}),
+        "syn_override": (syn_scheme, {"success_prob_override": 0.6}),
+        "asyn_q_model": (asyn_scheme, {"use_q_model": True}),
+    }
+    return {name: sp.simulate_event_level(source, field, link, scheme,
+                                          FROZEN_PERIODS, seed=5,
+                                          n_batches=FROZEN_BATCHES, **kw)
+            for name, (scheme, kw) in cases.items()}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_EVENT_LEVEL))
+def test_event_level_frozen_values(frozen_runs, case):
+    # bit-for-bit: any change to draws, masks or batching shows in the repr
+    rep = frozen_runs[case]
+    got = (rep.avg_mse, rep.stderr, rep.aux["receptions"],
+           rep.aux["batch_integrals"].tolist(), rep.aux["batch_durations"].tolist())
+    assert repr(got) == repr(FROZEN_EVENT_LEVEL[case])
+
+
+def test_gap_stats_frozen_values(frozen_runs, source, link, syn_scheme,
+                                 asyn_scheme):
+    st = sp.empirical_gap_stats(frozen_runs["syn"], source, link, syn_scheme)
+    assert repr(st["mean_exp_gap"]) == "0.38429685013232306"
+    st = sp.empirical_gap_stats(frozen_runs["asyn"], source, link, asyn_scheme)
+    assert repr(st["mean_exp_gap"]) == "0.5237155389590269"
+    assert repr(st["step_law"]) == repr(FROZEN_STEP_LAW)
+
+
+def test_trace_frozen_values(source, field, link, asyn_scheme):
+    rep = sp.simulate_event_level(source, field, link, asyn_scheme, 40, seed=2,
+                                  collect_trace=True)
+    assert len(rep.events) == 200
+    assert repr(sum(e.gamma_r for e in rep.events)) == "576.0203137655193"
+    assert sum(e.success for e in rep.events) == 22
+    assert rep.events[-1] == sp.TransmissionEvent(39, 5, 5.869999999999999,
+                                                  3.4973254483837, False)
