@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     InvalidConfigError,
     InvalidQueryError,
+    InvariantError,
     RegionDegenerateError,
     ScaleLimitError,
     UndefinedMsscError,

@@ -25,6 +25,11 @@ class BracketError(RuntimeError):
     """A scalar root could not be bracketed on the feasible interval."""
 
 
+class InvariantError(RuntimeError):
+    """A computed result breaks a guarantee of the closed forms, such as
+    ``mse_lb <= mse_analytic <= mse_ub`` on an analytic row."""
+
+
 class RegionDegenerateError(RuntimeError):
     """The scheme-preference threshold is undefined for this configuration.
 

@@ -27,18 +27,21 @@ import numpy as np
 
 from . import __version__
 from .blep import LinkParams, blep_average
-from .errors import InvalidConfigError, RegionDegenerateError
+from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import (
+    _OWN,
     BoundAxis,
+    ClosedForm,
     Scheme,
     SchemeConfig,
+    _check_timing,
+    _eps,
+    _weights_of,
     average_mse,
     bounds,
-    mse_asyn_infer_approx,
-    mse_no_infer,
-    mse_syn_infer_approx,
     mssc_weights,
+    reindex_by_correlation,
 )
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength_syn
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
@@ -256,39 +259,95 @@ def _apply_point(spec: ExperimentSpec, point: dict):
     return source, field, link, scheme, eps, rho
 
 
-def _analytic_row(spec, point):
-    source, field, link, scheme, eps, rho = _apply_point(spec, point)
-    eps_val = blep_average(link) if eps is None else eps
-    rho_val = mssc(source, field) if rho is None else rho
-    # the BLEP-axis bound must cover the weights the value was computed with
-    weights = field
-    if rho is None:
-        val = average_mse(source, field, link, scheme, eps_bar=eps).value
-    # sweep over the MSSC axis uses the substituted closed forms
-    elif scheme.scheme is Scheme.SYN_INFER:
-        val = mse_syn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
-    elif scheme.scheme is Scheme.ASYN_INFER:
-        val = mse_asyn_infer_approx(source, rho_val, link, scheme, eps_bar=eps).value
-        weights = mssc_weights(scheme.M, scheme.m, rho_val)
-    else:
-        val = mse_no_infer(source, link, scheme, eps_bar=eps).value
-    lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps)
-    return [[scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
-             scheme.M, rho_val, eps_val, val, lo.value, hi.value]], None
+def _groups(points, axis):
+    """Indices of the sweep points that share every axis except ``axis``.
+
+    One list per group, in order of first appearance; without ``axis`` in
+    the sweep every point is a group of its own.
+    """
+    groups = {}
+    for i, point in enumerate(points):
+        key = tuple(v for k, v in point.items() if k != axis)
+        groups.setdefault(key, []).append(i)
+    return groups.values()
 
 
-def _region_row(spec, point):
-    source, field, link, scheme, eps, rho = _apply_point(spec, point)
-    rho_val = mssc(source, field) if rho is None else rho
-    thr1 = threshold_infer(source, link, scheme, eps_bar=eps)
-    try:
-        thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar=eps)
-        winner = classify(rho_val, RegionThresholds(thr1, thr2)).value
-    except RegionDegenerateError as exc:
-        thr2 = math.inf
-        winner = "degenerate:" + ("asyn" if exc.always_superior else "syn/no")
-    db = 10.0 * math.log10(link.gamma_r_bar)
-    return [[scheme.T, db, rho_val, thr1, thr2, winner]], None
+def _analytic_rows(spec, points):
+    """Closed-form MSE and BLEP-axis bounds, scored per geometry.
+
+    The points of one eps_bar group share one ClosedForm, one ``mse`` call
+    over their eps values and one ``bounds`` call: the bound is an extreme
+    over eps, so it does not depend on the row's eps_bar.  Every row must
+    satisfy mse_lb <= mse_analytic <= mse_ub to 1e-12 sigma2, else
+    InvariantError.
+    """
+    rows = [None] * len(points)
+    for idx in _groups(points, "eps_bar"):
+        source, field, link, scheme, _, rho = _apply_point(spec, points[idx[0]])
+        rho_val = mssc(source, field) if rho is None else rho
+        kind, M = scheme.scheme, scheme.M
+        asyn = kind is Scheme.ASYN_INFER
+        # the checks the scalar closed forms make, once per group
+        if rho is not None and kind is not Scheme.NO_INFER and M < 2:
+            raise InvalidConfigError("the MSSC approximation needs M >= 2")
+        _check_timing(link, scheme, need_h=asyn)
+        eps = [_eps(link, points[i].get("eps_bar")) for i in idx]
+        if kind is Scheme.NO_INFER:
+            M, weights = 1, _OWN
+        elif rho is not None:
+            # an MSSC sweep uses the substituted closed forms; the target
+            # leads the synchronous (descending) order
+            weights = mssc_weights(M, scheme.m if asyn else 1, rho)
+        elif asyn:
+            weights = _weights_of(field, source, scheme)
+        else:
+            weights = _weights_of(reindex_by_correlation(source, field).factors,
+                                  source, scheme)
+        vals = ClosedForm(source, scheme.T, link.tau, M,
+                          scheme.h if asyn else None).mse(np.array(eps), weights)
+        # the BLEP-axis bound must cover the weights the values were computed with
+        lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps[0])
+        tol = 1e-12 * source.sigma2_x
+        inside = (vals >= lo.value - tol) & (vals <= hi.value + tol)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            raise InvariantError(
+                f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
+                f"[{lo.value!r}, {hi.value!r}] at sweep point {points[idx[j]]}"
+            )
+        for i, e, val in zip(idx, eps, vals.tolist()):
+            rows[i] = [kind.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
+                       scheme.M, rho_val, e, val, lo.value, hi.value]
+    return [([row], None) for row in rows]
+
+
+def _region_rows(spec, points):
+    """Preference thresholds once per mssc group, the winner per row."""
+    rows = [None] * len(points)
+    for idx in _groups(points, "mssc"):
+        source, field, link, scheme, eps, _ = _apply_point(spec, points[idx[0]])
+        # neither threshold reads the MSSC
+        thr1 = threshold_infer(source, link, scheme, eps_bar=eps)
+        try:
+            thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar=eps)
+        except RegionDegenerateError as exc:
+            thr2 = exc
+        db = 10.0 * math.log10(link.gamma_r_bar)
+        for i in idx:
+            rho = points[i].get("mssc")
+            rho_val = mssc(source, field) if rho is None else rho
+            rows[i] = [scheme.T, db, rho_val, thr1, *_verdict(rho_val, thr1, thr2)]
+    return [([row], None) for row in rows]
+
+
+def _verdict(rho, thr1, thr2):
+    """(thr2, winner) of one region row; ``thr2`` may be the degenerate error."""
+    if not isinstance(thr2, RegionDegenerateError):
+        try:
+            return thr2, classify(rho, RegionThresholds(thr1, thr2)).value
+        except RegionDegenerateError as exc:
+            thr2 = exc
+    return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")
 
 
 def _sim_row(spec, point):
@@ -355,13 +414,21 @@ def _optimize_rows(spec, point):
 # runner
 # ---------------------------------------------------------------------------
 
-# output kind -> (columns, point function, (side-file stem, side columns));
-# the side file is written per sweep point whose function returns side rows
+def _each_point(point_fn):
+    """An output function that calls ``point_fn(spec, point)`` per point."""
+    return lambda spec, points: [point_fn(spec, p) for p in points]
+
+
+# output kind -> (columns, output function, (side-file stem, side columns)).
+# An output function maps (spec, sweep points) to one (rows, side rows or
+# None) pair per point, in sweep order; the side file is written per sweep
+# point that has side rows
 OUTPUTS = {
-    "analytic": (ANALYTIC_COLUMNS, _analytic_row, None),
-    "regions": (REGION_COLUMNS, _region_row, None),
-    "simulate": (SIM_COLUMNS, _sim_row, ("events", EVENT_COLUMNS)),
-    "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
+    "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
+    "regions": (REGION_COLUMNS, _region_rows, None),
+    "simulate": (SIM_COLUMNS, _each_point(_sim_row), ("events", EVENT_COLUMNS)),
+    "optimize": (ANALYTIC_COLUMNS, _each_point(_optimize_rows),
+                 ("optimize_trace", TRACE_COLUMNS)),
 }
 
 
@@ -387,8 +454,8 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
 
     try:
         for kind in spec.outputs:
-            columns, point_fn, side = OUTPUTS[kind]
-            results = [point_fn(spec, p) for p in points]
+            columns, output_fn, side = OUTPUTS[kind]
+            results = output_fn(spec, points)
             rows = [row for point_rows, _ in results for row in point_rows]
             _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, rows)
             for idx, (_, side_rows) in enumerate(results):

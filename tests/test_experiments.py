@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
 import sptrecon as sp
+from sptrecon import experiments
 from sptrecon.cli import main as cli_main
-from sptrecon.errors import InvalidConfigError
+from sptrecon.errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from sptrecon.experiments import (
     ANALYTIC_COLUMNS,
     compare_report,
@@ -305,3 +307,141 @@ def test_fig4_spec_grid_shape(tmp_path):
     thin = parse_spec(text)
     manifest = run_experiment(thin, tmp_path)
     assert manifest["outputs"][0]["rows"] == 6
+
+
+SCHEME_SECTIONS = {
+    "no-infer": "scheme = no-infer",
+    "syn-infer": "scheme = syn-infer",
+    "asyn-infer": "scheme = asyn-infer\ntime_shift_s = 0.005",
+}
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _scalar_analytic_row(spec, point):
+    """One analytic row from the public scalar closed forms and bounds."""
+    source, field = spec.source, spec.field
+    link = spec.link.with_blocklength(int(point["N"])) if "N" in point else spec.link
+    scheme = spec.scheme
+    if "T_period_s" in point:
+        scheme = dataclasses.replace(scheme, T=point["T_period_s"])
+    eps, rho = point.get("eps_bar"), point.get("mssc")
+    weights = field
+    if rho is None:
+        val = sp.average_mse(source, field, link, scheme, eps_bar=eps).value
+    elif scheme.scheme is sp.Scheme.SYN_INFER:
+        val = sp.mse_syn_infer_approx(source, rho, link, scheme, eps_bar=eps).value
+    elif scheme.scheme is sp.Scheme.ASYN_INFER:
+        val = sp.mse_asyn_infer_approx(source, rho, link, scheme, eps_bar=eps).value
+        weights = sp.mssc_weights(scheme.M, scheme.m, rho)
+    else:
+        val = sp.mse_no_infer(source, link, scheme, eps_bar=eps).value
+    lo, hi = sp.bounds(source, weights, link, scheme, sp.BoundAxis.BLEP, eps_bar=eps)
+    return [link.N, scheme.T, sp.mssc(source, field) if rho is None else rho,
+            sp.blep_average(link) if eps is None else eps, val, lo.value, hi.value]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEME_SECTIONS))
+@pytest.mark.parametrize("sweep", [
+    "mssc = 0.2, 0.9\neps_bar = 0.05, 0.4, 0.8",               # eps_bar last
+    "eps_bar = 0.05, 0.4, 0.8\nmssc = 0.2, 0.9",               # eps_bar first
+    "N = 60, 120\neps_bar = 0.05, 0.8\nmssc = 0.2, 0.9",       # eps_bar in the middle
+    "T_period_s = 0.1, 0.15\neps_bar = 0.0, 0.3, 1.0",         # field weights
+    "N = 60, 120\nmssc = 0.2, 0.9",                          # no eps_bar axis
+])
+def test_grouped_analytic_rows_equal_scalar_calls(tmp_path, scheme, sweep):
+    text = POINT_SPEC.replace("scheme = syn-infer", SCHEME_SECTIONS[scheme])
+    spec = parse_spec(text + "\n[sweep]\n" + sweep + "\n")
+    run_experiment(spec, tmp_path)
+    rows = _read_rows(tmp_path / "point_eval_analytic.csv")
+    points = spec.sweep_points()
+    assert len(rows) == len(points)
+    cols = ["N", "T", "mssc", "eps_bar", "mse_analytic", "mse_lb", "mse_ub"]
+    for row, point in zip(rows, points):
+        # bit for bit: the CSV holds repr of each float
+        assert [float(row[c]) for c in cols] == _scalar_analytic_row(spec, point), point
+
+
+def test_bounds_called_once_per_group_and_not_cached(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.bounds
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bounds", counting)
+    spec = load_spec("asyn_surface_short_shift")
+    for run in ("a", "b"):
+        calls.clear()
+        manifest = run_experiment(spec, tmp_path / run)
+        assert manifest["outputs"][0]["rows"] == 34 * 25
+        assert len(calls) == 25  # one per mssc value, in both runs
+
+
+def test_bound_violation_raises_and_leaves_partial_manifest(tmp_path, monkeypatch):
+    real = experiments.bounds
+
+    def lower_too_high(*args, **kwargs):
+        lo, hi = real(*args, **kwargs)
+        return sp.MseValue(hi.value), hi
+
+    monkeypatch.setattr(experiments, "bounds", lower_too_high)
+    text = POINT_SPEC + "\n[sweep]\neps_bar = 0.1, 0.5\n"
+    with pytest.raises(InvariantError, match="outside its BLEP-axis bounds"):
+        run_experiment(parse_spec(text), tmp_path)
+    manifest = json.loads((tmp_path / "point_eval.manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["error"].startswith("InvariantError")
+
+
+@pytest.mark.parametrize("scheme, M, sweep", [
+    ("syn-infer", 5, "mssc = 0.5\neps_bar = 0.1, 1.5, 0.2"),   # bad eps mid-group
+    ("asyn-infer", 5, "eps_bar = 0.1, 0.2\nh_s = 0.005, 0.2"),  # infeasible time shift
+    ("syn-infer", 1, "mssc = 0.5\neps_bar = 0.1, 0.2"),        # MSSC form needs M >= 2
+])
+def test_batched_validation_still_raises(tmp_path, scheme, M, sweep):
+    text = POINT_SPEC.replace("scheme = syn-infer", SCHEME_SECTIONS[scheme])
+    text = text.replace("M = 5", f"M = {M}")
+    with pytest.raises(InvalidConfigError):
+        run_experiment(parse_spec(text + "\n[sweep]\n" + sweep + "\n"), tmp_path)
+    manifest = json.loads((tmp_path / "point_eval.manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["error"].startswith("InvalidConfigError")
+
+
+def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
+    # at -10 dB no finite syn/asyn crossover exists (a degenerate group)
+    text = POINT_SPEC.replace("outputs = analytic", "outputs = regions").replace(
+        "scheme = syn-infer", SCHEME_SECTIONS["asyn-infer"])
+    text += "\n[sweep]\nmssc = 0.1, 0.5, 0.95\ngamma_r_bar_db = -10, 5\n"
+    spec = parse_spec(text)
+    calls = []
+    real = experiments.threshold_asyn_over_syn
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "threshold_asyn_over_syn", counting)
+    run_experiment(spec, tmp_path)
+    assert len(calls) == 2  # once per gamma_r_bar_db value
+    rows = _read_rows(tmp_path / "point_eval_regions.csv")
+    points = spec.sweep_points()
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        link = dataclasses.replace(spec.link,
+                                   gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0))
+        thr1 = sp.threshold_infer(spec.source, link, spec.scheme)
+        try:
+            thr2 = real(spec.source, link, spec.scheme)
+            winner = sp.classify(point["mssc"], sp.RegionThresholds(thr1, thr2)).value
+        except RegionDegenerateError as exc:
+            assert not exc.always_superior
+            thr2, winner = math.inf, "degenerate:syn/no"
+        assert [float(row["mssc"]), float(row["thr1"]), float(row["thr2"]),
+                row["winner"]] == [point["mssc"], thr1, thr2, winner]
+    assert {r["winner"] for r in rows[::2]} == {"degenerate:syn/no"}
