@@ -59,6 +59,7 @@ from .mse import (
     mssc_weights,
     psi_values,
     reindex_by_correlation,
+    scheme_weights,
     upsilon,
 )
 from .optimize import (

@@ -83,7 +83,7 @@ class LinkParams:
     @property
     def eta(self) -> float:
         """Decoding-threshold SNR exp(L/N) - 1."""
-        return math.exp(self.L / self.N) - 1.0
+        return float(_eta(self.L, self.N))
 
     @property
     def lam(self) -> float:
@@ -143,61 +143,73 @@ def blep_segmented(link: LinkParams, gamma_r, N=None):
     return float(out) if np.isscalar(gamma_r) else out
 
 
-def blep_average(link: LinkParams, N=None) -> float:
+def _blocklengths(link: LinkParams, N):
+    """Blocklength(s) as floats, the link's own N when None; a scalar becomes
+    a numpy float, whose arithmetic is much cheaper than a 0-d array's."""
+    return np.asarray(link.N if N is None else N, dtype=float)[()]
+
+
+def _simplified_exponent(link: LinkParams, n):
+    """eta - sqrt(pi L)/N, the exponent (times gbar) of the simplified model."""
+    return _eta(link.L, n) - math.sqrt(math.pi * link.L) / n
+
+
+def blep_average(link: LinkParams, N=None):
     """Average BLEP over Rayleigh fading (exponential SNR of mean gamma_r_bar).
 
     Exact integral of the segmented model:
         1 + gbar * lam * (exp(-(eta + 1/(2 lam))/gbar)
                           - exp(-(eta - 1/(2 lam))/gbar)),
-    clamped to [0, 1].
+    clamped to [0, 1].  N broadcasts; a scalar N gives a float.
     """
-    n = float(link.N if N is None else N)
+    n = _blocklengths(link, N)
     gbar = link.gamma_r_bar
     eta = _eta(link.L, n)
     lam = _lam(link.L, n)
     lo = eta + 1.0 / (2.0 * lam)
     hi = eta - 1.0 / (2.0 * lam)
-    val = 1.0 + gbar * lam * (math.exp(-lo / gbar) - math.exp(-hi / gbar))
+    val = 1.0 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
     return _clamp01(val, "blep_average")
 
 
-def blep_average_simplified(link: LinkParams, N=None) -> float:
+def blep_average_simplified(link: LinkParams, N=None):
     """Single-exponential average BLEP 1 - exp(-(eta - sqrt(pi L)/N)/gbar).
 
     Slightly offset from :func:`blep_average` but with elementary
     derivatives in N; used inside every blocklength root function so the
     stationarity conditions stay consistent with the derivative formulas.
+    N broadcasts; a scalar N gives a float.
     """
-    n = float(link.N if N is None else N)
-    x = _eta(link.L, n) - math.sqrt(math.pi * link.L) / n
-    val = 1.0 - math.exp(-x / link.gamma_r_bar)
+    n = _blocklengths(link, N)
+    val = 1.0 - np.exp(-_simplified_exponent(link, n) / link.gamma_r_bar)
     return _clamp01(val, "blep_average_simplified")
 
 
-def dblep_dN(link: LinkParams, N=None) -> float:
+def dblep_dN(link: LinkParams, N=None):
     """d/dN of the simplified average BLEP.
 
     (sqrt(pi L) - L exp(L/N)) exp(-(eta - sqrt(pi L)/N)/gbar) / (gbar N^2);
     negative whenever L >= pi.  Warns when L < pi since the sign (and the
-    convexity arguments that rely on it) are then not guaranteed.
+    convexity arguments that rely on it) are then not guaranteed.  N
+    broadcasts; a scalar N gives a float.
     """
     if link.L < math.pi:
         warnings.warn(
             f"L={link.L} < pi: sign of the blocklength derivative is not guaranteed",
             stacklevel=2,
         )
-    n = float(link.N if N is None else N)
+    n = _blocklengths(link, N)
     gbar = link.gamma_r_bar
-    x = _eta(link.L, n) - math.sqrt(math.pi * link.L) / n
-    return (
-        (math.sqrt(math.pi * link.L) - link.L * math.exp(link.L / n))
-        * math.exp(-x / gbar)
-        / (gbar * n * n)
-    )
+    val = ((math.sqrt(math.pi * link.L) - link.L * np.exp(link.L / n))
+           * np.exp(-_simplified_exponent(link, n) / gbar) / (gbar * n * n))
+    return float(val) if val.ndim == 0 else val
 
 
-def _clamp01(val: float, name: str) -> float:
-    if val < 0.0 or val > 1.0:
-        logger.warning("%s clamped from %.6g to [0, 1]", name, val)
-        return min(1.0, max(0.0, val))
-    return float(val)
+def _clamp01(val, name: str):
+    """val clipped to [0, 1]; one warning per call counts the clipped entries."""
+    outside = (val < 0.0) | (val > 1.0)
+    clipped = np.count_nonzero(outside) if val.ndim else int(outside)
+    if clipped:
+        logger.warning("%s clamped %d value(s) to [0, 1]", name, clipped)
+        val = np.clip(val, 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val

@@ -29,20 +29,7 @@ from . import __version__
 from .blep import LinkParams, blep_average
 from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
-from .mse import (
-    _OWN,
-    BoundAxis,
-    ClosedForm,
-    Scheme,
-    SchemeConfig,
-    _check_timing,
-    _eps,
-    _weights_of,
-    average_mse,
-    bounds,
-    mssc_weights,
-    reindex_by_correlation,
-)
+from .mse import BoundAxis, Scheme, SchemeConfig, _scored, average_mse, bounds
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength_syn
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
 from .simulate import simulate_event_level
@@ -246,6 +233,9 @@ def _apply_point(spec: ExperimentSpec, point: dict):
                           gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0),
                           N_min=link.N_min)
     if "N" in point:
+        if not float(point["N"]).is_integer():
+            raise InvalidConfigError(f"swept blocklength N must be an integer, "
+                                     f"got {point['N']}")
         link = link.with_blocklength(int(point["N"]))
     if "T_period_s" in point or "h_s" in point:
         scheme = SchemeConfig(
@@ -285,26 +275,12 @@ def _analytic_rows(spec, points):
     for idx in _groups(points, "eps_bar"):
         source, field, link, scheme, _, rho = _apply_point(spec, points[idx[0]])
         rho_val = mssc(source, field) if rho is None else rho
-        kind, M = scheme.scheme, scheme.M
-        asyn = kind is Scheme.ASYN_INFER
-        # the checks the scalar closed forms make, once per group
-        if rho is not None and kind is not Scheme.NO_INFER and M < 2:
-            raise InvalidConfigError("the MSSC approximation needs M >= 2")
-        _check_timing(link, scheme, need_h=asyn)
-        eps = [_eps(link, points[i].get("eps_bar")) for i in idx]
-        if kind is Scheme.NO_INFER:
-            M, weights = 1, _OWN
-        elif rho is not None:
-            # an MSSC sweep uses the substituted closed forms; the target
-            # leads the synchronous (descending) order
-            weights = mssc_weights(M, scheme.m if asyn else 1, rho)
-        elif asyn:
-            weights = _weights_of(field, source, scheme)
-        else:
-            weights = _weights_of(reindex_by_correlation(source, field).factors,
-                                  source, scheme)
-        vals = ClosedForm(source, scheme.T, link.tau, M,
-                          scheme.h if asyn else None).mse(np.array(eps), weights)
+        kind = scheme.scheme
+        # an MSSC sweep uses the substituted closed forms
+        eps_bar = [points[i].get("eps_bar") for i in idx]
+        eps, weights, vals = _scored(kind, source, field, link, scheme,
+                                     None if eps_bar == [None] else eps_bar, rho)
+        eps, vals = np.atleast_1d(eps), np.atleast_1d(vals)
         # the BLEP-axis bound must cover the weights the values were computed with
         lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps[0])
         tol = 1e-12 * source.sigma2_x
@@ -315,7 +291,7 @@ def _analytic_rows(spec, points):
                 f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
                 f"[{lo.value!r}, {hi.value!r}] at sweep point {points[idx[j]]}"
             )
-        for i, e, val in zip(idx, eps, vals.tolist()):
+        for i, e, val in zip(idx, eps.tolist(), vals.tolist()):
             rows[i] = [kind.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
                        scheme.M, rho_val, e, val, lo.value, hi.value]
     return [([row], None) for row in rows]

@@ -129,10 +129,18 @@ def _check_timing(link: LinkParams, scheme: SchemeConfig, need_h: bool = False):
             )
 
 
-def _eps(link: LinkParams, eps_bar) -> float:
-    e = blep_average(link) if eps_bar is None else float(eps_bar)
-    if not 0.0 <= e <= 1.0:
-        raise InvalidConfigError(f"average BLEP must lie in [0, 1], got {e}")
+def _eps(link: LinkParams, eps_bar):
+    """eps_bar (the link's own average BLEP when None) checked to lie in
+    [0, 1]: a float for a scalar, else a float array."""
+    e = blep_average(link) if eps_bar is None else eps_bar
+    if isinstance(e, (int, float)) or np.ndim(e) == 0:
+        e = float(e)
+        outside = [] if 0.0 <= e <= 1.0 else [e]
+    else:
+        e = np.asarray(e, dtype=float)
+        outside = e[~((e >= 0.0) & (e <= 1.0))]  # NaN too
+    if len(outside):
+        raise InvalidConfigError(f"average BLEP must lie in [0, 1], got {outside[0]}")
     return e
 
 
@@ -263,12 +271,64 @@ class ClosedForm:
 _OWN = np.ones(1)
 
 
-def mssc_weights(M: int, target: int, mssc_value: float) -> np.ndarray:
-    """Squared spatial weights with every non-target entry set to the MSSC."""
-    w = np.empty(M)
-    w.fill(mssc_value)
-    w[target - 1] = 1.0
+def mssc_weights(M: int, target: int, mssc_value) -> np.ndarray:
+    """Squared spatial weights with every non-target entry set to the MSSC
+    (an array of MSSC values gives one weight vector per value)."""
+    w = np.repeat(np.asarray(mssc_value, dtype=float)[..., None], M, axis=-1)
+    w[..., target - 1] = 1.0
     return w
+
+
+def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
+                   kind: Scheme | None = None, mssc_value=None) -> np.ndarray:
+    """Squared spatial weights of the ``kind`` closed form (default
+    ``scheme.scheme``), last axis over the sensors.
+
+    no-infer : the target's own weight only (the M = 1 form)
+    MSSC     : every non-target weight set to ``mssc_value`` (a float or an
+               array), the target first (syn) or in slot m (asyn); M >= 2
+    syn/asyn : the field's weights in descending / transmission-slot order,
+               or ``field_or_weights`` itself when it is a weight vector
+    Raises InvalidConfigError unless there are M weights.
+    """
+    kind = scheme.scheme if kind is None else Scheme(kind)
+    if kind is Scheme.NO_INFER:
+        return _OWN
+    asyn = kind is Scheme.ASYN_INFER
+    if mssc_value is not None:
+        if scheme.M < 2:
+            raise InvalidConfigError("the MSSC approximation needs M >= 2")
+        return mssc_weights(scheme.M, scheme.m if asyn else 1, mssc_value)
+    if not isinstance(field_or_weights, SensorField):
+        w = np.asarray(field_or_weights, dtype=float)
+    elif asyn:
+        w = field_or_weights.target_factors(source.b, power=2.0)
+    else:
+        w = np.asarray(reindex_by_correlation(source, field_or_weights).factors)
+    if w.ndim != 1 or len(w) != scheme.M:
+        raise InvalidConfigError(f"need {scheme.M} spatial weights, got {w.size}")
+    return w
+
+
+def _scored(kind, source, field_or_weights, link, scheme, eps_bar=None,
+            mssc_value=None):
+    """(eps, weights, MSE) of the ``kind`` closed form at one geometry: the
+    weights from :func:`scheme_weights`, the timing and eps checks, then one
+    kernel call.  ``eps_bar`` and ``mssc_value`` may be arrays."""
+    w = scheme_weights(source, field_or_weights, scheme, kind, mssc_value)
+    asyn = kind == Scheme.ASYN_INFER
+    _check_timing(link, scheme, need_h=asyn)
+    eps = _eps(link, eps_bar)
+    cf = ClosedForm(source, scheme.T, link.tau, w.shape[-1], scheme.h if asyn else None)
+    return eps, w, cf.mse(eps, w)
+
+
+def _mse_value(kind, source, field_or_weights, link, scheme, eps_bar,
+               mssc_value=None) -> MseValue:
+    eps, _, val = _scored(kind, source, field_or_weights, link, scheme, eps_bar,
+                          mssc_value)
+    extra = {} if mssc_value is None else {"mssc": mssc_value}
+    return MseValue(float(val), {"eps_bar": eps, **extra})
 
 
 def psi_values(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.ndarray:
@@ -290,10 +350,7 @@ def psi_values(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.nda
 def mse_no_infer(source: SourceParams, link: LinkParams, scheme: SchemeConfig,
                  eps_bar=None) -> MseValue:
     """Average MSE when only the target's own packets are used (M = 1 form)."""
-    _check_timing(link, scheme)
-    eps = _eps(link, eps_bar)
-    val = ClosedForm(source, scheme.T, link.tau, 1).mse(eps, _OWN)
-    return MseValue(float(val), {"eps_bar": eps})
+    return _mse_value(Scheme.NO_INFER, source, None, link, scheme, eps_bar)
 
 
 def mse_syn_infer(source: SourceParams, field: SensorField, link: LinkParams,
@@ -304,24 +361,14 @@ def mse_syn_infer(source: SourceParams, field: SensorField, link: LinkParams,
     with fac_s the squared spatial weights in descending order (the server
     picks the most correlated packet of the newest successful round).
     """
-    _check_timing(link, scheme)
-    eps = _eps(link, eps_bar)
-    factors = _weights_of(reindex_by_correlation(source, field).factors, source, scheme)
-    val = ClosedForm(source, scheme.T, link.tau, scheme.M).mse(eps, factors)
-    return MseValue(float(val), {"eps_bar": eps})
+    return _mse_value(Scheme.SYN_INFER, source, field, link, scheme, eps_bar)
 
 
 def mse_syn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
                          scheme: SchemeConfig, eps_bar=None) -> MseValue:
     """Synchronous closed form with every non-target weight set to the MSSC."""
-    if scheme.M < 2:
-        raise InvalidConfigError("the MSSC approximation needs M >= 2")
-    _check_timing(link, scheme)
-    eps = _eps(link, eps_bar)
-    # the target leads the descending order
-    val = ClosedForm(source, scheme.T, link.tau, scheme.M).mse(
-        eps, mssc_weights(scheme.M, 1, mssc_value))
-    return MseValue(float(val), {"eps_bar": eps, "mssc": mssc_value})
+    return _mse_value(Scheme.SYN_INFER, source, None, link, scheme, eps_bar,
+                      mssc_value)
 
 
 def mse_asyn_infer(source: SourceParams, field: SensorField, link: LinkParams,
@@ -332,23 +379,14 @@ def mse_asyn_infer(source: SourceParams, field: SensorField, link: LinkParams,
     spatial weight of the sensor transmitting in slot n (slot order is the
     sensor index order).
     """
-    _check_timing(link, scheme, need_h=True)
-    eps = _eps(link, eps_bar)
-    w = _weights_of(field, source, scheme)
-    val = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h).mse(eps, w)
-    return MseValue(float(val), {"eps_bar": eps})
+    return _mse_value(Scheme.ASYN_INFER, source, field, link, scheme, eps_bar)
 
 
 def mse_asyn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
                           scheme: SchemeConfig, eps_bar=None) -> MseValue:
     """Asynchronous closed form with every non-target weight set to the MSSC."""
-    if scheme.M < 2:
-        raise InvalidConfigError("the MSSC approximation needs M >= 2")
-    _check_timing(link, scheme, need_h=True)
-    eps = _eps(link, eps_bar)
-    val = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h).mse(
-        eps, mssc_weights(scheme.M, scheme.m, mssc_value))
-    return MseValue(float(val), {"eps_bar": eps, "mssc": mssc_value})
+    return _mse_value(Scheme.ASYN_INFER, source, None, link, scheme, eps_bar,
+                      mssc_value)
 
 
 def average_mse(source, field, link, scheme, eps_bar=None) -> MseValue:
@@ -377,19 +415,9 @@ def dmse_asyn_deps(source: SourceParams, field_or_weights, link: LinkParams,
 
         d MSE / d eps = -c [ (1-eps)(1-q eps) S' - (1-q) S ] / (1-q eps)^2
     """
-    w = _weights_of(field_or_weights, source, scheme)
+    w = scheme_weights(source, field_or_weights, scheme, Scheme.ASYN_INFER)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     return float(cf.dmse(eps, w))
-
-
-def _weights_of(field_or_weights, source, scheme):
-    if isinstance(field_or_weights, SensorField):
-        w = field_or_weights.target_factors(source.b, power=2.0)
-    else:
-        w = np.asarray(field_or_weights, dtype=float)
-    if len(w) != scheme.M:
-        raise InvalidConfigError(f"need {scheme.M} spatial weights, got {len(w)}")
-    return w
 
 
 def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
@@ -403,7 +431,7 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
     rise again), so a global scan rather than a single root chase is
     required for a valid bound.
     """
-    w = _weights_of(field_or_weights, source, scheme)
+    w = scheme_weights(source, field_or_weights, scheme, Scheme.ASYN_INFER)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
     vals = cf.mse(grid, w)
@@ -475,41 +503,37 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
     synchronous scheme with M = 1.
     """
     axis = BoundAxis(axis)
-    eff = scheme
-    if scheme.scheme is Scheme.NO_INFER:
-        eff = SchemeConfig(Scheme.SYN_INFER, T=scheme.T, h=None, M=1, m=1)
-    _check_timing(link, eff, need_h=eff.scheme is Scheme.ASYN_INFER)
-    eps = _eps(link, eps_bar)
-    s2 = source.sigma2_x
-    if axis is BoundAxis.BLEP:
-        if eff.scheme is Scheme.ASYN_INFER:
-            e_star, lower = eps_star_asyn(source, field_or_weights, link, eff)
-            return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
-                    MseValue(s2, {"at": "eps=1"}))
-        # synchronous: at eps = 0 only the target's own term survives,
-        # sigma2 - c (1 - E)
-        E = math.exp(-2.0 * source.a * eff.T)
-        lower = float(s2 - _prefactor(source, link.tau, eff.T) * (1.0 - E))
-        return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
+    kind, s2 = scheme.scheme, source.sigma2_x
+    asyn = kind is Scheme.ASYN_INFER
+    if axis is BoundAxis.SPATIAL:
+        # every non-target weight at 1, then at 0
+        eps, _, vals = _scored(kind, source, None, link, scheme, eps_bar,
+                               mssc_value=np.array([1.0, 0.0]))
+        lower, upper = np.broadcast_to(vals, (2,)).tolist()
+        comp = {"eps_bar": eps}
+        if not asyn:
+            # reduction by the target's own packets; sensor s adds beta_syn eps^(s-1)
+            comp["beta_syn"] = s2 - upper
+        return (MseValue(lower, dict(comp, at="weights=1")),
+                MseValue(upper, dict(comp, at="weights=0")))
 
-    M = eff.M
-    cf = ClosedForm(source, eff.T, link.tau, M, eff.h)
-    # spatial axis: every non-target weight at 1, then at 0
-    target = 1 if eff.scheme is Scheme.SYN_INFER else eff.m
-    extremes = np.array([np.ones(M), mssc_weights(M, target, 0.0)])
-    lower, upper = (float(v) for v in cf.mse(eps, extremes))
-    comp = {"eps_bar": eps}
-    if eff.scheme is Scheme.SYN_INFER:
-        # reduction by the target's own packets; sensor s adds beta_syn eps^(s-1)
-        comp["beta_syn"] = s2 - upper
-    return (MseValue(lower, dict(comp, at="weights=1")),
-            MseValue(upper, dict(comp, at="weights=0")))
+    _check_timing(link, scheme, need_h=asyn)
+    _eps(link, eps_bar)
+    if asyn:
+        e_star, lower = eps_star_asyn(source, field_or_weights, link, scheme)
+        return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
+                MseValue(s2, {"at": "eps=1"}))
+    # synchronous: at eps = 0 only the target's own term survives,
+    # sigma2 - c (1 - E)
+    E = math.exp(-2.0 * source.a * scheme.T)
+    lower = float(s2 - _prefactor(source, link.tau, scheme.T) * (1.0 - E))
+    return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
 
 
 __all__ = [
     "Scheme", "SchemeConfig", "MseValue", "ReindexedField", "BoundAxis",
-    "reindex_by_correlation", "ClosedForm", "mssc_weights", "psi_values",
-    "dpsi_deps", "mse_no_infer", "mse_syn_infer", "mse_syn_infer_approx",
-    "mse_asyn_infer", "mse_asyn_infer_approx", "average_mse",
-    "dmse_asyn_deps", "eps_star_asyn", "upsilon", "bounds",
+    "reindex_by_correlation", "ClosedForm", "mssc_weights", "scheme_weights",
+    "psi_values", "dpsi_deps", "mse_no_infer", "mse_syn_infer",
+    "mse_syn_infer_approx", "mse_asyn_infer", "mse_asyn_infer_approx",
+    "average_mse", "dmse_asyn_deps", "eps_star_asyn", "upsilon", "bounds",
 ]

@@ -19,7 +19,7 @@ BLEP model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -33,15 +33,7 @@ from .blep import (
 )
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (
-    ClosedForm,
-    Scheme,
-    SchemeConfig,
-    mse_asyn_infer,
-    mse_no_infer,
-    mse_syn_infer,
-    reindex_by_correlation,
-)
+from .mse import ClosedForm, Scheme, SchemeConfig, average_mse, scheme_weights
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its temporaries to about M * 32 kB each
@@ -103,57 +95,44 @@ class OptResult:
 # objectives under the simplified BLEP model (consistent with H, J, F)
 # ---------------------------------------------------------------------------
 
-def _syn_factors(source, field, scheme):
-    """Descending squared spatial weights; just the target's own for M = 1."""
-    if scheme.M == 1:
-        return np.array([1.0])
-    return np.asarray(reindex_by_correlation(source, field).factors)
+def _kernel_at(source, field, link, scheme, N, h=None):
+    """(ClosedForm, weights) of the scheme at blocklength(s) N and time
+    shift h (None for the synchronous form)."""
+    w = scheme_weights(source, field, scheme)
+    return ClosedForm(source, scheme.T, N * link.T_s, len(w), h), w
 
 
-def _syn_objective(source, field, link, scheme, N):
-    eps = blep_average_simplified(link, N=N)
-    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M)
-    return float(cf.mse(eps, _syn_factors(source, field, scheme)))
+def _objective(source, field, link, scheme, N, h=None):
+    """MSE at blocklength(s) N under the simplified BLEP model.
 
-
-def _asyn_objective(source, field, link, scheme, N, h):
-    eps = blep_average_simplified(link, N=N)
-    w = field.target_factors(source.b, power=2.0)
-    return float(ClosedForm(source, scheme.T, N * link.T_s, scheme.M, h).mse(eps, w))
-
-
-def _exact_mse(source, field, link, scheme, N, h=None):
-    """Final-report MSE under the closed-form average BLEP model."""
-    link_n = link.with_blocklength(int(N))
-    if scheme.scheme is Scheme.NO_INFER:
-        return mse_no_infer(source, link_n, scheme).value
-    if scheme.scheme is Scheme.SYN_INFER:
-        return mse_syn_infer(source, field, link_n, scheme).value
-    cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T, h=h, M=scheme.M, m=scheme.m)
-    return mse_asyn_infer(source, field, link_n, cfg).value
+    N broadcasts (with ``h``); a scalar N gives a float.
+    """
+    cf, w = _kernel_at(source, field, link, scheme, N, h)
+    val = cf.mse(blep_average_simplified(link, N=N), w)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
 # stationarity functions
 # ---------------------------------------------------------------------------
 
-def _dmse_dN(source, link, cf, weights, N):
+def _dmse_dN(source, field, link, scheme, N, h=None):
     """2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN) at real-valued N.
 
-    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau); ``cf`` holds
-    the geometry at that delay, eps is the simplified average BLEP.
+    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau); eps is the
+    simplified average BLEP.
     """
+    cf, w = _kernel_at(source, field, link, scheme, N, h)
     eps = blep_average_simplified(link, N=N)
     deps = dblep_dN(link, N=N)
-    gap = source.sigma2_x - cf.mse(eps, weights)
-    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, weights) * deps)
+    gap = source.sigma2_x - cf.mse(eps, w)
+    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps)
 
 
 def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float) -> float:
     """d MSE_syn / dN at real-valued N (simplified BLEP model inside)."""
-    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M)
-    return _dmse_dN(source, link, cf, _syn_factors(source, field, scheme), N)
+    return _dmse_dN(source, field, link, scheme, N)
 
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
@@ -165,8 +144,7 @@ def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
     """
     a, T, M = source.a, scheme.T, scheme.M
     eps = blep_average_simplified(link) if eps_bar is None else float(eps_bar)
-    w = field.target_factors(source.b, power=2.0)
-    cf = ClosedForm(source, T, link.tau, M, h)
+    cf, w = _kernel_at(source, field, link, scheme, link.N, h)
     q, E = cf.q, cf.E
     n = np.arange(1, M + 1)
     decay = np.exp(-2.0 * a * h * (M - n))            # e^{2ahn} q^M
@@ -181,9 +159,7 @@ def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float, h: float | None = None) -> float:
     """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside)."""
-    cf = ClosedForm(source, scheme.T, N * link.T_s, scheme.M,
-                    scheme.h if h is None else h)
-    return _dmse_dN(source, link, cf, field.target_factors(source.b, power=2.0), N)
+    return _dmse_dN(source, field, link, scheme, N, scheme.h if h is None else h)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +270,14 @@ def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult
     cfg = cfg or OptimizerConfig()
     n_cap = _syn_blocklength_cap(scheme.T, link.T_s)
     n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
-    obj = lambda n: _syn_objective(source, field, link, scheme, n)
+    obj = lambda n: _objective(source, field, link, scheme, n)
     n_star, branch, res = _stationary_point(
         lambda n: eval_H(source, field, link, scheme, n), n_lo, n_hi,
         lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9, cfg.root_tol, "H(N)",
         edge=n_eff)
     val = obj(n_star)
-    return OptResult(scheme.scheme, n_star, None,
-                     _exact_mse(source, field, link, scheme, n_star), val, 1, True,
+    mse = average_mse(source, field, link.with_blocklength(n_star), scheme).value
+    return OptResult(scheme.scheme, n_star, None, mse, val, 1, True,
                      branch, trace=[TraceRow(1, None, n_star, val, 0.0, res)],
                      convexity_warning=source_l_warn(link))
 
@@ -319,15 +295,15 @@ def optimize_time_shift(source, field, link, scheme, cfg=None, N=None) -> OptRes
         )
     h_hi = max(h_hi, h_lo)  # guard a band degenerate to one grid point
     link_n = link.with_blocklength(n)
-    obj = lambda hh: _asyn_objective(source, field, link_n, scheme, n, hh)
+    obj = lambda hh: _objective(source, field, link_n, scheme, n, hh)
     h_star, branch, res = _stationary_point(
         lambda hh: eval_J(source, field, link_n, scheme, hh), h_lo, h_hi,
         lambda x: _best_h(obj, x, link.T_s, h_lo, h_hi), 1e-13, cfg.root_tol,
         "J(h)")
     val = obj(h_star)
-    return OptResult(scheme.scheme, n, h_star,
-                     _exact_mse(source, field, link_n, scheme, n, h_star), val, 1,
-                     True, branch, trace=[TraceRow(1, h_star, n, val, res, 0.0)])
+    mse = average_mse(source, field, link_n, replace(scheme, h=h_star)).value
+    return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
+                     trace=[TraceRow(1, h_star, n, val, res, 0.0)])
 
 
 def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> OptResult:
@@ -341,24 +317,24 @@ def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> 
     hh = scheme.h if h is None else h
     n_cap = int(math.floor((scheme.T - (scheme.M - 1) * hh) / link.T_s + 1e-9))
     n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
-    obj = lambda n: _asyn_objective(source, field, link, scheme, n, hh)
+    obj = lambda n: _objective(source, field, link, scheme, n, hh)
     # shared with the decision rule: the probe holds the plateau edge and N_max
     Ff = _evaluated_once(lambda n: eval_F(source, field, link, scheme, n, h=hh))
 
     probe = np.linspace(n_eff, n_hi, min(33, n_hi - n_lo + 1))
     signs = np.sign([Ff(p) for p in probe])
     if int(np.sum(np.abs(np.diff(signs[signs != 0])) > 0)) > 1:
-        grid = np.arange(n_lo, n_hi + 1)
-        n_star = int(grid[int(np.argmin([obj(int(n)) for n in grid]))])
+        n_star = n_lo + int(np.argmin(obj(np.arange(n_lo, n_hi + 1))))
         branch, res = "grid-fallback", abs(Ff(n_star))
     else:
         n_star, branch, res = _stationary_point(
             Ff, n_lo, n_hi, lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9,
             cfg.root_tol, "F(N)", edge=n_eff)
     val = obj(n_star)
-    return OptResult(scheme.scheme, n_star, hh,
-                     _exact_mse(source, field, link, scheme, n_star, hh), val, 1,
-                     True, branch, trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
+    mse = average_mse(source, field, link.with_blocklength(n_star),
+                      replace(scheme, h=hh)).value
+    return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
+                     trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
                      convexity_warning=source_l_warn(link))
 
 
@@ -418,7 +394,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
                     max(Ts, math.floor(h_max0 / Ts + 1e-9) * Ts))
         projected = True
 
-    obj = lambda n, hh: _asyn_objective(source, field, link, scheme, n, hh)
+    obj = lambda n, hh: _objective(source, field, link, scheme, n, hh)
     result = OptResult(scheme.scheme, n_cur, h_cur, math.nan, obj(n_cur, h_cur),
                        0, False, "jtsbo", projected_start=projected,
                        convexity_warning=source_l_warn(link))
@@ -445,7 +421,8 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
 
     result.N_star, result.h_star = n_cur, h_cur
     result.objective_star = cur_val
-    result.mse_star = _exact_mse(source, field, link, scheme, n_cur, h_cur)
+    result.mse_star = average_mse(source, field, link.with_blocklength(n_cur),
+                                  replace(scheme, h=h_cur)).value
     return result
 
 
@@ -459,9 +436,10 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
 
     ``objective`` picks the BLEP model used for the scanned values
     ("simplified" matches the stationarity functions, "exact" the
-    closed-form average).  The syn/no blocklength range is scored in one
-    :class:`ClosedForm` call; the asynchronous (N, h) grid in row-major
-    chunks of at most ``_GRID_CHUNK`` points, each one call.  Ties break
+    closed-form average), evaluated over the whole blocklength range in
+    one call.  The syn/no range is scored in one :class:`ClosedForm` call;
+    the asynchronous (N, h) grid in row-major chunks of at most
+    ``_GRID_CHUNK`` points, each one call.  Ties break
     toward smaller N, then smaller h, independent of chunking.
     ``evaluations`` counts scored grid points.
     """
@@ -477,18 +455,17 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     if Ns.size == 0:
         raise InvalidConfigError("empty blocklength range" if syn else
                                  "constraint leaves no feasible (N, h) point")
-    eps = np.array([eps_of(link, N=int(n)) for n in Ns])
+    eps = eps_of(link, N=Ns)
+    w = scheme_weights(source, field, scheme)
 
     if syn:
-        cf = ClosedForm(source, T, Ns * Ts, M)
-        vals = cf.mse(eps, _syn_factors(source, field, scheme))
+        vals = ClosedForm(source, T, Ns * Ts, len(w)).mse(eps, w)
         k = int(np.argmin(vals))  # first minimum: the smallest N among ties
         n_star = int(Ns[k])
-        mse = _exact_mse(source, field, link, scheme, n_star)
+        mse = average_mse(source, field, link.with_blocklength(n_star), scheme).value
         return OptResult(scheme.scheme, n_star, None, mse, float(vals[k]), 1, True,
                          "exhaustive", evaluations=int(Ns.size))
 
-    w = field.target_factors(source.b, power=2.0)
     steps = (K - Ns) // (M - 1)  # feasible shifts T_s .. steps*T_s, non-increasing
     best = (math.inf, None, None)
     i = 0
@@ -504,7 +481,8 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
             row, col = divmod(k, width)
             best = (float(vals.flat[k]), int(Ns[i + row]), float(hs[col]))
         i = j
-    mse = _exact_mse(source, field, link, scheme, best[1], best[2])
+    mse = average_mse(source, field, link.with_blocklength(best[1]),
+                      replace(scheme, h=best[2])).value
     return OptResult(scheme.scheme, best[1], best[2], mse, best[0], 1, True,
                      "exhaustive", evaluations=int(steps.sum()))
 

@@ -22,6 +22,7 @@ from .mse import (
     Scheme,
     SchemeConfig,
     _eps,
+    _scored,
     mse_asyn_infer_approx,
     mse_no_infer,
     mse_syn_infer_approx,
@@ -125,21 +126,25 @@ def region_report(source, link, scheme, mssc_value, eps_bar=None) -> RegionRepor
     )
 
 
+# the oracle's tie-break order
+_ORDER = (Scheme.NO_INFER, Scheme.SYN_INFER, Scheme.ASYN_INFER)
+
+
 def exhaustive_region_oracle(source, link, scheme, mssc_grid, eps_bar=None):
     """Winner per grid point by direct evaluation of the three closed forms.
 
-    Independent of the threshold formulas; used to validate them.  Returns
-    a list of (mssc, Scheme) pairs.
+    Independent of the threshold formulas; used to validate them.  Each
+    scheme scores the whole grid in one kernel call (one weight vector per
+    MSSC value); ties go to no-infer, then syn.  Returns a list of
+    (mssc, Scheme) pairs.
     """
-    out = []
-    no = mse_no_infer(source, link, scheme, eps_bar).value
-    for rho in np.asarray(mssc_grid, dtype=float):
-        syn = mse_syn_infer_approx(source, float(rho), link, scheme, eps_bar).value
-        asyn = mse_asyn_infer_approx(source, float(rho), link, scheme, eps_bar).value
-        best = min((no, Scheme.NO_INFER), (syn, Scheme.SYN_INFER),
-                   (asyn, Scheme.ASYN_INFER), key=lambda t: t[0])
-        out.append((float(rho), best[1]))
-    return out
+    rho = np.asarray(mssc_grid, dtype=float)
+    vals = [np.broadcast_to(_scored(kind, source, None, link, scheme, eps_bar,
+                                    None if kind is Scheme.NO_INFER else rho)[2],
+                            rho.shape)
+            for kind in _ORDER]
+    winners = np.argmin(vals, axis=0)  # the first of equal values
+    return [(r, _ORDER[k]) for r, k in zip(rho.tolist(), winners.tolist())]
 
 
 __all__ = [

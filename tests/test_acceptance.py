@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sptrecon as sp
-from sptrecon.optimize import _asyn_objective, _syn_objective
+from sptrecon.optimize import _objective
 
 PERIODS = 100_000
 SEED = 2024
@@ -359,14 +359,14 @@ def test_criterion_9_derivatives(source, field):
             worst = max(worst, abs(g(x) - num) / max(abs(num), 1e-300))
         return worst
 
-    w_h = fd_ok(lambda n: _syn_objective(source, field, link15, syn, n),
+    w_h = fd_ok(lambda n: _objective(source, field, link15, syn, n),
                 lambda n: sp.eval_H(source, field, link15, syn, n),
                 rng.uniform(40, 2500, 50), 1.0)
     h_hi = (asyn.T - link5.tau) / 4
-    w_j = fd_ok(lambda h: _asyn_objective(source, field, link5, asyn, link5.N, h),
+    w_j = fd_ok(lambda h: _objective(source, field, link5, asyn, link5.N, h),
                 lambda h: sp.eval_J(source, field, link5, asyn, h),
                 rng.uniform(link5.T_s, h_hi, 50), 1e-3)
-    w_f = fd_ok(lambda n: _asyn_objective(source, field, link5, asyn, n, asyn.h),
+    w_f = fd_ok(lambda n: _objective(source, field, link5, asyn, n, asyn.h),
                 lambda n: sp.eval_F(source, field, link5, asyn, n),
                 rng.uniform(40, 1400, 50), 1.0)
     w_e = fd_ok(lambda n: sp.blep_average_simplified(link5, N=n),
@@ -379,25 +379,25 @@ def test_criterion_9_derivatives(source, field):
     # (beyond ~3x the optimum the exact curves turn marginally concave as
     # only the delay exponential still moves)
     hs = np.linspace(link5.T_s, h_hi, 220)
-    vals_h = np.array([_asyn_objective(source, field, link5, asyn, 80, float(h))
+    vals_h = np.array([_objective(source, field, link5, asyn, 80, float(h))
                        for h in hs])
     conv_h = bool(np.all(np.diff(vals_h, 2) > -1e-15))
 
     balanced = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.300, h=0.060, M=5, m=1)
     probe = np.linspace(40, (0.300 - 4 * 0.060) / link15.T_s, 400)
-    pv = [_asyn_objective(source, field, link15, balanced, float(n), 0.060)
+    pv = [_objective(source, field, link15, balanced, float(n), 0.060)
           for n in probe]
     n_opt = float(probe[int(np.argmin(pv))])
     ns = np.linspace(40, 2 * n_opt, 250)
-    vals_n = np.array([_asyn_objective(source, field, link15, balanced, float(n), 0.060)
+    vals_n = np.array([_objective(source, field, link15, balanced, float(n), 0.060)
                        for n in ns])
     conv_n = bool(np.all(np.diff(vals_n, 2) > -1e-15))
 
     probe_s = np.linspace(40, 0.300 / link15.T_s, 400)
-    pv_s = [_syn_objective(source, field, link15, syn, float(n)) for n in probe_s]
+    pv_s = [_objective(source, field, link15, syn, float(n)) for n in probe_s]
     n_opt_s = float(probe_s[int(np.argmin(pv_s))])
     ns_s = np.linspace(40, 2 * n_opt_s, 250)
-    vals_s = np.array([_syn_objective(source, field, link15, syn, float(n))
+    vals_s = np.array([_objective(source, field, link15, syn, float(n))
                        for n in ns_s])
     conv_s = bool(np.all(np.diff(vals_s, 2) > -1e-15))
 

@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 from pathlib import Path
 
@@ -167,3 +168,32 @@ def test_small_l_warns():
     link = sp.LinkParams(L=3.0, N=40)
     with pytest.warns(UserWarning):
         sp.dblep_dN(link)
+
+
+@pytest.mark.parametrize("fn", [sp.blep_average, sp.blep_average_simplified,
+                                sp.dblep_dN])
+@pytest.mark.parametrize("db", [-14.5, 5.0, 15.0])
+def test_blep_broadcasts_over_blocklength(fn, db):
+    # an array N gives the per-element scalar values; a scalar N a float
+    link = sp.LinkParams.from_db(gamma_r_bar_db=db)
+    ns = np.arange(10, 1500)
+    scalar = np.array([fn(link, N=int(n)) for n in ns])
+    np.testing.assert_allclose(fn(link, N=ns), scalar, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(fn(link, N=ns.reshape(-1, 10)),
+                               scalar.reshape(-1, 10), rtol=1e-15, atol=0.0)
+    for n in (None, 80, 80.5, np.int64(80), np.float64(80.0)):
+        assert type(fn(link, N=n)) is float
+
+
+def test_blep_clamp_logs_one_count_per_call(caplog):
+    # L < pi: the simplified exponent turns negative at long blocklengths,
+    # where the average clamps to 0
+    link = sp.LinkParams(L=3.0, N=40)
+    ns = np.arange(10, 200)
+    with caplog.at_level(logging.WARNING, logger="sptrecon.blep"):
+        vals = sp.blep_average_simplified(link, N=ns)
+    clamped = int(np.count_nonzero(vals == 0.0))
+    assert 0 < clamped < ns.size
+    assert vals.min() >= 0.0 and vals.max() <= 1.0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"blep_average_simplified clamped {clamped} value(s) to [0, 1]"]

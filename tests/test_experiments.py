@@ -445,3 +445,12 @@ def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
         assert [float(row["mssc"]), float(row["thr1"]), float(row["thr2"]),
                 row["winner"]] == [point["mssc"], thr1, thr2, winner]
     assert {r["winner"] for r in rows[::2]} == {"degenerate:syn/no"}
+
+
+def test_swept_blocklength_must_be_an_integer(tmp_path):
+    spec = parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.7, 80.2\n")
+    with pytest.raises(InvalidConfigError, match="must be an integer, got 80.7"):
+        run_experiment(spec, tmp_path / "bad")
+    run_experiment(parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.0, 81\n"), tmp_path)
+    with open(tmp_path / "point_eval_analytic.csv", newline="") as fh:
+        assert [row["N"] for row in csv.DictReader(fh)] == ["80", "81"]

@@ -454,3 +454,46 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
         assert close(dpsi[i], dpsi_deps(src, s_asyn, e))
         assert close(got["asyn"][i], _literal_mse(src, T, link.tau, e, w[i], hi))
         assert close(got["syn"][i], _literal_mse(src, T, link.tau, e, fac[i]))
+
+
+def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):
+    fac = field.target_factors(source.b, power=2.0)
+    assert sp.scheme_weights(source, field, no_scheme).tolist() == [1.0]
+    assert sp.scheme_weights(source, field, asyn_scheme).tolist() == fac.tolist()
+    assert sp.scheme_weights(source, field, syn_scheme).tolist() == sorted(
+        fac.tolist(), reverse=True)
+    # the kind overrides the scheme's own; explicit weights pass through
+    assert sp.scheme_weights(source, field, asyn_scheme, "no-infer").tolist() == [1.0]
+    assert sp.scheme_weights(source, [1.0, 0.5, 0.4, 0.3, 0.2],
+                             asyn_scheme).tolist() == [1.0, 0.5, 0.4, 0.3, 0.2]
+    # MSSC substitution: the target at 1 (syn) or at its slot m (asyn)
+    asyn3 = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=3)
+    assert sp.scheme_weights(source, None, asyn3, mssc_value=0.4).tolist() == [
+        0.4, 0.4, 1.0, 0.4, 0.4]
+    assert sp.scheme_weights(source, None, asyn3, "syn-infer", 0.4).tolist() == [
+        1.0, 0.4, 0.4, 0.4, 0.4]
+    grid = sp.scheme_weights(source, None, asyn3, mssc_value=np.array([0.1, 0.2]))
+    assert grid.tolist() == [[0.1, 0.1, 1.0, 0.1, 0.1], [0.2, 0.2, 1.0, 0.2, 0.2]]
+    with pytest.raises(InvalidConfigError, match="need 5 spatial weights, got 4"):
+        sp.scheme_weights(source, [1.0, 0.5, 0.5, 0.5], asyn_scheme)
+    small = sp.place_sensors(4, 10.0, seed=7)
+    with pytest.raises(InvalidConfigError, match="need 5 spatial weights, got 4"):
+        sp.scheme_weights(source, small, syn_scheme)
+    syn1 = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=1, m=1)
+    with pytest.raises(InvalidConfigError, match="M >= 2"):
+        sp.scheme_weights(source, None, syn1, mssc_value=0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(M=st.integers(1, 8), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       tau_frac=st.floats(0.0, 0.99), gamma_o=st.floats(0.1, 20.0),
+       data=st.data())
+def test_syn_mse_non_decreasing_in_eps(M, a, T, tau_frac, gamma_o, data):
+    # the abstract's positive correlation: under synchronous inference a
+    # lossier link never lowers the error, for any descending weights
+    src = sp.SourceParams(sigma2_x=1.0, gamma_o=gamma_o, a=a)
+    rest = data.draw(st.lists(st.floats(0.0, 1.0), min_size=M - 1, max_size=M - 1))
+    w = np.array([1.0] + sorted(rest, reverse=True))
+    eps = np.linspace(0.0, 1.0, 2001)
+    dmse = sp.ClosedForm(src, T, tau_frac * T, M, h=None).dmse(eps, w)
+    assert np.all(dmse >= 0.0)

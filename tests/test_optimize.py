@@ -5,7 +5,7 @@ import pytest
 
 import sptrecon as sp
 from sptrecon import optimize
-from sptrecon.optimize import _asyn_objective, _syn_objective
+from sptrecon.optimize import _objective
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +38,8 @@ def test_H_matches_finite_difference(fig_blocklength):
     for _ in range(50):
         n = float(rng.uniform(40.0, 2500.0))
         step = max(1e-5 * n, (np.finfo(float).eps ** (1 / 3)) * n)
-        fd = (_syn_objective(src, field, link, scheme, n + step)
-              - _syn_objective(src, field, link, scheme, n - step)) / (2 * step)
+        fd = (_objective(src, field, link, scheme, n + step)
+              - _objective(src, field, link, scheme, n - step)) / (2 * step)
         assert sp.eval_H(src, field, link, scheme, n) == pytest.approx(fd, rel=1e-4)
 
 
@@ -49,8 +49,8 @@ def test_J_matches_finite_difference(source, field, link, asyn_scheme):
     for _ in range(50):
         h = float(rng.uniform(link.T_s, h_hi))
         step = 1e-7
-        fd = (_asyn_objective(source, field, link, asyn_scheme, link.N, h + step)
-              - _asyn_objective(source, field, link, asyn_scheme, link.N, h - step)
+        fd = (_objective(source, field, link, asyn_scheme, link.N, h + step)
+              - _objective(source, field, link, asyn_scheme, link.N, h - step)
               ) / (2 * step)
         assert sp.eval_J(source, field, link, asyn_scheme, h) == pytest.approx(
             fd, rel=1e-4)
@@ -61,8 +61,8 @@ def test_F_matches_finite_difference(source, field, link, asyn_scheme):
     for _ in range(50):
         n = float(rng.uniform(40.0, 1400.0))
         step = max(1e-5 * n, (np.finfo(float).eps ** (1 / 3)) * n)
-        fd = (_asyn_objective(source, field, link, asyn_scheme, n + step, asyn_scheme.h)
-              - _asyn_objective(source, field, link, asyn_scheme, n - step, asyn_scheme.h)
+        fd = (_objective(source, field, link, asyn_scheme, n + step, asyn_scheme.h)
+              - _objective(source, field, link, asyn_scheme, n - step, asyn_scheme.h)
               ) / (2 * step)
         assert sp.eval_F(source, field, link, asyn_scheme, n) == pytest.approx(
             fd, rel=1e-4)
@@ -71,7 +71,7 @@ def test_F_matches_finite_difference(source, field, link, asyn_scheme):
 def test_H_sign_change_straddles_grid_argmin(fig_blocklength):
     src, field, link, scheme = fig_blocklength
     ns = np.arange(10, int(scheme.T / link.T_s) + 1)
-    vals = [_syn_objective(src, field, link, scheme, float(n)) for n in ns]
+    vals = [_objective(src, field, link, scheme, float(n)) for n in ns]
     n_hat = int(ns[int(np.argmin(vals))])
     assert sp.eval_H(src, field, link, scheme, n_hat - 1.0) < 0
     assert sp.eval_H(src, field, link, scheme, n_hat + 1.0) > 0
@@ -87,7 +87,7 @@ def test_J_sign_change_straddles_grid_argmin(fig_time_shift):
     src, field, link, scheme = fig_time_shift
     h_hi = (scheme.T - link.tau) / (scheme.M - 1)
     hs = np.linspace(link.T_s, h_hi, 400)
-    vals = [_asyn_objective(src, field, link, scheme, link.N, float(h)) for h in hs]
+    vals = [_objective(src, field, link, scheme, link.N, float(h)) for h in hs]
     k = int(np.argmin(vals))
     assert 0 < k < len(hs) - 1  # interior optimum exists on this setup
     assert sp.eval_J(src, field, link, scheme, float(hs[k - 1])) < 0
@@ -97,7 +97,7 @@ def test_J_sign_change_straddles_grid_argmin(fig_time_shift):
 def test_F_sign_change_straddles_grid_argmin(source, field, link, asyn_scheme):
     n_hi = int((asyn_scheme.T - 4 * asyn_scheme.h) / link.T_s)
     ns = np.arange(40, n_hi + 1)
-    vals = [_asyn_objective(source, field, link, asyn_scheme, float(n), asyn_scheme.h)
+    vals = [_objective(source, field, link, asyn_scheme, float(n), asyn_scheme.h)
             for n in ns]
     n_hat = int(ns[int(np.argmin(vals))])
     assert 40 < n_hat < n_hi
@@ -119,7 +119,7 @@ def test_objective_convex_in_h(source, field, link):
     for T in (0.12, 0.2):
         scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=0.005, M=5, m=1)
         hs = np.linspace(link.T_s, T / scheme.M, 200)
-        vals = np.array([_asyn_objective(source, field, link, scheme, 80, float(h))
+        vals = np.array([_objective(source, field, link, scheme, 80, float(h))
                          for h in hs])
         assert np.all(np.diff(vals, 2) > -1e-15)
 
@@ -134,11 +134,11 @@ def test_objective_convex_in_n_at_balanced_shift(source, field):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=T / 5, M=5, m=1)
     n_hi = (T - 4 * scheme.h) / link.T_s
     probe = np.linspace(40, n_hi, 561)
-    pv = [_asyn_objective(source, field, link, scheme, float(n), scheme.h)
+    pv = [_objective(source, field, link, scheme, float(n), scheme.h)
           for n in probe]
     n_opt = float(probe[int(np.argmin(pv))])
     ns = np.linspace(40, 2 * n_opt, 300)
-    vals = np.array([_asyn_objective(source, field, link, scheme, float(n), scheme.h)
+    vals = np.array([_objective(source, field, link, scheme, float(n), scheme.h)
                      for n in ns])
     assert np.all(np.diff(vals, 2) > -1e-15)
 
@@ -172,9 +172,9 @@ def test_blocklength_matches_exhaustive(fig_blocklength):
 def test_blocklength_local_optimality(fig_blocklength):
     src, field, link, scheme = fig_blocklength
     res = sp.optimize_blocklength_syn(src, field, link, scheme)
-    star = _syn_objective(src, field, link, scheme, res.N_star)
+    star = _objective(src, field, link, scheme, res.N_star)
     for d in (-5, -2, -1, 1, 2, 5):
-        assert star <= _syn_objective(src, field, link, scheme, res.N_star + d) + 1e-15
+        assert star <= _objective(src, field, link, scheme, res.N_star + d) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_blocklength_asyn_grid_fallback_branch():
     res = sp.optimize_blocklength_asyn(src, field, link, scheme,
                                        sp.OptimizerConfig(N_min=10))
     assert (res.N_star, res.h_star, res.branch) == (13, 0.0005, "grid-fallback")
-    grid = [_asyn_objective(src, field, link, scheme, n, 0.0005) for n in range(10, 171)]
+    grid = [_objective(src, field, link, scheme, n, 0.0005) for n in range(10, 171)]
     assert res.N_star == 10 + int(np.argmin(grid))
 
 
@@ -247,7 +247,7 @@ def test_time_shift_matches_dense_grid(fig_time_shift):
     res = sp.optimize_time_shift(src, field, link, scheme)
     h_hi = (scheme.T - link.tau) / (scheme.M - 1)
     ks = np.arange(1, int(math.floor(h_hi / link.T_s)) + 1)
-    vals = [_asyn_objective(src, field, link, scheme, link.N, float(k * link.T_s))
+    vals = [_objective(src, field, link, scheme, link.N, float(k * link.T_s))
             for k in ks]
     best = float(ks[int(np.argmin(vals))] * link.T_s)
     assert res.h_star == pytest.approx(best, abs=link.T_s / 2 + 1e-12)
@@ -340,7 +340,7 @@ def test_exhaustive_argmin_independent_of_scan_order(source, field, link, monkey
     best = (math.inf, None, None)
     for n, k in cands:
         h = k * link.T_s
-        v = _asyn_objective(source, field, link, scheme, n, h)
+        v = _objective(source, field, link, scheme, n, h)
         if v < best[0] or (v == best[0] and (n, h) < (best[1], best[2])):
             best = (v, n, h)
     # one N per chunk, chunks of several N rows, the default chunk
@@ -407,3 +407,18 @@ def test_stationarity_points_evaluated_once(source, field, link, syn_scheme,
         calls.clear()
         assert step().branch == "interior-root"
         assert calls and len(set(calls)) == len(calls)
+
+
+def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,
+                                            syn_scheme, asyn_scheme):
+    calls = []
+    for name in ("blep_average", "blep_average_simplified"):
+        real = getattr(optimize, name)
+        monkeypatch.setattr(optimize, name,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    for scheme in (syn_scheme, asyn_scheme):
+        for objective in ("simplified", "exact"):
+            calls.clear()
+            sp.exhaustive_search(source, field, link, scheme,
+                                 sp.OptimizerConfig(N_max=300), objective=objective)
+            assert len(calls) == 1

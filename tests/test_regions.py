@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sptrecon as sp
+from sptrecon import regions
 from sptrecon.errors import RegionDegenerateError
 from sptrecon.regions import RegionThresholds
 
@@ -115,3 +118,55 @@ def test_region_report_consistency(source, link, asyn_scheme):
     rep2 = sp.region_report(source, link, asyn_scheme, mssc_value=0.99)
     assert rep2.winner is sp.Scheme.ASYN_INFER
     assert rep2.gain_asyn_over_syn > 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5), eps=st.floats(0.0, 1.0))
+def test_thr1_never_exceeds_temporal_correlation(a, T, eps):
+    # inference can pay even below the squared temporal correlation
+    src = sp.SourceParams(a=a)
+    scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=5, m=1)
+    link = sp.LinkParams.from_db()
+    assert sp.threshold_infer(src, link, scheme, eps_bar=eps) <= math.exp(-2.0 * a * T)
+
+
+# eps stays off both ends: at eps = 0 the synchronous and no-inference
+# errors are equal for every MSSC, and below about 1e-11 or above about
+# 1 - 1e-6 the errors the oracle compares differ by less than rounding
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5), M=st.integers(2, 7),
+       N=st.integers(10, 300), h_frac=st.floats(0.0, 1.0),
+       eps=st.floats(1e-6, 1.0 - 1e-4))
+def test_thresholds_match_oracle_on_random_configs(a, T, M, N, h_frac, eps):
+    src = sp.SourceParams(a=a)
+    link = sp.LinkParams.from_db(N=N)
+    h_max = (T - link.tau) / (M - 1)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=1)
+    grid = np.linspace(0.0, 1.0, 101)
+    oracle = [w for _, w in sp.exhaustive_region_oracle(src, link, scheme, grid,
+                                                        eps_bar=eps)]
+    thr1 = sp.threshold_infer(src, link, scheme, eps_bar=eps)
+    try:
+        thr = RegionThresholds(thr1, sp.threshold_asyn_over_syn(src, link, scheme,
+                                                                eps_bar=eps))
+        winners = [sp.classify(rho, thr) for rho in grid]
+    except RegionDegenerateError:
+        return  # no finite crossover, or thresholds out of order
+    assert winners == oracle
+
+
+def test_oracle_scores_each_scheme_in_one_call(monkeypatch, source, link, asyn_scheme):
+    calls = []
+    real = regions._scored
+    monkeypatch.setattr(regions, "_scored",
+                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    grid = np.linspace(0.0, 1.0, 101)
+    oracle = sp.exhaustive_region_oracle(source, link, asyn_scheme, grid)
+    order = [sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER, sp.Scheme.ASYN_INFER]
+    assert calls == order
+    for rho, winner in oracle:
+        vals = [sp.mse_no_infer(source, link, asyn_scheme).value,
+                sp.mse_syn_infer_approx(source, rho, link, asyn_scheme).value,
+                sp.mse_asyn_infer_approx(source, rho, link, asyn_scheme).value]
+        assert winner is order[int(np.argmin(vals))]  # ties keep this order
