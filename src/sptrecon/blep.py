@@ -33,33 +33,27 @@ from .errors import DomainError, InvalidConfigError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_N_MIN = 10
-
 
 @dataclass(frozen=True)
 class LinkParams:
     """Short-packet link description.
 
     L           : information bits per packet (> 0)
-    N           : blocklength in channel uses (integer >= N_min)
+    N           : blocklength in channel uses (integer >= 1)
     T_s         : symbol duration in seconds (> 0)
     gamma_r_bar : average received SNR, linear (> 0)
-    N_min       : smallest usable blocklength (default 10 channel uses)
     """
 
     L: float = 160.0
     N: int = 80
     T_s: float = 1e-4
     gamma_r_bar: float = 10 ** 0.5
-    N_min: int = DEFAULT_N_MIN
 
     def __post_init__(self):
         if not self.L > 0:
             raise InvalidConfigError(f"L must be > 0, got {self.L}")
-        if int(self.N) != self.N or self.N < self.N_min:
-            raise InvalidConfigError(
-                f"N must be an integer >= N_min={self.N_min}, got {self.N}"
-            )
+        if int(self.N) != self.N or self.N < 1:
+            raise InvalidConfigError(f"N must be an integer >= 1, got {self.N}")
         if not self.T_s > 0:
             raise InvalidConfigError(f"T_s must be > 0, got {self.T_s}")
         if not self.gamma_r_bar > 0:
@@ -68,9 +62,8 @@ class LinkParams:
             )
 
     @classmethod
-    def from_db(cls, L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0, N_min=DEFAULT_N_MIN):
-        return cls(L=L, N=N, T_s=T_s, gamma_r_bar=10 ** (gamma_r_bar_db / 10.0),
-                   N_min=N_min)
+    def from_db(cls, L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0):
+        return cls(L=L, N=N, T_s=T_s, gamma_r_bar=10 ** (gamma_r_bar_db / 10.0))
 
     def with_blocklength(self, N: int) -> "LinkParams":
         return replace(self, N=N)

@@ -19,7 +19,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -45,6 +45,27 @@ EVENT_COLUMNS = ["period", "sensor", "t_start_s", "gamma_r", "success"]
 SWEEPABLE = {"eps_bar", "mssc", "N", "h_s", "T_period_s", "gamma_r_bar_db",
              "b_per_m"}
 
+# section -> the keys parse_spec reads; any other section or key is an error
+KEYS = {
+    "experiment": {"name", "outputs", "seed", "replicas"},
+    "source": {"sigma2_x", "gamma_o", "a_per_s", "b_per_m"},
+    "field": {"positions_file", "M", "half_width_m", "density_per_m2",
+              "placement_seed", "target_index"},
+    "link": {"L_bits", "N_blocklength", "symbol_duration_s", "gamma_r_bar_db"},
+    "scheme": {"scheme", "period_s", "time_shift_s"},
+    "sim": {"periods", "dump_trace"},
+    "optimize": {"N_min", "N_max", "I_max", "tol_h_s", "tol_N",
+                 "include_exhaustive"},
+    "sweep": SWEEPABLE,
+}
+
+# output -> sweep axes it cannot honour: the simulation draws its own packet
+# losses on the field's geometry, and the optimizers choose N and h
+UNHONOURED_AXES = {
+    "simulate": {"eps_bar", "mssc"},
+    "optimize": {"eps_bar", "mssc", "N", "h_s"},
+}
+
 
 @dataclass
 class ExperimentSpec:
@@ -56,7 +77,6 @@ class ExperimentSpec:
     replicas: int
     source: SourceParams
     field: SensorField
-    link_db: float            # average received SNR in dB (config boundary)
     link: LinkParams
     scheme: SchemeConfig
     periods: int
@@ -112,6 +132,16 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         cp.read_string(text)
     except configparser.Error as exc:
         raise InvalidConfigError(f"config parse error: {exc}") from exc
+    for section in cp.sections():
+        if section not in KEYS:
+            raise InvalidConfigError(f"unknown config section [{section}]; "
+                                     f"allowed: {sorted(KEYS)}")
+        for key in cp[section]:
+            if key not in KEYS[section]:
+                raise InvalidConfigError(
+                    f"unknown key {key!r} in [{section}]; "
+                    f"allowed: {sorted(KEYS[section])}"
+                )
 
     try:
         exp = cp["experiment"]
@@ -141,13 +171,11 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
             )
 
         lnk = cp["link"] if cp.has_section("link") else {}
-        gamma_db = _getf(lnk, "gamma_r_bar_db", 5.0)
         link = LinkParams.from_db(
             L=_getf(lnk, "L_bits", 160.0),
             N=int(_getf(lnk, "N_blocklength", 80)),
             T_s=_getf(lnk, "symbol_duration_s", 1e-4),
-            gamma_r_bar_db=gamma_db,
-            N_min=int(_getf(lnk, "N_min", 10)),
+            gamma_r_bar_db=_getf(lnk, "gamma_r_bar_db", 5.0),
         )
 
         sch = cp["scheme"] if cp.has_section("scheme") else {}
@@ -176,10 +204,6 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         sweep = {}
         if cp.has_section("sweep"):
             for key, val in cp["sweep"].items():
-                if key not in SWEEPABLE:
-                    raise InvalidConfigError(
-                        f"unknown sweep axis {key!r}; allowed: {sorted(SWEEPABLE)}"
-                    )
                 sweep[key] = parse_values(val)
     except (KeyError, ValueError) as exc:
         if isinstance(exc, InvalidConfigError):
@@ -191,12 +215,16 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
     for out in outputs:
         if out not in OUTPUTS:
             raise InvalidConfigError(f"unknown output kind {out!r}")
+        axes = sorted(UNHONOURED_AXES.get(out, set()) & set(sweep))
+        if axes:
+            raise InvalidConfigError(f"output {out!r} cannot honour the sweep "
+                                     f"axis {', '.join(map(repr, axes))}")
 
     return ExperimentSpec(
         name=name, outputs=outputs,
         seed=cfg_seed if seed is None else int(seed),
         replicas=cfg_replicas if replicas is None else int(replicas),
-        source=source, field=field, link_db=gamma_db, link=link,
+        source=source, field=field, link=link,
         scheme=scheme, periods=periods, optimizer=optimizer, sweep=sweep,
         include_exhaustive=include_exhaustive, dump_trace=dump_trace,
         raw_text=text,
@@ -229,9 +257,7 @@ def _apply_point(spec: ExperimentSpec, point: dict):
         source = SourceParams(sigma2_x=source.sigma2_x, gamma_o=source.gamma_o,
                               a=source.a, b=point["b_per_m"])
     if "gamma_r_bar_db" in point:
-        link = LinkParams(L=link.L, N=link.N, T_s=link.T_s,
-                          gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0),
-                          N_min=link.N_min)
+        link = replace(link, gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0))
     if "N" in point:
         if not float(point["N"]).is_integer():
             raise InvalidConfigError(f"swept blocklength N must be an integer, "

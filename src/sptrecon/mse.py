@@ -115,18 +115,44 @@ def reindex_by_correlation(params: SourceParams, field: SensorField) -> Reindexe
 # validation / shared pieces
 # ---------------------------------------------------------------------------
 
+# the timing rule N T_s + (M - 1) h <= T (N T_s < T without shifts) holds
+# to this many symbol durations
+_TIMING_TOL = 1e-9
+
+
+def max_blocklength(T: float, T_s: float, shift=0.0):
+    """Largest blocklength N with N T_s + shift <= T, where ``shift`` (a
+    float or an array) is the shift time (M - 1) h.  Without shifts the
+    delay must stay below the period, N T_s < T, and a ratio T / T_s within
+    the tolerance of an integer counts as that integer."""
+    if np.ndim(shift) == 0 and shift == 0:
+        return math.ceil(T / T_s - _TIMING_TOL) - 1
+    n = np.floor((T - shift) / T_s + _TIMING_TOL).astype(int)
+    return int(n) if n.ndim == 0 else n
+
+
+def shift_count(T: float, T_s: float, M: int, N):
+    """Number of grid shifts h = T_s, 2 T_s, ... that fit blocklength(s) N:
+    those with N <= max_blocklength(T, T_s, (M - 1) h).  Broadcasts over N."""
+    k = np.arange(1, int(T / T_s) // (M - 1) + 2)
+    caps = max_blocklength(T, T_s, (M - 1) * (k * T_s))  # non-increasing in k
+    return np.searchsorted(-caps, -np.asarray(N), side="right")
+
+
 def _check_timing(link: LinkParams, scheme: SchemeConfig, need_h: bool = False):
-    if scheme.T <= link.tau:
+    """InvalidConfigError unless the link's blocklength fits the period
+    (:func:`max_blocklength`) and, with ``need_h``, T_s <= h."""
+    T, T_s = scheme.T, link.T_s
+    if link.N > max_blocklength(T, T_s):
         raise InvalidConfigError(
-            f"period T={scheme.T} must exceed the packet delay tau={link.tau}"
+            f"period T={T} must exceed the packet delay tau={link.tau}"
         )
-    if need_h:
-        h_max = (scheme.T - link.tau) / (scheme.M - 1)
-        if not (link.T_s <= scheme.h <= h_max + 1e-15):
-            raise InvalidConfigError(
-                f"time shift h={scheme.h} outside feasible band "
-                f"[{link.T_s}, {h_max}]"
-            )
+    if need_h and not (T_s <= scheme.h
+                       and link.N <= max_blocklength(T, T_s, (scheme.M - 1) * scheme.h)):
+        raise InvalidConfigError(
+            f"time shift h={scheme.h} outside feasible band "
+            f"[{T_s}, {(T - link.tau) / (scheme.M - 1)}]"
+        )
 
 
 def _eps(link: LinkParams, eps_bar):
@@ -449,32 +475,27 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
 
 
 def upsilon(source: SourceParams, field: SensorField, link: LinkParams,
-            scheme: SchemeConfig, ordering: str = "transmission") -> float:
-    """Spatial-correlation threshold separating the two eps-shapes.
+            scheme: SchemeConfig) -> float:
+    """MSSC threshold below which the asynchronous error falls as eps leaves 0.
 
-    For h != T/M the asynchronous error dips then rises in eps when the
-    MSSC is below this value, and is monotone increasing otherwise.  The
-    formula uses the squared spatial weights of the sensors in the last two
-    transmission slots (M-1 and M); with ``ordering='reindexed'`` the two
-    weakest weights are used instead.  The transmission-order reading is the
-    one consistent with the sign of the eps-derivative at eps -> 0, which is
-    driven by who covers the wrap-around gap at the period boundary.
+    The sign of :meth:`ClosedForm.dmse` at eps = 0: only transmission
+    slots M-1 and M enter the slope there, with slot weights q^2 W and q W,
+    W = 1 - exp(-2a(T - M h)), and the weights sum to 1 + (M-1) MSSC, so
+    the slope is negative exactly when
+
+        MSSC < [W q (q w_{M-1} - (2 - q) w_M) / (1 - q)^2 - 1] / (M - 1)
+
+    with w_n the squared spatial weight of the sensor in slot n.  The sign
+    at 0 is not the whole shape: the error can rise, dip, then rise again,
+    so :func:`eps_star_asyn` keeps its global scan.
     """
     _check_timing(link, scheme, need_h=True)
-    a, h, T, M = source.a, scheme.h, scheme.T, scheme.M
-    if ordering == "transmission":
-        w = field.target_factors(source.b, power=2.0)
-        w_pen, w_last = float(w[M - 2]), float(w[M - 1])
-    elif ordering == "reindexed":
-        ranked = reindex_by_correlation(source, field)
-        w_pen, w_last = ranked.factors[-2], ranked.factors[-1]
-    else:
-        raise InvalidConfigError(f"unknown ordering {ordering!r}")
-    q = math.exp(-2.0 * a * h)
-    W = 1.0 - math.exp(-2.0 * a * (T - M * h))
-    num = W * (w_pen - w_last * (1.0 - q))
-    den = math.exp(2.0 * a * h) * (M - 1) * (1.0 - q) ** 2
-    return num / den - 1.0 / (M - 1)
+    a, M = source.a, scheme.M
+    w = field.target_factors(source.b, power=2.0)
+    q = math.exp(-2.0 * a * scheme.h)
+    W = 1.0 - math.exp(-2.0 * a * (scheme.T - M * scheme.h))
+    lead = W * q * (q * float(w[M - 2]) - (2.0 - q) * float(w[M - 1])) / (1.0 - q) ** 2
+    return (lead - 1.0) / (M - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -536,4 +557,5 @@ __all__ = [
     "psi_values", "dpsi_deps", "mse_no_infer", "mse_syn_infer",
     "mse_syn_infer_approx", "mse_asyn_infer", "mse_asyn_infer_approx",
     "average_mse", "dmse_asyn_deps", "eps_star_asyn", "upsilon", "bounds",
+    "max_blocklength", "shift_count",
 ]

@@ -24,16 +24,13 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .blep import (
-    DEFAULT_N_MIN,
-    LinkParams,
-    blep_average,
-    blep_average_simplified,
-    dblep_dN,
-)
+from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import ClosedForm, Scheme, SchemeConfig, average_mse, scheme_weights
+from .mse import (ClosedForm, Scheme, SchemeConfig, average_mse, max_blocklength,
+                  scheme_weights, shift_count)
+
+DEFAULT_N_MIN = 10
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its temporaries to about M * 32 kB each
@@ -45,7 +42,8 @@ class OptimizerConfig:
     """Bounds and stopping rules for the adaptation routines.
 
     N_min / N_max : blocklength bounds in channel uses (N_max None = from
-                    the period constraint)
+                    the period constraint); N_min is the only blocklength
+                    floor
     I_max         : alternating-optimization iteration cap
     tol_h, tol_N  : stop when both coordinates move less than this
     root_tol      : maximum |H|, |J| or |F| accepted at a reported root
@@ -171,30 +169,12 @@ def _effective_lower(link, n_lo, n_hi):
 
     On that plateau the objective is flat at sigma2 and every stationarity
     function is identically zero, which would hand the root finder a
-    spurious root at the boundary.  Returns the plateau edge, or None when
-    the whole range is saturated.
+    spurious root at the boundary.  Returns the plateau edge, the first
+    integer N in [n_lo, n_hi] whose simplified BLEP is below 1, or None
+    when the whole range is saturated.
     """
-    if blep_average_simplified(link, N=n_lo) < 1.0:
-        return float(n_lo)
-    if blep_average_simplified(link, N=n_hi) >= 1.0:
-        return None
-    lo, hi = float(n_lo), float(n_hi)
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if blep_average_simplified(link, N=mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _syn_blocklength_cap(T, T_s):
-    """Largest N whose delay N T_s stays below the period T.
-
-    A ratio T / T_s within 1e-9 of an integer counts as that integer, so
-    the blocklength that would fill the whole period is excluded.
-    """
-    return int(math.ceil(T / T_s - 1e-9)) - 1
+    below = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1)) < 1.0
+    return n_lo + int(np.argmax(below)) if below.any() else None
 
 
 def _blocklength_range(link, cfg, n_cap):
@@ -268,8 +248,8 @@ def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult
     otherwise the better of the two integers around the root of H.
     """
     cfg = cfg or OptimizerConfig()
-    n_cap = _syn_blocklength_cap(scheme.T, link.T_s)
-    n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
+    n_lo, n_hi, n_eff = _blocklength_range(link, cfg,
+                                           max_blocklength(scheme.T, link.T_s))
     obj = lambda n: _objective(source, field, link, scheme, n)
     n_star, branch, res = _stationary_point(
         lambda n: eval_H(source, field, link, scheme, n), n_lo, n_hi,
@@ -286,14 +266,11 @@ def optimize_time_shift(source, field, link, scheme, cfg=None, N=None) -> OptRes
     """Optimal time shift at fixed blocklength for the asynchronous scheme."""
     cfg = cfg or OptimizerConfig()
     n = int(link.N if N is None else N)
-    tau = n * link.T_s
+    if shift_count(scheme.T, link.T_s, scheme.M, n) < 1:
+        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
+    # the constraint face, at or within 1e-9 T_s past the last grid shift
     h_lo = link.T_s
-    h_hi = (scheme.T - tau) / (scheme.M - 1)
-    if h_hi < h_lo * (1.0 - 1e-9):
-        raise InvalidConfigError(
-            f"no feasible time shift: (T - tau)/(M-1) = {h_hi} < T_s"
-        )
-    h_hi = max(h_hi, h_lo)  # guard a band degenerate to one grid point
+    h_hi = max(h_lo, (scheme.T - n * link.T_s) / (scheme.M - 1))
     link_n = link.with_blocklength(n)
     obj = lambda hh: _objective(source, field, link_n, scheme, n, hh)
     h_star, branch, res = _stationary_point(
@@ -315,7 +292,7 @@ def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> 
     """
     cfg = cfg or OptimizerConfig()
     hh = scheme.h if h is None else h
-    n_cap = int(math.floor((scheme.T - (scheme.M - 1) * hh) / link.T_s + 1e-9))
+    n_cap = max_blocklength(scheme.T, link.T_s, (scheme.M - 1) * hh)
     n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
     obj = lambda n: _objective(source, field, link, scheme, n, hh)
     # shared with the decision rule: the probe holds the plateau edge and N_max
@@ -372,7 +349,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
-    n_cap = int(math.floor(T / Ts + 1e-9)) - (M - 1)
+    n_cap = max_blocklength(T, Ts, (M - 1) * Ts)
     if cfg.N_max is not None:
         n_cap = min(n_cap, cfg.N_max)
     if n_cap < cfg.N_min:
@@ -383,15 +360,10 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     if not cfg.N_min <= n_cur <= n_cap:
         n_cur = min(max(n_cur, cfg.N_min), n_cap)
         projected = start_N is not None
-    if start_h is None:
-        h_cur = (T - n_cur * Ts) / (2.0 * (M - 1))
-        h_cur = max(Ts, math.floor(h_cur / Ts + 1e-9) * Ts)
-    else:
-        h_cur = float(start_h)
-    h_max0 = (T - n_cur * Ts) / (M - 1)
-    if not Ts <= h_cur <= h_max0 + 1e-15:
-        h_cur = min(max(h_cur, Ts),
-                    max(Ts, math.floor(h_max0 / Ts + 1e-9) * Ts))
+    steps = int(shift_count(T, Ts, M, n_cur))
+    h_cur = max(1, steps // 2) * Ts if start_h is None else float(start_h)
+    if not (Ts <= h_cur and n_cur <= max_blocklength(T, Ts, (M - 1) * h_cur)):
+        h_cur = min(max(h_cur, Ts), steps * Ts)
         projected = True
 
     obj = lambda n, hh: _objective(source, field, link, scheme, n, hh)
@@ -445,10 +417,9 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
-    K = int(math.floor(T / Ts + 1e-9))
     eps_of = blep_average_simplified if objective == "simplified" else blep_average
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
-    n_hi = _syn_blocklength_cap(T, Ts) if syn else K - (M - 1)
+    n_hi = max_blocklength(T, Ts, 0.0 if syn else (M - 1) * Ts)
     if cfg.N_max is not None:
         n_hi = min(n_hi, cfg.N_max)
     Ns = np.arange(cfg.N_min, n_hi + 1)
@@ -466,7 +437,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
         return OptResult(scheme.scheme, n_star, None, mse, float(vals[k]), 1, True,
                          "exhaustive", evaluations=int(Ns.size))
 
-    steps = (K - Ns) // (M - 1)  # feasible shifts T_s .. steps*T_s, non-increasing
+    steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
     best = (math.inf, None, None)
     i = 0
     while i < Ns.size:

@@ -29,7 +29,7 @@ import numpy as np
 from .blep import blep_average, blep_instantaneous, blep_segmented
 from .errors import InvalidConfigError, ScaleLimitError
 from .field import sample_joint_gaussian
-from .mse import Scheme, reindex_by_correlation
+from .mse import Scheme, _check_timing, reindex_by_correlation
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     M = scheme.M
     if field.n_sensors != M and scheme.scheme is not Scheme.NO_INFER:
         raise InvalidConfigError(f"field has {field.n_sensors} sensors, scheme.M={M}")
-    if scheme.T <= link.tau:
-        raise InvalidConfigError("period must exceed the packet delay")
     asyn = scheme.scheme is Scheme.ASYN_INFER
-    if asyn:
-        h_max = (scheme.T - link.tau) / (M - 1)
-        if not (link.T_s <= scheme.h <= h_max + 1e-15):
-            raise InvalidConfigError(f"time shift outside [{link.T_s}, {h_max}]")
+    _check_timing(link, scheme, need_h=asyn)
 
     n_active = 1 if scheme.scheme is Scheme.NO_INFER else M
     gamma = np.empty((n_active, periods)) if collect_trace else None

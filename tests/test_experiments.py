@@ -454,3 +454,46 @@ def test_swept_blocklength_must_be_an_integer(tmp_path):
     run_experiment(parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.0, 81\n"), tmp_path)
     with open(tmp_path / "point_eval_analytic.csv", newline="") as fh:
         assert [row["N"] for row in csv.DictReader(fh)] == ["80", "81"]
+
+
+@pytest.mark.parametrize("text, section, key", [
+    (POINT_SPEC.replace("N_blocklength = 80", "N_blocklength = 80\nN_min = 30"),
+     "link", "N_min"),
+    (POINT_SPEC.replace("period_s = 0.150", "periods_s = 0.150"), "scheme", "periods_s"),
+    (POINT_SPEC + "\n[optimise]\nI_max = 3\n", "optimise", None),
+], ids=["stale-link-floor", "misspelt-key", "misspelt-section"])
+def test_unknown_config_keys_fail_at_parse_time(text, section, key):
+    with pytest.raises(InvalidConfigError, match=rf"\[{section}\]") as err:
+        parse_spec(text)
+    if key is not None:
+        assert repr(key) in str(err.value)
+
+
+@pytest.mark.parametrize("output, axis", [
+    ("simulate", "mssc"), ("simulate", "eps_bar"),
+    ("optimize", "mssc"), ("optimize", "eps_bar"), ("optimize", "N"),
+    ("optimize", "h_s"),
+])
+def test_outputs_reject_sweep_axes_they_cannot_honour(output, axis):
+    # the row would carry the swept value but be computed without it
+    text = SIM_SPEC.replace("outputs = analytic, simulate", f"outputs = {output}")
+    text = text.replace("scheme = syn-infer", SCHEME_SECTIONS["asyn-infer"])
+    with pytest.raises(InvalidConfigError, match=rf"{output}.*'{axis}'"):
+        parse_spec(text + f"\n[sweep]\n{axis} = 0.1, 0.9\n")
+    parse_spec(text.replace(f"outputs = {output}", "outputs = analytic")
+               + f"\n[sweep]\n{axis} = 0.005, 0.01\n")
+
+
+def test_blocklength_floor_is_the_optimizer_key(tmp_path):
+    # at 55 dB the optimizers want about 20 channel uses; the one floor is
+    # [optimize] N_min, and the stale [link] N_min is refused by name
+    text = (POINT_SPEC.replace("outputs = analytic", "outputs = optimize")
+            .replace("gamma_r_bar_db = 5.0", "gamma_r_bar_db = 55.0")
+            .replace("scheme = syn-infer", SCHEME_SECTIONS["asyn-infer"]))
+    with pytest.raises(InvalidConfigError, match=r"'N_min' in \[link\]"):
+        parse_spec(text.replace("N_blocklength = 80", "N_blocklength = 80\nN_min = 30"))
+    for floor, lowest in ((10, 20), (30, 30)):
+        spec = parse_spec(text + f"\n[optimize]\nN_min = {floor}\ninclude_exhaustive = true\n")
+        run_experiment(spec, tmp_path / str(floor))
+        rows = _read_rows(tmp_path / str(floor) / "point_eval_optimize.csv")
+        assert min(int(r["N"]) for r in rows) == lowest

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import sptrecon as sp
 from sptrecon.errors import InvalidConfigError
-from sptrecon.mse import dpsi_deps
+from sptrecon.mse import _check_timing, dpsi_deps, max_blocklength, shift_count
 
 
 def dip_setup():
@@ -497,3 +497,51 @@ def test_syn_mse_non_decreasing_in_eps(M, a, T, tau_frac, gamma_o, data):
     eps = np.linspace(0.0, 1.0, 2001)
     dmse = sp.ClosedForm(src, T, tau_frac * T, M, h=None).dmse(eps, w)
     assert np.all(dmse >= 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       b=st.floats(0.0, 0.3), h_frac=st.floats(0.0, 1.0), data=st.data())
+def test_upsilon_is_the_sign_of_the_kernel_slope_at_zero(M, a, T, b, h_frac, data):
+    # MSSC < upsilon exactly when the asynchronous error falls as eps leaves 0
+    src = sp.SourceParams(a=a, b=b)
+    f = sp.place_sensors(M, 10.0, seed=data.draw(st.integers(0, 10 ** 6)),
+                         target_index=data.draw(st.integers(1, M)))
+    link = sp.LinkParams.from_db(N=data.draw(st.integers(10, 200)))
+    h_max = (T - link.tau) / (M - 1)
+    assume(h_max > link.T_s)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=f.target_index)
+    ups, rho = sp.upsilon(src, f, link, scheme), sp.mssc(src, f)
+    w = f.target_factors(b, power=2.0)
+    slope = float(sp.ClosedForm(src, T, link.tau, M, h).dmse(0.0, w))
+    assume(abs(ups - rho) > 1e-9 * max(1.0, abs(ups)))  # not a rounding tie
+    assert (rho < ups) == (slope < 0.0)
+
+
+def test_timing_rule_tolerance_and_strict_delay():
+    T_s = 1e-4
+    # without shifts the delay stays below the period; T / T_s within 1e-9
+    # of an integer counts as that integer
+    assert max_blocklength(500 * T_s, T_s) == 499
+    assert max_blocklength((500 - 5e-10) * T_s, T_s) == 499
+    assert max_blocklength((500 + 5e-10) * T_s, T_s) == 499
+    assert max_blocklength((500 + 1e-6) * T_s, T_s) == 500
+    # with shifts the round may fill the period, to 1e-9 symbol durations
+    T = (40 - 5e-10) * T_s
+    assert max_blocklength(T, T_s, 4 * T_s) == 36
+    assert max_blocklength((40 - 2e-9) * T_s, T_s, 4 * T_s) == 35
+    assert max_blocklength(T, T_s, np.array([4, 8]) * T_s).tolist() == [36, 32]
+    # grid shifts at each N agree with the blocklength rule
+    Ns = np.arange(1, 40)
+    counts = shift_count(T, T_s, 5, Ns)
+    for n, k in zip(Ns.tolist(), counts.tolist()):
+        assert k == sum(n <= max_blocklength(T, T_s, 4 * (j * T_s)) for j in range(1, 12))
+    assert counts[35] == 1 and counts[36] == 0  # N = 36 and 37
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=T_s, M=5, m=1)
+    _check_timing(sp.LinkParams(N=36, T_s=T_s), scheme, need_h=True)
+    with pytest.raises(InvalidConfigError, match="outside feasible band"):
+        _check_timing(sp.LinkParams(N=37, T_s=T_s), scheme, need_h=True)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=(500 + 5e-10) * T_s, M=5, m=1)
+    with pytest.raises(InvalidConfigError, match="must exceed the packet delay"):
+        _check_timing(sp.LinkParams(N=500, T_s=T_s), syn)

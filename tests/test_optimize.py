@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import optimize
@@ -422,3 +425,78 @@ def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,
             sp.exhaustive_search(source, field, link, scheme,
                                  sp.OptimizerConfig(N_max=300), objective=objective)
             assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# one feasible set for (N, h)
+# ---------------------------------------------------------------------------
+
+def _optimizer_runs(src, field, link, T, M):
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=M, m=1)
+    return [
+        (syn, lambda: sp.optimize_blocklength_syn(src, field, link, syn)),
+        (syn, lambda: sp.exhaustive_search(src, field, link, syn)),
+        (asyn, lambda: sp.optimize_time_shift(src, field, link, asyn)),
+        (asyn, lambda: sp.optimize_blocklength_asyn(src, field, link, asyn)),
+        (asyn, lambda: sp.jtsbo(src, field, link, asyn)),
+        (asyn, lambda: sp.exhaustive_search(src, field, link, asyn)),
+    ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(K=st.integers(2, 260), offset=st.one_of(
+           st.just(0.0), st.floats(-1e-9, 0.0), st.floats(0.0, 1.0)),
+       T_s=st.floats(1e-5, 2e-3), M=st.integers(2, 6), a=st.floats(0.5, 50.0),
+       db=st.floats(0.0, 30.0), N=st.integers(1, 120))
+def test_optimizers_stay_inside_the_timing_rule(K, offset, T_s, M, a, db, N):
+    # each optimizer raises a typed error before it scores anything, or
+    # returns a point that the closed form itself accepts
+    T = (K + offset) * T_s
+    src = sp.SourceParams(a=a)
+    field = sp.place_sensors(M, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=20.0, N=N, T_s=T_s, gamma_r_bar_db=db)
+    scored = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "ClosedForm",
+                   lambda *args, **kw: scored.append(1) or sp.ClosedForm(*args, **kw))
+        for scheme, run in _optimizer_runs(src, field, link, T, M):
+            scored.clear()
+            try:
+                res = run()
+            except (sp.InvalidConfigError, sp.BracketError):
+                assert not scored
+                continue
+            point = scheme if res.h_star is None else dataclasses.replace(
+                scheme, h=res.h_star)
+            assert math.isfinite(sp.average_mse(
+                src, field, link.with_blocklength(res.N_star), point).value)
+
+
+def test_optimizers_accept_a_period_just_below_a_whole_symbol_count():
+    # T / T_s = 40 - 5e-10: N = 36 leaves room for the four shifts of one
+    # symbol each to within the 1e-9 symbol tolerance
+    T_s = 1e-4
+    T = (40 - 5e-10) * T_s
+    src = sp.SourceParams(a=50)
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=20, N=36, T_s=T_s, gamma_r_bar_db=30.0)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=T_s, M=5, m=1)
+    shift = sp.optimize_time_shift(src, field, link, asyn, N=36)
+    assert shift.h_star == T_s and math.isfinite(shift.mse_star)
+    for _, run in _optimizer_runs(src, field, link, T, 5):
+        assert math.isfinite(run().mse_star)
+
+
+def test_plateau_edge_branch_ties_with_exhaustive():
+    # at a T_s = 3 the delay factor exp(-2 a N T_s) rounds the error to
+    # sigma2 for every N, and at -15 dB the BLEP is saturated at 1 below
+    # N = 118: the step ends at the plateau edge, on the tie
+    src = sp.SourceParams(a=3000, b=0.01)
+    field = sp.place_sensors(2, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=100, T_s=1e-3, gamma_r_bar_db=-15.0)
+    scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.6, M=2, m=1)
+    res = sp.optimize_blocklength_syn(src, field, link, scheme)
+    ex = sp.exhaustive_search(src, field, link, scheme)
+    assert res.branch == "plateau-edge"
+    assert abs(res.objective_star - ex.objective_star) <= 1e-12 * src.sigma2_x
