@@ -153,7 +153,12 @@ def blep_average(link: LinkParams, N=None):
     Exact integral of the segmented model:
         1 + gbar * lam * (exp(-(eta + 1/(2 lam))/gbar)
                           - exp(-(eta - 1/(2 lam))/gbar)),
-    clamped to [0, 1].  N broadcasts; a scalar N gives a float.
+    clamped to [0, 1].  Where the lower knot eta + 1/(2 lam) is negative
+    the linear band starts at g = 0, and the integral is
+        F(0) + gbar * lam * (1 - exp(-(eta - 1/(2 lam))/gbar)),
+    with F(0) = 1/2 - lam eta = 1/2 + sqrt(N tanh(L/(2N)) / (2 pi)) the
+    linear segment at 0.
+    N broadcasts; a scalar N gives a float.
     """
     n = _blocklengths(link, N)
     gbar = link.gamma_r_bar
@@ -161,7 +166,16 @@ def blep_average(link: LinkParams, N=None):
     lam = _lam(link.L, n)
     lo = eta + 1.0 / (2.0 * lam)
     hi = eta - 1.0 / (2.0 * lam)
-    val = 1.0 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+    tail = np.exp(-hi / gbar)
+    # |lo| keeps exp finite where the lower knot is negative; those entries
+    # are replaced below
+    val = 1.0 + gbar * lam * (np.exp(-abs(lo) / gbar) - tail)
+    neg = lo < 0.0
+    if neg.any() if neg.ndim else neg:
+        # F(0) = 1/2 - lam eta, written so that it stays finite where
+        # exp(2L/N) overflows and lam underflows to -0
+        f0 = 0.5 + np.sqrt(n * np.tanh(link.L / (2.0 * n)) / (2.0 * np.pi))
+        val = np.where(neg, f0 + gbar * lam * (1.0 - tail), val)
     return _clamp01(val, "blep_average")
 
 

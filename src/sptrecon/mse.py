@@ -234,32 +234,41 @@ class ClosedForm:
 
     def __init__(self, source: SourceParams, T: float, tau, M: int, h=None):
         a = source.a
-        self.s2, self.M, self.h = source.sigma2_x, M, h
+        self.a, self.s2, self.M, self.h = a, source.sigma2_x, M, h
         self.E = math.exp(-2.0 * a * T)
         self.c = _prefactor(source, tau, T)
-        n, self.p, self.p1 = _eps_powers(M, h is not None)
+        self.n, self.p, self.p1 = _eps_powers(M, h is not None)
         if h is not None:
             h, hn = _lift(h)
             self.q = np.exp(-2.0 * a * h)
             self.one_q = 1.0 - _lift(self.q)[1]
             # exp(2 a h (n-1)) (q^M - E)
-            self.slot = np.exp(2.0 * a * hn * (n - 1.0)) * (np.exp(-2.0 * a * hn * M) - self.E)
+            self.slot = (np.exp(2.0 * a * hn * (self.n - 1.0))
+                         * (np.exp(-2.0 * a * hn * M) - self.E))
 
-    def psi(self, eps, deriv: bool = False):
-        """Asynchronous slot weights Psi_n on a new last axis n = 1..M.
-
-        Psi_n = 1 - q + exp(2ah(n-1)) (q^M - E) eps^(M-n) (1-eps) / (1 - E eps^M).
-        With ``deriv`` returns (Psi, d Psi / d eps).
-        """
+    def _eps_factor(self, eps, deriv: bool = False):
+        """A_n = eps^(M-n) (1-eps) / (1 - E eps^M) on a new last axis
+        n = 1..M, the eps part of Psi_n; with ``deriv`` returns (A, dA/deps)."""
         M, E = self.M, self.E
         e = _lift(eps)[1]
         pw, one_e = e ** self.p, 1.0 - e
         u, den = pw * one_e, 1.0 - E * e ** M
-        psi = self.one_q + self.slot * u / den
         if not deriv:
-            return psi
+            return u / den
         du = self.p * one_e * e ** self.p1 - pw
-        return psi, self.slot * _dquot(u, du, den, -M * E * e ** (M - 1))
+        return u / den, _dquot(u, du, den, -M * E * e ** (M - 1))
+
+    def psi(self, eps, deriv: bool = False):
+        """Asynchronous slot weights Psi_n on a new last axis n = 1..M.
+
+        Psi_n = 1 - q + slot_n A_n(eps), with slot_n = exp(2ah(n-1)) (q^M - E)
+        the h part and A_n the eps part (:meth:`_eps_factor`).
+        With ``deriv`` returns (Psi, d Psi / d eps).
+        """
+        if not deriv:
+            return self.one_q + self.slot * self._eps_factor(eps)
+        A, dA = self._eps_factor(eps, deriv=True)
+        return self.one_q + self.slot * A, self.slot * dA
 
     def _reduction(self, eps, weights, deriv=False):
         """R with MSE = sigma2 - c R; with ``deriv`` returns (R, dR / d eps)."""
@@ -291,6 +300,48 @@ class ClosedForm:
     def dmse(self, eps, weights):
         """d MSE / d eps."""
         return -self.c * self._reduction(eps, weights, deriv=True)[1]
+
+    def dmse_dh(self, eps, weights):
+        """d MSE / dh of the asynchronous form at fixed eps and delay.
+
+        From the same factors as :meth:`psi`: dq/dh = -2a q and
+        d slot_n / dh = 2a [(n-1) slot_n - M q^(M-n+1)], then the quotient
+        rule on R = (1-eps) S / (1 - q eps).
+        """
+        a, M, n = self.a, self.M, self.n
+        e = _lift(eps)[0]
+        hn, qn = _lift(self.h)[1], _lift(self.q)[1]
+        dslot = 2.0 * a * ((n - 1.0) * self.slot
+                           - M * np.exp(-2.0 * a * hn * (M - n + 1.0)))
+        A = self._eps_factor(eps)
+        S = _vecdot(weights, self.one_q + self.slot * A)
+        dS = _vecdot(weights, 2.0 * a * qn + dslot * A)
+        one_e = 1.0 - e
+        return -self.c * _dquot(one_e * S, one_e * dS, 1.0 - self.q * e,
+                                2.0 * a * self.q * e)
+
+    def mse_grid(self, eps, weights, rows=slice(None), width=None):
+        """Asynchronous MSE on an outer grid: the delays tau (1-D, or one
+        scalar) down the rows against the 1-D time shifts h across the
+        columns, so tau and h need not broadcast here.  ``eps`` is 1-D and
+        aligned with tau; the grid covers the ``rows`` slice of both and
+        the first ``width`` shifts (all by default).
+
+        The slot sum separates into an h part and an eps part,
+        sum_n w_n Psi_n = (1-q) sum_n w_n + sum_n [w_n slot_n] A_n(eps),
+        so the grid is one (rows x M)(M x width) product followed by a few
+        (rows x width) elementwise passes.
+        """
+        e = np.asarray(eps, dtype=float)[rows]
+        c = self.c[rows] if np.ndim(self.c) else self.c
+        cols = slice(width)
+        q = self.q[cols]
+        S = self._eps_factor(e) @ (weights * self.slot[cols]).T
+        S += (1.0 - q) * np.sum(weights)
+        den = np.multiply.outer(e, q)
+        S /= np.subtract(1.0, den, out=den)
+        S *= (c * (1.0 - e))[:, None]
+        return np.subtract(self.s2, S, out=S)
 
 
 # the weight vector of the M = 1 (no-inference) form: the target's own

@@ -33,8 +33,8 @@ from .mse import (ClosedForm, Scheme, SchemeConfig, average_mse, max_blocklength
 DEFAULT_N_MIN = 10
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
-# bounds its temporaries to about M * 32 kB each
-_GRID_CHUNK = 4096
+# bounds its (rows x width) temporaries to about 128 kB each
+_GRID_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -135,23 +135,11 @@ def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, h: float, eps_bar=None) -> float:
-    """d MSE_asyn / dh at fixed blocklength.
-
-    -c (1-eps)^2 q / (1 - q eps)^2 * 2a * sum_n w_n B_n, where B_n collapses
-    the slot-n gap statistics; all exponentials are kept in bounded form.
-    """
-    a, T, M = source.a, scheme.T, scheme.M
+    """d MSE_asyn / dh at fixed blocklength (simplified BLEP model inside
+    unless ``eps_bar`` is given)."""
     eps = blep_average_simplified(link) if eps_bar is None else float(eps_bar)
     cf, w = _kernel_at(source, field, link, scheme, link.N, h)
-    q, E = cf.q, cf.E
-    n = np.arange(1, M + 1)
-    decay = np.exp(-2.0 * a * h * (M - n))            # e^{2ahn} q^M
-    cross = np.exp(-2.0 * a * (T - h * n))            # e^{2ahn} E
-    inner = ((1.0 - q * eps) * M * decay
-             + (1.0 - n * (1.0 - q * eps)) * (decay - cross))
-    B = 1.0 - eps ** (M - n) * inner / (1.0 - E * eps ** M)
-    return float(-cf.c * (1.0 - eps) ** 2 * q / (1.0 - q * eps) ** 2
-                 * 2.0 * a * np.dot(w, B))
+    return float(cf.dmse_dh(eps, w))
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
@@ -409,10 +397,16 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     ``objective`` picks the BLEP model used for the scanned values
     ("simplified" matches the stationarity functions, "exact" the
     closed-form average), evaluated over the whole blocklength range in
-    one call.  The syn/no range is scored in one :class:`ClosedForm` call;
-    the asynchronous (N, h) grid in row-major chunks of at most
-    ``_GRID_CHUNK`` points, each one call.  Ties break
-    toward smaller N, then smaller h, independent of chunking.
+    one call.  The syn/no range is scored in one :class:`ClosedForm` call.
+    The asynchronous (N, h) grid is scored by one kernel over all N and
+    shifts, in row-major chunks of at most ``_GRID_CHUNK`` points: each
+    chunk is a block of N rows against the shift count of its first row,
+    one :meth:`ClosedForm.mse_grid` call (a rank-M matrix product), with
+    the shifts past a row's own count masked out.  Ties break toward
+    smaller N, then smaller h, independent of chunking.  The product's
+    summation order follows the BLAS kernel picked for the block shape, so
+    a point's value can move by one ulp with the chunking; only points
+    that close to the minimum can trade places.
     ``evaluations`` counts scored grid points.
     """
     cfg = cfg or OptimizerConfig()
@@ -438,14 +432,14 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
                          "exhaustive", evaluations=int(Ns.size))
 
     steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
+    hs = Ts * np.arange(1, int(steps[0]) + 1)
+    cf = ClosedForm(source, T, Ns * Ts, M, hs)
     best = (math.inf, None, None)
     i = 0
     while i < Ns.size:
         width = int(steps[i])
         j = min(Ns.size, i + max(1, _GRID_CHUNK // width))
-        hs = Ts * np.arange(1, width + 1)
-        cf = ClosedForm(source, T, Ns[i:j, None] * Ts, M, hs)
-        vals = cf.mse(eps[i:j, None], w)
+        vals = cf.mse_grid(eps, w, slice(i, j), width)
         vals[np.arange(width) >= steps[i:j, None]] = np.inf
         k = int(np.argmin(vals))  # row-major: smallest N, then smallest h
         if vals.flat[k] < best[0]:  # strict: an earlier chunk keeps a tie

@@ -197,3 +197,41 @@ def test_blep_clamp_logs_one_count_per_call(caplog):
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     assert [r.getMessage() for r in caplog.records] == [
         f"blep_average_simplified clamped {clamped} value(s) to [0, 1]"]
+
+
+def test_average_clips_a_negative_lower_knot_at_zero(caplog):
+    # at L = 20, N = 1 the linear band would start below g = 0; the average
+    # then integrates the linear segment from 0 instead of overflowing to a
+    # perfect link.  N = 10 and 20 have a positive lower knot
+    link = sp.LinkParams.from_db(L=20, N=1, gamma_r_bar_db=10 * math.log10(5))
+    assert link.eta + 1 / (2 * link.lam) < 0.0
+    gbar = link.gamma_r_bar
+    ns = np.array([1, 10, 20])
+    oracle = []
+    for n in ns:
+        lk = link.with_blocklength(int(n))
+        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+        val, err = quad(lambda g: math.exp(-g / gbar) / gbar
+                        * sp.blep_segmented(lk, g), 0.0, 400.0,
+                        points=[max(lo, 0.0), min(hi, 400.0)], limit=400)
+        assert err < 1e-9
+        oracle.append(val)
+    with caplog.at_level(logging.WARNING, logger="sptrecon.blep"):
+        with np.errstate(over="raise", invalid="raise"):
+            scalar = sp.blep_average(link)
+            vals = sp.blep_average(link, N=ns)
+    assert caplog.records == []
+    assert scalar == pytest.approx(0.898942275467744, rel=1e-12)
+    np.testing.assert_allclose(vals, oracle, rtol=1e-9, atol=0.0)
+    assert vals[0] == scalar
+    # where exp(2L/N) overflows, lam underflows to -0 and the knot to -inf;
+    # F(0) -> 1/2 + 1/sqrt(2 pi) at N = 1 all the same
+    with np.errstate(over="ignore", divide="ignore"):
+        far = sp.blep_average(sp.LinkParams(L=400, N=1, gamma_r_bar=gbar))
+    assert far == pytest.approx(0.5 + 1 / math.sqrt(2 * math.pi), rel=1e-12)
+    # the positive-knot entries keep the unclipped closed form bit for bit
+    for n, v in zip(ns[1:], vals[1:]):
+        lk = link.with_blocklength(int(n))
+        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+        assert lo > 0.0
+        assert v == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))

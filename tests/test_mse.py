@@ -545,3 +545,30 @@ def test_timing_rule_tolerance_and_strict_delay():
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=(500 + 5e-10) * T_s, M=5, m=1)
     with pytest.raises(InvalidConfigError, match="must exceed the packet delay"):
         _check_timing(sp.LinkParams(N=500, T_s=T_s), syn)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       data=st.data())
+def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
+    # the rank-M grid equals mse at (eps[:, None], h) on every row block
+    # and every leading run of shifts
+    src = sp.SourceParams(a=a)
+    T_s = 1e-4
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M)))
+    rows = data.draw(st.integers(1, 12))
+    eps = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows,
+                                      max_size=rows)))
+    N = np.array(data.draw(st.lists(st.integers(10, 200), min_size=rows,
+                                    max_size=rows)))
+    h_max = (T - N.max() * T_s) / (M - 1)
+    assume(h_max > T_s)
+    h = np.sort(data.draw(st.lists(st.floats(T_s, h_max), min_size=1, max_size=9)))
+    grid = sp.ClosedForm(src, T, N * T_s, M, h)
+    want = sp.ClosedForm(src, T, N[:, None] * T_s, M, h).mse(eps[:, None], w)
+    i = data.draw(st.integers(0, rows - 1))
+    j = data.draw(st.integers(i + 1, rows))
+    for width in range(1, h.size + 1):
+        for sl in (slice(None), slice(i, j)):
+            got = grid.mse_grid(eps, w, sl, width)
+            np.testing.assert_allclose(got, want[sl, :width], rtol=1e-13, atol=0.0)

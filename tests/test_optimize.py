@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import optimize
+from sptrecon.mse import shift_count
 from sptrecon.optimize import _objective
 
 
@@ -367,6 +368,56 @@ def test_exhaustive_exact_ties_break_to_smallest_n_then_h(source, field, monkeyp
         assert ex.objective_star == source.sigma2_x
         assert ex.evaluations == sp.expected_evaluation_count(T, link.T_s, M)
     assert sp.exhaustive_search(source, field, link, syn).N_star == 10
+
+
+@pytest.mark.parametrize("objective", ["simplified", "exact"])
+@pytest.mark.parametrize("a, L, db", [(60.0, 48.0, 15.0), (150.0, 48.0, 15.0),
+                                      (150.0, 24.0, 5.0)])
+def test_exhaustive_is_the_argmin_of_a_per_point_loop(objective, a, L, db,
+                                                      monkeypatch):
+    # T / T_s = 60: every (N, h) point scored one at a time, ties to the
+    # smallest (N, h)
+    src = sp.SourceParams(a=a, b=0.01)
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=L, T_s=1e-4, gamma_r_bar_db=db)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.006, h=1e-4, M=5, m=1)
+    vals = {}
+    for n in range(10, 61):
+        for k in range(1, shift_count(scheme.T, link.T_s, 5, n) + 1):
+            h = k * link.T_s
+            if objective == "simplified":
+                vals[n, h] = _objective(src, field, link, scheme, n, h)
+            else:
+                cf, w = optimize._kernel_at(src, field, link, scheme, n, h)
+                vals[n, h] = float(cf.mse(sp.blep_average(link, N=n), w))
+    best = min(vals, key=lambda key: (vals[key], key))
+    for chunk in (7, optimize._GRID_CHUNK):
+        monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+        ex = sp.exhaustive_search(src, field, link, scheme, objective=objective)
+        assert (ex.N_star, ex.h_star) == best
+        assert ex.objective_star == pytest.approx(vals[best], rel=1e-13)
+        assert ex.evaluations == len(vals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 20.0), T=st.floats(0.02, 0.5),
+       N=st.integers(10, 150), h_frac=st.floats(0.01, 0.99),
+       b=st.floats(0.0, 0.3))
+def test_dmse_dh_matches_central_difference_of_the_objective(M, a, T, N, h_frac, b):
+    src = sp.SourceParams(a=a, b=b)
+    field = sp.place_sensors(M, 10.0, seed=3)
+    link = sp.LinkParams.from_db(L=160.0, N=N, gamma_r_bar_db=10.0)
+    h_max = (T - link.tau) / (M - 1)
+    assume(h_max > 2 * link.T_s)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=1)
+    cf, w = optimize._kernel_at(src, field, link, scheme, N, h)
+    got = float(cf.dmse_dh(sp.blep_average_simplified(link), w))
+    assert got == sp.eval_J(src, field, link, scheme, h)
+    step = 1e-6
+    fd = (_objective(src, field, link, scheme, N, h + step)
+          - _objective(src, field, link, scheme, N, h - step)) / (2 * step)
+    assert got == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_small_information_payload_warns(source, field):
