@@ -27,11 +27,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, InvalidConfigError
 
 logger = logging.getLogger(__name__)
+
+# Largest exponent at which eta = exp(L/N) - 1 and lam (through exp(2L/N))
+# are evaluated in their plain form: 2 pi exp(x) stays finite up to here (a
+# double overflows past 709.78); no bundled spec comes near (fig11 has
+# L/N <= 16)
+_EXP_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,34 @@ def _eta(L, N):
 
 
 def _lam(L, N):
-    return -np.sqrt(N / (2.0 * np.pi * (np.exp(2.0 * L / N) - 1.0)))
+    """-sqrt(N / (2 pi (exp(2L/N) - 1))); where 2L/N > _EXP_MAX the same slope
+    is written -sqrt(N / 2 pi) exp(-L/N) / sqrt(-expm1(-2L/N)), which stays
+    finite, and everywhere else the plain form keeps its bits."""
+    x = 2.0 * L / N
+    big = x > _EXP_MAX
+    if not (big.any() if isinstance(big, np.ndarray) else big):
+        return -np.sqrt(N / (2.0 * np.pi * (np.exp(x) - 1.0)))
+    plain = -np.sqrt(N / (2.0 * np.pi * (np.exp(np.minimum(x, _EXP_MAX)) - 1.0)))
+    stable = -np.sqrt(N / (2.0 * np.pi)) * np.exp(-x / 2.0) / np.sqrt(-np.expm1(-x))
+    return np.where(big, stable, plain)[()]
+
+
+def _f0(L, N):
+    """The linear segment at g = 0, F(0) = 1/2 - lam eta, written as
+    1/2 + sqrt(N tanh(L/(2N)) / (2 pi)) so that it stays finite where
+    exp(L/N) overflows.  The band's lower knot eta + 1/(2 lam) is negative
+    exactly where F(0) < 1."""
+    return 0.5 + np.sqrt(N * np.tanh(L / (2.0 * N)) / (2.0 * np.pi))
 
 
 def q_function(x):
-    """Gaussian tail Q(x) = 0.5 erfc(x / sqrt(2))."""
+    """Gaussian tail Q(x) = 0.5 erfc(x / sqrt(2)).
+
+    The only SciPy use outside the tests, imported here so that loading the
+    package does not pay for ``scipy.special``.
+    """
+    from scipy.special import erfc
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
 
 
@@ -124,14 +152,22 @@ def blep_segmented(link: LinkParams, gamma_r, N=None):
     The band is centred on eta with half-width -1/(2 lambda); the form is
     continuous at both knots, so it is the linear segment
     lambda (g - eta) + 1/2 clipped to [0, 1], computed in one new buffer.
+    Where the lower knot is negative (F(0) < 1, see :func:`_f0`) or eta
+    overflows, the same segment is evaluated as F(0) + lambda g.
     """
     g = np.asarray(gamma_r, dtype=float)
     if np.any(g <= 0):
         raise DomainError("instantaneous SNR must be > 0")
     n = float(link.N if N is None else N)
-    out = np.subtract(g, _eta(link.L, n), out=np.empty_like(g))
-    out *= _lam(link.L, n)
-    out += 0.5
+    f0 = _f0(link.L, n)
+    out = np.empty_like(g)
+    if f0 < 1.0 or link.L / n > _EXP_MAX:
+        np.multiply(g, _lam(link.L, n), out=out)
+        out += f0
+    else:
+        np.subtract(g, _eta(link.L, n), out=out)
+        out *= _lam(link.L, n)
+        out += 0.5
     np.clip(out, 0.0, 1.0, out=out)
     return float(out) if np.isscalar(gamma_r) else out
 
@@ -172,10 +208,7 @@ def blep_average(link: LinkParams, N=None):
     val = 1.0 + gbar * lam * (np.exp(-abs(lo) / gbar) - tail)
     neg = lo < 0.0
     if neg.any() if neg.ndim else neg:
-        # F(0) = 1/2 - lam eta, written so that it stays finite where
-        # exp(2L/N) overflows and lam underflows to -0
-        f0 = 0.5 + np.sqrt(n * np.tanh(link.L / (2.0 * n)) / (2.0 * np.pi))
-        val = np.where(neg, f0 + gbar * lam * (1.0 - tail), val)
+        val = np.where(neg, _f0(link.L, n) + gbar * lam * (1.0 - tail), val)
     return _clamp01(val, "blep_average")
 
 

@@ -22,13 +22,12 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (ClosedForm, Scheme, SchemeConfig, average_mse, max_blocklength,
-                  scheme_weights, shift_count)
+from .mse import (ClosedForm, Scheme, SchemeConfig, _brentq, average_mse,
+                  max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
 
@@ -202,7 +201,8 @@ def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
     "upper-boundary"; a blocklength step passes the plateau edge, and
     f >= 0 there is the "plateau-edge", snapped to the grid; otherwise the
     root of f on [edge, hi] (edge = lo for a time shift), snapped to the
-    grid, is the "interior-root".  f is evaluated once per point: brentq
+    grid, is the "interior-root", found by Brent's method
+    (:func:`mse._brentq`).  f is evaluated once per point: the solver
     re-evaluates its bracket ends and the residual check the root.
     Returns (x, branch, |f| where the branch was decided).
     """
@@ -222,7 +222,7 @@ def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
                            f"({f_lo} at {lo}, {f_hi} at {hi})")
     if f_lo == 0.0 or f_hi == 0.0:
         return snap(lo if f_lo == 0.0 else hi), "interior-root", 0.0
-    root = brentq(f, lo, hi, xtol=xtol)
+    root = _brentq(f, lo, hi, xtol)
     res = abs(f(root))
     if res > root_tol:
         raise BracketError(f"{label}: residual {res:.3e} exceeds {root_tol}")

@@ -1,6 +1,7 @@
 import csv
 import logging
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import sptrecon as sp
+from sptrecon.blep import _lam
 from sptrecon.errors import DomainError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "blep_average_fixtures.csv"
@@ -235,3 +237,43 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
         lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
         assert lo > 0.0
         assert v == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+
+
+@pytest.mark.parametrize("L", [400.0, 800.0])
+def test_segmented_past_exp_overflow_is_the_segment_from_zero(L, caplog):
+    # exp(2L/N) overflows at N = 1 (and exp(L/N) too at L = 800): lam stays
+    # finite or underflows to -0, the lower knot is negative, and the segment
+    # is F(0) = 1/2 + 1/sqrt(2 pi) up to a negligible lam g
+    link = sp.LinkParams(L=L, N=1)
+    f0 = 0.5 + 1.0 / math.sqrt(2.0 * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = sp.blep_segmented(link, np.array([0.1, 1.0, 1e6]))
+        scalar = sp.blep_segmented(link, 1.0)
+        lam = link.lam
+    assert vals.tolist() == pytest.approx([f0] * 3, rel=1e-15)
+    assert scalar == vals[1]
+    assert lam <= 0.0 and math.isfinite(lam)
+    assert caplog.records == []
+
+
+def test_lam_and_average_mix_overflowing_and_plain_blocklengths(caplog):
+    # at L = 400 exp(2L/N) overflows for N = 1 only; the other entries keep
+    # the plain slope bit for bit, and nothing warns
+    link = sp.LinkParams(L=400.0, N=1)
+    ns = np.array([1, 2, 3, 80])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = link.lam
+        lams = _lam(400.0, ns.astype(float))
+        avg = sp.blep_average(link, N=ns)
+    stable = -math.sqrt(1 / (2 * math.pi)) * math.exp(-400.0) / math.sqrt(
+        -math.expm1(-800.0))
+    assert lam == pytest.approx(stable, rel=1e-15) and lam < 0.0
+    assert lams[0] == lam
+    for n, v in zip(ns[1:].tolist(), lams[1:].tolist()):
+        assert v == -np.sqrt(n / (2.0 * np.pi * (np.exp(2.0 * 400.0 / n) - 1.0)))
+    assert avg[0] == pytest.approx(0.5 + 1.0 / math.sqrt(2.0 * math.pi), rel=1e-15)
+    for n, v in zip(ns[1:].tolist(), avg[1:].tolist()):
+        assert v == sp.blep_average(link, N=n)
+    assert caplog.records == []

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +275,29 @@ def test_bundled_specs_parse():
     for name in list_bundled_specs():
         spec = load_spec(name)
         assert spec.outputs
+
+
+# loads the package with scipy blocked, runs every bundled spec and prints
+# each run's status
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from sptrecon.experiments import list_bundled_specs, load_spec, run_experiment
+print(json.dumps({name: run_experiment(load_spec(name), sys.argv[1] + "/" + name)["status"]
+                  for name in list_bundled_specs()}))
+"""
+
+
+def test_bundled_specs_run_without_scipy(tmp_path):
+    # SciPy is needed only by the optional Q-function model: loading the
+    # package and running every bundled spec must not import it
+    src = Path(sp.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(src), "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    statuses = json.loads(proc.stdout)
+    assert statuses == {name: "complete" for name in list_bundled_specs()}
 
 
 def test_seed_override(tmp_path):

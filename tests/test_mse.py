@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import sptrecon as sp
-from sptrecon.errors import InvalidConfigError
-from sptrecon.mse import _check_timing, dpsi_deps, max_blocklength, shift_count
+from sptrecon.errors import BracketError, InvalidConfigError
+from sptrecon.mse import (_brentq, _check_timing, dpsi_deps, max_blocklength,
+                          shift_count)
 
 
 def dip_setup():
@@ -572,3 +573,52 @@ def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
         for sl in (slice(None), slice(i, j)):
             got = grid.mse_grid(eps, w, sl, width)
             np.testing.assert_allclose(got, want[sl, :width], rtol=1e-13, atol=0.0)
+
+
+# smooth families with one sign change on [0, 4] at c, in units of scale
+_ROOT_FAMILIES = {
+    "linear": lambda x, c: x - c,
+    "exp": lambda x, c: math.exp(x) - math.exp(c),
+    "cubic": lambda x, c: (x - c) ** 3 + 0.1 * (x - c),
+    "tanh": lambda x, c: math.tanh(5.0 * (x - c)),
+    "atan": lambda x, c: math.atan(x - c) + 0.3 * (x - c) ** 3,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(family=st.sampled_from(sorted(_ROOT_FAMILIES)),
+       c=st.floats(0.05, 3.0), lo_frac=st.floats(0.0, 1.0),
+       hi_frac=st.floats(0.0, 1.0), xtol=st.sampled_from([1e-9, 1e-13]),
+       scale=st.sampled_from([1.0, -1.0, 1e-200, -1e200]))
+def test_brentq_port_repeats_scipy_iterates(family, c, lo_frac, hi_frac, xtol,
+                                            scale):
+    # the same root and the same evaluation points in the same order
+    lo, hi = c * lo_frac, c + (4.0 - c) * hi_frac
+    base = _ROOT_FAMILIES[family]
+
+    def traced(calls):
+        def f(x):
+            calls.append(x)
+            return scale * base(x, c)
+        return f
+
+    ours, theirs = [], []
+    try:
+        want = brentq(traced(theirs), lo, hi, xtol=xtol)
+    except ValueError:  # f is zero at neither end and keeps its sign
+        with pytest.raises(BracketError):
+            _brentq(traced(ours), lo, hi, xtol)
+        return
+    got = _brentq(traced(ours), lo, hi, xtol)
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert ours == theirs
+
+
+def test_brentq_rejects_a_same_sign_bracket_and_nan():
+    with pytest.raises(BracketError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(BracketError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+    with pytest.raises(BracketError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0, 1e-12)
