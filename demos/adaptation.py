@@ -13,7 +13,7 @@ field = sp.place_sensors(5, 10.0, seed=7)
 print("blocklength adaptation, synchronous scheme (T = 300 ms, 15 dB):")
 link15 = sp.LinkParams.from_db(gamma_r_bar_db=15.0)
 syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.300, M=5, m=1)
-res = sp.optimize_blocklength_syn(src, field, link15, syn)
+res = sp.optimize_blocklength(src, field, link15, syn)
 ex = sp.exhaustive_search(src, field, link15, syn, objective="exact")
 print(f"  stationarity-guided N* = {res.N_star} ({res.branch}), "
       f"error {res.mse_star:.6f}")
@@ -41,7 +41,7 @@ src0 = sp.SourceParams(b=0.0)
 no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
 base = sp.mse_no_infer(src0, link5, no).value
 syn150 = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
-syn_best = sp.optimize_blocklength_syn(src0, field, link5, syn150).mse_star
+syn_best = sp.optimize_blocklength(src0, field, link5, syn150).mse_star
 asyn_best = sp.jtsbo(src0, field, link5, asyn, sp.OptimizerConfig(I_max=3)).mse_star
 h_only = sp.optimize_time_shift(src0, field, link5, asyn, N=80).mse_star
 print(f"  no inference, default N=80    : {base:.4f}")

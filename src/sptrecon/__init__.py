@@ -72,8 +72,7 @@ from .optimize import (
     exhaustive_search,
     expected_evaluation_count,
     jtsbo,
-    optimize_blocklength_asyn,
-    optimize_blocklength_syn,
+    optimize_blocklength,
     optimize_time_shift,
 )
 from .regions import (

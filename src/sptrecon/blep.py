@@ -189,26 +189,31 @@ def blep_average(link: LinkParams, N=None):
     Exact integral of the segmented model:
         1 + gbar * lam * (exp(-(eta + 1/(2 lam))/gbar)
                           - exp(-(eta - 1/(2 lam))/gbar)),
-    clamped to [0, 1].  Where the lower knot eta + 1/(2 lam) is negative
-    the linear band starts at g = 0, and the integral is
+    clamped to [0, 1].  Where the lower knot eta + 1/(2 lam) is negative,
+    that is where F(0) < 1 (:func:`_f0`), the linear band starts at g = 0,
+    and the integral is
         F(0) + gbar * lam * (1 - exp(-(eta - 1/(2 lam))/gbar)),
-    with F(0) = 1/2 - lam eta = 1/2 + sqrt(N tanh(L/(2N)) / (2 pi)) the
-    linear segment at 0.
+    with F(0) = 1/2 - lam eta the linear segment at 0.  Past L/N = _EXP_MAX
+    eta and lam are taken at the exponent _EXP_MAX, which keeps them finite:
+    both exp terms are then 0 and |lam| is about sqrt(N) exp(-700), so the
+    value is F(0) on the band and 1 above it, as at the true N.
     N broadcasts; a scalar N gives a float.
     """
     n = _blocklengths(link, N)
     gbar = link.gamma_r_bar
-    eta = _eta(link.L, n)
-    lam = _lam(link.L, n)
+    m = np.maximum(n, link.L / _EXP_MAX)
+    eta = _eta(link.L, m)
+    lam = _lam(link.L, m)
     lo = eta + 1.0 / (2.0 * lam)
     hi = eta - 1.0 / (2.0 * lam)
     tail = np.exp(-hi / gbar)
     # |lo| keeps exp finite where the lower knot is negative; those entries
     # are replaced below
     val = 1.0 + gbar * lam * (np.exp(-abs(lo) / gbar) - tail)
-    neg = lo < 0.0
-    if neg.any() if neg.ndim else neg:
-        val = np.where(neg, _f0(link.L, n) + gbar * lam * (1.0 - tail), val)
+    f0 = _f0(link.L, n)
+    band = f0 < 1.0
+    if band.any() if band.ndim else band:
+        val = np.where(band, f0 + gbar * lam * (1.0 - tail), val)
     return _clamp01(val, "blep_average")
 
 

@@ -30,7 +30,7 @@ from .blep import LinkParams, blep_average
 from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import BoundAxis, Scheme, SchemeConfig, _scored, average_mse, bounds
-from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength_syn
+from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
 from .simulate import simulate_event_level
 
@@ -163,17 +163,17 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
             field, _ = load_field(fld["positions_file"])
         else:
             field = place_sensors(
-                M=int(_getf(fld, "M", 5)),
+                M=_geti(fld, "M", 5),
                 region_half_width=_getf(fld, "half_width_m", 10.0),
                 density=_getf(fld, "density_per_m2", None),
-                seed=int(_getf(fld, "placement_seed", 7)),
-                target_index=int(_getf(fld, "target_index", 1)),
+                seed=_geti(fld, "placement_seed", 7),
+                target_index=_geti(fld, "target_index", 1),
             )
 
         lnk = cp["link"] if cp.has_section("link") else {}
         link = LinkParams.from_db(
             L=_getf(lnk, "L_bits", 160.0),
-            N=int(_getf(lnk, "N_blocklength", 80)),
+            N=_geti(lnk, "N_blocklength", 80),
             T_s=_getf(lnk, "symbol_duration_s", 1e-4),
             gamma_r_bar_db=_getf(lnk, "gamma_r_bar_db", 5.0),
         )
@@ -188,14 +188,14 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         )
 
         sim = cp["sim"] if cp.has_section("sim") else {}
-        periods = int(_getf(sim, "periods", 100000))
+        periods = _geti(sim, "periods", 100000)
         dump_trace = _getbool(sim, "dump_trace")
 
         opt = cp["optimize"] if cp.has_section("optimize") else {}
         optimizer = OptimizerConfig(
-            N_min=int(_getf(opt, "N_min", 10)),
-            N_max=(int(_getf(opt, "N_max", 0)) or None),
-            I_max=int(_getf(opt, "I_max", 3)),
+            N_min=_geti(opt, "N_min", 10),
+            N_max=_geti(opt, "N_max", 0) or None,
+            I_max=_geti(opt, "I_max", 3),
             tol_h=_getf(opt, "tol_h_s", 1e-4),
             tol_N=_getf(opt, "tol_N", 1.0),
         )
@@ -238,6 +238,18 @@ def _getf(section, key, default):
     return float(val)
 
 
+def _integral(value, name):
+    """value as an int; InvalidConfigError unless it is a whole number
+    (80.0 and 1e5 are, 80.7 is not)."""
+    if not float(value).is_integer():
+        raise InvalidConfigError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def _geti(section, key, default):
+    return _integral(_getf(section, key, default), key)
+
+
 def _getbool(section, key):
     """A boolean key under configparser's rules (1/yes/true/on, 0/no/false/off)."""
     val = section.get(key, "false").strip().lower()
@@ -259,10 +271,7 @@ def _apply_point(spec: ExperimentSpec, point: dict):
     if "gamma_r_bar_db" in point:
         link = replace(link, gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0))
     if "N" in point:
-        if not float(point["N"]).is_integer():
-            raise InvalidConfigError(f"swept blocklength N must be an integer, "
-                                     f"got {point['N']}")
-        link = link.with_blocklength(int(point["N"]))
+        link = link.with_blocklength(_integral(point["N"], "swept blocklength N"))
     if "T_period_s" in point or "h_s" in point:
         scheme = SchemeConfig(
             scheme=scheme.scheme,
@@ -393,10 +402,10 @@ def _optimize_rows(spec, point):
                             h=scheme.h if scheme.h is not None else link.T_s,
                             M=scheme.M, m=scheme.m)
     runs = [
-        ("no-infer", optimize_blocklength_syn(source, field, link, no_cfg,
-                                              spec.optimizer)),
-        ("syn-infer", optimize_blocklength_syn(source, field, link, syn_cfg,
-                                               spec.optimizer)),
+        ("no-infer", optimize_blocklength(source, field, link, no_cfg,
+                                          spec.optimizer)),
+        ("syn-infer", optimize_blocklength(source, field, link, syn_cfg,
+                                           spec.optimizer)),
         ("asyn-infer", jtsbo(source, field, link, asyn_cfg, spec.optimizer)),
     ]
     if spec.include_exhaustive:

@@ -31,6 +31,9 @@ from .mse import (ClosedForm, Scheme, SchemeConfig, _brentq, average_mse,
 
 DEFAULT_N_MIN = 10
 
+# maximum |H|, |J| or |F| accepted at a reported root
+_ROOT_TOL = 1e-9
+
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its (rows x width) temporaries to about 128 kB each
 _GRID_CHUNK = 16384
@@ -45,7 +48,6 @@ class OptimizerConfig:
                     floor
     I_max         : alternating-optimization iteration cap
     tol_h, tol_N  : stop when both coordinates move less than this
-    root_tol      : maximum |H|, |J| or |F| accepted at a reported root
     """
 
     N_min: int = DEFAULT_N_MIN
@@ -53,12 +55,11 @@ class OptimizerConfig:
     I_max: int = 3
     tol_h: float = 1e-4
     tol_N: float = 1.0
-    root_tol: float = 1e-9
 
     def __post_init__(self):
         if self.N_min < 1 or self.I_max < 1:
             raise InvalidConfigError("N_min and I_max must be >= 1")
-        if min(self.tol_h, self.tol_N, self.root_tol) <= 0:
+        if min(self.tol_h, self.tol_N) <= 0:
             raise InvalidConfigError("tolerances must be positive")
 
 
@@ -117,13 +118,15 @@ def _dmse_dN(source, field, link, scheme, N, h=None):
     """2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN) at real-valued N.
 
     The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau); eps is the
-    simplified average BLEP.
+    simplified average BLEP.  N broadcasts (with ``h``); a scalar N gives a
+    float.
     """
     cf, w = _kernel_at(source, field, link, scheme, N, h)
     eps = blep_average_simplified(link, N=N)
     deps = dblep_dN(link, N=N)
     gap = source.sigma2_x - cf.mse(eps, w)
-    return float(2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps)
+    val = 2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
@@ -151,35 +154,33 @@ def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
 # single-coordinate optimizers
 # ---------------------------------------------------------------------------
 
+def _blocklength_cap(T, T_s, cfg, shift=0.0) -> int:
+    """Largest blocklength of a step or a search: :func:`max_blocklength`
+    at the shift time ``shift`` = (M - 1) h, lowered to ``cfg.N_max``.
+    Raises InvalidConfigError when it lies below ``cfg.N_min``."""
+    n_hi = max_blocklength(T, T_s, shift)
+    if cfg.N_max is not None:
+        n_hi = min(n_hi, cfg.N_max)
+    if n_hi < cfg.N_min:
+        raise InvalidConfigError(f"empty blocklength range [{cfg.N_min}, {n_hi}]")
+    return n_hi
+
+
 def _effective_lower(link, n_lo, n_hi):
     """Skip the saturated plateau where the average BLEP underflows to 1.
 
     On that plateau the objective is flat at sigma2 and every stationarity
     function is identically zero, which would hand the root finder a
     spurious root at the boundary.  Returns the plateau edge, the first
-    integer N in [n_lo, n_hi] whose simplified BLEP is below 1, or None
-    when the whole range is saturated.
+    integer N in [n_lo, n_hi] whose simplified BLEP is below 1; raises
+    BracketError when the whole range is saturated.
     """
     below = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1)) < 1.0
-    return n_lo + int(np.argmax(below)) if below.any() else None
-
-
-def _blocklength_range(link, cfg, n_cap):
-    """(N_min, upper bound, plateau edge) of a blocklength step.
-
-    ``n_cap`` is the largest blocklength the timing allows; ``cfg.N_max``
-    can lower it further.
-    """
-    n_lo = cfg.N_min
-    n_hi = n_cap if cfg.N_max is None else min(n_cap, cfg.N_max)
-    if n_hi < n_lo:
-        raise InvalidConfigError(f"empty blocklength range [{n_lo}, {n_hi}]")
-    n_eff = _effective_lower(link, n_lo, n_hi)
-    if n_eff is None:
+    if not below.any():
         raise BracketError(
             f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]"
         )
-    return n_lo, n_hi, n_eff
+    return n_lo + int(np.argmax(below))
 
 
 def _evaluated_once(f):
@@ -194,16 +195,18 @@ def _evaluated_once(f):
     return once
 
 
-def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
-    """Minimizer on [lo, hi] of a 1-D objective whose derivative is f.
+def _stationary_point(f, obj, lo, hi, label, edge=None):
+    """Integer minimizer on [lo, hi] of the objective ``obj`` of a
+    real-valued index, whose derivative has the sign of f.
 
     In order: f > 0 at lo is the "lower-boundary", f < 0 at hi the
     "upper-boundary"; a blocklength step passes the plateau edge, and
-    f >= 0 there is the "plateau-edge", snapped to the grid; otherwise the
-    root of f on [edge, hi] (edge = lo for a time shift), snapped to the
-    grid, is the "interior-root", found by Brent's method
-    (:func:`mse._brentq`).  f is evaluated once per point: the solver
-    re-evaluates its bracket ends and the residual check the root.
+    f >= 0 there is the "plateau-edge"; otherwise the root of f on
+    [edge, hi] (edge = lo for a time shift), found by Brent's method
+    (:func:`mse._brentq`) to 1e-9, is the "interior-root", and the better
+    of the two integers around it (the smaller on a tie) is returned.
+    f is evaluated once per point: the solver re-evaluates its bracket
+    ends and the residual check the root.
     Returns (x, branch, |f| where the branch was decided).
     """
     f = _evaluated_once(f)
@@ -216,85 +219,51 @@ def _stationary_point(f, lo, hi, snap, xtol, root_tol, label, edge=None):
     if edge is not None:
         lo, f_lo = edge, f(edge)
         if f_lo >= 0.0:
-            return snap(lo), "plateau-edge", abs(f_lo)
+            return lo, "plateau-edge", abs(f_lo)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
         raise BracketError(f"{label}: non-finite values at bracket "
                            f"({f_lo} at {lo}, {f_hi} at {hi})")
     if f_lo == 0.0 or f_hi == 0.0:
-        return snap(lo if f_lo == 0.0 else hi), "interior-root", 0.0
-    root = _brentq(f, lo, hi, xtol)
+        return (lo if f_lo == 0.0 else hi), "interior-root", 0.0
+    root = _brentq(f, lo, hi, 1e-9)
     res = abs(f(root))
-    if res > root_tol:
-        raise BracketError(f"{label}: residual {res:.3e} exceeds {root_tol}")
-    return snap(root), "interior-root", res
+    if res > _ROOT_TOL:
+        raise BracketError(f"{label}: residual {res:.3e} exceeds {_ROOT_TOL}")
+    x = min({math.floor(root), math.ceil(root)}, key=lambda k: (obj(k), k))
+    return x, "interior-root", res
 
 
-def optimize_blocklength_syn(source, field, link, scheme, cfg=None) -> OptResult:
-    """Closed-form-guided optimal blocklength for the synchronous scheme.
+def optimize_blocklength(source, field, link, scheme, cfg=None, h=None) -> OptResult:
+    """Optimal integer blocklength at a fixed time shift, for every scheme.
 
-    Boundary rules first (H > 0 at the lower bound, H < 0 at the upper),
-    otherwise the better of the two integers around the root of H.
+    The asynchronous scheme uses the time shift ``h`` (default
+    ``scheme.h``); no/syn ignore it.  Boundary rules first (d MSE / dN > 0
+    at N_min, < 0 at the cap), otherwise the better of the two integers
+    around the root of H (no/syn) or F (asyn).  Falls back to an integer
+    grid scan when d MSE / dN, probed at 33 points in one array call,
+    changes sign more than once on the feasible range (the asynchronous
+    objective is provably convex in N only at h = T/M).
     """
     cfg = cfg or OptimizerConfig()
-    n_lo, n_hi, n_eff = _blocklength_range(link, cfg,
-                                           max_blocklength(scheme.T, link.T_s))
-    obj = lambda n: _objective(source, field, link, scheme, n)
-    n_star, branch, res = _stationary_point(
-        lambda n: eval_H(source, field, link, scheme, n), n_lo, n_hi,
-        lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9, cfg.root_tol, "H(N)",
-        edge=n_eff)
-    val = obj(n_star)
-    mse = average_mse(source, field, link.with_blocklength(n_star), scheme).value
-    return OptResult(scheme.scheme, n_star, None, mse, val, 1, True,
-                     branch, trace=[TraceRow(1, None, n_star, val, 0.0, res)],
-                     convexity_warning=source_l_warn(link))
-
-
-def optimize_time_shift(source, field, link, scheme, cfg=None, N=None) -> OptResult:
-    """Optimal time shift at fixed blocklength for the asynchronous scheme."""
-    cfg = cfg or OptimizerConfig()
-    n = int(link.N if N is None else N)
-    if shift_count(scheme.T, link.T_s, scheme.M, n) < 1:
-        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
-    # the constraint face, at or within 1e-9 T_s past the last grid shift
-    h_lo = link.T_s
-    h_hi = max(h_lo, (scheme.T - n * link.T_s) / (scheme.M - 1))
-    link_n = link.with_blocklength(n)
-    obj = lambda hh: _objective(source, field, link_n, scheme, n, hh)
-    h_star, branch, res = _stationary_point(
-        lambda hh: eval_J(source, field, link_n, scheme, hh), h_lo, h_hi,
-        lambda x: _best_h(obj, x, link.T_s, h_lo, h_hi), 1e-13, cfg.root_tol,
-        "J(h)")
-    val = obj(h_star)
-    mse = average_mse(source, field, link_n, replace(scheme, h=h_star)).value
-    return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, h_star, n, val, res, 0.0)])
-
-
-def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> OptResult:
-    """Optimal blocklength at fixed time shift for the asynchronous scheme.
-
-    Falls back to an integer grid scan when F changes sign more than once
-    on the feasible range (the objective is provably convex in N only at
-    h = T/M).
-    """
-    cfg = cfg or OptimizerConfig()
-    hh = scheme.h if h is None else h
-    n_cap = max_blocklength(scheme.T, link.T_s, (scheme.M - 1) * hh)
-    n_lo, n_hi, n_eff = _blocklength_range(link, cfg, n_cap)
+    hh = (scheme.h if h is None else h) if scheme.scheme is Scheme.ASYN_INFER else None
+    n_lo = cfg.N_min
+    n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
+                            0.0 if hh is None else (scheme.M - 1) * hh)
+    n_eff = _effective_lower(link, n_lo, n_hi)
     obj = lambda n: _objective(source, field, link, scheme, n, hh)
-    # shared with the decision rule: the probe holds the plateau edge and N_max
-    Ff = _evaluated_once(lambda n: eval_F(source, field, link, scheme, n, h=hh))
+    if hh is None:
+        dmse, label = lambda n: eval_H(source, field, link, scheme, n), "H(N)"
+    else:
+        dmse, label = lambda n: eval_F(source, field, link, scheme, n, h=hh), "F(N)"
 
     probe = np.linspace(n_eff, n_hi, min(33, n_hi - n_lo + 1))
-    signs = np.sign([Ff(p) for p in probe])
+    signs = np.sign(_dmse_dN(source, field, link, scheme, probe, hh))
     if int(np.sum(np.abs(np.diff(signs[signs != 0])) > 0)) > 1:
         n_star = n_lo + int(np.argmin(obj(np.arange(n_lo, n_hi + 1))))
-        branch, res = "grid-fallback", abs(Ff(n_star))
+        branch, res = "grid-fallback", abs(dmse(n_star))
     else:
-        n_star, branch, res = _stationary_point(
-            Ff, n_lo, n_hi, lambda x: _best_int(obj, x, n_lo, n_hi), 1e-9,
-            cfg.root_tol, "F(N)", edge=n_eff)
+        n_star, branch, res = _stationary_point(dmse, obj, n_lo, n_hi, label,
+                                                edge=n_eff)
     val = obj(n_star)
     mse = average_mse(source, field, link.with_blocklength(n_star),
                       replace(scheme, h=hh)).value
@@ -303,17 +272,26 @@ def optimize_blocklength_asyn(source, field, link, scheme, cfg=None, h=None) -> 
                      convexity_warning=source_l_warn(link))
 
 
-def _best_int(obj, root, lo, hi):
-    cands = sorted({min(max(int(math.floor(root)), lo), hi),
-                    min(max(int(math.ceil(root)), lo), hi)})
-    return min(cands, key=lambda n: (obj(n), n))
+def optimize_time_shift(source, field, link, scheme, N=None) -> OptResult:
+    """Optimal time shift at fixed blocklength for the asynchronous scheme.
 
-
-def _best_h(obj, root, step, lo, hi):
-    k_lo = math.floor(root / step)
-    cands = sorted({min(max(k_lo * step, lo), hi),
-                    min(max((k_lo + 1) * step, lo), hi)})
-    return min(cands, key=lambda hh: (obj(hh), hh))
+    The step runs over the grid index k = 1 .. :func:`mse.shift_count`,
+    so the returned shift is h = k T_s.
+    """
+    n = int(link.N if N is None else N)
+    k_hi = int(shift_count(scheme.T, link.T_s, scheme.M, n))
+    if k_hi < 1:
+        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
+    link_n = link.with_blocklength(n)
+    obj = lambda k: _objective(source, field, link_n, scheme, n, k * link.T_s)
+    k, branch, res = _stationary_point(
+        lambda k: eval_J(source, field, link_n, scheme, k * link.T_s), obj,
+        1, k_hi, "J(h)")
+    h_star = k * link.T_s
+    val = obj(k)
+    mse = average_mse(source, field, link_n, replace(scheme, h=h_star)).value
+    return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
+                     trace=[TraceRow(1, h_star, n, val, res, 0.0)])
 
 
 def source_l_warn(link) -> bool:
@@ -337,11 +315,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
-    n_cap = max_blocklength(T, Ts, (M - 1) * Ts)
-    if cfg.N_max is not None:
-        n_cap = min(n_cap, cfg.N_max)
-    if n_cap < cfg.N_min:
-        raise InvalidConfigError("joint constraint leaves no feasible blocklength")
+    n_cap = _blocklength_cap(T, Ts, cfg, (M - 1) * Ts)
 
     projected = False
     n_cur = 80 if start_N is None else int(start_N)
@@ -363,12 +337,12 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     for i in range(1, cfg.I_max + 1):
         h_prev, n_prev = h_cur, n_cur
 
-        step_h = optimize_time_shift(source, field, link, scheme, cfg, N=n_cur)
+        step_h = optimize_time_shift(source, field, link, scheme, N=n_cur)
         if step_h.objective_star <= cur_val:
             h_cur, cur_val = step_h.h_star, step_h.objective_star
         res_h = step_h.trace[-1].residual_h
 
-        step_n = optimize_blocklength_asyn(source, field, link, scheme, cfg, h=h_cur)
+        step_n = optimize_blocklength(source, field, link, scheme, cfg, h=h_cur)
         if step_n.objective_star <= cur_val:
             n_cur, cur_val = step_n.N_star, step_n.objective_star
         res_n = step_n.trace[-1].residual_N
@@ -413,13 +387,8 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     T, Ts, M = scheme.T, link.T_s, scheme.M
     eps_of = blep_average_simplified if objective == "simplified" else blep_average
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
-    n_hi = max_blocklength(T, Ts, 0.0 if syn else (M - 1) * Ts)
-    if cfg.N_max is not None:
-        n_hi = min(n_hi, cfg.N_max)
+    n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
     Ns = np.arange(cfg.N_min, n_hi + 1)
-    if Ns.size == 0:
-        raise InvalidConfigError("empty blocklength range" if syn else
-                                 "constraint leaves no feasible (N, h) point")
     eps = eps_of(link, N=Ns)
     w = scheme_weights(source, field, scheme)
 
@@ -483,7 +452,7 @@ def complexity_estimate(T, T_s, M, N_min=DEFAULT_N_MIN) -> float:
 __all__ = [
     "OptimizerConfig", "OptResult", "TraceRow",
     "eval_H", "eval_J", "eval_F",
-    "optimize_blocklength_syn", "optimize_time_shift", "optimize_blocklength_asyn",
+    "optimize_blocklength", "optimize_time_shift",
     "jtsbo", "exhaustive_search",
     "expected_evaluation_count", "complexity_estimate",
 ]

@@ -277,7 +277,7 @@ def test_criterion_7_optimizers(source, field):
     # blocklength adaptation on the long-period high-SNR setup
     link15 = sp.LinkParams.from_db(gamma_r_bar_db=15.0)
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.300, M=5, m=1)
-    res = sp.optimize_blocklength_syn(source, field, link15, syn)
+    res = sp.optimize_blocklength(source, field, link15, syn)
     ex_s = sp.exhaustive_search(source, field, link15, syn, objective="simplified")
     ex_e = sp.exhaustive_search(source, field, link15, syn, objective="exact")
     n_ok = res.N_star == ex_s.N_star and abs(res.N_star - ex_e.N_star) <= 1
@@ -319,13 +319,13 @@ def test_criterion_8_headline_reductions(field):
     link5 = sp.LinkParams.from_db(gamma_r_bar_db=5.0)
     no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
     base_fixed = sp.mse_no_infer(src, link5, no).value
-    base_opt = sp.optimize_blocklength_syn(
+    base_opt = sp.optimize_blocklength(
         src, field, link5, sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
     ).mse_star
 
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
     asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
-    syn_opt = sp.optimize_blocklength_syn(src, field, link5, syn).mse_star
+    syn_opt = sp.optimize_blocklength(src, field, link5, syn).mse_star
     asyn_opt = sp.jtsbo(src, field, link5, asyn, sp.OptimizerConfig(I_max=3)).mse_star
 
     red_syn = 1.0 - syn_opt / base_fixed

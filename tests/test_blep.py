@@ -277,3 +277,27 @@ def test_lam_and_average_mix_overflowing_and_plain_blocklengths(caplog):
     for n, v in zip(ns[1:].tolist(), avg[1:].tolist()):
         assert v == sp.blep_average(link, N=n)
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("L, N", [(800.0, 1), (720.0, 1), (1440.0, 2)])
+def test_average_past_exp_overflow_is_the_segment_value(L, N, caplog):
+    # exp(L/N) overflows: the band starts at g = 0 when F(0) < 1 (N = 1,
+    # F(0) = 1/2 + 1/sqrt(2 pi)) and the average is F(0) up to a negligible
+    # lam term, as the segmented form is; with F(0) >= 1 (N = 2) the link
+    # fails at every SNR that matters and the average is 1
+    link = sp.LinkParams(L=L, N=N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        avg = sp.blep_average(link)
+        mixed = sp.blep_average(link, N=np.array([N, 80]))
+        seg = sp.blep_segmented(link, 1.0)
+    assert avg == pytest.approx(seg, rel=1e-15)
+    assert avg == pytest.approx(0.5 + 1 / math.sqrt(2 * math.pi) if N == 1 else 1.0,
+                                rel=1e-15)
+    assert mixed[0] == avg
+    # N = 80 is in the plain range and keeps the closed form bit for bit
+    lk = link.with_blocklength(80)
+    lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+    gbar = link.gamma_r_bar
+    assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+    assert caplog.records == []

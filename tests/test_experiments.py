@@ -482,6 +482,30 @@ def test_swept_blocklength_must_be_an_integer(tmp_path):
         assert [row["N"] for row in csv.DictReader(fh)] == ["80", "81"]
 
 
+@pytest.mark.parametrize("section, key, whole", [
+    ("field", "M", "5.0"), ("field", "placement_seed", "7.0"),
+    ("field", "target_index", "2.0"), ("link", "N_blocklength", "8e1"),
+    ("sim", "periods", "1e5"), ("optimize", "N_min", "20.0"),
+    ("optimize", "N_max", "300.0"), ("optimize", "I_max", "4.0"),
+])
+def test_integer_keys_reject_fractions(section, key, whole):
+    # a fractional value is an error, as for a swept N, not truncated;
+    # a whole number written as a float stays valid
+    def with_key(value):
+        lines = [ln for ln in POINT_SPEC.splitlines()
+                 if not ln.startswith(f"{key} =")]
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        i = lines.index(f"[{section}]") + 1
+        return "\n".join(lines[:i] + [f"{key} = {value}"] + lines[i:])
+
+    with pytest.raises(InvalidConfigError, match=f"{key} must be an integer, got 5.5"):
+        parse_spec(with_key("5.5"))
+    spec = parse_spec(with_key(whole))
+    if key == "periods":
+        assert spec.periods == 100000 and isinstance(spec.periods, int)
+
+
 @pytest.mark.parametrize("text, section, key", [
     (POINT_SPEC.replace("N_blocklength = 80", "N_blocklength = 80\nN_min = 30"),
      "link", "N_min"),

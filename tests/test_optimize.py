@@ -157,15 +157,15 @@ def test_blocklength_boundary_branch(source, field):
     link = sp.LinkParams.from_db(gamma_r_bar_db=55.0)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
     assert sp.eval_H(source, field, link, scheme, 60.0) > 0
-    res = sp.optimize_blocklength_syn(source, field, link, scheme,
-                                      sp.OptimizerConfig(N_min=60))
+    res = sp.optimize_blocklength(source, field, link, scheme,
+                                  sp.OptimizerConfig(N_min=60))
     assert res.branch == "lower-boundary"
     assert res.N_star == 60
 
 
 def test_blocklength_matches_exhaustive(fig_blocklength):
     src, field, link, scheme = fig_blocklength
-    res = sp.optimize_blocklength_syn(src, field, link, scheme)
+    res = sp.optimize_blocklength(src, field, link, scheme)
     assert res.branch == "interior-root"
     ex_same = sp.exhaustive_search(src, field, link, scheme, objective="simplified")
     assert res.N_star == ex_same.N_star
@@ -175,7 +175,7 @@ def test_blocklength_matches_exhaustive(fig_blocklength):
 
 def test_blocklength_local_optimality(fig_blocklength):
     src, field, link, scheme = fig_blocklength
-    res = sp.optimize_blocklength_syn(src, field, link, scheme)
+    res = sp.optimize_blocklength(src, field, link, scheme)
     star = _objective(src, field, link, scheme, res.N_star)
     for d in (-5, -2, -1, 1, 2, 5):
         assert star <= _objective(src, field, link, scheme, res.N_star + d) + 1e-15
@@ -218,7 +218,7 @@ def test_time_shift_upper_boundary_branch(short_period):
 
 def test_blocklength_asyn_upper_boundary_branch(short_period):
     src, field, link, scheme = short_period
-    res = sp.optimize_blocklength_asyn(src, field, link, scheme, h=0.0094)
+    res = sp.optimize_blocklength(src, field, link, scheme, h=0.0094)
     assert (res.N_star, res.h_star, res.branch) == (124, 0.0094, "upper-boundary")
 
 
@@ -227,8 +227,8 @@ def test_blocklength_syn_upper_boundary_branch():
     field = sp.place_sensors(2, region_half_width=10, seed=7, target_index=1)
     link = sp.LinkParams.from_db(L=20, N=80, gamma_r_bar_db=-10.0)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.010, M=2, m=1)
-    res = sp.optimize_blocklength_syn(src, field, link, scheme,
-                                      sp.OptimizerConfig(N_max=30))
+    res = sp.optimize_blocklength(src, field, link, scheme,
+                                  sp.OptimizerConfig(N_max=30))
     assert (res.N_star, res.h_star, res.branch) == (30, None, "upper-boundary")
 
 
@@ -239,11 +239,50 @@ def test_blocklength_asyn_grid_fallback_branch():
     field = sp.place_sensors(M=7, region_half_width=10, seed=7, target_index=1)
     link = sp.LinkParams.from_db(L=50, N=10, T_s=1e-4, gamma_r_bar_db=14.0)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.020, h=0.0005, M=7, m=1)
-    res = sp.optimize_blocklength_asyn(src, field, link, scheme,
-                                       sp.OptimizerConfig(N_min=10))
+    res = sp.optimize_blocklength(src, field, link, scheme,
+                                  sp.OptimizerConfig(N_min=10))
     assert (res.N_star, res.h_star, res.branch) == (13, 0.0005, "grid-fallback")
     grid = [_objective(src, field, link, scheme, n, 0.0005) for n in range(10, 171)]
     assert res.N_star == 10 + int(np.argmin(grid))
+
+
+def _fig11(b, target_index=1):
+    """The fig11 spec's geometry and link at spatial decay rate b."""
+    src = sp.SourceParams(a=2.0, b=b)
+    field = sp.place_sensors(5, 10.0, seed=7, target_index=target_index)
+    link = sp.LinkParams.from_db(L=160, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    return src, field, link
+
+
+@pytest.mark.parametrize("b, N, m, branch", [
+    (0.01, 80, 1, "interior-root"),
+    (0.08, 80, 1, "upper-boundary"),
+    (0.08, 81, 1, "upper-boundary"),  # the face is 354.75 T_s
+    (0.08, 82, 1, "upper-boundary"),  # the face is 354.5 T_s
+    (0.08, 80, 5, "lower-boundary"),
+])
+def test_time_shift_lands_on_the_symbol_grid(b, N, m, branch):
+    # every branch returns h = k T_s for an integer k, also where the
+    # constraint face (T - N T_s) / (M - 1) lies between two grid shifts
+    src, field, link = _fig11(b, target_index=m)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=m)
+    res = sp.optimize_time_shift(src, field, link, scheme, N=N)
+    k = round(res.h_star / link.T_s)
+    assert res.branch == branch
+    assert res.h_star == k * link.T_s
+    assert 1 <= k <= shift_count(scheme.T, link.T_s, scheme.M, N)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3])
+def test_fig11_blocklength_step_matches_exhaustive(b):
+    src, field, link = _fig11(b)
+    for scheme in (sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1),
+                   sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)):
+        res = sp.optimize_blocklength(src, field, link, scheme)
+        assert res.N_star == sp.exhaustive_search(src, field, link, scheme).N_star
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
+    joint = sp.jtsbo(src, field, link, asyn)
+    assert joint.h_star == round(joint.h_star / link.T_s) * link.T_s
 
 
 def test_time_shift_matches_dense_grid(fig_time_shift):
@@ -424,7 +463,7 @@ def test_small_information_payload_warns(source, field):
     link = sp.LinkParams(L=2.0, N=40)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
     with pytest.warns(UserWarning):
-        res = sp.optimize_blocklength_syn(source, field, link, scheme)
+        res = sp.optimize_blocklength(source, field, link, scheme)
     assert res.convexity_warning
 
 
@@ -436,7 +475,7 @@ def test_syn_blocklength_range_stops_before_the_period():
     link = sp.LinkParams.from_db(L=100, T_s=1e-3, gamma_r_bar_db=-14.5)
     for scheme, M in ((sp.Scheme.SYN_INFER, 2), (sp.Scheme.NO_INFER, 1)):
         cfg = sp.SchemeConfig(scheme, T=0.5, M=M, m=1)
-        opt = sp.optimize_blocklength_syn(src, field, link, cfg)
+        opt = sp.optimize_blocklength(src, field, link, cfg)
         ex = sp.exhaustive_search(src, field, link, cfg)
         assert opt.branch == "upper-boundary"
         assert opt.N_star == ex.N_star == 499
@@ -453,9 +492,9 @@ def test_stationarity_points_evaluated_once(source, field, link, syn_scheme,
             return _fn(*args, **kw)
         monkeypatch.setattr(optimize, name, counted)
     steps = [
-        lambda: sp.optimize_blocklength_syn(source, field, link, syn_scheme),
+        lambda: sp.optimize_blocklength(source, field, link, syn_scheme),
         lambda: sp.optimize_time_shift(source, field, link, asyn_scheme),
-        lambda: sp.optimize_blocklength_asyn(source, field, link, asyn_scheme),
+        lambda: sp.optimize_blocklength(source, field, link, asyn_scheme),
     ]
     for step in steps:
         calls.clear()
@@ -486,10 +525,10 @@ def _optimizer_runs(src, field, link, T, M):
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1)
     asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=M, m=1)
     return [
-        (syn, lambda: sp.optimize_blocklength_syn(src, field, link, syn)),
+        (syn, lambda: sp.optimize_blocklength(src, field, link, syn)),
         (syn, lambda: sp.exhaustive_search(src, field, link, syn)),
         (asyn, lambda: sp.optimize_time_shift(src, field, link, asyn)),
-        (asyn, lambda: sp.optimize_blocklength_asyn(src, field, link, asyn)),
+        (asyn, lambda: sp.optimize_blocklength(src, field, link, asyn)),
         (asyn, lambda: sp.jtsbo(src, field, link, asyn)),
         (asyn, lambda: sp.exhaustive_search(src, field, link, asyn)),
     ]
@@ -547,7 +586,7 @@ def test_plateau_edge_branch_ties_with_exhaustive():
     field = sp.place_sensors(2, 10.0, seed=7)
     link = sp.LinkParams.from_db(L=100, T_s=1e-3, gamma_r_bar_db=-15.0)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.6, M=2, m=1)
-    res = sp.optimize_blocklength_syn(src, field, link, scheme)
+    res = sp.optimize_blocklength(src, field, link, scheme)
     ex = sp.exhaustive_search(src, field, link, scheme)
     assert res.branch == "plateau-edge"
     assert abs(res.objective_star - ex.objective_star) <= 1e-12 * src.sigma2_x
