@@ -329,18 +329,25 @@ class ClosedForm:
 
         The slot sum separates into an h part and an eps part,
         sum_n w_n Psi_n = (1-q) sum_n w_n + sum_n [w_n slot_n] A_n(eps),
-        so the grid is one (rows x M)(M x width) product followed by a few
-        (rows x width) elementwise passes.
+        so c (1-eps) times it is one (rows x (M+1))((M+1) x width) product:
+        the row factor c (1-eps) [A_1 .. A_M, 1] against the columns
+        [w_1 slot_1 .. w_M slot_M, (1-q) sum_n w_n].  Two (rows x width)
+        passes form 1 - eps q, and two more divide by it and subtract the
+        quotient from sigma2.
         """
         e = np.asarray(eps, dtype=float)[rows]
         c = self.c[rows] if np.ndim(self.c) else self.c
-        cols = slice(width)
+        cols, M = slice(width), self.M
         q = self.q[cols]
-        S = self._eps_factor(e) @ (weights * self.slot[cols]).T
-        S += (1.0 - q) * np.sum(weights)
-        den = np.multiply.outer(e, q)
+        left = np.empty((e.size, M + 1))
+        left[:, M] = c * (1.0 - e)
+        np.multiply(self._eps_factor(e), left[:, M:], out=left[:, :M])
+        right = np.empty((M + 1, q.size))
+        np.multiply(weights[:, None], self.slot[cols].T, out=right[:M])
+        np.multiply(1.0 - q, np.sum(weights), out=right[M])
+        S = left @ right
+        den = np.einsum("i,j->ij", e, q)  # the outer product, faster than ufunc.outer
         S /= np.subtract(1.0, den, out=den)
-        S *= (c * (1.0 - e))[:, None]
         return np.subtract(self.s2, S, out=S)
 
 

@@ -3,17 +3,21 @@
 Shorter packets age less but fail more, so the average reconstruction
 error has an interior optimum in the blocklength N; the asynchronous
 scheme adds a time shift h trading intra-period freshness against the
-wrap-around gap at the period boundary.  This module locates those optima
-from the analytic stationarity functions
+wrap-around gap at the period boundary.
 
-    H(N) = d MSE_syn / dN,   J(h) = d MSE_asyn / dh,   F(N) = d MSE_asyn / dN,
+Both coordinates are integer indices, N and the shift index k of
+h = k T_s, so each adaptation step is the exact integer argmin of the
+objective over its range, scored in one array call, ties to the smallest
+index.  The objective uses the single-exponential simplified average
+block error probability (BLEP), whose N-derivative is elementary, and the
+stationarity functions
 
-and provides the alternating joint optimizer plus exhaustive-search
-baselines.  Inside H, J and F the average block error probability uses the
-single-exponential simplified model, whose N-derivative is elementary, so
-each function is the exact derivative of the objective it is paired with.
-Reported ``mse_star`` values are re-evaluated with the closed-form average
-BLEP model.
+    H(N) = d MSE_syn / dN,   J(h) = d MSE_asyn / dh,   F(N) = d MSE_asyn / dN
+
+are its exact derivatives; a step reports |H|, |J| or |F| at the integer
+it returns as a diagnostic.  The module also provides the alternating
+joint optimizer and exhaustive-search baselines.  Reported ``mse_star``
+values are re-evaluated with the closed-form average BLEP model.
 """
 
 from __future__ import annotations
@@ -26,13 +30,10 @@ import numpy as np
 from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (ClosedForm, Scheme, SchemeConfig, _brentq, average_mse,
+from .mse import (ClosedForm, Scheme, SchemeConfig, average_mse,
                   max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
-
-# maximum |H|, |J| or |F| accepted at a reported root
-_ROOT_TOL = 1e-9
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its (rows x width) temporaries to about 128 kB each
@@ -166,136 +167,91 @@ def _blocklength_cap(T, T_s, cfg, shift=0.0) -> int:
     return n_hi
 
 
-def _effective_lower(link, n_lo, n_hi):
-    """Skip the saturated plateau where the average BLEP underflows to 1.
+def _argmin_step(obj, lo, hi, edge=None):
+    """Integer minimizer of the objective ``obj`` over [edge, hi] (edge =
+    lo by default), scored in one array call; ties go to the smallest.
 
-    On that plateau the objective is flat at sigma2 and every stationarity
-    function is identically zero, which would hand the root finder a
-    spurious root at the boundary.  Returns the plateau edge, the first
-    integer N in [n_lo, n_hi] whose simplified BLEP is below 1; raises
-    BracketError when the whole range is saturated.
+    Returns (x, obj(x), branch), the branch named by where x lies:
+    "lower-boundary" at lo, "upper-boundary" at hi, "plateau-edge" at an
+    edge above lo, otherwise "interior-root".
     """
+    start = lo if edge is None else edge
+    vals = obj(np.arange(start, hi + 1))
+    i = int(np.argmin(vals))  # a NaN anywhere is its own argmin
+    x, val = start + i, float(vals[i])
+    if not math.isfinite(val):
+        raise BracketError(f"objective is {val} at {x} on [{start}, {hi}]")
+    return x, val, ("lower-boundary" if x == lo else "upper-boundary" if x == hi
+                    else "plateau-edge" if x == start else "interior-root")
+
+
+def _blocklength_step(source, field, link, scheme, cfg, hh):
+    """Blocklength step at the time shift hh (None for no/syn): (N, its
+    objective, branch, |H| or |F| at N).
+
+    The step starts at the plateau edge, the first N whose simplified BLEP
+    is below 1: below it the BLEP is saturated at 1, the objective is flat
+    at sigma2 and H and F vanish.  Raises BracketError when the whole range
+    is saturated.
+    """
+    n_lo = cfg.N_min
+    n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
+                            0.0 if hh is None else (scheme.M - 1) * hh)
     below = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1)) < 1.0
     if not below.any():
         raise BracketError(
-            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]"
-        )
-    return n_lo + int(np.argmax(below))
+            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]")
+    n, val, branch = _argmin_step(
+        lambda n: _objective(source, field, link, scheme, n, hh),
+        n_lo, n_hi, n_lo + int(np.argmax(below)))
+    res = (eval_H(source, field, link, scheme, float(n)) if hh is None
+           else eval_F(source, field, link, scheme, float(n), h=hh))
+    return n, val, branch, abs(res)
 
 
-def _evaluated_once(f):
-    """f with one evaluation per point (10 and 10.0 are the same point)."""
-    values = {}
-
-    def once(x):
-        if x not in values:
-            values[x] = f(x)
-        return values[x]
-
-    return once
-
-
-def _stationary_point(f, obj, lo, hi, label, edge=None):
-    """Integer minimizer on [lo, hi] of the objective ``obj`` of a
-    real-valued index, whose derivative has the sign of f.
-
-    In order: f > 0 at lo is the "lower-boundary", f < 0 at hi the
-    "upper-boundary"; a blocklength step passes the plateau edge, and
-    f >= 0 there is the "plateau-edge"; otherwise the root of f on
-    [edge, hi] (edge = lo for a time shift), found by Brent's method
-    (:func:`mse._brentq`) to 1e-9, is the "interior-root", and the better
-    of the two integers around it (the smaller on a tie) is returned.
-    f is evaluated once per point: the solver re-evaluates its bracket
-    ends and the residual check the root.
-    Returns (x, branch, |f| where the branch was decided).
-    """
-    f = _evaluated_once(f)
-    f_lo = f(lo)
-    if f_lo > 0.0:
-        return lo, "lower-boundary", abs(f_lo)
-    f_hi = f(hi)
-    if f_hi < 0.0:
-        return hi, "upper-boundary", abs(f_hi)
-    if edge is not None:
-        lo, f_lo = edge, f(edge)
-        if f_lo >= 0.0:
-            return lo, "plateau-edge", abs(f_lo)
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
-        raise BracketError(f"{label}: non-finite values at bracket "
-                           f"({f_lo} at {lo}, {f_hi} at {hi})")
-    if f_lo == 0.0 or f_hi == 0.0:
-        return (lo if f_lo == 0.0 else hi), "interior-root", 0.0
-    root = _brentq(f, lo, hi, 1e-9)
-    res = abs(f(root))
-    if res > _ROOT_TOL:
-        raise BracketError(f"{label}: residual {res:.3e} exceeds {_ROOT_TOL}")
-    x = min({math.floor(root), math.ceil(root)}, key=lambda k: (obj(k), k))
-    return x, "interior-root", res
+def _time_shift_step(source, field, link, scheme, n):
+    """Time-shift step at blocklength n over the grid index k = 1 ..
+    :func:`mse.shift_count`: (h = k T_s, its objective, branch, |J| at h)."""
+    k_hi = int(shift_count(scheme.T, link.T_s, scheme.M, n))
+    if k_hi < 1:
+        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
+    link_n = link.with_blocklength(n)
+    k, val, branch = _argmin_step(
+        lambda k: _objective(source, field, link_n, scheme, n, k * link.T_s),
+        1, k_hi)
+    h = k * link.T_s
+    return h, val, branch, abs(eval_J(source, field, link_n, scheme, h))
 
 
 def optimize_blocklength(source, field, link, scheme, cfg=None, h=None) -> OptResult:
     """Optimal integer blocklength at a fixed time shift, for every scheme.
 
     The asynchronous scheme uses the time shift ``h`` (default
-    ``scheme.h``); no/syn ignore it.  Boundary rules first (d MSE / dN > 0
-    at N_min, < 0 at the cap), otherwise the better of the two integers
-    around the root of H (no/syn) or F (asyn).  Falls back to an integer
-    grid scan when d MSE / dN, probed at 33 points in one array call,
-    changes sign more than once on the feasible range (the asynchronous
-    objective is provably convex in N only at h = T/M).
+    ``scheme.h``); no/syn ignore it.  The step is the integer argmin of the
+    objective from the plateau edge to the cap (:func:`_argmin_step`).
     """
     cfg = cfg or OptimizerConfig()
     hh = (scheme.h if h is None else h) if scheme.scheme is Scheme.ASYN_INFER else None
-    n_lo = cfg.N_min
-    n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
-                            0.0 if hh is None else (scheme.M - 1) * hh)
-    n_eff = _effective_lower(link, n_lo, n_hi)
-    obj = lambda n: _objective(source, field, link, scheme, n, hh)
-    if hh is None:
-        dmse, label = lambda n: eval_H(source, field, link, scheme, n), "H(N)"
-    else:
-        dmse, label = lambda n: eval_F(source, field, link, scheme, n, h=hh), "F(N)"
-
-    probe = np.linspace(n_eff, n_hi, min(33, n_hi - n_lo + 1))
-    signs = np.sign(_dmse_dN(source, field, link, scheme, probe, hh))
-    if int(np.sum(np.abs(np.diff(signs[signs != 0])) > 0)) > 1:
-        n_star = n_lo + int(np.argmin(obj(np.arange(n_lo, n_hi + 1))))
-        branch, res = "grid-fallback", abs(dmse(n_star))
-    else:
-        n_star, branch, res = _stationary_point(dmse, obj, n_lo, n_hi, label,
-                                                edge=n_eff)
-    val = obj(n_star)
+    n_star, val, branch, res = _blocklength_step(source, field, link, scheme, cfg, hh)
     mse = average_mse(source, field, link.with_blocklength(n_star),
                       replace(scheme, h=hh)).value
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
                      trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
-                     convexity_warning=source_l_warn(link))
+                     convexity_warning=link.L < math.pi)
 
 
 def optimize_time_shift(source, field, link, scheme, N=None) -> OptResult:
     """Optimal time shift at fixed blocklength for the asynchronous scheme.
 
-    The step runs over the grid index k = 1 .. :func:`mse.shift_count`,
-    so the returned shift is h = k T_s.
+    The step is the integer argmin over the grid index k = 1 ..
+    :func:`mse.shift_count`, so the returned shift is h = k T_s.
     """
     n = int(link.N if N is None else N)
-    k_hi = int(shift_count(scheme.T, link.T_s, scheme.M, n))
-    if k_hi < 1:
-        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
-    link_n = link.with_blocklength(n)
-    obj = lambda k: _objective(source, field, link_n, scheme, n, k * link.T_s)
-    k, branch, res = _stationary_point(
-        lambda k: eval_J(source, field, link_n, scheme, k * link.T_s), obj,
-        1, k_hi, "J(h)")
-    h_star = k * link.T_s
-    val = obj(k)
-    mse = average_mse(source, field, link_n, replace(scheme, h=h_star)).value
+    h_star, val, branch, res = _time_shift_step(source, field, link, scheme, n)
+    mse = average_mse(source, field, link.with_blocklength(n),
+                      replace(scheme, h=h_star)).value
     return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
                      trace=[TraceRow(1, h_star, n, val, res, 0.0)])
-
-
-def source_l_warn(link) -> bool:
-    return link.L < math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +263,11 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
 
     Starts from N = 80 channel uses (clamped to the feasible range) and the
     midpoint time shift unless a warm start is given, then repeats an
-    h-step at fixed N followed by an N-step at fixed h until the iteration
-    cap or until both coordinates stop moving.  An infeasible start is
+    h-step at fixed N, an N-step at fixed h and a face step until the
+    iteration cap or until both coordinates stop moving.  The face step
+    takes the best point of the constraint face on the grid, every N at
+    its last grid shift, scored once per call; it moves the iterate off a
+    corner where both coordinate steps stall.  An infeasible start is
     projected onto the constraint set and flagged on the result.  Every
     candidate comparison keeps the incumbent, so the internal objective is
     non-increasing across iterations by construction.
@@ -328,36 +287,35 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
         h_cur = min(max(h_cur, Ts), steps * Ts)
         projected = True
 
-    obj = lambda n, hh: _objective(source, field, link, scheme, n, hh)
-    result = OptResult(scheme.scheme, n_cur, h_cur, math.nan, obj(n_cur, h_cur),
-                       0, False, "jtsbo", projected_start=projected,
-                       convexity_warning=source_l_warn(link))
+    cur_val = _objective(source, field, link, scheme, n_cur, h_cur)
+    face_n = np.arange(cfg.N_min, n_cap + 1)
+    face_h = shift_count(T, Ts, M, face_n) * Ts
+    face_vals = _objective(source, field, link, scheme, face_n, face_h)
+    face = int(np.argmin(face_vals))
 
-    cur_val = obj(n_cur, h_cur)
+    trace, converged = [], False
     for i in range(1, cfg.I_max + 1):
         h_prev, n_prev = h_cur, n_cur
+        h, val, _, res_h = _time_shift_step(source, field, link, scheme, n_cur)
+        if val <= cur_val:
+            h_cur, cur_val = h, val
+        n, val, _, res_n = _blocklength_step(source, field, link, scheme, cfg, h_cur)
+        if val <= cur_val:
+            n_cur, cur_val = n, val
+        if face_vals[face] < cur_val:
+            n_cur, h_cur = int(face_n[face]), float(face_h[face])
+            cur_val = float(face_vals[face])
 
-        step_h = optimize_time_shift(source, field, link, scheme, N=n_cur)
-        if step_h.objective_star <= cur_val:
-            h_cur, cur_val = step_h.h_star, step_h.objective_star
-        res_h = step_h.trace[-1].residual_h
-
-        step_n = optimize_blocklength(source, field, link, scheme, cfg, h=h_cur)
-        if step_n.objective_star <= cur_val:
-            n_cur, cur_val = step_n.N_star, step_n.objective_star
-        res_n = step_n.trace[-1].residual_N
-
-        result.trace.append(TraceRow(i, h_cur, n_cur, cur_val, res_h, res_n))
-        result.iterations = i
-        if abs(h_cur - h_prev) < cfg.tol_h and abs(n_cur - n_prev) < cfg.tol_N:
-            result.converged = True
+        trace.append(TraceRow(i, h_cur, n_cur, cur_val, res_h, res_n))
+        converged = abs(h_cur - h_prev) < cfg.tol_h and abs(n_cur - n_prev) < cfg.tol_N
+        if converged:
             break
 
-    result.N_star, result.h_star = n_cur, h_cur
-    result.objective_star = cur_val
-    result.mse_star = average_mse(source, field, link.with_blocklength(n_cur),
-                                  replace(scheme, h=h_cur)).value
-    return result
+    mse = average_mse(source, field, link.with_blocklength(n_cur),
+                      replace(scheme, h=h_cur)).value
+    return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
+                     "jtsbo", trace=trace, convexity_warning=link.L < math.pi,
+                     projected_start=projected)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +333,8 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     The asynchronous (N, h) grid is scored by one kernel over all N and
     shifts, in row-major chunks of at most ``_GRID_CHUNK`` points: each
     chunk is a block of N rows against the shift count of its first row,
-    one :meth:`ClosedForm.mse_grid` call (a rank-M matrix product), with
-    the shifts past a row's own count masked out.  Ties break toward
+    one :meth:`ClosedForm.mse_grid` call (a rank-(M+1) matrix product),
+    with the shifts past a row's own count masked out.  Ties break toward
     smaller N, then smaller h, independent of chunking.  The product's
     summation order follows the BLAS kernel picked for the block shape, so
     a point's value can move by one ulp with the chunking; only points
@@ -409,7 +367,9 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
         width = int(steps[i])
         j = min(Ns.size, i + max(1, _GRID_CHUNK // width))
         vals = cf.mse_grid(eps, w, slice(i, j), width)
-        vals[np.arange(width) >= steps[i:j, None]] = np.inf
+        # mask the shifts past each row's count: the chunk's last columns
+        short = int(steps[j - 1])
+        vals[:, short:][np.arange(short, width) >= steps[i:j, None]] = np.inf
         k = int(np.argmin(vals))  # row-major: smallest N, then smallest h
         if vals.flat[k] < best[0]:  # strict: an earlier chunk keeps a tie
             row, col = divmod(k, width)

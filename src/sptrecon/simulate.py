@@ -84,6 +84,39 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # event-level oracle
 # ---------------------------------------------------------------------------
 
+# the lowest set bit of each byte value (0 for 0, which is never looked up)
+_LOW_BIT = np.array([(v & -v).bit_length() - 1 if v else 0 for v in range(256)],
+                    dtype=np.intp)
+
+
+def _first_success_rank(success, order):
+    """Periods with a success, and the smallest rank r among them whose
+    sensor ``order[r]`` succeeded.
+
+    Per period, byte g of a code has bit b set when the sensor of rank
+    8 g + b succeeded, so the first rank is 8 g + the lowest set bit of
+    the first nonzero byte.  That keeps M / 8 bytes per period instead of
+    a reordered copy of the (M, periods) mask, for any M.
+    """
+    M, P = success.shape
+    code = np.zeros(((M + 7) // 8, P), dtype=np.uint8)
+    bit = np.empty(P, dtype=np.uint8)
+    for r, s in enumerate(order):
+        np.left_shift(success[s].view(np.uint8), r % 8, out=bit)
+        code[r // 8] |= bit
+    ok_any = code[0] != 0
+    for byte in code[1:]:
+        ok_any |= byte != 0
+    ks = np.nonzero(ok_any)[0]
+    # the last byte first, then overwrite where an earlier byte has a bit
+    rank = _LOW_BIT[code[-1, ks]] + 8 * (len(code) - 1)
+    for g in range(len(code) - 2, -1, -1):
+        byte = code[g, ks]
+        hit = byte != 0
+        rank[hit] = _LOW_BIT[byte[hit]] + 8 * g
+    return ks, rank
+
+
 def simulate_event_level(source, field, link, scheme, periods, seed,
                          replica=0, n_batches=100, success_prob_override=None,
                          use_q_model=False, collect_trace=False) -> SimReport:
@@ -147,10 +180,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         ranked = reindex_by_correlation(source, field)
         order = np.array(ranked.order) - 1
         fac2_ranked = np.array(ranked.factors)
-        ok_any = success.any(axis=0)
-        ks = np.nonzero(ok_any)[0]
-        # first success in descending-correlation order
-        rank_hit = np.argmax(success[order][:, ks], axis=0)
+        ks, rank_hit = _first_success_rank(success, order)
         gen_times = ks * T
         used_fac2 = fac2_ranked[rank_hit]
         used_sensor = order[rank_hit] + 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import optimize
-from sptrecon.mse import shift_count
+from sptrecon.mse import max_blocklength, shift_count
 from sptrecon.optimize import _objective
 
 
@@ -232,18 +232,65 @@ def test_blocklength_syn_upper_boundary_branch():
     assert (res.N_star, res.h_star, res.branch) == (30, None, "upper-boundary")
 
 
-def test_blocklength_asyn_grid_fallback_branch():
-    # F changes sign more than once on the feasible range: the integer scan
-    # takes over from the root finder
+def _discrete_minimum(obj, lo, hi, x):
+    """x is the smallest argmin of a per-point loop of obj over [lo, hi]
+    and no worse than its neighbours in the range."""
+    vals = [obj(k) for k in range(lo, hi + 1)]
+    assert x == lo + int(np.argmin(vals))
+    for d in (-1, 1):
+        if lo <= x + d <= hi:
+            assert obj(x) <= obj(x + d)
+
+
+def test_blocklength_asyn_step_with_two_sign_changes_of_F():
+    # F changes sign more than once on the feasible range, so N* is one
+    # of two local minima: the step is the argmin of the whole range
     src = sp.SourceParams(a=0.5, b=0.01)
     field = sp.place_sensors(M=7, region_half_width=10, seed=7, target_index=1)
     link = sp.LinkParams.from_db(L=50, N=10, T_s=1e-4, gamma_r_bar_db=14.0)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.020, h=0.0005, M=7, m=1)
+    F = optimize._dmse_dN(src, field, link, scheme, np.arange(10, 171), 0.0005)
+    assert np.sum(np.diff(np.sign(F)) != 0) > 1
     res = sp.optimize_blocklength(src, field, link, scheme,
                                   sp.OptimizerConfig(N_min=10))
-    assert (res.N_star, res.h_star, res.branch) == (13, 0.0005, "grid-fallback")
-    grid = [_objective(src, field, link, scheme, n, 0.0005) for n in range(10, 171)]
-    assert res.N_star == 10 + int(np.argmin(grid))
+    assert (res.N_star, res.h_star, res.branch) == (13, 0.0005, "interior-root")
+    _discrete_minimum(lambda n: _objective(src, field, link, scheme, n, 0.0005),
+                      10, 170, res.N_star)
+
+
+def test_blocklength_asyn_step_finds_the_minimum_a_sign_probe_missed():
+    # F changes sign three times on [10, 808], and a 33-point sign probe
+    # sees only one change, so a root chase ends at the local minimum
+    # N = 55 (0.91017); the argmin is N = 20
+    src = sp.SourceParams(a=0.5812661826726574, b=0.16506168873924568)
+    field = sp.place_sensors(6, 10.0, seed=818)
+    link = sp.LinkParams.from_db(L=122.58977342158556, T_s=1e-4,
+                                 gamma_r_bar_db=23.959867259355356)
+    h = 0.0145
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15338981210213537, h=h,
+                             M=6, m=1)
+    res = sp.optimize_blocklength(src, field, link, scheme)
+    assert (res.N_star, res.branch) == (20, "interior-root")
+    assert res.objective_star == pytest.approx(0.89384, abs=1e-5)
+    obj = lambda n: _objective(src, field, link, scheme, n, h)
+    assert res.objective_star < obj(55) - 0.01
+    _discrete_minimum(obj, 10, 808, res.N_star)
+
+
+def test_time_shift_step_on_a_flat_saturated_objective():
+    # the simplified BLEP is 1 - 1e-16: the objective is sigma2 at every
+    # grid shift and J is rounding noise; the step takes the smallest k
+    src = sp.SourceParams(a=10.43, b=0.0348)
+    field = sp.place_sensors(2, 10.0, seed=96)
+    link = sp.LinkParams.from_db(L=160, N=99, gamma_r_bar_db=-9.8)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.24991, h=link.T_s, M=2, m=1)
+    runs = [sp.optimize_time_shift(src, field, link, scheme) for _ in range(2)]
+    for res in runs:
+        assert (res.h_star, res.branch) == (link.T_s, "lower-boundary")
+        assert res.objective_star == src.sigma2_x
+    k_hi = shift_count(scheme.T, link.T_s, 2, 99)
+    _discrete_minimum(lambda k: _objective(src, field, link, scheme, 99, k * link.T_s),
+                      1, k_hi, 1)
 
 
 def _fig11(b, target_index=1):
@@ -348,12 +395,39 @@ def test_jtsbo_beats_time_shift_only(source, field, link):
         assert joint.mse_star <= h_only.mse_star + 1e-12
 
 
-def test_jtsbo_residuals_small(source, field, link, asyn_scheme):
+def test_jtsbo_ends_at_a_discrete_coordinate_minimum(source, field, link,
+                                                     asyn_scheme):
+    # each coordinate of the result is the argmin of a per-point loop along
+    # it, and the last trace row holds |J| and |F| at the returned integers
     res = sp.jtsbo(source, field, link, asyn_scheme, sp.OptimizerConfig(I_max=3))
+    assert res.converged
+    n, h, Ts = res.N_star, res.h_star, link.T_s
+    k = round(h / Ts)
+    assert h == k * Ts
+    obj = lambda n_, h_: _objective(source, field, link, asyn_scheme, n_, h_)
+    _discrete_minimum(lambda kk: obj(n, kk * Ts), 1,
+                      shift_count(asyn_scheme.T, Ts, asyn_scheme.M, n), k)
+    n_hi = max_blocklength(asyn_scheme.T, Ts, (asyn_scheme.M - 1) * h)
+    _discrete_minimum(lambda nn: obj(nn, h), 10, n_hi, n)
     last = res.trace[-1]
-    assert last.residual_h < 1e-9 or res.trace[-1].h_s in (
-        link.T_s, (asyn_scheme.T - res.N_star * link.T_s) / (asyn_scheme.M - 1))
-    assert last.residual_N < 1e-6
+    assert last.residual_h == abs(sp.eval_J(source, field, link.with_blocklength(n),
+                                            asyn_scheme, h))
+    assert last.residual_N == abs(sp.eval_F(source, field, link, asyn_scheme,
+                                            float(n), h=h))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3])
+def test_jtsbo_follows_the_constraint_face_to_the_exhaustive_optimum(b):
+    # at b >= 0.02 the first h-step at N = 80 ends on the last grid shift,
+    # where both coordinate steps stall; the face step leaves that corner
+    src, field, link = _fig11(b)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
+    cfg = sp.OptimizerConfig(N_min=10, I_max=3)
+    res = sp.jtsbo(src, field, link, scheme, cfg)
+    ex = sp.exhaustive_search(src, field, link, scheme, cfg, objective="simplified")
+    assert res.objective_star <= 1.01 * ex.objective_star
+    vals = [t.mse for t in res.trace]
+    assert all(x >= y for x, y in zip(vals, vals[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +557,42 @@ def test_syn_blocklength_range_stops_before_the_period():
         assert ex.evaluations == 499 - 10 + 1
 
 
-def test_stationarity_points_evaluated_once(source, field, link, syn_scheme,
-                                            asyn_scheme, monkeypatch):
-    calls = []
+def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
+                                               asyn_scheme, monkeypatch):
+    # one _objective call over the whole index range, then one H/J/F
+    # evaluation, at the returned integer, for the residual
+    objective_calls, stationarity_calls = [], []
+    monkeypatch.setattr(optimize, "_objective",
+                        lambda *a, _fn=_objective: objective_calls.append(
+                            [x for x in a[4:] if np.ndim(x)]) or _fn(*a))
     for name in ("eval_H", "eval_J", "eval_F"):
-        def counted(*args, _fn=getattr(optimize, name), _name=name, **kw):
-            calls.append((_name, float(args[4]), kw.get("h")))
+        def counted(*args, _fn=getattr(optimize, name), **kw):
+            stationarity_calls.append(float(args[4]))
             return _fn(*args, **kw)
         monkeypatch.setattr(optimize, name, counted)
+    h, Ts = asyn_scheme.h, link.T_s
+    # (step, its integer index and stationarity argument, objective of the index)
     steps = [
-        lambda: sp.optimize_blocklength(source, field, link, syn_scheme),
-        lambda: sp.optimize_time_shift(source, field, link, asyn_scheme),
-        lambda: sp.optimize_blocklength(source, field, link, asyn_scheme),
+        (lambda: sp.optimize_blocklength(source, field, link, syn_scheme),
+         lambda r: (r.N_star, r.N_star),
+         lambda n: _objective(source, field, link, syn_scheme, n)),
+        (lambda: sp.optimize_time_shift(source, field, link, asyn_scheme),
+         lambda r: (round(r.h_star / Ts), r.h_star),
+         lambda k: _objective(source, field, link, asyn_scheme, link.N, k * Ts)),
+        (lambda: sp.optimize_blocklength(source, field, link, asyn_scheme),
+         lambda r: (r.N_star, r.N_star),
+         lambda n: _objective(source, field, link, asyn_scheme, n, h)),
     ]
-    for step in steps:
-        calls.clear()
-        assert step().branch == "interior-root"
-        assert calls and len(set(calls)) == len(calls)
+    for step, point, obj in steps:
+        objective_calls.clear()
+        stationarity_calls.clear()
+        res = step()
+        x, arg = point(res)
+        assert res.branch == "interior-root"
+        assert len(objective_calls) == 1 and len(objective_calls[0]) == 1
+        assert stationarity_calls == [arg]
+        idx = objective_calls[0][0] / (Ts if isinstance(arg, float) else 1)
+        _discrete_minimum(obj, round(idx[0]), round(idx[-1]), x)
 
 
 def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,
@@ -590,3 +683,9 @@ def test_plateau_edge_branch_ties_with_exhaustive():
     ex = sp.exhaustive_search(src, field, link, scheme)
     assert res.branch == "plateau-edge"
     assert abs(res.objective_star - ex.objective_star) <= 1e-12 * src.sigma2_x
+    # the step scans from the edge, the first N whose BLEP is below 1, to the cap
+    eps = sp.blep_average_simplified(link, N=np.arange(10, 600))
+    edge = 10 + int(np.argmax(eps < 1.0))
+    assert edge == res.N_star > 10 and eps[0] == 1.0
+    _discrete_minimum(lambda n: _objective(src, field, link, scheme, n),
+                      edge, 599, res.N_star)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sptrecon as sp
+from sptrecon import simulate
 from sptrecon.errors import InvalidConfigError, ScaleLimitError
 
 PERIODS = 30_000  # module-level runs; the acceptance suite uses 100k
@@ -290,3 +291,18 @@ def test_trace_frozen_values(source, field, link, asyn_scheme):
     assert sum(e.success for e in rep.events) == 22
     assert rep.events[-1] == sp.TransmissionEvent(39, 5, 5.869999999999999,
                                                   3.4973254483837, False)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16, 17, 70])
+def test_first_success_rank_matches_the_reordered_argmax(M):
+    # the byte code equals argmax over the reordered mask, also where the
+    # ranks span several bytes; periods without a success are skipped
+    rng = np.random.default_rng(M)
+    for p in (0.02, 0.3, 0.9):
+        success = rng.random((M, 5000)) < p
+        order = rng.permutation(M)
+        ks, rank = simulate._first_success_rank(success, order)
+        want_ks = np.nonzero(success.any(axis=0))[0]
+        np.testing.assert_array_equal(ks, want_ks)
+        np.testing.assert_array_equal(
+            rank, np.argmax(success[order][:, want_ks], axis=0))
