@@ -32,10 +32,9 @@ from .errors import DomainError, InvalidConfigError
 
 logger = logging.getLogger(__name__)
 
-# Largest exponent at which eta = exp(L/N) - 1 and lam (through exp(2L/N))
-# are evaluated in their plain form: 2 pi exp(x) stays finite up to here (a
-# double overflows past 709.78); no bundled spec comes near (fig11 has
-# L/N <= 16)
+# Largest exponent at which eta = exp(L/N) - 1 is evaluated in its plain
+# form: exp(x) stays finite up to here (a double overflows past 709.78); no
+# bundled spec comes near (fig11 has L/N <= 16)
 _EXP_MAX = 700.0
 
 
@@ -99,16 +98,11 @@ def _eta(L, N):
 
 
 def _lam(L, N):
-    """-sqrt(N / (2 pi (exp(2L/N) - 1))); where 2L/N > _EXP_MAX the same slope
-    is written -sqrt(N / 2 pi) exp(-L/N) / sqrt(-expm1(-2L/N)), which stays
-    finite, and everywhere else the plain form keeps its bits."""
+    """-sqrt(N / (2 pi (exp(2L/N) - 1))), written
+    -sqrt(N / 2 pi) exp(-L/N) / sqrt(-expm1(-2L/N)) so that it stays finite
+    for any L/N."""
     x = 2.0 * L / N
-    big = x > _EXP_MAX
-    if not (big.any() if isinstance(big, np.ndarray) else big):
-        return -np.sqrt(N / (2.0 * np.pi * (np.exp(x) - 1.0)))
-    plain = -np.sqrt(N / (2.0 * np.pi * (np.exp(np.minimum(x, _EXP_MAX)) - 1.0)))
-    stable = -np.sqrt(N / (2.0 * np.pi)) * np.exp(-x / 2.0) / np.sqrt(-np.expm1(-x))
-    return np.where(big, stable, plain)[()]
+    return -np.sqrt(N / (2.0 * np.pi)) * np.exp(-x / 2.0) / np.sqrt(-np.expm1(-x))
 
 
 def _f0(L, N):

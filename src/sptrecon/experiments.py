@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from dataclasses import field as dc_field
 from importlib import resources
 from pathlib import Path
 
@@ -45,19 +46,35 @@ EVENT_COLUMNS = ["period", "sensor", "t_start_s", "gamma_r", "success"]
 SWEEPABLE = {"eps_bar", "mssc", "N", "h_s", "T_period_s", "gamma_r_bar_db",
              "b_per_m"}
 
-# section -> the keys parse_spec reads; any other section or key is an error
-KEYS = {
-    "experiment": {"name", "outputs", "seed", "replicas"},
-    "source": {"sigma2_x", "gamma_o", "a_per_s", "b_per_m"},
-    "field": {"positions_file", "M", "half_width_m", "density_per_m2",
-              "placement_seed", "target_index"},
-    "link": {"L_bits", "N_blocklength", "symbol_duration_s", "gamma_r_bar_db"},
-    "scheme": {"scheme", "period_s", "time_shift_s"},
-    "sim": {"periods", "dump_trace"},
-    "optimize": {"N_min", "N_max", "I_max", "tol_h_s", "tol_N",
-                 "include_exhaustive"},
-    "sweep": SWEEPABLE,
+
+# section -> key -> (keyword of the object the section builds, value type).
+# A present key is passed on; an absent one takes the default of the class it
+# configures.  [experiment], [sim] and include_exhaustive build ExperimentSpec,
+# [field] place_sensors (or load_field), [link] LinkParams.from_db.  "cap" is
+# an int with 0 for None, "values" a sweep list.  Any other key is an error
+SCHEMA = {
+    "experiment": {"name": ("name", str), "outputs": ("outputs", list),
+                   "seed": ("seed", int), "replicas": ("replicas", int)},
+    "source": {"sigma2_x": ("sigma2_x", float), "gamma_o": ("gamma_o", float),
+               "a_per_s": ("a", float), "b_per_m": ("b", float)},
+    "field": {"positions_file": ("path", str), "M": ("M", int),
+              "half_width_m": ("region_half_width", float),
+              "density_per_m2": ("density", float),
+              "placement_seed": ("seed", int), "target_index": ("target_index", int)},
+    "link": {"L_bits": ("L", float), "N_blocklength": ("N", int),
+             "symbol_duration_s": ("T_s", float),
+             "gamma_r_bar_db": ("gamma_r_bar_db", float)},
+    "scheme": {"scheme": ("scheme", Scheme), "period_s": ("T", float),
+               "time_shift_s": ("h", float)},
+    "sim": {"periods": ("periods", int), "dump_trace": ("dump_trace", bool)},
+    "optimize": {"N_min": ("N_min", int), "N_max": ("N_max", "cap"),
+                 "I_max": ("I_max", int),
+                 "include_exhaustive": ("include_exhaustive", bool)},
+    "sweep": {axis: (axis, "values") for axis in SWEEPABLE},
 }
+
+# sensor placement when [field] names no positions_file
+PLACEMENT = {"M": 5, "region_half_width": 10.0, "seed": 7}
 
 # output -> sweep axes it cannot honour: the simulation draws its own packet
 # losses on the field's geometry, and the optimizers choose N and h
@@ -71,28 +88,25 @@ UNHONOURED_AXES = {
 class ExperimentSpec:
     """Parsed experiment description."""
 
-    name: str
-    outputs: list
-    seed: int
-    replicas: int
     source: SourceParams
     field: SensorField
     link: LinkParams
     scheme: SchemeConfig
-    periods: int
     optimizer: OptimizerConfig
-    sweep: dict               # axis name -> list of values (insertion order)
+    name: str = "experiment"
+    outputs: list = dc_field(default_factory=lambda: ["analytic"])
+    seed: int = 1
+    replicas: int = 1
+    periods: int = 100000
+    sweep: dict = dc_field(default_factory=dict)  # axis -> values, in order
     include_exhaustive: bool = False
     dump_trace: bool = False
     raw_text: str = ""
 
     def sweep_points(self):
         """Cartesian product of the sweep axes, deterministic order."""
-        if not self.sweep:
-            return [dict()]
-        keys = list(self.sweep)
-        return [dict(zip(keys, vals))
-                for vals in itertools.product(*(self.sweep[k] for k in keys))]
+        return [dict(zip(self.sweep, vals))
+                for vals in itertools.product(*self.sweep.values())]
 
 
 def parse_values(text):
@@ -132,130 +146,84 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         cp.read_string(text)
     except configparser.Error as exc:
         raise InvalidConfigError(f"config parse error: {exc}") from exc
-    for section in cp.sections():
-        if section not in KEYS:
-            raise InvalidConfigError(f"unknown config section [{section}]; "
-                                     f"allowed: {sorted(KEYS)}")
-        for key in cp[section]:
-            if key not in KEYS[section]:
-                raise InvalidConfigError(
-                    f"unknown key {key!r} in [{section}]; "
-                    f"allowed: {sorted(KEYS[section])}"
-                )
-
+    kw = {section: {} for section in SCHEMA}
     try:
-        exp = cp["experiment"]
-        name = exp.get("name", "experiment").strip()
-        outputs = [o.strip() for o in exp.get("outputs", "analytic").split(",") if o.strip()]
-        cfg_seed = exp.getint("seed", 1)
-        cfg_replicas = exp.getint("replicas", 1)
+        for section in cp.sections():
+            if section not in SCHEMA:
+                raise InvalidConfigError(f"unknown config section [{section}]; "
+                                         f"allowed: {sorted(SCHEMA)}")
+            for key, val in cp[section].items():
+                if key not in SCHEMA[section]:
+                    raise InvalidConfigError(f"unknown key {key!r} in [{section}]; "
+                                             f"allowed: {sorted(SCHEMA[section])}")
+                name, kind = SCHEMA[section][key]
+                kw[section][name] = _value(kind, key, section, val.strip())
+        if not cp.has_section("experiment"):
+            raise InvalidConfigError("a config needs an [experiment] section")
 
-        src = cp["source"] if cp.has_section("source") else {}
-        source = SourceParams(
-            sigma2_x=_getf(src, "sigma2_x", 1.0),
-            gamma_o=_getf(src, "gamma_o", 5.0),
-            a=_getf(src, "a_per_s", 2.0),
-            b=_getf(src, "b_per_m", 0.01),
-        )
-
-        fld = cp["field"] if cp.has_section("field") else {}
-        if "positions_file" in fld:
-            field, _ = load_field(fld["positions_file"])
+        fld = kw["field"]
+        if "path" in fld:
+            if len(fld) > 1:
+                raise InvalidConfigError("positions_file in [field] excludes the "
+                                         "placement keys")
+            field, _ = load_field(fld["path"])
         else:
-            field = place_sensors(
-                M=_geti(fld, "M", 5),
-                region_half_width=_getf(fld, "half_width_m", 10.0),
-                density=_getf(fld, "density_per_m2", None),
-                seed=_geti(fld, "placement_seed", 7),
-                target_index=_geti(fld, "target_index", 1),
-            )
-
-        lnk = cp["link"] if cp.has_section("link") else {}
-        link = LinkParams.from_db(
-            L=_getf(lnk, "L_bits", 160.0),
-            N=_geti(lnk, "N_blocklength", 80),
-            T_s=_getf(lnk, "symbol_duration_s", 1e-4),
-            gamma_r_bar_db=_getf(lnk, "gamma_r_bar_db", 5.0),
+            field = place_sensors(**{**PLACEMENT, **fld})
+        opt, run = kw["optimize"], {**kw["experiment"], **kw["sim"]}
+        if "include_exhaustive" in opt:
+            run["include_exhaustive"] = opt.pop("include_exhaustive")
+        spec = ExperimentSpec(
+            source=SourceParams(**kw["source"]), field=field,
+            link=LinkParams.from_db(**kw["link"]),
+            scheme=SchemeConfig(**kw["scheme"], M=field.n_sensors,
+                                m=field.target_index),
+            optimizer=OptimizerConfig(**opt), sweep=kw["sweep"], raw_text=text,
+            **run,
         )
-
-        sch = cp["scheme"] if cp.has_section("scheme") else {}
-        scheme = SchemeConfig(
-            scheme=Scheme(sch.get("scheme", "syn-infer").strip()),
-            T=_getf(sch, "period_s", 0.150),
-            h=_getf(sch, "time_shift_s", None),
-            M=field.n_sensors,
-            m=field.target_index,
-        )
-
-        sim = cp["sim"] if cp.has_section("sim") else {}
-        periods = _geti(sim, "periods", 100000)
-        dump_trace = _getbool(sim, "dump_trace")
-
-        opt = cp["optimize"] if cp.has_section("optimize") else {}
-        optimizer = OptimizerConfig(
-            N_min=_geti(opt, "N_min", 10),
-            N_max=_geti(opt, "N_max", 0) or None,
-            I_max=_geti(opt, "I_max", 3),
-            tol_h=_getf(opt, "tol_h_s", 1e-4),
-            tol_N=_getf(opt, "tol_N", 1.0),
-        )
-        include_exhaustive = _getbool(opt, "include_exhaustive")
-
-        sweep = {}
-        if cp.has_section("sweep"):
-            for key, val in cp["sweep"].items():
-                sweep[key] = parse_values(val)
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, InvalidConfigError):
-            raise
+    except InvalidConfigError:
+        raise
+    except ValueError as exc:
         raise InvalidConfigError(f"config error: {exc}") from exc
-
-    if not outputs:
+    spec.seed = spec.seed if seed is None else int(seed)
+    spec.replicas = spec.replicas if replicas is None else int(replicas)
+    if not spec.outputs:
         raise InvalidConfigError("at least one output must be requested")
-    for out in outputs:
+    for out in spec.outputs:
         if out not in OUTPUTS:
             raise InvalidConfigError(f"unknown output kind {out!r}")
-        axes = sorted(UNHONOURED_AXES.get(out, set()) & set(sweep))
+        axes = sorted(UNHONOURED_AXES.get(out, set()) & set(spec.sweep))
         if axes:
             raise InvalidConfigError(f"output {out!r} cannot honour the sweep "
                                      f"axis {', '.join(map(repr, axes))}")
-
-    return ExperimentSpec(
-        name=name, outputs=outputs,
-        seed=cfg_seed if seed is None else int(seed),
-        replicas=cfg_replicas if replicas is None else int(replicas),
-        source=source, field=field, link=link,
-        scheme=scheme, periods=periods, optimizer=optimizer, sweep=sweep,
-        include_exhaustive=include_exhaustive, dump_trace=dump_trace,
-        raw_text=text,
-    )
+    return spec
 
 
-def _getf(section, key, default):
-    val = section.get(key, None)
-    if val is None or not val.strip():
-        return default
-    return float(val)
+def _value(kind, key, section, text):
+    """The config value ``text`` of ``key`` as a ``kind`` (a SCHEMA type)."""
+    if not text:
+        raise InvalidConfigError(f"{key} in [{section}] is empty; leave the key "
+                                 "out to take its default")
+    if kind in (int, "cap"):
+        value = _integral(text, key)
+        return None if kind == "cap" and value == 0 else value  # N_max = 0: no cap
+    if kind is bool:
+        # configparser's rules: 1/yes/true/on, 0/no/false/off
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise InvalidConfigError(f"{key} = {text.lower()!r} is not a boolean")
+        return states[text.lower()]
+    if kind is list:
+        return [o.strip() for o in text.split(",") if o.strip()]
+    return parse_values(text) if kind == "values" else kind(text)
 
 
 def _integral(value, name):
     """value as an int; InvalidConfigError unless it is a whole number
     (80.0 and 1e5 are, 80.7 is not)."""
-    if not float(value).is_integer():
+    value = float(value)
+    if not value.is_integer():
         raise InvalidConfigError(f"{name} must be an integer, got {value}")
     return int(value)
-
-
-def _geti(section, key, default):
-    return _integral(_getf(section, key, default), key)
-
-
-def _getbool(section, key):
-    """A boolean key under configparser's rules (1/yes/true/on, 0/no/false/off)."""
-    val = section.get(key, "false").strip().lower()
-    if val not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise InvalidConfigError(f"{key} = {val!r} is not a boolean")
-    return configparser.ConfigParser.BOOLEAN_STATES[val]
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +231,17 @@ def _getbool(section, key):
 # ---------------------------------------------------------------------------
 
 def _apply_point(spec: ExperimentSpec, point: dict):
-    """Materialize one sweep point: returns (source, field, link, scheme, eps)."""
-    source, field, link, scheme = spec.source, spec.field, spec.link, spec.scheme
+    """Materialize one sweep point: returns (source, field, link, scheme, eps, rho)."""
+    source, link, scheme = spec.source, spec.link, spec.scheme
     if "b_per_m" in point:
-        source = SourceParams(sigma2_x=source.sigma2_x, gamma_o=source.gamma_o,
-                              a=source.a, b=point["b_per_m"])
+        source = replace(source, b=point["b_per_m"])
     if "gamma_r_bar_db" in point:
         link = replace(link, gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0))
     if "N" in point:
-        link = link.with_blocklength(_integral(point["N"], "swept blocklength N"))
-    if "T_period_s" in point or "h_s" in point:
-        scheme = SchemeConfig(
-            scheme=scheme.scheme,
-            T=point.get("T_period_s", scheme.T),
-            h=point.get("h_s", scheme.h),
-            M=scheme.M, m=scheme.m,
-        )
-    eps = point.get("eps_bar", None)
-    rho = point.get("mssc", None)
-    return source, field, link, scheme, eps, rho
+        link = replace(link, N=_integral(point["N"], "swept blocklength N"))
+    scheme = replace(scheme, T=point.get("T_period_s", scheme.T),
+                     h=point.get("h_s", scheme.h))
+    return source, spec.field, link, scheme, point.get("eps_bar"), point.get("mssc")
 
 
 def _groups(points, axis):
@@ -392,43 +352,48 @@ def _sim_row(spec, point):
                    for r in reports for e in r.events]
 
 
-def _optimize_rows(spec, point):
-    """Adapted operating point per scheme (and per optimizer when enabled)."""
-    source, field, link, scheme, eps, rho = _apply_point(spec, point)
-    rho_val = mssc(source, field) if rho is None else rho
-    no_cfg = SchemeConfig(Scheme.NO_INFER, T=scheme.T, M=1, m=1)
-    syn_cfg = SchemeConfig(Scheme.SYN_INFER, T=scheme.T, M=scheme.M, m=scheme.m)
-    asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
-                            h=scheme.h if scheme.h is not None else link.T_s,
-                            M=scheme.M, m=scheme.m)
-    runs = [
-        ("no-infer", optimize_blocklength(source, field, link, no_cfg,
-                                          spec.optimizer)),
-        ("syn-infer", optimize_blocklength(source, field, link, syn_cfg,
-                                           spec.optimizer)),
-        ("asyn-infer", jtsbo(source, field, link, asyn_cfg, spec.optimizer)),
-    ]
-    if spec.include_exhaustive:
-        for tag, cfg in (("no-infer", no_cfg), ("syn-infer", syn_cfg),
-                         ("asyn-infer", asyn_cfg)):
-            res = exhaustive_search(source, field, link, cfg, spec.optimizer)
-            runs.append((tag + ":exhaustive", res))
-    rows = [[tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
-             rho_val, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
-             "", ""] for tag, res in runs]
-    trace = [[t.iteration, t.h_s, t.N, t.mse, t.residual_h, t.residual_N]
-             for t in runs[2][1].trace]  # the jtsbo run
-    return rows, trace
+def _optimize_rows(spec, points):
+    """Adapted operating point per scheme (and per optimizer when enabled).
+
+    The no-infer form reads no spatial weight, so its runs are made once per
+    b_per_m group and shared by the group's points.
+    """
+    cfg, out = spec.optimizer, [None] * len(points)
+    for idx in _groups(points, "b_per_m"):
+        no_infer = None
+        for i in idx:
+            source, field, link, scheme, _, rho = _apply_point(spec, points[i])
+            rho_val = mssc(source, field) if rho is None else rho
+            no_cfg = SchemeConfig(Scheme.NO_INFER, T=scheme.T, M=1, m=1)
+            syn_cfg = SchemeConfig(Scheme.SYN_INFER, T=scheme.T, M=scheme.M, m=scheme.m)
+            asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
+                                    h=scheme.h if scheme.h is not None else link.T_s,
+                                    M=scheme.M, m=scheme.m)
+            if no_infer is None:  # the group's one no-infer step (and scan)
+                no_infer = [optimize_blocklength(source, field, link, no_cfg, cfg)]
+                if spec.include_exhaustive:
+                    no_infer.append(exhaustive_search(source, field, link, no_cfg, cfg))
+            runs = [
+                ("no-infer", no_infer[0]),
+                ("syn-infer", optimize_blocklength(source, field, link, syn_cfg, cfg)),
+                ("asyn-infer", jtsbo(source, field, link, asyn_cfg, cfg)),
+            ]
+            if spec.include_exhaustive:
+                runs += [("no-infer:exhaustive", no_infer[1])] + [
+                    (tag + ":exhaustive", exhaustive_search(source, field, link, c, cfg))
+                    for tag, c in (("syn-infer", syn_cfg), ("asyn-infer", asyn_cfg))]
+            rows = [[tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
+                     rho_val, blep_average(link.with_blocklength(res.N_star)),
+                     res.mse_star, "", ""] for tag, res in runs]
+            trace = [[t.iteration, t.h_s, t.N, t.mse, t.residual_h, t.residual_N]
+                     for t in runs[2][1].trace]  # the jtsbo run
+            out[i] = (rows, trace)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
-
-def _each_point(point_fn):
-    """An output function that calls ``point_fn(spec, point)`` per point."""
-    return lambda spec, points: [point_fn(spec, p) for p in points]
-
 
 # output kind -> (columns, output function, (side-file stem, side columns)).
 # An output function maps (spec, sweep points) to one (rows, side rows or
@@ -437,9 +402,9 @@ def _each_point(point_fn):
 OUTPUTS = {
     "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
     "regions": (REGION_COLUMNS, _region_rows, None),
-    "simulate": (SIM_COLUMNS, _each_point(_sim_row), ("events", EVENT_COLUMNS)),
-    "optimize": (ANALYTIC_COLUMNS, _each_point(_optimize_rows),
-                 ("optimize_trace", TRACE_COLUMNS)),
+    "simulate": (SIM_COLUMNS, lambda spec, points: [_sim_row(spec, p) for p in points],
+                 ("events", EVENT_COLUMNS)),
+    "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
 }
 
 

@@ -54,7 +54,7 @@ class SchemeConfig:
     m      : 1-based index of the target sensor / transmission slot
     """
 
-    scheme: Scheme
+    scheme: Scheme = Scheme.SYN_INFER
     T: float = 0.150
     h: float | None = None
     M: int = 5
@@ -272,20 +272,14 @@ class ClosedForm:
 
     def _reduction(self, eps, weights, deriv=False):
         """R with MSE = sigma2 - c R; with ``deriv`` returns (R, dR / d eps)."""
-        e, en = _lift(eps)
         if self.h is None:
-            # R = (1-E) (1-eps) sum_s w_s eps^(s-1) / (1 - E eps^M)
-            M, E = self.M, self.E
-            series = _vecdot(weights, en ** self.p)
-            u, den = (1.0 - e) * series, 1.0 - E * e ** M
-            R = (1.0 - E) * u / den
+            # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
             if not deriv:
-                return R
-            dseries = _vecdot(weights, self.p * en ** self.p1)
-            du = (1.0 - e) * dseries - series
-            return R, (1.0 - E) * _dquot(u, du, den, -M * E * e ** (M - 1))
+                return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
+            return tuple((1.0 - self.E) * _vecdot(weights, A)
+                         for A in self._eps_factor(eps, deriv=True))
         # R = (1-eps) sum_n w_n Psi_n / (1 - q eps)
-        q = self.q
+        e, q = _lift(eps)[0], self.q
         if not deriv:
             return (1.0 - e) * _vecdot(weights, self.psi(eps)) / (1.0 - q * e)
         psi, dpsi = self.psi(eps, deriv=True)
@@ -474,12 +468,8 @@ def mse_asyn_infer_approx(source: SourceParams, mssc_value: float, link: LinkPar
 
 
 def average_mse(source, field, link, scheme, eps_bar=None) -> MseValue:
-    """Dispatch to the closed form matching ``scheme.scheme``."""
-    if scheme.scheme is Scheme.NO_INFER:
-        return mse_no_infer(source, link, scheme, eps_bar)
-    if scheme.scheme is Scheme.SYN_INFER:
-        return mse_syn_infer(source, field, link, scheme, eps_bar)
-    return mse_asyn_infer(source, field, link, scheme, eps_bar)
+    """The closed form matching ``scheme.scheme``."""
+    return _mse_value(scheme.scheme, source, field, link, scheme, eps_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +661,9 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
         e_star, lower = eps_star_asyn(source, field_or_weights, link, scheme)
         return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
                 MseValue(s2, {"at": "eps=1"}))
-    # synchronous: at eps = 0 only the target's own term survives,
-    # sigma2 - c (1 - E)
-    E = math.exp(-2.0 * source.a * scheme.T)
-    lower = float(s2 - _prefactor(source, link.tau, scheme.T) * (1.0 - E))
+    # synchronous: at eps = 0 only the target's own term survives, the
+    # no-inference form sigma2 - c (1 - E)
+    lower = float(_scored(Scheme.NO_INFER, source, None, link, scheme, 0.0)[2])
     return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
 
 

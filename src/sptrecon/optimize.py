@@ -47,21 +47,17 @@ class OptimizerConfig:
     N_min / N_max : blocklength bounds in channel uses (N_max None = from
                     the period constraint); N_min is the only blocklength
                     floor
-    I_max         : alternating-optimization iteration cap
-    tol_h, tol_N  : stop when both coordinates move less than this
+    I_max         : alternating-optimization iteration cap; ``jtsbo`` stops
+                    earlier once an iteration leaves (N, h) unchanged
     """
 
     N_min: int = DEFAULT_N_MIN
     N_max: int | None = None
     I_max: int = 3
-    tol_h: float = 1e-4
-    tol_N: float = 1.0
 
     def __post_init__(self):
         if self.N_min < 1 or self.I_max < 1:
             raise InvalidConfigError("N_min and I_max must be >= 1")
-        if min(self.tol_h, self.tol_N) <= 0:
-            raise InvalidConfigError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -264,13 +260,13 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     Starts from N = 80 channel uses (clamped to the feasible range) and the
     midpoint time shift unless a warm start is given, then repeats an
     h-step at fixed N, an N-step at fixed h and a face step until the
-    iteration cap or until both coordinates stop moving.  The face step
-    takes the best point of the constraint face on the grid, every N at
-    its last grid shift, scored once per call; it moves the iterate off a
-    corner where both coordinate steps stall.  An infeasible start is
-    projected onto the constraint set and flagged on the result.  Every
-    candidate comparison keeps the incumbent, so the internal objective is
-    non-increasing across iterations by construction.
+    iteration cap or until an iteration leaves (N, h) exactly unchanged
+    (``converged``).  The face step takes the best point of the constraint
+    face on the grid, every N at its last grid shift, scored once per call;
+    it moves the iterate off a corner where both coordinate steps stall.
+    An infeasible start is projected onto the constraint set and flagged on
+    the result.  Every candidate comparison keeps the incumbent, so the
+    internal objective is non-increasing across iterations by construction.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
@@ -307,7 +303,8 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
             cur_val = float(face_vals[face])
 
         trace.append(TraceRow(i, h_cur, n_cur, cur_val, res_h, res_n))
-        converged = abs(h_cur - h_prev) < cfg.tol_h and abs(n_cur - n_prev) < cfg.tol_N
+        # exact: N is an int and every step's h is the product k T_s
+        converged = (n_cur, h_cur) == (n_prev, h_prev)
         if converged:
             break
 

@@ -292,9 +292,14 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
 # data-level oracle
 # ---------------------------------------------------------------------------
 
+# the data-level oracle's midpoint evaluation instants per inter-update
+# interval, and its largest joint Gaussian (a dense k x k Cholesky, O(k^3))
+_GRID_PER_INTERVAL = 16
+_MAX_ENTRIES = 2000
+
+
 def simulate_data_level(source, field, link, scheme, periods, seed,
-                        replica=0, n_draws=1000, grid_per_interval=16,
-                        max_entries=2000) -> SimReport:
+                        replica=0, n_draws=1000) -> SimReport:
     """Sampled-field check of the estimator itself.
 
     Reuses the event trace of :func:`simulate_event_level` at the same
@@ -312,18 +317,18 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     tau = link.tau
     m = field.target_index
     n_int = len(D)
-    offsets = (np.arange(grid_per_interval) + 0.5) / grid_per_interval
+    offsets = (np.arange(_GRID_PER_INTERVAL) + 0.5) / _GRID_PER_INTERVAL
     eval_times = (gen[:-1, None] + tau + offsets[None, :] * D[:, None]).ravel()
-    eval_sensor_src = np.repeat(src_sensor[:-1], grid_per_interval)
-    eval_gen = np.repeat(gen[:-1], grid_per_interval)
+    eval_sensor_src = np.repeat(src_sensor[:-1], _GRID_PER_INTERVAL)
+    eval_gen = np.repeat(gen[:-1], _GRID_PER_INTERVAL)
 
     entries = [(int(s), float(t)) for s, t in zip(src_sensor, gen)]
     n_samp = len(entries)
     total = n_samp + len(eval_times)
-    if total > max_entries:
+    if total > _MAX_ENTRIES:
         raise ScaleLimitError(
-            f"joint covariance would need {total} entries (> {max_entries}); "
-            "reduce periods or the evaluation grid"
+            f"joint covariance would need {total} entries (> {_MAX_ENTRIES}); "
+            "reduce periods"
         )
     entries += [(m, float(t)) for t in eval_times]
 
@@ -339,11 +344,11 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     r = field.distances[m - 1, eval_sensor_src - 1]
     rho = np.exp(-source.a * ages - source.b * r)
     gain = source.gamma_o / (source.gamma_o + 1.0)
-    samp_idx = np.repeat(np.arange(n_int), grid_per_interval)
+    samp_idx = np.repeat(np.arange(n_int), _GRID_PER_INTERVAL)
     x_hat = gain * rho[None, :] * y_samp[:, samp_idx]
 
     # time-weighted average: midpoint rule with weights D_v / grid size
-    wts = np.repeat(D / grid_per_interval, grid_per_interval)
+    wts = np.repeat(D / _GRID_PER_INTERVAL, _GRID_PER_INTERVAL)
     wts = wts / wts.sum()
     per_draw = ((x_true - x_hat) ** 2 * wts[None, :]).sum(axis=1)
     avg = float(per_draw.mean())

@@ -547,3 +547,114 @@ def test_blocklength_floor_is_the_optimizer_key(tmp_path):
         run_experiment(spec, tmp_path / str(floor))
         rows = _read_rows(tmp_path / str(floor) / "point_eval_optimize.csv")
         assert min(int(r["N"]) for r in rows) == lowest
+
+
+# every SCHEMA key at a non-default value: (section, key, text, read, value)
+NON_DEFAULT = [
+    ("experiment", "name", "covered", lambda s: s.name, "covered"),
+    ("experiment", "outputs", "analytic, regions", lambda s: s.outputs,
+     ["analytic", "regions"]),
+    ("experiment", "seed", "4", lambda s: s.seed, 4),
+    ("experiment", "replicas", "3", lambda s: s.replicas, 3),
+    ("source", "sigma2_x", "2.0", lambda s: s.source.sigma2_x, 2.0),
+    ("source", "gamma_o", "7.0", lambda s: s.source.gamma_o, 7.0),
+    ("source", "a_per_s", "3.0", lambda s: s.source.a, 3.0),
+    ("source", "b_per_m", "0.05", lambda s: s.source.b, 0.05),
+    ("field", "M", "4", lambda s: (s.field.n_sensors, s.scheme.M), (4, 4)),
+    ("field", "half_width_m", "3.0", lambda s: s.field.positions.tolist(),
+     sp.place_sensors(4, 3.0, seed=11).positions.tolist()),
+    ("field", "density_per_m2", "0.02", lambda s: s.field.density, 0.02),
+    ("field", "placement_seed", "11", lambda s: s.field.seed, 11),
+    ("field", "target_index", "2", lambda s: (s.field.target_index, s.scheme.m), (2, 2)),
+    ("link", "L_bits", "200", lambda s: s.link.L, 200.0),
+    ("link", "N_blocklength", "90", lambda s: s.link.N, 90),
+    ("link", "symbol_duration_s", "2e-4", lambda s: s.link.T_s, 2e-4),
+    ("link", "gamma_r_bar_db", "10", lambda s: s.link.gamma_r_bar, 10.0),
+    ("scheme", "scheme", "asyn-infer", lambda s: s.scheme.scheme, sp.Scheme.ASYN_INFER),
+    ("scheme", "period_s", "0.2", lambda s: s.scheme.T, 0.2),
+    ("scheme", "time_shift_s", "0.004", lambda s: s.scheme.h, 0.004),
+    ("sim", "periods", "500", lambda s: s.periods, 500),
+    ("sim", "dump_trace", "yes", lambda s: s.dump_trace, True),
+    ("optimize", "N_min", "20", lambda s: s.optimizer.N_min, 20),
+    ("optimize", "N_max", "300", lambda s: s.optimizer.N_max, 300),
+    ("optimize", "I_max", "5", lambda s: s.optimizer.I_max, 5),
+    ("optimize", "include_exhaustive", "on", lambda s: s.include_exhaustive, True),
+] + [("sweep", axis, "0.1, 0.2", lambda s, axis=axis: s.sweep.get(axis), [0.1, 0.2])
+     for axis in sorted(experiments.SWEEPABLE)]
+
+
+def _config(entries):
+    sections = {}
+    for section, key, text, *_ in entries:
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "\n".join(f"[{s}]\n" + "\n".join(lines) for s, lines in sections.items())
+
+
+def test_every_schema_key_reaches_its_object(tmp_path):
+    covered = {(section, key) for section, key, *_ in NON_DEFAULT}
+    schema = {(s, k) for s, keys in experiments.SCHEMA.items() for k in keys}
+    assert schema - covered == {("field", "positions_file")}
+    spec = parse_spec(_config(NON_DEFAULT))
+    default = parse_spec("[experiment]\n")
+    for section, key, _, read, value in NON_DEFAULT:
+        assert read(spec) == value, (section, key)
+        assert read(default) != value, (section, key)  # not the default
+    assert default.optimizer == sp.OptimizerConfig()
+    assert parse_spec("[experiment]\n[optimize]\nN_max = 0\n").optimizer.N_max is None
+    with pytest.raises(InvalidConfigError, match=r"\[experiment\] section"):
+        parse_spec("[source]\nb_per_m = 0.02\n")
+
+    # positions_file loads a saved field, target included, and excludes
+    # the placement keys
+    saved = sp.place_sensors(4, 5.0, seed=3, target_index=2)
+    path = tmp_path / "positions.txt"
+    sp.save_field(saved, path)
+    spec = parse_spec(f"[experiment]\n[field]\npositions_file = {path}\n")
+    assert spec.field.positions.tolist() == saved.positions.tolist()
+    assert (spec.field.target_index, spec.scheme.M, spec.scheme.m) == (2, 4, 2)
+    with pytest.raises(InvalidConfigError, match="positions_file"):
+        parse_spec(f"[experiment]\n[field]\npositions_file = {path}\nM = 4\n")
+
+
+@pytest.mark.parametrize("section, key", sorted(
+    (s, k) for s, keys in experiments.SCHEMA.items() for k in keys))
+def test_empty_value_is_an_error(section, key):
+    # one rule for every key: an empty value never stands for the default
+    with pytest.raises(InvalidConfigError, match=rf"{key} in \[{section}\] is empty"):
+        parse_spec(f"[{section}]\n{key} =\n")
+
+
+def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
+    # the no-infer form reads no spatial weight: one step and one exhaustive
+    # scan per b_per_m group, the rows as per-point calls would give them
+    calls = {"optimize_blocklength": [], "exhaustive_search": []}
+    for name, seen in calls.items():
+        def counting(*args, _real=getattr(experiments, name), _seen=seen, **kwargs):
+            _seen.append(args[3].scheme)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counting)
+    spec = load_spec("fig11_min_mse_vs_mssc")
+    run_experiment(spec, tmp_path / "fig11")
+    for seen in calls.values():
+        assert seen.count(sp.Scheme.NO_INFER) == 1
+        assert seen.count(sp.Scheme.SYN_INFER) == 9
+    rows = _read_rows(tmp_path / "fig11" / "fig11_min_mse_vs_mssc_optimize.csv")
+    assert len(rows) == 9 * 6
+    no_cfg = sp.SchemeConfig(sp.Scheme.NO_INFER, T=spec.scheme.T, M=1, m=1)
+    for b, group in zip(spec.sweep["b_per_m"], (rows[i:i + 6] for i in range(0, 54, 6))):
+        source = dataclasses.replace(spec.source, b=b)
+        step = sp.optimize_blocklength(source, spec.field, spec.link, no_cfg, spec.optimizer)
+        scan = sp.exhaustive_search(source, spec.field, spec.link, no_cfg, spec.optimizer)
+        for row, res in ((group[0], step), (group[3], scan)):
+            assert row["scheme"].startswith("no-infer")
+            assert (int(row["N"]), float(row["mse_analytic"])) == (res.N_star, res.mse_star)
+            assert float(row["mssc"]) == sp.mssc(source, spec.field)
+
+    # another axis splits the groups: one no-infer run per SNR value
+    text = spec.raw_text.replace("b_per_m = 0.0, 0.002, 0.005, 0.01, 0.02, 0.04, "
+                                 "0.08, 0.15, 0.3", "b_per_m = 0.0, 0.3\n"
+                                 "gamma_r_bar_db = 5.0, 10.0")
+    for seen in calls.values():
+        seen.clear()
+    run_experiment(parse_spec(text), tmp_path / "snr")
+    assert [seen.count(sp.Scheme.NO_INFER) for seen in calls.values()] == [2, 2]
