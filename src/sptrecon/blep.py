@@ -54,15 +54,15 @@ class LinkParams:
     gamma_r_bar: float = 10 ** 0.5
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise InvalidConfigError(f"L must be > 0, got {self.L}")
-        if int(self.N) != self.N or self.N < 1:
+        if not (self.L > 0 and math.isfinite(self.L)):
+            raise InvalidConfigError(f"L must be finite and > 0, got {self.L}")
+        if not (math.isfinite(self.N) and int(self.N) == self.N and self.N >= 1):
             raise InvalidConfigError(f"N must be an integer >= 1, got {self.N}")
-        if not self.T_s > 0:
-            raise InvalidConfigError(f"T_s must be > 0, got {self.T_s}")
-        if not self.gamma_r_bar > 0:
+        if not (self.T_s > 0 and math.isfinite(self.T_s)):
+            raise InvalidConfigError(f"T_s must be finite and > 0, got {self.T_s}")
+        if not (self.gamma_r_bar > 0 and math.isfinite(self.gamma_r_bar)):
             raise InvalidConfigError(
-                f"gamma_r_bar must be > 0 (linear), got {self.gamma_r_bar}"
+                f"gamma_r_bar must be finite and > 0 (linear), got {self.gamma_r_bar}"
             )
 
     @classmethod

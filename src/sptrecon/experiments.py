@@ -33,7 +33,7 @@ from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import BoundAxis, Scheme, SchemeConfig, _scored, average_mse, bounds
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
-from .simulate import simulate_event_level
+from .simulate import batch_means_stderr, simulate_event_level
 
 ANALYTIC_COLUMNS = ["scheme", "T_s", "L", "N", "T", "h", "M", "mssc",
                     "eps_bar", "mse_analytic", "mse_lb", "mse_ub"]
@@ -214,7 +214,12 @@ def _value(kind, key, section, text):
         return states[text.lower()]
     if kind is list:
         return [o.strip() for o in text.split(",") if o.strip()]
-    return parse_values(text) if kind == "values" else kind(text)
+    if kind == "values":
+        values = parse_values(text)
+        if not values:
+            raise InvalidConfigError(f"sweep axis {key} has no values")
+        return values
+    return kind(text)
 
 
 def _integral(value, name):
@@ -332,16 +337,14 @@ def _sim_row(spec, point):
     ]
     bi = np.concatenate([r.aux["batch_integrals"] for r in reports])
     bd = np.concatenate([r.aux["batch_durations"] for r in reports])
-    nz = bd > 0
-    if nz.sum() < 2:
+    stderr = batch_means_stderr(bi, bd)
+    if math.isinf(stderr):
         raise InvalidConfigError(
             f"{spec.periods} periods x {spec.replicas} replicas filled "
-            f"{int(nz.sum())} non-empty batches; the batch-means standard "
+            f"{np.count_nonzero(bd)} non-empty batches; the batch-means standard "
             "error needs at least 2, raise periods"
         )
     mse_mc = float(bi.sum() / bd.sum())
-    ratios = bi[nz] / bd[nz]
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(nz.sum()))
     ana = average_mse(source, field, link, scheme).value
     z = (mse_mc - ana) / stderr if stderr > 0 else math.inf
     row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,

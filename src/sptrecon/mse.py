@@ -62,8 +62,10 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if not self.T > 0:
-            raise InvalidConfigError(f"period T must be > 0, got {self.T}")
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise InvalidConfigError(f"period T must be finite and > 0, got {self.T}")
+        if self.h is not None and not math.isfinite(self.h):
+            raise InvalidConfigError(f"time shift must be finite, got {self.h}")
         if self.M < 1:
             raise InvalidConfigError(f"M must be >= 1, got {self.M}")
         if not 1 <= self.m <= self.M:

@@ -29,7 +29,7 @@ import numpy as np
 from .blep import blep_average, blep_instantaneous, blep_segmented
 from .errors import InvalidConfigError, ScaleLimitError
 from .field import sample_joint_gaussian
-from .mse import Scheme, _check_timing, reindex_by_correlation
+from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,28 @@ def _first_success_rank(success, order):
     return ks, rank
 
 
+def batch_means_stderr(batch_integrals, batch_durations) -> float:
+    """Batch-means standard error of a time average: the spread of the
+    per-batch averages over the non-empty batches; inf with fewer than two."""
+    nz = batch_durations > 0
+    nb = int(nz.sum())
+    if nb < 2:
+        return math.inf
+    ratios = batch_integrals[nz] / batch_durations[nz]
+    return float(np.std(ratios, ddof=1) / math.sqrt(nb))
+
+
 def simulate_event_level(source, field, link, scheme, periods, seed,
                          replica=0, n_batches=100, success_prob_override=None,
                          use_q_model=False, collect_trace=False) -> SimReport:
     """Replay packet losses and integrate the reconstruction error exactly.
+
+    A scheme is the sensors it draws (the target alone for no-infer, 1..M
+    otherwise), their transmission offsets in a period (0, or (n - 1) h for
+    asyn) and the server's reception rule: asyn uses every success in slot
+    order, the others the first success of each period in the order of
+    :func:`reindex_by_correlation`.  So no-infer is the one-sensor case of
+    syn.
 
     success_prob_override : fixed failure probability replacing the fading
                             draw (0.0 forces every packet through)
@@ -132,25 +150,28 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     ``aux`` keys: ``gaps_s`` (spacing of consecutive receptions),
     ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
     ``batch_durations`` (per batch of contiguous periods),
-    ``per_sensor_success_rate``, ``gen_times_s``, ``used_fac2`` and
+    ``per_sensor_success_rate`` (per sensor drawn), ``gen_times_s`` and
     ``used_sensor`` (per reception), and for the asynchronous scheme
     ``slot_index`` (slot k M + n - 1 of each reception).  Statistics that
     only :func:`empirical_gap_stats` reads are derived there.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
-    M = scheme.M
-    if field.n_sensors != M and scheme.scheme is not Scheme.NO_INFER:
-        raise InvalidConfigError(f"field has {field.n_sensors} sensors, scheme.M={M}")
     asyn = scheme.scheme is Scheme.ASYN_INFER
+    # one sensor per term of the closed form (scheme_weights checks that the
+    # field has M sensors for syn/asyn), from the head of the server's
+    # preference order, the correlation ranking, which starts at the target
+    drawn = len(scheme_weights(source, field, scheme))
+    ranked = np.array(reindex_by_correlation(source, field).order[:drawn])
+    sensors = np.sort(ranked)  # the target alone, or 1..M; one row each
+    offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
+    weights = field.target_factors(source.b, power=2.0)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
 
-    n_active = 1 if scheme.scheme is Scheme.NO_INFER else M
-    gamma = np.empty((n_active, periods)) if collect_trace else None
-    success = np.empty((n_active, periods), dtype=bool)
-    for s in range(n_active):
-        sensor_id = field.target_index if n_active == 1 else s + 1
-        rng = np.random.default_rng([seed, replica, sensor_id])
+    gamma = np.empty((drawn, periods)) if collect_trace else None
+    success = np.empty((drawn, periods), dtype=bool)
+    for row, sensor in enumerate(sensors.tolist()):
+        rng = np.random.default_rng([seed, replica, sensor])
         # the stream of rng.exponential(gamma_r_bar, periods), scaled in place
         g = rng.standard_exponential(periods)
         g *= link.gamma_r_bar
@@ -161,42 +182,24 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             fail = blep_instantaneous(link, g)
         else:
             fail = blep_segmented(link, g)
-        np.greater_equal(u, fail, out=success[s])
+        np.greater_equal(u, fail, out=success[row])
         if collect_trace:
-            gamma[s] = g
+            gamma[row] = g
     del g, u, fail  # the last sensor's draws; the masks hold what is needed
 
-    T, tau, a = scheme.T, link.tau, source.a
-    m = field.target_index
-
-    if scheme.scheme is Scheme.NO_INFER:
-        ok = success[0]
-        ks = np.nonzero(ok)[0]
-        gen_times = ks * T
-        used_fac2 = np.ones(len(ks))
-        used_sensor = np.full(len(ks), m)
-        period_of = ks
-    elif scheme.scheme is Scheme.SYN_INFER:
-        ranked = reindex_by_correlation(source, field)
-        order = np.array(ranked.order) - 1
-        fac2_ranked = np.array(ranked.factors)
-        ks, rank_hit = _first_success_rank(success, order)
-        gen_times = ks * T
-        used_fac2 = fac2_ranked[rank_hit]
-        used_sensor = order[rank_hit] + 1
-        period_of = ks
+    # the period and sensor row of each reception the server uses
+    aux = {}
+    if asyn:
+        aux["slot_index"] = np.flatnonzero(success.T)  # period-major slots
+        period_of, row_of = np.divmod(aux["slot_index"], drawn)
     else:
-        h = scheme.h
-        fac2 = field.target_factors(source.b, power=2.0)
-        # flatten slots in time order: slot j = k*M + (n-1)
-        ok_flat = success.T.reshape(-1)            # period-major, slot-minor
-        idx = np.nonzero(ok_flat)[0]
-        k_idx, n_idx = np.divmod(idx, M)
-        gen_times = k_idx * T + n_idx * h
-        used_fac2 = fac2[n_idx]
-        used_sensor = n_idx + 1
-        period_of = k_idx
-
+        order = np.searchsorted(sensors, ranked)
+        period_of, rank = _first_success_rank(success, order)
+        row_of = order[rank]
+        del rank  # freed before the interval arrays are built
+    T, tau, a = scheme.T, link.tau, source.a
+    gen_times = period_of * T + offsets[row_of]
+    used_sensor = sensors[row_of]
     if len(gen_times) < 2:
         raise InvalidConfigError(
             "fewer than two successful receptions; increase periods or SNR"
@@ -205,6 +208,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
     # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
     # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
+    fac2 = weights[row_of[:-1]]
     D = np.diff(gen_times)
     go = source.gamma_o
     integrals = D + tau
@@ -212,13 +216,11 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     np.exp(integrals, out=integrals)
     np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
     integrals /= 2.0 * a
-    integrals *= go / (go + 1.0) * used_fac2[:-1]
+    integrals *= go / (go + 1.0) * fac2
     np.subtract(D, integrals, out=integrals)
     integrals *= source.sigma2_x
 
-    total_i = float(integrals.sum())
-    total_d = float(D.sum())
-    avg = total_i / total_d
+    avg = float(integrals.sum()) / float(D.sum())
 
     # batch means over contiguous period ranges: period_of is sorted, so
     # batch b holds the intervals between the cuts at edges b and b + 1
@@ -227,34 +229,26 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
     bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
-    nz = bd > 0
-    ratios = bi[nz] / bd[nz]
-    nb = int(nz.sum())
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(nb)) if nb > 1 else math.inf
 
-    aux = {
+    aux.update({
         "gaps_s": D,
         "mean_gap_s": float(D.mean()),
         "receptions": int(len(gen_times)),
         "batch_integrals": bi,
         "batch_durations": bd,
-        "per_sensor_success_rate": np.count_nonzero(success, axis=1) / periods,
+        # row by row: count_nonzero over an axis is about 10x slower
+        "per_sensor_success_rate":
+            np.array([np.count_nonzero(r) for r in success]) / periods,
         "gen_times_s": gen_times,
-        "used_fac2": used_fac2,
         "used_sensor": used_sensor,
-    }
-    if asyn:
-        aux["slot_index"] = idx
-
-    report = SimReport(avg, stderr, periods, scheme.scheme, aux)
+    })
+    report = SimReport(avg, batch_means_stderr(bi, bd), periods, scheme.scheme, aux)
     if collect_trace:
-        for s in range(n_active):
-            sensor_id = field.target_index if n_active == 1 else s + 1
-            offset = 0.0 if not asyn else (sensor_id - 1) * scheme.h
+        for row, (sensor, offset) in enumerate(zip(sensors.tolist(), offsets.tolist())):
             for k in range(periods):
                 report.events.append(TransmissionEvent(
-                    k, sensor_id, k * T + offset, float(gamma[s, k]),
-                    bool(success[s, k])))
+                    k, sensor, k * T + offset, float(gamma[row, k]),
+                    bool(success[row, k])))
     return report
 
 
@@ -282,9 +276,9 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
                          eps ** (s - 1) * (1.0 - eps)))
         out["step_law"] = rows
     else:
-        Meff = 1 if report.scheme is Scheme.NO_INFER else M
-        out["theory_mean_gap_s"] = expected_gap_syn(T, eps, Meff)
-        out["theory_mean_exp_gap"] = expected_exp_gap_syn(a, T, eps, Meff)
+        drawn = len(report.aux["per_sensor_success_rate"])
+        out["theory_mean_gap_s"] = expected_gap_syn(T, eps, drawn)
+        out["theory_mean_exp_gap"] = expected_exp_gap_syn(a, T, eps, drawn)
     return out
 
 

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import sptrecon as sp
 from sptrecon.blep import _lam
-from sptrecon.errors import DomainError
+from sptrecon.errors import DomainError, InvalidConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "blep_average_fixtures.csv"
 
@@ -301,3 +301,12 @@ def test_average_past_exp_overflow_is_the_segment_value(L, N, caplog):
     gbar = link.gamma_r_bar
     assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["L", "N", "T_s", "gamma_r_bar"])
+def test_link_rejects_non_finite_values(name, value):
+    # an infinite L or T_s would only fail deep in a closed form, and
+    # int(inf) would raise a bare OverflowError
+    with pytest.raises(InvalidConfigError, match=rf"^{name} must"):
+        sp.LinkParams(**{name: value})

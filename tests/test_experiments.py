@@ -624,6 +624,24 @@ def test_empty_value_is_an_error(section, key):
         parse_spec(f"[{section}]\n{key} =\n")
 
 
+@pytest.mark.parametrize("values", [",", ", ,", "linspace:0:1:0"])
+def test_empty_sweep_axis_is_an_error(values):
+    # an axis with no values would give no sweep points and 0-row CSVs
+    with pytest.raises(InvalidConfigError, match="sweep axis N has no values"):
+        parse_spec(f"[experiment]\nname = z\n[sweep]\nN = {values}\n")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("link", "L_bits"), ("link", "N_blocklength"), ("link", "symbol_duration_s"),
+    ("link", "gamma_r_bar_db"), ("scheme", "period_s"), ("scheme", "time_shift_s")])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_link_and_scheme_values_are_config_errors(section, key, value):
+    # caught where the objects are built, not as an OverflowError or a NaN
+    # BLEP when the run starts
+    with pytest.raises(InvalidConfigError):
+        parse_spec(f"[experiment]\nname = z\n[{section}]\n{key} = {value}\n")
+
+
 def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
     # the no-infer form reads no spatial weight: one step and one exhaustive
     # scan per b_per_m group, the rows as per-point calls would give them

@@ -88,6 +88,14 @@ def test_syn_rejects_period_shorter_than_delay(source, field, link):
         sp.mse_syn_infer(source, field, link, bad)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("kind", [sp.Scheme.SYN_INFER, sp.Scheme.ASYN_INFER])
+@pytest.mark.parametrize("name", ["T", "h"])
+def test_scheme_rejects_non_finite_values(name, kind, value):
+    with pytest.raises(InvalidConfigError, match="period T|time shift"):
+        sp.SchemeConfig(kind, **{"T": 0.15, "h": 0.005, name: value})
+
+
 def test_syn_approx_exact_under_equidistant_symmetry(link):
     r = 5.0
     ang = np.linspace(0, 2 * np.pi, 5, endpoint=False)[:4]

@@ -133,6 +133,57 @@ def test_trace_collection(source, field, link, asyn_scheme):
     assert starts[(3, 2)] == pytest.approx(3 * asyn_scheme.T + asyn_scheme.h, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["no-infer", "syn-infer", "asyn-infer"])
+def test_receptions_follow_the_per_period_rule(source, field, link, kind):
+    # the used receptions, rebuilt from the trace by a plain loop: asyn uses
+    # every success at k T + (n - 1) h, syn the first successful sensor in
+    # the correlation ranking, no-infer the target's successes
+    f3 = sp.SensorField(positions=field.positions, target_index=3)
+    M = 1 if kind == "no-infer" else 5
+    scheme = sp.SchemeConfig(kind, T=0.150, h=0.005 if kind == "asyn-infer" else None,
+                             M=M, m=min(3, M))
+    periods = 300
+    rep = sp.simulate_event_level(source, f3, link, scheme, periods, seed=12,
+                                  collect_trace=True)
+    ok = {(e.period, e.sensor) for e in rep.events if e.success}
+    pref = {"no-infer": (3,), "syn-infer": sp.reindex_by_correlation(source, f3).order,
+            "asyn-infer": (1, 2, 3, 4, 5)}[kind]
+    times, sensors, served = [], [], 0
+    for k in range(periods):
+        hits = [n for n in pref if (k, n) in ok]
+        served += bool(hits)
+        if kind == "asyn-infer":
+            times += [k * scheme.T + (n - 1) * scheme.h for n in hits]
+            sensors += hits
+        elif hits:
+            times.append(k * scheme.T)
+            sensors.append(hits[0])
+    assert 0 < served < periods  # periods with and without a success
+    assert rep.aux["gen_times_s"].tolist() == times
+    assert rep.aux["used_sensor"].tolist() == sensors
+
+
+@pytest.mark.parametrize("scheme", ["syn_scheme", "asyn_scheme"])
+def test_inference_needs_a_field_of_M_sensors(source, link, scheme, request):
+    f4 = sp.place_sensors(4, 10.0, seed=7)
+    with pytest.raises(InvalidConfigError, match="need 5 spatial weights, got 4"):
+        sp.simulate_event_level(source, f4, link, request.getfixturevalue(scheme),
+                                100, seed=0)
+
+
+def test_no_infer_is_syn_on_one_sensor(source, link):
+    f1 = sp.SensorField(positions=np.array([[0.0, 0.0]]), target_index=1)
+    no, syn = (sp.simulate_event_level(
+        source, f1, link, sp.SchemeConfig(kind, T=0.150, M=1, m=1), 2_000, seed=13,
+        collect_trace=True) for kind in (sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER))
+    assert (no.scheme, syn.scheme) == (sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER)
+    assert (no.avg_mse, no.stderr, no.periods) == (syn.avg_mse, syn.stderr, syn.periods)
+    assert no.events == syn.events
+    assert no.aux.keys() == syn.aux.keys()
+    for key, value in no.aux.items():
+        np.testing.assert_array_equal(value, syn.aux[key])
+
+
 # ---------------------------------------------------------------------------
 # data-level oracle
 # ---------------------------------------------------------------------------
