@@ -22,7 +22,9 @@ class DecompositionError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """A scalar root could not be bracketed on the feasible interval."""
+    """A scalar search cannot give a trustworthy answer: an adaptation
+    step's objective is non-finite or saturated over its whole range, or
+    the ``eps_star_asyn`` refine meets a NaN slope or its step cap."""
 
 
 class InvariantError(RuntimeError):

@@ -103,6 +103,12 @@ class ExperimentSpec:
     dump_trace: bool = False
     raw_text: str = ""
 
+    def __post_init__(self):
+        for key, least in (("seed", 0), ("replicas", 1), ("periods", 1)):
+            if getattr(self, key) < least:
+                raise InvalidConfigError(f"{key} must be at least {least}, "
+                                         f"got {getattr(self, key)}")
+
     def sweep_points(self):
         """Cartesian product of the sweep axes, deterministic order."""
         return [dict(zip(self.sweep, vals))
@@ -166,10 +172,17 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
             if len(fld) > 1:
                 raise InvalidConfigError("positions_file in [field] excludes the "
                                          "placement keys")
-            field, _ = load_field(fld["path"])
+            try:
+                field, _ = load_field(fld["path"])
+            except OSError as exc:
+                raise InvalidConfigError(f"cannot read positions_file "
+                                         f"{fld['path']!r}: {exc.strerror}") from exc
         else:
             field = place_sensors(**{**PLACEMENT, **fld})
         opt, run = kw["optimize"], {**kw["experiment"], **kw["sim"]}
+        for key, override in (("seed", seed), ("replicas", replicas)):
+            if override is not None:
+                run[key] = int(override)
         if "include_exhaustive" in opt:
             run["include_exhaustive"] = opt.pop("include_exhaustive")
         spec = ExperimentSpec(
@@ -184,8 +197,6 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         raise
     except ValueError as exc:
         raise InvalidConfigError(f"config error: {exc}") from exc
-    spec.seed = spec.seed if seed is None else int(seed)
-    spec.replicas = spec.replicas if replicas is None else int(replicas)
     if not spec.outputs:
         raise InvalidConfigError("at least one output must be requested")
     for out in spec.outputs:

@@ -43,7 +43,7 @@ class SourceParams:
     gamma_o  : observation SNR sigma2_x / sigma2_v (> 0), equal for all sensors
     a        : temporal decay rate in 1/s (> 0)
     b        : spatial decay rate in 1/m (>= 0)
-    sigma2_v : optional noise variance; when given it must satisfy
+    sigma2_v : optional noise variance (> 0); when given it must satisfy
                gamma_o == sigma2_x / sigma2_v
     """
 
@@ -63,6 +63,8 @@ class SourceParams:
         if not (self.b >= 0 and math.isfinite(self.b)):
             raise InvalidConfigError(f"spatial decay b must be nonnegative, got {self.b}")
         if self.sigma2_v is not None:
+            if not (self.sigma2_v > 0 and math.isfinite(self.sigma2_v)):
+                raise InvalidConfigError(f"sigma2_v must be positive, got {self.sigma2_v}")
             if not math.isclose(self.gamma_o, self.sigma2_x / self.sigma2_v, rel_tol=1e-9):
                 raise InvalidConfigError(
                     "gamma_o must equal sigma2_x / sigma2_v "

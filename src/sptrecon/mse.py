@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -496,85 +495,23 @@ def dmse_asyn_deps(source: SourceParams, field_or_weights, link: LinkParams,
     return float(cf.dmse(eps, w))
 
 
-# Brent's method stops at |step| < (xtol + _BRENT_RTOL |x|) / 2 and gives up
-# after _BRENT_MAXITER iterations, SciPy's defaults for brentq
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+# the cap on the refine's steps; on random geometries it ends in 4-13
+_REFINE_STEPS = 100
 
 
-def _brentq(f, lo, hi, xtol):
-    """Root of the scalar function f on the bracket [lo, hi] (Brent 1973).
-
-    A line-for-line port of SciPy's ``brentq`` (``brentq.c``): the same
-    arithmetic in the same order, so it evaluates f at the same points and
-    returns the same float.  A bracket whose ends have the same sign, a NaN
-    value of f, or no convergence within _BRENT_MAXITER iterations raises
-    BracketError.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise BracketError(f"brentq: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BracketError(f"brentq: f has the same sign at both ends of "
-                           f"[{xpre!r}, {xcur!r}] ({fpre!r}, {fcur!r})")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num = -fcur * (fblk * dblk - fpre * dpre)
-                den = dblk * dpre * (fblk - fpre)
-            # C's x / 0 is inf or NaN, which fails the step test and bisects
-            stry = num / den if den != 0.0 else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise BracketError(f"brentq: no convergence in {_BRENT_MAXITER} "
-                       f"iterations on [{lo!r}, {hi!r}]")
-
-
-def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
-                  tol=1e-10):
+def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     """Global minimizer of the asynchronous MSE over eps in [0, 1).
 
     Scores a dense grid of ``grid_size`` points in one :class:`ClosedForm`
-    call, then refines the best interior cell by Brent's method
-    (:func:`_brentq`, SciPy's iterates) on the analytic eps-derivative.
-    Returns (eps_star, mse).  The error is not convex in eps for every
-    geometry (it can rise, dip, then rise again), so a global scan rather
-    than a single root chase is required for a valid bound.
+    call.  Where the analytic eps-derivative changes sign across the best
+    grid point's neighbours, its root is refined by Illinois false position
+    (Dowell & Jarratt 1971): secant steps inside the bracket, halving the
+    slope of an end kept twice in a row, until the slope is exactly 0 or a
+    step lands on an end, so the root sits at the sign change to rounding.
+    A NaN slope or no end within ``_REFINE_STEPS`` steps raises
+    BracketError.  Returns (eps_star, mse).  The error is not convex in eps
+    for every geometry (it can rise, dip, then rise again), so a global
+    scan rather than a single root chase is required for a valid bound.
     """
     w = scheme_weights(source, field_or_weights, scheme, Scheme.ASYN_INFER)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
@@ -584,13 +521,24 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512,
     if k == 0:
         return 0.0, float(vals[0])
 
-    lo = grid[k - 1]
-    hi = grid[min(k + 1, grid_size - 1)]
-    d_lo, d_hi = cf.dmse(np.array([lo, hi]), w)
-    if d_lo < 0.0 < d_hi:
-        root = _brentq(lambda e: cf.dmse(e, w), lo, hi, tol)
-        return root, float(cf.mse(root, w))
-    return float(grid[k]), float(vals[k])
+    lo, hi = float(grid[k - 1]), float(grid[min(k + 1, grid_size - 1)])
+    d_lo, d_hi = cf.dmse(np.array([lo, hi]), w).tolist()
+    if not d_lo < 0.0 < d_hi:
+        return float(grid[k]), float(vals[k])
+    kept = 0  # +1 or -1: the last step kept hi or lo
+    for _ in range(_REFINE_STEPS):
+        x = min(lo - d_lo * (hi - lo) / (d_hi - d_lo), hi)  # rounding can pass hi
+        d_x = float(cf.dmse(x, w)) if lo < x < hi else 0.0  # on an end: done
+        if math.isnan(d_x):
+            raise BracketError(f"eps_star_asyn: NaN slope at eps = {x!r}")
+        if d_x == 0.0:
+            return x, float(cf.mse(x, w))
+        if d_x < 0.0:
+            lo, d_lo, d_hi, kept = x, d_x, (d_hi / 2 if kept == 1 else d_hi), 1
+        else:
+            hi, d_hi, d_lo, kept = x, d_x, (d_lo / 2 if kept == -1 else d_lo), -1
+    raise BracketError(f"eps_star_asyn: the refine on [{lo!r}, {hi!r}] did not "
+                       f"end in {_REFINE_STEPS} steps")
 
 
 def upsilon(source: SourceParams, field: SensorField, link: LinkParams,

@@ -325,8 +325,9 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
 
     ``objective`` picks the BLEP model used for the scanned values
     ("simplified" matches the stationarity functions, "exact" the
-    closed-form average), evaluated over the whole blocklength range in
-    one call.  The syn/no range is scored in one :class:`ClosedForm` call.
+    closed-form average; any other value raises InvalidConfigError),
+    evaluated over the whole blocklength range in one call.  The syn/no
+    range is scored in one :class:`ClosedForm` call.
     The asynchronous (N, h) grid is scored by one kernel over all N and
     shifts, in row-major chunks of at most ``_GRID_CHUNK`` points: each
     chunk is a block of N rows against the shift count of its first row,
@@ -340,7 +341,10 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
-    eps_of = blep_average_simplified if objective == "simplified" else blep_average
+    eps_of = {"simplified": blep_average_simplified, "exact": blep_average}.get(objective)
+    if eps_of is None:
+        raise InvalidConfigError(f"objective must be 'simplified' or 'exact', "
+                                 f"got {objective!r}")
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
     n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
     Ns = np.arange(cfg.N_min, n_hi + 1)

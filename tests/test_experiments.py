@@ -305,6 +305,23 @@ def test_seed_override(tmp_path):
     assert spec.seed == 123
 
 
+@pytest.mark.parametrize("text, overrides, key", [
+    ("seed = -1", {}, "seed"),
+    ("replicas = 0", {}, "replicas"),
+    ("replicas = -2", {}, "replicas"),
+    ("[sim]\nperiods = 0", {}, "periods"),
+    ("seed = 4", {"seed": -1}, "seed"),
+    ("replicas = 2", {"replicas": 0}, "replicas"),
+    ("", {"replicas": -1}, "replicas"),
+])
+def test_run_settings_below_their_floor_are_config_errors(text, overrides, key):
+    # config keys and CLI overrides pass one check at parse time, not numpy's
+    # seed error or an empty concatenate partway through a run
+    with pytest.raises(InvalidConfigError, match=f"{key} must be at least"):
+        parse_spec(f"[experiment]\n{text}\n", **overrides)
+    assert parse_spec("[experiment]\n", seed=0, replicas=1).seed == 0
+
+
 def test_fig11_spec_thinned_run(tmp_path):
     spec = load_spec("fig11_min_mse_vs_mssc")
     text = spec.raw_text.replace(
@@ -614,6 +631,12 @@ def test_every_schema_key_reaches_its_object(tmp_path):
     assert (spec.field.target_index, spec.scheme.M, spec.scheme.m) == (2, 4, 2)
     with pytest.raises(InvalidConfigError, match="positions_file"):
         parse_spec(f"[experiment]\n[field]\npositions_file = {path}\nM = 4\n")
+
+
+def test_missing_positions_file_is_a_config_error(tmp_path):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(InvalidConfigError, match=f"positions_file '{path}'"):
+        parse_spec(f"[experiment]\n[field]\npositions_file = {path}\n")
 
 
 @pytest.mark.parametrize("section, key", sorted(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -37,6 +39,13 @@ def test_distance_matrix_symmetric_zero_diagonal():
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
+
+
+@pytest.mark.parametrize("sigma2_v", [0.0, -0.2, math.inf, math.nan])
+def test_noise_variance_must_be_positive_and_finite(sigma2_v):
+    # 0 used to raise a bare ZeroDivisionError from the gamma_o check
+    with pytest.raises(InvalidConfigError, match="sigma2_v must be positive"):
+        sp.SourceParams(sigma2_v=sigma2_v)
 
 
 def test_spatial_factor_unit_diagonal():

@@ -8,8 +8,7 @@ from scipy.optimize import brentq
 
 import sptrecon as sp
 from sptrecon.errors import BracketError, InvalidConfigError
-from sptrecon.mse import (_brentq, _check_timing, dpsi_deps, max_blocklength,
-                          shift_count)
+from sptrecon.mse import _check_timing, dpsi_deps, max_blocklength, shift_count
 
 
 def dip_setup():
@@ -280,7 +279,7 @@ def test_eps_star_zero_when_monotone():
     assert e_star == 0.0
 
 
-def _scalar_scan_eps_star(src, f, link, scheme, grid_size=512, tol=1e-10):
+def _scalar_scan_eps_star(src, f, link, scheme, grid_size=512):
     """Reference: the grid scored one closed-form call per point."""
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
     vals = np.array([sp.mse_asyn_infer(src, f, link, scheme, eps_bar=e).value
@@ -291,7 +290,7 @@ def _scalar_scan_eps_star(src, f, link, scheme, grid_size=512, tol=1e-10):
     dm = lambda e: sp.dmse_asyn_deps(src, f, link, scheme, e)
     lo, hi = grid[k - 1], grid[min(k + 1, grid_size - 1)]
     if dm(lo) < 0.0 < dm(hi):
-        root = brentq(dm, lo, hi, xtol=tol)
+        root = brentq(dm, lo, hi, xtol=1e-15)
         return root, sp.mse_asyn_infer(src, f, link, scheme, eps_bar=root).value
     return float(grid[k]), float(vals[k])
 
@@ -303,6 +302,43 @@ def test_eps_star_matches_scalar_scan(setup):
     got = sp.eps_star_asyn(src, f, link, scheme)
     want = _scalar_scan_eps_star(src, f, link, scheme)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       h_frac=st.floats(0.0, 1.0), data=st.data())
+def test_eps_star_refine_lands_on_the_slope_root(M, a, T, h_frac, data):
+    # wherever the scan brackets an interior minimum, the refine ends at
+    # SciPy's root of the slope and never above the scan's best value
+    src = sp.SourceParams(a=a)
+    m = data.draw(st.integers(1, M))
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M)))
+    w[m - 1] = 1.0
+    link = sp.LinkParams.from_db(N=data.draw(st.integers(10, 200)))
+    h_max = (T - link.tau) / (M - 1)
+    assume(h_max > link.T_s)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    cf = sp.ClosedForm(src, T, link.tau, M, h)
+    grid = np.linspace(0.0, 1.0 - 1e-9, 512)
+    vals = cf.mse(grid, w)
+    k = int(np.argmin(vals))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    dm = lambda e: float(cf.dmse(e, w))
+    assume(k > 0 and dm(lo) < 0.0 < dm(hi))
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=m)
+    e_star, v_star = sp.eps_star_asyn(src, w, link, scheme)
+    assert e_star == pytest.approx(brentq(dm, lo, hi, xtol=1e-15), rel=1e-12)
+    assert v_star <= vals[k]
+
+
+def test_eps_star_refine_fails_loudly_on_a_nan_slope(monkeypatch):
+    # a NaN slope inside the bracket must not become a NaN bound
+    src, f, scheme = dip_setup()
+    dmse = sp.ClosedForm.dmse
+    monkeypatch.setattr(sp.ClosedForm, "dmse", lambda self, eps, w:
+                        dmse(self, eps, w) if np.ndim(eps) else math.nan)
+    with pytest.raises(BracketError, match="NaN slope"):
+        sp.eps_star_asyn(src, f, sp.LinkParams.from_db(), scheme)
 
 
 def test_upsilon_classifies_dip_then_rise():
@@ -581,52 +617,3 @@ def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
         for sl in (slice(None), slice(i, j)):
             got = grid.mse_grid(eps, w, sl, width)
             np.testing.assert_allclose(got, want[sl, :width], rtol=1e-13, atol=0.0)
-
-
-# smooth families with one sign change on [0, 4] at c, in units of scale
-_ROOT_FAMILIES = {
-    "linear": lambda x, c: x - c,
-    "exp": lambda x, c: math.exp(x) - math.exp(c),
-    "cubic": lambda x, c: (x - c) ** 3 + 0.1 * (x - c),
-    "tanh": lambda x, c: math.tanh(5.0 * (x - c)),
-    "atan": lambda x, c: math.atan(x - c) + 0.3 * (x - c) ** 3,
-}
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(family=st.sampled_from(sorted(_ROOT_FAMILIES)),
-       c=st.floats(0.05, 3.0), lo_frac=st.floats(0.0, 1.0),
-       hi_frac=st.floats(0.0, 1.0), xtol=st.sampled_from([1e-9, 1e-13]),
-       scale=st.sampled_from([1.0, -1.0, 1e-200, -1e200]))
-def test_brentq_port_repeats_scipy_iterates(family, c, lo_frac, hi_frac, xtol,
-                                            scale):
-    # the same root and the same evaluation points in the same order
-    lo, hi = c * lo_frac, c + (4.0 - c) * hi_frac
-    base = _ROOT_FAMILIES[family]
-
-    def traced(calls):
-        def f(x):
-            calls.append(x)
-            return scale * base(x, c)
-        return f
-
-    ours, theirs = [], []
-    try:
-        want = brentq(traced(theirs), lo, hi, xtol=xtol)
-    except ValueError:  # f is zero at neither end and keeps its sign
-        with pytest.raises(BracketError):
-            _brentq(traced(ours), lo, hi, xtol)
-        return
-    got = _brentq(traced(ours), lo, hi, xtol)
-    assert type(got) is float
-    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-    assert ours == theirs
-
-
-def test_brentq_rejects_a_same_sign_bracket_and_nan():
-    with pytest.raises(BracketError, match="same sign"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-    with pytest.raises(BracketError, match="NaN"):
-        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
-    with pytest.raises(BracketError, match="NaN"):
-        _brentq(lambda x: math.nan, 0.0, 1.0, 1e-12)

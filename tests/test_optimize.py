@@ -461,6 +461,12 @@ def test_exhaustive_count_matches_closed_form(source, field, link):
             predicted, rel=0.05)
 
 
+def test_exhaustive_rejects_an_unknown_objective(source, field, link, syn_scheme):
+    # a misspelt model must not silently score the exact BLEP
+    with pytest.raises(sp.InvalidConfigError, match="'simplifed'"):
+        sp.exhaustive_search(source, field, link, syn_scheme, objective="simplifed")
+
+
 def test_exhaustive_argmin_independent_of_scan_order(source, field, link, monkeypatch):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.05, h=link.T_s, M=5, m=1)
     # independent rescan, shuffled candidate order, explicit tie-break
