@@ -39,7 +39,7 @@ print(f"  relative gap {gap:.2e} from three alternating root searches")
 print("\nadapted error vs spatial correlation (perfect correlation b = 0):")
 src0 = sp.SourceParams(b=0.0)
 no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
-base = sp.mse_no_infer(src0, link5, no).value
+base = sp.average_mse(src0, None, link5, no)
 syn150 = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
 syn_best = sp.optimize_blocklength(src0, field, link5, syn150).mse_star
 asyn_best = sp.jtsbo(src0, field, link5, asyn, sp.OptimizerConfig(I_max=3)).mse_star

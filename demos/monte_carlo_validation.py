@@ -26,7 +26,7 @@ for tag, scheme in (
     f = field if scheme.M == 5 else sp.SensorField(
         positions=field.positions[:1], target_index=1)
     rep = sp.simulate_event_level(src, f, link, scheme, 100_000, seed=2024)
-    ana = sp.average_mse(src, f, link, scheme).value
+    ana = sp.average_mse(src, f, link, scheme)
     z = (rep.avg_mse - ana) / rep.stderr
     print(f"  {tag:<18} mc {rep.avg_mse:.5f} +- {rep.stderr:.5f}  "
           f"closed form {ana:.5f}  z {z:+.2f}")

@@ -43,21 +43,13 @@ from .field import (
 from .mse import (
     BoundAxis,
     ClosedForm,
-    MseValue,
     ReindexedField,
     Scheme,
     SchemeConfig,
     average_mse,
     bounds,
-    dmse_asyn_deps,
     eps_star_asyn,
-    mse_asyn_infer,
-    mse_asyn_infer_approx,
-    mse_no_infer,
-    mse_syn_infer,
-    mse_syn_infer_approx,
     mssc_weights,
-    psi_values,
     reindex_by_correlation,
     scheme_weights,
     upsilon,

@@ -113,15 +113,12 @@ def _f0(L, N):
     return 0.5 + np.sqrt(N * np.tanh(L / (2.0 * N)) / (2.0 * np.pi))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # elementwise, so the package needs no SciPy
+
+
 def q_function(x):
-    """Gaussian tail Q(x) = 0.5 erfc(x / sqrt(2)).
-
-    The only SciPy use outside the tests, imported here so that loading the
-    package does not pay for ``scipy.special``.
-    """
-    from scipy.special import erfc
-
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail Q(x) = 0.5 erfc(x / sqrt(2)), as a float array."""
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)
 
 
 def blep_instantaneous(link: LinkParams, gamma_r, N=None):

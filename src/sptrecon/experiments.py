@@ -30,7 +30,7 @@ from . import __version__
 from .blep import LinkParams, blep_average
 from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
-from .mse import BoundAxis, Scheme, SchemeConfig, _scored, average_mse, bounds
+from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
 from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
 from .simulate import batch_means_stderr, simulate_event_level
@@ -276,8 +276,8 @@ def _groups(points, axis):
 def _analytic_rows(spec, points):
     """Closed-form MSE and BLEP-axis bounds, scored per geometry.
 
-    The points of one eps_bar group share one ClosedForm, one ``mse`` call
-    over their eps values and one ``bounds`` call: the bound is an extreme
+    The points of one eps_bar group share one ``average_mse`` call over
+    their eps values and one ``bounds`` call: the bound is an extreme
     over eps, so it does not depend on the row's eps_bar.  Every row must
     satisfy mse_lb <= mse_analytic <= mse_ub to 1e-12 sigma2, else
     InvariantError.
@@ -286,25 +286,25 @@ def _analytic_rows(spec, points):
     for idx in _groups(points, "eps_bar"):
         source, field, link, scheme, _, rho = _apply_point(spec, points[idx[0]])
         rho_val = mssc(source, field) if rho is None else rho
-        kind = scheme.scheme
         # an MSSC sweep uses the substituted closed forms
+        weights = scheme_weights(source, field, scheme, rho)
         eps_bar = [points[i].get("eps_bar") for i in idx]
-        eps, weights, vals = _scored(kind, source, field, link, scheme,
-                                     None if eps_bar == [None] else eps_bar, rho)
-        eps, vals = np.atleast_1d(eps), np.atleast_1d(vals)
+        eps = _eps(link, None if eps_bar == [None] else eps_bar)
+        vals = np.atleast_1d(average_mse(source, weights, link, scheme, eps))
+        eps = np.atleast_1d(eps)
         # the BLEP-axis bound must cover the weights the values were computed with
         lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps[0])
         tol = 1e-12 * source.sigma2_x
-        inside = (vals >= lo.value - tol) & (vals <= hi.value + tol)
+        inside = (vals >= lo - tol) & (vals <= hi + tol)
         if not inside.all():
             j = int(np.argmin(inside))
             raise InvariantError(
                 f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
-                f"[{lo.value!r}, {hi.value!r}] at sweep point {points[idx[j]]}"
+                f"[{lo!r}, {hi!r}] at sweep point {points[idx[j]]}"
             )
         for i, e, val in zip(idx, eps.tolist(), vals.tolist()):
-            rows[i] = [kind.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
-                       scheme.M, rho_val, e, val, lo.value, hi.value]
+            rows[i] = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
+                       scheme.h, scheme.M, rho_val, e, val, lo, hi]
     return [([row], None) for row in rows]
 
 
@@ -356,7 +356,7 @@ def _sim_row(spec, point):
             "error needs at least 2, raise periods"
         )
     mse_mc = float(bi.sum() / bd.sum())
-    ana = average_mse(source, field, link, scheme).value
+    ana = average_mse(source, field, link, scheme)
     z = (mse_mc - ana) / stderr if stderr > 0 else math.inf
     row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
            scheme.M, rho_val, spec.periods, spec.seed, mse_mc, stderr, ana, z]

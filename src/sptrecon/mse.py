@@ -12,14 +12,19 @@ squared error (MSE) admits closed forms:
 * asyn inference     -- sensors transmit staggered by a time shift h, the
                         server always uses the latest success.
 
+Each also has an MSSC-substituted version (every non-target spatial weight
+set to the mean squared spatial correlation).  :func:`average_mse` returns
+all six as plain numbers, ``scheme.scheme`` picking the form, from the
+array kernel :class:`ClosedForm`, which also gives d/d eps and Psi_n.
+
 Throughout, eps denotes the fading-averaged block error probability, E the
 squared temporal correlation over one period exp(-2 a T), and q its analog
 over one time shift exp(-2 a h).  Spatial weights enter as exp(-2 b r_mn).
 
 The module also provides the error bounds with respect to eps and with
 respect to the spatial weights, the shape classifier for the asynchronous
-error as a function of eps, and the analytic eps-derivative used to locate
-the interior minimum when packet loss actually helps.
+error as a function of eps, and the interior eps-minimizer for when packet
+loss actually helps.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,17 +81,6 @@ class SchemeConfig:
                 raise InvalidConfigError("asynchronous scheme needs a time shift h")
             if not self.h > 0:
                 raise InvalidConfigError(f"time shift must be > 0, got {self.h}")
-
-
-@dataclass(frozen=True)
-class MseValue:
-    """Average MSE plus an optional breakdown of named intermediate terms."""
-
-    value: float
-    components: dict = dc_field(default_factory=dict)
-
-    def __float__(self):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ def _eps(link: LinkParams, eps_bar):
 
 
 # ---------------------------------------------------------------------------
-# array kernel: every closed form below is a thin wrapper over it
+# array kernel: every closed form is one call of it
 # ---------------------------------------------------------------------------
 
 def _prefactor(source: SourceParams, tau, T: float):
@@ -206,7 +200,7 @@ def _eps_powers(M: int, asyn: bool):
 def _lift(x):
     """x, and x with a trailing axis for the M per-sensor terms.
 
-    A float stays a float, which keeps the scalar wrappers cheap.
+    A float stays a float, which keeps scalar calls cheap.
     """
     if isinstance(x, float):
         return x, x
@@ -346,8 +340,9 @@ class ClosedForm:
         return np.subtract(self.s2, S, out=S)
 
 
-# the weight vector of the M = 1 (no-inference) form: the target's own
-_OWN = np.ones(1)
+# the weight vector of the M = 1 (no-inference) form: the target's own,
+# read-only because every no-inference caller shares it
+_OWN = np.broadcast_to(1.0, (1,))
 
 
 def mssc_weights(M: int, target: int, mssc_value) -> np.ndarray:
@@ -359,18 +354,19 @@ def mssc_weights(M: int, target: int, mssc_value) -> np.ndarray:
 
 
 def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
-                   kind: Scheme | None = None, mssc_value=None) -> np.ndarray:
-    """Squared spatial weights of the ``kind`` closed form (default
-    ``scheme.scheme``), last axis over the sensors.
+                   mssc_value=None) -> np.ndarray:
+    """Squared spatial weights of the ``scheme.scheme`` closed form, last
+    axis over the sensors.
 
     no-infer : the target's own weight only (the M = 1 form)
     MSSC     : every non-target weight set to ``mssc_value`` (a float or an
                array), the target first (syn) or in slot m (asyn); M >= 2
     syn/asyn : the field's weights in descending / transmission-slot order,
                or ``field_or_weights`` itself when it is a weight vector
-    Raises InvalidConfigError unless there are M weights.
+    Raises InvalidConfigError unless there are M weights, or when a field's
+    target is not the scheme's target m.
     """
-    kind = scheme.scheme if kind is None else Scheme(kind)
+    kind = scheme.scheme
     if kind is Scheme.NO_INFER:
         return _OWN
     asyn = kind is Scheme.ASYN_INFER
@@ -380,6 +376,9 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
         return mssc_weights(scheme.M, scheme.m if asyn else 1, mssc_value)
     if not isinstance(field_or_weights, SensorField):
         w = np.asarray(field_or_weights, dtype=float)
+    elif field_or_weights.target_index != scheme.m:
+        raise InvalidConfigError(f"field target {field_or_weights.target_index}"
+                                 f" is not the scheme's m={scheme.m}")
     elif asyn:
         w = field_or_weights.target_factors(source.b, power=2.0)
     else:
@@ -389,111 +388,33 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     return w
 
 
-def _scored(kind, source, field_or_weights, link, scheme, eps_bar=None,
-            mssc_value=None):
-    """(eps, weights, MSE) of the ``kind`` closed form at one geometry: the
-    weights from :func:`scheme_weights`, the timing and eps checks, then one
-    kernel call.  ``eps_bar`` and ``mssc_value`` may be arrays."""
-    w = scheme_weights(source, field_or_weights, scheme, kind, mssc_value)
-    asyn = kind == Scheme.ASYN_INFER
+def average_mse(source: SourceParams, field_or_weights, link: LinkParams,
+                scheme: SchemeConfig, eps_bar=None, mssc_value=None):
+    """Average MSE of the closed form that ``scheme.scheme`` names.
+
+    no-infer : sigma2 - c (1-E) (1-eps) / (1 - E eps), the target's own packets
+    syn      : sigma2 - c (1-E) (1-eps) sum_s w_s eps^(s-1) / (1 - E eps^M), w_s
+               descending (the most correlated packet of the newest round)
+    asyn     : sigma2 - c (1-eps) sum_n w_n Psi_n / (1 - q eps), w_n in slot
+               (sensor index) order, Psi_n from :meth:`ClosedForm.psi`
+
+    The weights come from :func:`scheme_weights` (``mssc_value`` gives the
+    MSSC-substituted form), eps from ``eps_bar`` (default: the link's own
+    average BLEP).  InvalidConfigError when the timing does not fit or eps
+    leaves [0, 1].  A float, or an array for an array eps_bar or mssc_value.
+    """
+    w = scheme_weights(source, field_or_weights, scheme, mssc_value)
+    asyn = scheme.scheme is Scheme.ASYN_INFER
     _check_timing(link, scheme, need_h=asyn)
     eps = _eps(link, eps_bar)
     cf = ClosedForm(source, scheme.T, link.tau, w.shape[-1], scheme.h if asyn else None)
-    return eps, w, cf.mse(eps, w)
-
-
-def _mse_value(kind, source, field_or_weights, link, scheme, eps_bar,
-               mssc_value=None) -> MseValue:
-    eps, _, val = _scored(kind, source, field_or_weights, link, scheme, eps_bar,
-                          mssc_value)
-    extra = {} if mssc_value is None else {"mssc": mssc_value}
-    return MseValue(float(val), {"eps_bar": eps, **extra})
-
-
-def psi_values(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.ndarray:
-    """Slot weights Psi_n, n = 1..M, for the asynchronous scheme.
-
-    Psi_n = 1 - q + exp(2 a h (n-1)) eps^(M-n) (1-eps) (q^M - E) / (1 - E eps^M)
-
-    is the conditional expectation of 1 - exp(-2 a D) times (1 - q eps),
-    where D is the gap until the next successful reception given the last
-    success came from transmission slot n.
-    """
-    return ClosedForm(source, scheme.T, 0.0, scheme.M, scheme.h).psi(eps)
+    val = cf.mse(eps, w)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# interior minimizer and shape classifier of the asynchronous form
 # ---------------------------------------------------------------------------
-
-def mse_no_infer(source: SourceParams, link: LinkParams, scheme: SchemeConfig,
-                 eps_bar=None) -> MseValue:
-    """Average MSE when only the target's own packets are used (M = 1 form)."""
-    return _mse_value(Scheme.NO_INFER, source, None, link, scheme, eps_bar)
-
-
-def mse_syn_infer(source: SourceParams, field: SensorField, link: LinkParams,
-                  scheme: SchemeConfig, eps_bar=None) -> MseValue:
-    """Average MSE of the synchronous inference scheme.
-
-    sigma2 - c (1-E) (1-eps) sum_s fac_s eps^(s-1) / (1 - E eps^M)
-    with fac_s the squared spatial weights in descending order (the server
-    picks the most correlated packet of the newest successful round).
-    """
-    return _mse_value(Scheme.SYN_INFER, source, field, link, scheme, eps_bar)
-
-
-def mse_syn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
-                         scheme: SchemeConfig, eps_bar=None) -> MseValue:
-    """Synchronous closed form with every non-target weight set to the MSSC."""
-    return _mse_value(Scheme.SYN_INFER, source, None, link, scheme, eps_bar,
-                      mssc_value)
-
-
-def mse_asyn_infer(source: SourceParams, field: SensorField, link: LinkParams,
-                   scheme: SchemeConfig, eps_bar=None) -> MseValue:
-    """Average MSE of the asynchronous inference scheme.
-
-    sigma2 - c (1-eps) sum_n w_n Psi_n / (1 - q eps), with w_n the squared
-    spatial weight of the sensor transmitting in slot n (slot order is the
-    sensor index order).
-    """
-    return _mse_value(Scheme.ASYN_INFER, source, field, link, scheme, eps_bar)
-
-
-def mse_asyn_infer_approx(source: SourceParams, mssc_value: float, link: LinkParams,
-                          scheme: SchemeConfig, eps_bar=None) -> MseValue:
-    """Asynchronous closed form with every non-target weight set to the MSSC."""
-    return _mse_value(Scheme.ASYN_INFER, source, None, link, scheme, eps_bar,
-                      mssc_value)
-
-
-def average_mse(source, field, link, scheme, eps_bar=None) -> MseValue:
-    """The closed form matching ``scheme.scheme``."""
-    return _mse_value(scheme.scheme, source, field, link, scheme, eps_bar)
-
-
-# ---------------------------------------------------------------------------
-# eps-derivative of the asynchronous form, interior minimizer, shape classifier
-# ---------------------------------------------------------------------------
-
-def dpsi_deps(source: SourceParams, scheme: SchemeConfig, eps: float) -> np.ndarray:
-    """d Psi_n / d eps for n = 1..M, the derivative of :func:`psi_values`."""
-    return ClosedForm(source, scheme.T, 0.0, scheme.M, scheme.h).psi(eps, deriv=True)[1]
-
-
-def dmse_asyn_deps(source: SourceParams, field_or_weights, link: LinkParams,
-                   scheme: SchemeConfig, eps: float) -> float:
-    """Analytic d MSE / d eps for the asynchronous scheme.
-
-    With S(eps) = sum_n w_n Psi_n(eps) and q = exp(-2ah):
-
-        d MSE / d eps = -c [ (1-eps)(1-q eps) S' - (1-q) S ] / (1-q eps)^2
-    """
-    w = scheme_weights(source, field_or_weights, scheme, Scheme.ASYN_INFER)
-    cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
-    return float(cf.dmse(eps, w))
-
 
 # the cap on the refine's steps; on random geometries it ends in 4-13
 _REFINE_STEPS = 100
@@ -512,8 +433,11 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     BracketError.  Returns (eps_star, mse).  The error is not convex in eps
     for every geometry (it can rise, dip, then rise again), so a global
     scan rather than a single root chase is required for a valid bound.
+    A scheme that is not asynchronous raises InvalidConfigError.
     """
-    w = scheme_weights(source, field_or_weights, scheme, Scheme.ASYN_INFER)
+    if scheme.scheme is not Scheme.ASYN_INFER:
+        raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
+    w = scheme_weights(source, field_or_weights, scheme)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
     vals = cf.mse(grid, w)
@@ -582,46 +506,33 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
                      lower bound sits at the global eps-minimizer of the
                      given spatial weights, which is eps = 0 in the
                      monotone case)
-    axis = SPATIAL : extremes over the non-target spatial weights in [0, 1]
+    axis = SPATIAL : the MSSC-substituted form at MSSC 1 and at MSSC 0
 
     ``field_or_weights`` is a field or the squared spatial weights in slot
     order (e.g. MSSC-substituted ones); only the asynchronous BLEP axis
-    reads it.  Returns (lower, upper) as MseValue with the defining pieces
-    in ``components``.  The no-inference scheme is treated as the
-    synchronous scheme with M = 1.
+    reads it.  Returns (lower, upper) as floats.  The no-inference scheme
+    is treated as the synchronous scheme with M = 1.
     """
     axis = BoundAxis(axis)
-    kind, s2 = scheme.scheme, source.sigma2_x
-    asyn = kind is Scheme.ASYN_INFER
     if axis is BoundAxis.SPATIAL:
         # every non-target weight at 1, then at 0
-        eps, _, vals = _scored(kind, source, None, link, scheme, eps_bar,
-                               mssc_value=np.array([1.0, 0.0]))
-        lower, upper = np.broadcast_to(vals, (2,)).tolist()
-        comp = {"eps_bar": eps}
-        if not asyn:
-            # reduction by the target's own packets; sensor s adds beta_syn eps^(s-1)
-            comp["beta_syn"] = s2 - upper
-        return (MseValue(lower, dict(comp, at="weights=1")),
-                MseValue(upper, dict(comp, at="weights=0")))
+        vals = average_mse(source, None, link, scheme, eps_bar, np.array([1.0, 0.0]))
+        return tuple(np.broadcast_to(vals, (2,)).tolist())
 
+    asyn = scheme.scheme is Scheme.ASYN_INFER
     _check_timing(link, scheme, need_h=asyn)
     _eps(link, eps_bar)
     if asyn:
-        e_star, lower = eps_star_asyn(source, field_or_weights, link, scheme)
-        return (MseValue(lower, {"at": f"eps={e_star:.6g}", "eps_star": e_star}),
-                MseValue(s2, {"at": "eps=1"}))
+        return eps_star_asyn(source, field_or_weights, link, scheme)[1], source.sigma2_x
     # synchronous: at eps = 0 only the target's own term survives, the
     # no-inference form sigma2 - c (1 - E)
-    lower = float(_scored(Scheme.NO_INFER, source, None, link, scheme, 0.0)[2])
-    return (MseValue(lower, {"at": "eps=0"}), MseValue(s2, {"at": "eps=1"}))
+    lower = float(ClosedForm(source, scheme.T, link.tau, 1).mse(0.0, _OWN))
+    return lower, source.sigma2_x
 
 
 __all__ = [
-    "Scheme", "SchemeConfig", "MseValue", "ReindexedField", "BoundAxis",
+    "Scheme", "SchemeConfig", "ReindexedField", "BoundAxis",
     "reindex_by_correlation", "ClosedForm", "mssc_weights", "scheme_weights",
-    "psi_values", "dpsi_deps", "mse_no_infer", "mse_syn_infer",
-    "mse_syn_infer_approx", "mse_asyn_infer", "mse_asyn_infer_approx",
-    "average_mse", "dmse_asyn_deps", "eps_star_asyn", "upsilon", "bounds",
+    "average_mse", "eps_star_asyn", "upsilon", "bounds",
     "max_blocklength", "shift_count",
 ]

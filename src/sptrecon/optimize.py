@@ -58,6 +58,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.N_min < 1 or self.I_max < 1:
             raise InvalidConfigError("N_min and I_max must be >= 1")
+        if self.N_max is not None and self.N_max < self.N_min:
+            raise InvalidConfigError(f"N_max={self.N_max} is below N_min={self.N_min}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def optimize_blocklength(source, field, link, scheme, cfg=None, h=None) -> OptRe
     hh = (scheme.h if h is None else h) if scheme.scheme is Scheme.ASYN_INFER else None
     n_star, val, branch, res = _blocklength_step(source, field, link, scheme, cfg, hh)
     mse = average_mse(source, field, link.with_blocklength(n_star),
-                      replace(scheme, h=hh)).value
+                      replace(scheme, h=hh))
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
                      trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
                      convexity_warning=link.L < math.pi)
@@ -245,7 +247,7 @@ def optimize_time_shift(source, field, link, scheme, N=None) -> OptResult:
     n = int(link.N if N is None else N)
     h_star, val, branch, res = _time_shift_step(source, field, link, scheme, n)
     mse = average_mse(source, field, link.with_blocklength(n),
-                      replace(scheme, h=h_star)).value
+                      replace(scheme, h=h_star))
     return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
                      trace=[TraceRow(1, h_star, n, val, res, 0.0)])
 
@@ -309,7 +311,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
             break
 
     mse = average_mse(source, field, link.with_blocklength(n_cur),
-                      replace(scheme, h=h_cur)).value
+                      replace(scheme, h=h_cur))
     return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
                      "jtsbo", trace=trace, convexity_warning=link.L < math.pi,
                      projected_start=projected)
@@ -355,7 +357,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
         vals = ClosedForm(source, T, Ns * Ts, len(w)).mse(eps, w)
         k = int(np.argmin(vals))  # first minimum: the smallest N among ties
         n_star = int(Ns[k])
-        mse = average_mse(source, field, link.with_blocklength(n_star), scheme).value
+        mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
         return OptResult(scheme.scheme, n_star, None, mse, float(vals[k]), 1, True,
                          "exhaustive", evaluations=int(Ns.size))
 
@@ -377,7 +379,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
             best = (float(vals.flat[k]), int(Ns[i + row]), float(hs[col]))
         i = j
     mse = average_mse(source, field, link.with_blocklength(best[1]),
-                      replace(scheme, h=best[2])).value
+                      replace(scheme, h=best[2]))
     return OptResult(scheme.scheme, best[1], best[2], mse, best[0], 1, True,
                      "exhaustive", evaluations=int(steps.sum()))
 

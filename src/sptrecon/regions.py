@@ -11,23 +11,14 @@ evaluates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blep import LinkParams
 from .errors import InvalidConfigError, RegionDegenerateError
 from .field import SourceParams
-from .mse import (
-    Scheme,
-    SchemeConfig,
-    _eps,
-    _scored,
-    mse_asyn_infer_approx,
-    mse_no_infer,
-    mse_syn_infer_approx,
-    psi_values,
-)
+from .mse import ClosedForm, Scheme, SchemeConfig, _eps, average_mse
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,7 @@ def threshold_asyn_over_syn(source: SourceParams, link: LinkParams,
     E = math.exp(-2.0 * a * T)
     q = math.exp(-2.0 * a * scheme.h)
     lam = (1.0 - E) * (1.0 - q * eps) / (1.0 - E * eps ** M)
-    psi = psi_values(source, scheme, eps)
+    psi = ClosedForm(source, T, 0.0, M, scheme.h).psi(eps)
     psi_m = float(psi[m - 1])
     psi_rest = float(psi.sum() - psi_m)
     geo = sum(eps ** k for k in range(1, M))  # (eps - eps^M)/(1 - eps), also at eps = 1
@@ -112,37 +103,40 @@ def classify(mssc_value: float, thresholds: RegionThresholds) -> Scheme:
     return Scheme.ASYN_INFER
 
 
+# the oracle's tie-break order
+_ORDER = (Scheme.NO_INFER, Scheme.SYN_INFER, Scheme.ASYN_INFER)
+
+
+def _substituted(source, link, scheme, mssc_value, eps_bar):
+    """The MSSC-substituted closed forms in ``_ORDER`` (no-infer reads no MSSC)."""
+    return [average_mse(source, None, link, replace(scheme, scheme=kind), eps_bar,
+                        mssc_value)
+            for kind in _ORDER]
+
+
 def region_report(source, link, scheme, mssc_value, eps_bar=None) -> RegionReport:
     """Thresholds, winner and gain ratios at one MSSC value."""
     thr1 = threshold_infer(source, link, scheme, eps_bar)
     thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar)
     winner = classify(mssc_value, RegionThresholds(thr1, thr2))
-    no = mse_no_infer(source, link, scheme, eps_bar).value
-    syn = mse_syn_infer_approx(source, mssc_value, link, scheme, eps_bar).value
-    asyn = mse_asyn_infer_approx(source, mssc_value, link, scheme, eps_bar).value
+    no, syn, asyn = _substituted(source, link, scheme, mssc_value, eps_bar)
     return RegionReport(
         mssc=mssc_value, thr1=thr1, thr2=thr2, winner=winner,
         gain_infer=no / syn, gain_asyn_over_syn=syn / asyn,
     )
 
 
-# the oracle's tie-break order
-_ORDER = (Scheme.NO_INFER, Scheme.SYN_INFER, Scheme.ASYN_INFER)
-
-
 def exhaustive_region_oracle(source, link, scheme, mssc_grid, eps_bar=None):
     """Winner per grid point by direct evaluation of the three closed forms.
 
     Independent of the threshold formulas; used to validate them.  Each
-    scheme scores the whole grid in one kernel call (one weight vector per
-    MSSC value); ties go to no-infer, then syn.  Returns a list of
-    (mssc, Scheme) pairs.
+    scheme scores the whole grid in one :func:`average_mse` call (one weight
+    vector per MSSC value); ties go to no-infer, then syn.  Returns a list
+    of (mssc, Scheme) pairs.
     """
     rho = np.asarray(mssc_grid, dtype=float)
-    vals = [np.broadcast_to(_scored(kind, source, None, link, scheme, eps_bar,
-                                    None if kind is Scheme.NO_INFER else rho)[2],
-                            rho.shape)
-            for kind in _ORDER]
+    vals = [np.broadcast_to(v, rho.shape)
+            for v in _substituted(source, link, scheme, rho, eps_bar)]
     winners = np.argmin(vals, axis=0)  # the first of equal values
     return [(r, _ORDER[k]) for r, k in zip(rho.tolist(), winners.tolist())]
 

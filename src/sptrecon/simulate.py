@@ -158,8 +158,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
     asyn = scheme.scheme is Scheme.ASYN_INFER
-    # one sensor per term of the closed form (scheme_weights checks that the
-    # field has M sensors for syn/asyn), from the head of the server's
+    # one sensor per term of the closed form (scheme_weights checks the
+    # field's size and target for syn/asyn), from the head of the server's
     # preference order, the correlation ranking, which starts at the target
     drawn = len(scheme_weights(source, field, scheme))
     ranked = np.array(reindex_by_correlation(source, field).order[:drawn])
@@ -302,7 +302,10 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     applies the conditional-mean estimate from the held sample, and
     averages squared errors time-weighted over intervals.  The gap to the
     event-level value on the same trace is pure estimator-sampling noise.
+    The standard error over draws needs ``n_draws`` >= 2.
     """
+    if n_draws < 2:
+        raise InvalidConfigError(f"n_draws must be >= 2, got {n_draws}")
     ev = simulate_event_level(source, field, link, scheme, periods, seed,
                               replica=replica)
     gen = ev.aux["gen_times_s"]

@@ -9,6 +9,7 @@ average received SNR 5 dB, period T = 150 ms, 1e5 periods per run.
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def weak_mssc_dip_config():
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_syn_oracle_agreement(source, field, link, syn_scheme, syn_run):
-    ana = sp.mse_syn_infer(source, field, link, syn_scheme).value
+    ana = sp.average_mse(source, field, link, syn_scheme)
     rel = abs(syn_run.avg_mse - ana) / ana
     z = (syn_run.avg_mse - ana) / syn_run.stderr
     ok = rel < 0.01 and abs(z) <= 4.0
@@ -92,7 +93,7 @@ def test_criterion_1_syn_oracle_agreement(source, field, link, syn_scheme, syn_r
 def test_criterion_2_asyn_oracle_agreement(source, field, link, asyn_runs):
     oks, details = [], []
     for h, (scheme, run) in asyn_runs.items():
-        ana = sp.mse_asyn_infer(source, field, link, scheme).value
+        ana = sp.average_mse(source, field, link, scheme)
         rel = abs(run.avg_mse - ana) / ana
         z = (run.avg_mse - ana) / run.stderr
         oks.append(rel < 0.01 and abs(z) <= 4.0)
@@ -104,13 +105,13 @@ def test_criterion_2_shapes(source, field, link):
     # h = T/M: monotone increasing in the average block error probability
     balanced = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.030, M=5, m=1)
     grid = np.linspace(0.0, 0.999, 250)
-    vals = [sp.mse_asyn_infer(source, field, link, balanced, eps_bar=e).value
+    vals = [sp.average_mse(source, field, link, balanced, eps_bar=e)
             for e in grid]
     monotone = bool(np.all(np.diff(vals) >= -1e-12))
 
     # short shift + weak spatial correlation: dip then rise
     src_w, f_w, scheme_w = weak_mssc_dip_config()
-    vals_w = [sp.mse_asyn_infer(src_w, f_w, link, scheme_w, eps_bar=e).value
+    vals_w = [sp.average_mse(src_w, f_w, link, scheme_w, eps_bar=e)
               for e in grid]
     k = int(np.argmin(vals_w))
     dips = 0 < k < len(grid) - 1 and vals_w[k] < vals_w[0] - 1e-9
@@ -189,14 +190,15 @@ def test_criterion_5_crossover(source, link):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
     thr1 = sp.threshold_infer(source, link, scheme)
     thr2 = sp.threshold_asyn_over_syn(source, link, scheme)
-    syn_v = sp.mse_syn_infer_approx(source, thr2, link, scheme).value
-    asyn_v = sp.mse_asyn_infer_approx(source, thr2, link, scheme).value
+    syn = replace(scheme, scheme="syn-infer")
+    syn_v = sp.average_mse(source, None, link, syn, mssc_value=thr2)
+    asyn_v = sp.average_mse(source, None, link, scheme, mssc_value=thr2)
     eq = abs(syn_v - asyn_v)
 
-    below = (sp.mse_syn_infer_approx(source, thr2 - 1e-3, link, scheme).value
-             < sp.mse_asyn_infer_approx(source, thr2 - 1e-3, link, scheme).value)
-    above = (sp.mse_asyn_infer_approx(source, thr2 + 1e-3, link, scheme).value
-             < sp.mse_syn_infer_approx(source, thr2 + 1e-3, link, scheme).value)
+    below = (sp.average_mse(source, None, link, syn, mssc_value=thr2 - 1e-3)
+             < sp.average_mse(source, None, link, scheme, mssc_value=thr2 - 1e-3))
+    above = (sp.average_mse(source, None, link, scheme, mssc_value=thr2 + 1e-3)
+             < sp.average_mse(source, None, link, syn, mssc_value=thr2 + 1e-3))
 
     grid = np.linspace(0.005, 1.0, 200)
     step = grid[1] - grid[0]
@@ -237,11 +239,11 @@ def test_criterion_6_bounds(link):
         syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=f.target_index)
         asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=f.target_index)
         for schm in (syn, asyn):
-            v = sp.average_mse(src, f, lk, schm).value
+            v = sp.average_mse(src, f, lk, schm)
             for axis in ("blep", "spatial"):
                 lo, hi = sp.bounds(src, f, lk, schm, axis)
                 total += 1
-                contained += bool(lo.value - 1e-9 <= v <= hi.value + 1e-9)
+                contained += bool(lo - 1e-9 <= v <= hi + 1e-9)
 
     # limit identities at the defaults, to 1e-12
     src = sp.SourceParams()
@@ -250,16 +252,16 @@ def test_criterion_6_bounds(link):
     asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
     checks = []
     lo, hi = sp.bounds(src, f, link, syn, "blep")
-    checks.append(abs(hi.value - sp.mse_syn_infer(src, f, link, syn, eps_bar=1.0).value))
-    checks.append(abs(lo.value - sp.mse_syn_infer(src, f, link, syn, eps_bar=0.0).value))
+    checks.append(abs(hi - sp.average_mse(src, f, link, syn, eps_bar=1.0)))
+    checks.append(abs(lo - sp.average_mse(src, f, link, syn, eps_bar=0.0)))
     lo, hi = sp.bounds(src, f, link, syn, "spatial")
-    checks.append(abs(hi.value - sp.mse_syn_infer_approx(src, 0.0, link, syn).value))
-    checks.append(abs(lo.value - sp.mse_syn_infer_approx(src, 1.0, link, syn).value))
+    checks.append(abs(hi - sp.average_mse(src, None, link, syn, mssc_value=0.0)))
+    checks.append(abs(lo - sp.average_mse(src, None, link, syn, mssc_value=1.0)))
     lo, hi = sp.bounds(src, f, link, asyn, "blep")
-    checks.append(abs(hi.value - sp.mse_asyn_infer(src, f, link, asyn, eps_bar=1.0).value))
+    checks.append(abs(hi - sp.average_mse(src, f, link, asyn, eps_bar=1.0)))
     lo, hi = sp.bounds(src, f, link, asyn, "spatial")
-    checks.append(abs(hi.value - sp.mse_asyn_infer_approx(src, 0.0, link, asyn).value))
-    checks.append(abs(lo.value - sp.mse_asyn_infer_approx(src, 1.0, link, asyn).value))
+    checks.append(abs(hi - sp.average_mse(src, None, link, asyn, mssc_value=0.0)))
+    checks.append(abs(lo - sp.average_mse(src, None, link, asyn, mssc_value=1.0)))
     limits_ok = max(checks) <= 1e-12
 
     ok = contained == total and limits_ok
@@ -318,7 +320,7 @@ def test_criterion_8_headline_reductions(field):
     src = sp.SourceParams(b=0.0)  # perfect spatial correlation
     link5 = sp.LinkParams.from_db(gamma_r_bar_db=5.0)
     no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
-    base_fixed = sp.mse_no_infer(src, link5, no).value
+    base_fixed = sp.average_mse(src, None, link5, no)
     base_opt = sp.optimize_blocklength(
         src, field, link5, sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
     ).mse_star

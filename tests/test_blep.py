@@ -41,6 +41,18 @@ def test_instantaneous_half_at_threshold(link):
     assert sp.blep_instantaneous(link, link.eta) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_q_function_matches_scipy_erfc():
+    from scipy.special import erfc
+
+    x = np.linspace(-10.0, 30.0, 4001)
+    want = 0.5 * erfc(x / np.sqrt(2.0))
+    got = sp.blep.q_function(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert float(sp.blep.q_function(1.5)) == pytest.approx(0.5 * erfc(1.5 / np.sqrt(2.0)),
+                                                         rel=1e-13)
+
+
 def test_instantaneous_limits(link):
     assert sp.blep_instantaneous(link, 1e9) < 1e-12
     assert sp.blep_instantaneous(link, 1e-9) > 1.0 - 1e-12

@@ -277,20 +277,22 @@ def test_bundled_specs_parse():
         assert spec.outputs
 
 
-# loads the package with scipy blocked, runs every bundled spec and prints
-# each run's status
+# loads the package with scipy blocked, evaluates the Q-function model,
+# runs every bundled spec and prints each run's status
 _WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None
+from sptrecon import LinkParams, blep_instantaneous
 from sptrecon.experiments import list_bundled_specs, load_spec, run_experiment
+blep_instantaneous(LinkParams(), [0.5, 2.0])
 print(json.dumps({name: run_experiment(load_spec(name), sys.argv[1] + "/" + name)["status"]
                   for name in list_bundled_specs()}))
 """
 
 
 def test_bundled_specs_run_without_scipy(tmp_path):
-    # SciPy is needed only by the optional Q-function model: loading the
-    # package and running every bundled spec must not import it
+    # SciPy is needed only by the tests: loading the package, the
+    # Q-function model and every bundled spec must not import it
     src = Path(sp.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, timeout=300,
@@ -320,6 +322,15 @@ def test_run_settings_below_their_floor_are_config_errors(text, overrides, key):
     with pytest.raises(InvalidConfigError, match=f"{key} must be at least"):
         parse_spec(f"[experiment]\n{text}\n", **overrides)
     assert parse_spec("[experiment]\n", seed=0, replicas=1).seed == 0
+
+
+def test_blocklength_cap_below_the_floor_is_a_config_error():
+    # at parse time, not after the analytic CSV of an optimize run
+    with pytest.raises(InvalidConfigError, match="N_max=5 is below N_min=10"):
+        parse_spec(POINT_SPEC + "\n[optimize]\nN_max = 5\n")
+    with pytest.raises(InvalidConfigError, match="N_max=19 is below N_min=20"):
+        parse_spec(POINT_SPEC + "\n[optimize]\nN_min = 20\nN_max = 19\n")
+    assert parse_spec(POINT_SPEC + "\n[optimize]\nN_max = 10\n").optimizer.N_max == 10
 
 
 def test_fig11_spec_thinned_run(tmp_path):
@@ -372,19 +383,13 @@ def _scalar_analytic_row(spec, point):
     if "T_period_s" in point:
         scheme = dataclasses.replace(scheme, T=point["T_period_s"])
     eps, rho = point.get("eps_bar"), point.get("mssc")
+    val = sp.average_mse(source, field, link, scheme, eps_bar=eps, mssc_value=rho)
     weights = field
-    if rho is None:
-        val = sp.average_mse(source, field, link, scheme, eps_bar=eps).value
-    elif scheme.scheme is sp.Scheme.SYN_INFER:
-        val = sp.mse_syn_infer_approx(source, rho, link, scheme, eps_bar=eps).value
-    elif scheme.scheme is sp.Scheme.ASYN_INFER:
-        val = sp.mse_asyn_infer_approx(source, rho, link, scheme, eps_bar=eps).value
+    if rho is not None and scheme.scheme is sp.Scheme.ASYN_INFER:
         weights = sp.mssc_weights(scheme.M, scheme.m, rho)
-    else:
-        val = sp.mse_no_infer(source, link, scheme, eps_bar=eps).value
     lo, hi = sp.bounds(source, weights, link, scheme, sp.BoundAxis.BLEP, eps_bar=eps)
     return [link.N, scheme.T, sp.mssc(source, field) if rho is None else rho,
-            sp.blep_average(link) if eps is None else eps, val, lo.value, hi.value]
+            sp.blep_average(link) if eps is None else eps, val, lo, hi]
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEME_SECTIONS))
@@ -430,7 +435,7 @@ def test_bound_violation_raises_and_leaves_partial_manifest(tmp_path, monkeypatc
 
     def lower_too_high(*args, **kwargs):
         lo, hi = real(*args, **kwargs)
-        return sp.MseValue(hi.value), hi
+        return hi, hi
 
     monkeypatch.setattr(experiments, "bounds", lower_too_high)
     text = POINT_SPEC + "\n[sweep]\neps_bar = 0.1, 0.5\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 import sptrecon as sp
 from sptrecon.errors import BracketError, InvalidConfigError
-from sptrecon.mse import _check_timing, dpsi_deps, max_blocklength, shift_count
+from sptrecon.mse import _check_timing, max_blocklength, shift_count
 
 
 def dip_setup():
@@ -20,6 +21,17 @@ def dip_setup():
     src = sp.SourceParams(b=0.1)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=4)
     return src, field, scheme
+
+
+def slot_weights(src, scheme, eps, deriv=False):
+    """The slot weights Psi_n of an asynchronous config (and d/d eps)."""
+    return sp.ClosedForm(src, scheme.T, 0.0, scheme.M, scheme.h).psi(eps, deriv)
+
+
+def dmse(src, f, link, scheme, eps):
+    """The analytic d MSE / d eps of an asynchronous config."""
+    cf = sp.ClosedForm(src, scheme.T, link.tau, scheme.M, scheme.h)
+    return float(cf.dmse(eps, sp.scheme_weights(src, f, scheme)))
 
 
 def monotone_setup():
@@ -56,9 +68,9 @@ def test_reindex_tie_break_ascending_index():
 # ---------------------------------------------------------------------------
 
 def test_syn_eps_zero_keeps_only_target_term(source, field, link, syn_scheme):
-    v = sp.mse_syn_infer(source, field, link, syn_scheme, eps_bar=0.0).value
+    v = sp.average_mse(source, field, link, syn_scheme, eps_bar=0.0)
     no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=syn_scheme.T, M=1, m=1)
-    v_no = sp.mse_no_infer(source, link, no, eps_bar=0.0).value
+    v_no = sp.average_mse(source, None, link, no, eps_bar=0.0)
     assert v == pytest.approx(v_no, abs=1e-15)
 
 
@@ -66,25 +78,25 @@ def test_syn_reduces_to_no_infer_at_m1(source, link, no_scheme):
     f1 = sp.SensorField(positions=np.array([[1.0, 2.0]]), target_index=1)
     syn1 = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=1, m=1)
     for eps in (0.0, 0.2, 0.6, 0.95, 1.0):
-        a = sp.mse_syn_infer(source, f1, link, syn1, eps_bar=eps).value
-        b = sp.mse_no_infer(source, link, no_scheme, eps_bar=eps).value
+        a = sp.average_mse(source, f1, link, syn1, eps_bar=eps)
+        b = sp.average_mse(source, None, link, no_scheme, eps_bar=eps)
         assert abs(a - b) < 1e-12
 
 
 def test_no_infer_limits(source, link, no_scheme):
     s2 = source.sigma2_x
-    assert sp.mse_no_infer(source, link, no_scheme, eps_bar=1.0).value == pytest.approx(s2, abs=1e-15)
+    assert sp.average_mse(source, None, link, no_scheme, eps_bar=1.0) == pytest.approx(s2, abs=1e-15)
     E = math.exp(-2 * source.a * no_scheme.T)
     expected = s2 - (s2 * source.gamma_o * math.exp(-2 * source.a * link.tau)
                      * (1 - E) / (2 * source.a * no_scheme.T * (source.gamma_o + 1)))
-    assert sp.mse_no_infer(source, link, no_scheme, eps_bar=0.0).value == pytest.approx(
+    assert sp.average_mse(source, None, link, no_scheme, eps_bar=0.0) == pytest.approx(
         expected, rel=1e-14)
 
 
 def test_syn_rejects_period_shorter_than_delay(source, field, link):
     bad = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.005, M=5, m=1)
     with pytest.raises(InvalidConfigError):
-        sp.mse_syn_infer(source, field, link, bad)
+        sp.average_mse(source, field, link, bad)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -103,20 +115,20 @@ def test_syn_approx_exact_under_equidistant_symmetry(link):
     src = sp.SourceParams(b=0.07)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
     rho = sp.mssc(src, f)
-    exact = sp.mse_syn_infer(src, f, link, scheme).value
-    appr = sp.mse_syn_infer_approx(src, rho, link, scheme).value
+    exact = sp.average_mse(src, f, link, scheme)
+    appr = sp.average_mse(src, None, link, scheme, mssc_value=rho)
     assert appr == pytest.approx(exact, abs=1e-14)
 
 
 def test_syn_approx_mssc_zero_is_no_infer(source, link, syn_scheme, no_scheme):
-    a = sp.mse_syn_infer_approx(source, 0.0, link, syn_scheme).value
+    a = sp.average_mse(source, None, link, syn_scheme, mssc_value=0.0)
     # with no usable neighbours the synchronous scheme sees a harsher
     # silence pattern (all M must fail to refresh), so compare against the
     # explicit M-sensor form with zero weights rather than the M=1 form
     f_far = sp.SensorField(
         positions=np.array([[0., 0.], [9e9, 0.], [0., 9e9], [-9e9, 0.], [0., -9e9]]),
         target_index=1)
-    b = sp.mse_syn_infer(source, f_far, link, syn_scheme).value
+    b = sp.average_mse(source, f_far, link, syn_scheme)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -126,8 +138,8 @@ def test_syn_approx_gap_small_over_random_fields(source, link, syn_scheme):
     for seed in range(100):
         f = sp.place_sensors(5, 10.0, seed=seed)
         rho = sp.mssc(source, f)
-        exact = sp.mse_syn_infer(source, f, link, syn_scheme).value
-        appr = sp.mse_syn_infer_approx(source, rho, link, syn_scheme).value
+        exact = sp.average_mse(source, f, link, syn_scheme)
+        appr = sp.average_mse(source, None, link, syn_scheme, mssc_value=rho)
         worst = max(worst, abs(appr - exact) / exact)
     assert worst < 0.02
 
@@ -140,13 +152,13 @@ def test_psi_collapses_at_h_equal_t_over_m(source):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.030, M=5, m=1)
     q = math.exp(-2 * source.a * scheme.h)
     for eps in (0.0, 0.3, 0.8):
-        psi = sp.psi_values(source, scheme, eps)
+        psi = slot_weights(source, scheme, eps)
         assert np.allclose(psi, 1.0 - q, atol=1e-15)
 
 
 def test_psi_at_eps_zero(source, asyn_scheme):
     a, h, T, M = source.a, asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
-    psi = sp.psi_values(source, asyn_scheme, 0.0)
+    psi = slot_weights(source, asyn_scheme, 0.0)
     q = math.exp(-2 * a * h)
     assert np.allclose(psi[:-1], 1.0 - q, atol=1e-15)
     wrap = 1.0 - math.exp(-2 * a * (T - (M - 1) * h))
@@ -156,7 +168,7 @@ def test_psi_at_eps_zero(source, asyn_scheme):
 def test_asyn_eps_zero_matches_direct_weighting(source, field, link, asyn_scheme):
     # at eps = 0 the closed form must equal the all-success value:
     # last-slot sensor covers the wrap gap, everyone else covers one shift
-    v = sp.mse_asyn_infer(source, field, link, asyn_scheme, eps_bar=0.0).value
+    v = sp.average_mse(source, field, link, asyn_scheme, eps_bar=0.0)
     a, h, T, M = source.a, asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
     w = field.target_factors(source.b, power=2.0)
     q = math.exp(-2 * a * h)
@@ -170,7 +182,7 @@ def test_asyn_eps_zero_matches_direct_weighting(source, field, link, asyn_scheme
 def test_asyn_rejects_infeasible_shift(source, field, link):
     with pytest.raises(InvalidConfigError):
         bad = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.05, M=5, m=1)
-        sp.mse_asyn_infer(source, field, link, bad)
+        sp.average_mse(source, field, link, bad)
 
 
 def test_asyn_approx_exact_under_equidistant_symmetry(link):
@@ -181,8 +193,8 @@ def test_asyn_approx_exact_under_equidistant_symmetry(link):
     src = sp.SourceParams(b=0.07)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
     rho = sp.mssc(src, f)
-    exact = sp.mse_asyn_infer(src, f, link, scheme).value
-    appr = sp.mse_asyn_infer_approx(src, rho, link, scheme).value
+    exact = sp.average_mse(src, f, link, scheme)
+    appr = sp.average_mse(src, None, link, scheme, mssc_value=rho)
     assert appr == pytest.approx(exact, abs=1e-14)
 
 
@@ -192,8 +204,8 @@ def test_asyn_approx_gap_small_over_random_fields(source, link, asyn_scheme):
     for seed in range(100):
         f = sp.place_sensors(5, 10.0, seed=seed)
         rho = sp.mssc(source, f)
-        exact = sp.mse_asyn_infer(source, f, link, asyn_scheme).value
-        appr = sp.mse_asyn_infer_approx(source, rho, link, asyn_scheme).value
+        exact = sp.average_mse(source, f, link, asyn_scheme)
+        appr = sp.average_mse(source, None, link, asyn_scheme, mssc_value=rho)
         worst = max(worst, abs(appr - exact) / exact)
     assert worst < 0.02
 
@@ -204,7 +216,7 @@ def test_asyn_approx_gap_small_over_random_fields(source, link, asyn_scheme):
 
 def test_syn_monotone_increasing_in_eps(source, field, link, syn_scheme):
     grid = np.linspace(0.0, 0.999, 200)
-    vals = [sp.mse_syn_infer(source, field, link, syn_scheme, eps_bar=e).value
+    vals = [sp.average_mse(source, field, link, syn_scheme, eps_bar=e)
             for e in grid]
     assert np.all(np.diff(vals) >= -1e-12)
 
@@ -216,16 +228,16 @@ def test_mse_decreasing_in_single_spatial_factor(source, link, syn_scheme, asyn_
     closer[2] = [0., 5.]
     f0 = sp.SensorField(positions=base, target_index=1)
     f1 = sp.SensorField(positions=closer, target_index=1)
-    assert (sp.mse_syn_infer(source, f1, link, syn_scheme).value
-            < sp.mse_syn_infer(source, f0, link, syn_scheme).value)
-    assert (sp.mse_asyn_infer(source, f1, link, asyn_scheme).value
-            < sp.mse_asyn_infer(source, f0, link, asyn_scheme).value)
+    assert (sp.average_mse(source, f1, link, syn_scheme)
+            < sp.average_mse(source, f0, link, syn_scheme))
+    assert (sp.average_mse(source, f1, link, asyn_scheme)
+            < sp.average_mse(source, f0, link, asyn_scheme))
 
 
 def test_mse_decreasing_in_mssc(source, link, syn_scheme, asyn_scheme):
     grid = np.linspace(0.0, 1.0, 60)
-    syn_vals = [sp.mse_syn_infer_approx(source, r, link, syn_scheme).value for r in grid]
-    asyn_vals = [sp.mse_asyn_infer_approx(source, r, link, asyn_scheme).value for r in grid]
+    syn_vals = [sp.average_mse(source, None, link, syn_scheme, mssc_value=r) for r in grid]
+    asyn_vals = [sp.average_mse(source, None, link, asyn_scheme, mssc_value=r) for r in grid]
     assert np.all(np.diff(syn_vals) < 0)
     assert np.all(np.diff(asyn_vals) < 0)
 
@@ -242,8 +254,8 @@ def test_mse_within_variance_range(source, link):
         h = float(rng.uniform(link.T_s, hmax))
         syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1)
         asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=1)
-        for v in (sp.mse_syn_infer(source, f, link, syn).value,
-                  sp.mse_asyn_infer(source, f, link, asyn).value):
+        for v in (sp.average_mse(source, f, link, syn),
+                  sp.average_mse(source, f, link, asyn)):
             assert 0.0 <= v <= source.sigma2_x
 
 
@@ -254,10 +266,10 @@ def test_mse_within_variance_range(source, link):
 def test_asyn_eps_derivative_matches_finite_difference(source, field, link, asyn_scheme):
     for eps in (0.05, 0.2, 0.5, 0.8, 0.95):
         d = 1e-6
-        hi = sp.mse_asyn_infer(source, field, link, asyn_scheme, eps_bar=eps + d).value
-        lo = sp.mse_asyn_infer(source, field, link, asyn_scheme, eps_bar=eps - d).value
+        hi = sp.average_mse(source, field, link, asyn_scheme, eps_bar=eps + d)
+        lo = sp.average_mse(source, field, link, asyn_scheme, eps_bar=eps - d)
         fd = (hi - lo) / (2 * d)
-        ana = sp.dmse_asyn_deps(source, field, link, asyn_scheme, eps)
+        ana = dmse(source, field, link, asyn_scheme, eps)
         assert ana == pytest.approx(fd, rel=1e-4)
 
 
@@ -267,8 +279,8 @@ def test_eps_star_finds_the_dip():
     e_star, v_star = sp.eps_star_asyn(src, f, link, scheme)
     assert 0.0 < e_star < 1.0
     # stationary and lower than both endpoints
-    assert abs(sp.dmse_asyn_deps(src, f, link, scheme, e_star)) < 1e-9
-    v0 = sp.mse_asyn_infer(src, f, link, scheme, eps_bar=0.0).value
+    assert abs(dmse(src, f, link, scheme, e_star)) < 1e-9
+    v0 = sp.average_mse(src, f, link, scheme, eps_bar=0.0)
     assert v_star < v0
 
 
@@ -282,16 +294,16 @@ def test_eps_star_zero_when_monotone():
 def _scalar_scan_eps_star(src, f, link, scheme, grid_size=512):
     """Reference: the grid scored one closed-form call per point."""
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    vals = np.array([sp.mse_asyn_infer(src, f, link, scheme, eps_bar=e).value
+    vals = np.array([sp.average_mse(src, f, link, scheme, eps_bar=e)
                      for e in grid])
     k = int(np.argmin(vals))
     if k == 0:
         return 0.0, float(vals[0])
-    dm = lambda e: sp.dmse_asyn_deps(src, f, link, scheme, e)
+    dm = lambda e: dmse(src, f, link, scheme, e)
     lo, hi = grid[k - 1], grid[min(k + 1, grid_size - 1)]
     if dm(lo) < 0.0 < dm(hi):
         root = brentq(dm, lo, hi, xtol=1e-15)
-        return root, sp.mse_asyn_infer(src, f, link, scheme, eps_bar=root).value
+        return root, sp.average_mse(src, f, link, scheme, eps_bar=root)
     return float(grid[k]), float(vals[k])
 
 
@@ -348,7 +360,7 @@ def test_upsilon_classifies_dip_then_rise():
     rho = sp.mssc(src, f)
     assert rho < ups
     grid = np.linspace(0.0, 0.999, 300)
-    vals = [sp.mse_asyn_infer(src, f, link, scheme, eps_bar=e).value for e in grid]
+    vals = [sp.average_mse(src, f, link, scheme, eps_bar=e) for e in grid]
     k = int(np.argmin(vals))
     assert 0 < k < len(grid) - 1
     assert vals[k] < vals[0] - 1e-9 and vals[k] < vals[-1] - 1e-9
@@ -361,7 +373,7 @@ def test_upsilon_classifies_monotone():
     rho = sp.mssc(src, f)
     assert rho > ups
     grid = np.linspace(0.0, 0.999, 300)
-    vals = [sp.mse_asyn_infer(src, f, link, scheme, eps_bar=e).value for e in grid]
+    vals = [sp.average_mse(src, f, link, scheme, eps_bar=e) for e in grid]
     assert np.all(np.diff(vals) >= -1e-12)
 
 
@@ -377,37 +389,38 @@ def test_upsilon_negative_at_h_equal_t_over_m(source, field, link):
 
 def test_syn_bounds_limits_exact(source, field, link, syn_scheme):
     lo, hi = sp.bounds(source, field, link, syn_scheme, "blep")
-    assert hi.value == pytest.approx(
-        sp.mse_syn_infer(source, field, link, syn_scheme, eps_bar=1.0).value, abs=1e-12)
-    assert lo.value == pytest.approx(
-        sp.mse_syn_infer(source, field, link, syn_scheme, eps_bar=0.0).value, abs=1e-12)
-    assert hi.value == pytest.approx(source.sigma2_x, abs=1e-15)
+    assert hi == pytest.approx(
+        sp.average_mse(source, field, link, syn_scheme, eps_bar=1.0), abs=1e-12)
+    assert lo == pytest.approx(
+        sp.average_mse(source, field, link, syn_scheme, eps_bar=0.0), abs=1e-12)
+    assert hi == pytest.approx(source.sigma2_x, abs=1e-15)
 
     lo2, hi2 = sp.bounds(source, field, link, syn_scheme, "spatial")
-    assert hi2.value == pytest.approx(
-        sp.mse_syn_infer_approx(source, 0.0, link, syn_scheme).value, abs=1e-12)
-    assert lo2.value == pytest.approx(
-        sp.mse_syn_infer_approx(source, 1.0, link, syn_scheme).value, abs=1e-12)
+    assert hi2 == pytest.approx(
+        sp.average_mse(source, None, link, syn_scheme, mssc_value=0.0), abs=1e-12)
+    assert lo2 == pytest.approx(
+        sp.average_mse(source, None, link, syn_scheme, mssc_value=1.0), abs=1e-12)
 
 
 def test_asyn_bounds_limits_exact(source, field, link, asyn_scheme):
     lo, hi = sp.bounds(source, field, link, asyn_scheme, "blep")
-    assert hi.value == pytest.approx(source.sigma2_x, abs=1e-15)
+    assert hi == pytest.approx(source.sigma2_x, abs=1e-15)
     lo2, hi2 = sp.bounds(source, field, link, asyn_scheme, "spatial")
-    assert hi2.value == pytest.approx(
-        sp.mse_asyn_infer_approx(source, 0.0, link, asyn_scheme).value, abs=1e-12)
-    assert lo2.value == pytest.approx(
-        sp.mse_asyn_infer_approx(source, 1.0, link, asyn_scheme).value, abs=1e-12)
+    assert hi2 == pytest.approx(
+        sp.average_mse(source, None, link, asyn_scheme, mssc_value=0.0), abs=1e-12)
+    assert lo2 == pytest.approx(
+        sp.average_mse(source, None, link, asyn_scheme, mssc_value=1.0), abs=1e-12)
 
 
 def test_syn_spatial_gap_is_geometric_tail(source, field, link, syn_scheme):
     # upper - lower = beta * ((1 - eps^M)/(1 - eps) - 1) >= 0
     lo, hi = sp.bounds(source, field, link, syn_scheme, "spatial")
     eps = sp.blep_average(link)
-    beta = hi.components["beta_syn"]
+    # reduction by the target's own packets; sensor s adds beta eps^(s-1)
+    beta = source.sigma2_x - hi
     M = syn_scheme.M
     gap = beta * ((1 - eps ** M) / (1 - eps) - 1.0)
-    assert hi.value - lo.value == pytest.approx(gap, rel=1e-12)
+    assert hi - lo == pytest.approx(gap, rel=1e-12)
     assert gap >= 0.0
 
 
@@ -429,10 +442,10 @@ def test_bounds_contain_mse_on_random_configs():
         syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=f.target_index)
         asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=f.target_index)
         for schm in (syn, asyn):
-            v = sp.average_mse(src, f, link, schm).value
+            v = sp.average_mse(src, f, link, schm)
             for axis in ("blep", "spatial"):
                 lo, hi = sp.bounds(src, f, link, schm, axis)
-                assert lo.value - 1e-9 <= v <= hi.value + 1e-9
+                assert lo - 1e-9 <= v <= hi + 1e-9
                 checked += 1
     assert checked == 400
 
@@ -491,31 +504,41 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
         s_asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=hi, M=M, m=f.target_index)
         s_syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=f.target_index)
         s_no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=T, M=1, m=1)
-        assert close(got["asyn"][i], sp.mse_asyn_infer(src, f, link, s_asyn, e).value)
-        assert close(got["dasyn"][i], sp.dmse_asyn_deps(src, f, link, s_asyn, e))
-        assert close(got["syn"][i], sp.mse_syn_infer(src, f, link, s_syn, e).value)
-        assert close(got["no"][i], sp.mse_no_infer(src, link, s_no, e).value)
-        assert close(psi[i], sp.psi_values(src, s_asyn, e))
-        assert close(dpsi[i], dpsi_deps(src, s_asyn, e))
+        assert close(got["asyn"][i], sp.average_mse(src, f, link, s_asyn, e))
+        assert close(got["dasyn"][i], dmse(src, f, link, s_asyn, e))
+        assert close(got["syn"][i], sp.average_mse(src, f, link, s_syn, e))
+        assert close(got["no"][i], sp.average_mse(src, None, link, s_no, e))
+        assert close(psi[i], slot_weights(src, s_asyn, e))
+        assert close(dpsi[i], slot_weights(src, s_asyn, e, deriv=True)[1])
         assert close(got["asyn"][i], _literal_mse(src, T, link.tau, e, w[i], hi))
         assert close(got["syn"][i], _literal_mse(src, T, link.tau, e, fac[i]))
+        # one call over every drawn eps equals the scalar calls row by row
+        for schm, fw in ((s_asyn, f), (s_syn, f), (s_no, None)):
+            batch = sp.average_mse(src, fw, link, schm, eps)
+            assert batch.shape == eps.shape
+            for j, e_j in enumerate(eps.tolist()):
+                assert close(batch[j], sp.average_mse(src, fw, link, schm, e_j))
 
 
 def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):
     fac = field.target_factors(source.b, power=2.0)
     assert sp.scheme_weights(source, field, no_scheme).tolist() == [1.0]
+    # shared by every no-inference call, so a caller cannot overwrite it
+    assert not sp.scheme_weights(source, field, no_scheme).flags.writeable
     assert sp.scheme_weights(source, field, asyn_scheme).tolist() == fac.tolist()
     assert sp.scheme_weights(source, field, syn_scheme).tolist() == sorted(
         fac.tolist(), reverse=True)
-    # the kind overrides the scheme's own; explicit weights pass through
-    assert sp.scheme_weights(source, field, asyn_scheme, "no-infer").tolist() == [1.0]
+    # the scheme tag picks the rule; explicit weights pass through
+    assert sp.scheme_weights(source, field,
+                             replace(asyn_scheme, scheme="no-infer")).tolist() == [1.0]
     assert sp.scheme_weights(source, [1.0, 0.5, 0.4, 0.3, 0.2],
                              asyn_scheme).tolist() == [1.0, 0.5, 0.4, 0.3, 0.2]
     # MSSC substitution: the target at 1 (syn) or at its slot m (asyn)
     asyn3 = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=3)
     assert sp.scheme_weights(source, None, asyn3, mssc_value=0.4).tolist() == [
         0.4, 0.4, 1.0, 0.4, 0.4]
-    assert sp.scheme_weights(source, None, asyn3, "syn-infer", 0.4).tolist() == [
+    assert sp.scheme_weights(source, None, replace(asyn3, scheme="syn-infer"),
+                             0.4).tolist() == [
         1.0, 0.4, 0.4, 0.4, 0.4]
     grid = sp.scheme_weights(source, None, asyn3, mssc_value=np.array([0.1, 0.2]))
     assert grid.tolist() == [[0.1, 0.1, 1.0, 0.1, 0.1], [0.2, 0.2, 1.0, 0.2, 0.2]]
@@ -527,6 +550,25 @@ def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):
     syn1 = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=1, m=1)
     with pytest.raises(InvalidConfigError, match="M >= 2"):
         sp.scheme_weights(source, None, syn1, mssc_value=0.5)
+
+
+def test_scheme_weights_rejects_a_field_with_another_target(source, field, link,
+                                                            syn_scheme, asyn_scheme):
+    # the MSSC forms and the thresholds read m, the field's weights its target
+    for schm in (syn_scheme, asyn_scheme):
+        other = replace(schm, m=2)
+        with pytest.raises(InvalidConfigError, match="field target 1 .* m=2"):
+            sp.scheme_weights(source, field, other)
+        with pytest.raises(InvalidConfigError, match="field target 1 .* m=2"):
+            sp.average_mse(source, field, link, other)
+    # no-infer reads only the target's own weight, whatever m says
+    no = replace(syn_scheme, scheme="no-infer", m=2)
+    assert sp.scheme_weights(source, field, no).tolist() == [1.0]
+
+
+def test_eps_star_needs_an_asynchronous_config(source, field, link, syn_scheme):
+    with pytest.raises(InvalidConfigError, match="asynchronous config"):
+        sp.eps_star_asyn(source, field, link, syn_scheme)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -113,8 +113,7 @@ def test_optresult_reports_exact_model_mse(source, field, link, asyn_scheme):
     res = sp.jtsbo(source, field, link, asyn_scheme)
     cfg = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=asyn_scheme.T, h=res.h_star,
                           M=asyn_scheme.M, m=asyn_scheme.m)
-    direct = sp.mse_asyn_infer(source, field,
-                               link.with_blocklength(res.N_star), cfg).value
+    direct = sp.average_mse(source, field, link.with_blocklength(res.N_star), cfg)
     assert res.mse_star == direct
 
 
@@ -674,7 +673,7 @@ def test_optimizers_stay_inside_the_timing_rule(K, offset, T_s, M, a, db, N):
             point = scheme if res.h_star is None else dataclasses.replace(
                 scheme, h=res.h_star)
             assert math.isfinite(sp.average_mse(
-                src, field, link.with_blocklength(res.N_star), point).value)
+                src, field, link.with_blocklength(res.N_star), point))
 
 
 def test_optimizers_accept_a_period_just_below_a_whole_symbol_count():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,11 @@ import sptrecon as sp
 from sptrecon import regions
 from sptrecon.errors import RegionDegenerateError
 from sptrecon.regions import RegionThresholds
+
+
+def as_kind(scheme, kind):
+    """The same config under another scheme tag."""
+    return replace(scheme, scheme=kind)
 
 
 def test_thr1_formula_value(source, link):
@@ -36,16 +42,18 @@ def test_thr1_monotone_decreasing_in_eps(source, link, syn_scheme):
 
 def test_gain_exceeds_one_iff_above_thr1(source, link, asyn_scheme):
     thr1 = sp.threshold_infer(source, link, asyn_scheme)
-    no = sp.mse_no_infer(source, link, asyn_scheme).value
-    below = no / sp.mse_syn_infer_approx(source, thr1 * 0.98, link, asyn_scheme).value
-    above = no / sp.mse_syn_infer_approx(source, thr1 * 1.02, link, asyn_scheme).value
+    no = sp.average_mse(source, None, link, as_kind(asyn_scheme, "no-infer"))
+    syn = as_kind(asyn_scheme, "syn-infer")
+    below = no / sp.average_mse(source, None, link, syn, mssc_value=thr1 * 0.98)
+    above = no / sp.average_mse(source, None, link, syn, mssc_value=thr1 * 1.02)
     assert below < 1.0 < above
 
 
 def test_thr2_equalizes_the_approximations(source, link, asyn_scheme):
     thr2 = sp.threshold_asyn_over_syn(source, link, asyn_scheme)
-    syn_v = sp.mse_syn_infer_approx(source, thr2, link, asyn_scheme).value
-    asyn_v = sp.mse_asyn_infer_approx(source, thr2, link, asyn_scheme).value
+    syn = as_kind(asyn_scheme, "syn-infer")
+    syn_v = sp.average_mse(source, None, link, syn, mssc_value=thr2)
+    asyn_v = sp.average_mse(source, None, link, asyn_scheme, mssc_value=thr2)
     assert abs(syn_v - asyn_v) < 1e-9
 
 
@@ -53,8 +61,9 @@ def test_thr2_two_sided_probe(source, link, asyn_scheme):
     thr2 = sp.threshold_asyn_over_syn(source, link, asyn_scheme)
     for delta, asyn_wins in ((-1e-3, False), (1e-3, True)):
         rho = thr2 + delta
-        syn_v = sp.mse_syn_infer_approx(source, rho, link, asyn_scheme).value
-        asyn_v = sp.mse_asyn_infer_approx(source, rho, link, asyn_scheme).value
+        syn_v = sp.average_mse(source, None, link, as_kind(asyn_scheme, "syn-infer"),
+                               mssc_value=rho)
+        asyn_v = sp.average_mse(source, None, link, asyn_scheme, mssc_value=rho)
         assert (asyn_v < syn_v) == asyn_wins
 
 
@@ -158,15 +167,15 @@ def test_thresholds_match_oracle_on_random_configs(a, T, M, N, h_frac, eps):
 
 def test_oracle_scores_each_scheme_in_one_call(monkeypatch, source, link, asyn_scheme):
     calls = []
-    real = regions._scored
-    monkeypatch.setattr(regions, "_scored",
-                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    real = regions.average_mse
+    monkeypatch.setattr(regions, "average_mse",
+                        lambda *a, **k: calls.append(a[3].scheme) or real(*a, **k))
     grid = np.linspace(0.0, 1.0, 101)
     oracle = sp.exhaustive_region_oracle(source, link, asyn_scheme, grid)
     order = [sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER, sp.Scheme.ASYN_INFER]
     assert calls == order
     for rho, winner in oracle:
-        vals = [sp.mse_no_infer(source, link, asyn_scheme).value,
-                sp.mse_syn_infer_approx(source, rho, link, asyn_scheme).value,
-                sp.mse_asyn_infer_approx(source, rho, link, asyn_scheme).value]
+        vals = [sp.average_mse(source, None, link, as_kind(asyn_scheme, kind),
+                               mssc_value=rho)
+                for kind in order]
         assert winner is order[int(np.argmin(vals))]  # ties keep this order

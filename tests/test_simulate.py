@@ -14,28 +14,28 @@ def test_forced_success_single_sensor_exact(source, link, no_scheme):
     f1 = sp.SensorField(positions=np.array([[0.0, 0.0]]), target_index=1)
     rep = sp.simulate_event_level(source, f1, link, no_scheme, periods=2_000,
                                   seed=1, success_prob_override=0.0)
-    ana = sp.mse_no_infer(source, link, no_scheme, eps_bar=0.0).value
+    ana = sp.average_mse(source, None, link, no_scheme, eps_bar=0.0)
     # per-interval integration is closed form, so this is exact
     assert rep.avg_mse == pytest.approx(ana, abs=1e-9)
 
 
 def test_event_level_matches_syn_closed_form(source, field, link, syn_scheme):
     rep = sp.simulate_event_level(source, field, link, syn_scheme, PERIODS, seed=3)
-    ana = sp.mse_syn_infer(source, field, link, syn_scheme).value
+    ana = sp.average_mse(source, field, link, syn_scheme)
     assert abs(rep.avg_mse - ana) < 3.0 * rep.stderr
     assert rep.stderr > 0
 
 
 def test_event_level_matches_asyn_closed_form(source, field, link, asyn_scheme):
     rep = sp.simulate_event_level(source, field, link, asyn_scheme, PERIODS, seed=3)
-    ana = sp.mse_asyn_infer(source, field, link, asyn_scheme).value
+    ana = sp.average_mse(source, field, link, asyn_scheme)
     assert abs(rep.avg_mse - ana) < 3.0 * rep.stderr
 
 
 def test_event_level_matches_no_infer_closed_form(source, link, no_scheme):
     f1 = sp.SensorField(positions=np.array([[0.0, 0.0]]), target_index=1)
     rep = sp.simulate_event_level(source, f1, link, no_scheme, PERIODS, seed=4)
-    ana = sp.mse_no_infer(source, link, no_scheme).value
+    ana = sp.average_mse(source, None, link, no_scheme)
     assert abs(rep.avg_mse - ana) < 3.0 * rep.stderr
 
 
@@ -224,10 +224,18 @@ def test_data_level_agrees_with_event_level_syn(source, link):
 
 def test_data_level_agrees_with_event_level_asyn(source, link):
     f3 = sp.place_sensors(3, 10.0, seed=11)
-    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.01, M=3, m=2)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.01, M=3, m=1)
     rep = sp.simulate_data_level(source, f3, link, scheme, periods=40, seed=5,
                                  n_draws=1_000)
     assert abs(rep.avg_mse - rep.aux["event_level_mse"]) < 3.0 * rep.stderr
+
+
+@pytest.mark.parametrize("n_draws", [0, 1])
+def test_data_level_needs_two_draws(source, field, link, syn_scheme, n_draws):
+    # the standard error over draws needs two of them
+    with pytest.raises(InvalidConfigError, match="n_draws must be >= 2"):
+        sp.simulate_data_level(source, field, link, syn_scheme, periods=40,
+                               seed=5, n_draws=n_draws)
 
 
 def test_data_level_scale_limit(source, field, link, syn_scheme):
