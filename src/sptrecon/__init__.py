@@ -30,7 +30,6 @@ from .errors import (
     UndefinedMsscError,
 )
 from .field import (
-    CorrelationQuery,
     SensorField,
     SourceParams,
     correlation,
@@ -49,14 +48,17 @@ from .mse import (
     average_mse,
     bounds,
     eps_star_asyn,
+    max_blocklength,
     mssc_weights,
     reindex_by_correlation,
     scheme_weights,
+    shift_count,
     upsilon,
 )
 from .optimize import (
     OptimizerConfig,
     OptResult,
+    TraceRow,
     complexity_estimate,
     eval_F,
     eval_H,

@@ -15,8 +15,8 @@ implemented by :func:`blep_average`; that closed form is the exact integral
 of the segmented model, not a further approximation.
 
 A single-exponential simplification ``1 - exp(-(eta - sqrt(pi L)/N)/gbar)``
-admits clean derivatives in N and feeds every root function used by the
-blocklength optimizers.
+admits clean derivatives in N and is the BLEP inside the adaptation
+objective and its stationarity functions.
 """
 
 from __future__ import annotations
@@ -66,8 +66,11 @@ class LinkParams:
             )
 
     @classmethod
-    def from_db(cls, L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0):
-        return cls(L=L, N=N, T_s=T_s, gamma_r_bar=10 ** (gamma_r_bar_db / 10.0))
+    def from_db(cls, gamma_r_bar_db=None, **kw):
+        """The link with gamma_r_bar given in dB; other fields as in the class."""
+        if gamma_r_bar_db is not None:
+            kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
+        return cls(**kw)
 
     def with_blocklength(self, N: int) -> "LinkParams":
         return replace(self, N=N)
@@ -212,8 +215,8 @@ def blep_average_simplified(link: LinkParams, N=None):
     """Single-exponential average BLEP 1 - exp(-(eta - sqrt(pi L)/N)/gbar).
 
     Slightly offset from :func:`blep_average` but with elementary
-    derivatives in N; used inside every blocklength root function so the
-    stationarity conditions stay consistent with the derivative formulas.
+    derivatives in N; the adaptation objective uses it, so the
+    stationarity functions are its exact derivatives.
     N broadcasts; a scalar N gives a float.
     """
     n = _blocklengths(link, N)

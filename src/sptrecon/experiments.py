@@ -59,7 +59,6 @@ SCHEMA = {
                "a_per_s": ("a", float), "b_per_m": ("b", float)},
     "field": {"positions_file": ("path", str), "M": ("M", int),
               "half_width_m": ("region_half_width", float),
-              "density_per_m2": ("density", float),
               "placement_seed": ("seed", int), "target_index": ("target_index", int)},
     "link": {"L_bits": ("L", float), "N_blocklength": ("N", int),
              "symbol_duration_s": ("T_s", float),

@@ -40,18 +40,16 @@ class SourceParams:
     """Stochastic source description.
 
     sigma2_x : sample variance of the observed process (> 0)
-    gamma_o  : observation SNR sigma2_x / sigma2_v (> 0), equal for all sensors
+    gamma_o  : observation SNR (> 0), equal for all sensors; the noise
+               variance is sigma2_x / gamma_o
     a        : temporal decay rate in 1/s (> 0)
     b        : spatial decay rate in 1/m (>= 0)
-    sigma2_v : optional noise variance (> 0); when given it must satisfy
-               gamma_o == sigma2_x / sigma2_v
     """
 
     sigma2_x: float = 1.0
     gamma_o: float = 5.0
     a: float = 2.0
     b: float = 0.01
-    sigma2_v: float | None = None
 
     def __post_init__(self):
         if not (self.sigma2_x > 0 and math.isfinite(self.sigma2_x)):
@@ -62,28 +60,11 @@ class SourceParams:
             raise InvalidConfigError(f"temporal decay a must be positive, got {self.a}")
         if not (self.b >= 0 and math.isfinite(self.b)):
             raise InvalidConfigError(f"spatial decay b must be nonnegative, got {self.b}")
-        if self.sigma2_v is not None:
-            if not (self.sigma2_v > 0 and math.isfinite(self.sigma2_v)):
-                raise InvalidConfigError(f"sigma2_v must be positive, got {self.sigma2_v}")
-            if not math.isclose(self.gamma_o, self.sigma2_x / self.sigma2_v, rel_tol=1e-9):
-                raise InvalidConfigError(
-                    "gamma_o must equal sigma2_x / sigma2_v "
-                    f"({self.gamma_o} != {self.sigma2_x / self.sigma2_v})"
-                )
 
     @property
     def noise_variance(self) -> float:
         """Observation-noise variance sigma2_x / gamma_o."""
         return self.sigma2_x / self.gamma_o
-
-
-@dataclass(frozen=True)
-class CorrelationQuery:
-    """Pairwise correlation lookup: sensors i, j at time lag dt >= 0 seconds."""
-
-    sensor_i: int
-    sensor_j: int
-    dt: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +74,11 @@ class SensorField:
     positions    : (M, 2) array of planar coordinates in metres
     target_index : 1-based index m of the sensor being reconstructed
     seed         : placement seed, kept for provenance (None if hand-built)
-    density      : nominal point-process density in 1/m^2 (reporting only;
-                   the placement conditions on the exact count M)
     """
 
     positions: np.ndarray
     target_index: int = 1
     seed: int | None = None
-    density: float | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -124,16 +102,12 @@ class SensorField:
         np.fill_diagonal(d, 0.0)
         return d
 
-    def spatial_factors(self, b: float) -> np.ndarray:
-        """Matrix exp(-b r_ij); unit diagonal for any b >= 0."""
-        return np.exp(-b * self.distances)
-
     def target_factors(self, b: float, power: float = 1.0) -> np.ndarray:
         """Row of exp(-power * b * r_mn) from the target to every sensor."""
         return np.exp(-power * b * self.distances[self.target_index - 1])
 
 
-def place_sensors(M, region_half_width, density=None, seed=None, target_index=1):
+def place_sensors(M, region_half_width, seed=None, target_index=1):
     """Drop M sensors uniformly in the square [-w, w]^2.
 
     This realizes a homogeneous Poisson point process conditioned on the
@@ -146,19 +120,24 @@ def place_sensors(M, region_half_width, density=None, seed=None, target_index=1)
         raise InvalidConfigError(f"region_half_width must be > 0, got {region_half_width}")
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-region_half_width, region_half_width, size=(M, 2))
-    return SensorField(positions=pos, target_index=target_index, seed=seed, density=density)
+    return SensorField(positions=pos, target_index=target_index, seed=seed)
 
 
-def correlation(params: SourceParams, field: SensorField, query: CorrelationQuery) -> float:
-    """Correlation exp(-a dt - b r_ij) between two samples; in (0, 1]."""
-    if query.dt < 0:
-        raise InvalidQueryError(f"time lag must be >= 0, got {query.dt}")
+def correlation(params: SourceParams, field: SensorField, i, j, dt=0.0):
+    """Correlation exp(-a dt - b r_ij) between the samples of sensors i and j
+    taken dt >= 0 seconds apart; in (0, 1].
+
+    i, j and dt broadcast against each other; scalars give a float.  A
+    sensor index outside 1..M or a negative lag raises InvalidQueryError.
+    """
     M = field.n_sensors
-    for idx in (query.sensor_i, query.sensor_j):
-        if not 1 <= idx <= M:
-            raise InvalidQueryError(f"sensor index {idx} outside 1..{M}")
-    r = field.distances[query.sensor_i - 1, query.sensor_j - 1]
-    return float(np.exp(-params.a * query.dt - params.b * r))
+    i, j = np.asarray(i), np.asarray(j)
+    if min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > M:
+        raise InvalidQueryError(f"sensor index outside 1..{M}")
+    if not np.min(dt) >= 0:  # NaN too
+        raise InvalidQueryError(f"time lag must be >= 0, got {np.min(dt)}")
+    val = np.exp(-params.a * dt - params.b * field.distances[i - 1, j - 1])
+    return float(val) if val.ndim == 0 else val
 
 
 def mssc(params: SourceParams, field: SensorField) -> float:
@@ -170,8 +149,7 @@ def mssc(params: SourceParams, field: SensorField) -> float:
     M = field.n_sensors
     if M < 2:
         raise UndefinedMsscError("MSSC needs at least two sensors")
-    m = field.target_index - 1
-    sq = np.exp(-2.0 * params.b * field.distances[m])
+    sq = field.target_factors(params.b, 2.0)
     return float((sq.sum() - 1.0) / (M - 1))
 
 
@@ -192,16 +170,13 @@ def sample_joint_gaussian(params, field, sample_times, seed=None, n_draws=None,
     entries = list(sample_times)
     if not entries:
         raise InvalidConfigError("sample_times must be nonempty")
-    M = field.n_sensors
     sensors = np.array([e[0] for e in entries], dtype=int)
     times = np.array([e[1] for e in entries], dtype=float)
-    if sensors.min() < 1 or sensors.max() > M:
-        raise InvalidQueryError(f"sensor index outside 1..{M}")
 
     k = len(entries)
     dt = np.abs(times[:, None] - times[None, :])
-    r = field.distances[sensors[:, None] - 1, sensors[None, :] - 1]
-    cov = params.sigma2_x * np.exp(-params.a * dt - params.b * r)
+    cov = params.sigma2_x * correlation(params, field, sensors[:, None],
+                                        sensors[None, :], dt)
     cov[np.diag_indices(k)] += _COV_JITTER * params.sigma2_x
 
     try:

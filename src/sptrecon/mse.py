@@ -22,9 +22,9 @@ squared temporal correlation over one period exp(-2 a T), and q its analog
 over one time shift exp(-2 a h).  Spatial weights enter as exp(-2 b r_mn).
 
 The module also provides the error bounds with respect to eps and with
-respect to the spatial weights, the shape classifier for the asynchronous
-error as a function of eps, and the interior eps-minimizer for when packet
-loss actually helps.
+respect to the spatial weights, the MSSC threshold below which the
+asynchronous error falls as eps leaves 0, and the interior eps-minimizer
+for when packet loss actually helps.
 """
 
 from __future__ import annotations
@@ -413,7 +413,7 @@ def average_mse(source: SourceParams, field_or_weights, link: LinkParams,
 
 
 # ---------------------------------------------------------------------------
-# interior minimizer and shape classifier of the asynchronous form
+# interior minimizer and MSSC threshold of the asynchronous form
 # ---------------------------------------------------------------------------
 
 # the cap on the refine's steps; on random geometries it ends in 4-13

@@ -30,7 +30,7 @@ import numpy as np
 from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (ClosedForm, Scheme, SchemeConfig, average_mse,
+from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, average_mse,
                   max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
@@ -99,13 +99,14 @@ def _kernel_at(source, field, link, scheme, N, h=None):
     return ClosedForm(source, scheme.T, N * link.T_s, len(w), h), w
 
 
-def _objective(source, field, link, scheme, N, h=None):
-    """MSE at blocklength(s) N under the simplified BLEP model.
+def _objective(source, field, link, scheme, N, h=None, blep=None):
+    """MSE at blocklength(s) N under the simplified BLEP model, or under
+    the BLEP model ``blep`` (a function of (link, N=...)) when given.
 
     N broadcasts (with ``h``); a scalar N gives a float.
     """
     cf, w = _kernel_at(source, field, link, scheme, N, h)
-    val = cf.mse(blep_average_simplified(link, N=N), w)
+    val = cf.mse((blep or blep_average_simplified)(link, N=N), w)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -135,18 +136,16 @@ def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
 
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
-           scheme: SchemeConfig, h: float, eps_bar=None) -> float:
-    """d MSE_asyn / dh at fixed blocklength (simplified BLEP model inside
-    unless ``eps_bar`` is given)."""
-    eps = blep_average_simplified(link) if eps_bar is None else float(eps_bar)
+           scheme: SchemeConfig, h: float) -> float:
+    """d MSE_asyn / dh at the link's blocklength (simplified BLEP inside)."""
     cf, w = _kernel_at(source, field, link, scheme, link.N, h)
-    return float(cf.dmse_dh(eps, w))
+    return float(cf.dmse_dh(blep_average_simplified(link), w))
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
-           scheme: SchemeConfig, N: float, h: float | None = None) -> float:
-    """d MSE_asyn / dN at fixed time shift (simplified BLEP model inside)."""
-    return _dmse_dN(source, field, link, scheme, N, scheme.h if h is None else h)
+           scheme: SchemeConfig, N: float) -> float:
+    """d MSE_asyn / dN at the time shift scheme.h (simplified BLEP inside)."""
+    return _dmse_dN(source, field, link, scheme, N, scheme.h)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,7 @@ def _argmin_step(obj, lo, hi, edge=None):
 
 def _blocklength_step(source, field, link, scheme, cfg, hh):
     """Blocklength step at the time shift hh (None for no/syn): (N, its
-    objective, branch, |H| or |F| at N).
+    objective, branch).
 
     The step starts at the plateau edge, the first N whose simplified BLEP
     is below 1: below it the BLEP is saturated at 1, the objective is flat
@@ -199,57 +198,52 @@ def _blocklength_step(source, field, link, scheme, cfg, hh):
     if not below.any():
         raise BracketError(
             f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]")
-    n, val, branch = _argmin_step(
-        lambda n: _objective(source, field, link, scheme, n, hh),
-        n_lo, n_hi, n_lo + int(np.argmax(below)))
-    res = (eval_H(source, field, link, scheme, float(n)) if hh is None
-           else eval_F(source, field, link, scheme, float(n), h=hh))
-    return n, val, branch, abs(res)
+    return _argmin_step(lambda n: _objective(source, field, link, scheme, n, hh),
+                        n_lo, n_hi, n_lo + int(np.argmax(below)))
 
 
 def _time_shift_step(source, field, link, scheme, n):
     """Time-shift step at blocklength n over the grid index k = 1 ..
-    :func:`mse.shift_count`: (h = k T_s, its objective, branch, |J| at h)."""
+    :func:`mse.shift_count`: (h = k T_s, its objective, branch)."""
     k_hi = int(shift_count(scheme.T, link.T_s, scheme.M, n))
     if k_hi < 1:
         raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
-    link_n = link.with_blocklength(n)
     k, val, branch = _argmin_step(
-        lambda k: _objective(source, field, link_n, scheme, n, k * link.T_s),
-        1, k_hi)
-    h = k * link.T_s
-    return h, val, branch, abs(eval_J(source, field, link_n, scheme, h))
+        lambda k: _objective(source, field, link, scheme, n, k * link.T_s), 1, k_hi)
+    return k * link.T_s, val, branch
 
 
-def optimize_blocklength(source, field, link, scheme, cfg=None, h=None) -> OptResult:
+def optimize_blocklength(source, field, link, scheme, cfg=None) -> OptResult:
     """Optimal integer blocklength at a fixed time shift, for every scheme.
 
-    The asynchronous scheme uses the time shift ``h`` (default
-    ``scheme.h``); no/syn ignore it.  The step is the integer argmin of the
-    objective from the plateau edge to the cap (:func:`_argmin_step`).
+    The asynchronous scheme keeps its time shift ``scheme.h``.  The step is
+    the integer argmin of the objective from the plateau edge to the cap
+    (:func:`_argmin_step`); the trace row's residual is |H| or |F| there.
     """
     cfg = cfg or OptimizerConfig()
-    hh = (scheme.h if h is None else h) if scheme.scheme is Scheme.ASYN_INFER else None
-    n_star, val, branch, res = _blocklength_step(source, field, link, scheme, cfg, hh)
-    mse = average_mse(source, field, link.with_blocklength(n_star),
-                      replace(scheme, h=hh))
+    hh = scheme.h if scheme.scheme is Scheme.ASYN_INFER else None
+    n_star, val, branch = _blocklength_step(source, field, link, scheme, cfg, hh)
+    res = (eval_H(source, field, link, scheme, float(n_star)) if hh is None
+           else eval_F(source, field, link, scheme, float(n_star)))
+    mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, hh, n_star, val, 0.0, res)],
+                     trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))],
                      convexity_warning=link.L < math.pi)
 
 
-def optimize_time_shift(source, field, link, scheme, N=None) -> OptResult:
-    """Optimal time shift at fixed blocklength for the asynchronous scheme.
+def optimize_time_shift(source, field, link, scheme) -> OptResult:
+    """Optimal time shift at the link's blocklength, asynchronous scheme.
 
     The step is the integer argmin over the grid index k = 1 ..
-    :func:`mse.shift_count`, so the returned shift is h = k T_s.
+    :func:`mse.shift_count`, so the returned shift is h = k T_s; the trace
+    row's residual is |J| there.
     """
-    n = int(link.N if N is None else N)
-    h_star, val, branch, res = _time_shift_step(source, field, link, scheme, n)
-    mse = average_mse(source, field, link.with_blocklength(n),
-                      replace(scheme, h=h_star))
+    n = int(link.N)
+    h_star, val, branch = _time_shift_step(source, field, link, scheme, n)
+    res = eval_J(source, field, link, scheme, h_star)
+    mse = average_mse(source, field, link, replace(scheme, h=h_star))
     return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, h_star, n, val, res, 0.0)])
+                     trace=[TraceRow(1, h_star, n, val, abs(res), 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +263,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     An infeasible start is projected onto the constraint set and flagged on
     the result.  Every candidate comparison keeps the incumbent, so the
     internal objective is non-increasing across iterations by construction.
+    Each trace row holds |J| and |F| at the row's own (h, N).
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
@@ -294,17 +289,19 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     trace, converged = [], False
     for i in range(1, cfg.I_max + 1):
         h_prev, n_prev = h_cur, n_cur
-        h, val, _, res_h = _time_shift_step(source, field, link, scheme, n_cur)
+        h, val, _ = _time_shift_step(source, field, link, scheme, n_cur)
         if val <= cur_val:
             h_cur, cur_val = h, val
-        n, val, _, res_n = _blocklength_step(source, field, link, scheme, cfg, h_cur)
+        n, val, _ = _blocklength_step(source, field, link, scheme, cfg, h_cur)
         if val <= cur_val:
             n_cur, cur_val = n, val
         if face_vals[face] < cur_val:
             n_cur, h_cur = int(face_n[face]), float(face_h[face])
             cur_val = float(face_vals[face])
 
-        trace.append(TraceRow(i, h_cur, n_cur, cur_val, res_h, res_n))
+        res_h = eval_J(source, field, link.with_blocklength(n_cur), scheme, h_cur)
+        res_n = eval_F(source, field, link, replace(scheme, h=h_cur), float(n_cur))
+        trace.append(TraceRow(i, h_cur, n_cur, cur_val, abs(res_h), abs(res_n)))
         # exact: N is an int and every step's h is the product k T_s
         converged = (n_cur, h_cur) == (n_prev, h_prev)
         if converged:
@@ -329,7 +326,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     ("simplified" matches the stationarity functions, "exact" the
     closed-form average; any other value raises InvalidConfigError),
     evaluated over the whole blocklength range in one call.  The syn/no
-    range is scored in one :class:`ClosedForm` call.
+    range is one :func:`_argmin_step` over [N_min, cap].
     The asynchronous (N, h) grid is scored by one kernel over all N and
     shifts, in row-major chunks of at most ``_GRID_CHUNK`` points: each
     chunk is a block of N rows against the shift count of its first row,
@@ -349,18 +346,17 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
                                  f"got {objective!r}")
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
     n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
+    if syn:
+        n_star, val, _ = _argmin_step(
+            lambda n: _objective(source, field, link, scheme, n, blep=eps_of),
+            cfg.N_min, n_hi)
+        mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
+        return OptResult(scheme.scheme, n_star, None, mse, val, 1, True,
+                         "exhaustive", evaluations=n_hi - cfg.N_min + 1)
+
     Ns = np.arange(cfg.N_min, n_hi + 1)
     eps = eps_of(link, N=Ns)
     w = scheme_weights(source, field, scheme)
-
-    if syn:
-        vals = ClosedForm(source, T, Ns * Ts, len(w)).mse(eps, w)
-        k = int(np.argmin(vals))  # first minimum: the smallest N among ties
-        n_star = int(Ns[k])
-        mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
-        return OptResult(scheme.scheme, n_star, None, mse, float(vals[k]), 1, True,
-                         "exhaustive", evaluations=int(Ns.size))
-
     steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
     hs = Ts * np.arange(1, int(steps[0]) + 1)
     cf = ClosedForm(source, T, Ns * Ts, M, hs)
@@ -390,7 +386,7 @@ def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:
     sum over N of floor((T/T_s - N)/(M-1)) for N from N_min to
     T/T_s - (M-1); evaluated exactly via the floor-sum identity.
     """
-    K = int(math.floor(T / T_s + 1e-9))
+    K = int(math.floor(T / T_s + _TIMING_TOL))
     d = M - 1
     n_hi = K - d
     if n_hi < N_min:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .blep import blep_average, blep_instantaneous, blep_segmented
 from .errors import InvalidConfigError, ScaleLimitError
-from .field import sample_joint_gaussian
+from .field import correlation, sample_joint_gaussian
 from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
 
 
@@ -337,9 +337,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     x_true = x[:, n_samp:]
 
     # conditional-mean estimate from the held sample
-    ages = eval_times - eval_gen
-    r = field.distances[m - 1, eval_sensor_src - 1]
-    rho = np.exp(-source.a * ages - source.b * r)
+    rho = correlation(source, field, m, eval_sensor_src, eval_times - eval_gen)
     gain = source.gamma_o / (source.gamma_o + 1.0)
     samp_idx = np.repeat(np.arange(n_int), _GRID_PER_INTERVAL)
     x_hat = gain * rho[None, :] * y_samp[:, samp_idx]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import sptrecon as sp
@@ -17,7 +16,7 @@ def source():
 
 @pytest.fixture(scope="session")
 def field():
-    return sp.place_sensors(5, 10.0, density=5 / (np.pi * 100.0), seed=FIELD_SEED)
+    return sp.place_sensors(5, 10.0, seed=FIELD_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -533,7 +533,9 @@ def test_integer_keys_reject_fractions(section, key, whole):
      "link", "N_min"),
     (POINT_SPEC.replace("period_s = 0.150", "periods_s = 0.150"), "scheme", "periods_s"),
     (POINT_SPEC + "\n[optimise]\nI_max = 3\n", "optimise", None),
-], ids=["stale-link-floor", "misspelt-key", "misspelt-section"])
+    (POINT_SPEC.replace("M = 5", "M = 5\ndensity_per_m2 = 0.02"), "field",
+     "density_per_m2"),
+], ids=["stale-link-floor", "misspelt-key", "misspelt-section", "stale-density"])
 def test_unknown_config_keys_fail_at_parse_time(text, section, key):
     with pytest.raises(InvalidConfigError, match=rf"\[{section}\]") as err:
         parse_spec(text)
@@ -585,7 +587,6 @@ NON_DEFAULT = [
     ("field", "M", "4", lambda s: (s.field.n_sensors, s.scheme.M), (4, 4)),
     ("field", "half_width_m", "3.0", lambda s: s.field.positions.tolist(),
      sp.place_sensors(4, 3.0, seed=11).positions.tolist()),
-    ("field", "density_per_m2", "0.02", lambda s: s.field.density, 0.02),
     ("field", "placement_seed", "11", lambda s: s.field.seed, 11),
     ("field", "target_index", "2", lambda s: (s.field.target_index, s.scheme.m), (2, 2)),
     ("link", "L_bits", "200", lambda s: s.link.L, 200.0),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -41,16 +39,10 @@ def test_distance_matrix_symmetric_zero_diagonal():
     assert np.all(d >= 0.0)
 
 
-@pytest.mark.parametrize("sigma2_v", [0.0, -0.2, math.inf, math.nan])
-def test_noise_variance_must_be_positive_and_finite(sigma2_v):
-    # 0 used to raise a bare ZeroDivisionError from the gamma_o check
-    with pytest.raises(InvalidConfigError, match="sigma2_v must be positive"):
-        sp.SourceParams(sigma2_v=sigma2_v)
-
-
 def test_spatial_factor_unit_diagonal():
     f = sp.place_sensors(4, 10.0, seed=5)
-    fac = f.spatial_factors(0.37)
+    idx = np.arange(1, 5)
+    fac = sp.correlation(sp.SourceParams(b=0.37), f, idx[:, None], idx[None, :])
     assert np.all(np.diag(fac) == 1.0)
     assert np.all((fac > 0) & (fac <= 1))
 
@@ -82,34 +74,45 @@ def test_mean_pairwise_distance_matches_quadrature():
 
 
 def test_correlation_trivial_values(source, field):
-    q = sp.CorrelationQuery(field.target_index, field.target_index, 0.0)
-    assert sp.correlation(source, field, q) == 1.0
+    assert sp.correlation(source, field, field.target_index, field.target_index) == 1.0
 
     src = sp.SourceParams(a=0.5, b=0.01)
     f2 = sp.SensorField(positions=np.array([[0.0, 0.0], [100.0, 0.0]]))
-    assert sp.correlation(src, f2, sp.CorrelationQuery(1, 1, 2.0)) == pytest.approx(
-        np.exp(-1.0), abs=1e-12)
-    assert sp.correlation(src, f2, sp.CorrelationQuery(1, 2, 0.0)) == pytest.approx(
-        np.exp(-1.0), abs=1e-12)
+    assert sp.correlation(src, f2, 1, 1, 2.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
+    assert sp.correlation(src, f2, 1, 2) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
 def test_correlation_rejects_bad_queries(source, field):
     with pytest.raises(InvalidQueryError):
-        sp.correlation(source, field, sp.CorrelationQuery(1, 2, -0.1))
+        sp.correlation(source, field, 1, 2, -0.1)
     with pytest.raises(InvalidQueryError):
-        sp.correlation(source, field, sp.CorrelationQuery(0, 2, 0.1))
+        sp.correlation(source, field, 0, 2, 0.1)
     with pytest.raises(InvalidQueryError):
-        sp.correlation(source, field, sp.CorrelationQuery(1, 6, 0.1))
+        sp.correlation(source, field, 1, 6, 0.1)
+    # one bad entry of a broadcast query is enough
+    with pytest.raises(InvalidQueryError):
+        sp.correlation(source, field, [1, 2], [3, 6], 0.1)
+    with pytest.raises(InvalidQueryError):
+        sp.correlation(source, field, 1, 2, [0.1, -0.1])
+    with pytest.raises(InvalidQueryError):
+        sp.correlation(source, field, 1, 2, float("nan"))
 
 
 def test_correlation_separability(source, field):
-    # corr(i, j, dt) = corr(i, j, 0) * corr(same sensor, dt)
+    # corr(i, j, dt) = corr(i, j, 0) * corr(same sensor, dt), and one
+    # broadcast call equals the scalar calls it replaces
+    dts = (0.0, 0.01, 0.5, 3.0)
+    grid = sp.correlation(source, field, np.arange(1, 6)[:, None, None],
+                          np.arange(1, 6)[None, :, None], np.array(dts))
+    assert grid.shape == (5, 5, 4)
     for i in range(1, 6):
         for j in range(1, 6):
-            for dt in (0.0, 0.01, 0.5, 3.0):
-                full = sp.correlation(source, field, sp.CorrelationQuery(i, j, dt))
-                spatial = sp.correlation(source, field, sp.CorrelationQuery(i, j, 0.0))
-                temporal = sp.correlation(source, field, sp.CorrelationQuery(i, i, dt))
+            for k, dt in enumerate(dts):
+                full = sp.correlation(source, field, i, j, dt)
+                spatial = sp.correlation(source, field, i, j)
+                temporal = sp.correlation(source, field, i, i, dt)
+                assert isinstance(full, float)
+                assert grid[i - 1, j - 1, k] == full
                 assert abs(full - spatial * temporal) < 1e-12
 
 

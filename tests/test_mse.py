@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -260,7 +261,7 @@ def test_mse_within_variance_range(source, link):
 
 
 # ---------------------------------------------------------------------------
-# eps-derivative, interior minimizer, shape classifier
+# eps-derivative, interior minimizer, MSSC threshold
 # ---------------------------------------------------------------------------
 
 def test_asyn_eps_derivative_matches_finite_difference(source, field, link, asyn_scheme):
@@ -659,3 +660,10 @@ def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
         for sl in (slice(None), slice(i, j)):
             got = grid.mse_grid(eps, w, sl, width)
             np.testing.assert_allclose(got, want[sl, :width], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("module", ["mse", "optimize", "regions"])
+def test_public_names_import_from_the_package(module):
+    # README and the examples use the package namespace alone
+    mod = importlib.import_module(f"sptrecon.{module}")
+    assert [n for n in mod.__all__ if getattr(sp, n, None) is not getattr(mod, n)] == []

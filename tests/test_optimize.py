@@ -217,7 +217,7 @@ def test_time_shift_upper_boundary_branch(short_period):
 
 def test_blocklength_asyn_upper_boundary_branch(short_period):
     src, field, link, scheme = short_period
-    res = sp.optimize_blocklength(src, field, link, scheme, h=0.0094)
+    res = sp.optimize_blocklength(src, field, link, dataclasses.replace(scheme, h=0.0094))
     assert (res.N_star, res.h_star, res.branch) == (124, 0.0094, "upper-boundary")
 
 
@@ -312,7 +312,7 @@ def test_time_shift_lands_on_the_symbol_grid(b, N, m, branch):
     # constraint face (T - N T_s) / (M - 1) lies between two grid shifts
     src, field, link = _fig11(b, target_index=m)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=m)
-    res = sp.optimize_time_shift(src, field, link, scheme, N=N)
+    res = sp.optimize_time_shift(src, field, link.with_blocklength(N), scheme)
     k = round(res.h_star / link.T_s)
     assert res.branch == branch
     assert res.h_star == k * link.T_s
@@ -405,7 +405,7 @@ def test_jtsbo_beats_time_shift_only(source, field, link):
         src = sp.SourceParams(b=b)
         scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
         joint = sp.jtsbo(src, field, link, scheme, sp.OptimizerConfig(I_max=3))
-        h_only = sp.optimize_time_shift(src, field, link, scheme, N=80)
+        h_only = sp.optimize_time_shift(src, field, link, scheme)
         assert joint.mse_star <= h_only.mse_star + 1e-12
 
 
@@ -426,8 +426,9 @@ def test_jtsbo_ends_at_a_discrete_coordinate_minimum(source, field, link,
     last = res.trace[-1]
     assert last.residual_h == abs(sp.eval_J(source, field, link.with_blocklength(n),
                                             asyn_scheme, h))
-    assert last.residual_N == abs(sp.eval_F(source, field, link, asyn_scheme,
-                                            float(n), h=h))
+    assert last.residual_N == abs(sp.eval_F(source, field, link,
+                                            dataclasses.replace(asyn_scheme, h=h),
+                                            float(n)))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3])
@@ -442,6 +443,12 @@ def test_jtsbo_follows_the_constraint_face_to_the_exhaustive_optimum(b):
     assert res.objective_star <= 1.01 * ex.objective_star
     vals = [t.mse for t in res.trace]
     assert all(x >= y for x, y in zip(vals, vals[1:]))
+    # each row's residuals are |J| and |F| at the row's own (h, N)
+    for t in res.trace:
+        at = dataclasses.replace(scheme, h=t.h_s)
+        assert t.residual_h == abs(sp.eval_J(src, field, link.with_blocklength(t.N),
+                                             at, t.h_s))
+        assert t.residual_N == abs(sp.eval_F(src, field, link, at, float(t.N)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +692,7 @@ def test_optimizers_accept_a_period_just_below_a_whole_symbol_count():
     field = sp.place_sensors(5, 10.0, seed=7)
     link = sp.LinkParams.from_db(L=20, N=36, T_s=T_s, gamma_r_bar_db=30.0)
     asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=T_s, M=5, m=1)
-    shift = sp.optimize_time_shift(src, field, link, asyn, N=36)
+    shift = sp.optimize_time_shift(src, field, link, asyn)
     assert shift.h_star == T_s and math.isfinite(shift.mse_star)
     for _, run in _optimizer_runs(src, field, link, T, 5):
         assert math.isfinite(run().mse_star)
