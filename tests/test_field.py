@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -37,6 +39,17 @@ def test_distance_matrix_symmetric_zero_diagonal():
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
+def test_noise_variance_must_be_positive_and_finite(bad):
+    # the noise variance sigma2_x / gamma_o is positive and finite only if
+    # both factors are: gamma_o = 0 would divide by zero, gamma_o = inf give 0
+    with pytest.raises(InvalidConfigError, match="sigma2_x must be positive"):
+        sp.SourceParams(sigma2_x=bad)
+    with pytest.raises(InvalidConfigError, match="gamma_o must be positive"):
+        sp.SourceParams(gamma_o=bad)
+    assert sp.SourceParams(sigma2_x=2.0, gamma_o=4.0).noise_variance == 0.5
 
 
 def test_spatial_factor_unit_diagonal():
