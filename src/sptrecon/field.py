@@ -187,13 +187,15 @@ def sample_joint_gaussian(params, field, sample_times, seed=None, n_draws=None,
             f"covariance not PSD after jitter (min eigenvalue {eigmin:.3e}, "
             f"size {k})"
         ) from exc
+    del cov, dt  # only the factor is needed from here on
 
     rng = np.random.default_rng(seed)
     n = 1 if n_draws is None else int(n_draws)
-    z = rng.standard_normal((n, k))
-    x = z @ chol.T
-    v = rng.normal(scale=math.sqrt(params.noise_variance), size=(n, k))
-    y = x + v
+    x = rng.standard_normal((n, k)) @ chol.T
+    del chol
+    # the noise is drawn into the buffer that becomes y = x + v
+    y = rng.normal(scale=math.sqrt(params.noise_variance), size=(n, k))
+    y += x
     if n_draws is None:
         x, y = x[0], y[0]
     if return_latent:

@@ -16,7 +16,9 @@ Two independent checks:
 
 Randomness: one generator per (seed, replica, sensor), so adding sensors
 never perturbs the draws of existing ones.  Per sensor, all SNR draws are
-taken first and all success uniforms second.
+taken first and the success uniforms second, block by block of periods
+from the same stream (a uniform uses one 64-bit output, so the blocks
+concatenate to the draws of one call).
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # ---------------------------------------------------------------------------
 # event-level oracle
 # ---------------------------------------------------------------------------
+
+# periods per draw block: the block's SNRs, uniforms and BLEP values stay
+# in cache between the steps that make the success mask
+_BLOCK = 1 << 15
 
 # the lowest set bit of each byte value (0 for 0, which is never looked up)
 _LOW_BIT = np.array([(v & -v).bit_length() - 1 if v else 0 for v in range(256)],
@@ -157,6 +163,11 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
+    p_fail = None if success_prob_override is None else float(success_prob_override)
+    if p_fail is not None and not 0.0 <= p_fail <= 1.0:  # NaN too
+        raise InvalidConfigError(
+            f"success_prob_override must be in [0, 1], got {success_prob_override}"
+        )
     asyn = scheme.scheme is Scheme.ASYN_INFER
     # one sensor per term of the closed form (scheme_weights checks the
     # field's size and target for syn/asyn), from the head of the server's
@@ -168,33 +179,43 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     weights = field.target_factors(source.b, power=2.0)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
 
+    # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into
+    # one buffer (a traced run's own gamma row), scaled block by block
     gamma = np.empty((drawn, periods)) if collect_trace else None
     success = np.empty((drawn, periods), dtype=bool)
+    snr = None if collect_trace else np.empty(periods)
+    u = np.empty(min(periods, _BLOCK))
+    blep = blep_instantaneous if use_q_model else blep_segmented
     for row, sensor in enumerate(sensors.tolist()):
         rng = np.random.default_rng([seed, replica, sensor])
-        # the stream of rng.exponential(gamma_r_bar, periods), scaled in place
-        g = rng.standard_exponential(periods)
-        g *= link.gamma_r_bar
-        u = rng.random(periods)
-        if success_prob_override is not None:
-            fail = float(success_prob_override)
-        elif use_q_model:
-            fail = blep_instantaneous(link, g)
-        else:
-            fail = blep_segmented(link, g)
-        np.greater_equal(u, fail, out=success[row])
-        if collect_trace:
-            gamma[row] = g
-    del g, u, fail  # the last sensor's draws; the masks hold what is needed
+        g = gamma[row] if collect_trace else snr
+        rng.standard_exponential(out=g)
+        for lo in range(0, periods, _BLOCK):
+            gb = g[lo:lo + _BLOCK]
+            gb *= link.gamma_r_bar
+            ub = u[:len(gb)]
+            rng.random(out=ub)
+            fail = blep(link, gb) if p_fail is None else p_fail
+            np.greater_equal(ub, fail, out=success[row, lo:lo + len(gb)])
+    del snr, g, gb, u, ub, fail  # the views too, so the buffers are freed
+    # row by row: count_nonzero over an axis is about 10x slower
+    rates = np.array([np.count_nonzero(r) for r in success]) / periods
 
-    # the period and sensor row of each reception the server uses
+    # the period and sensor row of each reception the server uses; the
+    # mask is dropped once read, before the next large array is allocated
+    # (at 1e6 periods that keeps the resident peak about 3 MB lower), unless
+    # the trace needs it
     aux = {}
     if asyn:
         aux["slot_index"] = np.flatnonzero(success.T)  # period-major slots
+        if not collect_trace:
+            del success
         period_of, row_of = np.divmod(aux["slot_index"], drawn)
     else:
         order = np.searchsorted(sensors, ranked)
         period_of, rank = _first_success_rank(success, order)
+        if not collect_trace:
+            del success
         row_of = order[rank]
         del rank  # freed before the interval arrays are built
     T, tau, a = scheme.T, link.tau, source.a
@@ -205,27 +226,30 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             "fewer than two successful receptions; increase periods or SNR"
         )
 
+    # batch means over contiguous period ranges: period_of is sorted, so
+    # batch b holds the intervals between the cuts at edges b and b + 1
+    edges = np.linspace(0, periods, n_batches + 1)
+    cuts = np.searchsorted(period_of[:-1], edges, side="left")
+    go = source.gamma_o
+    fac2 = weights[row_of[:-1]]
+    fac2 *= go / (go + 1.0)
+    del period_of, row_of  # freed before the interval arrays are built
+
     # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
     # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
     # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
-    fac2 = weights[row_of[:-1]]
     D = np.diff(gen_times)
-    go = source.gamma_o
     integrals = D + tau
     integrals *= -2.0 * a
     np.exp(integrals, out=integrals)
     np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
     integrals /= 2.0 * a
-    integrals *= go / (go + 1.0) * fac2
+    integrals *= fac2
+    del fac2
     np.subtract(D, integrals, out=integrals)
     integrals *= source.sigma2_x
 
     avg = float(integrals.sum()) / float(D.sum())
-
-    # batch means over contiguous period ranges: period_of is sorted, so
-    # batch b holds the intervals between the cuts at edges b and b + 1
-    edges = np.linspace(0, periods, n_batches + 1)
-    cuts = np.searchsorted(period_of[:-1], edges, side="left")
     batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
     bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
@@ -236,9 +260,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         "receptions": int(len(gen_times)),
         "batch_integrals": bi,
         "batch_durations": bd,
-        # row by row: count_nonzero over an axis is about 10x slower
-        "per_sensor_success_rate":
-            np.array([np.count_nonzero(r) for r in success]) / periods,
+        "per_sensor_success_rate": rates,
         "gen_times_s": gen_times,
         "used_sensor": used_sensor,
     })

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,34 @@ def test_rejects_no_batches(source, field, link, syn_scheme):
     with pytest.raises(InvalidConfigError):
         sp.simulate_event_level(source, field, link, syn_scheme, periods=100,
                                 seed=0, n_batches=0)
+
+
+@pytest.mark.parametrize("p_fail", [math.nan, math.inf, 1.5, -0.2])
+def test_success_prob_override_must_be_a_probability(source, field, link,
+                                                     syn_scheme, p_fail):
+    with pytest.raises(InvalidConfigError, match="success_prob_override"):
+        sp.simulate_event_level(source, field, link, syn_scheme, periods=100,
+                                seed=0, success_prob_override=p_fail)
+
+
+def test_peak_memory_per_period(source, field, link, syn_scheme, asyn_scheme):
+    # At 5 dB and M = 5 a period yields r = 0.52 (syn) or 0.67 (asyn)
+    # receptions.  The draw stage holds the (M, periods) bool mask and one
+    # float64 SNR buffer: 5 + 8 = 13 B/period.  The reception stage ends
+    # with 8-byte arrays of one entry per reception: gen_times, used_sensor,
+    # the gaps, the interval integrals and their batch index, plus asyn's
+    # slot_index, so 5 * 8 r = 21 B (syn) and 6 * 8 r = 32 B (asyn).  36 B
+    # keeps about 10% above asyn; keeping a dead mask, SNR array or
+    # reception-length temporary alive breaks it.
+    periods = 200_000
+    for scheme in (syn_scheme, asyn_scheme):
+        tracemalloc.start()
+        try:
+            sp.simulate_event_level(source, field, link, scheme, periods, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / periods <= 36.0, (scheme.scheme, peak / periods)
 
 
 def test_gap_statistics_syn(source, field, link, syn_scheme):
@@ -309,6 +338,35 @@ FROZEN_STEP_LAW = [
 ]
 
 
+# 100,003 periods: four draw blocks, the last one partial
+FROZEN_BLOCKS_PERIODS = 100_003
+
+# case -> (avg_mse, stderr, receptions, batch_integrals, batch_durations)
+FROZEN_ACROSS_BLOCKS = {
+    "no": (
+        0.8443544377223133, 0.0010890624488087937, 13490,
+        [1808.4651835601185, 1811.1272142801865, 1821.122917328049,
+         1810.3241276378603, 1808.1798362124866, 1802.3556976214156,
+         1801.7151385440602],
+        [2144.5499999999997, 2143.0499999999997, 2141.55, 2143.7999999999993,
+         2144.8500000000004, 2140.050000000001, 2139.749999999998]),
+    "syn": (
+        0.6304748601468454, 0.000999478595078121, 51596,
+        [1353.6092648411247, 1353.4217591843494, 1360.3367548087072,
+         1351.478444609606, 1348.4740496007616, 1348.2275548325629,
+         1341.7642167836198],
+        [2143.2, 2142.75, 2143.05, 2142.8999999999996, 2142.75,
+         2143.2000000000007, 2142.449999999999]),
+    "asyn": (
+        0.6367353227853292, 0.0009424934495537569, 67422,
+        [1367.1632323031963, 1367.2221233351052, 1373.0659952182073,
+         1364.883695544639, 1361.8154807712003, 1360.8679887447865,
+         1356.208713812814],
+        [2143.205, 2142.7650000000003, 2143.05, 2142.8949999999986, 2142.74,
+         2143.1950000000015, 2142.459999999999]),
+}
+
+
 @pytest.fixture(scope="module")
 def frozen_runs(source, field, link, syn_scheme, asyn_scheme, no_scheme):
     cases = {
@@ -331,6 +389,32 @@ def test_event_level_frozen_values(frozen_runs, case):
     got = (rep.avg_mse, rep.stderr, rep.aux["receptions"],
            rep.aux["batch_integrals"].tolist(), rep.aux["batch_durations"].tolist())
     assert repr(got) == repr(FROZEN_EVENT_LEVEL[case])
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ACROSS_BLOCKS))
+def test_event_level_frozen_values_across_draw_blocks(
+        source, field, link, syn_scheme, asyn_scheme, no_scheme, case):
+    scheme = {"no": no_scheme, "syn": syn_scheme, "asyn": asyn_scheme}[case]
+    rep = sp.simulate_event_level(source, field, link, scheme,
+                                  FROZEN_BLOCKS_PERIODS, seed=5,
+                                  n_batches=FROZEN_BATCHES)
+    got = (rep.avg_mse, rep.stderr, rep.aux["receptions"],
+           rep.aux["batch_integrals"].tolist(), rep.aux["batch_durations"].tolist())
+    assert repr(got) == repr(FROZEN_ACROSS_BLOCKS[case])
+
+
+def test_traced_run_across_draw_blocks(source, field, link, no_scheme):
+    # a traced run draws into its gamma rows, an untraced one into a reused
+    # buffer; both must give the same report, over three draw blocks
+    kw = dict(periods=70_001, seed=5, n_batches=FROZEN_BATCHES)
+    traced = sp.simulate_event_level(source, field, link, no_scheme,
+                                     collect_trace=True, **kw)
+    plain = sp.simulate_event_level(source, field, link, no_scheme, **kw)
+    for key in ("batch_integrals", "batch_durations"):
+        np.testing.assert_array_equal(traced.aux[key], plain.aux[key])
+    assert (traced.avg_mse, traced.stderr) == (plain.avg_mse, plain.stderr)
+    assert traced.events[-1] == sp.TransmissionEvent(
+        70_000, 1, 10500.0, 0.1064211130942754, False)
 
 
 def test_gap_stats_frozen_values(frozen_runs, source, link, syn_scheme,
