@@ -461,19 +461,21 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return manifest
 
 
-def _write_csv(path, columns, rows):
+def _write_csv(path, columns, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     # floats are written with repr, so they round-trip; None as an empty cell
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue())
+    data = buf.getvalue().encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def _record(manifest, path, columns, rows):
-    """Write one output CSV and list it, with its hash, in the manifest."""
-    _write_csv(path, columns, rows)
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """Write one output CSV and list it, with the hash of its bytes, in the
+    manifest."""
+    digest = hashlib.sha256(_write_csv(path, columns, rows)).hexdigest()
     manifest["outputs"].append({"file": Path(path).name, "sha256": digest,
                                 "rows": len(rows)})
 

@@ -84,6 +84,8 @@ class SensorField:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise InvalidConfigError(f"positions must be (M, 2), got {pos.shape}")
+        if not np.isfinite(pos).all():
+            raise InvalidConfigError(f"sensor coordinates must be finite: {pos.tolist()}")
         object.__setattr__(self, "positions", pos)
         if not 1 <= self.target_index <= pos.shape[0]:
             raise InvalidConfigError(
@@ -102,9 +104,9 @@ class SensorField:
         np.fill_diagonal(d, 0.0)
         return d
 
-    def target_factors(self, b: float, power: float = 1.0) -> np.ndarray:
-        """Row of exp(-power * b * r_mn) from the target to every sensor."""
-        return np.exp(-power * b * self.distances[self.target_index - 1])
+    def target_factors(self, b: float) -> np.ndarray:
+        """Squared spatial weights exp(-2 b r_mn) from the target to each sensor."""
+        return np.exp(-2.0 * b * self.distances[self.target_index - 1])
 
 
 def place_sensors(M, region_half_width, seed=None, target_index=1):
@@ -116,8 +118,9 @@ def place_sensors(M, region_half_width, seed=None, target_index=1):
     """
     if M < 1:
         raise InvalidConfigError(f"sensor count must be >= 1, got {M}")
-    if not region_half_width > 0:
-        raise InvalidConfigError(f"region_half_width must be > 0, got {region_half_width}")
+    if not (region_half_width > 0 and math.isfinite(2.0 * region_half_width)):
+        raise InvalidConfigError(f"region_half_width must be > 0 with a finite "
+                                 f"width 2 w, got {region_half_width}")
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-region_half_width, region_half_width, size=(M, 2))
     return SensorField(positions=pos, target_index=target_index, seed=seed)
@@ -149,7 +152,7 @@ def mssc(params: SourceParams, field: SensorField) -> float:
     M = field.n_sensors
     if M < 2:
         raise UndefinedMsscError("MSSC needs at least two sensors")
-    sq = field.target_factors(params.b, 2.0)
+    sq = field.target_factors(params.b)
     return float((sq.sum() - 1.0) / (M - 1))
 
 

@@ -15,7 +15,8 @@ squared error (MSE) admits closed forms:
 Each also has an MSSC-substituted version (every non-target spatial weight
 set to the mean squared spatial correlation).  :func:`average_mse` returns
 all six as plain numbers, ``scheme.scheme`` picking the form, from the
-array kernel :class:`ClosedForm`, which also gives d/d eps and Psi_n.
+array kernel :class:`ClosedForm`, which also gives Psi_n and d/d eps, the
+complex step of the one value formula (:func:`_complex_step`).
 
 Throughout, eps denotes the fading-averaged block error probability, E the
 squared temporal correlation over one period exp(-2 a T), and q its analog
@@ -99,7 +100,7 @@ class ReindexedField:
 def reindex_by_correlation(params: SourceParams, field: SensorField) -> ReindexedField:
     """Rank sensors by spatial usefulness for inferring the target."""
     m = field.target_index
-    fac = field.target_factors(params.b, power=2.0)
+    fac = field.target_factors(params.b)
     idx = sorted(range(1, field.n_sensors + 1),
                  key=lambda n: (-fac[n - 1], n != m, n))
     return ReindexedField(order=tuple(idx),
@@ -175,9 +176,15 @@ def _prefactor(source: SourceParams, tau, T: float):
             / (2.0 * source.a * T * (source.gamma_o + 1.0)))
 
 
-def _dquot(u, du, v, dv):
-    """Derivative of u / v from the derivatives of u and v."""
-    return (du * v - u * dv) / v ** 2
+# the complex step d: far below the rounding of any real part, which stays
+# f(x) to the last bit, and far above the underflow of d f'
+_STEP = 1e-150
+
+
+def _complex_step(f, x):
+    """f'(x) = Im f(x + i d) / d for f analytic at the real x (or array x),
+    exact to rounding with no cancellation (Squire & Trapp 1998)."""
+    return f(np.add(x, _STEP * 1j)).imag / _STEP
 
 
 # sum over the last axis of an elementwise product, broadcasting the rest
@@ -186,12 +193,10 @@ _vecdot = getattr(np, "vecdot", None) or (lambda x, y: (x * y).sum(axis=-1))
 
 @functools.lru_cache(maxsize=None)
 def _eps_powers(M: int, asyn: bool):
-    """Slot numbers n = 1..M, the eps power of rank n (synchronous) or slot
-    n (asynchronous), and the power in its derivative (whose coefficient is
-    0 where it clips at 0)."""
+    """Slot numbers n = 1..M and the eps power of rank n (synchronous) or
+    slot n (asynchronous)."""
     n = np.arange(1.0, M + 1)
-    p = M - n if asyn else n - 1.0
-    out = (n, p, np.maximum(p - 1.0, 0.0))
+    out = (n, M - n if asyn else n - 1.0)
     for arr in out:
         arr.flags.writeable = False  # shared by every caller through the cache
     return out
@@ -200,11 +205,11 @@ def _eps_powers(M: int, asyn: bool):
 def _lift(x):
     """x, and x with a trailing axis for the M per-sensor terms.
 
-    A float stays a float, which keeps scalar calls cheap.
+    A float or complex scalar stays a scalar, which keeps scalar calls cheap.
     """
-    if isinstance(x, float):
+    if isinstance(x, (float, complex)):
         return x, x
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     return x, x[..., None]
 
 
@@ -217,22 +222,24 @@ class ClosedForm:
     T, M : period and number of sensors
     tau  : packet delay; it only scales :meth:`mse` and :meth:`dmse`
     h    : time shift for the asynchronous form, or None for the
-           synchronous form (M = 1 is the no-inference form)
+           synchronous form (M = 1 is the no-inference form); a complex
+           h carries a complex step in h
 
     tau and h may be arrays.  They broadcast against each other, against
     the ``eps`` passed to the methods and against ``weights[..., 0]``,
     whose last axis runs over the M sensors: in descending order for the
     synchronous form (target first), in transmission-slot order for the
     asynchronous one.  Every form is a quotient with a positive
-    denominator on eps in [0, 1], so eps = 1 needs no special case.
+    denominator on eps in [0, 1], so eps = 1 needs no special case.  Each
+    form is written once, for its value; :meth:`dmse` is its complex step.
     """
 
     def __init__(self, source: SourceParams, T: float, tau, M: int, h=None):
         a = source.a
-        self.a, self.s2, self.M, self.h = a, source.sigma2_x, M, h
+        self.s2, self.M, self.h = source.sigma2_x, M, h
         self.E = math.exp(-2.0 * a * T)
         self.c = _prefactor(source, tau, T)
-        self.n, self.p, self.p1 = _eps_powers(M, h is not None)
+        self.n, self.p = _eps_powers(M, h is not None)
         if h is not None:
             h, hn = _lift(h)
             self.q = np.exp(-2.0 * a * h)
@@ -241,73 +248,37 @@ class ClosedForm:
             self.slot = (np.exp(2.0 * a * hn * (self.n - 1.0))
                          * (np.exp(-2.0 * a * hn * M) - self.E))
 
-    def _eps_factor(self, eps, deriv: bool = False):
+    def _eps_factor(self, eps):
         """A_n = eps^(M-n) (1-eps) / (1 - E eps^M) on a new last axis
-        n = 1..M, the eps part of Psi_n; with ``deriv`` returns (A, dA/deps)."""
-        M, E = self.M, self.E
+        n = 1..M, the eps part of Psi_n."""
         e = _lift(eps)[1]
-        pw, one_e = e ** self.p, 1.0 - e
-        u, den = pw * one_e, 1.0 - E * e ** M
-        if not deriv:
-            return u / den
-        du = self.p * one_e * e ** self.p1 - pw
-        return u / den, _dquot(u, du, den, -M * E * e ** (M - 1))
+        return e ** self.p * (1.0 - e) / (1.0 - self.E * e ** self.M)
 
-    def psi(self, eps, deriv: bool = False):
+    def psi(self, eps):
         """Asynchronous slot weights Psi_n on a new last axis n = 1..M.
 
         Psi_n = 1 - q + slot_n A_n(eps), with slot_n = exp(2ah(n-1)) (q^M - E)
         the h part and A_n the eps part (:meth:`_eps_factor`).
-        With ``deriv`` returns (Psi, d Psi / d eps).
         """
-        if not deriv:
-            return self.one_q + self.slot * self._eps_factor(eps)
-        A, dA = self._eps_factor(eps, deriv=True)
-        return self.one_q + self.slot * A, self.slot * dA
+        return self.one_q + self.slot * self._eps_factor(eps)
 
-    def _reduction(self, eps, weights, deriv=False):
-        """R with MSE = sigma2 - c R; with ``deriv`` returns (R, dR / d eps)."""
+    def _reduction(self, eps, weights):
+        """R with MSE = sigma2 - c R.  The real weights come first in each
+        ``_vecdot``, as ``np.vecdot`` conjugates its first argument."""
         if self.h is None:
             # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
-            if not deriv:
-                return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
-            return tuple((1.0 - self.E) * _vecdot(weights, A)
-                         for A in self._eps_factor(eps, deriv=True))
+            return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
         # R = (1-eps) sum_n w_n Psi_n / (1 - q eps)
-        e, q = _lift(eps)[0], self.q
-        if not deriv:
-            return (1.0 - e) * _vecdot(weights, self.psi(eps)) / (1.0 - q * e)
-        psi, dpsi = self.psi(eps, deriv=True)
-        S, dS = _vecdot(weights, psi), _vecdot(weights, dpsi)
-        u = (1.0 - e) * S
-        return u / (1.0 - q * e), _dquot(u, (1.0 - e) * dS - S, 1.0 - q * e, -q)
+        e = _lift(eps)[0]
+        return (1.0 - e) * _vecdot(weights, self.psi(eps)) / (1.0 - self.q * e)
 
     def mse(self, eps, weights):
         """Average MSE sigma2 - c R(eps)."""
         return self.s2 - self.c * self._reduction(eps, weights)
 
     def dmse(self, eps, weights):
-        """d MSE / d eps."""
-        return -self.c * self._reduction(eps, weights, deriv=True)[1]
-
-    def dmse_dh(self, eps, weights):
-        """d MSE / dh of the asynchronous form at fixed eps and delay.
-
-        From the same factors as :meth:`psi`: dq/dh = -2a q and
-        d slot_n / dh = 2a [(n-1) slot_n - M q^(M-n+1)], then the quotient
-        rule on R = (1-eps) S / (1 - q eps).
-        """
-        a, M, n = self.a, self.M, self.n
-        e = _lift(eps)[0]
-        hn, qn = _lift(self.h)[1], _lift(self.q)[1]
-        dslot = 2.0 * a * ((n - 1.0) * self.slot
-                           - M * np.exp(-2.0 * a * hn * (M - n + 1.0)))
-        A = self._eps_factor(eps)
-        S = _vecdot(weights, self.one_q + self.slot * A)
-        dS = _vecdot(weights, 2.0 * a * qn + dslot * A)
-        one_e = 1.0 - e
-        return -self.c * _dquot(one_e * S, one_e * dS, 1.0 - self.q * e,
-                                2.0 * a * self.q * e)
+        """d MSE / d eps, the complex step of :meth:`mse` in eps."""
+        return _complex_step(lambda e: self.mse(e, weights), eps)
 
     def mse_grid(self, eps, weights, rows=slice(None), width=None):
         """Asynchronous MSE on an outer grid: the delays tau (1-D, or one
@@ -380,7 +351,7 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
         raise InvalidConfigError(f"field target {field_or_weights.target_index}"
                                  f" is not the scheme's m={scheme.m}")
     elif asyn:
-        w = field_or_weights.target_factors(source.b, power=2.0)
+        w = field_or_weights.target_factors(source.b)
     else:
         w = np.asarray(reindex_by_correlation(source, field_or_weights).factors)
     if w.ndim != 1 or len(w) != scheme.M:
@@ -482,7 +453,7 @@ def upsilon(source: SourceParams, field: SensorField, link: LinkParams,
     """
     _check_timing(link, scheme, need_h=True)
     a, M = source.a, scheme.M
-    w = field.target_factors(source.b, power=2.0)
+    w = field.target_factors(source.b)
     q = math.exp(-2.0 * a * scheme.h)
     W = 1.0 - math.exp(-2.0 * a * (scheme.T - M * scheme.h))
     lead = W * q * (q * float(w[M - 2]) - (2.0 - q) * float(w[M - 1])) / (1.0 - q) ** 2

@@ -14,10 +14,12 @@ stationarity functions
 
     H(N) = d MSE_syn / dN,   J(h) = d MSE_asyn / dh,   F(N) = d MSE_asyn / dN
 
-are its exact derivatives; a step reports |H|, |J| or |F| at the integer
-it returns as a diagnostic.  The module also provides the alternating
-joint optimizer and exhaustive-search baselines.  Reported ``mse_star``
-values are re-evaluated with the closed-form average BLEP model.
+are its derivatives, exact to rounding by complex step: J in h, H and F
+through the chain rule with d eps / dN (:func:`blep.dblep_dN`).  A step
+reports |H|, |J| or |F| at the integer it returns as a diagnostic.  The
+module also provides the alternating joint optimizer and exhaustive-search
+baselines.  Reported ``mse_star`` values are re-evaluated with the
+closed-form average BLEP model.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, average_mse,
-                  max_blocklength, scheme_weights, shift_count)
+from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _complex_step,
+                  average_mse, max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
 
@@ -137,9 +139,10 @@ def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, h: float) -> float:
-    """d MSE_asyn / dh at the link's blocklength (simplified BLEP inside)."""
-    cf, w = _kernel_at(source, field, link, scheme, link.N, h)
-    return float(cf.dmse_dh(blep_average_simplified(link), w))
+    """d MSE_asyn / dh by complex step at the link's blocklength (simplified BLEP)."""
+    eps, w = blep_average_simplified(link), scheme_weights(source, field, scheme)
+    return float(_complex_step(
+        lambda hh: _kernel_at(source, field, link, scheme, link.N, hh)[0].mse(eps, w), h))
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,

@@ -176,7 +176,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     ranked = np.array(reindex_by_correlation(source, field).order[:drawn])
     sensors = np.sort(ranked)  # the target alone, or 1..M; one row each
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
-    weights = field.target_factors(source.b, power=2.0)[sensors - 1]
+    weights = field.target_factors(source.b)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
 
     # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into

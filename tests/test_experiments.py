@@ -645,6 +645,19 @@ def test_missing_positions_file_is_a_config_error(tmp_path):
         parse_spec(f"[experiment]\n[field]\npositions_file = {path}\n")
 
 
+@pytest.mark.parametrize("half_width", ["inf", "1e308"])
+def test_unbounded_placement_region_is_a_config_error(half_width):
+    with pytest.raises(InvalidConfigError, match="region_half_width"):
+        parse_spec(f"[experiment]\n[field]\nhalf_width_m = {half_width}\n")
+
+
+def test_non_finite_positions_file_is_a_config_error(tmp_path):
+    path = tmp_path / "positions.txt"
+    path.write_text("sensor_id, x_m, y_m\n1, 0.0, 0.0\n2, nan, 4.0\n")
+    with pytest.raises(InvalidConfigError, match="coordinates must be finite"):
+        parse_spec(f"[experiment]\n[field]\npositions_file = {path}\n")
+
+
 @pytest.mark.parametrize("section, key", sorted(
     (s, k) for s, keys in experiments.SCHEMA.items() for k in keys))
 def test_empty_value_is_an_error(section, key):

@@ -25,6 +25,20 @@ def test_zero_sensors_rejected():
         sp.place_sensors(0, 10.0, seed=0)
 
 
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(coord):
+    pos = np.array([[0.0, 0.0], [3.0, coord]])
+    with pytest.raises(InvalidConfigError, match="coordinates must be finite"):
+        sp.SensorField(positions=pos)
+
+
+@pytest.mark.parametrize("width", [math.inf, 1e308])
+def test_region_half_width_must_be_finite(width):
+    # 1e308 is finite, but the square's width 2 w is not
+    with pytest.raises(InvalidConfigError, match="region_half_width"):
+        sp.place_sensors(3, width, seed=0)
+
+
 def test_placement_deterministic_under_seed():
     a = sp.place_sensors(5, 10.0, seed=42)
     b = sp.place_sensors(5, 10.0, seed=42)

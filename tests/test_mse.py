@@ -24,9 +24,9 @@ def dip_setup():
     return src, field, scheme
 
 
-def slot_weights(src, scheme, eps, deriv=False):
-    """The slot weights Psi_n of an asynchronous config (and d/d eps)."""
-    return sp.ClosedForm(src, scheme.T, 0.0, scheme.M, scheme.h).psi(eps, deriv)
+def slot_weights(src, scheme, eps):
+    """The slot weights Psi_n of an asynchronous config."""
+    return sp.ClosedForm(src, scheme.T, 0.0, scheme.M, scheme.h).psi(eps)
 
 
 def dmse(src, f, link, scheme, eps):
@@ -171,7 +171,7 @@ def test_asyn_eps_zero_matches_direct_weighting(source, field, link, asyn_scheme
     # last-slot sensor covers the wrap gap, everyone else covers one shift
     v = sp.average_mse(source, field, link, asyn_scheme, eps_bar=0.0)
     a, h, T, M = source.a, asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
-    w = field.target_factors(source.b, power=2.0)
+    w = field.target_factors(source.b)
     q = math.exp(-2 * a * h)
     alpha = (w[-1] * q * (1 - math.exp(-2 * a * (T - M * h)))
              + (1 - q) * w.sum())
@@ -272,6 +272,48 @@ def test_asyn_eps_derivative_matches_finite_difference(source, field, link, asyn
         fd = (hi - lo) / (2 * d)
         ana = dmse(source, field, link, asyn_scheme, eps)
         assert ana == pytest.approx(fd, rel=1e-4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.1, 20.0), T=st.floats(0.02, 0.5), tau_frac=st.floats(0.0, 0.99))
+def test_complex_step_matches_the_no_inference_derivative(a, T, tau_frac):
+    # d/d eps of sigma2 - c (1-E)(1-eps)/(1 - E eps) is c (1-E)^2 / (1 - E eps)^2;
+    # the complex step matches it to rounding, where a finite difference
+    # loses half the digits to cancellation
+    src = sp.SourceParams(a=a)
+    tau = tau_frac * T
+    E = math.exp(-2.0 * a * T)
+    c = (src.sigma2_x * src.gamma_o * math.exp(-2.0 * a * tau)
+         / (2.0 * a * T * (src.gamma_o + 1.0)))
+    eps = [0.0, 0.3, 1.0 - 1e-9, 1.0]
+    want = [c * (1.0 - E) ** 2 / (1.0 - E * e) ** 2 for e in eps]
+    cf = sp.ClosedForm(src, T, tau, 1)
+    assert cf.dmse(np.array(eps), [1.0]).tolist() == pytest.approx(want, rel=1e-13, abs=0)
+    for e, w in zip(eps, want):
+        assert float(cf.dmse(e, [1.0])) == pytest.approx(w, rel=1e-13, abs=0)
+
+
+def test_complex_step_does_not_depend_on_its_size(monkeypatch, source, link):
+    # exact to rounding for any tiny step: the default and 1e-20 agree
+    eps = np.linspace(0.0, 1.0, 21)
+
+    def slopes():
+        out = []
+        for seed in range(4):
+            f = sp.place_sensors(5, 10.0, seed=seed, target_index=seed + 1)
+            syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=seed + 1)
+            out.append(sp.ClosedForm(source, 0.150, link.tau, 5).dmse(
+                eps, sp.scheme_weights(source, f, syn)))
+            for h in (link.T_s, 0.012, 0.03):
+                asyn = replace(syn, scheme=sp.Scheme.ASYN_INFER, h=h)
+                out.append(sp.ClosedForm(source, 0.150, link.tau, 5, h).dmse(
+                    eps, sp.scheme_weights(source, f, asyn)))
+                out.append([sp.eval_J(source, f, link, asyn, h)])
+        return np.concatenate(out)
+
+    before = slopes()
+    monkeypatch.setattr("sptrecon.mse._STEP", 1e-20)
+    assert slopes() == pytest.approx(before, rel=1e-12, abs=0)
 
 
 def test_eps_star_finds_the_dip():
@@ -492,14 +534,14 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
     eps = np.array([r[3] for r in rows])
     tau = np.array([r[1].tau for r in rows])
     h = np.array([r[2] for r in rows])
-    w = np.array([f.target_factors(b, power=2.0) for f, *_ in rows])
+    w = np.array([f.target_factors(b) for f, *_ in rows])
     fac = -np.sort(-w, axis=1)
 
     asyn = sp.ClosedForm(src, T, tau, M, h)
     syn = sp.ClosedForm(src, T, tau, M)
     got = {"asyn": asyn.mse(eps, w), "dasyn": asyn.dmse(eps, w),
            "syn": syn.mse(eps, fac), "no": sp.ClosedForm(src, T, tau, 1).mse(eps, [1.0])}
-    psi, dpsi = asyn.psi(eps, deriv=True)
+    psi = asyn.psi(eps)
     close = lambda x, y: x == pytest.approx(y, rel=1e-12, abs=1e-12)
     for i, (f, link, hi, e) in enumerate(rows):
         s_asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=hi, M=M, m=f.target_index)
@@ -510,7 +552,6 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
         assert close(got["syn"][i], sp.average_mse(src, f, link, s_syn, e))
         assert close(got["no"][i], sp.average_mse(src, None, link, s_no, e))
         assert close(psi[i], slot_weights(src, s_asyn, e))
-        assert close(dpsi[i], slot_weights(src, s_asyn, e, deriv=True)[1])
         assert close(got["asyn"][i], _literal_mse(src, T, link.tau, e, w[i], hi))
         assert close(got["syn"][i], _literal_mse(src, T, link.tau, e, fac[i]))
         # one call over every drawn eps equals the scalar calls row by row
@@ -522,7 +563,7 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
 
 
 def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):
-    fac = field.target_factors(source.b, power=2.0)
+    fac = field.target_factors(source.b)
     assert sp.scheme_weights(source, field, no_scheme).tolist() == [1.0]
     # shared by every no-inference call, so a caller cannot overwrite it
     assert not sp.scheme_weights(source, field, no_scheme).flags.writeable
@@ -601,7 +642,7 @@ def test_upsilon_is_the_sign_of_the_kernel_slope_at_zero(M, a, T, b, h_frac, dat
     h = link.T_s + h_frac * (h_max - link.T_s)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=f.target_index)
     ups, rho = sp.upsilon(src, f, link, scheme), sp.mssc(src, f)
-    w = f.target_factors(b, power=2.0)
+    w = f.target_factors(b)
     slope = float(sp.ClosedForm(src, T, link.tau, M, h).dmse(0.0, w))
     assume(abs(ups - rho) > 1e-9 * max(1.0, abs(ups)))  # not a rounding tie
     assert (rho < ups) == (slope < 0.0)
