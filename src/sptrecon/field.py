@@ -34,6 +34,10 @@ from .errors import (
 # separable exponential kernel is PSD in exact arithmetic only.
 _COV_JITTER = 1e-10
 
+# Largest coordinate magnitude in metres: far beyond any physical field and
+# far below the 1.3e154 m separation whose squared distance overflows.
+_MAX_COORD_M = 1e150
+
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -84,8 +88,9 @@ class SensorField:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise InvalidConfigError(f"positions must be (M, 2), got {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise InvalidConfigError(f"sensor coordinates must be finite: {pos.tolist()}")
+        if not (np.abs(pos) <= _MAX_COORD_M).all():  # NaN too
+            raise InvalidConfigError("sensor coordinates must be finite and at most "
+                                     f"{_MAX_COORD_M:g} m in magnitude: {pos.tolist()}")
         object.__setattr__(self, "positions", pos)
         if not 1 <= self.target_index <= pos.shape[0]:
             raise InvalidConfigError(

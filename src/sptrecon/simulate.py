@@ -6,13 +6,16 @@ Two independent checks:
   sample the server holds, and integrates the instantaneous error
   sigma2 (1 - gamma_o exp(-2 a age - 2 b r) / (gamma_o + 1)) in closed form
   over every inter-update interval.  No time discretization, so at a fixed
-  seed the only noise is the packet-loss process itself.
+  seed the only noise is the packet-loss process itself.  A period's first
+  success in preference order is one small-integer rank per period,
+  overwritten rank by rank from the last to the first.
 
 * data level -- actually draws the correlated Gaussian field at every
   generation instant plus a dense evaluation grid, applies the
   conditional-mean estimator to the noisy samples, and averages squared
   errors.  Validates the instantaneous-error expression the event level
-  assumes.
+  assumes.  Beside the drawn samples and states (8 bytes each per draw and
+  entry), the estimator's error takes one buffer of at most 8 more.
 
 Randomness: one generator per (seed, replica, sensor), so adding sensors
 never perturbs the draws of existing ones.  Per sensor, all SNR draws are
@@ -90,37 +93,23 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # in cache between the steps that make the success mask
 _BLOCK = 1 << 15
 
-# the lowest set bit of each byte value (0 for 0, which is never looked up)
-_LOW_BIT = np.array([(v & -v).bit_length() - 1 if v else 0 for v in range(256)],
-                    dtype=np.intp)
-
 
 def _first_success_rank(success, order):
     """Periods with a success, and the smallest rank r among them whose
-    sensor ``order[r]`` succeeded.
-
-    Per period, byte g of a code has bit b set when the sensor of rank
-    8 g + b succeeded, so the first rank is 8 g + the lowest set bit of
-    the first nonzero byte.  That keeps M / 8 bytes per period instead of
-    a reordered copy of the (M, periods) mask, for any M.
+    sensor ``order[r]`` succeeded.  Each period's rank starts at M ("none")
+    and r = M - 1 .. 0 overwrite it where ``order[r]`` succeeded, so one byte
+    per period (two from M = 256) replaces a reordered (M, periods) mask.
     """
     M, P = success.shape
-    code = np.zeros(((M + 7) // 8, P), dtype=np.uint8)
-    bit = np.empty(P, dtype=np.uint8)
-    for r, s in enumerate(order):
-        np.left_shift(success[s].view(np.uint8), r % 8, out=bit)
-        code[r // 8] |= bit
-    ok_any = code[0] != 0
-    for byte in code[1:]:
-        ok_any |= byte != 0
-    ks = np.nonzero(ok_any)[0]
-    # the last byte first, then overwrite where an earlier byte has a bit
-    rank = _LOW_BIT[code[-1, ks]] + 8 * (len(code) - 1)
-    for g in range(len(code) - 2, -1, -1):
-        byte = code[g, ks]
-        hit = byte != 0
-        rank[hit] = _LOW_BIT[byte[hit]] + 8 * g
-    return ks, rank
+    rank = np.full(P, M, dtype=np.min_scalar_type(M))
+    step = np.empty_like(rank)
+    for r in range(M - 1, -1, -1):
+        # rank - r >= 1 here, so the unsigned difference never wraps
+        np.subtract(rank, r, out=step)
+        step *= success[order[r]]
+        rank -= step
+    ks = np.flatnonzero(rank < M)
+    return ks, rank[ks]
 
 
 def batch_means_stderr(batch_integrals, batch_durations) -> float:
@@ -320,9 +309,9 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
 
     Reuses the event trace of :func:`simulate_event_level` at the same
     (seed, replica), draws the joint Gaussian at all successful generation
-    instants plus a midpoint evaluation grid of the target's true state,
-    applies the conditional-mean estimate from the held sample, and
-    averages squared errors time-weighted over intervals.  The gap to the
+    instants plus the target's true state on an (interval, midpoint) grid,
+    applies the conditional-mean estimate from the interval's held sample,
+    and averages squared errors time-weighted over intervals.  The gap to the
     event-level value on the same trace is pure estimator-sampling noise.
     The standard error over draws needs ``n_draws`` >= 2.
     """
@@ -333,46 +322,42 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     gen = ev.aux["gen_times_s"]
     src_sensor = ev.aux["used_sensor"]
     D = np.diff(gen)
-    tau = link.tau
     m = field.target_index
-    n_int = len(D)
     offsets = (np.arange(_GRID_PER_INTERVAL) + 0.5) / _GRID_PER_INTERVAL
-    eval_times = (gen[:-1, None] + tau + offsets[None, :] * D[:, None]).ravel()
-    eval_sensor_src = np.repeat(src_sensor[:-1], _GRID_PER_INTERVAL)
-    eval_gen = np.repeat(gen[:-1], _GRID_PER_INTERVAL)
+    eval_times = gen[:-1, None] + link.tau + offsets * D[:, None]
 
-    entries = [(int(s), float(t)) for s, t in zip(src_sensor, gen)]
-    n_samp = len(entries)
-    total = n_samp + len(eval_times)
+    n_samp = len(gen)
+    total = n_samp + eval_times.size
     if total > _MAX_ENTRIES:
         raise ScaleLimitError(
             f"joint covariance would need {total} entries (> {_MAX_ENTRIES}); "
             "reduce periods"
         )
-    entries += [(m, float(t)) for t in eval_times]
-
+    entries = [(int(s), float(t)) for s, t in zip(src_sensor, gen)]
+    entries += [(m, float(t)) for t in eval_times.ravel()]
     y, x = sample_joint_gaussian(
         source, field, entries, seed=[seed, replica, 986743], n_draws=n_draws,
         return_latent=True,
     )
-    y_samp = y[:, :n_samp]
-    x_true = x[:, n_samp:]
-
-    # conditional-mean estimate from the held sample
-    rho = correlation(source, field, m, eval_sensor_src, eval_times - eval_gen)
+    # the conditional-mean estimate from the held sample, then its squared
+    # error, in one (draws, interval, midpoint) buffer
+    rho = correlation(source, field, m, src_sensor[:-1, None],
+                      eval_times - gen[:-1, None])
     gain = source.gamma_o / (source.gamma_o + 1.0)
-    samp_idx = np.repeat(np.arange(n_int), _GRID_PER_INTERVAL)
-    x_hat = gain * rho[None, :] * y_samp[:, samp_idx]
+    err = gain * rho * y[:, :n_samp - 1, None]
+    np.subtract(x[:, n_samp:].reshape(err.shape), err, out=err)
+    del y, x
+    err *= err
 
     # time-weighted average: midpoint rule with weights D_v / grid size
     wts = np.repeat(D / _GRID_PER_INTERVAL, _GRID_PER_INTERVAL)
-    wts = wts / wts.sum()
-    per_draw = ((x_true - x_hat) ** 2 * wts[None, :]).sum(axis=1)
+    err *= (wts / wts.sum()).reshape(rho.shape)
+    per_draw = err.reshape(n_draws, -1).sum(axis=1)
     avg = float(per_draw.mean())
     stderr = float(per_draw.std(ddof=1) / math.sqrt(n_draws))
 
     return SimReport(avg, stderr, periods, scheme.scheme, {
         "event_level_mse": ev.avg_mse,
         "n_samples": n_samp,
-        "n_eval_points": len(eval_times),
+        "n_eval_points": eval_times.size,
     })

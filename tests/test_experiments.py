@@ -651,6 +651,12 @@ def test_unbounded_placement_region_is_a_config_error(half_width):
         parse_spec(f"[experiment]\n[field]\nhalf_width_m = {half_width}\n")
 
 
+def test_placement_region_beyond_the_coordinate_bound_is_a_config_error():
+    # finite, but sensors 1e307 m apart overflow their squared distance
+    with pytest.raises(InvalidConfigError, match="at most 1e\\+150 m"):
+        parse_spec("[experiment]\n[field]\nhalf_width_m = 1e307\n")
+
+
 def test_non_finite_positions_file_is_a_config_error(tmp_path):
     path = tmp_path / "positions.txt"
     path.write_text("sensor_id, x_m, y_m\n1, 0.0, 0.0\n2, nan, 4.0\n")

@@ -32,6 +32,23 @@ def test_non_finite_coordinates_rejected(coord):
         sp.SensorField(positions=pos)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sp.place_sensors(3, 1e307, seed=0),
+    lambda: sp.SensorField(positions=np.array([[0.0, 0.0], [-1e155, 3.0]])),
+], ids=["placed-1e307", "given-1e155"])
+def test_coordinates_beyond_1e150_m_rejected(make):
+    # finite, but a squared distance overflows from about 1.3e154 m apart
+    with pytest.raises(InvalidConfigError, match="at most 1e\\+150 m"):
+        make()
+
+
+def test_coordinates_of_1e150_m_accepted():
+    f = sp.SensorField(positions=np.array([[-1e150, 0.0], [1e150, 1e150]]))
+    assert f.distances[0, 1] == pytest.approx(math.sqrt(5.0) * 1e150, rel=1e-15)
+    assert sp.mssc(sp.SourceParams(b=0.0), f) == 1.0
+    assert sp.mssc(sp.SourceParams(b=0.01), f) == 0.0
+
+
 @pytest.mark.parametrize("width", [math.inf, 1e308])
 def test_region_half_width_must_be_finite(width):
     # 1e308 is finite, but the square's width 2 w is not

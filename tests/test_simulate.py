@@ -259,6 +259,47 @@ def test_data_level_agrees_with_event_level_asyn(source, link):
     assert abs(rep.avg_mse - rep.aux["event_level_mse"]) < 3.0 * rep.stderr
 
 
+# scheme -> (avg_mse, stderr, event_level_mse, n_samples, n_eval_points)
+FROZEN_DATA_LEVEL = {
+    "syn": (0.6115977919188499, 0.012502662852619174, 0.6248663745531372, 20, 304),
+    "asyn": (0.6308093462264551, 0.0140369472515728, 0.6330433357235624, 25, 384),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_DATA_LEVEL))
+def test_data_level_frozen_values(source, field, link, syn_scheme,
+                                  asyn_scheme, case):
+    # bit-for-bit: any change to the trace, the draws or the estimator's
+    # operation order shows in the repr
+    scheme = {"syn": syn_scheme, "asyn": asyn_scheme}[case]
+    rep = sp.simulate_data_level(source, field, link, scheme, periods=40,
+                                 seed=5, n_draws=200)
+    got = (rep.avg_mse, rep.stderr, rep.aux["event_level_mse"],
+           rep.aux["n_samples"], rep.aux["n_eval_points"])
+    assert repr(got) == repr(FROZEN_DATA_LEVEL[case])
+
+
+def test_data_level_peak_memory_per_draw_entry(source, field, link,
+                                               syn_scheme, asyn_scheme):
+    # With more draws than entries the (draws, entries) arrays dominate:
+    # the drawn samples y and states x take 8 B each per draw and entry,
+    # and the estimator's error buffer, one float per draw and evaluation
+    # point, at most 8 B more.  24 B plus the event trace and the
+    # (entries, entries) covariance stays under 26 B; a second
+    # (draws, points) temporary breaks it.
+    n_draws = 2_000
+    for scheme in (syn_scheme, asyn_scheme):
+        tracemalloc.start()
+        try:
+            rep = sp.simulate_data_level(source, field, link, scheme,
+                                         periods=40, seed=5, n_draws=n_draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = rep.aux["n_samples"] + rep.aux["n_eval_points"]
+        assert peak / (n_draws * entries) <= 26.0, (scheme.scheme, peak)
+
+
 @pytest.mark.parametrize("n_draws", [0, 1])
 def test_data_level_needs_two_draws(source, field, link, syn_scheme, n_draws):
     # the standard error over draws needs two of them
@@ -436,10 +477,11 @@ def test_trace_frozen_values(source, field, link, asyn_scheme):
                                                   3.4973254483837, False)
 
 
-@pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16, 17, 70])
+@pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16, 17, 70, 256, 300])
 def test_first_success_rank_matches_the_reordered_argmax(M):
-    # the byte code equals argmax over the reordered mask, also where the
-    # ranks span several bytes; periods without a success are skipped
+    # the overwritten rank equals argmax over the reordered mask, also for
+    # M = 256 and 300, whose ranks need two bytes; periods without a
+    # success are skipped
     rng = np.random.default_rng(M)
     for p in (0.02, 0.3, 0.9):
         success = rng.random((M, 5000)) < p
