@@ -80,7 +80,6 @@ from .regions import (
 )
 from .simulate import (
     SimReport,
-    TransmissionEvent,
     empirical_gap_stats,
     expected_exp_gap_syn,
     expected_gap_asyn,

@@ -69,7 +69,13 @@ class LinkParams:
     def from_db(cls, gamma_r_bar_db=None, **kw):
         """The link with gamma_r_bar given in dB; other fields as in the class."""
         if gamma_r_bar_db is not None:
-            kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
+            try:
+                kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
+            except OverflowError:  # above about 3083 dB
+                kw["gamma_r_bar"] = math.inf
+            if not math.isfinite(kw["gamma_r_bar"]):
+                raise InvalidConfigError(f"gamma_r_bar_db = {gamma_r_bar_db} has no "
+                                         "finite linear value 10^(dB/10)")
         return cls(**kw)
 
     def with_blocklength(self, N: int) -> "LinkParams":

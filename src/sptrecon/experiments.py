@@ -19,7 +19,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from dataclasses import field as dc_field
 from importlib import resources
 from pathlib import Path
@@ -251,7 +251,7 @@ def _apply_point(spec: ExperimentSpec, point: dict):
     if "b_per_m" in point:
         source = replace(source, b=point["b_per_m"])
     if "gamma_r_bar_db" in point:
-        link = replace(link, gamma_r_bar=10 ** (point["gamma_r_bar_db"] / 10.0))
+        link = LinkParams.from_db(point["gamma_r_bar_db"], **asdict(link))
     if "N" in point:
         link = replace(link, N=_integral(point["N"], "swept blocklength N"))
     scheme = replace(scheme, T=point.get("T_period_s", scheme.T),
@@ -356,13 +356,21 @@ def _sim_row(spec, point):
         )
     mse_mc = float(bi.sum() / bd.sum())
     ana = average_mse(source, field, link, scheme)
-    z = (mse_mc - ana) / stderr if stderr > 0 else math.inf
     row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
-           scheme.M, rho_val, spec.periods, spec.seed, mse_mc, stderr, ana, z]
+           scheme.M, rho_val, spec.periods, spec.seed, mse_mc, stderr, ana,
+           _z_score(mse_mc, ana, stderr)]
     if not spec.dump_trace:
         return [row], None
-    return [row], [[e.period, e.sensor, e.t_start_s, e.gamma_r, int(e.success)]
-                   for r in reports for e in r.events]
+    cols = [np.concatenate([r.aux["trace"][c] for r in reports]) for c in EVENT_COLUMNS]
+    cols[-1] = cols[-1].view(np.uint8)  # success as 0/1
+    return [row], list(zip(*(c.tolist() for c in cols)))
+
+
+def _z_score(val, ref, stderr):
+    """(val - ref) / stderr; with stderr 0, NaN or inf, 0 on an exact match and inf else."""
+    if stderr > 0 and math.isfinite(stderr):
+        return (val - ref) / stderr
+    return 0.0 if val == ref else math.inf
 
 
 def _optimize_rows(spec, points):
@@ -510,11 +518,7 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
         ref = float(ra.get("mse_analytic", ra.get("mse_mc")))
         val = float(rb.get("mse_mc", rb.get("mse_analytic")))
         stderr = float(rb.get("stderr", 0.0) or 0.0)
-        if stderr > 0 and math.isfinite(stderr):
-            z = (val - ref) / stderr
-        else:
-            # no usable error bar: only an exact match passes
-            z = 0.0 if val == ref else math.inf
+        z = _z_score(val, ref, stderr)
         rel = abs(val - ref) / abs(ref) if ref != 0 else math.inf
         ok = abs(z) <= 4.0 and rel <= rel_bound
         passed &= ok

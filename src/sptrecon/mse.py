@@ -244,9 +244,9 @@ class ClosedForm:
             h, hn = _lift(h)
             self.q = np.exp(-2.0 * a * h)
             self.one_q = 1.0 - _lift(self.q)[1]
-            # exp(2 a h (n-1)) (q^M - E)
-            self.slot = (np.exp(2.0 * a * hn * (self.n - 1.0))
-                         * (np.exp(-2.0 * a * hn * M) - self.E))
+            # exp(2 a h (n-1)) (q^M - E) as a difference of two terms in (0, 1]
+            self.slot = (np.exp(-2.0 * a * hn * (M - self.n + 1.0))
+                         - np.exp(-2.0 * a * (T - hn * (self.n - 1.0))))
 
     def _eps_factor(self, eps):
         """A_n = eps^(M-n) (1-eps) / (1 - E eps^M) on a new last axis

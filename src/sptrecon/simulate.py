@@ -37,24 +37,12 @@ from .field import correlation, sample_joint_gaussian
 from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
 
 
-@dataclass(frozen=True)
-class TransmissionEvent:
-    """One packet attempt (debug trace row)."""
-
-    period: int
-    sensor: int
-    t_start_s: float
-    gamma_r: float
-    success: bool
-
-
 @dataclass
 class SimReport:
     """Time-averaged reconstruction error with batch-means error bar.
 
     ``aux`` holds what the oracle measured (keys listed under
-    :func:`simulate_event_level` and :func:`simulate_data_level`);
-    ``events`` the per-attempt rows of a traced run.
+    :func:`simulate_event_level` and :func:`simulate_data_level`).
     """
 
     avg_mse: float
@@ -62,7 +50,6 @@ class SimReport:
     periods: int
     scheme: Scheme
     aux: dict = dc_field(default_factory=dict)
-    events: list = dc_field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +126,11 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
                             draw (0.0 forces every packet through)
     use_q_model           : draw successes from the Q-function form instead
                             of the segmented linear model
-    collect_trace         : keep per-attempt TransmissionEvent rows; only a
-                            traced run keeps the (sensors, periods) SNR draws
+    collect_trace         : keep every packet attempt in ``aux["trace"]``, one
+                            flat array per events-file column (``period``,
+                            ``sensor``, ``t_start_s`` = k T + offset,
+                            ``gamma_r``, boolean ``success``), sensor by
+                            sensor, then period by period
 
     ``aux`` keys: ``gaps_s`` (spacing of consecutive receptions),
     ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
@@ -190,30 +180,33 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     # row by row: count_nonzero over an axis is about 10x slower
     rates = np.array([np.count_nonzero(r) for r in success]) / periods
 
-    # the period and sensor row of each reception the server uses; the
-    # mask is dropped once read, before the next large array is allocated
-    # (at 1e6 periods that keeps the resident peak about 3 MB lower), unless
-    # the trace needs it
     aux = {}
+    if collect_trace:
+        k = np.arange(periods)
+        aux["trace"] = {
+            "period": np.tile(k, drawn), "sensor": np.repeat(sensors, periods),
+            "t_start_s": (k * scheme.T + offsets[:, None]).ravel(),
+            "gamma_r": gamma.ravel(), "success": success.ravel()}
+
+    # the period and sensor row of each reception the server uses; the mask
+    # (which a trace keeps) is dropped once read, before the next large array
+    # is allocated: at 1e6 periods that keeps the resident peak 3 MB lower
     if asyn:
         aux["slot_index"] = np.flatnonzero(success.T)  # period-major slots
-        if not collect_trace:
-            del success
+        del success
         period_of, row_of = np.divmod(aux["slot_index"], drawn)
     else:
         order = np.searchsorted(sensors, ranked)
         period_of, rank = _first_success_rank(success, order)
-        if not collect_trace:
-            del success
+        del success
         row_of = order[rank]
         del rank  # freed before the interval arrays are built
     T, tau, a = scheme.T, link.tau, source.a
     gen_times = period_of * T + offsets[row_of]
     used_sensor = sensors[row_of]
     if len(gen_times) < 2:
-        raise InvalidConfigError(
-            "fewer than two successful receptions; increase periods or SNR"
-        )
+        raise InvalidConfigError("fewer than two successful receptions; "
+                                 "increase periods or SNR")
 
     # batch means over contiguous period ranges: period_of is sorted, so
     # batch b holds the intervals between the cuts at edges b and b + 1
@@ -253,14 +246,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         "gen_times_s": gen_times,
         "used_sensor": used_sensor,
     })
-    report = SimReport(avg, batch_means_stderr(bi, bd), periods, scheme.scheme, aux)
-    if collect_trace:
-        for row, (sensor, offset) in enumerate(zip(sensors.tolist(), offsets.tolist())):
-            for k in range(periods):
-                report.events.append(TransmissionEvent(
-                    k, sensor, k * T + offset, float(gamma[row, k]),
-                    bool(success[row, k])))
-    return report
+    return SimReport(avg, batch_means_stderr(bi, bd), periods, scheme.scheme, aux)
 
 
 def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
@@ -281,11 +267,8 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
         out["theory_mean_gap_s"] = expected_gap_asyn(T, eps, M)
         steps = np.diff(report.aux["slot_index"])
         smax = min(int(steps.max()), 4 * M)
-        rows = []
-        for s in range(1, smax + 1):
-            rows.append((s, float(np.mean(steps == s)),
-                         eps ** (s - 1) * (1.0 - eps)))
-        out["step_law"] = rows
+        out["step_law"] = [(s, float(np.mean(steps == s)), eps ** (s - 1) * (1.0 - eps))
+                           for s in range(1, smax + 1)]
     else:
         drawn = len(report.aux["per_sensor_success_rate"])
         out["theory_mean_gap_s"] = expected_gap_syn(T, eps, drawn)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -182,15 +183,58 @@ def test_asyn_surface_spec_rows_within_bounds(tmp_path):
     assert outside == []
 
 
-def test_trace_dump(tmp_path):
-    text = SIM_SPEC.replace("periods = 8000", "periods = 20\ndump_trace = true")
-    spec = parse_spec(text)
-    manifest = run_experiment(spec, tmp_path)
+# events-file SHA-256 of SIM_SPEC at 40 periods and 2 replicas, recorded
+# when the file was written from per-attempt objects
+FROZEN_EVENTS = {
+    "no-infer": ("", 1 + 2 * 40,
+                 "08b62c3e05ec60365e60602d8d52471f2098b0ab4ad55f398bcd33ea6251bf04"),
+    "syn-infer": ("", 1 + 2 * 40 * 5,
+                  "d24907113ee8b62a64ef569804cb41649b1711df15265bcaf9c2c6591d124165"),
+    "asyn-infer": ("\ntime_shift_s = 0.005", 1 + 2 * 40 * 5,
+                   "bf96f3587647b4081c61d2c2ab23ea6784de4043355fa3b08aa3b11fce30f967"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(FROZEN_EVENTS))
+def test_trace_dump(tmp_path, scheme):
+    shift, n_lines, digest = FROZEN_EVENTS[scheme]
+    text = SIM_SPEC.replace("periods = 8000", "periods = 40\ndump_trace = true")
+    text = text.replace("seed = 2", "seed = 2\nreplicas = 2")
+    text = text.replace("scheme = syn-infer", f"scheme = {scheme}{shift}")
+    manifest = run_experiment(parse_spec(text), tmp_path)
     epath = tmp_path / "smallsim_events_0.csv"
     lines = epath.read_text().strip().splitlines()
     assert lines[0] == "period,sensor,t_start_s,gamma_r,success"
-    assert len(lines) == 1 + 20 * 5
+    assert len(lines) == n_lines
     assert any(o["file"] == "smallsim_events_0.csv" for o in manifest["outputs"])
+    assert hashlib.sha256(epath.read_bytes()).hexdigest() == digest
+
+
+def test_sim_row_zero_stderr_follows_the_compare_rule(tmp_path):
+    # at a = 1e6 /s every interval's error is sigma2 to the last bit, so the
+    # batch means have no spread: an exact match has z = 0, as in compare
+    text = load_spec("sim_vs_analytic_default").raw_text
+    text = text.replace("a_per_s = 2.0", "a_per_s = 1e6")
+    text = text.replace("periods = 100000", "periods = 3000")
+    run_experiment(parse_spec(text), tmp_path)
+    ana, sim = (tmp_path / f"sim_vs_analytic_default_{kind}.csv"
+                for kind in ("analytic", "simulate"))
+    row = _read_rows(sim)[0]
+    assert [row[c] for c in ("mse_mc", "stderr", "mse_analytic", "z_score")] == [
+        "1.0", "0.0", "1.0", "0.0"]
+    assert compare_report(ana, sim)[0]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("gamma_r_bar_db = 5.0", "gamma_r_bar_db = 1e6"),
+    ("[sweep]", "[sweep]\ngamma_r_bar_db = 5, 4000"),
+], ids=["link", "sweep"])
+def test_snr_without_a_finite_linear_value_is_a_config_error(tmp_path, old, new):
+    # 10^(dB/10) overflows a float above about 3083 dB, in the [link] key
+    # and in a swept value alike
+    text = load_spec("fig4_syn_surface").raw_text.replace(old, new)
+    with pytest.raises(InvalidConfigError, match="gamma_r_bar_db"):
+        run_experiment(parse_spec(text), tmp_path)
 
 
 def test_mid_run_failure_writes_partial_manifest(tmp_path):

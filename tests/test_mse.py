@@ -648,6 +648,29 @@ def test_upsilon_is_the_sign_of_the_kernel_slope_at_zero(M, a, T, b, h_frac, dat
     assert (rho < ups) == (slope < 0.0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_a=st.floats(-6.0, 6.0), M=st.integers(2, 7), T=st.floats(0.01, 1.0),
+       db=st.floats(-10.0, 30.0), eps=st.floats(0.0, 1.0), data=st.data())
+def test_closed_forms_finite_within_bounds_over_six_decades_of_decay(
+        log_a, M, T, db, eps, data):
+    # a from 1e-6 to 1e6 /s with h anywhere on its grid: the slot factor is
+    # a difference of two terms in (0, 1], never inf * 0 at large a h.  Two
+    # known defects stay outside this domain, sigma2 = 1 and 2 a T >= 2e-8:
+    # at sigma2 near 1e-200 the complex step underflows, and once 2 a T is
+    # below 1.1e-16, E = exp(-2 a T) rounds to 1 and eps = 1 gives 0 / 0
+    src = sp.SourceParams(a=10.0 ** log_a)
+    field = sp.place_sensors(M, 10.0, seed=7)
+    link = sp.LinkParams.from_db(N=20, gamma_r_bar_db=db)
+    h = data.draw(st.integers(1, int(shift_count(T, link.T_s, M, link.N)))) * link.T_s
+    tol = 1e-12 * src.sigma2_x
+    for scheme in (sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1),
+                   sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=1)):
+        mse = sp.average_mse(src, field, link, scheme, eps_bar=eps)
+        lo, hi = sp.bounds(src, field, link, scheme, "blep")
+        assert all(map(math.isfinite, (mse, lo, hi)))
+        assert lo - tol <= mse <= hi + tol
+
+
 def test_timing_rule_tolerance_and_strict_delay():
     T_s = 1e-4
     # without shifts the delay stays below the period; T / T_s within 1e-9
