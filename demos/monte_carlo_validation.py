@@ -33,7 +33,8 @@ for tag, scheme in (
 
 print("\nrenewal-gap statistics (asynchronous, h = 5 ms):")
 scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
-rep = sp.simulate_event_level(src, field, link, scheme, 100_000, seed=2024)
+rep = sp.simulate_event_level(src, field, link, scheme, 100_000, seed=2024,
+                              collect_trace=True)
 st = sp.empirical_gap_stats(rep, src, link, scheme)
 print(f"  mean reception gap {st['mean_gap_s']:.5f} s "
       f"(theory {st['theory_mean_gap_s']:.5f} s)")

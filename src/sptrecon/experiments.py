@@ -107,6 +107,11 @@ class ExperimentSpec:
             if getattr(self, key) < least:
                 raise InvalidConfigError(f"{key} must be at least {least}, "
                                          f"got {getattr(self, key)}")
+        for axis in ("eps_bar", "mssc"):  # a probability, a mean squared correlation
+            bad = [v for v in self.sweep.get(axis, ()) if not 0.0 <= v <= 1.0]
+            if bad:  # NaN too
+                raise InvalidConfigError(f"sweep axis {axis} takes values in "
+                                         f"[0, 1], got {bad[0]}")
 
     def sweep_points(self):
         """Cartesian product of the sweep axes, deterministic order."""
@@ -363,7 +368,9 @@ def _sim_row(spec, point):
         return [row], None
     cols = [np.concatenate([r.aux["trace"][c] for r in reports]) for c in EVENT_COLUMNS]
     cols[-1] = cols[-1].view(np.uint8)  # success as 0/1
-    return [row], list(zip(*(c.tolist() for c in cols)))
+    # the events file's rows, made one chunk at a time as it is written
+    return [row], (list(zip(*(c[i:i + _CHUNK_ROWS].tolist() for c in cols)))
+                   for i in range(0, len(cols[0]), _CHUNK_ROWS))
 
 
 def _z_score(val, ref, stderr):
@@ -408,7 +415,7 @@ def _optimize_rows(spec, points):
                      res.mse_star, "", ""] for tag, res in runs]
             trace = [[t.iteration, t.h_s, t.N, t.mse, t.residual_h, t.residual_N]
                      for t in runs[2][1].trace]  # the jtsbo run
-            out[i] = (rows, trace)
+            out[i] = (rows, [trace])
     return out
 
 
@@ -417,9 +424,9 @@ def _optimize_rows(spec, points):
 # ---------------------------------------------------------------------------
 
 # output kind -> (columns, output function, (side-file stem, side columns)).
-# An output function maps (spec, sweep points) to one (rows, side rows or
-# None) pair per point, in sweep order; the side file is written per sweep
-# point that has side rows
+# An output function maps (spec, sweep points) to one (rows, side chunks or
+# None) pair per point, in sweep order, where side chunks is an iterable of
+# lists of rows; the side file is written per sweep point that has them
 OUTPUTS = {
     "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
     "regions": (REGION_COLUMNS, _region_rows, None),
@@ -427,6 +434,10 @@ OUTPUTS = {
                  ("events", EVENT_COLUMNS)),
     "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
 }
+
+# rows per chunk of a written CSV: a traced simulation's events file is
+# made, hashed and written chunk by chunk
+_CHUNK_ROWS = 1 << 14
 
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
@@ -454,11 +465,11 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
             columns, output_fn, side = OUTPUTS[kind]
             results = output_fn(spec, points)
             rows = [row for point_rows, _ in results for row in point_rows]
-            _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, rows)
-            for idx, (_, side_rows) in enumerate(results):
-                if side_rows is not None:
+            _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, [rows])
+            for idx, (_, side_chunks) in enumerate(results):
+                if side_chunks is not None:
                     _record(manifest, out_dir / f"{spec.name}_{side[0]}_{idx}.csv",
-                            side[1], side_rows)
+                            side[1], side_chunks)
     except Exception as exc:
         manifest["status"] = "partial"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -469,23 +480,28 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return manifest
 
 
-def _write_csv(path, columns, rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    # floats are written with repr, so they round-trip; None as an empty cell
-    writer.writerows(rows)
-    data = buf.getvalue().encode()
-    Path(path).write_bytes(data)
-    return data
+def _write_csv(path, columns, chunks):
+    """Write the header and then each chunk (a list of rows) of ``chunks``,
+    hashing the bytes as they go; returns (SHA-256 hex digest, row count)."""
+    digest, rows = hashlib.sha256(), -1
+    with open(path, "wb") as fh:
+        for chunk in itertools.chain([[columns]], chunks):
+            buf = io.StringIO()
+            # floats are written with repr, so they round-trip; None as an empty cell
+            csv.writer(buf, lineterminator="\n").writerows(chunk)
+            data = buf.getvalue().encode()
+            digest.update(data)
+            fh.write(data)
+            rows += len(chunk)
+    return digest.hexdigest(), rows
 
 
-def _record(manifest, path, columns, rows):
+def _record(manifest, path, columns, chunks):
     """Write one output CSV and list it, with the hash of its bytes, in the
     manifest."""
-    digest = hashlib.sha256(_write_csv(path, columns, rows)).hexdigest()
+    digest, rows = _write_csv(path, columns, chunks)
     manifest["outputs"].append({"file": Path(path).name, "sha256": digest,
-                                "rows": len(rows)})
+                                "rows": rows})
 
 
 def _write_manifest(out_dir, spec, manifest):
@@ -528,7 +544,7 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
     if out_path is not None:
         cols = ["row", "reference", "value", "stderr", "z_score", "rel_error",
                 "verdict"]
-        _write_csv(out_path, cols, [[r[c] for c in cols] for r in out])
+        _write_csv(out_path, cols, [[[r[c] for c in cols] for r in out]])
     return passed, out
 
 

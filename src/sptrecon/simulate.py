@@ -8,7 +8,13 @@ Two independent checks:
   over every inter-update interval.  No time discretization, so at a fixed
   seed the only noise is the packet-loss process itself.  A period's first
   success in preference order is one small-integer rank per period,
-  overwritten rank by rank from the last to the first.
+  overwritten rank by rank from the last to the first.  The receptions are
+  walked in groups of whole batches of about 32,768 periods, and only the
+  per-batch sums of the interval integrals and durations are kept, so
+  beside the success mask the footprint is fixed per group: at M = 5 the
+  tracemalloc peak is the draw stage's, about 14 bytes per period at 1e6
+  periods.  The average error is the sum of the batch integrals over
+  the sum of the batch durations.
 
 * data level -- actually draws the correlated Gaussian field at every
   generation instant plus a dense evaluation grid, applies the
@@ -130,15 +136,17 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
                             flat array per events-file column (``period``,
                             ``sensor``, ``t_start_s`` = k T + offset,
                             ``gamma_r``, boolean ``success``), sensor by
-                            sensor, then period by period
+                            sensor, then period by period, and the
+                            per-reception arrays listed below
 
-    ``aux`` keys: ``gaps_s`` (spacing of consecutive receptions),
-    ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
-    ``batch_durations`` (per batch of contiguous periods),
-    ``per_sensor_success_rate`` (per sensor drawn), ``gen_times_s`` and
-    ``used_sensor`` (per reception), and for the asynchronous scheme
-    ``slot_index`` (slot k M + n - 1 of each reception).  Statistics that
-    only :func:`empirical_gap_stats` reads are derived there.
+    ``avg_mse`` is sum(batch_integrals) / sum(batch_durations).  ``aux``
+    keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
+    ``batch_durations`` (per batch of contiguous periods) and
+    ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
+    keeps, per reception, ``gen_times_s``, ``used_sensor``, ``gaps_s``
+    (spacing to the next reception) and for the asynchronous scheme
+    ``slot_index`` (slot k M + n - 1).  Statistics that only
+    :func:`empirical_gap_stats` reads are derived there.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
@@ -188,65 +196,83 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             "t_start_s": (k * scheme.T + offsets[:, None]).ravel(),
             "gamma_r": gamma.ravel(), "success": success.ravel()}
 
-    # the period and sensor row of each reception the server uses; the mask
-    # (which a trace keeps) is dropped once read, before the next large array
-    # is allocated: at 1e6 periods that keeps the resident peak 3 MB lower
-    if asyn:
-        aux["slot_index"] = np.flatnonzero(success.T)  # period-major slots
-        del success
-        period_of, row_of = np.divmod(aux["slot_index"], drawn)
-    else:
-        order = np.searchsorted(sensors, ranked)
-        period_of, rank = _first_success_rank(success, order)
-        del success
-        row_of = order[rank]
-        del rank  # freed before the interval arrays are built
-    T, tau, a = scheme.T, link.tau, source.a
-    gen_times = period_of * T + offsets[row_of]
-    used_sensor = sensors[row_of]
-    if len(gen_times) < 2:
+    # The receptions the server uses, walked in groups of whole batches of
+    # about _BLOCK periods.  Batch b holds the intervals that start in a
+    # period of [ceil(edges_b), ceil(edges_{b+1})).  Each group starts from
+    # the carry, the last reception before it, so the interval that crosses
+    # into the group is added to the carry's batch after that batch's own
+    # sum: every batch sum is the sequential sum of its intervals.  Only a
+    # traced run keeps the per-reception arrays
+    edges = np.ceil(np.linspace(0, periods, n_batches + 1)).astype(np.int64)
+    step = max(1, _BLOCK * n_batches // periods)
+    order = None if asyn else np.searchsorted(sensors, ranked)
+    T, tau, a, go = scheme.T, link.tau, source.a, source.gamma_o
+    fac = weights * (go / (go + 1.0))
+    bi, bd = np.zeros(n_batches), np.zeros(n_batches)
+    carry = None  # (generation time, fac, batch) of the last reception
+    receptions, kept = 0, []  # kept: a traced run's arrays, group by group
+    for b0 in range(0, n_batches, step):
+        b1 = min(b0 + step, n_batches)
+        p0, p1 = edges[b0], edges[b1]
+        if asyn:
+            slots = np.flatnonzero(success[:, p0:p1].T)  # period-major slots
+            period_of, row_of = np.divmod(slots, drawn)
+            slots += p0 * drawn
+        else:
+            period_of, rank = _first_success_rank(success[:, p0:p1], order)
+            row_of = order[rank]
+        if not len(period_of):
+            continue
+        period_of += p0
+        receptions += len(period_of)
+        gen_times = period_of * T + offsets[row_of]
+        fac2 = fac[row_of[:-1]]
+        if carry is not None:
+            gen_times = np.concatenate(([carry[0]], gen_times))
+            fac2 = np.concatenate(([carry[1]], fac2))
+
+        # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
+        # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
+        # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
+        D = np.diff(gen_times)
+        integrals = D + tau
+        integrals *= -2.0 * a
+        np.exp(integrals, out=integrals)
+        np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
+        integrals /= 2.0 * a
+        integrals *= fac2
+        np.subtract(D, integrals, out=integrals)
+        integrals *= source.sigma2_x
+
+        # the group's own intervals, batch by batch, then the crossing one
+        cuts = np.searchsorted(period_of[:-1], edges[b0:b1 + 1], side="left")
+        batch_of = np.repeat(np.arange(b1 - b0), np.diff(cuts))
+        own = 0 if carry is None else 1  # where the group's own intervals start
+        bi[b0:b1] = np.bincount(batch_of, weights=integrals[own:], minlength=b1 - b0)
+        bd[b0:b1] = np.bincount(batch_of, weights=D[own:], minlength=b1 - b0)
+        if own:
+            bi[carry[2]] += integrals[0]
+            bd[carry[2]] += D[0]
+        carry = (gen_times[-1], fac[row_of[-1]],
+                 int(np.searchsorted(edges, period_of[-1], side="right")) - 1)
+        if collect_trace:
+            kept.append((gen_times[own:], sensors[row_of], D)
+                        + ((slots,) if asyn else ()))
+    if receptions < 2:
         raise InvalidConfigError("fewer than two successful receptions; "
                                  "increase periods or SNR")
 
-    # batch means over contiguous period ranges: period_of is sorted, so
-    # batch b holds the intervals between the cuts at edges b and b + 1
-    edges = np.linspace(0, periods, n_batches + 1)
-    cuts = np.searchsorted(period_of[:-1], edges, side="left")
-    go = source.gamma_o
-    fac2 = weights[row_of[:-1]]
-    fac2 *= go / (go + 1.0)
-    del period_of, row_of  # freed before the interval arrays are built
-
-    # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
-    # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
-    # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
-    D = np.diff(gen_times)
-    integrals = D + tau
-    integrals *= -2.0 * a
-    np.exp(integrals, out=integrals)
-    np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
-    integrals /= 2.0 * a
-    integrals *= fac2
-    del fac2
-    np.subtract(D, integrals, out=integrals)
-    integrals *= source.sigma2_x
-
-    avg = float(integrals.sum()) / float(D.sum())
-    batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
-    bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
-    bd = np.bincount(batch_of, weights=D, minlength=n_batches)
-
+    keys = ("gen_times_s", "used_sensor", "gaps_s", "slot_index")
+    aux.update({key: np.concatenate(parts) for key, parts in zip(keys, zip(*kept))})
     aux.update({
-        "gaps_s": D,
-        "mean_gap_s": float(D.mean()),
-        "receptions": int(len(gen_times)),
+        "mean_gap_s": float(bd.sum()) / (receptions - 1),
+        "receptions": receptions,
         "batch_integrals": bi,
         "batch_durations": bd,
         "per_sensor_success_rate": rates,
-        "gen_times_s": gen_times,
-        "used_sensor": used_sensor,
     })
-    return SimReport(avg, batch_means_stderr(bi, bd), periods, scheme.scheme, aux)
+    return SimReport(float(bi.sum() / bd.sum()), batch_means_stderr(bi, bd),
+                     periods, scheme.scheme, aux)
 
 
 def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
@@ -257,6 +283,9 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
     P(steps = s) = eps^(s-1) (1 - eps), which is the printed gap
     distribution re-indexed by slots.
     """
+    if "gaps_s" not in report.aux:
+        raise InvalidConfigError("empirical_gap_stats reads the per-reception "
+                                 "gaps of a run made with collect_trace=True")
     eps = blep_average(link)
     a, T, M = source.a, scheme.T, scheme.M
     out = {
@@ -301,7 +330,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     if n_draws < 2:
         raise InvalidConfigError(f"n_draws must be >= 2, got {n_draws}")
     ev = simulate_event_level(source, field, link, scheme, periods, seed,
-                              replica=replica)
+                              replica=replica, collect_trace=True)
     gen = ev.aux["gen_times_s"]
     src_sensor = ev.aux["used_sensor"]
     D = np.diff(gen)

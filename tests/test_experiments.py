@@ -210,6 +210,22 @@ def test_trace_dump(tmp_path, scheme):
     assert hashlib.sha256(epath.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 400, 401])
+def test_trace_dump_in_chunks(tmp_path, monkeypatch, chunk):
+    # the events file is made, hashed and written chunk by chunk: any chunk
+    # size gives the same bytes, and the manifest hashes what is on disk
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk)
+    shift, n_lines, digest = FROZEN_EVENTS["asyn-infer"]
+    text = SIM_SPEC.replace("periods = 8000", "periods = 40\ndump_trace = true")
+    text = text.replace("seed = 2", "seed = 2\nreplicas = 2")
+    text = text.replace("scheme = syn-infer", f"scheme = asyn-infer{shift}")
+    manifest = run_experiment(parse_spec(text), tmp_path)
+    entry = next(o for o in manifest["outputs"] if o["file"] == "smallsim_events_0.csv")
+    data = (tmp_path / entry["file"]).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == entry["sha256"] == digest
+    assert entry["rows"] == n_lines - 1
+
+
 def test_sim_row_zero_stderr_follows_the_compare_rule(tmp_path):
     # at a = 1e6 /s every interval's error is sigma2 to the last bit, so the
     # batch means have no spread: an exact match has z = 0, as in compare
@@ -235,6 +251,28 @@ def test_snr_without_a_finite_linear_value_is_a_config_error(tmp_path, old, new)
     text = load_spec("fig4_syn_surface").raw_text.replace(old, new)
     with pytest.raises(InvalidConfigError, match="gamma_r_bar_db"):
         run_experiment(parse_spec(text), tmp_path)
+
+
+@pytest.mark.parametrize("spec, old, new, shown", [
+    # a "complete" row with mse_lb = -0.159
+    ("asyn_surface_short_shift", "mssc = linspace:0.02:1.0:25", "mssc = 0.5, 1.5", "1.5"),
+    # winner asyn-infer
+    ("regions_vs_period", "mssc = linspace:0.02:1.0:50", "mssc = nan", "nan"),
+    # InvariantError with a partial manifest
+    ("fig4_syn_surface", "mssc = linspace:0.02:1.0:25", "mssc = -1", "-1.0"),
+    ("fig4_syn_surface", "mssc = linspace:0.02:1.0:25", "mssc = inf", "inf"),
+    # failed only once the closed form ran
+    ("fig4_syn_surface", "eps_bar = linspace:0.001:0.99:34", "eps_bar = 0.2, 1.5", "1.5"),
+    ("fig4_syn_surface", "eps_bar = linspace:0.001:0.99:34", "eps_bar = -inf", "-inf"),
+], ids=["mssc-1.5", "mssc-nan", "mssc-minus-1", "mssc-inf", "eps-1.5", "eps-minus-inf"])
+def test_sweep_values_outside_the_unit_interval_fail_at_parse_time(spec, old, new,
+                                                                   shown):
+    text = load_spec(spec).raw_text
+    assert old in text
+    axis = new.split()[0]
+    with pytest.raises(InvalidConfigError,
+                       match=rf"sweep axis {axis} takes values in \[0, 1\], got {shown}$"):
+        parse_spec(text.replace(old, new))
 
 
 def test_mid_run_failure_writes_partial_manifest(tmp_path):
@@ -498,8 +536,13 @@ def test_bound_violation_raises_and_leaves_partial_manifest(tmp_path, monkeypatc
 def test_batched_validation_still_raises(tmp_path, scheme, M, sweep):
     text = POINT_SPEC.replace("scheme = syn-infer", SCHEME_SECTIONS[scheme])
     text = text.replace("M = 5", f"M = {M}")
+    # the sweep is set on the parsed spec, so the run's own checks must raise
+    # (parse_spec already rejects eps_bar = 1.5)
+    spec = parse_spec(text)
+    spec.sweep = {key.strip(): experiments.parse_values(values)
+                  for key, values in (line.split("=") for line in sweep.split("\n"))}
     with pytest.raises(InvalidConfigError):
-        run_experiment(parse_spec(text + "\n[sweep]\n" + sweep + "\n"), tmp_path)
+        run_experiment(spec, tmp_path)
     manifest = json.loads((tmp_path / "point_eval.manifest.json").read_text())
     assert manifest["status"] == "partial"
     assert manifest["error"].startswith("InvalidConfigError")

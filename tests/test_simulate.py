@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import sptrecon as sp
-from sptrecon import simulate
+from sptrecon import experiments, simulate
 from sptrecon.errors import InvalidConfigError, ScaleLimitError
 
 PERIODS = 30_000  # module-level runs; the acceptance suite uses 100k
@@ -112,14 +113,14 @@ def test_success_prob_override_must_be_a_probability(source, field, link,
 
 
 def test_peak_memory_per_period(source, field, link, syn_scheme, asyn_scheme):
-    # At 5 dB and M = 5 a period yields r = 0.52 (syn) or 0.67 (asyn)
-    # receptions.  The draw stage holds the (M, periods) bool mask and one
-    # float64 SNR buffer: 5 + 8 = 13 B/period.  The reception stage ends
-    # with 8-byte arrays of one entry per reception: gen_times, used_sensor,
-    # the gaps, the interval integrals and their batch index, plus asyn's
-    # slot_index, so 5 * 8 r = 21 B (syn) and 6 * 8 r = 32 B (asyn).  36 B
-    # keeps about 10% above asyn; keeping a dead mask, SNR array or
-    # reception-length temporary alive breaks it.
+    # The draw stage holds the (M, periods) bool mask and one float64 SNR
+    # buffer: at M = 5, 5 + 8 = 13 B/period.  The reception stage walks the
+    # mask in groups of about _BLOCK periods and keeps only the batch sums,
+    # so it adds a fixed cost per group: about 17 B/period at 200k periods
+    # (13.8 at 1e6), syn and asyn alike.  19 B keeps about 10% above.  At
+    # 5 dB a period yields 0.52 (syn) or 0.67 (asyn) receptions, so one
+    # 8-byte array of one entry per reception adds 4-5 B and breaks it, as
+    # does keeping the SNR buffer alive into the reception stage.
     periods = 200_000
     for scheme in (syn_scheme, asyn_scheme):
         tracemalloc.start()
@@ -128,18 +129,20 @@ def test_peak_memory_per_period(source, field, link, syn_scheme, asyn_scheme):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / periods <= 36.0, (scheme.scheme, peak / periods)
+        assert peak / periods <= 19.0, (scheme.scheme, peak / periods)
 
 
 def test_gap_statistics_syn(source, field, link, syn_scheme):
-    rep = sp.simulate_event_level(source, field, link, syn_scheme, PERIODS, seed=8)
+    rep = sp.simulate_event_level(source, field, link, syn_scheme, PERIODS, seed=8,
+                                  collect_trace=True)
     st = sp.empirical_gap_stats(rep, source, link, syn_scheme)
     assert st["mean_gap_s"] == pytest.approx(st["theory_mean_gap_s"], rel=0.01)
     assert st["mean_exp_gap"] == pytest.approx(st["theory_mean_exp_gap"], rel=0.01)
 
 
 def test_gap_statistics_asyn(source, field, link, asyn_scheme):
-    rep = sp.simulate_event_level(source, field, link, asyn_scheme, PERIODS, seed=8)
+    rep = sp.simulate_event_level(source, field, link, asyn_scheme, PERIODS, seed=8,
+                                  collect_trace=True)
     st = sp.empirical_gap_stats(rep, source, link, asyn_scheme)
     assert st["mean_gap_s"] == pytest.approx(st["theory_mean_gap_s"], rel=0.01)
     # slot-step law: geometric in the number of slots skipped
@@ -150,7 +153,7 @@ def test_gap_statistics_asyn(source, field, link, asyn_scheme):
 
 def test_gap_statistics_asyn_forced_success(source, field, link, asyn_scheme):
     rep = sp.simulate_event_level(source, field, link, asyn_scheme, 2_000, seed=9,
-                                  success_prob_override=0.0)
+                                  success_prob_override=0.0, collect_trace=True)
     gaps = rep.aux["gaps_s"]
     h, T, M = asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
     wrap = T - (M - 1) * h
@@ -271,8 +274,8 @@ def test_data_level_agrees_with_event_level_asyn(source, link):
 
 # scheme -> (avg_mse, stderr, event_level_mse, n_samples, n_eval_points)
 FROZEN_DATA_LEVEL = {
-    "syn": (0.6115977919188499, 0.012502662852619174, 0.6248663745531372, 20, 304),
-    "asyn": (0.6308093462264551, 0.0140369472515728, 0.6330433357235624, 25, 384),
+    "syn": (0.6115977919188499, 0.012502662852619174, 0.6248663745531373, 20, 304),
+    "asyn": (0.6308093462264551, 0.0140369472515728, 0.6330433357235625, 25, 384),
 }
 
 
@@ -334,31 +337,31 @@ FROZEN_PERIODS, FROZEN_BATCHES = 30_011, 7
 # case -> (avg_mse, stderr, receptions, batch_integrals, batch_durations)
 FROZEN_EVENT_LEVEL = {
     "no": (
-        0.8453629810557491, 0.0017088151537945897, 4021,
+        0.8453629810557506, 0.0017088151537945897, 4021,
         [543.3454923082335, 540.666367389875, 540.8944656509957, 544.1814181119825,
          548.5318353404405, 544.0199691706338, 543.6351068031415],
         [645.3, 641.8499999999999, 643.05, 643.9500000000003, 642.2999999999997,
          644.0999999999999, 640.7999999999997]),
     "syn": (
-        0.6320478988154387, 0.0010534043915248867, 15392,
+        0.6320478988154378, 0.0010534043915248867, 15392,
         [408.8620048059166, 405.8313511694329, 404.26789634039574, 407.8425851996543,
          408.0742551950985, 405.8964845571328, 404.2942320652397],
         [643.1999999999999, 643.35, 642.75, 644.1000000000001, 642.1499999999996,
          643.2000000000003, 642.5999999999995]),
     "asyn": (
-        0.6382849591792542, 0.0009819927204338782, 20103,
+        0.6382849591792523, 0.0009819927204338782, 20103,
         [412.9881021831752, 409.9399027332259, 408.67700345196283, 411.58746521022044,
          411.5482976477572, 410.44348124494064, 407.97251422942855],
         [643.2149999999999, 643.3500000000001, 642.74, 644.1000000000001,
          642.1599999999994, 643.1900000000005, 642.6149999999998]),
     "syn_override": (
-        0.46961660948466455, 0.000506025301874234, 27622,
+        0.4696166094846563, 0.000506025301874234, 27622,
         [302.5344234344192, 302.2807712273647, 301.08838217446805, 303.6081680664152,
          301.5377041812282, 301.850752176605, 301.07896633468],
         [643.1999999999999, 643.0500000000001, 643.05, 643.2, 643.0499999999997,
          643.0500000000002, 642.9000000000001]),
     "asyn_q_model": (
-        0.6384646040648547, 0.0010557707454975237, 20095,
+        0.6384646040648527, 0.0010557707454975237, 20095,
         [412.9555692724252, 409.37281746403977, 408.649145301858, 411.09174732700336,
          412.54445709942325, 411.1352203016824, 408.21645803297395],
         [643.2149999999999, 643.3500000000001, 642.74, 643.4999999999998,
@@ -395,21 +398,21 @@ FROZEN_BLOCKS_PERIODS = 100_003
 # case -> (avg_mse, stderr, receptions, batch_integrals, batch_durations)
 FROZEN_ACROSS_BLOCKS = {
     "no": (
-        0.8443544377223133, 0.0010890624488087937, 13490,
+        0.8443544377223141, 0.0010890624488087937, 13490,
         [1808.4651835601185, 1811.1272142801865, 1821.122917328049,
          1810.3241276378603, 1808.1798362124866, 1802.3556976214156,
          1801.7151385440602],
         [2144.5499999999997, 2143.0499999999997, 2141.55, 2143.7999999999993,
          2144.8500000000004, 2140.050000000001, 2139.749999999998]),
     "syn": (
-        0.6304748601468454, 0.000999478595078121, 51596,
+        0.6304748601468458, 0.000999478595078121, 51596,
         [1353.6092648411247, 1353.4217591843494, 1360.3367548087072,
          1351.478444609606, 1348.4740496007616, 1348.2275548325629,
          1341.7642167836198],
         [2143.2, 2142.75, 2143.05, 2142.8999999999996, 2142.75,
          2143.2000000000007, 2142.449999999999]),
     "asyn": (
-        0.6367353227853292, 0.0009424934495537569, 67422,
+        0.6367353227853256, 0.0009424934495537569, 67422,
         [1367.1632323031963, 1367.2221233351052, 1373.0659952182073,
          1364.883695544639, 1361.8154807712003, 1360.8679887447865,
          1356.208713812814],
@@ -429,7 +432,8 @@ def frozen_runs(source, field, link, syn_scheme, asyn_scheme, no_scheme):
     }
     return {name: sp.simulate_event_level(source, field, link, scheme,
                                           FROZEN_PERIODS, seed=5,
-                                          n_batches=FROZEN_BATCHES, **kw)
+                                          n_batches=FROZEN_BATCHES,
+                                          collect_trace=True, **kw)
             for name, (scheme, kw) in cases.items()}
 
 
@@ -500,3 +504,116 @@ def test_first_success_rank_matches_the_reordered_argmax(M):
         np.testing.assert_array_equal(ks, want_ks)
         np.testing.assert_array_equal(
             rank, np.argmax(success[order][:, want_ks], axis=0))
+
+
+# ---------------------------------------------------------------------------
+# the batch walk against the full-array reception stage
+# ---------------------------------------------------------------------------
+
+def _full_array_receptions(source, field, link, scheme, rep, n_batches):
+    """A traced run's receptions and batch sums rebuilt from its success
+    mask by the full-array reception stage that the batch walk replaced:
+    one array per reception quantity over the whole run, batches cut by
+    searching the linspace edges in the sorted reception periods, and one
+    bincount per batch sum."""
+    trace = rep.aux["trace"]
+    sensors = np.unique(trace["sensor"])
+    drawn, periods = len(sensors), rep.periods
+    success = trace["success"].reshape(drawn, periods)
+    asyn = scheme.scheme is sp.Scheme.ASYN_INFER
+    ranked = np.array(sp.reindex_by_correlation(source, field).order[:drawn])
+    offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
+    weights = field.target_factors(source.b)[sensors - 1]
+    out = {}
+    if asyn:
+        out["slot_index"] = np.flatnonzero(success.T)
+        period_of, row_of = np.divmod(out["slot_index"], drawn)
+    else:
+        order = np.searchsorted(sensors, ranked)
+        period_of, rank = simulate._first_success_rank(success, order)
+        row_of = order[rank]
+    gen_times = period_of * scheme.T + offsets[row_of]
+    edges = np.linspace(0, periods, n_batches + 1)
+    cuts = np.searchsorted(period_of[:-1], edges, side="left")
+    go, tau, a = source.gamma_o, link.tau, source.a
+    fac2 = weights[row_of[:-1]]
+    fac2 *= go / (go + 1.0)
+    D = np.diff(gen_times)
+    integrals = D + tau
+    integrals *= -2.0 * a
+    np.exp(integrals, out=integrals)
+    np.subtract(math.exp(-2.0 * a * tau), integrals, out=integrals)
+    integrals /= 2.0 * a
+    integrals *= fac2
+    np.subtract(D, integrals, out=integrals)
+    integrals *= source.sigma2_x
+    batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
+    bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
+    bd = np.bincount(batch_of, weights=D, minlength=n_batches)
+    out.update({"batch_integrals": bi, "batch_durations": bd,
+                "receptions": len(gen_times), "gen_times_s": gen_times,
+                "used_sensor": sensors[row_of], "gaps_s": D,
+                "stderr": simulate.batch_means_stderr(bi, bd)})
+    return out
+
+
+# case -> simulate_event_level keywords; _BLOCK = 32,768 periods
+WALK_CASES = {
+    "fewer_periods_than_batches": dict(periods=60, n_batches=100, seed=1),
+    "one_batch": dict(periods=30_011, n_batches=1, seed=2),
+    "partial_last_group": dict(periods=100_003, n_batches=100, seed=3),
+    "groups_of_three_batches": dict(periods=70_001, n_batches=7, seed=4),
+    **{f"empty_groups_seed{s}": dict(periods=100_000, n_batches=100, seed=s,
+                                     success_prob_override=0.9999)
+       for s in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+@pytest.mark.parametrize("kind", ["no", "syn", "asyn"])
+def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme,
+                                                  asyn_scheme, no_scheme, kind, case):
+    # bit for bit: each batch sum is the sequential sum of its intervals,
+    # also across groups, through groups and batches with no reception
+    scheme = {"no": no_scheme, "syn": syn_scheme, "asyn": asyn_scheme}[kind]
+    kw = WALK_CASES[case]
+    traced = sp.simulate_event_level(source, field, link, scheme,
+                                     collect_trace=True, **kw)
+    plain = sp.simulate_event_level(source, field, link, scheme, **kw)
+    want = _full_array_receptions(source, field, link, scheme, traced, kw["n_batches"])
+    for rep in (traced, plain):
+        for key in ("batch_integrals", "batch_durations"):
+            np.testing.assert_array_equal(rep.aux[key], want[key])
+        assert rep.aux["receptions"] == want["receptions"]
+        assert repr(rep.stderr) == repr(want["stderr"])
+        bi, bd = rep.aux["batch_integrals"], rep.aux["batch_durations"]
+        assert rep.avg_mse == bi.sum() / bd.sum()
+        assert rep.aux["mean_gap_s"] == bd.sum() / (want["receptions"] - 1)
+    per_reception = {"gen_times_s", "used_sensor", "gaps_s", "slot_index"} & want.keys()
+    for key in per_reception:
+        np.testing.assert_array_equal(traced.aux[key], want[key])
+    assert not per_reception & plain.aux.keys()
+    if case.startswith("empty_groups") and kind == "no":
+        # 4-14 receptions: the last group (batches 96-99) has none, and at
+        # seed 4 neither has the second (batches 32-63)
+        assert want["receptions"] <= 14
+        assert not want["batch_durations"][96:].any()
+
+
+def test_avg_mse_is_the_simulate_csv_value(tmp_path):
+    # at one replica the CSV's mse_mc and the report's avg_mse are one number
+    text = experiments.load_spec("sim_vs_analytic_default").raw_text
+    spec = experiments.parse_spec(text.replace("periods = 100000", "periods = 30011"))
+    experiments.run_experiment(spec, tmp_path)
+    with open(tmp_path / "sim_vs_analytic_default_simulate.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    rep = sp.simulate_event_level(spec.source, spec.field, spec.link, spec.scheme,
+                                  spec.periods, spec.seed)
+    assert float(row["mse_mc"]) == rep.avg_mse
+    assert float(row["stderr"]) == rep.stderr
+
+
+def test_gap_stats_need_a_traced_run(source, field, link, syn_scheme):
+    rep = sp.simulate_event_level(source, field, link, syn_scheme, 3_000, seed=1)
+    with pytest.raises(InvalidConfigError, match="collect_trace=True"):
+        sp.empirical_gap_stats(rep, source, link, syn_scheme)
