@@ -27,7 +27,7 @@ for n in (40, 80, 120, 200, 400, 800):
 print("\nfading-averaged BLEP vs average SNR (N = 80):")
 for db in (0, 5, 10, 15, 20):
     lk = sp.LinkParams.from_db(gamma_r_bar_db=db)
-    print(f"{db:4d} dB  ->  {lk.eps_bar:.6f}")
+    print(f"{db:4d} dB  ->  {sp.blep_average(lk):.6f}")
 
 print("\nMonte Carlo cross-check (1e6 exponential SNR draws):")
 rng = np.random.default_rng(1)

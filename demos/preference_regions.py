@@ -7,6 +7,8 @@ temporal correlation over one period, so inference pays off surprisingly
 early.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import sptrecon as sp
@@ -29,14 +31,18 @@ for db in (0, 5, 10, 15, 20, 30):
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
     thr1 = sp.threshold_infer(src, lk, scheme)
     thr2 = sp.threshold_asyn_over_syn(src, lk, scheme)
-    print(f"{db:8d} {lk.eps_bar:8.4f} {thr1:8.4f} {thr2:8.4f}")
+    print(f"{db:8d} {sp.blep_average(lk):8.4f} {thr1:8.4f} {thr2:8.4f}")
 
 print("\nclassification vs direct evaluation on a correlation grid:")
 scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
+thr1 = sp.threshold_infer(src, link, scheme)
+thr2 = sp.threshold_asyn_over_syn(src, link, scheme)
 grid = np.linspace(0.05, 1.0, 20)
 oracle = sp.exhaustive_region_oracle(src, link, scheme, grid)
 for rho, winner in oracle[::4]:
-    rep = sp.region_report(src, link, scheme, rho)
-    mark = "=" if rep.winner is winner else "!"
-    print(f"  mssc={rho:5.2f}  classifier: {rep.winner.value:<10} "
-          f"direct: {winner.value:<10} {mark}  gain-over-no-infer {rep.gain_infer:5.3f}")
+    got = sp.classify(rho, thr1, thr2)
+    no, syn = (sp.average_mse(src, None, link, replace(scheme, scheme=kind), mssc_value=rho)
+               for kind in (sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER))
+    mark = "=" if got is winner else "!"
+    print(f"  mssc={rho:5.2f}  classifier: {got.value:<10} "
+          f"direct: {winner.value:<10} {mark}  gain-over-no-infer {no / syn:5.3f}")

@@ -20,7 +20,7 @@ asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=1)
 no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
 
 rho = sp.mssc(src, field)
-print(f"field MSSC = {rho:.3f}, average BLEP = {link.eps_bar:.3f}")
+print(f"field MSSC = {rho:.3f}, average BLEP = {sp.blep_average(link):.3f}")
 print(f"no-infer  : {sp.average_mse(src, None, link, no):.4f}")
 print(f"syn-infer : {sp.average_mse(src, field, link, syn):.4f}")
 print(f"asyn-infer: {sp.average_mse(src, field, link, asyn):.4f}")

@@ -42,7 +42,6 @@ from .field import (
 from .mse import (
     BoundAxis,
     ClosedForm,
-    ReindexedField,
     Scheme,
     SchemeConfig,
     average_mse,
@@ -70,11 +69,8 @@ from .optimize import (
     optimize_time_shift,
 )
 from .regions import (
-    RegionReport,
-    RegionThresholds,
     classify,
     exhaustive_region_oracle,
-    region_report,
     threshold_asyn_over_syn,
     threshold_infer,
 )

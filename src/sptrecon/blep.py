@@ -96,11 +96,6 @@ class LinkParams:
         """Slope of the linear BLEP segment (negative)."""
         return _lam(self.L, self.N)
 
-    @property
-    def eps_bar(self) -> float:
-        """Rayleigh-averaged BLEP of this link (closed form)."""
-        return blep_average(self)
-
 
 def _eta(L, N):
     return np.exp(L / N) - 1.0

@@ -32,7 +32,7 @@ from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
-from .regions import RegionThresholds, classify, threshold_asyn_over_syn, threshold_infer
+from .regions import classify, threshold_asyn_over_syn, threshold_infer
 from .simulate import batch_means_stderr, simulate_event_level
 
 ANALYTIC_COLUMNS = ["scheme", "T_s", "L", "N", "T", "h", "M", "mssc",
@@ -132,7 +132,12 @@ def load_spec(path_or_name, seed=None, replicas=None) -> ExperimentSpec:
     """Load an experiment config from a path or a bundled spec name."""
     path = Path(path_or_name)
     if path.exists():
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc})"
+            raise InvalidConfigError(f"cannot read experiment config {str(path)!r}: "
+                                     f"{why}") from exc
     else:
         name = str(path_or_name)
         if not name.endswith(".cfg"):
@@ -177,7 +182,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
                 raise InvalidConfigError("positions_file in [field] excludes the "
                                          "placement keys")
             try:
-                field, _ = load_field(fld["path"])
+                field = load_field(fld["path"])
             except OSError as exc:
                 raise InvalidConfigError(f"cannot read positions_file "
                                          f"{fld['path']!r}: {exc.strerror}") from exc
@@ -335,7 +340,7 @@ def _verdict(rho, thr1, thr2):
     """(thr2, winner) of one region row; ``thr2`` may be the degenerate error."""
     if not isinstance(thr2, RegionDegenerateError):
         try:
-            return thr2, classify(rho, RegionThresholds(thr1, thr2)).value
+            return thr2, classify(rho, thr1, thr2).value
         except RegionDegenerateError as exc:
             thr2 = exc
     return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")

@@ -161,27 +161,25 @@ def mssc(params: SourceParams, field: SensorField) -> float:
     return float((sq.sum() - 1.0) / (M - 1))
 
 
-def sample_joint_gaussian(params, field, sample_times, seed=None, n_draws=None,
-                          return_latent=False):
-    """Draw noisy samples Y = X + V at the requested (sensor, time) points.
+def sample_joint_gaussian(params, field, sensors, times, seed=None, n_draws=1):
+    """Draw noisy samples Y = X + V at the (sensor, time) points
+    (sensors[i], times[i]), two equal-length 1-D arrays.
 
-    sample_times is a sequence of (sensor_index, time_s) pairs.  X is drawn
-    from the joint Gaussian whose covariance follows the separable
-    exponential model; V is i.i.d. observation noise of variance
-    sigma2_x / gamma_o.  With ``n_draws=None`` a single vector of shape (k,)
-    is returned, otherwise an (n_draws, k) array.  ``return_latent=True``
-    additionally returns the noise-free X with the same shape.
+    X is drawn from the joint Gaussian whose covariance follows the
+    separable exponential model; V is i.i.d. observation noise of variance
+    sigma2_x / gamma_o.  Returns (y, x), each of shape (n_draws, k): the
+    noisy samples and the noise-free states.
 
     Draw order is fixed (all X innovations, then all noise) so results are
     reproducible for a given seed regardless of how they are consumed.
     """
-    entries = list(sample_times)
-    if not entries:
-        raise InvalidConfigError("sample_times must be nonempty")
-    sensors = np.array([e[0] for e in entries], dtype=int)
-    times = np.array([e[1] for e in entries], dtype=float)
+    sensors = np.asarray(sensors, dtype=int)
+    times = np.asarray(times, dtype=float)
+    if sensors.ndim != 1 or times.shape != sensors.shape or not len(sensors):
+        raise InvalidConfigError("sensors and times must be nonempty 1-D arrays of "
+                                 f"one length, got shapes {sensors.shape}, {times.shape}")
 
-    k = len(entries)
+    k = len(sensors)
     dt = np.abs(times[:, None] - times[None, :])
     cov = params.sigma2_x * correlation(params, field, sensors[:, None],
                                         sensors[None, :], dt)
@@ -198,20 +196,15 @@ def sample_joint_gaussian(params, field, sample_times, seed=None, n_draws=None,
     del cov, dt  # only the factor is needed from here on
 
     rng = np.random.default_rng(seed)
-    n = 1 if n_draws is None else int(n_draws)
-    x = rng.standard_normal((n, k)) @ chol.T
+    x = rng.standard_normal((n_draws, k)) @ chol.T
     del chol
     # the noise is drawn into the buffer that becomes y = x + v
-    y = rng.normal(scale=math.sqrt(params.noise_variance), size=(n, k))
+    y = rng.normal(scale=math.sqrt(params.noise_variance), size=(n_draws, k))
     y += x
-    if n_draws is None:
-        x, y = x[0], y[0]
-    if return_latent:
-        return y, x
-    return y
+    return y, x
 
 
-def save_field(field: SensorField, path, b: float | None = None):
+def save_field(field: SensorField, path):
     """Write positions as a plain-text table with a provenance header.
 
     Floats use 17 significant digits so the decimal form round-trips the
@@ -219,7 +212,6 @@ def save_field(field: SensorField, path, b: float | None = None):
     """
     lines = [
         f"# seed = {field.seed if field.seed is not None else 'none'}",
-        f"# b_per_m = {_fmt(b) if b is not None else 'none'}",
         f"# target_index = {field.target_index}",
         "sensor_id, x_m, y_m",
     ]
@@ -230,9 +222,9 @@ def save_field(field: SensorField, path, b: float | None = None):
 
 
 def load_field(path):
-    """Read a field written by :func:`save_field`; returns (field, b)."""
+    """Read a field written by :func:`save_field`.  Other header keys (such
+    as the ``b_per_m`` line of older files) are ignored."""
     seed = None
-    b = None
     target = 1
     rows = []
     with open(path) as fh:
@@ -245,8 +237,6 @@ def load_field(path):
                 key, val = key.strip(), val.strip()
                 if key == "seed" and val != "none":
                     seed = int(val)
-                elif key == "b_per_m" and val != "none":
-                    b = float(val)
                 elif key == "target_index":
                     target = int(val)
                 continue
@@ -254,8 +244,7 @@ def load_field(path):
                 continue
             _, x, y = line.split(",")
             rows.append((float(x), float(y)))
-    field = SensorField(positions=np.array(rows), target_index=target, seed=seed)
-    return field, b
+    return SensorField(positions=np.array(rows), target_index=target, seed=seed)
 
 
 def _fmt(x: float) -> str:

@@ -84,27 +84,16 @@ class SchemeConfig:
                 raise InvalidConfigError(f"time shift must be > 0, got {self.h}")
 
 
-@dataclass(frozen=True)
-class ReindexedField:
-    """Sensors sorted by descending squared spatial weight to the target.
+def reindex_by_correlation(params: SourceParams, field: SensorField) -> np.ndarray:
+    """Rank sensors by spatial usefulness for inferring the target.
 
-    order   : 1-based sensor indices; the target comes first, ties broken
-              by ascending index
-    factors : exp(-2 b r_m,order[k]), non-increasing
+    The 1-based sensor indices by descending squared spatial weight
+    exp(-2 b r_mn); the target comes first among equal weights, then
+    ascending index.
     """
-
-    order: tuple
-    factors: tuple
-
-
-def reindex_by_correlation(params: SourceParams, field: SensorField) -> ReindexedField:
-    """Rank sensors by spatial usefulness for inferring the target."""
-    m = field.target_index
     fac = field.target_factors(params.b)
-    idx = sorted(range(1, field.n_sensors + 1),
-                 key=lambda n: (-fac[n - 1], n != m, n))
-    return ReindexedField(order=tuple(idx),
-                          factors=tuple(float(fac[n - 1]) for n in idx))
+    idx = np.arange(1, field.n_sensors + 1)
+    return np.lexsort((idx, idx != field.target_index, -fac)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,8 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     elif asyn:
         w = field_or_weights.target_factors(source.b)
     else:
-        w = np.asarray(reindex_by_correlation(source, field_or_weights).factors)
+        order = reindex_by_correlation(source, field_or_weights)
+        w = field_or_weights.target_factors(source.b)[order - 1]
     if w.ndim != 1 or len(w) != scheme.M:
         raise InvalidConfigError(f"need {scheme.M} spatial weights, got {w.size}")
     return w
@@ -502,7 +492,7 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
 
 
 __all__ = [
-    "Scheme", "SchemeConfig", "ReindexedField", "BoundAxis",
+    "Scheme", "SchemeConfig", "BoundAxis",
     "reindex_by_correlation", "ClosedForm", "mssc_weights", "scheme_weights",
     "average_mse", "eps_star_asyn", "upsilon", "bounds",
     "max_blocklength", "shift_count",

@@ -86,7 +86,6 @@ class OptResult:
     branch: str
     trace: list = dc_field(default_factory=list)
     evaluations: int | None = None
-    convexity_warning: bool = False
     projected_start: bool = False
 
 
@@ -230,8 +229,7 @@ def optimize_blocklength(source, field, link, scheme, cfg=None) -> OptResult:
            else eval_F(source, field, link, scheme, float(n_star)))
     mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))],
-                     convexity_warning=link.L < math.pi)
+                     trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))])
 
 
 def optimize_time_shift(source, field, link, scheme) -> OptResult:
@@ -313,8 +311,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     mse = average_mse(source, field, link.with_blocklength(n_cur),
                       replace(scheme, h=h_cur))
     return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
-                     "jtsbo", trace=trace, convexity_warning=link.L < math.pi,
-                     projected_start=projected)
+                     "jtsbo", trace=trace, projected_start=projected)
 
 
 # ---------------------------------------------------------------------------

@@ -11,32 +11,14 @@ evaluates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .blep import LinkParams
 from .errors import InvalidConfigError, RegionDegenerateError
 from .field import SourceParams
-from .mse import ClosedForm, Scheme, SchemeConfig, _eps, average_mse
-
-
-@dataclass(frozen=True)
-class RegionThresholds:
-    thr1: float
-    thr2: float
-
-
-@dataclass(frozen=True)
-class RegionReport:
-    """Classification of one operating point on the MSSC axis."""
-
-    mssc: float
-    thr1: float
-    thr2: float
-    winner: Scheme
-    gain_infer: float
-    gain_asyn_over_syn: float
+from .mse import ClosedForm, Scheme, SchemeConfig, _check_timing, _eps, average_mse
 
 
 def threshold_infer(source: SourceParams, link: LinkParams, scheme: SchemeConfig,
@@ -46,8 +28,10 @@ def threshold_infer(source: SourceParams, link: LinkParams, scheme: SchemeConfig
     thr1 = E (1 - eps) / (1 - E eps) with E = exp(-2 a T); monotone
     decreasing in eps and saturating to E as eps -> 0, so inference can pay
     off even when the spatial correlation is weaker than the squared
-    temporal correlation over one period.
+    temporal correlation over one period.  InvalidConfigError when the
+    link's blocklength does not fit the period, as in :func:`average_mse`.
     """
+    _check_timing(link, scheme)
     eps = _eps(link, eps_bar)
     E = math.exp(-2.0 * source.a * scheme.T)
     return E * (1.0 - eps) / (1.0 - E * eps)
@@ -63,10 +47,12 @@ def threshold_asyn_over_syn(source: SourceParams, link: LinkParams,
 
     At the threshold the two MSSC-substituted closed forms are equal by
     construction.  A non-positive denominator means no finite crossover
-    exists; the raised error reports which scheme dominates.
+    exists; the raised error reports which scheme dominates.  The timing
+    must fit the period and h its feasible band, as in :func:`average_mse`.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("threshold_asyn_over_syn needs an asynchronous config")
+    _check_timing(link, scheme, need_h=True)
     eps = _eps(link, eps_bar)
     a, T, M, m = source.a, scheme.T, scheme.M, scheme.m
     E = math.exp(-2.0 * a * T)
@@ -89,41 +75,22 @@ def threshold_asyn_over_syn(source: SourceParams, link: LinkParams,
     return (lam - psi_m) / den
 
 
-def classify(mssc_value: float, thresholds: RegionThresholds) -> Scheme:
+def classify(mssc_value: float, thr1: float, thr2: float) -> Scheme:
     """Winner at a given MSSC: <= thr1 no-infer, < thr2 syn, else asyn."""
-    if thresholds.thr2 <= thresholds.thr1:
+    if thr2 <= thr1:
         raise RegionDegenerateError(
-            f"thresholds out of order (thr1={thresholds.thr1}, thr2={thresholds.thr2})",
+            f"thresholds out of order (thr1={thr1}, thr2={thr2})",
             always_superior=True,
         )
-    if mssc_value <= thresholds.thr1:
+    if mssc_value <= thr1:
         return Scheme.NO_INFER
-    if mssc_value < thresholds.thr2:
+    if mssc_value < thr2:
         return Scheme.SYN_INFER
     return Scheme.ASYN_INFER
 
 
 # the oracle's tie-break order
 _ORDER = (Scheme.NO_INFER, Scheme.SYN_INFER, Scheme.ASYN_INFER)
-
-
-def _substituted(source, link, scheme, mssc_value, eps_bar):
-    """The MSSC-substituted closed forms in ``_ORDER`` (no-infer reads no MSSC)."""
-    return [average_mse(source, None, link, replace(scheme, scheme=kind), eps_bar,
-                        mssc_value)
-            for kind in _ORDER]
-
-
-def region_report(source, link, scheme, mssc_value, eps_bar=None) -> RegionReport:
-    """Thresholds, winner and gain ratios at one MSSC value."""
-    thr1 = threshold_infer(source, link, scheme, eps_bar)
-    thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar)
-    winner = classify(mssc_value, RegionThresholds(thr1, thr2))
-    no, syn, asyn = _substituted(source, link, scheme, mssc_value, eps_bar)
-    return RegionReport(
-        mssc=mssc_value, thr1=thr1, thr2=thr2, winner=winner,
-        gain_infer=no / syn, gain_asyn_over_syn=syn / asyn,
-    )
 
 
 def exhaustive_region_oracle(source, link, scheme, mssc_grid, eps_bar=None):
@@ -135,14 +102,15 @@ def exhaustive_region_oracle(source, link, scheme, mssc_grid, eps_bar=None):
     of (mssc, Scheme) pairs.
     """
     rho = np.asarray(mssc_grid, dtype=float)
-    vals = [np.broadcast_to(v, rho.shape)
-            for v in _substituted(source, link, scheme, rho, eps_bar)]
+    # the MSSC-substituted closed forms (no-infer reads no MSSC)
+    vals = [np.broadcast_to(average_mse(source, None, link, replace(scheme, scheme=kind),
+                                        eps_bar, rho), rho.shape)
+            for kind in _ORDER]
     winners = np.argmin(vals, axis=0)  # the first of equal values
     return [(r, _ORDER[k]) for r, k in zip(rho.tolist(), winners.tolist())]
 
 
 __all__ = [
-    "RegionThresholds", "RegionReport",
     "threshold_infer", "threshold_asyn_over_syn",
-    "classify", "region_report", "exhaustive_region_oracle",
+    "classify", "exhaustive_region_oracle",
 ]

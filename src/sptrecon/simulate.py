@@ -143,10 +143,10 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
     ``batch_durations`` (per batch of contiguous periods) and
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
-    keeps, per reception, ``gen_times_s``, ``used_sensor``, ``gaps_s``
-    (spacing to the next reception) and for the asynchronous scheme
-    ``slot_index`` (slot k M + n - 1).  Statistics that only
-    :func:`empirical_gap_stats` reads are derived there.
+    keeps, per reception, ``gen_times_s``, ``used_sensor`` and for the
+    asynchronous scheme ``slot_index`` (slot k M + n - 1).  Statistics that
+    only :func:`empirical_gap_stats` reads, the gaps among them, are derived
+    there.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
@@ -160,7 +160,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     # field's size and target for syn/asyn), from the head of the server's
     # preference order, the correlation ranking, which starts at the target
     drawn = len(scheme_weights(source, field, scheme))
-    ranked = np.array(reindex_by_correlation(source, field).order[:drawn])
+    ranked = reindex_by_correlation(source, field)[:drawn]
     sensors = np.sort(ranked)  # the target alone, or 1..M; one row each
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
     weights = field.target_factors(source.b)[sensors - 1]
@@ -256,13 +256,13 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         carry = (gen_times[-1], fac[row_of[-1]],
                  int(np.searchsorted(edges, period_of[-1], side="right")) - 1)
         if collect_trace:
-            kept.append((gen_times[own:], sensors[row_of], D)
+            kept.append((gen_times[own:], sensors[row_of])
                         + ((slots,) if asyn else ()))
     if receptions < 2:
         raise InvalidConfigError("fewer than two successful receptions; "
                                  "increase periods or SNR")
 
-    keys = ("gen_times_s", "used_sensor", "gaps_s", "slot_index")
+    keys = ("gen_times_s", "used_sensor", "slot_index")
     aux.update({key: np.concatenate(parts) for key, parts in zip(keys, zip(*kept))})
     aux.update({
         "mean_gap_s": float(bd.sum()) / (receptions - 1),
@@ -283,14 +283,15 @@ def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
     P(steps = s) = eps^(s-1) (1 - eps), which is the printed gap
     distribution re-indexed by slots.
     """
-    if "gaps_s" not in report.aux:
+    if "gen_times_s" not in report.aux:
         raise InvalidConfigError("empirical_gap_stats reads the per-reception "
                                  "gaps of a run made with collect_trace=True")
     eps = blep_average(link)
     a, T, M = source.a, scheme.T, scheme.M
+    gaps = np.diff(report.aux["gen_times_s"])
     out = {
         "mean_gap_s": report.aux["mean_gap_s"],
-        "mean_exp_gap": float(np.exp(-2.0 * a * report.aux["gaps_s"]).mean()),
+        "mean_exp_gap": float(np.exp(-2.0 * a * gaps).mean()),
     }
     if report.scheme is Scheme.ASYN_INFER:
         out["theory_mean_gap_s"] = expected_gap_asyn(T, eps, M)
@@ -345,11 +346,11 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
             f"joint covariance would need {total} entries (> {_MAX_ENTRIES}); "
             "reduce periods"
         )
-    entries = [(int(s), float(t)) for s, t in zip(src_sensor, gen)]
-    entries += [(m, float(t)) for t in eval_times.ravel()]
+    # the held samples, then the target's states on the grid
     y, x = sample_joint_gaussian(
-        source, field, entries, seed=[seed, replica, 986743], n_draws=n_draws,
-        return_latent=True,
+        source, field, np.concatenate((src_sensor, np.full(eval_times.size, m))),
+        np.concatenate((gen, eval_times.ravel())), seed=[seed, replica, 986743],
+        n_draws=n_draws,
     )
     # the conditional-mean estimate from the held sample, then its squared
     # error, in one (draws, interval, midpoint) buffer

@@ -203,9 +203,8 @@ def test_criterion_5_crossover(source, link):
     grid = np.linspace(0.005, 1.0, 200)
     step = grid[1] - grid[0]
     oracle = sp.exhaustive_region_oracle(source, link, scheme, grid)
-    th = sp.regions.RegionThresholds(thr1, thr2)
     agree = all(
-        sp.classify(rho, th) is winner
+        sp.classify(rho, thr1, thr2) is winner
         for rho, winner in oracle
         if min(abs(rho - thr1), abs(rho - thr2)) >= step)
 

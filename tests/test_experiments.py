@@ -573,7 +573,7 @@ def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
         thr1 = sp.threshold_infer(spec.source, link, spec.scheme)
         try:
             thr2 = real(spec.source, link, spec.scheme)
-            winner = sp.classify(point["mssc"], sp.RegionThresholds(thr1, thr2)).value
+            winner = sp.classify(point["mssc"], thr1, thr2).value
         except RegionDegenerateError as exc:
             assert not exc.always_superior
             thr2, winner = math.inf, "degenerate:syn/no"
@@ -724,6 +724,32 @@ def test_every_schema_key_reaches_its_object(tmp_path):
     assert (spec.field.target_index, spec.scheme.M, spec.scheme.m) == (2, 4, 2)
     with pytest.raises(InvalidConfigError, match="positions_file"):
         parse_spec(f"[experiment]\n[field]\npositions_file = {path}\nM = 4\n")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_spec_path_is_a_config_error(tmp_path, capsys, kind):
+    why = {"directory": "Is a directory", "not_utf8": "not UTF-8 text"}[kind]
+    path = tmp_path / "latin1.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("[experiment]\nname = caf\xe9\n".encode("latin-1"))
+    with pytest.raises(InvalidConfigError,
+                       match=f"cannot read experiment config '{path}': {why}"):
+        load_spec(path)
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: cannot read")
+
+
+@pytest.mark.parametrize("periods", ["0.02", "0.008"])
+def test_region_spec_outside_the_timing_rule_is_a_config_error(tmp_path, periods):
+    # at T = 0.02 s the 5 ms shift leaves its band [1e-4, 0.003] s; at
+    # T = 0.008 s the period equals the packet delay; average_mse rejects both
+    text = load_spec("regions_vs_period").raw_text.replace(
+        "T_period_s = 0.05, 0.1, 0.15, 0.25, 0.5", f"T_period_s = {periods}")
+    message = {"0.02": "feasible band", "0.008": "packet delay"}[periods]
+    with pytest.raises(InvalidConfigError, match=message):
+        run_experiment(parse_spec(text), tmp_path)
 
 
 def test_missing_positions_file_is_a_config_error(tmp_path):

@@ -191,59 +191,70 @@ def test_mssc_strictly_decreasing_in_b():
 
 
 def test_sample_variance_of_noisy_output(source, field):
-    y = sp.sample_joint_gaussian(source, field, [(1, 0.0)], seed=1, n_draws=100_000)
+    y, _ = sp.sample_joint_gaussian(source, field, [1], [0.0], seed=1, n_draws=100_000)
     target = source.sigma2_x * (1.0 + 1.0 / source.gamma_o)
     assert float(np.var(y)) == pytest.approx(target, rel=0.02)
 
 
 def test_sampled_temporal_correlation(source, field):
     dt = 0.1
-    y, x = sp.sample_joint_gaussian(
-        source, field, [(2, 0.0), (2, dt)], seed=2, n_draws=100_000,
-        return_latent=True)
+    y, x = sp.sample_joint_gaussian(source, field, [2, 2], [0.0, dt], seed=2,
+                                    n_draws=100_000)
     emp = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
     assert emp == pytest.approx(np.exp(-source.a * dt), abs=0.02)
 
 
 def test_sampled_spatial_correlation(source):
     f = sp.SensorField(positions=np.array([[0.0, 0.0], [30.0, 0.0]]))
-    y, x = sp.sample_joint_gaussian(
-        source, f, [(1, 0.0), (2, 0.0)], seed=3, n_draws=100_000,
-        return_latent=True)
+    y, x = sp.sample_joint_gaussian(source, f, [1, 2], [0.0, 0.0], seed=3,
+                                    n_draws=100_000)
     emp = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
     assert emp == pytest.approx(np.exp(-source.b * 30.0), abs=0.02)
 
 
 def test_sampled_covariance_matches_model(source):
     f = sp.place_sensors(3, 10.0, seed=13)
-    entries = [(1, 0.0), (2, 0.05), (3, 0.2), (1, 0.3)]
+    sensors, times = np.array([1, 2, 3, 1]), np.array([0.0, 0.05, 0.2, 0.3])
     n = 100_000
-    y, x = sp.sample_joint_gaussian(source, f, entries, seed=4, n_draws=n,
-                                    return_latent=True)
+    y, x = sp.sample_joint_gaussian(source, f, sensors, times, seed=4, n_draws=n)
     emp = np.cov(x.T)
-    sensors = np.array([e[0] for e in entries]) - 1
-    times = np.array([e[1] for e in entries])
     ana = source.sigma2_x * np.exp(
         -source.a * np.abs(times[:, None] - times[None, :])
-        - source.b * f.distances[sensors[:, None], sensors[None, :]])
+        - source.b * f.distances[sensors[:, None] - 1, sensors[None, :] - 1])
     # entrywise within 3 standard errors of a covariance estimate
     se = np.sqrt((ana ** 2 + np.outer(np.diag(ana), np.diag(ana))) / n)
     assert np.all(np.abs(emp - ana) < 3.0 * se + 1e-9)
 
 
 def test_sampling_deterministic_per_seed(source, field):
-    entries = [(1, 0.0), (3, 0.4)]
-    a = sp.sample_joint_gaussian(source, field, entries, seed=8, n_draws=5)
-    b = sp.sample_joint_gaussian(source, field, entries, seed=8, n_draws=5)
+    a = sp.sample_joint_gaussian(source, field, [1, 3], [0.0, 0.4], seed=8, n_draws=5)
+    b = sp.sample_joint_gaussian(source, field, [1, 3], [0.0, 0.4], seed=8, n_draws=5)
     assert np.array_equal(a, b)
+
+
+def test_sampler_returns_samples_and_states_per_draw(source, field):
+    y, x = sp.sample_joint_gaussian(source, field, [1, 3, 2], [0.0, 0.4, 0.1], seed=8)
+    assert y.shape == x.shape == (1, 3)  # one draw by default
+    for sensors, times in (([], []), ([1, 2], [0.0]), ([[1]], [[0.0]])):
+        with pytest.raises(InvalidConfigError, match="1-D arrays of one length"):
+            sp.sample_joint_gaussian(source, field, sensors, times)
 
 
 def test_field_serialization_round_trip(tmp_path):
     f = sp.place_sensors(5, 10.0, seed=99)
     path = tmp_path / "field.txt"
-    sp.save_field(f, path, b=0.01)
-    g, b = sp.load_field(path)
-    assert b == 0.01
+    sp.save_field(f, path)
+    g = sp.load_field(path)
     assert g.seed == 99
     assert g.target_index == f.target_index
     assert np.array_equal(f.positions, g.positions)  # bit-exact round trip
+    assert "b_per_m" not in path.read_text()
+
+
+def test_older_field_files_with_a_b_header_still_load(tmp_path):
+    path = tmp_path / "field.txt"
+    path.write_text("# seed = 4\n# b_per_m = 0.01\n# target_index = 2\n"
+                    "sensor_id, x_m, y_m\n1, 0.5, -1.25\n2, 3, 4\n")
+    g = sp.load_field(path)
+    assert (g.seed, g.target_index) == (4, 2)
+    assert g.positions.tolist() == [[0.5, -1.25], [3.0, 4.0]]

@@ -50,18 +50,48 @@ def monotone_setup():
 # ---------------------------------------------------------------------------
 
 def test_reindex_invariants(source, field):
-    ranked = sp.reindex_by_correlation(source, field)
-    assert ranked.order[0] == field.target_index
-    assert ranked.factors[0] == 1.0
-    assert all(a >= b for a, b in zip(ranked.factors, ranked.factors[1:]))
+    order = sp.reindex_by_correlation(source, field)
+    factors = field.target_factors(source.b)[order - 1]
+    assert order[0] == field.target_index
+    assert factors[0] == 1.0
+    assert all(a >= b for a, b in zip(factors, factors[1:]))
 
 
 def test_reindex_tie_break_ascending_index():
     # sensors 2 and 3 equidistant from the target
     pos = np.array([[0., 0.], [3., 0.], [0., 3.], [7., 0.]])
     f = sp.SensorField(positions=pos, target_index=1)
-    ranked = sp.reindex_by_correlation(sp.SourceParams(b=0.1), f)
-    assert ranked.order == (1, 2, 3, 4)
+    order = sp.reindex_by_correlation(sp.SourceParams(b=0.1), f)
+    assert order.tolist() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("b, want", [
+    (0.0, [3, 1, 2, 4, 5]),  # every weight 1: the target, then ascending index
+    (0.1, [3, 2, 4, 5, 1]),  # sensors 2, 4, 5 equidistant, sensor 1 farthest
+])
+def test_reindex_key_is_weight_then_target_then_index(b, want):
+    # the key (-weight, not-target, index): putting the index ahead of the
+    # weight breaks b = 0.1, ahead of not-target breaks b = 0; the one other
+    # order, (not-target, -weight, index), ranks alike because the target's
+    # own weight is the largest, 1
+    pos = np.array([[10., 0.], [0., 5.], [0., 0.], [5., 0.], [-5., 0.]])
+    f = sp.SensorField(positions=pos, target_index=3)
+    assert sp.reindex_by_correlation(sp.SourceParams(b=b), f).tolist() == want
+
+
+def test_reindex_matches_the_sorted_key_on_tied_grids():
+    # integer-grid fields, where many distances tie, against a plain sort
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        M = int(rng.integers(1, 9))
+        f = sp.SensorField(positions=rng.integers(-3, 4, size=(M, 2)).astype(float),
+                           target_index=int(rng.integers(1, M + 1)))
+        for b in (0.0, 0.01, 0.3):
+            fac = f.target_factors(b)
+            want = sorted(range(1, M + 1),
+                          key=lambda n: (-fac[n - 1], n != f.target_index, n))
+            got = sp.reindex_by_correlation(sp.SourceParams(b=b), f)
+            assert got.tolist() == want, (trial, b)
 
 
 # ---------------------------------------------------------------------------

@@ -561,9 +561,8 @@ def test_J_matches_central_difference_of_the_objective(M, a, T, N, h_frac, b):
 def test_small_information_payload_warns(source, field):
     link = sp.LinkParams(L=2.0, N=40)
     scheme = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.150, M=5, m=1)
-    with pytest.warns(UserWarning):
-        res = sp.optimize_blocklength(source, field, link, scheme)
-    assert res.convexity_warning
+    with pytest.warns(UserWarning, match="L=2.0 < pi"):
+        sp.optimize_blocklength(source, field, link, scheme)
 
 
 def test_syn_blocklength_range_stops_before_the_period():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import regions
-from sptrecon.errors import RegionDegenerateError
-from sptrecon.regions import RegionThresholds
+from sptrecon.errors import InvalidConfigError, RegionDegenerateError
 
 
 def as_kind(scheme, kind):
@@ -74,30 +73,29 @@ def test_thr2_above_thr1_at_defaults(source, link, asyn_scheme):
 
 
 def test_classify_boundaries(source, link, asyn_scheme):
-    th = RegionThresholds(0.2, 0.7)
-    assert sp.classify(0.2, th) is sp.Scheme.NO_INFER      # inclusive at thr1
-    assert sp.classify(0.21, th) is sp.Scheme.SYN_INFER
-    assert sp.classify(0.7, th) is sp.Scheme.ASYN_INFER    # inclusive at thr2
-    assert sp.classify(0.05, th) is sp.Scheme.NO_INFER
-    assert sp.classify(0.99, th) is sp.Scheme.ASYN_INFER
+    th = (0.2, 0.7)
+    assert sp.classify(0.2, *th) is sp.Scheme.NO_INFER      # inclusive at thr1
+    assert sp.classify(0.21, *th) is sp.Scheme.SYN_INFER
+    assert sp.classify(0.7, *th) is sp.Scheme.ASYN_INFER    # inclusive at thr2
+    assert sp.classify(0.05, *th) is sp.Scheme.NO_INFER
+    assert sp.classify(0.99, *th) is sp.Scheme.ASYN_INFER
 
 
 def test_classify_rejects_inverted_thresholds():
     with pytest.raises(RegionDegenerateError):
-        sp.classify(0.5, RegionThresholds(0.8, 0.3))
+        sp.classify(0.5, 0.8, 0.3)
 
 
 def test_classify_agrees_with_oracle_away_from_boundaries(source, link, asyn_scheme):
     thr1 = sp.threshold_infer(source, link, asyn_scheme)
     thr2 = sp.threshold_asyn_over_syn(source, link, asyn_scheme)
-    th = RegionThresholds(thr1, thr2)
     grid = np.linspace(0.005, 1.0, 200)
     oracle = dict(sp.exhaustive_region_oracle(source, link, asyn_scheme, grid))
     step = grid[1] - grid[0]
     for rho, winner in oracle.items():
         if min(abs(rho - thr1), abs(rho - thr2)) < step:
             continue  # cells straddling a threshold are allowed to differ
-        assert sp.classify(rho, th) is winner, rho
+        assert sp.classify(rho, thr1, thr2) is winner, rho
 
 
 def test_oracle_shows_three_regions_at_defaults(source, link, asyn_scheme):
@@ -118,15 +116,43 @@ def test_oracle_single_region_for_tiny_period(source):
 
 
 def test_region_report_consistency(source, link, asyn_scheme):
-    rep = sp.region_report(source, link, asyn_scheme, mssc_value=0.5)
-    assert rep.thr1 < 0.5 < rep.thr2
-    assert rep.winner is sp.Scheme.SYN_INFER
-    assert rep.gain_infer > 1.0
-    assert rep.gain_asyn_over_syn < 1.0
+    # thresholds, winner and gain ratios at one MSSC from the public calls
+    thr1 = sp.threshold_infer(source, link, asyn_scheme)
+    thr2 = sp.threshold_asyn_over_syn(source, link, asyn_scheme)
 
-    rep2 = sp.region_report(source, link, asyn_scheme, mssc_value=0.99)
-    assert rep2.winner is sp.Scheme.ASYN_INFER
-    assert rep2.gain_asyn_over_syn > 1.0
+    def gains(rho):
+        no, syn, asyn = (sp.average_mse(source, None, link, as_kind(asyn_scheme, kind),
+                                        mssc_value=rho)
+                         for kind in ("no-infer", "syn-infer", "asyn-infer"))
+        return no / syn, syn / asyn
+
+    gain_infer, gain_asyn_over_syn = gains(0.5)
+    assert thr1 < 0.5 < thr2
+    assert sp.classify(0.5, thr1, thr2) is sp.Scheme.SYN_INFER
+    assert gain_infer > 1.0
+    assert gain_asyn_over_syn < 1.0
+
+    assert sp.classify(0.99, thr1, thr2) is sp.Scheme.ASYN_INFER
+    assert gains(0.99)[1] > 1.0
+
+
+# (threshold, T, h, message): the link's tau = N T_s = 8 ms and T_s = 0.1 ms
+@pytest.mark.parametrize("threshold, T, h, message", [
+    pytest.param("threshold_infer", 0.008, 0.001, "packet delay", id="thr1-T=tau"),
+    pytest.param("threshold_asyn_over_syn", 0.008, 0.001, "packet delay",
+                 id="thr2-T=tau"),
+    pytest.param("threshold_asyn_over_syn", 0.02, 0.005, "feasible band",
+                 id="thr2-shifts-past-T"),  # 4 h + tau > T
+    pytest.param("threshold_asyn_over_syn", 0.15, 5e-5, "feasible band",
+                 id="thr2-h-below-T_s"),
+])
+def test_thresholds_follow_the_timing_rule(source, link, threshold, T, h, message):
+    # each threshold rejects the configs its closed forms reject
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=5, m=1)
+    with pytest.raises(InvalidConfigError, match=message):
+        getattr(sp, threshold)(source, link, scheme)
+    with pytest.raises(InvalidConfigError, match=message):
+        sp.average_mse(source, None, link, scheme, mssc_value=0.5)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -157,9 +183,8 @@ def test_thresholds_match_oracle_on_random_configs(a, T, M, N, h_frac, eps):
                                                         eps_bar=eps)]
     thr1 = sp.threshold_infer(src, link, scheme, eps_bar=eps)
     try:
-        thr = RegionThresholds(thr1, sp.threshold_asyn_over_syn(src, link, scheme,
-                                                                eps_bar=eps))
-        winners = [sp.classify(rho, thr) for rho in grid]
+        thr2 = sp.threshold_asyn_over_syn(src, link, scheme, eps_bar=eps)
+        winners = [sp.classify(rho, thr1, thr2) for rho in grid]
     except RegionDegenerateError:
         return  # no finite crossover, or thresholds out of order
     assert winners == oracle

@@ -154,7 +154,7 @@ def test_gap_statistics_asyn(source, field, link, asyn_scheme):
 def test_gap_statistics_asyn_forced_success(source, field, link, asyn_scheme):
     rep = sp.simulate_event_level(source, field, link, asyn_scheme, 2_000, seed=9,
                                   success_prob_override=0.0, collect_trace=True)
-    gaps = rep.aux["gaps_s"]
+    gaps = np.diff(rep.aux["gen_times_s"])
     h, T, M = asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
     wrap = T - (M - 1) * h
     assert set(np.round(gaps, 9)) <= {round(h, 9), round(wrap, 9)}
@@ -187,7 +187,7 @@ def test_receptions_follow_the_per_period_rule(source, field, link, kind):
     rep = sp.simulate_event_level(source, f3, link, scheme, periods, seed=12,
                                   collect_trace=True)
     ok = {(k, n) for k, n, _, _, success in _attempts(rep) if success}
-    pref = {"no-infer": (3,), "syn-infer": sp.reindex_by_correlation(source, f3).order,
+    pref = {"no-infer": (3,), "syn-infer": sp.reindex_by_correlation(source, f3).tolist(),
             "asyn-infer": (1, 2, 3, 4, 5)}[kind]
     times, sensors, served = [], [], 0
     for k in range(periods):
@@ -236,9 +236,8 @@ def test_single_interval_reconstruction_error(source):
     f = sp.SensorField(positions=np.array([[0.0, 0.0], [20.0, 0.0]]),
                        target_index=1)
     age, r = 0.05, 20.0
-    y, x = sp.sample_joint_gaussian(
-        source, f, [(2, 0.0), (1, age)], seed=77, n_draws=100_000,
-        return_latent=True)
+    y, x = sp.sample_joint_gaussian(source, f, [2, 1], [0.0, age], seed=77,
+                                    n_draws=100_000)
     rho = math.exp(-source.a * age - source.b * r)
     gain = source.gamma_o / (source.gamma_o + 1.0)
     err = x[:, 1] - gain * rho * y[:, 0]
@@ -249,8 +248,8 @@ def test_single_interval_reconstruction_error(source):
 
 def test_noiseless_self_estimate_is_exact(field):
     src = sp.SourceParams(gamma_o=1e9)
-    y, x = sp.sample_joint_gaussian(src, field, [(1, 0.0), (1, 0.0)], seed=3,
-                                    n_draws=2_000, return_latent=True)
+    y, x = sp.sample_joint_gaussian(src, field, [1, 1], [0.0, 0.0], seed=3,
+                                    n_draws=2_000)
     gain = src.gamma_o / (src.gamma_o + 1.0)
     err = x[:, 1] - gain * y[:, 0]
     assert float(np.mean(err ** 2)) < 1e-6
@@ -521,7 +520,7 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     drawn, periods = len(sensors), rep.periods
     success = trace["success"].reshape(drawn, periods)
     asyn = scheme.scheme is sp.Scheme.ASYN_INFER
-    ranked = np.array(sp.reindex_by_correlation(source, field).order[:drawn])
+    ranked = sp.reindex_by_correlation(source, field)[:drawn]
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
     weights = field.target_factors(source.b)[sensors - 1]
     out = {}
@@ -552,7 +551,7 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
     out.update({"batch_integrals": bi, "batch_durations": bd,
                 "receptions": len(gen_times), "gen_times_s": gen_times,
-                "used_sensor": sensors[row_of], "gaps_s": D,
+                "used_sensor": sensors[row_of], "gaps": D,
                 "stderr": simulate.batch_means_stderr(bi, bd)})
     return out
 
@@ -589,9 +588,11 @@ def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme
         bi, bd = rep.aux["batch_integrals"], rep.aux["batch_durations"]
         assert rep.avg_mse == bi.sum() / bd.sum()
         assert rep.aux["mean_gap_s"] == bd.sum() / (want["receptions"] - 1)
-    per_reception = {"gen_times_s", "used_sensor", "gaps_s", "slot_index"} & want.keys()
+    per_reception = {"gen_times_s", "used_sensor", "slot_index"} & want.keys()
     for key in per_reception:
         np.testing.assert_array_equal(traced.aux[key], want[key])
+    # the gaps are derived from the generation times, equal to the old stage's D
+    np.testing.assert_array_equal(np.diff(traced.aux["gen_times_s"]), want["gaps"])
     assert not per_reception & plain.aux.keys()
     if case.startswith("empty_groups") and kind == "no":
         # 4-14 receptions: the last group (batches 96-99) has none, and at
