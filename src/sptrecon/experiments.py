@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from dataclasses import field as dc_field
 from importlib import resources
@@ -205,7 +206,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
     except InvalidConfigError:
         raise
     except ValueError as exc:
-        raise InvalidConfigError(f"config error: {exc}") from exc
+        raise InvalidConfigError(str(exc)) from exc
     if not spec.outputs:
         raise InvalidConfigError("at least one output must be requested")
     for out in spec.outputs:
@@ -218,37 +219,52 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
     return spec
 
 
+# what a value of each SCHEMA type must look like, for the error message
+_EXPECTED = {
+    float: "a number",
+    Scheme: "one of " + ", ".join(repr(s.value) for s in Scheme),
+    "values": "a comma list of numbers or linspace:start:stop:num",
+}
+
+
 def _value(kind, key, section, text):
-    """The config value ``text`` of ``key`` as a ``kind`` (a SCHEMA type)."""
+    """The config value ``text`` of ``key`` as a ``kind`` (a SCHEMA type);
+    InvalidConfigError naming the key and its section when it is not one."""
+    where = f"{key} in [{section}]"
     if not text:
-        raise InvalidConfigError(f"{key} in [{section}] is empty; leave the key "
-                                 "out to take its default")
+        raise InvalidConfigError(f"{where} is empty; leave the key out to take "
+                                 "its default")
     if kind in (int, "cap"):
-        value = _integral(text, key)
+        value = _integral(text, where)
         return None if kind == "cap" and value == 0 else value  # N_max = 0: no cap
     if kind is bool:
         # configparser's rules: 1/yes/true/on, 0/no/false/off
         states = configparser.ConfigParser.BOOLEAN_STATES
         if text.lower() not in states:
-            raise InvalidConfigError(f"{key} = {text.lower()!r} is not a boolean")
+            raise InvalidConfigError(f"{where} = {text.lower()!r} is not a boolean")
         return states[text.lower()]
     if kind is list:
         return [o.strip() for o in text.split(",") if o.strip()]
-    if kind == "values":
-        values = parse_values(text)
-        if not values:
-            raise InvalidConfigError(f"sweep axis {key} has no values")
-        return values
-    return kind(text)
+    try:
+        value = parse_values(text) if kind == "values" else kind(text)
+    except ValueError:
+        raise InvalidConfigError(f"{where} must be {_EXPECTED[kind]}, "
+                                 f"got {text!r}") from None
+    if kind == "values" and not value:
+        raise InvalidConfigError(f"sweep axis {key} has no values")
+    return value
 
 
 def _integral(value, name):
-    """value as an int; InvalidConfigError unless it is a whole number
-    (80.0 and 1e5 are, 80.7 is not)."""
-    value = float(value)
-    if not value.is_integer():
-        raise InvalidConfigError(f"{name} must be an integer, got {value}")
-    return int(value)
+    """value as an int; InvalidConfigError naming ``name`` unless it is a
+    whole number (80.0 and 1e5 are, 80.7 and x are not)."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+    if not number.is_integer():
+        raise InvalidConfigError(f"{name} must be an integer, got {number}")
+    return int(number)
 
 
 # ---------------------------------------------------------------------------
@@ -269,51 +285,67 @@ def _apply_point(spec: ExperimentSpec, point: dict):
     return source, spec.field, link, scheme, point.get("eps_bar"), point.get("mssc")
 
 
-def _groups(points, axis):
-    """Indices of the sweep points that share every axis except ``axis``.
+def _groups(points, *axes):
+    """Indices of the sweep points that share every axis except ``axes``.
 
-    One list per group, in order of first appearance; without ``axis`` in
-    the sweep every point is a group of its own.
+    One list per group, in order of first appearance; without any of
+    ``axes`` in the sweep every point is a group of its own.
     """
+    keep = [k for k in (points[0] if points else ()) if k not in axes]
+    key = operator.itemgetter(*keep) if keep else (lambda point: None)
     groups = {}
-    for i, point in enumerate(points):
-        key = tuple(v for k, v in point.items() if k != axis)
-        groups.setdefault(key, []).append(i)
+    for i, k in enumerate(map(key, points)):  # every point has the same axes
+        groups.setdefault(k, []).append(i)
     return groups.values()
 
 
 def _analytic_rows(spec, points):
-    """Closed-form MSE and BLEP-axis bounds, scored per geometry.
+    """Closed-form MSE and BLEP-axis bounds, scored once per geometry.
 
-    The points of one eps_bar group share one ``average_mse`` call over
-    their eps values and one ``bounds`` call: the bound is an extreme
-    over eps, so it does not depend on the row's eps_bar.  Every row must
-    satisfy mse_lb <= mse_analytic <= mse_ub to 1e-12 sigma2, else
-    InvariantError.
+    The points that share every axis except eps_bar and mssc share one
+    paired ``average_mse`` call, each point's eps against the weights of
+    its MSSC value, and one ``bounds`` call over the group's distinct
+    weight vectors: the bound is an extreme over eps, so it does not
+    depend on the row's eps_bar.  Every row must satisfy
+    mse_lb <= mse_analytic <= mse_ub to 1e-12 sigma2, else InvariantError.
     """
     rows = [None] * len(points)
-    for idx in _groups(points, "eps_bar"):
-        source, field, link, scheme, _, rho = _apply_point(spec, points[idx[0]])
-        rho_val = mssc(source, field) if rho is None else rho
-        # an MSSC sweep uses the substituted closed forms
-        weights = scheme_weights(source, field, scheme, rho)
-        eps_bar = [points[i].get("eps_bar") for i in idx]
-        eps = _eps(link, None if eps_bar == [None] else eps_bar)
-        vals = np.atleast_1d(average_mse(source, weights, link, scheme, eps))
-        eps = np.atleast_1d(eps)
+    for idx in _groups(points, "eps_bar", "mssc"):
+        source, field, link, scheme, eps_bar, rho = _apply_point(spec, points[idx[0]])
+        # each point's row of the group's distinct weight vectors
+        if rho is None:
+            rho_cells = [mssc(source, field)] * len(idx)
+            which = np.zeros(len(idx), dtype=int)
+            weights = scheme_weights(source, field, scheme)
+        else:  # an MSSC sweep uses the substituted closed forms
+            rho_cells = [points[i]["mssc"] for i in idx]
+            rhos, which = np.unique(rho_cells, return_inverse=True)
+            weights = scheme_weights(source, field, scheme, rhos)
+        n_weights = int(which.max()) + 1
+        # no inference reads one (1,) vector whatever the MSSC
+        weights = np.broadcast_to(weights, (n_weights, weights.shape[-1]))
+        eps = _eps(link, None if eps_bar is None else
+                   [points[i]["eps_bar"] for i in idx])
+        vals = np.broadcast_to(average_mse(source, weights[which], link, scheme, eps),
+                               which.shape)
+        eps = np.broadcast_to(eps, which.shape)
         # the BLEP-axis bound must cover the weights the values were computed with
         lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps[0])
+        lo = np.broadcast_to(lo, (n_weights,))
         tol = 1e-12 * source.sigma2_x
-        inside = (vals >= lo - tol) & (vals <= hi + tol)
+        inside = (vals >= lo[which] - tol) & (vals <= hi + tol)
         if not inside.all():
             j = int(np.argmin(inside))
             raise InvariantError(
                 f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
-                f"[{lo!r}, {hi!r}] at sweep point {points[idx[j]]}"
+                f"[{float(lo[which[j]])!r}, {hi!r}] at sweep point {points[idx[j]]}"
             )
-        for i, e, val in zip(idx, eps.tolist(), vals.tolist()):
-            rows[i] = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
-                       scheme.h, scheme.M, rho_val, e, val, lo, hi]
+        head = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
+                scheme.M]
+        lo = lo.tolist()
+        for i, rho, u, e, val in zip(idx, rho_cells, which.tolist(), eps.tolist(),
+                                     vals.tolist()):
+            rows[i] = [*head, rho, e, val, lo[u], hi]
     return [([row], None) for row in rows]
 
 

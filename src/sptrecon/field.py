@@ -223,27 +223,34 @@ def save_field(field: SensorField, path):
 
 def load_field(path):
     """Read a field written by :func:`save_field`.  Other header keys (such
-    as the ``b_per_m`` line of older files) are ignored."""
+    as the ``b_per_m`` line of older files) are ignored.  A line that is not
+    UTF-8 text or not a row of three numbers raises InvalidConfigError
+    naming the file and the line."""
     seed = None
     target = 1
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line.lstrip("# ").partition("=")
-                key, val = key.strip(), val.strip()
-                if key == "seed" and val != "none":
-                    seed = int(val)
-                elif key == "target_index":
-                    target = int(val)
-                continue
-            if line.startswith("sensor_id"):
-                continue
-            _, x, y = line.split(",")
-            rows.append((float(x), float(y)))
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("sensor_id"):
+                    continue
+                if line.startswith("#"):
+                    key, _, val = line.lstrip("# ").partition("=")
+                    key, val = key.strip(), val.strip()
+                    if key == "seed" and val != "none":
+                        seed = int(val)
+                    elif key == "target_index":
+                        target = int(val)
+                    continue
+                _, x, y = line.split(",")
+                rows.append((float(x), float(y)))
+            except ValueError as exc:  # UnicodeDecodeError too
+                why = ("not UTF-8 text" if isinstance(exc, UnicodeDecodeError)
+                       else "expected 'sensor_id, x_m, y_m' or a '# key = value' "
+                            f"header, got {line!r}")
+                raise InvalidConfigError(f"field file {str(path)!r} line {n}: "
+                                         f"{why}") from exc
     return SensorField(positions=np.array(rows), target_index=target, seed=seed)
 
 

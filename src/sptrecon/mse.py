@@ -257,17 +257,22 @@ class ClosedForm:
         if self.h is None:
             # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
             return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
-        # R = (1-eps) sum_n w_n Psi_n / (1 - q eps)
+        # R = (1-eps) sum_n w_n Psi_n / (1 - q eps); np.multiply, because
+        # numpy rounds a product of two complex scalars unlike its array
+        # loop, and a complex step at one eps must match one on an array
         e = _lift(eps)[0]
-        return (1.0 - e) * _vecdot(weights, self.psi(eps)) / (1.0 - self.q * e)
+        return np.multiply(1.0 - e, _vecdot(weights, self.psi(eps))) / (1.0 - self.q * e)
 
     def mse(self, eps, weights):
         """Average MSE sigma2 - c R(eps)."""
         return self.s2 - self.c * self._reduction(eps, weights)
 
     def dmse(self, eps, weights):
-        """d MSE / d eps, the complex step of :meth:`mse` in eps."""
-        return _complex_step(lambda e: self.mse(e, weights), eps)
+        """d MSE / d eps = -c R'(eps), R' the complex step of
+        :meth:`_reduction` in eps; stepping R rather than the whole MSE
+        keeps sigma2 out of the imaginary part, which would underflow for
+        a tiny sigma2."""
+        return -self.c * _complex_step(lambda e: self._reduction(e, weights), eps)
 
     def mse_grid(self, eps, weights, rows=slice(None), width=None):
         """Asynchronous MSE on an outer grid: the delays tau (1-D, or one
@@ -323,6 +328,7 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
                array), the target first (syn) or in slot m (asyn); M >= 2
     syn/asyn : the field's weights in descending / transmission-slot order,
                or ``field_or_weights`` itself when it is a weight vector
+               or a (..., M) stack of them
     Raises InvalidConfigError unless there are M weights, or when a field's
     target is not the scheme's target m.
     """
@@ -344,8 +350,9 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     else:
         order = reindex_by_correlation(source, field_or_weights)
         w = field_or_weights.target_factors(source.b)[order - 1]
-    if w.ndim != 1 or len(w) != scheme.M:
-        raise InvalidConfigError(f"need {scheme.M} spatial weights, got {w.size}")
+    if w.shape[-1:] != (scheme.M,):
+        raise InvalidConfigError(f"need {scheme.M} spatial weights, "
+                                 f"got {w.shape[-1] if w.ndim else 1}")
     return w
 
 
@@ -384,46 +391,67 @@ _REFINE_STEPS = 100
 def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     """Global minimizer of the asynchronous MSE over eps in [0, 1).
 
-    Scores a dense grid of ``grid_size`` points in one :class:`ClosedForm`
-    call.  Where the analytic eps-derivative changes sign across the best
-    grid point's neighbours, its root is refined by Illinois false position
-    (Dowell & Jarratt 1971): secant steps inside the bracket, halving the
-    slope of an end kept twice in a row, until the slope is exactly 0 or a
-    step lands on an end, so the root sits at the sign change to rounding.
-    A NaN slope or no end within ``_REFINE_STEPS`` steps raises
-    BracketError.  Returns (eps_star, mse).  The error is not convex in eps
-    for every geometry (it can rise, dip, then rise again), so a global
-    scan rather than a single root chase is required for a valid bound.
-    A scheme that is not asynchronous raises InvalidConfigError.
+    One minimizer per weight vector of ``field_or_weights``: a field, one
+    vector or a (..., M) stack of them (:func:`scheme_weights`).  Scores a
+    dense grid of ``grid_size`` points for every vector in one
+    :class:`ClosedForm` call.  Where the analytic eps-derivative changes
+    sign across the best grid point's neighbours, its root is refined by
+    Illinois false position (Dowell & Jarratt 1971): secant steps inside the
+    bracket, halving the slope of an end kept twice in a row, until the
+    slope is exactly 0 or a step lands on an end, so the root sits at the
+    sign change to rounding.  The brackets step together, lane by lane, and
+    a lane leaves the refine when it ends.  A NaN slope or a lane with no
+    end within ``_REFINE_STEPS`` steps raises BracketError.  Returns
+    (eps_star, mse): two floats for a field or one vector, else two arrays
+    of the stack's shape.  The error is not convex in eps for every
+    geometry (it can rise, dip, then rise again), so a global scan rather
+    than a single root chase is required for a valid bound.  A scheme that
+    is not asynchronous raises InvalidConfigError.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
     w = scheme_weights(source, field_or_weights, scheme)
+    lanes = w.reshape(-1, scheme.M)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    vals = cf.mse(grid, w)
-    k = int(np.argmin(vals))
-    if k == 0:
-        return 0.0, float(vals[0])
+    vals = cf.mse(grid, lanes[:, None])  # (lanes, grid_size)
+    k = np.argmin(vals, axis=1)
+    eps, out = grid[k], vals[np.arange(len(k)), k]
 
-    lo, hi = float(grid[k - 1]), float(grid[min(k + 1, grid_size - 1)])
-    d_lo, d_hi = cf.dmse(np.array([lo, hi]), w).tolist()
-    if not d_lo < 0.0 < d_hi:
-        return float(grid[k]), float(vals[k])
-    kept = 0  # +1 or -1: the last step kept hi or lo
+    # the lanes whose slope changes sign across an interior best point
+    r = np.flatnonzero(k)
+    lo, hi = grid[k[r] - 1], grid[np.minimum(k[r] + 1, grid_size - 1)]
+    d_lo, d_hi = cf.dmse(np.stack([lo, hi], axis=1), lanes[r, None]).T
+    inner = (d_lo < 0.0) & (d_hi > 0.0)
+    r, lo, hi, d_lo, d_hi = r[inner], lo[inner], hi[inner], d_lo[inner], d_hi[inner]
+    refined = r
+    kept = np.zeros(r.size)  # +1 or -1: the last step kept hi or lo
     for _ in range(_REFINE_STEPS):
-        x = min(lo - d_lo * (hi - lo) / (d_hi - d_lo), hi)  # rounding can pass hi
-        d_x = float(cf.dmse(x, w)) if lo < x < hi else 0.0  # on an end: done
-        if math.isnan(d_x):
-            raise BracketError(f"eps_star_asyn: NaN slope at eps = {x!r}")
-        if d_x == 0.0:
-            return x, float(cf.mse(x, w))
-        if d_x < 0.0:
-            lo, d_lo, d_hi, kept = x, d_x, (d_hi / 2 if kept == 1 else d_hi), 1
-        else:
-            hi, d_hi, d_lo, kept = x, d_x, (d_lo / 2 if kept == -1 else d_lo), -1
-    raise BracketError(f"eps_star_asyn: the refine on [{lo!r}, {hi!r}] did not "
-                       f"end in {_REFINE_STEPS} steps")
+        if not r.size:
+            break
+        x = np.minimum(lo - d_lo * (hi - lo) / (d_hi - d_lo), hi)  # rounding can pass hi
+        inside = (lo < x) & (x < hi)
+        d_x = np.zeros(r.size)  # on an end: done
+        d_x[inside] = cf.dmse(x[inside], lanes[r[inside]])
+        if np.isnan(d_x).any():
+            raise BracketError(f"eps_star_asyn: NaN slope at eps = "
+                               f"{float(x[np.isnan(d_x)][0])!r}")
+        done, neg = d_x == 0.0, d_x < 0.0
+        eps[r[done]] = x[done]
+        d_hi = np.where(neg, np.where(kept == 1, d_hi / 2, d_hi), d_x)
+        d_lo = np.where(neg, d_x, np.where(kept == -1, d_lo / 2, d_lo))
+        lo, hi, kept = np.where(neg, x, lo), np.where(neg, hi, x), np.where(neg, 1, -1)
+        go = ~done
+        r, lo, hi, d_lo, d_hi, kept = r[go], lo[go], hi[go], d_lo[go], d_hi[go], kept[go]
+    if r.size:
+        raise BracketError(f"eps_star_asyn: the refine on [{float(lo[0])!r}, "
+                           f"{float(hi[0])!r}] did not end in {_REFINE_STEPS} steps")
+    # each root is scored alone: at a float eps, Python's pow makes eps^M
+    for j in refined.tolist():
+        out[j] = cf.mse(float(eps[j]), lanes[j])
+    if w.ndim == 1:
+        return float(eps[0]), float(out[0])
+    return eps.reshape(w.shape[:-1]), out.reshape(w.shape[:-1])
 
 
 def upsilon(source: SourceParams, field: SensorField, link: LinkParams,
@@ -470,9 +498,11 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
     axis = SPATIAL : the MSSC-substituted form at MSSC 1 and at MSSC 0
 
     ``field_or_weights`` is a field or the squared spatial weights in slot
-    order (e.g. MSSC-substituted ones); only the asynchronous BLEP axis
-    reads it.  Returns (lower, upper) as floats.  The no-inference scheme
-    is treated as the synchronous scheme with M = 1.
+    order (e.g. MSSC-substituted ones), one vector or a (..., M) stack;
+    only the asynchronous BLEP axis reads it.  Returns (lower, upper) as
+    floats, except that the asynchronous BLEP-axis lower bound of a stack
+    is an array of the stack's shape (:func:`eps_star_asyn`).  The
+    no-inference scheme is treated as the synchronous scheme with M = 1.
     """
     axis = BoundAxis(axis)
     if axis is BoundAxis.SPATIAL:

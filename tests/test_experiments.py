@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -509,7 +511,7 @@ def test_bounds_called_once_per_group_and_not_cached(tmp_path, monkeypatch):
         calls.clear()
         manifest = run_experiment(spec, tmp_path / run)
         assert manifest["outputs"][0]["rows"] == 34 * 25
-        assert len(calls) == 25  # one per mssc value, in both runs
+        assert len(calls) == 1  # one per geometry, over all 25 mssc values, in both runs
 
 
 def test_bound_violation_raises_and_leaves_partial_manifest(tmp_path, monkeypatch):
@@ -521,11 +523,76 @@ def test_bound_violation_raises_and_leaves_partial_manifest(tmp_path, monkeypatc
 
     monkeypatch.setattr(experiments, "bounds", lower_too_high)
     text = POINT_SPEC + "\n[sweep]\neps_bar = 0.1, 0.5\n"
-    with pytest.raises(InvariantError, match="outside its BLEP-axis bounds"):
+    with pytest.raises(InvariantError, match=r"outside its BLEP-axis bounds "
+                       r"\[1\.0, 1\.0\] at sweep point \{'eps_bar': 0\.1\}"):
         run_experiment(parse_spec(text), tmp_path)
     manifest = json.loads((tmp_path / "point_eval.manifest.json").read_text())
     assert manifest["status"] == "partial"
     assert manifest["error"].startswith("InvariantError")
+
+
+def test_asyn_surface_at_a_tiny_sigma2_stays_within_its_bounds(tmp_path):
+    # at sigma2 = 1e-300 the slope of the whole MSE underflowed in its
+    # complex step, the refine stopped off the root and the bound sat above
+    # some rows; the rows scale with sigma2
+    text = load_spec("asyn_surface_short_shift").raw_text
+    run_experiment(parse_spec(text), tmp_path / "one")
+    run_experiment(parse_spec(text.replace("sigma2_x = 1.0", "sigma2_x = 1e-300")),
+                   tmp_path / "tiny")
+    one, tiny = (_read_rows(tmp_path / d / "asyn_surface_short_shift_analytic.csv")
+                 for d in ("one", "tiny"))
+    for a, b in zip(one, tiny):
+        for col in ("mse_analytic", "mse_lb", "mse_ub"):
+            assert float(b[col]) / 1e-300 == pytest.approx(float(a[col]), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [
+    [[-0.0, 0.0, 1, 1.0, True, None, math.nan, math.inf, -math.inf]],
+    [["a,b", 'say "hi"', "two\nlines", "", 'x",\n"y']],
+    [[None], [""], [], ["", ""], [1e-300, 2.5e250, 0.1 + 0.2, 5e-324]],
+    [["syn-infer", 3, "x"], ["syn-infer", 3, "y"]],
+])
+def test_csv_cells_are_written_as_csv_writer_writes_them(tmp_path, rows):
+    # the written bytes, their hash and the row count, over two chunks, with
+    # cell objects shared between rows as the grouped outputs share them
+    shared = [0.1, "c,d", None]
+    rows = [list(r) + shared for r in rows] + [shared, shared]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["h1", "h2"]] + rows)
+    digest, n = experiments._write_csv(tmp_path / "t.csv", ["h1", "h2"], [rows[:2], rows[2:]])
+    assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+    assert digest == hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert n == len(rows)
+
+
+@pytest.mark.parametrize("section, line, shown", [
+    ("experiment", "seed = x", "seed in [experiment] must be an integer, got 'x'"),
+    ("source", "sigma2_x = one", "sigma2_x in [source] must be a number, got 'one'"),
+    ("scheme", "scheme = asyn", "scheme in [scheme] must be one of"),
+    ("sweep", "mssc = 0.5, x", "mssc in [sweep] must be a comma list of numbers"),
+])
+def test_config_value_errors_name_the_key_and_its_section(tmp_path, capsys, section,
+                                                          line, shown):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[experiment]\n" + ("" if section == "experiment" else
+                                         f"[{section}]\n") + line + "\n")
+    with pytest.raises(InvalidConfigError, match=re.escape(shown)):
+        load_spec(path)
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + shown)
+
+
+@pytest.mark.parametrize("data, line, why", [
+    (b"sensor_id, x_m, y_m\n1, 0.0, 0.0\n2, 0.0\n", 3, "got '2, 0.0'"),
+    ("# seed = 4\n# caf\xe9\n1, 0.0, 0.0\n".encode("latin-1"), 2, "not UTF-8 text"),
+], ids=["short-row", "not-utf8"])
+def test_positions_file_errors_name_the_file_and_the_line(tmp_path, data, line, why):
+    path = tmp_path / "positions.txt"
+    path.write_bytes(data)
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape(f"field file {str(path)!r} line {line}: ") + ".*"
+                       + re.escape(why)):
+        parse_spec(f"[experiment]\n[field]\npositions_file = {path}\n")
 
 
 @pytest.mark.parametrize("scheme, M, sweep", [
@@ -608,7 +675,8 @@ def test_integer_keys_reject_fractions(section, key, whole):
         i = lines.index(f"[{section}]") + 1
         return "\n".join(lines[:i] + [f"{key} = {value}"] + lines[i:])
 
-    with pytest.raises(InvalidConfigError, match=f"{key} must be an integer, got 5.5"):
+    with pytest.raises(InvalidConfigError,
+                       match=rf"{key} in \[{section}\] must be an integer, got 5\.5"):
         parse_spec(with_key("5.5"))
     spec = parse_spec(with_key(whole))
     if key == "periods":

@@ -416,14 +416,130 @@ def test_eps_star_refine_lands_on_the_slope_root(M, a, T, h_frac, data):
     assert v_star <= vals[k]
 
 
+def _eps_star_reference(src, w, link, scheme, grid_size=512):
+    """The scalar eps_star_asyn the lane-wise kernel replaced: one weight
+    vector, one grid call, then the Illinois refine one float at a time.
+    Returns (eps_star, mse, how the scan ended)."""
+    cf = sp.ClosedForm(src, scheme.T, link.tau, scheme.M, scheme.h)
+    grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
+    vals = cf.mse(grid, w)
+    k = int(np.argmin(vals))
+    if k == 0:
+        return 0.0, float(vals[0]), "first point"
+    lo, hi = float(grid[k - 1]), float(grid[min(k + 1, grid_size - 1)])
+    d_lo, d_hi = cf.dmse(np.array([lo, hi]), w).tolist()
+    if not d_lo < 0.0 < d_hi:
+        return float(grid[k]), float(vals[k]), "no sign change"
+    kept = 0
+    for _ in range(100):
+        x = min(lo - d_lo * (hi - lo) / (d_hi - d_lo), hi)
+        d_x = float(cf.dmse(x, w)) if lo < x < hi else 0.0
+        if math.isnan(d_x):
+            raise BracketError(f"NaN slope at eps = {x!r}")
+        if d_x == 0.0:
+            return x, float(cf.mse(x, w)), "refined"
+        if d_x < 0.0:
+            lo, d_lo, d_hi, kept = x, d_x, (d_hi / 2 if kept == 1 else d_hi), 1
+        else:
+            hi, d_hi, d_lo, kept = x, d_x, (d_lo / 2 if kept == -1 else d_lo), -1
+    raise BracketError("the refine did not end")
+
+
+def _assert_lanes_match_the_reference(src, weights, link, scheme):
+    """Bit for bit, lane by lane, and as floats for one vector; returns
+    how each lane's scan ended."""
+    e_star, v_star = sp.eps_star_asyn(src, weights, link, scheme)
+    assert e_star.shape == v_star.shape == weights.shape[:-1]
+    how = []
+    for j, w in enumerate(weights):
+        want = _eps_star_reference(src, w, link, scheme)
+        assert (e_star[j], v_star[j]) == want[:2], (j, want[2])
+        one = sp.eps_star_asyn(src, w, link, scheme)
+        assert one == want[:2] and all(type(v) is float for v in one)
+        how.append(want[2])
+    return how
+
+
+@pytest.mark.parametrize("setup, gamma_o, how", [
+    (dip_setup, 5.0, "refined"),
+    (monotone_setup, 5.0, "first point"),
+    # the error's dip is a few ulps deep, so the grid's first minimum lies
+    # where the slope is still negative on both sides
+    (dip_setup, 1e-14, "no sign change"),
+])
+def test_eps_star_lanes_match_the_scalar_reference(setup, gamma_o, how):
+    src, f, scheme = setup()
+    src = replace(src, gamma_o=gamma_o)
+    link = sp.LinkParams.from_db()
+    # the field's own weights, then MSSC stacks around it
+    w = np.vstack([sp.scheme_weights(src, f, scheme),
+                   sp.mssc_weights(scheme.M, scheme.m, np.linspace(0.0, 1.0, 6))])
+    assert how in _assert_lanes_match_the_reference(src, w, link, scheme)
+
+
+def test_eps_star_scores_each_root_as_a_float_call():
+    # a geometry found by random search whose refined root rounds eps^M one
+    # way under Python's float pow and the other under numpy's array pow:
+    # scored together with other lanes, its bound moved by one ulp
+    src = sp.SourceParams(a=1.2081317614452334, sigma2_x=0.01014934547453677)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.06752890194005103,
+                             h=0.00023331109196154915, M=6, m=3)
+    w = sp.mssc_weights(6, 3, np.array([0.5919643951711552, 0.3]))
+    how = _assert_lanes_match_the_reference(src, w, sp.LinkParams.from_db(N=35), scheme)
+    assert how[0] == "refined"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       h_frac=st.floats(0.0, 1.0), log_gamma=st.floats(-15.0, 1.0),
+       data=st.data())
+def test_eps_star_stack_matches_the_scalar_reference(M, a, T, h_frac, log_gamma, data):
+    src = sp.SourceParams(a=a, gamma_o=10.0 ** log_gamma)
+    m = data.draw(st.integers(1, M))
+    link = sp.LinkParams.from_db(N=data.draw(st.integers(10, 200)))
+    h_max = (T - link.tau) / (M - 1)
+    assume(h_max > link.T_s)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=m)
+    rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M),
+                              min_size=1, max_size=6))
+    rho = data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    w = np.vstack([np.array(rows).reshape(-1, M), sp.mssc_weights(M, m, np.array(rho))])
+    w[:, m - 1] = 1.0
+    _assert_lanes_match_the_reference(src, w, link, scheme)
+
+
 def test_eps_star_refine_fails_loudly_on_a_nan_slope(monkeypatch):
-    # a NaN slope inside the bracket must not become a NaN bound
+    # a NaN slope inside any lane's bracket must not become a NaN bound
     src, f, scheme = dip_setup()
+    w = sp.scheme_weights(src, f, scheme) * np.array([[1.0], [0.98], [0.96]])
+    w[:, scheme.m - 1] = 1.0
+    link = sp.LinkParams.from_db()
+    assert set(_assert_lanes_match_the_reference(src, w, link, scheme)) == {"refined"}
     dmse = sp.ClosedForm.dmse
-    monkeypatch.setattr(sp.ClosedForm, "dmse", lambda self, eps, w:
-                        dmse(self, eps, w) if np.ndim(eps) else math.nan)
-    with pytest.raises(BracketError, match="NaN slope"):
-        sp.eps_star_asyn(src, f, sp.LinkParams.from_db(), scheme)
+    for lane in range(len(w)):
+        def nan_in_one_lane(self, eps, weights):
+            d = dmse(self, eps, weights)
+            if np.ndim(eps) == 1:  # a refine step: one slope per lane still open
+                d[lane] = math.nan
+            return d
+
+        monkeypatch.setattr(sp.ClosedForm, "dmse", nan_in_one_lane)
+        with pytest.raises(BracketError, match="NaN slope"):
+            sp.eps_star_asyn(src, w, link, scheme)
+
+
+@pytest.mark.parametrize("setup", [dip_setup, monotone_setup])
+def test_eps_star_does_not_depend_on_the_scale_of_sigma2(setup):
+    # the slope is -c R' with R' stepped alone: at sigma2 = 1e-300 a step of
+    # the whole MSE underflowed and the refine stopped at the wrong root
+    src, f, scheme = setup()
+    link = sp.LinkParams.from_db()
+    e_1, v_1 = sp.eps_star_asyn(src, f, link, scheme)
+    for s2 in (1e-300, 1e250):
+        e_s, v_s = sp.eps_star_asyn(replace(src, sigma2_x=s2), f, link, scheme)
+        assert e_s == pytest.approx(e_1, rel=0, abs=1e-12)
+        assert v_s / s2 == pytest.approx(v_1, rel=1e-12, abs=0)
 
 
 def test_upsilon_classifies_dip_then_rise():
