@@ -48,7 +48,6 @@ from .mse import (
     bounds,
     eps_star_asyn,
     max_blocklength,
-    mssc_weights,
     reindex_by_correlation,
     scheme_weights,
     shift_count,
@@ -58,7 +57,6 @@ from .optimize import (
     OptimizerConfig,
     OptResult,
     TraceRow,
-    complexity_estimate,
     eval_F,
     eval_H,
     eval_J,
@@ -76,8 +74,6 @@ from .regions import (
 )
 from .simulate import (
     SimReport,
-    empirical_gap_stats,
-    expected_exp_gap_syn,
     expected_gap_asyn,
     expected_gap_syn,
     simulate_data_level,

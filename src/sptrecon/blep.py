@@ -174,8 +174,12 @@ def _blocklengths(link: LinkParams, N):
 
 
 def _simplified_exponent(link: LinkParams, n):
-    """eta - sqrt(pi L)/N, the exponent (times gbar) of the simplified model."""
-    return _eta(link.L, n) - math.sqrt(math.pi * link.L) / n
+    """eta - sqrt(pi L)/N, the exponent (times gbar) of the simplified model.
+    Past L/N = _EXP_MAX it is taken at N = L/_EXP_MAX, as in
+    :func:`blep_average`: eta is then about 1e304, so the model is exactly
+    1 there, as at the true N, and exp(L/N) never overflows."""
+    m = np.maximum(n, link.L / _EXP_MAX)
+    return _eta(link.L, m) - math.sqrt(math.pi * link.L) / m
 
 
 def blep_average(link: LinkParams, N=None):

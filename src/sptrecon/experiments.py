@@ -389,13 +389,14 @@ def _sim_row(spec, point):
     ]
     bi = np.concatenate([r.aux["batch_integrals"] for r in reports])
     bd = np.concatenate([r.aux["batch_durations"] for r in reports])
-    stderr = batch_means_stderr(bi, bd)
-    if math.isinf(stderr):
+    filled = np.count_nonzero(bd)
+    if filled < 2:
         raise InvalidConfigError(
             f"{spec.periods} periods x {spec.replicas} replicas filled "
-            f"{np.count_nonzero(bd)} non-empty batches; the batch-means standard "
+            f"{filled} non-empty batches; the batch-means standard "
             "error needs at least 2, raise periods"
         )
+    stderr = batch_means_stderr(bi, bd)
     mse_mc = float(bi.sum() / bd.sum())
     ana = average_mse(source, field, link, scheme)
     row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,

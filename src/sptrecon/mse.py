@@ -109,10 +109,16 @@ def max_blocklength(T: float, T_s: float, shift=0.0):
     """Largest blocklength N with N T_s + shift <= T, where ``shift`` (a
     float or an array) is the shift time (M - 1) h.  Without shifts the
     delay must stay below the period, N T_s < T, and a ratio T / T_s within
-    the tolerance of an integer counts as that integer."""
+    the tolerance of an integer counts as that integer.  Raises
+    InvalidConfigError where a shifted cap has no 64-bit integer value."""
     if np.ndim(shift) == 0 and shift == 0:
         return math.ceil(T / T_s - _TIMING_TOL) - 1
-    n = np.floor((T - shift) / T_s + _TIMING_TOL).astype(int)
+    ratio = (T - shift) / T_s + _TIMING_TOL
+    if not np.all(np.abs(ratio) < 2.0 ** 63):  # NaN too
+        raise InvalidConfigError(
+            f"blocklength cap (T - (M - 1) h) / T_s at T={T}, T_s={T_s} and "
+            f"(M - 1) h up to {np.max(shift)} is outside the 64-bit integer range")
+    n = np.floor(ratio).astype(int)
     return int(n) if n.ndim == 0 else n
 
 
@@ -310,14 +316,6 @@ class ClosedForm:
 _OWN = np.broadcast_to(1.0, (1,))
 
 
-def mssc_weights(M: int, target: int, mssc_value) -> np.ndarray:
-    """Squared spatial weights with every non-target entry set to the MSSC
-    (an array of MSSC values gives one weight vector per value)."""
-    w = np.repeat(np.asarray(mssc_value, dtype=float)[..., None], M, axis=-1)
-    w[..., target - 1] = 1.0
-    return w
-
-
 def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
                    mssc_value=None) -> np.ndarray:
     """Squared spatial weights of the ``scheme.scheme`` closed form, last
@@ -339,7 +337,10 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     if mssc_value is not None:
         if scheme.M < 2:
             raise InvalidConfigError("the MSSC approximation needs M >= 2")
-        return mssc_weights(scheme.M, scheme.m if asyn else 1, mssc_value)
+        # an array of MSSC values gives one weight vector per value
+        w = np.repeat(np.asarray(mssc_value, dtype=float)[..., None], scheme.M, axis=-1)
+        w[..., (scheme.m if asyn else 1) - 1] = 1.0
+        return w
     if not isinstance(field_or_weights, SensorField):
         w = np.asarray(field_or_weights, dtype=float)
     elif field_or_weights.target_index != scheme.m:
@@ -523,7 +524,7 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
 
 __all__ = [
     "Scheme", "SchemeConfig", "BoundAxis",
-    "reindex_by_correlation", "ClosedForm", "mssc_weights", "scheme_weights",
+    "reindex_by_correlation", "ClosedForm", "scheme_weights",
     "average_mse", "eps_star_asyn", "upsilon", "bounds",
     "max_blocklength", "shift_count",
 ]

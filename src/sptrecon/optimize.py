@@ -86,7 +86,6 @@ class OptResult:
     branch: str
     trace: list = dc_field(default_factory=list)
     evaluations: int | None = None
-    projected_start: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +250,27 @@ def optimize_time_shift(source, field, link, scheme) -> OptResult:
 # joint optimization
 # ---------------------------------------------------------------------------
 
-def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> OptResult:
+def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
     """Alternating time-shift / blocklength optimization.
 
     Starts from N = 80 channel uses (clamped to the feasible range) and the
-    midpoint time shift unless a warm start is given, then repeats an
-    h-step at fixed N, an N-step at fixed h and a face step until the
-    iteration cap or until an iteration leaves (N, h) exactly unchanged
-    (``converged``).  The face step takes the best point of the constraint
-    face on the grid, every N at its last grid shift, scored once per call;
-    it moves the iterate off a corner where both coordinate steps stall.
-    An infeasible start is projected onto the constraint set and flagged on
-    the result.  Every candidate comparison keeps the incumbent, so the
-    internal objective is non-increasing across iterations by construction.
+    midpoint grid shift at that N, then repeats an h-step at fixed N, an
+    N-step at fixed h and a face step until the iteration cap or until an
+    iteration leaves (N, h) exactly unchanged (``converged``).  The face
+    step takes the best point of the constraint face on the grid, every N
+    at its last grid shift, scored once per call; it moves the iterate off
+    a corner where both coordinate steps stall.  Every candidate comparison
+    keeps the incumbent, so the internal objective is non-increasing
+    across iterations by construction.
     Each trace row holds |J| and |F| at the row's own (h, N).
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
     n_cap = _blocklength_cap(T, Ts, cfg, (M - 1) * Ts)
 
-    projected = False
-    n_cur = 80 if start_N is None else int(start_N)
-    if not cfg.N_min <= n_cur <= n_cap:
-        n_cur = min(max(n_cur, cfg.N_min), n_cap)
-        projected = start_N is not None
-    steps = int(shift_count(T, Ts, M, n_cur))
-    h_cur = max(1, steps // 2) * Ts if start_h is None else float(start_h)
-    if not (Ts <= h_cur and n_cur <= max_blocklength(T, Ts, (M - 1) * h_cur)):
-        h_cur = min(max(h_cur, Ts), steps * Ts)
-        projected = True
+    # n_cur <= n_cap, the cap at the first grid shift, so at least one shift fits
+    n_cur = min(max(80, cfg.N_min), n_cap)
+    h_cur = max(1, int(shift_count(T, Ts, M, n_cur)) // 2) * Ts
 
     cur_val = _objective(source, field, link, scheme, n_cur, h_cur)
     face_n = np.arange(cfg.N_min, n_cap + 1)
@@ -311,7 +302,7 @@ def jtsbo(source, field, link, scheme, cfg=None, start_h=None, start_N=None) -> 
     mse = average_mse(source, field, link.with_blocklength(n_cur),
                       replace(scheme, h=h_cur))
     return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
-                     "jtsbo", trace=trace, projected_start=projected)
+                     "jtsbo", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +392,10 @@ def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:
     return S(K - N_min) - S(d - 1)
 
 
-def complexity_estimate(T, T_s, M, N_min=DEFAULT_N_MIN) -> float:
-    """Leading-order grid size (N_max - N_min)(2T/T_s - N_max - N_min)/(2(M-1))."""
-    K = T / T_s
-    n_max = K - (M - 1)
-    return (n_max - N_min) * (2.0 * K - n_max - N_min) / (2.0 * (M - 1))
-
-
 __all__ = [
     "OptimizerConfig", "OptResult", "TraceRow",
     "eval_H", "eval_J", "eval_F",
     "optimize_blocklength", "optimize_time_shift",
     "jtsbo", "exhaustive_search",
-    "expected_evaluation_count", "complexity_estimate",
+    "expected_evaluation_count",
 ]

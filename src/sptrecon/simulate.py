@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .blep import blep_average, blep_instantaneous, blep_segmented
+from .blep import blep_segmented
 from .errors import InvalidConfigError, ScaleLimitError
 from .field import correlation, sample_joint_gaussian
 from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
@@ -59,18 +59,12 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# theory helpers used by the gap statistics
+# mean reception gaps, against the oracle's ``aux["mean_gap_s"]``
 # ---------------------------------------------------------------------------
 
 def expected_gap_syn(T, eps_bar, M) -> float:
     """Mean spacing of successful rounds: T / (1 - eps^M)."""
     return T / (1.0 - eps_bar ** M)
-
-
-def expected_exp_gap_syn(a, T, eps_bar, M) -> float:
-    """E[exp(-2 a D)] over successful-round gaps (geometric mixture)."""
-    E = math.exp(-2.0 * a * T)
-    return E * (1.0 - eps_bar ** M) / (1.0 - E * eps_bar ** M)
 
 
 def expected_gap_asyn(T, eps_bar, M) -> float:
@@ -107,18 +101,24 @@ def _first_success_rank(success, order):
 
 def batch_means_stderr(batch_integrals, batch_durations) -> float:
     """Batch-means standard error of a time average: the spread of the
-    per-batch averages over the non-empty batches; inf with fewer than two."""
+    per-batch averages over the non-empty batches; inf with fewer than two.
+
+    The averages are scaled by the power of two 2^-e of their largest
+    magnitude before the spread is taken and the result by 2^e after, both
+    exact, so the squares neither overflow nor underflow at any sigma2.
+    """
     nz = batch_durations > 0
     nb = int(nz.sum())
     if nb < 2:
         return math.inf
     ratios = batch_integrals[nz] / batch_durations[nz]
-    return float(np.std(ratios, ddof=1) / math.sqrt(nb))
+    e = math.frexp(float(np.max(np.abs(ratios))))[1]
+    return math.ldexp(float(np.std(np.ldexp(ratios, -e), ddof=1) / math.sqrt(nb)), e)
 
 
 def simulate_event_level(source, field, link, scheme, periods, seed,
                          replica=0, n_batches=100, success_prob_override=None,
-                         use_q_model=False, collect_trace=False) -> SimReport:
+                         collect_trace=False) -> SimReport:
     """Replay packet losses and integrate the reconstruction error exactly.
 
     A scheme is the sensors it draws (the target alone for no-infer, 1..M
@@ -130,8 +130,6 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
 
     success_prob_override : fixed failure probability replacing the fading
                             draw (0.0 forces every packet through)
-    use_q_model           : draw successes from the Q-function form instead
-                            of the segmented linear model
     collect_trace         : keep every packet attempt in ``aux["trace"]``, one
                             flat array per events-file column (``period``,
                             ``sensor``, ``t_start_s`` = k T + offset,
@@ -143,10 +141,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
     ``batch_durations`` (per batch of contiguous periods) and
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
-    keeps, per reception, ``gen_times_s``, ``used_sensor`` and for the
-    asynchronous scheme ``slot_index`` (slot k M + n - 1).  Statistics that
-    only :func:`empirical_gap_stats` reads, the gaps among them, are derived
-    there.
+    keeps, per reception, ``gen_times_s`` and ``used_sensor``.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
@@ -172,7 +167,6 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     success = np.empty((drawn, periods), dtype=bool)
     snr = None if collect_trace else np.empty(periods)
     u = np.empty(min(periods, _BLOCK))
-    blep = blep_instantaneous if use_q_model else blep_segmented
     for row, sensor in enumerate(sensors.tolist()):
         rng = np.random.default_rng([seed, replica, sensor])
         g = gamma[row] if collect_trace else snr
@@ -182,7 +176,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             gb *= link.gamma_r_bar
             ub = u[:len(gb)]
             rng.random(out=ub)
-            fail = blep(link, gb) if p_fail is None else p_fail
+            fail = blep_segmented(link, gb) if p_fail is None else p_fail
             np.greater_equal(ub, fail, out=success[row, lo:lo + len(gb)])
     del snr, g, gb, u, ub, fail  # the views too, so the buffers are freed
     # row by row: count_nonzero over an axis is about 10x slower
@@ -215,9 +209,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         b1 = min(b0 + step, n_batches)
         p0, p1 = edges[b0], edges[b1]
         if asyn:
-            slots = np.flatnonzero(success[:, p0:p1].T)  # period-major slots
-            period_of, row_of = np.divmod(slots, drawn)
-            slots += p0 * drawn
+            # period-major slots k M + n - 1
+            period_of, row_of = np.divmod(np.flatnonzero(success[:, p0:p1].T), drawn)
         else:
             period_of, rank = _first_success_rank(success[:, p0:p1], order)
             row_of = order[rank]
@@ -231,9 +224,9 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             gen_times = np.concatenate(([carry[0]], gen_times))
             fac2 = np.concatenate(([carry[1]], fac2))
 
-        # closed-form integral of sigma2 (1 - go/(go+1) fac2 e^{-2a(t-u)})
-        # over each interval [u_v + tau, u_{v+1} + tau), in one buffer:
-        # sigma2 (D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a))
+        # closed-form integral of 1 - go/(go+1) fac2 e^{-2a(t-u)}, the error
+        # in units of sigma2, over each interval [u_v + tau, u_{v+1} + tau),
+        # in one buffer: D - go/(go+1) fac2 (e^{-2a tau} - e^{-2a (tau + D)}) / (2a)
         D = np.diff(gen_times)
         integrals = D + tau
         integrals *= -2.0 * a
@@ -242,7 +235,6 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         integrals /= 2.0 * a
         integrals *= fac2
         np.subtract(D, integrals, out=integrals)
-        integrals *= source.sigma2_x
 
         # the group's own intervals, batch by batch, then the crossing one
         cuts = np.searchsorted(period_of[:-1], edges[b0:b1 + 1], side="left")
@@ -256,13 +248,13 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         carry = (gen_times[-1], fac[row_of[-1]],
                  int(np.searchsorted(edges, period_of[-1], side="right")) - 1)
         if collect_trace:
-            kept.append((gen_times[own:], sensors[row_of])
-                        + ((slots,) if asyn else ()))
+            kept.append((gen_times[own:], sensors[row_of]))
     if receptions < 2:
         raise InvalidConfigError("fewer than two successful receptions; "
                                  "increase periods or SNR")
+    bi *= source.sigma2_x
 
-    keys = ("gen_times_s", "used_sensor", "slot_index")
+    keys = ("gen_times_s", "used_sensor")
     aux.update({key: np.concatenate(parts) for key, parts in zip(keys, zip(*kept))})
     aux.update({
         "mean_gap_s": float(bd.sum()) / (receptions - 1),
@@ -273,37 +265,6 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     })
     return SimReport(float(bi.sum() / bd.sum()), batch_means_stderr(bi, bd),
                      periods, scheme.scheme, aux)
-
-
-def empirical_gap_stats(report: SimReport, source, link, scheme) -> dict:
-    """Empirical gap statistics against their closed forms.
-
-    For the asynchronous scheme also checks the slot-step law: the number
-    of transmission slots between consecutive successes is geometric,
-    P(steps = s) = eps^(s-1) (1 - eps), which is the printed gap
-    distribution re-indexed by slots.
-    """
-    if "gen_times_s" not in report.aux:
-        raise InvalidConfigError("empirical_gap_stats reads the per-reception "
-                                 "gaps of a run made with collect_trace=True")
-    eps = blep_average(link)
-    a, T, M = source.a, scheme.T, scheme.M
-    gaps = np.diff(report.aux["gen_times_s"])
-    out = {
-        "mean_gap_s": report.aux["mean_gap_s"],
-        "mean_exp_gap": float(np.exp(-2.0 * a * gaps).mean()),
-    }
-    if report.scheme is Scheme.ASYN_INFER:
-        out["theory_mean_gap_s"] = expected_gap_asyn(T, eps, M)
-        steps = np.diff(report.aux["slot_index"])
-        smax = min(int(steps.max()), 4 * M)
-        out["step_law"] = [(s, float(np.mean(steps == s)), eps ** (s - 1) * (1.0 - eps))
-                           for s in range(1, smax + 1)]
-    else:
-        drawn = len(report.aux["per_sensor_success_rate"])
-        out["theory_mean_gap_s"] = expected_gap_syn(T, eps, drawn)
-        out["theory_mean_exp_gap"] = expected_exp_gap_syn(a, T, eps, drawn)
-    return out
 
 
 # ---------------------------------------------------------------------------

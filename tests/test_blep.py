@@ -315,6 +315,22 @@ def test_average_past_exp_overflow_is_the_segment_value(L, N, caplog):
     assert caplog.records == []
 
 
+def test_simplified_past_exp_overflow_is_one(caplog):
+    # exp(L/N) overflowed past L/N = 709.78; the exponent is taken at
+    # N = L/700 there, so the model is exactly 1 with no warning, and a
+    # blocklength in the plain range keeps its value bit for bit
+    link = sp.LinkParams(L=800.0, N=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = sp.blep_average_simplified(link)
+        mixed = sp.blep_average_simplified(link, N=np.array([1, 80]))
+    assert one == 1.0 and mixed[0] == 1.0
+    plain = 1.0 - np.exp(-(np.exp(10.0) - 1.0 - math.sqrt(math.pi * 800.0) / 80.0)
+                         / link.gamma_r_bar)
+    assert mixed[1] == plain == sp.blep_average_simplified(link, N=80)
+    assert caplog.records == []
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("name", ["L", "N", "T_s", "gamma_r_bar"])
 def test_link_rejects_non_finite_values(name, value):

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 import sptrecon as sp
 from sptrecon import experiments
 from sptrecon.cli import main as cli_main
-from sptrecon.errors import InvalidConfigError, InvariantError, RegionDegenerateError
+from sptrecon.errors import (BracketError, InvalidConfigError, InvariantError,
+                             RegionDegenerateError)
 from sptrecon.experiments import (
     ANALYTIC_COLUMNS,
     compare_report,
@@ -470,7 +472,7 @@ def _scalar_analytic_row(spec, point):
     val = sp.average_mse(source, field, link, scheme, eps_bar=eps, mssc_value=rho)
     weights = field
     if rho is not None and scheme.scheme is sp.Scheme.ASYN_INFER:
-        weights = sp.mssc_weights(scheme.M, scheme.m, rho)
+        weights = sp.scheme_weights(source, None, scheme, rho)
     lo, hi = sp.bounds(source, weights, link, scheme, sp.BoundAxis.BLEP, eps_bar=eps)
     return [link.N, scheme.T, sp.mssc(source, field) if rho is None else rho,
             sp.blep_average(link) if eps is None else eps, val, lo, hi]
@@ -544,6 +546,52 @@ def test_asyn_surface_at_a_tiny_sigma2_stays_within_its_bounds(tmp_path):
     for a, b in zip(one, tiny):
         for col in ("mse_analytic", "mse_lb", "mse_ub"):
             assert float(b[col]) / 1e-300 == pytest.approx(float(a[col]), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma2", ["1e-300", "1e300"])
+def test_sim_row_is_scale_free(tmp_path, sigma2):
+    # at 1e300 the squared batch means overflowed and the row raised a wrong
+    # batch-count error; at 1e-300 they underflowed to stderr 0 and z = inf
+    text = load_spec("sim_vs_analytic_default").raw_text
+    text = text.replace("periods = 100000", "periods = 2000")
+    run_experiment(parse_spec(text), tmp_path / "one")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(parse_spec(text.replace("sigma2_x = 1.0", f"sigma2_x = {sigma2}")),
+                       tmp_path / "scaled")
+    one, scaled = (_read_rows(tmp_path / d / "sim_vs_analytic_default_simulate.csv")[0]
+                   for d in ("one", "scaled"))
+    assert float(scaled["stderr"]) / float(sigma2) == pytest.approx(
+        float(one["stderr"]), rel=1e-12)
+    assert float(scaled["z_score"]) == pytest.approx(float(one["z_score"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("time_shift_s = 0.005", "time_shift_s = 1e300"),
+    ("period_s = 0.150", "period_s = 1e300"),
+    ("symbol_duration_s = 1e-4", "symbol_duration_s = 1e-300"),
+], ids=["h", "T", "T_s"])
+def test_a_blocklength_cap_past_the_integer_range_is_a_config_error(tmp_path, old, new):
+    # the shifted cap (T - (M - 1) h) / T_s was cast to int with a
+    # RuntimeWarning before the typed error
+    text = load_spec("asyn_surface_short_shift").raw_text
+    assert old in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match="blocklength cap"):
+            run_experiment(parse_spec(text.replace(old, new)), tmp_path)
+
+
+def test_a_saturated_adaptation_blep_raises_without_an_overflow(tmp_path):
+    # at L/N > 709.78 exp(L/N) overflowed in the simplified BLEP before the
+    # typed error
+    text = load_spec("fig11_min_mse_vs_mssc").raw_text
+    assert "L_bits = 160" in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketError, match="average BLEP saturated"):
+            run_experiment(parse_spec(text.replace("L_bits = 160", "L_bits = 1e6")),
+                           tmp_path)
 
 
 @pytest.mark.parametrize("rows", [

@@ -473,7 +473,7 @@ def test_eps_star_lanes_match_the_scalar_reference(setup, gamma_o, how):
     link = sp.LinkParams.from_db()
     # the field's own weights, then MSSC stacks around it
     w = np.vstack([sp.scheme_weights(src, f, scheme),
-                   sp.mssc_weights(scheme.M, scheme.m, np.linspace(0.0, 1.0, 6))])
+                   sp.scheme_weights(src, None, scheme, np.linspace(0.0, 1.0, 6))])
     assert how in _assert_lanes_match_the_reference(src, w, link, scheme)
 
 
@@ -484,7 +484,7 @@ def test_eps_star_scores_each_root_as_a_float_call():
     src = sp.SourceParams(a=1.2081317614452334, sigma2_x=0.01014934547453677)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.06752890194005103,
                              h=0.00023331109196154915, M=6, m=3)
-    w = sp.mssc_weights(6, 3, np.array([0.5919643951711552, 0.3]))
+    w = sp.scheme_weights(src, None, scheme, np.array([0.5919643951711552, 0.3]))
     how = _assert_lanes_match_the_reference(src, w, sp.LinkParams.from_db(N=35), scheme)
     assert how[0] == "refined"
 
@@ -504,7 +504,8 @@ def test_eps_star_stack_matches_the_scalar_reference(M, a, T, h_frac, log_gamma,
     rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M),
                               min_size=1, max_size=6))
     rho = data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))
-    w = np.vstack([np.array(rows).reshape(-1, M), sp.mssc_weights(M, m, np.array(rho))])
+    w = np.vstack([np.array(rows).reshape(-1, M),
+                   sp.scheme_weights(src, None, scheme, np.array(rho))])
     w[:, m - 1] = 1.0
     _assert_lanes_match_the_reference(src, w, link, scheme)
 

@@ -132,21 +132,43 @@ def test_peak_memory_per_period(source, field, link, syn_scheme, asyn_scheme):
         assert peak / periods <= 19.0, (scheme.scheme, peak / periods)
 
 
+def _mean_exp_gap(rep, a):
+    """Mean of exp(-2 a D) over a traced run's reception gaps D."""
+    return float(np.exp(-2.0 * a * np.diff(rep.aux["gen_times_s"])).mean())
+
+
+def _step_law(rep, eps, M):
+    """The slot-step law of a traced asynchronous run: per step s up to 4 M,
+    the share of the slot steps between consecutive receptions equal to s,
+    against the geometric P(s) = eps^(s-1) (1 - eps).  The slots are the
+    trace's successes, period-major (slot k M + n - 1)."""
+    success = rep.aux["trace"]["success"].reshape(M, rep.periods)
+    steps = np.diff(np.flatnonzero(success.T))
+    smax = min(int(steps.max()), 4 * M)
+    return [(s, float(np.mean(steps == s)), eps ** (s - 1) * (1.0 - eps))
+            for s in range(1, smax + 1)]
+
+
 def test_gap_statistics_syn(source, field, link, syn_scheme):
     rep = sp.simulate_event_level(source, field, link, syn_scheme, PERIODS, seed=8,
                                   collect_trace=True)
-    st = sp.empirical_gap_stats(rep, source, link, syn_scheme)
-    assert st["mean_gap_s"] == pytest.approx(st["theory_mean_gap_s"], rel=0.01)
-    assert st["mean_exp_gap"] == pytest.approx(st["theory_mean_exp_gap"], rel=0.01)
+    eps, T, M = sp.blep_average(link), syn_scheme.T, syn_scheme.M
+    assert rep.aux["mean_gap_s"] == pytest.approx(sp.expected_gap_syn(T, eps, M), rel=0.01)
+    # successful rounds are a geometric number of periods apart, so
+    # E[exp(-2 a D)] is the geometric mixture E (1 - eps^M) / (1 - E eps^M)
+    E = math.exp(-2.0 * source.a * T)
+    theory = E * (1.0 - eps ** M) / (1.0 - E * eps ** M)
+    assert _mean_exp_gap(rep, source.a) == pytest.approx(theory, rel=0.01)
 
 
 def test_gap_statistics_asyn(source, field, link, asyn_scheme):
     rep = sp.simulate_event_level(source, field, link, asyn_scheme, PERIODS, seed=8,
                                   collect_trace=True)
-    st = sp.empirical_gap_stats(rep, source, link, asyn_scheme)
-    assert st["mean_gap_s"] == pytest.approx(st["theory_mean_gap_s"], rel=0.01)
+    eps, T, M = sp.blep_average(link), asyn_scheme.T, asyn_scheme.M
+    assert rep.aux["mean_gap_s"] == pytest.approx(sp.expected_gap_asyn(T, eps, M),
+                                                  rel=0.01)
     # slot-step law: geometric in the number of slots skipped
-    for s, emp, theory in st["step_law"][:8]:
+    for s, emp, theory in _step_law(rep, eps, M)[:8]:
         se = math.sqrt(theory * (1 - theory) / rep.aux["receptions"])
         assert abs(emp - theory) < 4.0 * se, (s, emp, theory)
 
@@ -359,12 +381,6 @@ FROZEN_EVENT_LEVEL = {
          301.5377041812282, 301.850752176605, 301.07896633468],
         [643.1999999999999, 643.0500000000001, 643.05, 643.2, 643.0499999999997,
          643.0500000000002, 642.9000000000001]),
-    "asyn_q_model": (
-        0.6384646040648527, 0.0010557707454975237, 20095,
-        [412.9555692724252, 409.37281746403977, 408.649145301858, 411.09174732700336,
-         412.54445709942325, 411.1352203016824, 408.21645803297395],
-        [643.2149999999999, 643.3500000000001, 642.74, 643.4999999999998,
-         642.7599999999998, 643.1900000000005, 642.6149999999998]),
 }
 
 FROZEN_STEP_LAW = [
@@ -427,7 +443,6 @@ def frozen_runs(source, field, link, syn_scheme, asyn_scheme, no_scheme):
         "syn": (syn_scheme, {}),
         "asyn": (asyn_scheme, {}),
         "syn_override": (syn_scheme, {"success_prob_override": 0.6}),
-        "asyn_q_model": (asyn_scheme, {"use_q_model": True}),
     }
     return {name: sp.simulate_event_level(source, field, link, scheme,
                                           FROZEN_PERIODS, seed=5,
@@ -470,13 +485,11 @@ def test_traced_run_across_draw_blocks(source, field, link, no_scheme):
     assert _attempts(traced)[-1] == (70_000, 1, 10500.0, 0.1064211130942754, False)
 
 
-def test_gap_stats_frozen_values(frozen_runs, source, link, syn_scheme,
-                                 asyn_scheme):
-    st = sp.empirical_gap_stats(frozen_runs["syn"], source, link, syn_scheme)
-    assert repr(st["mean_exp_gap"]) == "0.38429685013232306"
-    st = sp.empirical_gap_stats(frozen_runs["asyn"], source, link, asyn_scheme)
-    assert repr(st["mean_exp_gap"]) == "0.5237155389590269"
-    assert repr(st["step_law"]) == repr(FROZEN_STEP_LAW)
+def test_gap_stats_frozen_values(frozen_runs, source, link, asyn_scheme):
+    assert repr(_mean_exp_gap(frozen_runs["syn"], source.a)) == "0.38429685013232306"
+    assert repr(_mean_exp_gap(frozen_runs["asyn"], source.a)) == "0.5237155389590269"
+    step_law = _step_law(frozen_runs["asyn"], sp.blep_average(link), asyn_scheme.M)
+    assert repr(step_law) == repr(FROZEN_STEP_LAW)
 
 
 def test_trace_frozen_values(source, field, link, asyn_scheme):
@@ -523,10 +536,8 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     ranked = sp.reindex_by_correlation(source, field)[:drawn]
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
     weights = field.target_factors(source.b)[sensors - 1]
-    out = {}
     if asyn:
-        out["slot_index"] = np.flatnonzero(success.T)
-        period_of, row_of = np.divmod(out["slot_index"], drawn)
+        period_of, row_of = np.divmod(np.flatnonzero(success.T), drawn)
     else:
         order = np.searchsorted(sensors, ranked)
         period_of, rank = simulate._first_success_rank(success, order)
@@ -549,11 +560,10 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
     bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
-    out.update({"batch_integrals": bi, "batch_durations": bd,
-                "receptions": len(gen_times), "gen_times_s": gen_times,
-                "used_sensor": sensors[row_of], "gaps": D,
-                "stderr": simulate.batch_means_stderr(bi, bd)})
-    return out
+    return {"batch_integrals": bi, "batch_durations": bd,
+            "receptions": len(gen_times), "gen_times_s": gen_times,
+            "used_sensor": sensors[row_of], "gaps": D,
+            "stderr": simulate.batch_means_stderr(bi, bd)}
 
 
 # case -> simulate_event_level keywords; _BLOCK = 32,768 periods
@@ -588,12 +598,12 @@ def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme
         bi, bd = rep.aux["batch_integrals"], rep.aux["batch_durations"]
         assert rep.avg_mse == bi.sum() / bd.sum()
         assert rep.aux["mean_gap_s"] == bd.sum() / (want["receptions"] - 1)
-    per_reception = {"gen_times_s", "used_sensor", "slot_index"} & want.keys()
+    per_reception = ("gen_times_s", "used_sensor")
     for key in per_reception:
         np.testing.assert_array_equal(traced.aux[key], want[key])
     # the gaps are derived from the generation times, equal to the old stage's D
     np.testing.assert_array_equal(np.diff(traced.aux["gen_times_s"]), want["gaps"])
-    assert not per_reception & plain.aux.keys()
+    assert not plain.aux.keys() & set(per_reception)
     if case.startswith("empty_groups") and kind == "no":
         # 4-14 receptions: the last group (batches 96-99) has none, and at
         # seed 4 neither has the second (batches 32-63)
@@ -612,9 +622,3 @@ def test_avg_mse_is_the_simulate_csv_value(tmp_path):
                                   spec.periods, spec.seed)
     assert float(row["mse_mc"]) == rep.avg_mse
     assert float(row["stderr"]) == rep.stderr
-
-
-def test_gap_stats_need_a_traced_run(source, field, link, syn_scheme):
-    rep = sp.simulate_event_level(source, field, link, syn_scheme, 3_000, seed=1)
-    with pytest.raises(InvalidConfigError, match="collect_trace=True"):
-        sp.empirical_gap_stats(rep, source, link, syn_scheme)
