@@ -243,10 +243,31 @@ def dblep_dN(link: LinkParams, N=None):
             stacklevel=2,
         )
     n = _blocklengths(link, N)
-    gbar = link.gamma_r_bar
-    val = ((math.sqrt(math.pi * link.L) - link.L * np.exp(link.L / n))
-           * np.exp(-_simplified_exponent(link, n) / gbar) / (gbar * n * n))
+    gbar, u = link.gamma_r_bar, link.L / n
+    decay = np.exp(-_simplified_exponent(link, n) / gbar)
+    if u.max() + math.log(link.L) < 709.0:  # L exp(L/N) < 8.2e307 stays finite
+        val = (math.sqrt(math.pi * link.L) - link.L * np.exp(u)) * decay / (gbar * n * n)
+    else:
+        with np.errstate(over="ignore"):  # an overflowed term is taken in logs
+            grow = link.L * np.exp(u)
+        over = np.isinf(grow)
+        val = np.where(over, _dblep_dN_overflowed(link, n, u),
+                       (math.sqrt(math.pi * link.L) - np.where(over, 0.0, grow))
+                       * decay / (gbar * n * n))
     return float(val) if val.ndim == 0 else val
+
+
+def _dblep_dN_overflowed(link: LinkParams, n, u):
+    """dblep_dN where L exp(u), u = L/N, overflows: sqrt(pi L) is then below
+    its last bit, so the value is -exp(ln L - ln gbar - 2 ln N + u - X/gbar)
+    with X = exp(u) - 1 - sqrt(pi L)/N the exponent at the true N.  X/gbar is
+    taken as exp(u - ln gbar) q with q = X exp(-u) in (0, 1); past
+    u - ln gbar = 709 it exceeds 1e307 and the value is -0.0."""
+    y = u - math.log(link.gamma_r_bar)
+    q = -np.expm1(-u) - math.sqrt(math.pi) * math.sqrt(link.L) / n * np.exp(-u)
+    log_size = (math.log(link.L) - math.log(link.gamma_r_bar) - 2.0 * np.log(n) + u
+                - np.exp(np.minimum(y, 709.0)) * q)
+    return -np.exp(np.where(y > 709.0, -np.inf, log_size))
 
 
 def _clamp01(val, name: str):

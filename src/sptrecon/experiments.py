@@ -4,7 +4,8 @@ An experiment is a plain-text config (key = value, INI sections) naming a
 base parameter set, optional sweep axes and the outputs to produce.  Each
 requested output becomes one CSV; a JSON manifest records the config hash,
 seed, package version and a content hash per file, and re-running the same
-config with the same seed reproduces every byte.
+config with the same seed reproduces every byte.  Every cell is made text by
+one rule, :func:`_cell`, which writes what ``csv.writer`` would.
 
 dB-to-linear SNR conversion happens here, at the config boundary; all
 internal math uses linear SNR and SI units (seconds, metres).
@@ -15,11 +16,12 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
-import io
 import itertools
 import json
 import math
 import operator
+import re
+import sys
 from dataclasses import asdict, dataclass, replace
 from dataclasses import field as dc_field
 from importlib import resources
@@ -314,14 +316,13 @@ def _analytic_rows(spec, points):
         source, field, link, scheme, eps_bar, rho = _apply_point(spec, points[idx[0]])
         # each point's row of the group's distinct weight vectors
         if rho is None:
-            rho_cells = [mssc(source, field)] * len(idx)
-            which = np.zeros(len(idx), dtype=int)
+            rhos, which = [mssc(source, field)], np.zeros(len(idx), dtype=int)
             weights = scheme_weights(source, field, scheme)
         else:  # an MSSC sweep uses the substituted closed forms
-            rho_cells = [points[i]["mssc"] for i in idx]
-            rhos, which = np.unique(rho_cells, return_inverse=True)
+            rhos, which = _distinct([points[i]["mssc"] for i in idx])
             weights = scheme_weights(source, field, scheme, rhos)
-        n_weights = int(which.max()) + 1
+            rhos = rhos.tolist()
+        n_weights = len(rhos)
         # no inference reads one (1,) vector whatever the MSSC
         weights = np.broadcast_to(weights, (n_weights, weights.shape[-1]))
         eps = _eps(link, None if eps_bar is None else
@@ -340,13 +341,25 @@ def _analytic_rows(spec, points):
                 f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
                 f"[{float(lo[which[j]])!r}, {hi!r}] at sweep point {points[idx[j]]}"
             )
-        head = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
-                scheme.M]
-        lo = lo.tolist()
-        for i, rho, u, e, val in zip(idx, rho_cells, which.tolist(), eps.tolist(),
-                                     vals.tolist()):
-            rows[i] = [*head, rho, e, val, lo[u], hi]
+        # each distinct value is made text once: the row head, the MSSC and
+        # mse_lb per weight vector, eps_bar per distinct value
+        head = ",".join(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N,
+                                    scheme.T, scheme.h, scheme.M]))
+        rho_text, lo_text = list(map(_cell, rhos)), list(map(_cell, lo.tolist()))
+        eps, at = _distinct(eps)
+        eps_text, hi_text = list(map(_cell, eps.tolist())), _cell(hi)
+        for i, u, k, val in zip(idx, which.tolist(), at.tolist(),
+                                map(_cell, vals.tolist())):
+            rows[i] = [head, rho_text[u], eps_text[k], val, lo_text[u], hi_text]
     return [([row], None) for row in rows]
+
+
+def _distinct(values):
+    """(distinct values, index of each value among them) of a float sequence;
+    values are told apart by their bits, so -0.0 and 0.0 stay two."""
+    bits, which = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                            return_inverse=True)
+    return bits.view(float), which
 
 
 def _region_rows(spec, points):
@@ -360,11 +373,15 @@ def _region_rows(spec, points):
             thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar=eps)
         except RegionDegenerateError as exc:
             thr2 = exc
-        db = 10.0 * math.log10(link.gamma_r_bar)
+        head = ",".join(map(_cell, [scheme.T, 10.0 * math.log10(link.gamma_r_bar)]))
+        thr1_text, verdicts = _cell(thr1), {}  # (thr2, winner) -> their text
+        field_rho = None if "mssc" in points[idx[0]] else mssc(source, field)
         for i in idx:
-            rho = points[i].get("mssc")
-            rho_val = mssc(source, field) if rho is None else rho
-            rows[i] = [scheme.T, db, rho_val, thr1, *_verdict(rho_val, thr1, thr2)]
+            rho = points[i].get("mssc", field_rho)
+            verdict = _verdict(rho, thr1, thr2)
+            if verdict not in verdicts:
+                verdicts[verdict] = ",".join(map(_cell, verdict))
+            rows[i] = [head, _cell(rho), thr1_text, verdicts[verdict]]
     return [([row], None) for row in rows]
 
 
@@ -399,16 +416,28 @@ def _sim_row(spec, point):
     stderr = batch_means_stderr(bi, bd)
     mse_mc = float(bi.sum() / bd.sum())
     ana = average_mse(source, field, link, scheme)
-    row = [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T, scheme.h,
-           scheme.M, rho_val, spec.periods, spec.seed, mse_mc, stderr, ana,
-           _z_score(mse_mc, ana, stderr)]
+    row = list(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
+                           scheme.h, scheme.M, rho_val, spec.periods, spec.seed,
+                           mse_mc, stderr, ana, _z_score(mse_mc, ana, stderr)]))
     if not spec.dump_trace:
         return [row], None
     cols = [np.concatenate([r.aux["trace"][c] for r in reports]) for c in EVENT_COLUMNS]
     cols[-1] = cols[-1].view(np.uint8)  # success as 0/1
-    # the events file's rows, made one chunk at a time as it is written
-    return [row], (list(zip(*(c[i:i + _CHUNK_ROWS].tolist() for c in cols)))
+    # the events file's rows, made one chunk at a time as it is written, each
+    # column's cells at once
+    return [row], (list(zip(*(_column_text(c[i:i + _CHUNK_ROWS]) for c in cols)))
                    for i in range(0, len(cols[0]), _CHUNK_ROWS))
+
+
+def _column_text(values):
+    """The cell text of each entry of a 1-d array.  An integer column formats
+    each distinct value once: the events file's sensor and success columns
+    hold a handful of values."""
+    if values.dtype.kind not in "iu":
+        return list(map(_cell, values.tolist()))
+    distinct, which = np.unique(values, return_inverse=True)
+    text = list(map(_cell, distinct.tolist()))
+    return list(map(text.__getitem__, which.tolist()))
 
 
 def _z_score(val, ref, stderr):
@@ -448,10 +477,12 @@ def _optimize_rows(spec, points):
                 runs += [("no-infer:exhaustive", no_infer[1])] + [
                     (tag + ":exhaustive", exhaustive_search(source, field, link, c, cfg))
                     for tag, c in (("syn-infer", syn_cfg), ("asyn-infer", asyn_cfg))]
-            rows = [[tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
-                     rho_val, blep_average(link.with_blocklength(res.N_star)),
-                     res.mse_star, "", ""] for tag, res in runs]
-            trace = [[t.iteration, t.h_s, t.N, t.mse, t.residual_h, t.residual_N]
+            rows = [list(map(_cell, [
+                tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
+                rho_val, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
+                None, None])) for tag, res in runs]
+            trace = [list(map(_cell, [t.iteration, t.h_s, t.N, t.mse, t.residual_h,
+                                      t.residual_N]))
                      for t in runs[2][1].trace]  # the jtsbo run
             out[i] = (rows, [trace])
     return out
@@ -464,7 +495,8 @@ def _optimize_rows(spec, points):
 # output kind -> (columns, output function, (side-file stem, side columns)).
 # An output function maps (spec, sweep points) to one (rows, side chunks or
 # None) pair per point, in sweep order, where side chunks is an iterable of
-# lists of rows; the side file is written per sweep point that has them
+# lists of rows; every row is a text row (see _write_csv); the side file is
+# written per sweep point that has them
 OUTPUTS = {
     "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
     "regions": (REGION_COLUMNS, _region_rows, None),
@@ -518,16 +550,39 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return manifest
 
 
+# what makes csv.writer(lineterminator="\n") quote a string: a comma, a quote
+# or a newline, and from Python 3.13 on a carriage return too
+_QUOTED = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+
+
+def _cell(value):
+    """The text of one CSV cell, as csv.writer(lineterminator="\\n") writes it.
+
+    None is empty, a number its str (so a float is its repr and reads back
+    bit for bit), and a string is itself, or quoted with its quotes doubled
+    when it holds a character from _QUOTED.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if _QUOTED.search(value) else value
+    return str(value)
+
+
 def _write_csv(path, columns, chunks):
-    """Write the header and then each chunk (a list of rows) of ``chunks``,
-    hashing the bytes as they go; returns (SHA-256 hex digest, row count)."""
+    """Write the header and then each chunk (a list of text rows) of
+    ``chunks``, hashing the bytes as they go; returns (SHA-256 hex digest,
+    row count).
+
+    A text row is a sequence of :func:`_cell` texts, where one text may hold
+    several cells already joined by commas.  A row of one empty cell is
+    written as ``""``, as csv.writer writes it, so it reads back as a row.
+    """
     digest, rows = hashlib.sha256(), -1
     with open(path, "wb") as fh:
-        for chunk in itertools.chain([[columns]], chunks):
-            buf = io.StringIO()
-            # floats are written with repr, so they round-trip; None as an empty cell
-            csv.writer(buf, lineterminator="\n").writerows(chunk)
-            data = buf.getvalue().encode()
+        for chunk in itertools.chain([[list(map(_cell, columns))]], chunks):
+            lines = [",".join(row) or ('""' if row else "") for row in chunk]
+            data = ("\n".join(lines) + "\n" if lines else "").encode()
             digest.update(data)
             fh.write(data)
             rows += len(chunk)
@@ -582,7 +637,7 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
     if out_path is not None:
         cols = ["row", "reference", "value", "stderr", "z_score", "rel_error",
                 "verdict"]
-        _write_csv(out_path, cols, [[[r[c] for c in cols] for r in out]])
+        _write_csv(out_path, cols, [[[_cell(r[c]) for c in cols] for r in out]])
     return passed, out
 
 

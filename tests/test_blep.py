@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,57 @@ def test_simplified_past_exp_overflow_is_one(caplog):
                          / link.gamma_r_bar)
     assert mixed[1] == plain == sp.blep_average_simplified(link, N=80)
     assert caplog.records == []
+
+
+def _dblep_dn_direct(link, n):
+    """dblep_dN as one expression, (sqrt(pi L) - L exp(L/N)) times the
+    decay over gbar N^2: the form used wherever L exp(L/N) is finite."""
+    gbar = link.gamma_r_bar
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((math.sqrt(math.pi * link.L) - link.L * np.exp(link.L / n))
+                * np.exp(-sp.blep._simplified_exponent(link, n) / gbar) / (gbar * n * n))
+
+
+def _dblep_dn_reference(L, N, gbar):
+    """The derivative at the true N in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        L, N, gbar = Decimal(L), Decimal(N), Decimal(gbar)
+        root = (Decimal(math.pi) * L).sqrt()
+        decay = (-((L / N).exp() - 1 - root / N) / gbar).exp()
+        return float((root - L * (L / N).exp()) * decay / (gbar * N * N))
+
+
+@pytest.mark.parametrize("L, N", [(709.0, 1), (800.0, 1), (1e6, 10)])
+def test_dblep_dn_past_exp_overflow_is_zero(L, N):
+    # L exp(L/N) overflowed (at L = 709 in the product, past L/N = 709.78 in
+    # exp) and the product with a decay of 0 was NaN; the true value
+    # underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.dblep_dN(sp.LinkParams(L=L, N=N)) == 0.0
+
+
+@pytest.mark.parametrize("gbar, ns", [(10 ** 0.5, np.linspace(1.0, 1.5, 11)),
+                                       (1e308, np.linspace(1.0, 1.03, 7))],
+                         ids=["5dB", "huge-snr"])
+def test_dblep_dn_across_the_overflow_threshold(gbar, ns):
+    # L exp(L/N) reaches 1.8e308 at N = 1.14 (L = 800) and 1.0125 (L = 712):
+    # every blocklength with a finite value before keeps it bit for bit, and
+    # the others take the true value, which at 1e308 (about 3,080 dB) is not 0
+    link = sp.LinkParams(L=800.0 if gbar < 10 else 712.0, N=1, gamma_r_bar=gbar)
+    direct = _dblep_dn_direct(link, ns)
+    plain = np.isfinite(direct)
+    assert 0 < plain.sum() < len(ns)  # the array straddles the threshold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = sp.dblep_dN(link, ns)
+        scalars = [sp.dblep_dN(link, float(n)) for n in ns]
+    assert np.array_equal(vals[plain].view(np.int64), direct[plain].view(np.int64))
+    assert np.array_equal(np.array(scalars).view(np.int64), vals.view(np.int64))
+    ref = [_dblep_dn_reference(link.L, float(n), gbar) for n in ns[~plain]]
+    np.testing.assert_allclose(vals[~plain], ref, rtol=1e-12, atol=0.0)
+    assert (vals[~plain] != 0).all() == (gbar > 10)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

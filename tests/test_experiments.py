@@ -10,7 +10,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import experiments
@@ -605,12 +608,95 @@ def test_csv_cells_are_written_as_csv_writer_writes_them(tmp_path, rows):
     # cell objects shared between rows as the grouped outputs share them
     shared = [0.1, "c,d", None]
     rows = [list(r) + shared for r in rows] + [shared, shared]
+    _assert_written_as_csv_writer_writes(tmp_path / "t.csv", ["h1", "h2"], rows, 2)
+
+
+def _assert_written_as_csv_writer_writes(path, header, rows, cut):
+    """_write_csv of the rows' _cell texts, in two chunks split at ``cut``,
+    gives csv.writer's bytes, their SHA-256 and the row count."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([["h1", "h2"]] + rows)
-    digest, n = experiments._write_csv(tmp_path / "t.csv", ["h1", "h2"], [rows[:2], rows[2:]])
-    assert (tmp_path / "t.csv").read_bytes() == buf.getvalue().encode()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    text = [[experiments._cell(v) for v in row] for row in rows]
+    digest, n = experiments._write_csv(path, header, [text[:cut], text[cut:]])
+    assert path.read_bytes() == buf.getvalue().encode()
     assert digest == hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert n == len(rows)
+
+
+# every character that csv.writer treats apart (comma, quote, CR, LF) and some
+# it does not (blanks, non-ASCII)
+_CSV_TEXT = st.text(alphabet=',"\r\n \tab\xe9\u20ac', max_size=6)
+_CSV_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _CSV_TEXT,
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     2.2250738585072014e-308 / 3, 1e16, 1e-5, 0.1 + 0.2]),
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.lists(_CSV_TEXT, max_size=3),
+       rows=st.lists(st.lists(_CSV_VALUES, max_size=5), max_size=8),
+       cut=st.integers(0, 8))
+@example(header=[""], rows=[[None], [""], [], [math.nan], ["a\rb"], ["\r"]], cut=1)
+def test_cell_rule_writes_what_csv_writer_writes(tmp_path, header, rows, cut):
+    # rows of one cell take csv.writer's own rule: a lone empty cell is ""
+    _assert_written_as_csv_writer_writes(tmp_path / "t.csv", header, rows, cut)
+
+
+def test_a_sweep_keeps_the_sign_of_zero(tmp_path):
+    # the analytic surface formats each distinct eps_bar and MSSC once; -0.0
+    # and 0.0 are two values there, each written as the sweep gave it
+    text = POINT_SPEC + "\n[sweep]\neps_bar = 0.0, -0.0\nmssc = -0.0, 0.3, 0.0\n"
+    run_experiment(parse_spec(text), tmp_path)
+    rows = _read_rows(tmp_path / "point_eval_analytic.csv")
+    assert [(r["eps_bar"], r["mssc"]) for r in rows] == [
+        (e, m) for e in ("0.0", "-0.0") for m in ("-0.0", "0.3", "0.0")]
+
+
+def _traced_sim_spec(scheme):
+    """sim_vs_analytic_default at 2,000 periods with its events dumped."""
+    text = load_spec("sim_vs_analytic_default").raw_text
+    assert "periods = 100000" in text and "scheme = syn-infer" in text
+    text = text.replace("periods = 100000", "periods = 2000")
+    if scheme == "asyn":
+        text = text.replace("scheme = syn-infer", "scheme = asyn-infer\ntime_shift_s = 0.005")
+    return parse_spec(text + "dump_trace = true\n")
+
+
+def _canonical_number(cell):
+    """False when the cell reads as a number but is not written as
+    str(int(cell)) or repr(float(cell))."""
+    for kind, text in ((int, str), (float, repr)):
+        try:
+            return cell == text(kind(cell))
+        except ValueError:
+            pass
+    return True  # not a number
+
+
+@pytest.mark.parametrize("name", list_bundled_specs() + ["traced-syn", "traced-asyn"])
+def test_every_output_cell_is_canonical(tmp_path, name):
+    # every CSV a run writes (side files and the compare report too) reads back
+    # through csv.reader and csv.writer as the same bytes, and each numeric
+    # cell is the text the cell rule makes of a float or an int
+    spec = _traced_sim_spec(name[7:]) if name.startswith("traced-") else load_spec(name)
+    run_experiment(spec, tmp_path)
+    if name == "sim_vs_analytic_default":
+        compare_report(tmp_path / f"{name}_analytic.csv", tmp_path / f"{name}_simulate.csv",
+                       out_path=tmp_path / "compare.csv")
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == {"fig11_min_mse_vs_mssc": 10, "sim_vs_analytic_default": 3,
+                          "traced-syn": 3, "traced-asyn": 3}.get(name, 1)
+    for path in paths:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue().encode() == path.read_bytes(), path.name
+        bad = [c for row in rows[1:] for c in row if not _canonical_number(c)]
+        assert not bad, (path.name, bad[:5])
 
 
 @pytest.mark.parametrize("section, line, shown", [
