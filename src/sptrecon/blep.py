@@ -244,25 +244,25 @@ def dblep_dN(link: LinkParams, N=None):
         )
     n = _blocklengths(link, N)
     gbar, u = link.gamma_r_bar, link.L / n
+    # past L exp(u) = exp(709.78) = 1.796e308, just under the largest float,
+    # the value is taken in logs and the plain form sees u = 0 instead
+    over = u > 709.78 - math.log(link.L)
+    far = over.any() if over.ndim else over
+    plain_u = np.where(over, 0.0, u) if far else u
     decay = np.exp(-_simplified_exponent(link, n) / gbar)
-    if u.max() + math.log(link.L) < 709.0:  # L exp(L/N) < 8.2e307 stays finite
-        val = (math.sqrt(math.pi * link.L) - link.L * np.exp(u)) * decay / (gbar * n * n)
-    else:
-        with np.errstate(over="ignore"):  # an overflowed term is taken in logs
-            grow = link.L * np.exp(u)
-        over = np.isinf(grow)
-        val = np.where(over, _dblep_dN_overflowed(link, n, u),
-                       (math.sqrt(math.pi * link.L) - np.where(over, 0.0, grow))
-                       * decay / (gbar * n * n))
+    val = (math.sqrt(math.pi * link.L) - link.L * np.exp(plain_u)) * decay / (gbar * n * n)
+    if far:
+        val = np.where(over, _dblep_dN_overflowed(link, n, u), val)
     return float(val) if val.ndim == 0 else val
 
 
 def _dblep_dN_overflowed(link: LinkParams, n, u):
-    """dblep_dN where L exp(u), u = L/N, overflows: sqrt(pi L) is then below
-    its last bit, so the value is -exp(ln L - ln gbar - 2 ln N + u - X/gbar)
-    with X = exp(u) - 1 - sqrt(pi L)/N the exponent at the true N.  X/gbar is
-    taken as exp(u - ln gbar) q with q = X exp(-u) in (0, 1); past
-    u - ln gbar = 709 it exceeds 1e307 and the value is -0.0."""
+    """dblep_dN where L exp(u), u = L/N, is 1.796e308 or more: sqrt(pi L) is
+    then below its last bit, so the value is
+    -exp(ln L - ln gbar - 2 ln N + u - X/gbar) with X = exp(u) - 1 -
+    sqrt(pi L)/N the exponent at the true N.  X/gbar is taken as
+    exp(u - ln gbar) q with q = X exp(-u) in (0, 1); past u - ln gbar = 709
+    it exceeds 1e307 and the value is -0.0."""
     y = u - math.log(link.gamma_r_bar)
     q = -np.expm1(-u) - math.sqrt(math.pi) * math.sqrt(link.L) / n * np.exp(-u)
     log_size = (math.log(link.L) - math.log(link.gamma_r_bar) - 2.0 * np.log(n) + u

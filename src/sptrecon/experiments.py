@@ -16,12 +16,12 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
 import operator
 import re
-import sys
 from dataclasses import asdict, dataclass, replace
 from dataclasses import field as dc_field
 from importlib import resources
@@ -374,14 +374,11 @@ def _region_rows(spec, points):
         except RegionDegenerateError as exc:
             thr2 = exc
         head = ",".join(map(_cell, [scheme.T, 10.0 * math.log10(link.gamma_r_bar)]))
-        thr1_text, verdicts = _cell(thr1), {}  # (thr2, winner) -> their text
+        thr1_text = _cell(thr1)
         field_rho = None if "mssc" in points[idx[0]] else mssc(source, field)
         for i in idx:
             rho = points[i].get("mssc", field_rho)
-            verdict = _verdict(rho, thr1, thr2)
-            if verdict not in verdicts:
-                verdicts[verdict] = ",".join(map(_cell, verdict))
-            rows[i] = [head, _cell(rho), thr1_text, verdicts[verdict]]
+            rows[i] = [head, _cell(rho), thr1_text, *map(_cell, _verdict(rho, thr1, thr2))]
     return [([row], None) for row in rows]
 
 
@@ -425,19 +422,8 @@ def _sim_row(spec, point):
     cols[-1] = cols[-1].view(np.uint8)  # success as 0/1
     # the events file's rows, made one chunk at a time as it is written, each
     # column's cells at once
-    return [row], (list(zip(*(_column_text(c[i:i + _CHUNK_ROWS]) for c in cols)))
+    return [row], (list(zip(*(map(_cell, c[i:i + _CHUNK_ROWS].tolist()) for c in cols)))
                    for i in range(0, len(cols[0]), _CHUNK_ROWS))
-
-
-def _column_text(values):
-    """The cell text of each entry of a 1-d array.  An integer column formats
-    each distinct value once: the events file's sensor and success columns
-    hold a handful of values."""
-    if values.dtype.kind not in "iu":
-        return list(map(_cell, values.tolist()))
-    distinct, which = np.unique(values, return_inverse=True)
-    text = list(map(_cell, distinct.tolist()))
-    return list(map(text.__getitem__, which.tolist()))
 
 
 def _z_score(val, ref, stderr):
@@ -550,9 +536,21 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     return manifest
 
 
-# what makes csv.writer(lineterminator="\n") quote a string: a comma, a quote
-# or a newline, and from Python 3.13 on a carriage return too
-_QUOTED = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+def _quoted_by_csv():
+    """A pattern of the characters that make csv.writer(lineterminator="\\n")
+    quote a string: a comma, a quote and a newline, and a carriage return on
+    the interpreters that quote it (Python 3.13 does, 3.10-3.12.1 do not).
+    The writer is asked once, on a one-cell row per candidate character."""
+    quoted = []
+    for char in ',"\n\r':
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow([char])
+        if text.getvalue().startswith('"'):
+            quoted.append(char)
+    return re.compile("[" + re.escape("".join(quoted)) + "]")
+
+
+_QUOTED = _quoted_by_csv()
 
 
 def _cell(value):

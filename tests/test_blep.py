@@ -383,6 +383,19 @@ def test_dblep_dn_across_the_overflow_threshold(gbar, ns):
     assert (vals[~plain] != 0).all() == (gbar > 10)
 
 
+def test_dblep_dn_just_under_the_largest_float_is_the_true_value():
+    # L exp(L/N) = exp(709.781) is finite, but past exp(709.78) the value is
+    # taken in logs at the true N; the plain form's decay is taken at
+    # N = L/700 there and is 0.2% off at 1e308
+    link = sp.LinkParams(L=712.0, N=1, gamma_r_bar=1e308)
+    n = 712.0 / (709.781 - math.log(712.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = sp.dblep_dN(link, n)
+    assert np.isfinite(_dblep_dn_direct(link, np.array(n)))
+    assert val == pytest.approx(_dblep_dn_reference(712.0, n, 1e308), rel=1e-12)
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("name", ["L", "N", "T_s", "gamma_r_bar"])
 def test_link_rejects_non_finite_values(name, value):
