@@ -42,7 +42,8 @@ _EXP_MAX = 700.0
 class LinkParams:
     """Short-packet link description.
 
-    L           : information bits per packet (> 0)
+    L           : information bits per packet (> 0, at most 1e300: every BLEP
+                  model is finite there, and past 5.7e307 pi L overflows)
     N           : blocklength in channel uses (integer >= 1)
     T_s         : symbol duration in seconds (> 0)
     gamma_r_bar : average received SNR, linear (> 0)
@@ -54,8 +55,8 @@ class LinkParams:
     gamma_r_bar: float = 10 ** 0.5
 
     def __post_init__(self):
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise InvalidConfigError(f"L must be finite and > 0, got {self.L}")
+        if not 0 < self.L <= 1e300:  # NaN too
+            raise InvalidConfigError(f"L must be in (0, 1e300], got {self.L}")
         if not (math.isfinite(self.N) and int(self.N) == self.N and self.N >= 1):
             raise InvalidConfigError(f"N must be an integer >= 1, got {self.N}")
         if not (self.T_s > 0 and math.isfinite(self.T_s)):

@@ -165,12 +165,6 @@ def _eps(link: LinkParams, eps_bar):
 # array kernel: every closed form is one call of it
 # ---------------------------------------------------------------------------
 
-def _prefactor(source: SourceParams, tau, T: float):
-    """sigma2 gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1)), elementwise in tau."""
-    return (source.sigma2_x * source.gamma_o * np.exp(-2.0 * source.a * tau)
-            / (2.0 * source.a * T * (source.gamma_o + 1.0)))
-
-
 # the complex step d: far below the rounding of any real part, which stays
 # f(x) to the last bit, and far above the underflow of d f'
 _STEP = 1e-150
@@ -198,12 +192,9 @@ def _eps_powers(M: int, asyn: bool):
 
 
 def _lift(x):
-    """x, and x with a trailing axis for the M per-sensor terms.
-
-    A float or complex scalar stays a scalar, which keeps scalar calls cheap.
-    """
-    if isinstance(x, (float, complex)):
-        return x, x
+    """x as a float or complex array (0-d for a scalar, so a value does not
+    depend on whether it is scored alone or in a batch), and x with a
+    trailing axis for the M per-sensor terms."""
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     return x, x[..., None]
 
@@ -224,16 +215,18 @@ class ClosedForm:
     the ``eps`` passed to the methods and against ``weights[..., 0]``,
     whose last axis runs over the M sensors: in descending order for the
     synchronous form (target first), in transmission-slot order for the
-    asynchronous one.  Every form is a quotient with a positive
-    denominator on eps in [0, 1], so eps = 1 needs no special case.  Each
-    form is written once, for its value; :meth:`dmse` is its complex step.
+    asynchronous one.  Every denominator is positive on eps in [0, 1] while
+    E = exp(-2 a T) < 1, so eps = 1 needs no special case; once 2 a T <=
+    2^-54 (about 5.6e-17) E rounds to 1 and the form is 0/0 at eps = 1.
+    Each form is written once, for its value; :meth:`dmse` is its complex step.
     """
 
     def __init__(self, source: SourceParams, T: float, tau, M: int, h=None):
         a = source.a
         self.s2, self.M, self.h = source.sigma2_x, M, h
         self.E = math.exp(-2.0 * a * T)
-        self.c = _prefactor(source, tau, T)
+        self.c = (source.sigma2_x * source.gamma_o * np.exp(-2.0 * a * tau)
+                  / (2.0 * a * T * (source.gamma_o + 1.0)))
         self.n, self.p = _eps_powers(M, h is not None)
         if h is not None:
             h, hn = _lift(h)
@@ -263,9 +256,9 @@ class ClosedForm:
         if self.h is None:
             # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
             return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
-        # R = (1-eps) sum_n w_n Psi_n / (1 - q eps); np.multiply, because
-        # numpy rounds a product of two complex scalars unlike its array
-        # loop, and a complex step at one eps must match one on an array
+        # R = (1-eps) sum_n w_n Psi_n / (1 - q eps); np.multiply, because at
+        # one eps both factors are numpy scalars, whose complex product
+        # rounds unlike the array loop's, which a complex step must match
         e = _lift(eps)[0]
         return np.multiply(1.0 - e, _vecdot(weights, self.psi(eps))) / (1.0 - self.q * e)
 
@@ -447,9 +440,7 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     if r.size:
         raise BracketError(f"eps_star_asyn: the refine on [{float(lo[0])!r}, "
                            f"{float(hi[0])!r}] did not end in {_REFINE_STEPS} steps")
-    # each root is scored alone: at a float eps, Python's pow makes eps^M
-    for j in refined.tolist():
-        out[j] = cf.mse(float(eps[j]), lanes[j])
+    out[refined] = cf.mse(eps[refined], lanes[refined])
     if w.ndim == 1:
         return float(eps[0]), float(out[0])
     return eps.reshape(w.shape[:-1]), out.reshape(w.shape[:-1])

@@ -99,14 +99,14 @@ def _kernel_at(source, field, link, scheme, N, h=None):
     return ClosedForm(source, scheme.T, N * link.T_s, len(w), h), w
 
 
-def _objective(source, field, link, scheme, N, h=None, blep=None):
-    """MSE at blocklength(s) N under the simplified BLEP model, or under
-    the BLEP model ``blep`` (a function of (link, N=...)) when given.
+def _objective(source, field, link, scheme, N, h=None, eps=None):
+    """MSE at blocklength(s) N under the simplified BLEP model, or at the
+    average BLEP(s) ``eps``, aligned with N, when given.
 
     N broadcasts (with ``h``); a scalar N gives a float.
     """
     cf, w = _kernel_at(source, field, link, scheme, N, h)
-    val = cf.mse((blep or blep_average_simplified)(link, N=N), w)
+    val = cf.mse(blep_average_simplified(link, N=N) if eps is None else eps, w)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -135,12 +135,17 @@ def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
     return _dmse_dN(source, field, link, scheme, N)
 
 
+def _dmse_dh(source, field, link, scheme, N, h):
+    """d MSE_asyn / dh by complex step at blocklength(s) N, broadcast with h."""
+    eps, w = blep_average_simplified(link, N=N), scheme_weights(source, field, scheme)
+    return _complex_step(
+        lambda hh: _kernel_at(source, field, link, scheme, N, hh)[0].mse(eps, w), h)
+
+
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, h: float) -> float:
     """d MSE_asyn / dh by complex step at the link's blocklength (simplified BLEP)."""
-    eps, w = blep_average_simplified(link), scheme_weights(source, field, scheme)
-    return float(_complex_step(
-        lambda hh: _kernel_at(source, field, link, scheme, link.N, hh)[0].mse(eps, w), h))
+    return float(_dmse_dh(source, field, link, scheme, link.N, h))
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
@@ -195,12 +200,13 @@ def _blocklength_step(source, field, link, scheme, cfg, hh):
     n_lo = cfg.N_min
     n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
                             0.0 if hh is None else (scheme.M - 1) * hh)
-    below = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1)) < 1.0
-    if not below.any():
+    eps = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1))
+    edge = int(np.argmax(eps < 1.0))  # 0 when every value is saturated
+    if not eps[edge] < 1.0:
         raise BracketError(
             f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]")
-    return _argmin_step(lambda n: _objective(source, field, link, scheme, n, hh),
-                        n_lo, n_hi, n_lo + int(np.argmax(below)))
+    return _argmin_step(lambda n: _objective(source, field, link, scheme, n, hh,
+                                             eps=eps[edge:]), n_lo, n_hi, n_lo + edge)
 
 
 def _time_shift_step(source, field, link, scheme, n):
@@ -278,7 +284,7 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
     face_vals = _objective(source, field, link, scheme, face_n, face_h)
     face = int(np.argmin(face_vals))
 
-    trace, converged = [], False
+    rows, converged = [], False
     for i in range(1, cfg.I_max + 1):
         h_prev, n_prev = h_cur, n_cur
         h, val, _ = _time_shift_step(source, field, link, scheme, n_cur)
@@ -291,14 +297,16 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
             n_cur, h_cur = int(face_n[face]), float(face_h[face])
             cur_val = float(face_vals[face])
 
-        res_h = eval_J(source, field, link.with_blocklength(n_cur), scheme, h_cur)
-        res_n = eval_F(source, field, link, replace(scheme, h=h_cur), float(n_cur))
-        trace.append(TraceRow(i, h_cur, n_cur, cur_val, abs(res_h), abs(res_n)))
+        rows.append((i, h_cur, n_cur, cur_val))
         # exact: N is an int and every step's h is the product k T_s
         converged = (n_cur, h_cur) == (n_prev, h_prev)
         if converged:
             break
 
+    hs, ns = np.array([row[1:3] for row in rows]).T
+    res_h, res_n = (np.abs(f(source, field, link, scheme, ns, hs)).tolist()
+                    for f in (_dmse_dh, _dmse_dN))
+    trace = [TraceRow(*row, r_h, r_n) for row, r_h, r_n in zip(rows, res_h, res_n)]
     mse = average_mse(source, field, link.with_blocklength(n_cur),
                       replace(scheme, h=h_cur))
     return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
@@ -339,7 +347,7 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
     if syn:
         n_star, val, _ = _argmin_step(
-            lambda n: _objective(source, field, link, scheme, n, blep=eps_of),
+            lambda n: _objective(source, field, link, scheme, n, eps=eps_of(link, N=n)),
             cfg.N_min, n_hi)
         mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
         return OptResult(scheme.scheme, n_star, None, mse, val, 1, True,

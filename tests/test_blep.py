@@ -403,3 +403,25 @@ def test_link_rejects_non_finite_values(name, value):
     # int(inf) would raise a bare OverflowError
     with pytest.raises(InvalidConfigError, match=rf"^{name} must"):
         sp.LinkParams(**{name: value})
+
+
+def test_link_bounds_l_where_every_blep_model_stays_finite(caplog):
+    # past about 5.7e307, pi L overflowed and the simplified BLEP took a
+    # -inf exponent, clamped to 0.0 with a log line where the average BLEP
+    # is 1.0
+    for L in (5.8e307, np.nextafter(1e300, math.inf), np.finfo(float).max):
+        with pytest.raises(InvalidConfigError, match=r"^L must be in \(0, 1e300\]"):
+            sp.LinkParams(L=L, N=80)
+    link = sp.LinkParams(L=1e300, N=80)
+    N = np.array([1.0, 1.5, 2.0, 80.0, 1e3, 1e10, 1e100, 1e150])
+    models = (sp.blep_average, sp.blep_average_simplified, sp.dblep_dN)
+    with warnings.catch_warnings(), caplog.at_level(logging.WARNING, "sptrecon.blep"):
+        warnings.simplefilter("error")
+        avg, simple, slope = (f(link, N=N) for f in models)
+        for j, n in enumerate(N.tolist()):
+            assert [f(link, N=n) for f in models] == [avg[j], simple[j], slope[j]]
+    assert not caplog.records
+    assert np.all((avg >= 0.0) & (avg <= 1.0))
+    # eta is taken at exp(700) = 1e304, far above the SNR: saturated
+    assert avg[N >= 2.0].tolist() == [1.0] * 6 and simple.tolist() == [1.0] * 8
+    assert np.all(np.isfinite(slope) & (slope <= 0.0))

@@ -478,9 +478,10 @@ def test_eps_star_lanes_match_the_scalar_reference(setup, gamma_o, how):
 
 
 def test_eps_star_scores_each_root_as_a_float_call():
-    # a geometry found by random search whose refined root rounds eps^M one
-    # way under Python's float pow and the other under numpy's array pow:
-    # scored together with other lanes, its bound moved by one ulp
+    # a geometry found by random search whose refined root, scored in a
+    # stack, came out one ulp off a call at the float root while a float
+    # eps took Python's pow; stacked, alone and in the float-eps reference
+    # the root must score the same bits
     src = sp.SourceParams(a=1.2081317614452334, sigma2_x=0.01014934547453677)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.06752890194005103,
                              h=0.00023331109196154915, M=6, m=3)
@@ -701,12 +702,45 @@ def test_kernel_matches_scalar_wrappers(M, a, b, data):
         assert close(psi[i], slot_weights(src, s_asyn, e))
         assert close(got["asyn"][i], _literal_mse(src, T, link.tau, e, w[i], hi))
         assert close(got["syn"][i], _literal_mse(src, T, link.tau, e, fac[i]))
-        # one call over every drawn eps equals the scalar calls row by row
+        # one call over every drawn eps equals the scalar calls row by
+        # row, bit for bit
         for schm, fw in ((s_asyn, f), (s_syn, f), (s_no, None)):
             batch = sp.average_mse(src, fw, link, schm, eps)
             assert batch.shape == eps.shape
             for j, e_j in enumerate(eps.tolist()):
-                assert close(batch[j], sp.average_mse(src, fw, link, schm, e_j))
+                assert batch[j] == sp.average_mse(src, fw, link, schm, e_j)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(M=st.integers(2, 7), a=st.floats(0.1, 5.0), T=st.floats(0.05, 0.5),
+       b=st.floats(0.0, 0.2), h_frac=st.floats(0.0, 1.0), data=st.data())
+def test_a_scalar_call_equals_its_entry_in_a_batch(M, a, T, b, h_frac, data):
+    # one evaluation path: a value and a slope at a float eps are the bits
+    # of the same eps inside an array, for every form.  A float path that
+    # rounded eps^M its own way differed in about 1 of 1,000 uniform eps,
+    # so each geometry also gets 100 of those
+    src = sp.SourceParams(a=a, b=b)
+    f = sp.place_sensors(M, 10.0, seed=data.draw(st.integers(0, 10 ** 6)),
+                         target_index=data.draw(st.integers(1, M)))
+    link = sp.LinkParams.from_db(N=data.draw(st.integers(10, 200)))
+    h_max = (T - link.tau) / (M - 1)
+    assume(h_max > link.T_s)
+    h = link.T_s + h_frac * (h_max - link.T_s)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    eps = np.concatenate([[0.0, 1.0], data.draw(st.lists(st.floats(0.0, 1.0), max_size=10)),
+                          rng.random(100)])
+    m = f.target_index
+    for schm, fw in ((sp.SchemeConfig(sp.Scheme.NO_INFER, T=T, M=1, m=1), None),
+                     (sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=m), f),
+                     (sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=h, M=M, m=m), f)):
+        w = sp.scheme_weights(src, fw, schm)
+        cf = sp.ClosedForm(src, T, link.tau, len(w), schm.h)
+        mse, dmse_, batch = cf.mse(eps, w), cf.dmse(eps, w), sp.average_mse(
+            src, fw, link, schm, eps)
+        for j, e in enumerate(eps.tolist()):
+            assert cf.mse(e, w) == mse[j], (schm.scheme, e)
+            assert cf.dmse(e, w) == dmse_[j], (schm.scheme, e)
+            assert sp.average_mse(src, fw, link, schm, e) == batch[j], (schm.scheme, e)
 
 
 def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):

@@ -566,8 +566,8 @@ def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
     # evaluation, at the returned integer, for the residual
     objective_calls, stationarity_calls = [], []
     monkeypatch.setattr(optimize, "_objective",
-                        lambda *a, _fn=_objective: objective_calls.append(
-                            [x for x in a[4:] if np.ndim(x)]) or _fn(*a))
+                        lambda *a, _fn=_objective, **kw: objective_calls.append(
+                            [x for x in a[4:] if np.ndim(x)]) or _fn(*a, **kw))
     for name in ("eval_H", "eval_J", "eval_F"):
         def counted(*args, _fn=getattr(optimize, name), **kw):
             stationarity_calls.append(float(args[4]))
