@@ -194,9 +194,10 @@ def blep_average(link: LinkParams, N=None):
     and the integral is
         F(0) + gbar * lam * (1 - exp(-(eta - 1/(2 lam))/gbar)),
     with F(0) = 1/2 - lam eta the linear segment at 0.  Past L/N = _EXP_MAX
-    eta and lam are taken at the exponent _EXP_MAX, which keeps them finite:
-    both exp terms are then 0 and |lam| is about sqrt(N) exp(-700), so the
-    value is F(0) on the band and 1 above it, as at the true N.
+    the knots are taken at the exponent _EXP_MAX, which keeps eta finite:
+    both exp terms are then 0, so the value is 1 above the band.  The band
+    takes lam at the true N (finite for any L/N, about -sqrt(N / 2 pi)
+    exp(-L/N)), so its value is F(0) + gbar lam, as in the segmented model.
     N broadcasts; a scalar N gives a float.
     """
     n = _blocklengths(link, N)
@@ -213,7 +214,7 @@ def blep_average(link: LinkParams, N=None):
     f0 = _f0(link.L, n)
     band = f0 < 1.0
     if band.any() if band.ndim else band:
-        val = np.where(band, f0 + gbar * lam * (1.0 - tail), val)
+        val = np.where(band, f0 + gbar * _lam(link.L, n) * (1.0 - tail), val)
     return _clamp01(val, "blep_average")
 
 

@@ -45,4 +45,5 @@ class RegionDegenerateError(RuntimeError):
 
 
 class ScaleLimitError(InvalidConfigError):
-    """A sampled-field run would need an intractably large covariance."""
+    """A run would need more memory than its stated budget: a sampled-field
+    run's joint covariance, or an event-level run's per-period arrays."""

@@ -20,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import re
 from dataclasses import asdict, dataclass, replace
 from dataclasses import field as dc_field
@@ -115,11 +114,6 @@ class ExperimentSpec:
             if bad:  # NaN too
                 raise InvalidConfigError(f"sweep axis {axis} takes values in "
                                          f"[0, 1], got {bad[0]}")
-
-    def sweep_points(self):
-        """Cartesian product of the sweep axes, deterministic order."""
-        return [dict(zip(self.sweep, vals))
-                for vals in itertools.product(*self.sweep.values())]
 
 
 def parse_values(text):
@@ -273,100 +267,100 @@ def _integral(value, name):
 # point evaluation
 # ---------------------------------------------------------------------------
 
-def _apply_point(spec: ExperimentSpec, point: dict):
-    """Materialize one sweep point: returns (source, field, link, scheme, eps, rho)."""
+def _apply_point(spec: ExperimentSpec, values: dict):
+    """Materialize the swept ``values`` (axis -> value) shared by a group of
+    sweep points: returns (source, link, scheme)."""
     source, link, scheme = spec.source, spec.link, spec.scheme
-    if "b_per_m" in point:
-        source = replace(source, b=point["b_per_m"])
-    if "gamma_r_bar_db" in point:
-        link = LinkParams.from_db(point["gamma_r_bar_db"], **asdict(link))
-    if "N" in point:
-        link = replace(link, N=_integral(point["N"], "swept blocklength N"))
-    scheme = replace(scheme, T=point.get("T_period_s", scheme.T),
-                     h=point.get("h_s", scheme.h))
-    return source, spec.field, link, scheme, point.get("eps_bar"), point.get("mssc")
+    if "b_per_m" in values:
+        source = replace(source, b=values["b_per_m"])
+    if "gamma_r_bar_db" in values:
+        link = LinkParams.from_db(values["gamma_r_bar_db"], **asdict(link))
+    if "N" in values:
+        link = replace(link, N=_integral(values["N"], "swept blocklength N"))
+    scheme = replace(scheme, T=values.get("T_period_s", scheme.T),
+                     h=values.get("h_s", scheme.h))
+    return source, link, scheme
 
 
-def _groups(points, *axes):
-    """Indices of the sweep points that share every axis except ``axes``.
+def _groups(spec: ExperimentSpec, *inner):
+    """The sweep's points grouped by every axis except ``inner``.
 
-    One list per group, in order of first appearance; without any of
-    ``axes`` in the sweep every point is a group of its own.
+    The sweep is the Cartesian product of its axes; its points, one row
+    each, run in C order over the axes in config order.  Per combination of
+    the other axes, in that order, yields (its values, axis -> value; the
+    row index of each of its points; per swept ``inner`` axis, each point's
+    index into the axis's values).  A group's points run in C order over its
+    inner axes, so with one inner axis they take its values in turn; without
+    any of ``inner`` in the sweep every point is a group of its own.
     """
-    keep = [k for k in (points[0] if points else ()) if k not in axes]
-    key = operator.itemgetter(*keep) if keep else (lambda point: None)
-    groups = {}
-    for i, k in enumerate(map(key, points)):  # every point has the same axes
-        groups.setdefault(k, []).append(i)
-    return groups.values()
+    axes = list(spec.sweep)
+    order = sorted(range(len(axes)), key=lambda a: axes[a] in inner)  # inner last
+    grid = np.arange(math.prod(map(len, spec.sweep.values()))).reshape(
+        [len(values) for values in spec.sweep.values()]).transpose(order)
+    n_outer = sum(axis not in inner for axis in axes)
+    outer, shape = [axes[a] for a in order[:n_outer]], grid.shape[n_outer:]
+    at = dict(zip((axes[a] for a in order[n_outer:]),
+                  np.indices(shape).reshape(len(shape), math.prod(shape))))
+    for values, idx in zip(itertools.product(*(spec.sweep[a] for a in outer)),
+                           grid.reshape(-1, math.prod(shape))):
+        yield dict(zip(outer, values)), idx, at
 
 
-def _analytic_rows(spec, points):
+def _analytic_rows(spec):
     """Closed-form MSE and BLEP-axis bounds, scored once per geometry.
 
     The points that share every axis except eps_bar and mssc share one
     paired ``average_mse`` call, each point's eps against the weights of
-    its MSSC value, and one ``bounds`` call over the group's distinct
-    weight vectors: the bound is an extreme over eps, so it does not
-    depend on the row's eps_bar.  Every row must satisfy
+    its MSSC value, and one ``bounds`` call over the weights of every swept
+    MSSC value: the bound is an extreme over eps, so it does not depend on
+    the row's eps_bar.  Every row must satisfy
     mse_lb <= mse_analytic <= mse_ub to 1e-12 sigma2, else InvariantError.
     """
-    rows = [None] * len(points)
-    for idx in _groups(points, "eps_bar", "mssc"):
-        source, field, link, scheme, eps_bar, rho = _apply_point(spec, points[idx[0]])
-        # each point's row of the group's distinct weight vectors
-        if rho is None:
-            rhos, which = [mssc(source, field)], np.zeros(len(idx), dtype=int)
-            weights = scheme_weights(source, field, scheme)
-        else:  # an MSSC sweep uses the substituted closed forms
-            rhos, which = _distinct([points[i]["mssc"] for i in idx])
-            weights = scheme_weights(source, field, scheme, rhos)
-            rhos = rhos.tolist()
-        n_weights = len(rhos)
+    rows = [None] * math.prod(map(len, spec.sweep.values()))
+    for values, idx, at in _groups(spec, "eps_bar", "mssc"):
+        source, link, scheme = _apply_point(spec, values)
+        # a weight vector (MSSC-substituted) and an eps per swept value, else
+        # the field's and the link's own, and each point's index among them
+        rhos = spec.sweep.get("mssc")
+        weights = scheme_weights(source, spec.field, scheme, rhos)
+        rhos = rhos or [mssc(source, spec.field)]
         # no inference reads one (1,) vector whatever the MSSC
-        weights = np.broadcast_to(weights, (n_weights, weights.shape[-1]))
-        eps = _eps(link, None if eps_bar is None else
-                   [points[i]["eps_bar"] for i in idx])
-        vals = np.broadcast_to(average_mse(source, weights[which], link, scheme, eps),
-                               which.shape)
-        eps = np.broadcast_to(eps, which.shape)
+        weights = np.broadcast_to(weights, (len(rhos), weights.shape[-1]))
+        eps = np.atleast_1d(_eps(link, spec.sweep.get("eps_bar")))
+        zero = np.zeros(len(idx), dtype=int)
+        which, at_eps = at.get("mssc", zero), at.get("eps_bar", zero)
+        vals = average_mse(source, weights[which], link, scheme, eps[at_eps])
         # the BLEP-axis bound must cover the weights the values were computed with
         lo, hi = bounds(source, weights, link, scheme, BoundAxis.BLEP, eps_bar=eps[0])
-        lo = np.broadcast_to(lo, (n_weights,))
+        lo = np.broadcast_to(lo, (len(rhos),))
         tol = 1e-12 * source.sigma2_x
         inside = (vals >= lo[which] - tol) & (vals <= hi + tol)
         if not inside.all():
             j = int(np.argmin(inside))
+            point = {axis: spec.sweep[axis][at[axis][j]] if axis in at else values[axis]
+                     for axis in spec.sweep}
             raise InvariantError(
                 f"mse_analytic={float(vals[j])!r} outside its BLEP-axis bounds "
-                f"[{float(lo[which[j]])!r}, {hi!r}] at sweep point {points[idx[j]]}"
+                f"[{float(lo[which[j]])!r}, {hi!r}] at sweep point {point}"
             )
-        # each distinct value is made text once: the row head, the MSSC and
-        # mse_lb per weight vector, eps_bar per distinct value
+        # each value is made text once: the row head, the MSSC and mse_lb
+        # per weight vector, eps_bar per eps
         head = ",".join(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N,
                                     scheme.T, scheme.h, scheme.M]))
         rho_text, lo_text = list(map(_cell, rhos)), list(map(_cell, lo.tolist()))
-        eps, at = _distinct(eps)
         eps_text, hi_text = list(map(_cell, eps.tolist())), _cell(hi)
-        for i, u, k, val in zip(idx, which.tolist(), at.tolist(),
+        for i, u, k, val in zip(idx.tolist(), which.tolist(), at_eps.tolist(),
                                 map(_cell, vals.tolist())):
             rows[i] = [head, rho_text[u], eps_text[k], val, lo_text[u], hi_text]
     return [([row], None) for row in rows]
 
 
-def _distinct(values):
-    """(distinct values, index of each value among them) of a float sequence;
-    values are told apart by their bits, so -0.0 and 0.0 stay two."""
-    bits, which = np.unique(np.asarray(values, dtype=float).view(np.int64),
-                            return_inverse=True)
-    return bits.view(float), which
-
-
-def _region_rows(spec, points):
+def _region_rows(spec):
     """Preference thresholds once per mssc group, the winner per row."""
-    rows = [None] * len(points)
-    for idx in _groups(points, "mssc"):
-        source, field, link, scheme, eps, _ = _apply_point(spec, points[idx[0]])
+    rows = [None] * math.prod(map(len, spec.sweep.values()))
+    for values, idx, _ in _groups(spec, "mssc"):
+        source, link, scheme = _apply_point(spec, values)
+        eps = values.get("eps_bar")
         # neither threshold reads the MSSC
         thr1 = threshold_infer(source, link, scheme, eps_bar=eps)
         try:
@@ -375,9 +369,9 @@ def _region_rows(spec, points):
             thr2 = exc
         head = ",".join(map(_cell, [scheme.T, 10.0 * math.log10(link.gamma_r_bar)]))
         thr1_text = _cell(thr1)
-        field_rho = None if "mssc" in points[idx[0]] else mssc(source, field)
-        for i in idx:
-            rho = points[i].get("mssc", field_rho)
+        # the group's points take the swept MSSC values in turn
+        rhos = spec.sweep.get("mssc") or [mssc(source, spec.field)]
+        for i, rho in zip(idx.tolist(), rhos):
             rows[i] = [head, _cell(rho), thr1_text, *map(_cell, _verdict(rho, thr1, thr2))]
     return [([row], None) for row in rows]
 
@@ -392,13 +386,11 @@ def _verdict(rho, thr1, thr2):
     return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")
 
 
-def _sim_row(spec, point):
-    source, field, link, scheme, eps, rho = _apply_point(spec, point)
-    rho_val = mssc(source, field) if rho is None else rho
+def _sim_row(spec, values):
+    source, link, scheme = _apply_point(spec, values)
     reports = [
-        simulate_event_level(source, field, link, scheme, spec.periods,
-                             spec.seed, replica=r,
-                             collect_trace=spec.dump_trace)
+        simulate_event_level(source, spec.field, link, scheme, spec.periods,
+                             spec.seed, replica=r, collect_trace=spec.dump_trace)
         for r in range(spec.replicas)
     ]
     bi = np.concatenate([r.aux["batch_integrals"] for r in reports])
@@ -412,9 +404,10 @@ def _sim_row(spec, point):
         )
     stderr = batch_means_stderr(bi, bd)
     mse_mc = float(bi.sum() / bd.sum())
-    ana = average_mse(source, field, link, scheme)
+    ana = average_mse(source, spec.field, link, scheme)
     row = list(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
-                           scheme.h, scheme.M, rho_val, spec.periods, spec.seed,
+                           scheme.h, scheme.M, mssc(source, spec.field), spec.periods,
+                           spec.seed,
                            mse_mc, stderr, ana, _z_score(mse_mc, ana, stderr)]))
     if not spec.dump_trace:
         return [row], None
@@ -433,27 +426,28 @@ def _z_score(val, ref, stderr):
     return 0.0 if val == ref else math.inf
 
 
-def _optimize_rows(spec, points):
+def _optimize_rows(spec):
     """Adapted operating point per scheme (and per optimizer when enabled).
 
     The no-infer form reads no spatial weight, so its runs are made once per
     b_per_m group and shared by the group's points.
     """
-    cfg, out = spec.optimizer, [None] * len(points)
-    for idx in _groups(points, "b_per_m"):
-        no_infer = None
-        for i in idx:
-            source, field, link, scheme, _, rho = _apply_point(spec, points[i])
-            rho_val = mssc(source, field) if rho is None else rho
-            no_cfg = SchemeConfig(Scheme.NO_INFER, T=scheme.T, M=1, m=1)
-            syn_cfg = SchemeConfig(Scheme.SYN_INFER, T=scheme.T, M=scheme.M, m=scheme.m)
-            asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
-                                    h=scheme.h if scheme.h is not None else link.T_s,
-                                    M=scheme.M, m=scheme.m)
-            if no_infer is None:  # the group's one no-infer step (and scan)
-                no_infer = [optimize_blocklength(source, field, link, no_cfg, cfg)]
-                if spec.include_exhaustive:
-                    no_infer.append(exhaustive_search(source, field, link, no_cfg, cfg))
+    cfg, field = spec.optimizer, spec.field
+    out = [None] * math.prod(map(len, spec.sweep.values()))
+    for values, idx, _ in _groups(spec, "b_per_m"):
+        source, link, scheme = _apply_point(spec, values)
+        no_cfg = SchemeConfig(Scheme.NO_INFER, T=scheme.T, M=1, m=1)
+        syn_cfg = SchemeConfig(Scheme.SYN_INFER, T=scheme.T, M=scheme.M, m=scheme.m)
+        asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
+                                h=scheme.h if scheme.h is not None else link.T_s,
+                                M=scheme.M, m=scheme.m)
+        # the group's points take the swept b values in turn; they share
+        # one no-infer step (and scan)
+        sources = [replace(source, b=b) for b in spec.sweep.get("b_per_m", [source.b])]
+        no_infer = [optimize_blocklength(sources[0], field, link, no_cfg, cfg)]
+        if spec.include_exhaustive:
+            no_infer.append(exhaustive_search(sources[0], field, link, no_cfg, cfg))
+        for i, source in zip(idx.tolist(), sources):
             runs = [
                 ("no-infer", no_infer[0]),
                 ("syn-infer", optimize_blocklength(source, field, link, syn_cfg, cfg)),
@@ -463,9 +457,10 @@ def _optimize_rows(spec, points):
                 runs += [("no-infer:exhaustive", no_infer[1])] + [
                     (tag + ":exhaustive", exhaustive_search(source, field, link, c, cfg))
                     for tag, c in (("syn-infer", syn_cfg), ("asyn-infer", asyn_cfg))]
+            rho = mssc(source, field)
             rows = [list(map(_cell, [
                 tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
-                rho_val, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
+                rho, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
                 None, None])) for tag, res in runs]
             trace = [list(map(_cell, [t.iteration, t.h_s, t.N, t.mse, t.residual_h,
                                       t.residual_N]))
@@ -479,14 +474,15 @@ def _optimize_rows(spec, points):
 # ---------------------------------------------------------------------------
 
 # output kind -> (columns, output function, (side-file stem, side columns)).
-# An output function maps (spec, sweep points) to one (rows, side chunks or
-# None) pair per point, in sweep order, where side chunks is an iterable of
-# lists of rows; every row is a text row (see _write_csv); the side file is
-# written per sweep point that has them
+# An output function maps a spec to one (rows, side chunks or None) pair per
+# sweep point, in sweep order (see _groups), where side chunks is an
+# iterable of lists of rows; every row is a text row (see _write_csv); the
+# side file is written per sweep point that has them
 OUTPUTS = {
     "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
     "regions": (REGION_COLUMNS, _region_rows, None),
-    "simulate": (SIM_COLUMNS, lambda spec, points: [_sim_row(spec, p) for p in points],
+    "simulate": (SIM_COLUMNS, lambda spec: [_sim_row(spec, values)
+                                            for values, _, _ in _groups(spec)],
                  ("events", EVENT_COLUMNS)),
     "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
 }
@@ -504,7 +500,6 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = spec.sweep_points()
     manifest = {
         "experiment": spec.name,
         "config_sha256": hashlib.sha256(spec.raw_text.encode()).hexdigest(),
@@ -519,7 +514,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     try:
         for kind in spec.outputs:
             columns, output_fn, side = OUTPUTS[kind]
-            results = output_fn(spec, points)
+            results = output_fn(spec)
             rows = [row for point_rows, _ in results for row in point_rows]
             _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, [rows])
             for idx, (_, side_chunks) in enumerate(results):

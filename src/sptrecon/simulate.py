@@ -80,6 +80,12 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # in cache between the steps that make the success mask
 _BLOCK = 1 << 15
 
+# bytes the event-level oracle may size per period before it draws: the
+# success mask and the SNR row(s).  4 GiB, far above the 45 MB of a traced
+# 1e6-period run of 5 sensors; past it numpy would fail untyped, or take
+# most of the machine's memory first
+_MAX_PERIOD_BYTES = 1 << 32
+
 
 def _first_success_rank(success, order):
     """Periods with a success, and the smallest rank r among them whose
@@ -141,7 +147,9 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
     ``batch_durations`` (per batch of contiguous periods) and
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
-    keeps, per reception, ``gen_times_s`` and ``used_sensor``.
+    keeps, per reception, ``gen_times_s`` and ``used_sensor``.  A run whose
+    success mask and SNR row(s) would pass ``_MAX_PERIOD_BYTES`` raises
+    ScaleLimitError before it draws.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
@@ -160,6 +168,14 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
     weights = field.target_factors(source.b)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
+    # the mask's byte per attempt, then 8 per SNR: every sensor's row in a
+    # traced run, one reused row otherwise
+    need = periods * (drawn + 8 * (drawn if collect_trace else 1))
+    if need > _MAX_PERIOD_BYTES:
+        raise ScaleLimitError(
+            f"periods = {periods:.3g} would need {need / 2**30:.3g} GiB of "
+            f"per-period arrays (> {_MAX_PERIOD_BYTES / 2**30:g} GiB); reduce periods"
+        )
 
     # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into
     # one buffer (a traced run's own gamma row), scaled block by block

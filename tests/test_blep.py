@@ -292,27 +292,38 @@ def test_lam_and_average_mix_overflowing_and_plain_blocklengths(caplog):
     assert caplog.records == []
 
 
-@pytest.mark.parametrize("L, N", [(800.0, 1), (720.0, 1), (1440.0, 2)])
-def test_average_past_exp_overflow_is_the_segment_value(L, N, caplog):
+@pytest.mark.parametrize("L, N, gbar", [
+    (800.0, 1, 10 ** 0.5), (720.0, 1, 10 ** 0.5), (1440.0, 2, 10 ** 0.5),
+    (800.0, 1, 1e300), (1e300, 1, 1e300),
+], ids=["800.0-1", "720.0-1", "1440.0-2", "800.0-1-1e300", "1e300-1-1e300"])
+def test_average_past_exp_overflow_is_the_segment_value(L, N, gbar, caplog):
     # exp(L/N) overflows: the band starts at g = 0 when F(0) < 1 (N = 1,
-    # F(0) = 1/2 + 1/sqrt(2 pi)) and the average is F(0) up to a negligible
-    # lam term, as the segmented form is; with F(0) >= 1 (N = 2) the link
-    # fails at every SNR that matters and the average is 1
-    link = sp.LinkParams(L=L, N=N)
+    # F(0) = 1/2 + 1/sqrt(2 pi)) and the average is F(0) up to the lam term
+    # at the true N, as the segmented form is, even at a huge SNR (lam was
+    # taken at N = L/700, and L = 1e300 gave 0); with F(0) >= 1 (N = 2) the
+    # link fails at every SNR that matters and the average is 1
+    link = sp.LinkParams(L=L, N=N, gamma_r_bar=gbar)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         avg = sp.blep_average(link)
         mixed = sp.blep_average(link, N=np.array([N, 80]))
         seg = sp.blep_segmented(link, 1.0)
+    f0 = 0.5 + 1 / math.sqrt(2 * math.pi)
     assert avg == pytest.approx(seg, rel=1e-15)
-    assert avg == pytest.approx(0.5 + 1 / math.sqrt(2 * math.pi) if N == 1 else 1.0,
-                                rel=1e-15)
+    assert avg == pytest.approx(f0 if N == 1 else 1.0, rel=1e-15)
     assert mixed[0] == avg
-    # N = 80 is in the plain range and keeps the closed form bit for bit
-    lk = link.with_blocklength(80)
-    lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
-    gbar = link.gamma_r_bar
-    assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+    assert mixed[1] == sp.blep_average(link, N=80)
+    if L / 80 <= 700:
+        # N = 80 is in the plain range and keeps the closed form bit for bit
+        lk = link.with_blocklength(80)
+        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+        assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+    # at L/N = 700 the lam term is still in the value: 0.8989029 at gbar = 1e300
+    edge = sp.LinkParams(L=700.0 * N, N=N, gamma_r_bar=gbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge_avg = sp.blep_average(edge)
+    assert edge_avg == pytest.approx(f0 + gbar * edge.lam if N == 1 else 1.0, rel=1e-15)
     assert caplog.records == []
 
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -72,13 +73,20 @@ periods = 8000
 """
 
 
+def _sweep_points(spec):
+    """The sweep's points, one axis -> value dict each, in row order: the
+    Cartesian product of the axes in config order, the last axis fastest."""
+    return [dict(zip(spec.sweep, values))
+            for values in itertools.product(*spec.sweep.values())]
+
+
 def test_parse_point_spec():
     spec = parse_spec(POINT_SPEC)
     assert spec.name == "point_eval"
     assert spec.outputs == ["analytic"]
     assert spec.scheme.scheme is sp.Scheme.SYN_INFER
     assert spec.sweep == {}
-    assert spec.sweep_points() == [{}]
+    assert _sweep_points(spec) == [{}]
 
 
 def test_parse_rejects_bad_axis():
@@ -442,8 +450,7 @@ def test_fig11_spec_thinned_run(tmp_path):
 
 def test_fig4_spec_grid_shape(tmp_path):
     spec = load_spec("fig4_syn_surface")
-    pts = spec.sweep_points()
-    assert len(pts) == 34 * 25
+    assert len(_sweep_points(spec)) == 34 * 25
     # run a thinned copy end to end
     text = spec.raw_text.replace("linspace:0.001:0.99:34", "0.1, 0.5, 0.9")
     text = text.replace("linspace:0.02:1.0:25", "0.2, 0.8")
@@ -486,6 +493,7 @@ def _scalar_analytic_row(spec, point):
     "mssc = 0.2, 0.9\neps_bar = 0.05, 0.4, 0.8",               # eps_bar last
     "eps_bar = 0.05, 0.4, 0.8\nmssc = 0.2, 0.9",               # eps_bar first
     "N = 60, 120\neps_bar = 0.05, 0.8\nmssc = 0.2, 0.9",       # eps_bar in the middle
+    "eps_bar = 0.05, 0.8\nN = 60, 120\nmssc = 0.2, 0.9",       # N between eps_bar and mssc
     "T_period_s = 0.1, 0.15\neps_bar = 0.0, 0.3, 1.0",         # field weights
     "N = 60, 120\nmssc = 0.2, 0.9",                          # no eps_bar axis
 ])
@@ -494,7 +502,7 @@ def test_grouped_analytic_rows_equal_scalar_calls(tmp_path, scheme, sweep):
     spec = parse_spec(text + "\n[sweep]\n" + sweep + "\n")
     run_experiment(spec, tmp_path)
     rows = _read_rows(tmp_path / "point_eval_analytic.csv")
-    points = spec.sweep_points()
+    points = _sweep_points(spec)
     assert len(rows) == len(points)
     cols = ["N", "T", "mssc", "eps_bar", "mse_analytic", "mse_lb", "mse_ub"]
     for row, point in zip(rows, points):
@@ -766,7 +774,7 @@ def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
     run_experiment(spec, tmp_path)
     assert len(calls) == 2  # once per gamma_r_bar_db value
     rows = _read_rows(tmp_path / "point_eval_regions.csv")
-    points = spec.sweep_points()
+    points = _sweep_points(spec)
     assert len(rows) == len(points)
     for row, point in zip(rows, points):
         link = dataclasses.replace(spec.link,
@@ -1037,5 +1045,20 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
                                  "gamma_r_bar_db = 5.0, 10.0")
     for seen in calls.values():
         seen.clear()
-    run_experiment(parse_spec(text), tmp_path / "snr")
+    two = parse_spec(text)
+    run_experiment(two, tmp_path / "snr")
     assert [seen.count(sp.Scheme.NO_INFER) for seen in calls.values()] == [2, 2]
+    # each point's rows and trace, in sweep order (b_per_m slowest), are
+    # those of a run of that point alone
+    name = "fig11_min_mse_vs_mssc"
+    rows = (tmp_path / "snr" / f"{name}_optimize.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 * 6
+    for i, (b, db) in enumerate(itertools.product(*two.sweep.values())):
+        alone = dataclasses.replace(
+            two, source=dataclasses.replace(two.source, b=b),
+            link=dataclasses.replace(two.link, gamma_r_bar=10 ** (db / 10.0)), sweep={})
+        run_experiment(alone, tmp_path / f"alone{i}")
+        own = (tmp_path / f"alone{i}" / f"{name}_optimize.csv").read_text().splitlines()
+        assert rows[1 + 6 * i:7 + 6 * i] == own[1:], (b, db)
+        assert ((tmp_path / "snr" / f"{name}_optimize_trace_{i}.csv").read_bytes()
+                == (tmp_path / f"alone{i}" / f"{name}_optimize_trace_0.csv").read_bytes())

@@ -348,6 +348,29 @@ def test_data_level_scale_limit(source, field, link, syn_scheme):
                                seed=1, n_draws=10)
 
 
+@pytest.mark.parametrize("periods", [10 ** 12, int(1e300)], ids=["1e12", "1e300"])
+def test_event_level_too_large_to_allocate_is_a_scale_limit(
+        tmp_path, monkeypatch, source, field, link, syn_scheme, periods):
+    # 1e12 periods ended in "Unable to allocate 4.55 TiB" and 1e300 in
+    # "Maximum allowed dimension exceeded"; the run must stop before its
+    # first per-period allocation, so any large one fails the test here
+    real_empty = np.empty
+
+    def small_empty(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) < 1e8, shape
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", small_empty)
+    for trace in (False, True):
+        with pytest.raises(ScaleLimitError, match=r"^periods = 1e\+(12|300) would need"):
+            sp.simulate_event_level(source, field, link, syn_scheme, periods, seed=1,
+                                    collect_trace=trace)
+    text = experiments.load_spec("sim_vs_analytic_default").raw_text
+    spec = experiments.parse_spec(text.replace("periods = 100000", f"periods = {periods:g}"))
+    with pytest.raises(ScaleLimitError, match="periods"):
+        experiments.run_experiment(spec, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # frozen values of the event-level oracle
 # ---------------------------------------------------------------------------
