@@ -15,8 +15,9 @@ implemented by :func:`blep_average`; that closed form is the exact integral
 of the segmented model, not a further approximation.
 
 A single-exponential simplification ``1 - exp(-(eta - sqrt(pi L)/N)/gbar)``
-admits clean derivatives in N and is the BLEP inside the adaptation
-objective and its stationarity functions.
+is analytic in N and is the BLEP inside the adaptation objective, whose
+slopes are complex steps of it; its own slope :func:`dblep_dN` is the
+complex step of its exponent.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class LinkParams:
                   model is finite there, and past 5.7e307 pi L overflows)
     N           : blocklength in channel uses (integer >= 1)
     T_s         : symbol duration in seconds (> 0)
-    gamma_r_bar : average received SNR, linear (> 0)
+    gamma_r_bar : average received SNR, linear (> 0, at most 1e300, where
+                  the average-BLEP models' L/N > 700 clamp is still exact)
     """
 
     L: float = 160.0
@@ -61,22 +63,19 @@ class LinkParams:
             raise InvalidConfigError(f"N must be an integer >= 1, got {self.N}")
         if not (self.T_s > 0 and math.isfinite(self.T_s)):
             raise InvalidConfigError(f"T_s must be finite and > 0, got {self.T_s}")
-        if not (self.gamma_r_bar > 0 and math.isfinite(self.gamma_r_bar)):
+        if not 0 < self.gamma_r_bar <= 1e300:  # NaN too
             raise InvalidConfigError(
-                f"gamma_r_bar must be finite and > 0 (linear), got {self.gamma_r_bar}"
+                f"gamma_r_bar must be in (0, 1e300] (linear), got {self.gamma_r_bar}"
             )
 
     @classmethod
     def from_db(cls, gamma_r_bar_db=None, **kw):
         """The link with gamma_r_bar given in dB; other fields as in the class."""
         if gamma_r_bar_db is not None:
-            try:
-                kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
-            except OverflowError:  # above about 3083 dB
-                kw["gamma_r_bar"] = math.inf
-            if not math.isfinite(kw["gamma_r_bar"]):
-                raise InvalidConfigError(f"gamma_r_bar_db = {gamma_r_bar_db} has no "
-                                         "finite linear value 10^(dB/10)")
+            if not gamma_r_bar_db <= 3000.0:  # NaN too; 10^300 is exactly 1e300
+                raise InvalidConfigError(f"gamma_r_bar_db must be at most 3000 dB "
+                                         f"(1e300 linear), got {gamma_r_bar_db}")
+            kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
         return cls(**kw)
 
     def with_blocklength(self, N: int) -> "LinkParams":
@@ -96,6 +95,17 @@ class LinkParams:
     def lam(self) -> float:
         """Slope of the linear BLEP segment (negative)."""
         return _lam(self.L, self.N)
+
+
+# the complex step d: far below the rounding of any real part, which stays
+# f(x) to the last bit, and far above the underflow of d f'
+_STEP = 1e-150
+
+
+def _complex_step(f, x):
+    """f'(x) = Im f(x + i d) / d for f analytic at the real x (or array x),
+    exact to rounding with no cancellation (Squire & Trapp 1998)."""
+    return f(np.add(x, _STEP * 1j)).imag / _STEP
 
 
 def _eta(L, N):
@@ -169,16 +179,23 @@ def blep_segmented(link: LinkParams, gamma_r, N=None):
 
 
 def _blocklengths(link: LinkParams, N):
-    """Blocklength(s) as floats, the link's own N when None; a scalar becomes
-    a numpy float, whose arithmetic is much cheaper than a 0-d array's."""
-    return np.asarray(link.N if N is None else N, dtype=float)[()]
+    """Blocklength(s) as floats, or complex for a complex step, the link's
+    own N when None; a scalar becomes a numpy scalar, whose arithmetic is
+    much cheaper than a 0-d array's."""
+    n = link.N if N is None else N
+    return np.asarray(n, dtype=complex if np.iscomplexobj(n) else float)[()]
 
 
 def _simplified_exponent(link: LinkParams, n):
     """eta - sqrt(pi L)/N, the exponent (times gbar) of the simplified model.
     Past L/N = _EXP_MAX it is taken at N = L/_EXP_MAX, as in
-    :func:`blep_average`: eta is then about 1e304, so the model is exactly
-    1 there, as at the true N, and exp(L/N) never overflows."""
+    :func:`blep_average`: eta is then about 1e304, so with gbar <= 1e300 the
+    model is exactly 1 there, as at the true N, its slope exactly 0, and
+    exp(L/N) never overflows.  ``np.maximum`` orders a complex N by its real
+    part first.  A complex N, a slope in N, warns at L < pi."""
+    if link.L < math.pi and np.iscomplexobj(n):
+        warnings.warn(f"L={link.L} < pi: sign of the blocklength derivative is not "
+                      "guaranteed", stacklevel=3)
     m = np.maximum(n, link.L / _EXP_MAX)
     return _eta(link.L, m) - math.sqrt(math.pi * link.L) / m
 
@@ -221,10 +238,10 @@ def blep_average(link: LinkParams, N=None):
 def blep_average_simplified(link: LinkParams, N=None):
     """Single-exponential average BLEP 1 - exp(-(eta - sqrt(pi L)/N)/gbar).
 
-    Slightly offset from :func:`blep_average` but with elementary
-    derivatives in N; the adaptation objective uses it, so the
-    stationarity functions are its exact derivatives.
-    N broadcasts; a scalar N gives a float.
+    Slightly offset from :func:`blep_average` but analytic in N; the
+    adaptation objective uses it, and the stationarity functions are
+    complex steps through it.  N broadcasts, and may be complex; a scalar
+    N gives a scalar.
     """
     n = _blocklengths(link, N)
     val = 1.0 - np.exp(-_simplified_exponent(link, n) / link.gamma_r_bar)
@@ -232,51 +249,28 @@ def blep_average_simplified(link: LinkParams, N=None):
 
 
 def dblep_dN(link: LinkParams, N=None):
-    """d/dN of the simplified average BLEP.
+    """d/dN of the simplified average BLEP, exp(-X/gbar) X'(N) / gbar with
+    X = eta - sqrt(pi L)/N its exponent and X' the complex step of X.
 
-    (sqrt(pi L) - L exp(L/N)) exp(-(eta - sqrt(pi L)/N)/gbar) / (gbar N^2);
-    negative whenever L >= pi.  Warns when L < pi since the sign (and the
-    convexity arguments that rely on it) are then not guaranteed.  N
-    broadcasts; a scalar N gives a float.
+    Stepping X rather than the whole BLEP keeps the slope's range: the decay
+    and 1/gbar stay real, and no L exp(L/N) or gbar N^2 is formed.  Negative
+    whenever L >= pi (it warns below).  N broadcasts; a scalar N is stepped
+    as a 1-element array, equal to its batched entry, and gives a float.
     """
-    if link.L < math.pi:
-        warnings.warn(
-            f"L={link.L} < pi: sign of the blocklength derivative is not guaranteed",
-            stacklevel=2,
-        )
     n = _blocklengths(link, N)
-    gbar, u = link.gamma_r_bar, link.L / n
-    # past L exp(u) = exp(709.78) = 1.796e308, just under the largest float,
-    # the value is taken in logs and the plain form sees u = 0 instead
-    over = u > 709.78 - math.log(link.L)
-    far = over.any() if over.ndim else over
-    plain_u = np.where(over, 0.0, u) if far else u
-    decay = np.exp(-_simplified_exponent(link, n) / gbar)
-    val = (math.sqrt(math.pi * link.L) - link.L * np.exp(plain_u)) * decay / (gbar * n * n)
-    if far:
-        val = np.where(over, _dblep_dN_overflowed(link, n, u), val)
-    return float(val) if val.ndim == 0 else val
-
-
-def _dblep_dN_overflowed(link: LinkParams, n, u):
-    """dblep_dN where L exp(u), u = L/N, is 1.796e308 or more: sqrt(pi L) is
-    then below its last bit, so the value is
-    -exp(ln L - ln gbar - 2 ln N + u - X/gbar) with X = exp(u) - 1 -
-    sqrt(pi L)/N the exponent at the true N.  X/gbar is taken as
-    exp(u - ln gbar) q with q = X exp(-u) in (0, 1); past u - ln gbar = 709
-    it exceeds 1e307 and the value is -0.0."""
-    y = u - math.log(link.gamma_r_bar)
-    q = -np.expm1(-u) - math.sqrt(math.pi) * math.sqrt(link.L) / n * np.exp(-u)
-    log_size = (math.log(link.L) - math.log(link.gamma_r_bar) - 2.0 * np.log(n) + u
-                - np.exp(np.minimum(y, 709.0)) * q)
-    return -np.exp(np.where(y > 709.0, -np.inf, log_size))
+    x = np.atleast_1d(n)
+    slope = _complex_step(lambda m: _simplified_exponent(link, m), x)
+    val = np.exp(-_simplified_exponent(link, x) / link.gamma_r_bar) * slope / link.gamma_r_bar
+    return float(val[0]) if n.ndim == 0 else val
 
 
 def _clamp01(val, name: str):
-    """val clipped to [0, 1]; one warning per call counts the clipped entries."""
-    outside = (val < 0.0) | (val > 1.0)
+    """val clipped to [0, 1] by its real part, a clipped entry's complex step
+    to 0; one warning per call counts the clipped entries."""
+    re = val.real
+    outside = (re < 0.0) | (re > 1.0)
     clipped = np.count_nonzero(outside) if val.ndim else int(outside)
     if clipped:
         logger.warning("%s clamped %d value(s) to [0, 1]", name, clipped)
-        val = np.clip(val, 0.0, 1.0)
-    return float(val) if val.ndim == 0 else val
+        val = np.where(outside, np.clip(re, 0.0, 1.0), val)
+    return val.item() if val.ndim == 0 else val

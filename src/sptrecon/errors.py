@@ -46,4 +46,5 @@ class RegionDegenerateError(RuntimeError):
 
 class ScaleLimitError(InvalidConfigError):
     """A run would need more memory than its stated budget: a sampled-field
-    run's joint covariance, or an event-level run's per-period arrays."""
+    run's joint covariance, an event-level run's per-period arrays, or a
+    blocklength or time-shift range."""

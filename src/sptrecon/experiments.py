@@ -35,7 +35,8 @@ from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
 from .regions import classify, threshold_asyn_over_syn, threshold_infer
-from .simulate import batch_means_stderr, simulate_event_level
+from .simulate import (_TRACE_BYTES, _check_period_bytes, batch_means_stderr,
+                       simulate_event_level)
 
 ANALYTIC_COLUMNS = ["scheme", "T_s", "L", "N", "T", "h", "M", "mssc",
                     "eps_bar", "mse_analytic", "mse_lb", "mse_ub"]
@@ -388,6 +389,10 @@ def _verdict(rho, thr1, thr2):
 
 def _sim_row(spec, values):
     source, link, scheme = _apply_point(spec, values)
+    if spec.dump_trace:  # each replica's trace in its report, and their concatenation
+        total = spec.periods * spec.replicas
+        need = 2 * _TRACE_BYTES * total * len(scheme_weights(source, spec.field, scheme))
+        _check_period_bytes(need, f"periods x replicas = {total:.3g}")
     reports = [
         simulate_event_level(source, spec.field, link, scheme, spec.periods,
                              spec.seed, replica=r, collect_trace=spec.dump_trace)

@@ -16,7 +16,7 @@ Each also has an MSSC-substituted version (every non-target spatial weight
 set to the mean squared spatial correlation).  :func:`average_mse` returns
 all six as plain numbers, ``scheme.scheme`` picking the form, from the
 array kernel :class:`ClosedForm`, which also gives Psi_n and d/d eps, the
-complex step of the one value formula (:func:`_complex_step`).
+complex step of the one value formula (:func:`blep._complex_step`).
 
 Throughout, eps denotes the fading-averaged block error probability, E the
 squared temporal correlation over one period exp(-2 a T), and q its analog
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blep import LinkParams, blep_average
-from .errors import BracketError, InvalidConfigError
+from .blep import LinkParams, _complex_step, blep_average
+from .errors import BracketError, InvalidConfigError, ScaleLimitError
 from .field import SensorField, SourceParams
 
 
@@ -104,6 +104,17 @@ def reindex_by_correlation(params: SourceParams, field: SensorField) -> np.ndarr
 # to this many symbol durations
 _TIMING_TOL = 1e-9
 
+# the most blocklengths or shift indices one range may hold, about 700 times
+# the largest bundled range (1,490); its arrays and (range x M) temporaries
+_MAX_RANGE = 1 << 20
+
+
+def _check_range(size, what):
+    """ScaleLimitError naming ``what`` when ``size`` indices pass _MAX_RANGE."""
+    if not size <= _MAX_RANGE:  # inf too
+        raise ScaleLimitError(f"{what} would hold {size:.3g} values (> {_MAX_RANGE}); "
+                              "raise the symbol duration or shorten the period")
+
 
 def max_blocklength(T: float, T_s: float, shift=0.0):
     """Largest blocklength N with N T_s + shift <= T, where ``shift`` (a
@@ -125,6 +136,7 @@ def max_blocklength(T: float, T_s: float, shift=0.0):
 def shift_count(T: float, T_s: float, M: int, N):
     """Number of grid shifts h = T_s, 2 T_s, ... that fit blocklength(s) N:
     those with N <= max_blocklength(T, T_s, (M - 1) h).  Broadcasts over N."""
+    _check_range(T / T_s / (M - 1), "the time-shift range")
     k = np.arange(1, int(T / T_s) // (M - 1) + 2)
     caps = max_blocklength(T, T_s, (M - 1) * (k * T_s))  # non-increasing in k
     return np.searchsorted(-caps, -np.asarray(N), side="right")
@@ -164,17 +176,6 @@ def _eps(link: LinkParams, eps_bar):
 # ---------------------------------------------------------------------------
 # array kernel: every closed form is one call of it
 # ---------------------------------------------------------------------------
-
-# the complex step d: far below the rounding of any real part, which stays
-# f(x) to the last bit, and far above the underflow of d f'
-_STEP = 1e-150
-
-
-def _complex_step(f, x):
-    """f'(x) = Im f(x + i d) / d for f analytic at the real x (or array x),
-    exact to rounding with no cancellation (Squire & Trapp 1998)."""
-    return f(np.add(x, _STEP * 1j)).imag / _STEP
-
 
 # sum over the last axis of an elementwise product, broadcasting the rest
 _vecdot = getattr(np, "vecdot", None) or (lambda x, y: (x * y).sum(axis=-1))

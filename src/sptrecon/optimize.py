@@ -9,17 +9,16 @@ Both coordinates are integer indices, N and the shift index k of
 h = k T_s, so each adaptation step is the exact integer argmin of the
 objective over its range, scored in one array call, ties to the smallest
 index.  The objective uses the single-exponential simplified average
-block error probability (BLEP), whose N-derivative is elementary, and the
+block error probability (BLEP), which is analytic in N, and the
 stationarity functions
 
     H(N) = d MSE_syn / dN,   J(h) = d MSE_asyn / dh,   F(N) = d MSE_asyn / dN
 
-are its derivatives, exact to rounding by complex step: J in h, H and F
-through the chain rule with d eps / dN (:func:`blep.dblep_dN`).  A step
-reports |H|, |J| or |F| at the integer it returns as a diagnostic.  The
-module also provides the alternating joint optimizer and exhaustive-search
-baselines.  Reported ``mse_star`` values are re-evaluated with the
-closed-form average BLEP model.
+are one slope rule, :func:`_dmse`: the complex step of the objective in N
+or in h, exact to rounding.  A step reports |H|, |J| or |F| at the integer
+it returns as a diagnostic.  The module also provides the alternating joint
+optimizer and exhaustive-search baselines.  Reported ``mse_star`` values
+are re-evaluated with the closed-form average BLEP model.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .blep import LinkParams, blep_average, blep_average_simplified, dblep_dN
+from .blep import LinkParams, _complex_step, blep_average, blep_average_simplified
 from .errors import BracketError, InvalidConfigError
 from .field import SensorField, SourceParams
-from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _complex_step,
+from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _check_range,
                   average_mse, max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
@@ -92,20 +91,15 @@ class OptResult:
 # objectives under the simplified BLEP model (consistent with H, J, F)
 # ---------------------------------------------------------------------------
 
-def _kernel_at(source, field, link, scheme, N, h=None):
-    """(ClosedForm, weights) of the scheme at blocklength(s) N and time
-    shift h (None for the synchronous form)."""
-    w = scheme_weights(source, field, scheme)
-    return ClosedForm(source, scheme.T, N * link.T_s, len(w), h), w
-
-
 def _objective(source, field, link, scheme, N, h=None, eps=None):
-    """MSE at blocklength(s) N under the simplified BLEP model, or at the
-    average BLEP(s) ``eps``, aligned with N, when given.
+    """MSE at blocklength(s) N and time shift(s) h (None for the synchronous
+    form) under the simplified BLEP model, or at the average BLEP(s)
+    ``eps``, aligned with N, when given.
 
     N broadcasts (with ``h``); a scalar N gives a float.
     """
-    cf, w = _kernel_at(source, field, link, scheme, N, h)
+    w = scheme_weights(source, field, scheme)
+    cf = ClosedForm(source, scheme.T, N * link.T_s, len(w), h)
     val = cf.mse(blep_average_simplified(link, N=N) if eps is None else eps, w)
     return float(val) if np.ndim(val) == 0 else val
 
@@ -114,44 +108,40 @@ def _objective(source, field, link, scheme, N, h=None, eps=None):
 # stationarity functions
 # ---------------------------------------------------------------------------
 
-def _dmse_dN(source, field, link, scheme, N, h=None):
-    """2 a T_s (sigma2 - MSE) + (d MSE / d eps) (d eps / dN) at real-valued N.
+def _dmse(source, field, link, scheme, N, h=None, wrt="N"):
+    """d MSE / dN, or d MSE / dh with ``wrt="h"``, at blocklength(s) N and
+    time shift(s) h (None for the synchronous form).
 
-    The delay tau = N T_s scales sigma2 - MSE by exp(-2 a tau); eps is the
-    simplified average BLEP.  N broadcasts (with ``h``); a scalar N gives a
-    float.
+    sigma2 times the complex step of :func:`_objective` at unit variance:
+    the MSE is exactly linear in sigma2, and at sigma2 = 1 no imaginary
+    part underflows.  N and h broadcast; a scalar is stepped as a
+    1-element array, so it equals its batched entry, and gives a float.
     """
-    cf, w = _kernel_at(source, field, link, scheme, N, h)
-    eps = blep_average_simplified(link, N=N)
-    deps = dblep_dN(link, N=N)
-    gap = source.sigma2_x - cf.mse(eps, w)
-    val = 2.0 * source.a * link.T_s * gap + cf.dmse(eps, w) * deps
-    return float(val) if np.ndim(val) == 0 else val
+    unit = replace(source, sigma2_x=1.0)
+    if wrt == "N":
+        x, step = N, lambda n: _objective(unit, field, link, scheme, n, h)
+    else:
+        x, step = h, lambda hh: _objective(unit, field, link, scheme, N, hh)
+    val = source.sigma2_x * _complex_step(step, np.atleast_1d(x))
+    return float(val[0]) if np.ndim(N) == np.ndim(h) == 0 else val
 
 
 def eval_H(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float) -> float:
     """d MSE_syn / dN at real-valued N (simplified BLEP model inside)."""
-    return _dmse_dN(source, field, link, scheme, N)
-
-
-def _dmse_dh(source, field, link, scheme, N, h):
-    """d MSE_asyn / dh by complex step at blocklength(s) N, broadcast with h."""
-    eps, w = blep_average_simplified(link, N=N), scheme_weights(source, field, scheme)
-    return _complex_step(
-        lambda hh: _kernel_at(source, field, link, scheme, N, hh)[0].mse(eps, w), h)
+    return _dmse(source, field, link, scheme, N)
 
 
 def eval_J(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, h: float) -> float:
-    """d MSE_asyn / dh by complex step at the link's blocklength (simplified BLEP)."""
-    return float(_dmse_dh(source, field, link, scheme, link.N, h))
+    """d MSE_asyn / dh at the link's blocklength (simplified BLEP inside)."""
+    return _dmse(source, field, link, scheme, link.N, h, wrt="h")
 
 
 def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
            scheme: SchemeConfig, N: float) -> float:
     """d MSE_asyn / dN at the time shift scheme.h (simplified BLEP inside)."""
-    return _dmse_dN(source, field, link, scheme, N, scheme.h)
+    return _dmse(source, field, link, scheme, N, scheme.h)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +151,14 @@ def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
 def _blocklength_cap(T, T_s, cfg, shift=0.0) -> int:
     """Largest blocklength of a step or a search: :func:`max_blocklength`
     at the shift time ``shift`` = (M - 1) h, lowered to ``cfg.N_max``.
-    Raises InvalidConfigError when it lies below ``cfg.N_min``."""
+    Raises InvalidConfigError when it lies below ``cfg.N_min``, and
+    ScaleLimitError past the range budget of :func:`mse._check_range`."""
     n_hi = max_blocklength(T, T_s, shift)
     if cfg.N_max is not None:
         n_hi = min(n_hi, cfg.N_max)
     if n_hi < cfg.N_min:
         raise InvalidConfigError(f"empty blocklength range [{cfg.N_min}, {n_hi}]")
+    _check_range(n_hi - cfg.N_min + 1, f"the blocklength range from N_min = {cfg.N_min}")
     return n_hi
 
 
@@ -230,8 +222,7 @@ def optimize_blocklength(source, field, link, scheme, cfg=None) -> OptResult:
     cfg = cfg or OptimizerConfig()
     hh = scheme.h if scheme.scheme is Scheme.ASYN_INFER else None
     n_star, val, branch = _blocklength_step(source, field, link, scheme, cfg, hh)
-    res = (eval_H(source, field, link, scheme, float(n_star)) if hh is None
-           else eval_F(source, field, link, scheme, float(n_star)))
+    res = _dmse(source, field, link, scheme, float(n_star), hh)
     mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
                      trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))])
@@ -246,7 +237,7 @@ def optimize_time_shift(source, field, link, scheme) -> OptResult:
     """
     n = int(link.N)
     h_star, val, branch = _time_shift_step(source, field, link, scheme, n)
-    res = eval_J(source, field, link, scheme, h_star)
+    res = _dmse(source, field, link, scheme, n, h_star, wrt="h")
     mse = average_mse(source, field, link, replace(scheme, h=h_star))
     return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
                      trace=[TraceRow(1, h_star, n, val, abs(res), 0.0)])
@@ -304,8 +295,8 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
             break
 
     hs, ns = np.array([row[1:3] for row in rows]).T
-    res_h, res_n = (np.abs(f(source, field, link, scheme, ns, hs)).tolist()
-                    for f in (_dmse_dh, _dmse_dN))
+    res_h, res_n = (np.abs(_dmse(source, field, link, scheme, ns, hs, wrt)).tolist()
+                    for wrt in ("h", "N"))
     trace = [TraceRow(*row, r_h, r_n) for row, r_h, r_n in zip(rows, res_h, res_n)]
     mse = average_mse(source, field, link.with_blocklength(n_cur),
                       replace(scheme, h=h_cur))

@@ -81,10 +81,19 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 _BLOCK = 1 << 15
 
 # bytes the event-level oracle may size per period before it draws: the
-# success mask and the SNR row(s).  4 GiB, far above the 45 MB of a traced
-# 1e6-period run of 5 sensors; past it numpy would fail untyped, or take
-# most of the machine's memory first
-_MAX_PERIOD_BYTES = 1 << 32
+# success mask and the SNR row(s), and a traced run's columns.  4 GiB, far
+# above the 165 MB of a traced 1e6-period run of 5 sensors; past it numpy
+# would fail untyped, or take most of the machine's memory first.  A traced
+# run keeps, per period and sensor, the mask's byte, the SNR and the
+# period, sensor and t_start_s columns
+_MAX_PERIOD_BYTES, _TRACE_BYTES = 1 << 32, 1 + 4 * 8
+
+
+def _check_period_bytes(need, what):
+    """ScaleLimitError naming ``what`` when ``need`` bytes pass the budget."""
+    if need > _MAX_PERIOD_BYTES:
+        raise ScaleLimitError(f"{what} would need {need / 2**30:.3g} GiB of per-period "
+                              f"arrays (> {_MAX_PERIOD_BYTES / 2**30:g} GiB); reduce periods")
 
 
 def _first_success_rank(success, order):
@@ -148,7 +157,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     ``batch_durations`` (per batch of contiguous periods) and
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
     keeps, per reception, ``gen_times_s`` and ``used_sensor``.  A run whose
-    success mask and SNR row(s) would pass ``_MAX_PERIOD_BYTES`` raises
+    success mask and SNR row(s), with a trace its columns too
+    (``_TRACE_BYTES`` per attempt), would pass ``_MAX_PERIOD_BYTES`` raises
     ScaleLimitError before it draws.
     """
     if periods < 1 or n_batches < 1:
@@ -168,14 +178,9 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     offsets = (sensors - 1) * scheme.h if asyn else np.zeros(drawn)
     weights = field.target_factors(source.b)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
-    # the mask's byte per attempt, then 8 per SNR: every sensor's row in a
-    # traced run, one reused row otherwise
-    need = periods * (drawn + 8 * (drawn if collect_trace else 1))
-    if need > _MAX_PERIOD_BYTES:
-        raise ScaleLimitError(
-            f"periods = {periods:.3g} would need {need / 2**30:.3g} GiB of "
-            f"per-period arrays (> {_MAX_PERIOD_BYTES / 2**30:g} GiB); reduce periods"
-        )
+    # untraced, the mask's byte per attempt and one reused SNR row
+    _check_period_bytes(periods * (drawn * _TRACE_BYTES if collect_trace else drawn + 8),
+                        f"periods = {periods:.3g}")
 
     # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into
     # one buffer (a traced run's own gamma row), scaled block by block

@@ -377,9 +377,15 @@ def test_dblep_dn_past_exp_overflow_is_zero(L, N):
                          ids=["5dB", "huge-snr"])
 def test_dblep_dn_across_the_overflow_threshold(gbar, ns):
     # L exp(L/N) reaches 1.8e308 at N = 1.14 (L = 800) and 1.0125 (L = 712):
-    # every blocklength with a finite value before keeps it bit for bit, and
-    # the others take the true value, which at 1e308 (about 3,080 dB) is not 0
-    link = sp.LinkParams(L=800.0 if gbar < 10 else 712.0, N=1, gamma_r_bar=gbar)
+    # no such product is formed, so at 5 dB every blocklength where the
+    # one-expression form is finite keeps its value bit for bit, and the
+    # others take the true value.  A link above 1e300, as the 712-bit one at
+    # 1e308 (about 3,080 dB), is refused: the L/N > 700 clamp is wrong there
+    if gbar > 1e300:
+        with pytest.raises(InvalidConfigError, match=r"^gamma_r_bar must"):
+            sp.LinkParams(L=712.0, N=1, gamma_r_bar=gbar)
+        return
+    link = sp.LinkParams(L=800.0, N=1, gamma_r_bar=gbar)
     direct = _dblep_dn_direct(link, ns)
     plain = np.isfinite(direct)
     assert 0 < plain.sum() < len(ns)  # the array straddles the threshold
@@ -391,20 +397,83 @@ def test_dblep_dn_across_the_overflow_threshold(gbar, ns):
     assert np.array_equal(np.array(scalars).view(np.int64), vals.view(np.int64))
     ref = [_dblep_dn_reference(link.L, float(n), gbar) for n in ns[~plain]]
     np.testing.assert_allclose(vals[~plain], ref, rtol=1e-12, atol=0.0)
-    assert (vals[~plain] != 0).all() == (gbar > 10)
+    assert (vals[~plain] == 0).all()
 
 
 def test_dblep_dn_just_under_the_largest_float_is_the_true_value():
-    # L exp(L/N) = exp(709.781) is finite, but past exp(709.78) the value is
-    # taken in logs at the true N; the plain form's decay is taken at
-    # N = L/700 there and is 0.2% off at 1e308
-    link = sp.LinkParams(L=712.0, N=1, gamma_r_bar=1e308)
+    # L exp(L/N) = exp(709.781) is finite; at the largest admitted SNR the
+    # one-expression form holds there and its decay underflows to the true
+    # value, 0.  The 1e308 link this test once ran at, where that decay was
+    # 0.2% off, is refused
+    with pytest.raises(InvalidConfigError, match=r"^gamma_r_bar must"):
+        sp.LinkParams(L=712.0, N=1, gamma_r_bar=1e308)
+    link = sp.LinkParams(L=712.0, N=1, gamma_r_bar=1e300)
     n = 712.0 / (709.781 - math.log(712.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val = sp.dblep_dN(link, n)
-    assert np.isfinite(_dblep_dn_direct(link, np.array(n)))
-    assert val == pytest.approx(_dblep_dn_reference(712.0, n, 1e308), rel=1e-12)
+    direct = _dblep_dn_direct(link, np.array(n))
+    assert np.isfinite(direct)
+    assert val == direct == _dblep_dn_reference(712.0, n, 1e300) == 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sp.LinkParams(L=712.0, N=1, gamma_r_bar=1e308),
+    lambda: sp.LinkParams(L=705.0, N=1, gamma_r_bar=1e304),
+    lambda: sp.LinkParams(N=1, gamma_r_bar=np.nextafter(1e300, math.inf)),
+    lambda: sp.LinkParams.from_db(gamma_r_bar_db=3000.0001),
+    lambda: sp.LinkParams.from_db(gamma_r_bar_db=3083.0),
+    lambda: sp.LinkParams.from_db(gamma_r_bar_db=math.inf),
+], ids=["1e308", "1e304", "above-1e300", "3000.0001dB", "3083dB", "inf-dB"])
+def test_link_rejects_an_snr_above_1e300(make):
+    # past about 1e302 the L/N > 700 clamp of the average-BLEP models is
+    # wrong with no error (the simplified BLEP read 0.637 at L = 705, N = 1
+    # and 1e304, where the model is 1.0); in dB the message names the key
+    with pytest.raises(InvalidConfigError, match=r"^gamma_r_bar(_db)? must"):
+        make()
+
+
+def test_link_keeps_an_exact_clamp_at_1e300():
+    # at 3000 dB = 1e300 the clamped exponent, about 1e304, gives the model
+    # exactly 1 and its slope exactly 0, as at the true N
+    link = sp.LinkParams.from_db(L=705.0, N=1, gamma_r_bar_db=3000.0)
+    assert link.gamma_r_bar == 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sp.blep_average_simplified(link) == 1.0
+        assert sp.dblep_dN(link) == 0.0
+
+
+def test_dblep_dn_matches_the_decimal_reference_over_the_domain():
+    # a seeded sample with L in [10, 1e300], N in [1, 1e15], L/N <= 700 and
+    # gbar in [1e-3, 1e300], log-uniform.  The bound is the formula's
+    # conditioning in u = L/N: the rounding of u and of exp(u) moves X/gbar
+    # by eps (1 + u) exp(u)/gbar, and the slope (sqrt(pi L) - L exp(u))/N^2
+    # by eps (1 + u) kappa, kappa its cancellation factor.  A value whose
+    # decay exp(-X/gbar) or result is below the normal range holds only
+    # that range's absolute precision.  Where gbar N^2 overflowed, the value
+    # read -0.0
+    rng = np.random.default_rng(2024)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    checked = 0
+    while checked < 2000:
+        L, N = 10 ** rng.uniform(1.0, 300.0), 10 ** rng.uniform(0.0, 15.0)
+        if L / N > 700:
+            continue
+        gbar, u = 10 ** rng.uniform(-3.0, 300.0), L / N
+        checked += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = sp.dblep_dN(sp.LinkParams(L=L, N=1, gamma_r_bar=gbar), N)
+        ref = _dblep_dn_reference(L, N, gbar)
+        q = math.sqrt(math.pi / L) * math.exp(-u)  # sqrt(pi L) / (L exp(u))
+        kappa = (1 + q) / (1 - q)
+        bound = 4 * eps * (1 + u) * (kappa + math.exp(u) / gbar)
+        decay = math.exp(-(math.expm1(u) - math.sqrt(math.pi * L) / N) / gbar)
+        if abs(ref) >= tiny and decay >= tiny:
+            assert abs(val - ref) <= bound * abs(ref), (L, N, gbar, val, ref)
+        else:
+            assert abs(val - ref) <= bound * tiny, (L, N, gbar, val, ref)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -342,7 +342,7 @@ def test_complex_step_does_not_depend_on_its_size(monkeypatch, source, link):
         return np.concatenate(out)
 
     before = slopes()
-    monkeypatch.setattr("sptrecon.mse._STEP", 1e-20)
+    monkeypatch.setattr("sptrecon.blep._STEP", 1e-20)
     assert slopes() == pytest.approx(before, rel=1e-12, abs=0)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ def test_F_sign_change_straddles_grid_argmin(source, field, link, asyn_scheme):
     assert 40 < n_hat < n_hi
     assert sp.eval_F(source, field, link, asyn_scheme, n_hat - 1.0) < 0
     assert sp.eval_F(source, field, link, asyn_scheme, n_hat + 1.0) > 0
+
+
+@pytest.mark.parametrize("sigma2", [1e-300, 1e300])
+def test_stationarity_functions_scale_with_the_source_variance(
+        sigma2, source, field, link, syn_scheme, asyn_scheme):
+    # the MSE is linear in sigma2, and each slope steps the objective at
+    # unit variance, so no imaginary part underflows at a tiny sigma2 (J
+    # read 0.0 at 1e-300) and none overflows at a huge one
+    scaled = dataclasses.replace(source, sigma2_x=sigma2)
+    calls = [(sp.eval_H, syn_scheme, 120.0), (sp.eval_J, asyn_scheme, 0.005),
+             (sp.eval_F, asyn_scheme, 120.0)]
+    for fn, scheme, x in calls:
+        unit = fn(source, field, link, scheme, x)
+        assert unit != 0.0
+        assert fn(scaled, field, link, scheme, x) == pytest.approx(
+            sigma2 * unit, rel=1e-14, abs=0)
 
 
 def test_optresult_reports_exact_model_mse(source, field, link, asyn_scheme):
@@ -248,7 +265,7 @@ def test_blocklength_asyn_step_with_two_sign_changes_of_F():
     field = sp.place_sensors(M=7, region_half_width=10, seed=7, target_index=1)
     link = sp.LinkParams.from_db(L=50, N=10, T_s=1e-4, gamma_r_bar_db=14.0)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.020, h=0.0005, M=7, m=1)
-    F = optimize._dmse_dN(src, field, link, scheme, np.arange(10, 171), 0.0005)
+    F = optimize._dmse(src, field, link, scheme, np.arange(10, 171), 0.0005)
     assert np.sum(np.diff(np.sign(F)) != 0) > 1
     res = sp.optimize_blocklength(src, field, link, scheme,
                                   sp.OptimizerConfig(N_min=10))
@@ -507,8 +524,8 @@ def test_exhaustive_is_the_argmin_of_a_per_point_loop(objective, a, L, db,
             if objective == "simplified":
                 vals[n, h] = _objective(src, field, link, scheme, n, h)
             else:
-                cf, w = optimize._kernel_at(src, field, link, scheme, n, h)
-                vals[n, h] = float(cf.mse(sp.blep_average(link, N=n), w))
+                vals[n, h] = _objective(src, field, link, scheme, n, h,
+                                        eps=sp.blep_average(link, N=n))
     best = min(vals, key=lambda key: (vals[key], key))
     for chunk in (7, optimize._GRID_CHUNK):
         monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
@@ -562,19 +579,14 @@ def test_syn_blocklength_range_stops_before_the_period():
 
 def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
                                                asyn_scheme, monkeypatch):
-    # one _objective call over the whole index range, then one H/J/F
-    # evaluation, at the returned integer, for the residual
-    objective_calls, stationarity_calls = [], []
+    # one _objective call over the whole index range, then one for the
+    # residual: the complex step of the objective at the returned integer
+    objective_calls = []
     monkeypatch.setattr(optimize, "_objective",
                         lambda *a, _fn=_objective, **kw: objective_calls.append(
                             [x for x in a[4:] if np.ndim(x)]) or _fn(*a, **kw))
-    for name in ("eval_H", "eval_J", "eval_F"):
-        def counted(*args, _fn=getattr(optimize, name), **kw):
-            stationarity_calls.append(float(args[4]))
-            return _fn(*args, **kw)
-        monkeypatch.setattr(optimize, name, counted)
     h, Ts = asyn_scheme.h, link.T_s
-    # (step, its integer index and stationarity argument, objective of the index)
+    # (step, its integer index and stepped argument, objective of the index)
     steps = [
         (lambda: sp.optimize_blocklength(source, field, link, syn_scheme),
          lambda r: (r.N_star, r.N_star),
@@ -588,14 +600,46 @@ def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
     ]
     for step, point, obj in steps:
         objective_calls.clear()
-        stationarity_calls.clear()
         res = step()
         x, arg = point(res)
         assert res.branch == "interior-root"
-        assert len(objective_calls) == 1 and len(objective_calls[0]) == 1
-        assert stationarity_calls == [arg]
-        idx = objective_calls[0][0] / (Ts if isinstance(arg, float) else 1)
+        assert [len(c) for c in objective_calls] == [1, 1]
+        (idx,), (stepped,) = objective_calls
+        assert stepped.real.tolist() == [arg] and np.iscomplexobj(stepped)
+        idx = idx / (Ts if isinstance(arg, float) else 1)
         _discrete_minimum(obj, round(idx[0]), round(idx[-1]), x)
+
+
+def test_a_range_past_the_budget_is_a_scale_limit(source, field, syn_scheme,
+                                                  asyn_scheme):
+    # fig11 at symbol_duration_s = 1e-12 ended in "Unable to allocate
+    # 1.09 TiB" (150 G blocklengths); every optimizer stops before its
+    # first range array
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-12, gamma_r_bar_db=5.0)
+    runs = [lambda: sp.optimize_blocklength(source, field, link, syn_scheme),
+            lambda: sp.optimize_blocklength(source, field, link, asyn_scheme),
+            lambda: sp.optimize_time_shift(source, field, link, asyn_scheme),
+            lambda: sp.jtsbo(source, field, link, asyn_scheme),
+            lambda: sp.exhaustive_search(source, field, link, syn_scheme),
+            lambda: sp.exhaustive_search(source, field, link, asyn_scheme)]
+    tracemalloc.start()
+    try:
+        for run in runs:
+            with pytest.raises(sp.ScaleLimitError, match="range .* values"):
+                run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the budget holds 2^20 indices: N_min = 1 .. 2^20, and T / T_s = 2^21
+    # over M - 1 = 2 (at N = 1, shifts up to (2^21 - 1) / 2)
+    budget, cfg = 1 << 20, sp.OptimizerConfig(N_min=1)
+    assert optimize._blocklength_cap(budget + 1.0, 1.0, cfg) == budget
+    with pytest.raises(sp.ScaleLimitError, match=r"from N_min = 1 would hold 1\.05e\+06"):
+        optimize._blocklength_cap(budget + 2.0, 1.0, cfg)
+    assert shift_count(2.0 * budget, 1.0, 3, 1) == budget - 1
+    with pytest.raises(sp.ScaleLimitError, match="time-shift range"):
+        shift_count(2.0 * budget + 2.0, 1.0, 3, 1)
 
 
 def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,

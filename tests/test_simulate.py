@@ -371,6 +371,33 @@ def test_event_level_too_large_to_allocate_is_a_scale_limit(
         experiments.run_experiment(spec, tmp_path)
 
 
+def test_traced_budget_counts_the_trace_columns(tmp_path, monkeypatch, source, field,
+                                                link, syn_scheme):
+    # tracemalloc at 2e5 periods read 190.6 bytes per period for a traced
+    # M = 5 run and 338.3 for the runner's traced row, where the budget
+    # counted 45: a traced run just under it needed about 18 GB.  Both
+    # checks come before the first per-period allocation
+    real_empty = np.empty
+
+    def small_empty(shape, *args, **kwargs):
+        assert np.prod(shape, dtype=float) < 1e6, shape
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", small_empty)
+    over = simulate._MAX_PERIOD_BYTES // (5 * simulate._TRACE_BYTES) + 1
+    assert over == 26_030_105
+    with pytest.raises(ScaleLimitError, match=r"^periods = 2\.6e\+07 would need"):
+        sp.simulate_event_level(source, field, link, syn_scheme, over, seed=1,
+                                collect_trace=True)
+    # half the periods fit one traced run, but not two replicas' traces and
+    # their concatenated columns
+    text = (experiments.load_spec("sim_vs_analytic_default").raw_text
+            .replace("periods = 100000", f"periods = {over // 2}")
+            .replace("replicas = 1", "replicas = 2") + "dump_trace = true\n")
+    with pytest.raises(ScaleLimitError, match=r"periods x replicas = 2\.6e\+07"):
+        experiments.run_experiment(experiments.parse_spec(text), tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # frozen values of the event-level oracle
 # ---------------------------------------------------------------------------
