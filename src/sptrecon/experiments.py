@@ -407,8 +407,9 @@ def _sim_row(spec, values):
             f"{filled} non-empty batches; the batch-means standard "
             "error needs at least 2, raise periods"
         )
-    stderr = batch_means_stderr(bi, bd)
-    mse_mc = float(bi.sum() / bd.sum())
+    # the batch integrals are in units of sigma2
+    stderr = source.sigma2_x * batch_means_stderr(bi, bd)
+    mse_mc = source.sigma2_x * float(bi.sum() / bd.sum())
     ana = average_mse(source, spec.field, link, scheme)
     row = list(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
                            scheme.h, scheme.M, mssc(source, spec.field), spec.periods,

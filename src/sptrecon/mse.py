@@ -18,6 +18,11 @@ all six as plain numbers, ``scheme.scheme`` picking the form, from the
 array kernel :class:`ClosedForm`, which also gives Psi_n and d/d eps, the
 complex step of the one value formula (:func:`blep._complex_step`).
 
+Every form is sigma2 (1 - k R(eps)), exactly linear in the source variance
+sigma2, so the kernel works at unit variance and sigma2 is one multiply
+where a value leaves the module: in :func:`average_mse`, in the minimum
+:func:`eps_star_asyn` returns and in :func:`bounds`.
+
 Throughout, eps denotes the fading-averaged block error probability, E the
 squared temporal correlation over one period exp(-2 a T), and q its analog
 over one time shift exp(-2 a h).  Spatial weights enter as exp(-2 b r_mn).
@@ -201,13 +206,16 @@ def _lift(x):
 
 
 class ClosedForm:
-    """Closed-form average MSE as an array kernel in the average BLEP eps.
+    """Closed-form average MSE at unit source variance, as an array kernel
+    in the average BLEP eps: 1 - k R(eps), with
+    k = gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1)).  The caller
+    multiplies by sigma2, which the kernel never reads.
 
     The constructor computes everything that does not depend on eps, so a
     search over eps (a grid scan, a root finder) pays for it once.
 
     T, M : period and number of sensors
-    tau  : packet delay; it only scales :meth:`mse` and :meth:`dmse`
+    tau  : packet delay; it enters through k only
     h    : time shift for the asynchronous form, or None for the
            synchronous form (M = 1 is the no-inference form); a complex
            h carries a complex step in h
@@ -224,9 +232,9 @@ class ClosedForm:
 
     def __init__(self, source: SourceParams, T: float, tau, M: int, h=None):
         a = source.a
-        self.s2, self.M, self.h = source.sigma2_x, M, h
+        self.M, self.h = M, h
         self.E = math.exp(-2.0 * a * T)
-        self.c = (source.sigma2_x * source.gamma_o * np.exp(-2.0 * a * tau)
+        self.k = (source.gamma_o * np.exp(-2.0 * a * tau)
                   / (2.0 * a * T * (source.gamma_o + 1.0)))
         self.n, self.p = _eps_powers(M, h is not None)
         if h is not None:
@@ -252,7 +260,7 @@ class ClosedForm:
         return self.one_q + self.slot * self._eps_factor(eps)
 
     def _reduction(self, eps, weights):
-        """R with MSE = sigma2 - c R.  The real weights come first in each
+        """R with MSE = 1 - k R.  The real weights come first in each
         ``_vecdot``, as ``np.vecdot`` conjugates its first argument."""
         if self.h is None:
             # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
@@ -264,15 +272,13 @@ class ClosedForm:
         return np.multiply(1.0 - e, _vecdot(weights, self.psi(eps))) / (1.0 - self.q * e)
 
     def mse(self, eps, weights):
-        """Average MSE sigma2 - c R(eps)."""
-        return self.s2 - self.c * self._reduction(eps, weights)
+        """Average MSE 1 - k R(eps)."""
+        return 1.0 - self.k * self._reduction(eps, weights)
 
     def dmse(self, eps, weights):
-        """d MSE / d eps = -c R'(eps), R' the complex step of
-        :meth:`_reduction` in eps; stepping R rather than the whole MSE
-        keeps sigma2 out of the imaginary part, which would underflow for
-        a tiny sigma2."""
-        return -self.c * _complex_step(lambda e: self._reduction(e, weights), eps)
+        """d MSE / d eps = -k R'(eps), R' the complex step of
+        :meth:`_reduction` in eps."""
+        return -self.k * _complex_step(lambda e: self._reduction(e, weights), eps)
 
     def mse_grid(self, eps, weights, rows=slice(None), width=None):
         """Asynchronous MSE on an outer grid: the delays tau (1-D, or one
@@ -283,18 +289,18 @@ class ClosedForm:
 
         The slot sum separates into an h part and an eps part,
         sum_n w_n Psi_n = (1-q) sum_n w_n + sum_n [w_n slot_n] A_n(eps),
-        so c (1-eps) times it is one (rows x (M+1))((M+1) x width) product:
-        the row factor c (1-eps) [A_1 .. A_M, 1] against the columns
+        so k (1-eps) times it is one (rows x (M+1))((M+1) x width) product:
+        the row factor k (1-eps) [A_1 .. A_M, 1] against the columns
         [w_1 slot_1 .. w_M slot_M, (1-q) sum_n w_n].  Two (rows x width)
         passes form 1 - eps q, and two more divide by it and subtract the
-        quotient from sigma2.
+        quotient from 1.
         """
         e = np.asarray(eps, dtype=float)[rows]
-        c = self.c[rows] if np.ndim(self.c) else self.c
+        k = self.k[rows] if np.ndim(self.k) else self.k
         cols, M = slice(width), self.M
         q = self.q[cols]
         left = np.empty((e.size, M + 1))
-        left[:, M] = c * (1.0 - e)
+        left[:, M] = k * (1.0 - e)
         np.multiply(self._eps_factor(e), left[:, M:], out=left[:, :M])
         right = np.empty((M + 1, q.size))
         np.multiply(weights[:, None], self.slot[cols].T, out=right[:M])
@@ -302,7 +308,7 @@ class ClosedForm:
         S = left @ right
         den = np.einsum("i,j->ij", e, q)  # the outer product, faster than ufunc.outer
         S /= np.subtract(1.0, den, out=den)
-        return np.subtract(self.s2, S, out=S)
+        return np.subtract(1.0, S, out=S)
 
 
 # the weight vector of the M = 1 (no-inference) form: the target's own,
@@ -355,11 +361,14 @@ def average_mse(source: SourceParams, field_or_weights, link: LinkParams,
                 scheme: SchemeConfig, eps_bar=None, mssc_value=None):
     """Average MSE of the closed form that ``scheme.scheme`` names.
 
-    no-infer : sigma2 - c (1-E) (1-eps) / (1 - E eps), the target's own packets
-    syn      : sigma2 - c (1-E) (1-eps) sum_s w_s eps^(s-1) / (1 - E eps^M), w_s
-               descending (the most correlated packet of the newest round)
-    asyn     : sigma2 - c (1-eps) sum_n w_n Psi_n / (1 - q eps), w_n in slot
+    no-infer : sigma2 (1 - k (1-E) (1-eps) / (1 - E eps)), the target's own
+               packets
+    syn      : sigma2 (1 - k (1-E) (1-eps) sum_s w_s eps^(s-1) / (1 - E eps^M)),
+               w_s descending (the most correlated packet of the newest round)
+    asyn     : sigma2 (1 - k (1-eps) sum_n w_n Psi_n / (1 - q eps)), w_n in slot
                (sensor index) order, Psi_n from :meth:`ClosedForm.psi`
+
+    with k = gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1)).
 
     The weights come from :func:`scheme_weights` (``mssc_value`` gives the
     MSSC-substituted form), eps from ``eps_bar`` (default: the link's own
@@ -371,7 +380,7 @@ def average_mse(source: SourceParams, field_or_weights, link: LinkParams,
     _check_timing(link, scheme, need_h=asyn)
     eps = _eps(link, eps_bar)
     cf = ClosedForm(source, scheme.T, link.tau, w.shape[-1], scheme.h if asyn else None)
-    val = cf.mse(eps, w)
+    val = source.sigma2_x * cf.mse(eps, w)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -400,8 +409,9 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     (eps_star, mse): two floats for a field or one vector, else two arrays
     of the stack's shape.  The error is not convex in eps for every
     geometry (it can rise, dip, then rise again), so a global scan rather
-    than a single root chase is required for a valid bound.  A scheme that
-    is not asynchronous raises InvalidConfigError.
+    than a single root chase is required for a valid bound.  The scan and
+    the refine run at unit variance; only the returned minimum is scaled by
+    sigma2.  A scheme that is not asynchronous raises InvalidConfigError.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
@@ -442,6 +452,7 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
         raise BracketError(f"eps_star_asyn: the refine on [{float(lo[0])!r}, "
                            f"{float(hi[0])!r}] did not end in {_REFINE_STEPS} steps")
     out[refined] = cf.mse(eps[refined], lanes[refined])
+    out *= source.sigma2_x
     if w.ndim == 1:
         return float(eps[0]), float(out[0])
     return eps.reshape(w.shape[:-1]), out.reshape(w.shape[:-1])
@@ -509,9 +520,9 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
     if asyn:
         return eps_star_asyn(source, field_or_weights, link, scheme)[1], source.sigma2_x
     # synchronous: at eps = 0 only the target's own term survives, the
-    # no-inference form sigma2 - c (1 - E)
-    lower = float(ClosedForm(source, scheme.T, link.tau, 1).mse(0.0, _OWN))
-    return lower, source.sigma2_x
+    # no-inference form sigma2 (1 - k (1 - E))
+    unit = ClosedForm(source, scheme.T, link.tau, 1).mse(0.0, _OWN)
+    return source.sigma2_x * float(unit), source.sigma2_x
 
 
 __all__ = [

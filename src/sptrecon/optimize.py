@@ -19,6 +19,11 @@ or in h, exact to rounding.  A step reports |H|, |J| or |F| at the integer
 it returns as a diagnostic.  The module also provides the alternating joint
 optimizer and exhaustive-search baselines.  Reported ``mse_star`` values
 are re-evaluated with the closed-form average BLEP model.
+
+The MSE is exactly linear in the source variance sigma2, so every step
+scores and compares the objective at unit variance.  sigma2 multiplies each
+slope once and each result once, in ``objective_star`` and the trace's
+``mse``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .blep import LinkParams, _complex_step, blep_average, blep_average_simplified
-from .errors import BracketError, InvalidConfigError
+from .errors import BracketError, InvalidConfigError, ScaleLimitError
 from .field import SensorField, SourceParams
 from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _check_range,
                   average_mse, max_blocklength, scheme_weights, shift_count)
@@ -39,6 +44,10 @@ DEFAULT_N_MIN = 10
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its (rows x width) temporaries to about 128 kB each
 _GRID_CHUNK = 16384
+# the most (N, h) points one asynchronous exhaustive search may score, about
+# 240 times the largest bundled grid (277,140); at about 7 ns a point a full
+# grid takes about half a second
+_MAX_GRID = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -92,9 +101,9 @@ class OptResult:
 # ---------------------------------------------------------------------------
 
 def _objective(source, field, link, scheme, N, h=None, eps=None):
-    """MSE at blocklength(s) N and time shift(s) h (None for the synchronous
-    form) under the simplified BLEP model, or at the average BLEP(s)
-    ``eps``, aligned with N, when given.
+    """MSE at unit source variance, at blocklength(s) N and time shift(s) h
+    (None for the synchronous form) under the simplified BLEP model, or at
+    the average BLEP(s) ``eps``, aligned with N, when given.
 
     N broadcasts (with ``h``); a scalar N gives a float.
     """
@@ -112,16 +121,14 @@ def _dmse(source, field, link, scheme, N, h=None, wrt="N"):
     """d MSE / dN, or d MSE / dh with ``wrt="h"``, at blocklength(s) N and
     time shift(s) h (None for the synchronous form).
 
-    sigma2 times the complex step of :func:`_objective` at unit variance:
-    the MSE is exactly linear in sigma2, and at sigma2 = 1 no imaginary
-    part underflows.  N and h broadcast; a scalar is stepped as a
-    1-element array, so it equals its batched entry, and gives a float.
+    sigma2 times the complex step of the unit-variance :func:`_objective`.
+    N and h broadcast; a scalar is stepped as a 1-element array, so it
+    equals its batched entry, and gives a float.
     """
-    unit = replace(source, sigma2_x=1.0)
     if wrt == "N":
-        x, step = N, lambda n: _objective(unit, field, link, scheme, n, h)
+        x, step = N, lambda n: _objective(source, field, link, scheme, n, h)
     else:
-        x, step = h, lambda hh: _objective(unit, field, link, scheme, N, hh)
+        x, step = h, lambda hh: _objective(source, field, link, scheme, N, hh)
     val = source.sigma2_x * _complex_step(step, np.atleast_1d(x))
     return float(val[0]) if np.ndim(N) == np.ndim(h) == 0 else val
 
@@ -186,7 +193,7 @@ def _blocklength_step(source, field, link, scheme, cfg, hh):
 
     The step starts at the plateau edge, the first N whose simplified BLEP
     is below 1: below it the BLEP is saturated at 1, the objective is flat
-    at sigma2 and H and F vanish.  Raises BracketError when the whole range
+    at 1 and H and F vanish.  Raises BracketError when the whole range
     is saturated.
     """
     n_lo = cfg.N_min
@@ -224,6 +231,7 @@ def optimize_blocklength(source, field, link, scheme, cfg=None) -> OptResult:
     n_star, val, branch = _blocklength_step(source, field, link, scheme, cfg, hh)
     res = _dmse(source, field, link, scheme, float(n_star), hh)
     mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
+    val *= source.sigma2_x
     return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
                      trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))])
 
@@ -239,6 +247,7 @@ def optimize_time_shift(source, field, link, scheme) -> OptResult:
     h_star, val, branch = _time_shift_step(source, field, link, scheme, n)
     res = _dmse(source, field, link, scheme, n, h_star, wrt="h")
     mse = average_mse(source, field, link, replace(scheme, h=h_star))
+    val *= source.sigma2_x
     return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
                      trace=[TraceRow(1, h_star, n, val, abs(res), 0.0)])
 
@@ -297,11 +306,13 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
     hs, ns = np.array([row[1:3] for row in rows]).T
     res_h, res_n = (np.abs(_dmse(source, field, link, scheme, ns, hs, wrt)).tolist()
                     for wrt in ("h", "N"))
-    trace = [TraceRow(*row, r_h, r_n) for row, r_h, r_n in zip(rows, res_h, res_n)]
+    s2 = source.sigma2_x
+    trace = [TraceRow(i, h, n, s2 * val, r_h, r_n)
+             for (i, h, n, val), r_h, r_n in zip(rows, res_h, res_n)]
     mse = average_mse(source, field, link.with_blocklength(n_cur),
                       replace(scheme, h=h_cur))
-    return OptResult(scheme.scheme, n_cur, h_cur, mse, cur_val, len(trace), converged,
-                     "jtsbo", trace=trace)
+    return OptResult(scheme.scheme, n_cur, h_cur, mse, s2 * cur_val, len(trace),
+                     converged, "jtsbo", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +337,8 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     summation order follows the BLAS kernel picked for the block shape, so
     a point's value can move by one ulp with the chunking; only points
     that close to the minimum can trade places.
-    ``evaluations`` counts scored grid points.
+    ``evaluations`` counts scored grid points; a grid of more than
+    ``_MAX_GRID`` points raises ScaleLimitError before any is scored.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
@@ -341,13 +353,18 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
             lambda n: _objective(source, field, link, scheme, n, eps=eps_of(link, N=n)),
             cfg.N_min, n_hi)
         mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
-        return OptResult(scheme.scheme, n_star, None, mse, val, 1, True,
-                         "exhaustive", evaluations=n_hi - cfg.N_min + 1)
+        return OptResult(scheme.scheme, n_star, None, mse, source.sigma2_x * val, 1,
+                         True, "exhaustive", evaluations=n_hi - cfg.N_min + 1)
 
     Ns = np.arange(cfg.N_min, n_hi + 1)
+    steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
+    points = int(steps.sum())
+    if points > _MAX_GRID:
+        raise ScaleLimitError(f"the exhaustive (N, h) grid would hold {points} points "
+                              f"(> {_MAX_GRID}); raise the symbol duration or "
+                              "shorten the period")
     eps = eps_of(link, N=Ns)
     w = scheme_weights(source, field, scheme)
-    steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
     hs = Ts * np.arange(1, int(steps[0]) + 1)
     cf = ClosedForm(source, T, Ns * Ts, M, hs)
     best = (math.inf, None, None)
@@ -366,8 +383,8 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
         i = j
     mse = average_mse(source, field, link.with_blocklength(best[1]),
                       replace(scheme, h=best[2]))
-    return OptResult(scheme.scheme, best[1], best[2], mse, best[0], 1, True,
-                     "exhaustive", evaluations=int(steps.sum()))
+    return OptResult(scheme.scheme, best[1], best[2], mse, source.sigma2_x * best[0],
+                     1, True, "exhaustive", evaluations=points)
 
 
 def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:

@@ -13,8 +13,9 @@ Two independent checks:
   per-batch sums of the interval integrals and durations are kept, so
   beside the success mask the footprint is fixed per group: at M = 5 the
   tracemalloc peak is the draw stage's, about 14 bytes per period at 1e6
-  periods.  The average error is the sum of the batch integrals over
-  the sum of the batch durations.
+  periods.  The integrals are taken in units of sigma2, whose one multiply
+  is the report's: the average error is sigma2 times the sum of the batch
+  integrals over the sum of the batch durations.
 
 * data level -- actually draws the correlated Gaussian field at every
   generation instant plus a dense evaluation grid, applies the
@@ -118,17 +119,17 @@ def batch_means_stderr(batch_integrals, batch_durations) -> float:
     """Batch-means standard error of a time average: the spread of the
     per-batch averages over the non-empty batches; inf with fewer than two.
 
-    The averages are scaled by the power of two 2^-e of their largest
-    magnitude before the spread is taken and the result by 2^e after, both
-    exact, so the squares neither overflow nor underflow at any sigma2.
+    The event-level oracle passes integrals in units of sigma2, so each
+    average is a time average of an error in [1/(gamma_o + 1), 1] and its
+    square neither overflows nor underflows; the caller scales the result
+    by sigma2.
     """
     nz = batch_durations > 0
     nb = int(nz.sum())
     if nb < 2:
         return math.inf
     ratios = batch_integrals[nz] / batch_durations[nz]
-    e = math.frexp(float(np.max(np.abs(ratios))))[1]
-    return math.ldexp(float(np.std(np.ldexp(ratios, -e), ddof=1) / math.sqrt(nb)), e)
+    return float(np.std(ratios, ddof=1) / math.sqrt(nb))
 
 
 def simulate_event_level(source, field, link, scheme, periods, seed,
@@ -152,9 +153,10 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
                             sensor, then period by period, and the
                             per-reception arrays listed below
 
-    ``avg_mse`` is sum(batch_integrals) / sum(batch_durations).  ``aux``
-    keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` and
-    ``batch_durations`` (per batch of contiguous periods) and
+    ``avg_mse`` is sigma2 sum(batch_integrals) / sum(batch_durations), and
+    ``stderr`` sigma2 times the batch-means error of the integrals.  ``aux``
+    keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` (in units of
+    sigma2) and ``batch_durations`` (per batch of contiguous periods) and
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
     keeps, per reception, ``gen_times_s`` and ``used_sensor``.  A run whose
     success mask and SNR row(s), with a trace its columns too
@@ -273,7 +275,6 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     if receptions < 2:
         raise InvalidConfigError("fewer than two successful receptions; "
                                  "increase periods or SNR")
-    bi *= source.sigma2_x
 
     keys = ("gen_times_s", "used_sensor")
     aux.update({key: np.concatenate(parts) for key, parts in zip(keys, zip(*kept))})
@@ -284,7 +285,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         "batch_durations": bd,
         "per_sensor_success_rate": rates,
     })
-    return SimReport(float(bi.sum() / bd.sum()), batch_means_stderr(bi, bd),
+    s2 = source.sigma2_x
+    return SimReport(s2 * float(bi.sum() / bd.sum()), s2 * batch_means_stderr(bi, bd),
                      periods, scheme.scheme, aux)
 
 

@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sptrecon as sp
-from sptrecon import experiments
+from sptrecon import experiments, optimize
 from sptrecon.cli import main as cli_main
 from sptrecon.errors import (BracketError, InvalidConfigError, InvariantError,
-                             RegionDegenerateError)
+                             RegionDegenerateError, ScaleLimitError)
 from sptrecon.experiments import (
     ANALYTIC_COLUMNS,
     compare_report,
@@ -577,6 +577,42 @@ def test_sim_row_is_scale_free(tmp_path, sigma2):
     assert float(scaled["z_score"]) == pytest.approx(float(one["z_score"]), rel=1e-12)
 
 
+# the cells that hold an MSE, or its slope, in units of sigma2
+_SIGMA2_COLUMNS = {"mse_analytic", "mse_lb", "mse_ub", "mse_mc", "stderr", "mse",
+                   "residual_h", "residual_N"}
+
+
+@pytest.mark.parametrize("e", [-900, 900])
+def test_sigma2_scales_every_bundled_output_exactly(tmp_path, e):
+    # the MSE is exactly linear in sigma2 and sigma2 is one multiply at the
+    # edge, so at a power of two, where that multiply does not round, every
+    # MSE-valued cell is 2^e times its sigma2 = 1 value bit for bit, and
+    # every other cell (N, h, thresholds, z) is unchanged
+    cells = 0
+    for name in list_bundled_specs():
+        text = load_spec(name).raw_text
+        assert "sigma2_x = 1.0" in text
+        run_experiment(parse_spec(text), tmp_path / "one" / name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(parse_spec(text.replace("sigma2_x = 1.0",
+                                                   f"sigma2_x = {2.0 ** e!r}")),
+                           tmp_path / "scaled" / name)
+        files = sorted(f.name for f in (tmp_path / "one" / name).glob("*.csv"))
+        assert files == sorted(f.name for f in (tmp_path / "scaled" / name).glob("*.csv"))
+        for file in files:
+            one, scaled = (_read_rows(tmp_path / d / name / file) for d in ("one", "scaled"))
+            assert len(one) == len(scaled)
+            for a, b in zip(one, scaled):
+                assert a.keys() == b.keys()
+                for col, text_one in a.items():
+                    want = (repr(math.ldexp(float(text_one), e))
+                            if col in _SIGMA2_COLUMNS and text_one else text_one)
+                    assert b[col] == want, (file, col, text_one)
+                    cells += 1
+    assert cells > 20000
+
+
 @pytest.mark.parametrize("old, new", [
     ("time_shift_s = 0.005", "time_shift_s = 1e300"),
     ("period_s = 0.150", "period_s = 1e300"),
@@ -603,6 +639,21 @@ def test_a_saturated_adaptation_blep_raises_without_an_overflow(tmp_path):
         with pytest.raises(BracketError, match="average BLEP saturated"):
             run_experiment(parse_spec(text.replace("L_bits = 160", "L_bits = 1e6")),
                            tmp_path)
+
+
+def test_an_exhaustive_grid_past_the_budget_fails_before_scoring(tmp_path):
+    # fig11 at a 7 s period scores 612 M (N, h) points, and ran past 25 s;
+    # its exhaustive search raises at once and leaves a partial manifest
+    text = load_spec("fig11_min_mse_vs_mssc").raw_text
+    assert "period_s = 0.150" in text
+    points = sp.expected_evaluation_count(7.0, 1e-4, 5)
+    assert points == 612_307_515 > optimize._MAX_GRID
+    with pytest.raises(ScaleLimitError, match=f"grid would hold {points} points"):
+        run_experiment(parse_spec(text.replace("period_s = 0.150", "period_s = 7")),
+                       tmp_path)
+    manifest = json.loads((tmp_path / "fig11_min_mse_vs_mssc.manifest.json").read_text())
+    assert manifest["status"] == "partial"
+    assert manifest["error"].startswith("ScaleLimitError")
 
 
 @pytest.mark.parametrize("rows", [

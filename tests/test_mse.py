@@ -307,16 +307,16 @@ def test_asyn_eps_derivative_matches_finite_difference(source, field, link, asyn
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(a=st.floats(0.1, 20.0), T=st.floats(0.02, 0.5), tau_frac=st.floats(0.0, 0.99))
 def test_complex_step_matches_the_no_inference_derivative(a, T, tau_frac):
-    # d/d eps of sigma2 - c (1-E)(1-eps)/(1 - E eps) is c (1-E)^2 / (1 - E eps)^2;
+    # d/d eps of 1 - k (1-E)(1-eps)/(1 - E eps) is k (1-E)^2 / (1 - E eps)^2;
     # the complex step matches it to rounding, where a finite difference
     # loses half the digits to cancellation
     src = sp.SourceParams(a=a)
     tau = tau_frac * T
     E = math.exp(-2.0 * a * T)
-    c = (src.sigma2_x * src.gamma_o * math.exp(-2.0 * a * tau)
+    k = (src.gamma_o * math.exp(-2.0 * a * tau)
          / (2.0 * a * T * (src.gamma_o + 1.0)))
     eps = [0.0, 0.3, 1.0 - 1e-9, 1.0]
-    want = [c * (1.0 - E) ** 2 / (1.0 - E * e) ** 2 for e in eps]
+    want = [k * (1.0 - E) ** 2 / (1.0 - E * e) ** 2 for e in eps]
     cf = sp.ClosedForm(src, T, tau, 1)
     assert cf.dmse(np.array(eps), [1.0]).tolist() == pytest.approx(want, rel=1e-13, abs=0)
     for e, w in zip(eps, want):
@@ -418,18 +418,20 @@ def test_eps_star_refine_lands_on_the_slope_root(M, a, T, h_frac, data):
 
 def _eps_star_reference(src, w, link, scheme, grid_size=512):
     """The scalar eps_star_asyn the lane-wise kernel replaced: one weight
-    vector, one grid call, then the Illinois refine one float at a time.
-    Returns (eps_star, mse, how the scan ended)."""
+    vector, one grid call, then the Illinois refine one float at a time,
+    at unit variance.  Returns (eps_star, sigma2 times its MSE, how the
+    scan ended)."""
     cf = sp.ClosedForm(src, scheme.T, link.tau, scheme.M, scheme.h)
+    s2 = src.sigma2_x
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
     vals = cf.mse(grid, w)
     k = int(np.argmin(vals))
     if k == 0:
-        return 0.0, float(vals[0]), "first point"
+        return 0.0, s2 * float(vals[0]), "first point"
     lo, hi = float(grid[k - 1]), float(grid[min(k + 1, grid_size - 1)])
     d_lo, d_hi = cf.dmse(np.array([lo, hi]), w).tolist()
     if not d_lo < 0.0 < d_hi:
-        return float(grid[k]), float(vals[k]), "no sign change"
+        return float(grid[k]), s2 * float(vals[k]), "no sign change"
     kept = 0
     for _ in range(100):
         x = min(lo - d_lo * (hi - lo) / (d_hi - d_lo), hi)
@@ -437,7 +439,7 @@ def _eps_star_reference(src, w, link, scheme, grid_size=512):
         if math.isnan(d_x):
             raise BracketError(f"NaN slope at eps = {x!r}")
         if d_x == 0.0:
-            return x, float(cf.mse(x, w)), "refined"
+            return x, s2 * float(cf.mse(x, w)), "refined"
         if d_x < 0.0:
             lo, d_lo, d_hi, kept = x, d_x, (d_hi / 2 if kept == 1 else d_hi), 1
         else:
@@ -533,8 +535,9 @@ def test_eps_star_refine_fails_loudly_on_a_nan_slope(monkeypatch):
 
 @pytest.mark.parametrize("setup", [dip_setup, monotone_setup])
 def test_eps_star_does_not_depend_on_the_scale_of_sigma2(setup):
-    # the slope is -c R' with R' stepped alone: at sigma2 = 1e-300 a step of
-    # the whole MSE underflowed and the refine stopped at the wrong root
+    # the scan and the refine run at unit variance: at sigma2 = 1e-300 a
+    # step of the whole MSE underflowed and the refine stopped at the wrong
+    # root
     src, f, scheme = setup()
     link = sp.LinkParams.from_db()
     e_1, v_1 = sp.eps_star_asyn(src, f, link, scheme)
@@ -542,6 +545,34 @@ def test_eps_star_does_not_depend_on_the_scale_of_sigma2(setup):
         e_s, v_s = sp.eps_star_asyn(replace(src, sigma2_x=s2), f, link, scheme)
         assert e_s == pytest.approx(e_1, rel=0, abs=1e-12)
         assert v_s / s2 == pytest.approx(v_1, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sigma2", [2.0 ** -900, 1e-300, 0.37, 1e300])
+def test_closed_form_reads_no_sigma2(sigma2, source, field, link):
+    # the kernel works at unit variance: the same bits at any sigma2
+    eps = np.linspace(0.0, 1.0, 11)
+    scaled = replace(source, sigma2_x=sigma2)
+    for M, h in ((1, None), (5, None), (5, 0.005), (5, np.array([0.002, 0.01]))):
+        w = field.target_factors(source.b)[:M]
+        one, other = (sp.ClosedForm(s, 0.150, link.tau, M, h) for s in (source, scaled))
+        e = eps if np.ndim(h) == 0 else eps[:, None]
+        for method in ("mse", "dmse"):
+            np.testing.assert_array_equal(getattr(other, method)(e, w),
+                                          getattr(one, method)(e, w))
+
+
+@pytest.mark.parametrize("kind", [sp.Scheme.SYN_INFER, sp.Scheme.ASYN_INFER])
+def test_a_huge_sigma2_with_a_slow_decay_stays_finite(kind, field, link):
+    # k = gamma_o exp(-2 a tau) / (2 a T (gamma_o + 1)) is about 3e12 at
+    # a = 1e-12; with sigma2 = 9.4e298 inside it, c overflowed and the value
+    # read -inf.  sigma2 is now one multiply of the unit-variance value
+    scheme = sp.SchemeConfig(kind, T=0.150, h=0.005 if kind is sp.Scheme.ASYN_INFER
+                             else None, M=5, m=1)
+    src = sp.SourceParams(gamma_o=5.0, a=1e-12, b=0.01)
+    unit = sp.average_mse(src, field, link, scheme)
+    assert 0.0 < unit < 1.0
+    assert sp.average_mse(replace(src, sigma2_x=9.4e298), field, link, scheme) == (
+        9.4e298 * unit)
 
 
 def test_upsilon_classifies_dip_then_rise():
@@ -646,19 +677,20 @@ def test_bounds_contain_mse_on_random_configs():
 # ---------------------------------------------------------------------------
 
 def _literal_mse(src, T, tau, eps, w, h=None):
-    """The closed forms written out term by term in plain floats."""
+    """The closed forms at unit variance written out term by term in plain
+    floats."""
     a, M = src.a, len(w)
-    c = (src.sigma2_x * src.gamma_o * math.exp(-2 * a * tau)
+    k = (src.gamma_o * math.exp(-2 * a * tau)
          / (2 * a * T * (src.gamma_o + 1)))
     E = math.exp(-2 * a * T)
     if h is None:
         series = sum(w[s - 1] * eps ** (s - 1) for s in range(1, M + 1))
-        return src.sigma2_x - c * (1 - E) * (1 - eps) * series / (1 - E * eps ** M)
+        return 1 - k * (1 - E) * (1 - eps) * series / (1 - E * eps ** M)
     q = math.exp(-2 * a * h)
     S = sum(w[n - 1] * ((1 - q) + math.exp(2 * a * h * (n - 1)) * eps ** (M - n)
                         * (1 - eps) * (q ** M - E) / (1 - E * eps ** M))
             for n in range(1, M + 1))
-    return src.sigma2_x - c * (1 - eps) * S / (1 - q * eps)
+    return 1 - k * (1 - eps) * S / (1 - q * eps)
 
 
 ROWS = 4
@@ -835,9 +867,8 @@ def test_upsilon_is_the_sign_of_the_kernel_slope_at_zero(M, a, T, b, h_frac, dat
 def test_closed_forms_finite_within_bounds_over_six_decades_of_decay(
         log_a, M, T, db, eps, data):
     # a from 1e-6 to 1e6 /s with h anywhere on its grid: the slot factor is
-    # a difference of two terms in (0, 1], never inf * 0 at large a h.  Two
-    # known defects stay outside this domain, sigma2 = 1 and 2 a T >= 2e-8:
-    # at sigma2 near 1e-200 the complex step underflows, and once 2 a T is
+    # a difference of two terms in (0, 1], never inf * 0 at large a h.  A
+    # known defect stays outside this domain, 2 a T >= 2e-8: once 2 a T is
     # below 1.1e-16, E = exp(-2 a T) rounds to 1 and eps = 1 gives 0 / 0
     src = sp.SourceParams(a=10.0 ** log_a)
     field = sp.place_sensors(M, 10.0, seed=7)

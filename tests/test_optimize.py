@@ -642,6 +642,21 @@ def test_a_range_past_the_budget_is_a_scale_limit(source, field, syn_scheme,
         shift_count(2.0 * budget + 2.0, 1.0, 3, 1)
 
 
+def test_an_exhaustive_grid_past_the_budget_is_a_scale_limit(monkeypatch, source, field,
+                                                            link, asyn_scheme):
+    # the budget bounds the count that ``evaluations`` reports: a grid of
+    # exactly _MAX_GRID points is scored, one more raises before scoring
+    n = sp.exhaustive_search(source, field, link, asyn_scheme).evaluations
+    assert n == sp.expected_evaluation_count(asyn_scheme.T, link.T_s, asyn_scheme.M)
+    assert n < optimize._MAX_GRID
+    monkeypatch.setattr(optimize, "_MAX_GRID", n)
+    assert sp.exhaustive_search(source, field, link, asyn_scheme).evaluations == n
+    monkeypatch.setattr(optimize, "_MAX_GRID", n - 1)
+    monkeypatch.setattr(optimize, "ClosedForm", None)  # nothing is scored
+    with pytest.raises(sp.ScaleLimitError, match=f"grid would hold {n} points"):
+        sp.exhaustive_search(source, field, link, asyn_scheme)
+
+
 def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,
                                             syn_scheme, asyn_scheme):
     calls = []

@@ -577,7 +577,7 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     mask by the full-array reception stage that the batch walk replaced:
     one array per reception quantity over the whole run, batches cut by
     searching the linspace edges in the sorted reception periods, and one
-    bincount per batch sum."""
+    bincount per batch sum.  The integrals are in units of sigma2."""
     trace = rep.aux["trace"]
     sensors = np.unique(trace["sensor"])
     drawn, periods = len(sensors), rep.periods
@@ -606,14 +606,13 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     integrals /= 2.0 * a
     integrals *= fac2
     np.subtract(D, integrals, out=integrals)
-    integrals *= source.sigma2_x
     batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
     bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
     bd = np.bincount(batch_of, weights=D, minlength=n_batches)
     return {"batch_integrals": bi, "batch_durations": bd,
             "receptions": len(gen_times), "gen_times_s": gen_times,
             "used_sensor": sensors[row_of], "gaps": D,
-            "stderr": simulate.batch_means_stderr(bi, bd)}
+            "stderr": source.sigma2_x * simulate.batch_means_stderr(bi, bd)}
 
 
 # case -> simulate_event_level keywords; _BLOCK = 32,768 periods
@@ -646,7 +645,7 @@ def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme
         assert rep.aux["receptions"] == want["receptions"]
         assert repr(rep.stderr) == repr(want["stderr"])
         bi, bd = rep.aux["batch_integrals"], rep.aux["batch_durations"]
-        assert rep.avg_mse == bi.sum() / bd.sum()
+        assert rep.avg_mse == source.sigma2_x * (bi.sum() / bd.sum())
         assert rep.aux["mean_gap_s"] == bd.sum() / (want["receptions"] - 1)
     per_reception = ("gen_times_s", "used_sensor")
     for key in per_reception:
