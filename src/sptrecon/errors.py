@@ -45,6 +45,7 @@ class RegionDegenerateError(RuntimeError):
 
 
 class ScaleLimitError(InvalidConfigError):
-    """A run would need more memory than its stated budget: a sampled-field
-    run's joint covariance, an event-level run's per-period arrays, or a
-    blocklength or time-shift range."""
+    """A run would need more memory or time than its stated budget: a
+    sampled-field run's joint covariance, an event-level run's per-period
+    arrays, an array over the sensors, a blocklength or time-shift range,
+    an exhaustive grid, or a simulation's periods x replicas."""

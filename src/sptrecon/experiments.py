@@ -30,8 +30,10 @@ import numpy as np
 
 from . import __version__
 from .blep import LinkParams, blep_average
-from .errors import InvalidConfigError, InvariantError, RegionDegenerateError
-from .field import SensorField, SourceParams, load_field, mssc, place_sensors
+from .errors import (InvalidConfigError, InvariantError, RegionDegenerateError,
+                     ScaleLimitError)
+from .field import (SensorField, SourceParams, _check_sensor_bytes, load_field, mssc,
+                    place_sensors)
 from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
 from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
 from .regions import classify, threshold_asyn_over_syn, threshold_infer
@@ -320,6 +322,10 @@ def _analytic_rows(spec):
     rows = [None] * math.prod(map(len, spec.sweep.values()))
     for values, idx, at in _groups(spec, "eps_bar", "mssc"):
         source, link, scheme = _apply_point(spec, values)
+        # the group's (rows x M) weight stack; no inference reads one weight
+        width = 1 if scheme.scheme is Scheme.NO_INFER else scheme.M
+        _check_sensor_bytes(8 * len(idx) * width,
+                            f"{len(idx)} analytic rows of {width} spatial weights")
         # a weight vector (MSSC-substituted) and an eps per swept value, else
         # the field's and the link's own, and each point's index among them
         rhos = spec.sweep.get("mssc")
@@ -387,7 +393,20 @@ def _verdict(rho, thr1, thr2):
     return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")
 
 
+# the simulated periods one sim row may run, periods x replicas, with each
+# replica counted as at least _REPLICA_PERIODS (its fixed cost, about 600 us
+# on a 2-vCPU Xeon VM, is that of some 4,000 periods).  2^30, about 1,000
+# times the oracle benchmark's 1e6 x 1: some 150 s of drawing there
+_MAX_SIM_PERIODS, _REPLICA_PERIODS = 1 << 30, 1 << 12
+
+
 def _sim_row(spec, values):
+    work = spec.replicas * max(spec.periods, _REPLICA_PERIODS)
+    if work > _MAX_SIM_PERIODS:
+        raise ScaleLimitError(
+            f"periods x replicas = {spec.periods} x {spec.replicas} would run "
+            f"{work:.3g} period equivalents (> {_MAX_SIM_PERIODS}, a replica "
+            f"counting as at least {_REPLICA_PERIODS}); reduce periods or replicas")
     source, link, scheme = _apply_point(spec, values)
     if spec.dump_trace:  # each replica's trace in its report, and their concatenation
         total = spec.periods * spec.replicas
@@ -435,8 +454,10 @@ def _z_score(val, ref, stderr):
 def _optimize_rows(spec):
     """Adapted operating point per scheme (and per optimizer when enabled).
 
-    The no-infer form reads no spatial weight, so its runs are made once per
-    b_per_m group and shared by the group's points.
+    The points of a b_per_m group differ only in their spatial weights.
+    The no-infer form reads none, so its runs are made once per group and
+    shared by the group's points; the syn and asyn exhaustive scans are
+    made once per group too, one lane per point's weight vector.
     """
     cfg, field = spec.optimizer, spec.field
     out = [None] * math.prod(map(len, spec.sweep.values()))
@@ -447,30 +468,35 @@ def _optimize_rows(spec):
         asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
                                 h=scheme.h if scheme.h is not None else link.T_s,
                                 M=scheme.M, m=scheme.m)
-        # the group's points take the swept b values in turn; they share
-        # one no-infer step (and scan)
+        # the group's points take the swept b values in turn
         sources = [replace(source, b=b) for b in spec.sweep.get("b_per_m", [source.b])]
-        no_infer = [optimize_blocklength(sources[0], field, link, no_cfg, cfg)]
+        no_infer = optimize_blocklength(sources[0], field, link, no_cfg, cfg)
+        scans = []
         if spec.include_exhaustive:
-            no_infer.append(exhaustive_search(sources[0], field, link, no_cfg, cfg))
-        for i, source in zip(idx.tolist(), sources):
-            runs = [
-                ("no-infer", no_infer[0]),
+            # the stacked scans read the points' weights, not sources[0].b
+            scans = [("no-infer", exhaustive_search(sources[0], field, link, no_cfg, cfg))]
+            scans += [(c.scheme.value, exhaustive_search(
+                sources[0], np.stack([scheme_weights(s, field, c) for s in sources]),
+                link, c, cfg)) for c in (syn_cfg, asyn_cfg)]
+        for lane, (i, source) in enumerate(zip(idx.tolist(), sources)):
+            adapted = [
+                ("no-infer", no_infer),
                 ("syn-infer", optimize_blocklength(source, field, link, syn_cfg, cfg)),
                 ("asyn-infer", jtsbo(source, field, link, asyn_cfg, cfg)),
             ]
-            if spec.include_exhaustive:
-                runs += [("no-infer:exhaustive", no_infer[1])] + [
-                    (tag + ":exhaustive", exhaustive_search(source, field, link, c, cfg))
-                    for tag, c in (("syn-infer", syn_cfg), ("asyn-infer", asyn_cfg))]
+            runs = [(tag, res.N_star, res.h_star, res.mse_star) for tag, res in adapted]
+            # a scan's lane, or the no-infer scan's numbers for every point
+            runs += [(tag + ":exhaustive", *(x if np.ndim(x) == 0 else x.item(lane)
+                                             for x in (res.N_star, res.h_star, res.mse_star)))
+                     for tag, res in scans]
             rho = mssc(source, field)
             rows = [list(map(_cell, [
-                tag, link.T_s, link.L, res.N_star, scheme.T, res.h_star, scheme.M,
-                rho, blep_average(link.with_blocklength(res.N_star)), res.mse_star,
-                None, None])) for tag, res in runs]
+                tag, link.T_s, link.L, n, scheme.T, h, scheme.M,
+                rho, blep_average(link.with_blocklength(n)), mse, None, None]))
+                for tag, n, h, mse in runs]
             trace = [list(map(_cell, [t.iteration, t.h_s, t.N, t.mse, t.residual_h,
                                       t.residual_N]))
-                     for t in runs[2][1].trace]  # the jtsbo run
+                     for t in adapted[2][1].trace]  # the jtsbo run
             out[i] = (rows, [trace])
     return out
 

@@ -27,6 +27,7 @@ from .errors import (
     DecompositionError,
     InvalidConfigError,
     InvalidQueryError,
+    ScaleLimitError,
     UndefinedMsscError,
 )
 
@@ -37,6 +38,20 @@ _COV_JITTER = 1e-10
 # Largest coordinate magnitude in metres: far beyond any physical field and
 # far below the 1.3e154 m separation whose squared distance overflows.
 _MAX_COORD_M = 1e150
+
+# bytes of the largest array over the sensors a run may size: the (M, M, 2)
+# coordinate differences behind the distance matrix (M up to 8,192), an
+# analytic sweep's (rows x M) weight stack or eps_star_asyn's (512 x M) scan.
+# 1 GiB, some 30,000 times the bundled specs' largest (850 rows x 5); a
+# run's peak is a few such arrays
+_MAX_SENSOR_BYTES = 1 << 30
+
+
+def _check_sensor_bytes(need, what):
+    """ScaleLimitError naming ``what`` when ``need`` bytes pass the budget."""
+    if need > _MAX_SENSOR_BYTES:
+        raise ScaleLimitError(f"{what} would need {need / 2**30:.3g} GiB "
+                              f"(> {_MAX_SENSOR_BYTES / 2**30:g} GiB); use fewer sensors")
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,10 @@ class SensorField:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """Symmetric (M, M) pairwise distance matrix, zero diagonal."""
+        """Symmetric (M, M) pairwise distance matrix, zero diagonal.
+        ScaleLimitError past the budget of :func:`_check_sensor_bytes`."""
+        M = self.n_sensors
+        _check_sensor_bytes(16 * M * M, f"the distances of M = {M} sensors")
         diff = self.positions[:, None, :] - self.positions[None, :, :]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
         np.fill_diagonal(d, 0.0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .blep import LinkParams, _complex_step, blep_average
 from .errors import BracketError, InvalidConfigError, ScaleLimitError
-from .field import SensorField, SourceParams
+from .field import SensorField, SourceParams, _check_sensor_bytes
 
 
 class Scheme(str, enum.Enum):
@@ -281,19 +281,24 @@ class ClosedForm:
         return -self.k * _complex_step(lambda e: self._reduction(e, weights), eps)
 
     def mse_grid(self, eps, weights, rows=slice(None), width=None):
-        """Asynchronous MSE on an outer grid: the delays tau (1-D, or one
-        scalar) down the rows against the 1-D time shifts h across the
-        columns, so tau and h need not broadcast here.  ``eps`` is 1-D and
-        aligned with tau; the grid covers the ``rows`` slice of both and
-        the first ``width`` shifts (all by default).
+        """Asynchronous MSE on an outer grid, one grid per weight vector:
+        the delays tau (1-D, or one scalar) down the rows against the 1-D
+        time shifts h across the columns, so tau and h need not broadcast
+        here.  ``eps`` is 1-D and aligned with tau; the grid covers the
+        ``rows`` slice of both and the first ``width`` shifts (all by
+        default).  ``weights`` is one vector or a (lanes, M) stack; yields
+        one (rows x width) grid per vector, in order.
 
         The slot sum separates into an h part and an eps part,
         sum_n w_n Psi_n = (1-q) sum_n w_n + sum_n [w_n slot_n] A_n(eps),
         so k (1-eps) times it is one (rows x (M+1))((M+1) x width) product:
         the row factor k (1-eps) [A_1 .. A_M, 1] against the columns
-        [w_1 slot_1 .. w_M slot_M, (1-q) sum_n w_n].  Two (rows x width)
-        passes form 1 - eps q, and two more divide by it and subtract the
-        quotient from 1.
+        [w_1 slot_1 .. w_M slot_M, (1-q) sum_n w_n].  The row factor and
+        1 - eps q read no weight, so they are formed once per call; each
+        vector then takes its own product on a contiguous column factor,
+        a division by 1 - eps q and a subtraction from 1.  The arrays have
+        the shapes of a one-vector call, so a vector's grid has the same
+        bits in a stack as alone.
         """
         e = np.asarray(eps, dtype=float)[rows]
         k = self.k[rows] if np.ndim(self.k) else self.k
@@ -302,13 +307,16 @@ class ClosedForm:
         left = np.empty((e.size, M + 1))
         left[:, M] = k * (1.0 - e)
         np.multiply(self._eps_factor(e), left[:, M:], out=left[:, :M])
-        right = np.empty((M + 1, q.size))
-        np.multiply(weights[:, None], self.slot[cols].T, out=right[:M])
-        np.multiply(1.0 - q, np.sum(weights), out=right[M])
-        S = left @ right
         den = np.einsum("i,j->ij", e, q)  # the outer product, faster than ufunc.outer
-        S /= np.subtract(1.0, den, out=den)
-        return np.subtract(1.0, S, out=S)
+        np.subtract(1.0, den, out=den)
+        slot, one_q = self.slot[cols].T, 1.0 - q
+        right = np.empty((M + 1, q.size))
+        for w in np.reshape(weights, (-1, M)):
+            np.multiply(w[:, None], slot, out=right[:M])
+            np.multiply(one_q, np.sum(w), out=right[M])
+            S = left @ right
+            S /= den
+            yield np.subtract(1.0, S, out=S)
 
 
 # the weight vector of the M = 1 (no-inference) form: the target's own,
@@ -411,10 +419,13 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     geometry (it can rise, dip, then rise again), so a global scan rather
     than a single root chase is required for a valid bound.  The scan and
     the refine run at unit variance; only the returned minimum is scaled by
-    sigma2.  A scheme that is not asynchronous raises InvalidConfigError.
+    sigma2.  A scheme that is not asynchronous raises InvalidConfigError, a
+    (grid_size x M) scan past the sensor-array budget ScaleLimitError.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
+    _check_sensor_bytes(8 * grid_size * scheme.M,
+                        f"the {grid_size}-point eps grid of {scheme.M} sensors")
     w = scheme_weights(source, field_or_weights, scheme)
     lanes = w.reshape(-1, scheme.M)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)

@@ -17,8 +17,12 @@ stationarity functions
 are one slope rule, :func:`_dmse`: the complex step of the objective in N
 or in h, exact to rounding.  A step reports |H|, |J| or |F| at the integer
 it returns as a diagnostic.  The module also provides the alternating joint
-optimizer and exhaustive-search baselines.  Reported ``mse_star`` values
-are re-evaluated with the closed-form average BLEP model.
+optimizer and exhaustive-search baselines.  An exhaustive search scans a
+stack of weight vectors as lanes of one pass over the geometry: the BLEP
+vector, the kernel, the grid's left factor, denominator and shift mask are
+formed once, and each lane takes its own matrix product on them, so a lane
+gives the bits of a search with its vector alone.  Reported ``mse_star``
+values are re-evaluated with the closed-form average BLEP model.
 
 The MSE is exactly linear in the source variance sigma2, so every step
 scores and compares the objective at unit variance.  sigma2 multiplies each
@@ -84,6 +88,8 @@ class TraceRow:
 
 @dataclass
 class OptResult:
+    # N_star, h_star, mse_star and objective_star are arrays of the stack's
+    # shape for an exhaustive search over a stack of weight vectors
     scheme: Scheme
     N_star: int
     h_star: float | None
@@ -319,26 +325,39 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
 # exhaustive baselines
 # ---------------------------------------------------------------------------
 
-def exhaustive_search(source, field, link, scheme, cfg=None,
+def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
                       objective="simplified") -> OptResult:
     """Full grid scan: integer N, time shifts on the T_s grid.
 
+    One scan per weight vector of ``field_or_weights``: a field, one
+    vector or a (lanes, M) stack of them (:func:`mse.scheme_weights`; the
+    no-inference form reads no weight, so it is one scan).  The lanes
+    share the geometry, so every scored array that reads no weight is
+    formed once for all of them.
     ``objective`` picks the BLEP model used for the scanned values
     ("simplified" matches the stationarity functions, "exact" the
     closed-form average; any other value raises InvalidConfigError),
     evaluated over the whole blocklength range in one call.  The syn/no
-    range is one :func:`_argmin_step` over [N_min, cap].
+    range is one :class:`ClosedForm` call over [N_min, cap] that scores
+    the (lanes, N) matrix, each lane's argmin taken on its own row, ties
+    to the smallest N.  A NaN or an infinite minimum raises BracketError.
     The asynchronous (N, h) grid is scored by one kernel over all N and
     shifts, in row-major chunks of at most ``_GRID_CHUNK`` points: each
     chunk is a block of N rows against the shift count of its first row,
-    one :meth:`ClosedForm.mse_grid` call (a rank-(M+1) matrix product),
-    with the shifts past a row's own count masked out.  Ties break toward
-    smaller N, then smaller h, independent of chunking.  The product's
-    summation order follows the BLAS kernel picked for the block shape, so
-    a point's value can move by one ulp with the chunking; only points
-    that close to the minimum can trade places.
-    ``evaluations`` counts scored grid points; a grid of more than
-    ``_MAX_GRID`` points raises ScaleLimitError before any is scored.
+    one :meth:`ClosedForm.mse_grid` call, which forms the row factor and
+    the denominator once and yields one rank-(M+1) matrix product per
+    lane, with the shifts past a row's own count masked out.  Ties break
+    toward smaller N, then smaller h, independent of chunking.  The
+    product's summation order follows the BLAS kernel picked for the
+    block shape, so a point's value can move by one ulp with the chunking;
+    only points that close to the minimum can trade places.  A lane's
+    product has the shape of a one-vector call, so a lane's result has the
+    same bits in a stack as alone.
+    ``N_star``, ``h_star`` (None for syn/no), ``mse_star`` (re-scored per
+    lane with the closed-form average BLEP) and ``objective_star`` are
+    numbers for a field or one vector, else arrays of the stack's shape.
+    ``evaluations`` counts scored points over every lane; a grid of more
+    than ``_MAX_GRID`` points raises ScaleLimitError before any is scored.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
@@ -346,45 +365,62 @@ def exhaustive_search(source, field, link, scheme, cfg=None,
     if eps_of is None:
         raise InvalidConfigError(f"objective must be 'simplified' or 'exact', "
                                  f"got {objective!r}")
+    w = scheme_weights(source, field_or_weights, scheme)
+    lanes = w.reshape(-1, w.shape[-1])
     syn = scheme.scheme in (Scheme.NO_INFER, Scheme.SYN_INFER)
     n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
-    if syn:
-        n_star, val, _ = _argmin_step(
-            lambda n: _objective(source, field, link, scheme, n, eps=eps_of(link, N=n)),
-            cfg.N_min, n_hi)
-        mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
-        return OptResult(scheme.scheme, n_star, None, mse, source.sigma2_x * val, 1,
-                         True, "exhaustive", evaluations=n_hi - cfg.N_min + 1)
-
     Ns = np.arange(cfg.N_min, n_hi + 1)
-    steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
-    points = int(steps.sum())
-    if points > _MAX_GRID:
-        raise ScaleLimitError(f"the exhaustive (N, h) grid would hold {points} points "
-                              f"(> {_MAX_GRID}); raise the symbol duration or "
-                              "shorten the period")
-    eps = eps_of(link, N=Ns)
-    w = scheme_weights(source, field, scheme)
-    hs = Ts * np.arange(1, int(steps[0]) + 1)
-    cf = ClosedForm(source, T, Ns * Ts, M, hs)
-    best = (math.inf, None, None)
-    i = 0
-    while i < Ns.size:
-        width = int(steps[i])
-        j = min(Ns.size, i + max(1, _GRID_CHUNK // width))
-        vals = cf.mse_grid(eps, w, slice(i, j), width)
-        # mask the shifts past each row's count: the chunk's last columns
-        short = int(steps[j - 1])
-        vals[:, short:][np.arange(short, width) >= steps[i:j, None]] = np.inf
-        k = int(np.argmin(vals))  # row-major: smallest N, then smallest h
-        if vals.flat[k] < best[0]:  # strict: an earlier chunk keeps a tie
-            row, col = divmod(k, width)
-            best = (float(vals.flat[k]), int(Ns[i + row]), float(hs[col]))
-        i = j
-    mse = average_mse(source, field, link.with_blocklength(best[1]),
-                      replace(scheme, h=best[2]))
-    return OptResult(scheme.scheme, best[1], best[2], mse, source.sigma2_x * best[0],
-                     1, True, "exhaustive", evaluations=points)
+    if syn:
+        cf = ClosedForm(source, T, Ns * Ts, lanes.shape[1])
+        vals = cf.mse(eps_of(link, N=Ns), lanes[:, None])  # (lanes, N)
+        at = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
+        best = vals[np.arange(len(lanes)), at]
+        bad = np.flatnonzero(~np.isfinite(best))
+        if bad.size:
+            raise BracketError(f"objective is {best[bad[0]]} at {Ns[at[bad[0]]]} "
+                               f"on [{cfg.N_min}, {n_hi}]")
+        n_star, h_star, points = Ns[at], [None] * len(lanes), Ns.size
+    else:
+        steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
+        points = int(steps.sum())
+        if points > _MAX_GRID:
+            raise ScaleLimitError(f"the exhaustive (N, h) grid would hold {points} "
+                                  f"points (> {_MAX_GRID}); raise the symbol "
+                                  "duration or shorten the period")
+        eps = eps_of(link, N=Ns)
+        hs = Ts * np.arange(1, int(steps[0]) + 1)
+        cf = ClosedForm(source, T, Ns * Ts, M, hs)
+        best = np.full(len(lanes), math.inf)
+        at = np.zeros((len(lanes), 2), dtype=int)  # each lane's best (N, h) index
+        i = 0
+        while i < Ns.size:
+            width = int(steps[i])
+            j = min(Ns.size, i + max(1, _GRID_CHUNK // width))
+            # the shifts past each row's count: the chunk's last columns
+            short = int(steps[j - 1])
+            past = np.arange(short, width) >= steps[i:j, None]
+            for lane, vals in enumerate(cf.mse_grid(eps, lanes, slice(i, j), width)):
+                vals[:, short:][past] = np.inf
+                k = int(np.argmin(vals))  # row-major: smallest N, then smallest h
+                row, col = divmod(k, width)
+                if vals.flat[k] < best[lane]:  # strict: an earlier chunk keeps a tie
+                    best[lane], at[lane] = vals.flat[k], (i + row, col)
+                elif math.isnan(vals.flat[k]):  # a NaN anywhere is its own argmin
+                    raise BracketError(f"objective is nan at N = {Ns[i + row]}, "
+                                       f"h = {hs[col]} on [{cfg.N_min}, {n_hi}]")
+            i = j
+        n_star, h_star = Ns[at[:, 0]], hs[at[:, 1]].tolist()
+    n_star = n_star.tolist()
+    mse = [average_mse(source, lane, link.with_blocklength(n),
+                       scheme if syn else replace(scheme, h=h))
+           for lane, n, h in zip(lanes, n_star, h_star)]
+
+    def out(x):  # a number for one vector, else an array of the stack's shape
+        return x[0] if w.ndim == 1 else np.reshape(x, w.shape[:-1])
+
+    return OptResult(scheme.scheme, out(n_star), None if syn else out(h_star), out(mse),
+                     out((source.sigma2_x * best).tolist()), 1, True, "exhaustive",
+                     evaluations=len(lanes) * points)
 
 
 def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:

@@ -656,6 +656,109 @@ def test_an_exhaustive_grid_past_the_budget_fails_before_scoring(tmp_path):
     assert manifest["error"].startswith("ScaleLimitError")
 
 
+# runs, in a process whose address space is capped at its first argument in
+# bytes, each bundled spec at M = 1e6 sensors and eps_star_asyn on a vector
+# of 3e5 weights; prints one "name: error type: message" line per run
+_UNDER_RLIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+import numpy as np
+import sptrecon as sp
+from sptrecon.experiments import list_bundled_specs, load_spec, parse_spec, run_experiment
+def run(name, job):
+    try:
+        job()
+        print(name + ": ran")
+    except Exception as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}")
+for name in list_bundled_specs():
+    text = load_spec(name).raw_text.replace("\\nM = 5\\n", "\\nM = 1000000\\n")
+    run(name, lambda: run_experiment(parse_spec(text), sys.argv[2] + "/" + name))
+link = sp.LinkParams(T_s=1e-9)
+scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=1.0, h=1e-9, M=300000, m=1)
+run("eps_star_asyn", lambda: sp.eps_star_asyn(sp.SourceParams(), np.full(300000, 0.5),
+                                              link, scheme))
+"""
+
+
+def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
+    # at M = 1e6 the distance matrix's (M, M, 2) differences would take 14.6
+    # TiB, an 850-row analytic sweep's (rows x M) weight stack 6.33 GiB and
+    # eps_star_asyn's (512 x M) scan of 3e5 sensors 1.14 GiB; each raises
+    # before it is sized, in a process whose address space is capped, so a
+    # guard that fails to fire ends in MemoryError rather than taking the
+    # machine's memory
+    src = Path(sp.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _UNDER_RLIMIT, str(768 << 20),
+                           str(tmp_path)], capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(src), "PATH": "", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    distances = "ScaleLimitError: the distances of M = 1000000 sensors would need 1.49e+04 GiB"
+    stack = "ScaleLimitError: 850 analytic rows of 1000000 spatial weights would need 6.33 GiB"
+    want = {
+        "asyn_surface_short_shift": stack,
+        "fig11_min_mse_vs_mssc": distances,
+        "fig4_syn_surface": stack,
+        # its thresholds read no weight: the time shift no longer fits first
+        "regions_vs_period": "InvalidConfigError: time shift h=0.005 outside feasible band",
+        "sim_vs_analytic_default": distances,
+        "eps_star_asyn": "ScaleLimitError: the 512-point eps grid of 300000 sensors "
+                         "would need 1.14 GiB",
+    }
+    assert sorted(got) == sorted(want)
+    for name, start in want.items():
+        assert got[name].startswith(start), (name, got[name])
+
+
+def test_the_sensor_array_budget_is_inclusive(tmp_path, monkeypatch):
+    # a run may size exactly the budget: 16 M^2 bytes of coordinate
+    # differences, 8 bytes per weight of an analytic group's rows
+    from sptrecon import field as field_module
+    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 16 * 5 * 5)
+    assert sp.place_sensors(5, 10.0, seed=7).distances.shape == (5, 5)
+    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 16 * 5 * 5 - 1)
+    with pytest.raises(ScaleLimitError, match="distances of M = 5 sensors"):
+        sp.place_sensors(5, 10.0, seed=7).distances
+    spec = load_spec("fig4_syn_surface")
+    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * 850 * 5)
+    run_experiment(spec, tmp_path / "at")
+    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * 850 * 5 - 1)
+    with pytest.raises(ScaleLimitError, match="850 analytic rows of 5 spatial weights"):
+        run_experiment(spec, tmp_path / "past")
+
+
+def test_periods_times_replicas_past_the_budget_fails_before_any_draw(tmp_path,
+                                                                     monkeypatch):
+    # replicas = 1e6 of the bundled 1e5 periods ran past 20 s; a run at the
+    # budget reaches its first draw, one replica or period more raises at
+    # once, a replica counting as at least _REPLICA_PERIODS periods
+    budget, floor = experiments._MAX_SIM_PERIODS, experiments._REPLICA_PERIODS
+    assert budget >= 1000 * 10 ** 6  # the oracle benchmark's 1e6 x 1, far below
+
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(experiments, "simulate_event_level", draw)
+    spec = load_spec("sim_vs_analytic_default")
+    assert spec.periods == 100000
+    for periods, replicas in ((budget // 64, 64), (1, budget // floor)):
+        run = dataclasses.replace(spec, periods=periods, replicas=replicas)
+        with pytest.raises(Drawn):
+            run_experiment(run, tmp_path)
+        for past in (dataclasses.replace(run, replicas=replicas + 1),
+                     dataclasses.replace(run, periods=periods + 1) if periods > 1 else None):
+            if past is None:
+                continue
+            with pytest.raises(ScaleLimitError, match="periods x replicas"):
+                run_experiment(past, tmp_path)
+    with pytest.raises(ScaleLimitError, match=r"= 100000 x 1000000 would run 1e\+11"):
+        run_experiment(load_spec("sim_vs_analytic_default", replicas=10 ** 6), tmp_path)
+
+
 @pytest.mark.parametrize("rows", [
     [[-0.0, 0.0, 1, 1.0, True, None, math.nan, math.inf, -math.inf]],
     [["a,b", 'say "hi"', "two\nlines", "", 'x",\n"y']],
@@ -1066,7 +1169,8 @@ def test_non_finite_link_and_scheme_values_are_config_errors(section, key, value
 
 def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
     # the no-infer form reads no spatial weight: one step and one exhaustive
-    # scan per b_per_m group, the rows as per-point calls would give them
+    # scan per b_per_m group; the syn and asyn scans are one stacked call per
+    # group; the rows are those per-point calls would give
     calls = {"optimize_blocklength": [], "exhaustive_search": []}
     for name, seen in calls.items():
         def counting(*args, _real=getattr(experiments, name), _seen=seen, **kwargs):
@@ -1075,9 +1179,10 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
         monkeypatch.setattr(experiments, name, counting)
     spec = load_spec("fig11_min_mse_vs_mssc")
     run_experiment(spec, tmp_path / "fig11")
-    for seen in calls.values():
-        assert seen.count(sp.Scheme.NO_INFER) == 1
-        assert seen.count(sp.Scheme.SYN_INFER) == 9
+    assert calls["optimize_blocklength"].count(sp.Scheme.NO_INFER) == 1
+    assert calls["optimize_blocklength"].count(sp.Scheme.SYN_INFER) == 9
+    assert calls["exhaustive_search"] == [sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER,
+                                          sp.Scheme.ASYN_INFER]
     rows = _read_rows(tmp_path / "fig11" / "fig11_min_mse_vs_mssc_optimize.csv")
     assert len(rows) == 9 * 6
     no_cfg = sp.SchemeConfig(sp.Scheme.NO_INFER, T=spec.scheme.T, M=1, m=1)
@@ -1099,6 +1204,7 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
     two = parse_spec(text)
     run_experiment(two, tmp_path / "snr")
     assert [seen.count(sp.Scheme.NO_INFER) for seen in calls.values()] == [2, 2]
+    assert calls["exhaustive_search"].count(sp.Scheme.ASYN_INFER) == 2
     # each point's rows and trace, in sweep order (b_per_m slowest), are
     # those of a run of that point alone
     name = "fig11_min_mse_vs_mssc"

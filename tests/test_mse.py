@@ -916,7 +916,8 @@ def test_timing_rule_tolerance_and_strict_delay():
        data=st.data())
 def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
     # the rank-M grid equals mse at (eps[:, None], h) on every row block
-    # and every leading run of shifts
+    # and every leading run of shifts; in a stack, each vector's grid has
+    # the bits of its own
     src = sp.SourceParams(a=a)
     T_s = 1e-4
     w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M)))
@@ -934,8 +935,11 @@ def test_mse_grid_matches_the_broadcast_kernel(M, a, T, data):
     j = data.draw(st.integers(i + 1, rows))
     for width in range(1, h.size + 1):
         for sl in (slice(None), slice(i, j)):
-            got = grid.mse_grid(eps, w, sl, width)
+            (got,) = grid.mse_grid(eps, w, sl, width)
             np.testing.assert_allclose(got, want[sl, :width], rtol=1e-13, atol=0.0)
+            stacked = list(grid.mse_grid(eps, np.stack([w[::-1], w]), sl, width))
+            (alone,) = grid.mse_grid(eps, w[::-1], sl, width)
+            assert [g.tobytes() for g in stacked] == [alone.tobytes(), got.tobytes()]
 
 
 @pytest.mark.parametrize("module", ["mse", "optimize", "regions"])

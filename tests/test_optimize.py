@@ -492,18 +492,25 @@ def test_exhaustive_argmin_independent_of_scan_order(source, field, link, monkey
 
 def test_exhaustive_exact_ties_break_to_smallest_n_then_h(source, field, monkeypatch):
     # a payload far above capacity saturates the BLEP at 1, so every grid
-    # point ties at sigma2 within and across chunks
+    # point ties at sigma2 within and across chunks, in every lane of a stack
     link = sp.LinkParams.from_db(L=2000.0)
     T, M = 0.015, 5
     asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=M, m=1)
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=M, m=1)
+    stack = np.stack([sp.scheme_weights(dataclasses.replace(source, b=b), field, asyn)
+                      for b in (0.0, 0.01, 0.3)])
     for chunk in (1, 7, 300, optimize._GRID_CHUNK):
         monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
         ex = sp.exhaustive_search(source, field, link, asyn)
         assert (ex.N_star, ex.h_star) == (10, link.T_s)
         assert ex.objective_star == source.sigma2_x
         assert ex.evaluations == sp.expected_evaluation_count(T, link.T_s, M)
+        lanes = sp.exhaustive_search(source, stack, link, asyn)
+        assert (lanes.N_star.tolist(), lanes.h_star.tolist()) == ([10] * 3, [link.T_s] * 3)
+        assert lanes.objective_star.tolist() == [source.sigma2_x] * 3
+        assert lanes.evaluations == 3 * ex.evaluations
     assert sp.exhaustive_search(source, field, link, syn).N_star == 10
+    assert sp.exhaustive_search(source, stack, link, syn).N_star.tolist() == [10] * 3
 
 
 @pytest.mark.parametrize("objective", ["simplified", "exact"])
@@ -533,6 +540,82 @@ def test_exhaustive_is_the_argmin_of_a_per_point_loop(objective, a, L, db,
         assert (ex.N_star, ex.h_star) == best
         assert ex.objective_star == pytest.approx(vals[best], rel=1e-13)
         assert ex.evaluations == len(vals)
+
+
+def _chunk_of(steps, chunk, row):
+    """Index of the exhaustive walk's chunk that holds grid row ``row``."""
+    i, n = 0, 0
+    while True:
+        j = min(steps.size, i + max(1, chunk // int(steps[i])))
+        if row < j:
+            return n
+        i, n = j, n + 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 300, optimize._GRID_CHUNK])
+@pytest.mark.parametrize("objective", ["simplified", "exact"])
+def test_stacked_exhaustive_equals_each_vector_alone(objective, chunk, monkeypatch):
+    # fig11's geometry: one scan of a stack of weight vectors gives each
+    # lane the bits of a scan of that vector alone, and the lanes' optima
+    # lie in different chunks of the walk
+    monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
+    src = sp.SourceParams()
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    T, cfg = 0.15, sp.OptimizerConfig()
+    bs = (0.0, 0.005, 0.02, 0.08, 0.3)
+    for kind in sp.Scheme:
+        scheme = sp.SchemeConfig(kind, T=T, h=link.T_s, M=5, m=1)
+        if kind is not sp.Scheme.ASYN_INFER:
+            scheme = sp.SchemeConfig(kind, T=T, M=5, m=1)
+        stack = np.stack([sp.scheme_weights(dataclasses.replace(src, b=b), field, scheme)
+                          for b in bs])
+        ex = sp.exhaustive_search(src, stack, link, scheme, cfg, objective)
+        alone = [sp.exhaustive_search(src, w, link, scheme, cfg, objective) for w in stack]
+        if kind is sp.Scheme.NO_INFER:
+            # the target's own weight only: one scan, whatever the stack
+            assert ex == alone[0] == sp.exhaustive_search(src, field, link, scheme, cfg,
+                                                           objective)
+            assert ex.evaluations == max_blocklength(T, link.T_s) - cfg.N_min + 1
+            continue
+        got = [ex.N_star.tolist(), None if ex.h_star is None else ex.h_star.tolist(),
+               ex.objective_star.tolist(), ex.mse_star.tolist()]
+        assert got == [[r.N_star for r in alone],
+                       None if ex.h_star is None else [r.h_star for r in alone],
+                       [r.objective_star for r in alone], [r.mse_star for r in alone]]
+        assert all(type(r.N_star) is int and type(r.mse_star) is float for r in alone)
+        assert (ex.branch, ex.iterations, ex.converged) == ("exhaustive", 1, True)
+        assert type(ex.evaluations) is int
+        if kind is sp.Scheme.SYN_INFER:
+            assert ex.evaluations == len(bs) * alone[0].evaluations
+            continue
+        assert ex.evaluations == len(bs) * sp.expected_evaluation_count(T, link.T_s, 5)
+        n_hi = max_blocklength(T, link.T_s, 4 * link.T_s)
+        steps = shift_count(T, link.T_s, 5, np.arange(cfg.N_min, n_hi + 1))
+        won = {_chunk_of(steps, chunk, n - cfg.N_min) for n in ex.N_star.tolist()}
+        assert len(won) > 1
+    # a (2, 2, M) stack gives arrays of shape (2, 2)
+    ex = sp.exhaustive_search(src, stack[:4].reshape(2, 2, 5), link, scheme, cfg, objective)
+    assert ex.N_star.shape == ex.h_star.shape == ex.mse_star.shape == (2, 2)
+    assert ex.objective_star.ravel().tolist() == [r.objective_star for r in alone[:4]]
+
+
+def test_a_nan_on_the_exhaustive_grid_is_a_bracket_error():
+    # at a = 1e-300 the squared period correlation E rounds to 1, and where
+    # the BLEP is saturated at 1 the eps factor is 0/0: the syn scan raised,
+    # the asyn walk skipped each chunk whose argmin was the NaN and returned
+    # N = 54 at the error sigma2
+    src = sp.SourceParams(a=1e-300)
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.15, M=5, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15, h=1e-4, M=5, m=1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(sp.BracketError, match=r"objective is nan at 10 on \[10, 1499\]"):
+            sp.exhaustive_search(src, field, link, syn)
+        with pytest.raises(sp.BracketError,
+                           match=r"objective is nan at N = 10, h = 0.0001 on \[10, 1496\]"):
+            sp.exhaustive_search(src, field, link, asyn)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
