@@ -456,8 +456,9 @@ def _optimize_rows(spec):
 
     The points of a b_per_m group differ only in their spatial weights.
     The no-infer form reads none, so its runs are made once per group and
-    shared by the group's points; the syn and asyn exhaustive scans are
-    made once per group too, one lane per point's weight vector.
+    shared by the group's points; the syn and asyn runs, adapted and
+    exhaustive, are made once per group too, one lane per point's weight
+    vector.
     """
     cfg, field = spec.optimizer, spec.field
     out = [None] * math.prod(map(len, spec.sweep.values()))
@@ -470,33 +471,32 @@ def _optimize_rows(spec):
                                 M=scheme.M, m=scheme.m)
         # the group's points take the swept b values in turn
         sources = [replace(source, b=b) for b in spec.sweep.get("b_per_m", [source.b])]
+        # the stacked runs read the points' weights, not sources[0].b
+        syn_w, asyn_w = (np.stack([scheme_weights(s, field, c) for s in sources])
+                         for c in (syn_cfg, asyn_cfg))
         no_infer = optimize_blocklength(sources[0], field, link, no_cfg, cfg)
         scans = []
         if spec.include_exhaustive:
-            # the stacked scans read the points' weights, not sources[0].b
-            scans = [("no-infer", exhaustive_search(sources[0], field, link, no_cfg, cfg))]
-            scans += [(c.scheme.value, exhaustive_search(
-                sources[0], np.stack([scheme_weights(s, field, c) for s in sources]),
-                link, c, cfg)) for c in (syn_cfg, asyn_cfg)]
+            scans = [(tag + ":exhaustive", exhaustive_search(sources[0], w, link, c, cfg))
+                     for tag, w, c in (("no-infer", field, no_cfg),
+                                       ("syn-infer", syn_w, syn_cfg),
+                                       ("asyn-infer", asyn_w, asyn_cfg))]
+        syn = optimize_blocklength(sources[0], syn_w, link, syn_cfg, cfg)
+        asyn = jtsbo(sources[0], asyn_w, link, asyn_cfg, cfg)
+        runs = [("no-infer", no_infer), ("syn-infer", syn), ("asyn-infer", asyn), *scans]
         for lane, (i, source) in enumerate(zip(idx.tolist(), sources)):
-            adapted = [
-                ("no-infer", no_infer),
-                ("syn-infer", optimize_blocklength(source, field, link, syn_cfg, cfg)),
-                ("asyn-infer", jtsbo(source, field, link, asyn_cfg, cfg)),
-            ]
-            runs = [(tag, res.N_star, res.h_star, res.mse_star) for tag, res in adapted]
-            # a scan's lane, or the no-infer scan's numbers for every point
-            runs += [(tag + ":exhaustive", *(x if np.ndim(x) == 0 else x.item(lane)
-                                             for x in (res.N_star, res.h_star, res.mse_star)))
-                     for tag, res in scans]
+            # a run's lane, or the no-infer run's numbers for every point
+            points = [(tag, *(x if np.ndim(x) == 0 else x.item(lane)
+                              for x in (res.N_star, res.h_star, res.mse_star)))
+                      for tag, res in runs]
             rho = mssc(source, field)
             rows = [list(map(_cell, [
                 tag, link.T_s, link.L, n, scheme.T, h, scheme.M,
                 rho, blep_average(link.with_blocklength(n)), mse, None, None]))
-                for tag, n, h, mse in runs]
+                for tag, n, h, mse in points]
             trace = [list(map(_cell, [t.iteration, t.h_s, t.N, t.mse, t.residual_h,
                                       t.residual_N]))
-                     for t in adapted[2][1].trace]  # the jtsbo run
+                     for t in asyn.trace[lane]]
             out[i] = (rows, [trace])
     return out
 

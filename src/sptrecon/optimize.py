@@ -7,22 +7,34 @@ wrap-around gap at the period boundary.
 
 Both coordinates are integer indices, N and the shift index k of
 h = k T_s, so each adaptation step is the exact integer argmin of the
-objective over its range, scored in one array call, ties to the smallest
-index.  The objective uses the single-exponential simplified average
-block error probability (BLEP), which is analytic in N, and the
-stationarity functions
+objective over its range, scored in one array call per block of lanes
+(below), ties to the smallest index.  The objective uses the
+single-exponential simplified average block error probability (BLEP),
+which is analytic in N, and the stationarity functions
 
     H(N) = d MSE_syn / dN,   J(h) = d MSE_asyn / dh,   F(N) = d MSE_asyn / dN
 
 are one slope rule, :func:`_dmse`: the complex step of the objective in N
 or in h, exact to rounding.  A step reports |H|, |J| or |F| at the integer
 it returns as a diagnostic.  The module also provides the alternating joint
-optimizer and exhaustive-search baselines.  An exhaustive search scans a
-stack of weight vectors as lanes of one pass over the geometry: the BLEP
-vector, the kernel, the grid's left factor, denominator and shift mask are
-formed once, and each lane takes its own matrix product on them, so a lane
-gives the bits of a search with its vector alone.  Reported ``mse_star``
-values are re-evaluated with the closed-form average BLEP model.
+optimizer and exhaustive-search baselines.
+
+Every optimizer takes a field, one weight vector or a stack of them, and
+runs a stack's vectors as lanes of one pass over the geometry: what reads
+no weight (the BLEP range, the plateau edge, the face step's points, the
+exhaustive grid's left factor, denominator and shift mask) is formed once
+per call.  A step scores the (lanes, range) matrix in blocks of lanes whose
+(lanes x range x M) temporaries stay within ``_LANE_BUDGET`` values, and
+each lane takes its argmin on its own row, the columns past its own range
+masked out.  A lane's entries go through the operations of a one-vector
+call, so a lane gives the bits of a call with its vector alone.  In
+``jtsbo`` a lane freezes once an iteration leaves its point unchanged.
+For a stack the result's points and objectives are arrays of the stack's
+shape.  So is an adaptation's ``branch``; its ``trace`` holds one list per
+lane, ``iterations`` is the total over the lanes and ``converged`` is true
+when every lane converged (an exhaustive search is one scan).  Reported
+``mse_star`` values are re-evaluated with the closed-form average BLEP
+model.
 
 The MSE is exactly linear in the source variance sigma2, so every step
 scores and compares the objective at unit variance.  sigma2 multiplies each
@@ -32,6 +44,7 @@ slope once and each result once, in ``objective_star`` and the trace's
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -39,7 +52,7 @@ import numpy as np
 
 from .blep import LinkParams, _complex_step, blep_average, blep_average_simplified
 from .errors import BracketError, InvalidConfigError, ScaleLimitError
-from .field import SensorField, SourceParams
+from .field import SensorField, SourceParams, _check_sensor_bytes
 from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _check_range,
                   average_mse, max_blocklength, scheme_weights, shift_count)
 
@@ -52,6 +65,11 @@ _GRID_CHUNK = 16384
 # 240 times the largest bundled grid (277,140); at about 7 ns a point a full
 # grid takes about half a second
 _MAX_GRID = 1 << 26
+# (lanes x range x M) values one array call of a step may score: the lanes
+# of a stack are scored in blocks (see _lane_argmin), so each temporary stays
+# within 1 MiB of floats; fig11's 9 lanes of up to 1,490 blocklengths x 5
+# sensors are one block
+_LANE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,8 +106,9 @@ class TraceRow:
 
 @dataclass
 class OptResult:
-    # N_star, h_star, mse_star and objective_star are arrays of the stack's
-    # shape for an exhaustive search over a stack of weight vectors
+    # N_star, h_star, mse_star and objective_star, and an adaptation's
+    # branch, are arrays of the stack's shape for a stack of weight vectors;
+    # an adaptation's trace is then one list per lane
     scheme: Scheme
     N_star: int
     h_star: float | None
@@ -114,7 +133,7 @@ def _objective(source, field, link, scheme, N, h=None, eps=None):
     N broadcasts (with ``h``); a scalar N gives a float.
     """
     w = scheme_weights(source, field, scheme)
-    cf = ClosedForm(source, scheme.T, N * link.T_s, len(w), h)
+    cf = ClosedForm(source, scheme.T, N * link.T_s, w.shape[-1], h)
     val = cf.mse(blep_average_simplified(link, N=N) if eps is None else eps, w)
     return float(val) if np.ndim(val) == 0 else val
 
@@ -161,108 +180,187 @@ def eval_F(source: SourceParams, field: SensorField, link: LinkParams,
 # single-coordinate optimizers
 # ---------------------------------------------------------------------------
 
-def _blocklength_cap(T, T_s, cfg, shift=0.0) -> int:
+def _blocklength_cap(T, T_s, cfg, shift=0.0):
     """Largest blocklength of a step or a search: :func:`max_blocklength`
-    at the shift time ``shift`` = (M - 1) h, lowered to ``cfg.N_max``.
-    Raises InvalidConfigError when it lies below ``cfg.N_min``, and
-    ScaleLimitError past the range budget of :func:`mse._check_range`."""
+    at the shift time ``shift`` = (M - 1) h (an array gives one cap per
+    entry), lowered to ``cfg.N_max``.  Raises InvalidConfigError when a
+    cap lies below ``cfg.N_min``, and ScaleLimitError past the range budget
+    of :func:`mse._check_range`."""
     n_hi = max_blocklength(T, T_s, shift)
     if cfg.N_max is not None:
-        n_hi = min(n_hi, cfg.N_max)
-    if n_hi < cfg.N_min:
-        raise InvalidConfigError(f"empty blocklength range [{cfg.N_min}, {n_hi}]")
-    _check_range(n_hi - cfg.N_min + 1, f"the blocklength range from N_min = {cfg.N_min}")
+        n_hi = np.minimum(n_hi, cfg.N_max)
+    if np.min(n_hi) < cfg.N_min:
+        raise InvalidConfigError(f"empty blocklength range [{cfg.N_min}, {np.min(n_hi)}]")
+    _check_range(np.max(n_hi) - cfg.N_min + 1,
+                 f"the blocklength range from N_min = {cfg.N_min}")
     return n_hi
 
 
-def _argmin_step(obj, lo, hi, edge=None):
-    """Integer minimizer of the objective ``obj`` over [edge, hi] (edge =
-    lo by default), scored in one array call; ties go to the smallest.
+def _lane_argmin(score, lanes, width, M, last):
+    """Each lane's first minimum, (column, value), of the (lanes, width)
+    values ``score(block)``, over its columns 0 .. last[lane].
 
-    Returns (x, obj(x), branch), the branch named by where x lies:
-    "lower-boundary" at lo, "upper-boundary" at hi, "plateau-edge" at an
-    edge above lo, otherwise "interior-root".
+    ``score`` gets a slice of the lanes and returns their rows.  A block
+    holds at most ``_LANE_BUDGET // (width M)`` lanes, and at least one, so
+    its (lanes x width x M) temporaries stay within the budget unless one
+    lane's alone pass it; a row's values do not depend on its block.  One
+    lane's (width x M) past the sensor-array budget raises ScaleLimitError
+    before any is scored.
     """
-    start = lo if edge is None else edge
-    vals = obj(np.arange(start, hi + 1))
-    i = int(np.argmin(vals))  # a NaN anywhere is its own argmin
-    x, val = start + i, float(vals[i])
-    if not math.isfinite(val):
-        raise BracketError(f"objective is {val} at {x} on [{start}, {hi}]")
-    return x, val, ("lower-boundary" if x == lo else "upper-boundary" if x == hi
-                    else "plateau-edge" if x == start else "interior-root")
+    _check_sensor_bytes(8 * width * M, f"the {width}-point range of {M} sensors")
+    step = max(1, _LANE_BUDGET // (width * M))
+    at, best = [], []
+    for i in range(0, lanes, step):
+        vals = np.reshape(score(slice(i, i + step)), (-1, width))
+        vals[np.arange(width) > last[i:i + step, None]] = np.inf
+        j = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
+        at.append(j)
+        best.append(vals[np.arange(j.size), j])
+    return np.concatenate(at), np.concatenate(best)
 
 
-def _blocklength_step(source, field, link, scheme, cfg, hh):
-    """Blocklength step at the time shift hh (None for no/syn): (N, its
-    objective, branch).
+def _argmin_step(score, lanes, M, lo, start, hi):
+    """Each lane's integer minimizer of the objective rows ``score(block)``
+    (see :func:`_lane_argmin`), scored at start, start + 1, ... and taken
+    over [start, hi[lane]]; ties go to the smallest.  A NaN or an infinite
+    minimum raises BracketError, for the first such lane.
+
+    Returns (x, objective, branch), one entry per lane, the branch named by
+    where x lies: "lower-boundary" at lo, "upper-boundary" at hi,
+    "plateau-edge" at a start above lo, otherwise "interior-root".
+    """
+    x, val = _lane_argmin(score, lanes, int(hi.max()) - start + 1, M, hi - start)
+    x += start
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        j = bad[0]
+        raise BracketError(f"objective is {val[j]} at {x[j]} on [{start}, {hi[j]}]")
+    return x, val, np.select([x == lo, x == hi, x == start],
+                             ["lower-boundary", "upper-boundary", "plateau-edge"],
+                             "interior-root")
+
+
+def _blocklength_step(source, W, link, scheme, cfg, h, eps):
+    """Blocklength step of each lane, a row of the weight stack ``W``, at
+    its time shift h[lane] (h None for no/syn): (N, objective, branch), one
+    entry per lane.  ``eps`` is the simplified BLEP from N_min to at least
+    the largest cap.
 
     The step starts at the plateau edge, the first N whose simplified BLEP
     is below 1: below it the BLEP is saturated at 1, the objective is flat
-    at 1 and H and F vanish.  Raises BracketError when the whole range
-    is saturated.
+    at 1 and H and F vanish.  The lanes share the columns from the edge to
+    the largest cap; each takes its argmin up to its own cap.  Raises
+    BracketError when a lane's whole range is saturated.
     """
-    n_lo = cfg.N_min
-    n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
-                            0.0 if hh is None else (scheme.M - 1) * hh)
-    eps = blep_average_simplified(link, N=np.arange(n_lo, n_hi + 1))
+    hi = np.broadcast_to(_blocklength_cap(scheme.T, link.T_s, cfg,
+                                          0.0 if h is None else (scheme.M - 1) * h),
+                         len(W))
     edge = int(np.argmax(eps < 1.0))  # 0 when every value is saturated
-    if not eps[edge] < 1.0:
-        raise BracketError(
-            f"average BLEP saturated at 1 over the whole range [{n_lo}, {n_hi}]")
-    return _argmin_step(lambda n: _objective(source, field, link, scheme, n, hh,
-                                             eps=eps[edge:]), n_lo, n_hi, n_lo + edge)
+    flat = np.flatnonzero((not eps[edge] < 1.0) | (cfg.N_min + edge > hi))
+    if flat.size:
+        raise BracketError(f"average BLEP saturated at 1 over the whole range "
+                           f"[{cfg.N_min}, {hi[flat[0]]}]")
+    n = np.arange(cfg.N_min + edge, hi.max() + 1)
+    return _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n,
+                                             None if h is None else h[s, None],
+                                             eps=eps[edge:edge + n.size]),
+                        len(W), W.shape[-1], cfg.N_min, cfg.N_min + edge, hi)
 
 
-def _time_shift_step(source, field, link, scheme, n):
-    """Time-shift step at blocklength n over the grid index k = 1 ..
-    :func:`mse.shift_count`: (h = k T_s, its objective, branch)."""
-    k_hi = int(shift_count(scheme.T, link.T_s, scheme.M, n))
-    if k_hi < 1:
-        raise InvalidConfigError(f"no feasible time shift at blocklength N={n}")
-    k, val, branch = _argmin_step(
-        lambda k: _objective(source, field, link, scheme, n, k * link.T_s), 1, k_hi)
-    return k * link.T_s, val, branch
+def _time_shift_step(source, W, link, scheme, n, eps):
+    """Time-shift step of each lane, a row of the weight stack ``W``, at
+    its blocklength n[lane], whose simplified BLEP is eps[lane], over the
+    grid index k = 1 .. :func:`mse.shift_count`: (k, objective, branch),
+    one entry per lane.  The lanes share the columns up to the largest
+    count; each takes its argmin up to its own."""
+    k_hi = shift_count(scheme.T, link.T_s, scheme.M, n)
+    bad = np.flatnonzero(k_hi < 1)
+    if bad.size:
+        raise InvalidConfigError(f"no feasible time shift at blocklength N={n[bad[0]]}")
+    k = np.arange(1, k_hi.max() + 1)
+    return _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n[s, None],
+                                             k * link.T_s, eps=eps[s, None]),
+                        len(W), W.shape[-1], 1, 1, k_hi)
 
 
-def optimize_blocklength(source, field, link, scheme, cfg=None) -> OptResult:
+def _per_vector(w, x):
+    """x, one entry per lane of the weights ``w``: its entry for one
+    vector, else an array of the stack's shape."""
+    return x[0] if w.ndim == 1 else np.reshape(x, w.shape[:-1])
+
+
+def _result(source, link, scheme, w, n, h, objective, **fields):
+    """The OptResult of per-lane lists for the weights ``w``, one vector or
+    a stack: blocklengths ``n``, time shifts ``h`` (None entries for
+    no/syn) and objectives.  ``mse_star`` re-scores each lane's point with
+    the closed-form average BLEP.  Each is a number for one vector, else an
+    array of the stack's shape; ``fields`` pass through."""
+    lanes = w.reshape(-1, w.shape[-1])
+    mse = [average_mse(source, lane, link.with_blocklength(m),
+                       scheme if x is None else replace(scheme, h=x))
+           for lane, m, x in zip(lanes, n, h)]
+    return OptResult(scheme.scheme, _per_vector(w, n),
+                     None if h[0] is None else _per_vector(w, h), _per_vector(w, mse),
+                     _per_vector(w, objective), **fields)
+
+
+def optimize_blocklength(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     """Optimal integer blocklength at a fixed time shift, for every scheme.
 
     The asynchronous scheme keeps its time shift ``scheme.h``.  The step is
     the integer argmin of the objective from the plateau edge to the cap
-    (:func:`_argmin_step`); the trace row's residual is |H| or |F| there.
+    (:func:`_blocklength_step`); the trace row's residual is |H| or |F|
+    there.  ``field_or_weights`` is a field, one weight vector or a
+    (lanes, M) stack (the no-inference form reads no weight, so it is one
+    lane); the lanes share one BLEP range and plateau edge, and one array
+    call per block of lanes scores their rows, as in :func:`jtsbo`, whose
+    result fields this follows.  A lane takes one iteration, so
+    ``iterations`` counts the lanes.
     """
     cfg = cfg or OptimizerConfig()
+    w = scheme_weights(source, field_or_weights, scheme)
+    W = w.reshape(-1, w.shape[-1])
     hh = scheme.h if scheme.scheme is Scheme.ASYN_INFER else None
-    n_star, val, branch = _blocklength_step(source, field, link, scheme, cfg, hh)
-    res = _dmse(source, field, link, scheme, float(n_star), hh)
-    mse = average_mse(source, field, link.with_blocklength(n_star), scheme)
-    val *= source.sigma2_x
-    return OptResult(scheme.scheme, n_star, hh, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, hh, n_star, val, 0.0, abs(res))])
+    n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
+                            0.0 if hh is None else (scheme.M - 1) * hh)
+    eps = blep_average_simplified(link, N=np.arange(cfg.N_min, n_hi + 1))
+    n, val, branch = _blocklength_step(
+        source, W, link, scheme, cfg, None if hh is None else np.full(len(W), hh), eps)
+    res = np.abs(_dmse(source, W, link, scheme, n.astype(float), hh)).tolist()
+    n, val = n.tolist(), (source.sigma2_x * val).tolist()
+    trace = [[TraceRow(1, hh, m, v, 0.0, r)] for m, v, r in zip(n, val, res)]
+    return _result(source, link, scheme, w, n, [hh] * len(W), val, iterations=len(W),
+                   converged=True, branch=_per_vector(w, branch.tolist()),
+                   trace=trace[0] if w.ndim == 1 else trace)
 
 
-def optimize_time_shift(source, field, link, scheme) -> OptResult:
+def optimize_time_shift(source, field_or_weights, link, scheme) -> OptResult:
     """Optimal time shift at the link's blocklength, asynchronous scheme.
 
     The step is the integer argmin over the grid index k = 1 ..
     :func:`mse.shift_count`, so the returned shift is h = k T_s; the trace
-    row's residual is |J| there.
+    row's residual is |J| there.  ``field_or_weights`` and the result's
+    fields are as in :func:`optimize_blocklength`.
     """
-    n = int(link.N)
-    h_star, val, branch = _time_shift_step(source, field, link, scheme, n)
-    res = _dmse(source, field, link, scheme, n, h_star, wrt="h")
-    mse = average_mse(source, field, link, replace(scheme, h=h_star))
-    val *= source.sigma2_x
-    return OptResult(scheme.scheme, n, h_star, mse, val, 1, True, branch,
-                     trace=[TraceRow(1, h_star, n, val, abs(res), 0.0)])
+    w = scheme_weights(source, field_or_weights, scheme)
+    W = w.reshape(-1, w.shape[-1])
+    n = np.full(len(W), int(link.N))
+    k, val, branch = _time_shift_step(source, W, link, scheme, n,
+                                      blep_average_simplified(link, N=n))
+    h = k * link.T_s
+    res = np.abs(_dmse(source, W, link, scheme, n, h, wrt="h")).tolist()
+    n, h, val = n.tolist(), h.tolist(), (source.sigma2_x * val).tolist()
+    trace = [[TraceRow(1, x, m, v, r, 0.0)] for x, m, v, r in zip(h, n, val, res)]
+    return _result(source, link, scheme, w, n, h, val, iterations=len(W), converged=True,
+                   branch=_per_vector(w, branch.tolist()),
+                   trace=trace[0] if w.ndim == 1 else trace)
 
 
 # ---------------------------------------------------------------------------
 # joint optimization
 # ---------------------------------------------------------------------------
 
-def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
+def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     """Alternating time-shift / blocklength optimization.
 
     Starts from N = 80 channel uses (clamped to the feasible range) and the
@@ -275,50 +373,79 @@ def jtsbo(source, field, link, scheme, cfg=None) -> OptResult:
     keeps the incumbent, so the internal objective is non-increasing
     across iterations by construction.
     Each trace row holds |J| and |F| at the row's own (h, N).
+
+    ``field_or_weights`` is what :func:`exhaustive_search` takes: a field,
+    one weight vector or a (lanes, M) stack.  The lanes step together: the
+    simplified BLEP over [N_min, cap], the plateau edge and the face step's
+    N, h and BLEP are formed once per call, and each step scores the
+    (lanes, range) matrix in blocks of lanes (:func:`_lane_argmin`): the
+    time-shift step each lane's own N against k = 1 .. the largest shift
+    count, the blocklength step each lane's own h against N from the edge
+    to the largest cap, with the columns past a lane's own count or cap
+    masked out.  A lane freezes once an iteration leaves its (N, h)
+    unchanged and gets no more trace rows; the steps run while any lane is
+    still moving, up to ``I_max``.  A lane's entries take the operations of
+    a one-vector call, so a lane gives the bits of a call with its vector
+    alone.  For a stack, ``N_star``, ``h_star``, ``mse_star``,
+    ``objective_star`` and ``branch`` are arrays of the stack's shape,
+    ``trace`` holds one list of rows per lane, in C order, ``iterations``
+    is the total over the lanes and ``converged`` is true when every lane
+    converged.  The residuals of every lane's rows are one :func:`_dmse`
+    call per coordinate.  When several lanes fail, the error is that of the
+    first lane to fail in the stack's step order.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
+    w = scheme_weights(source, field_or_weights, scheme)
+    W = w.reshape(-1, M)
     n_cap = _blocklength_cap(T, Ts, cfg, (M - 1) * Ts)
-
-    # n_cur <= n_cap, the cap at the first grid shift, so at least one shift fits
-    n_cur = min(max(80, cfg.N_min), n_cap)
-    h_cur = max(1, int(shift_count(T, Ts, M, n_cur)) // 2) * Ts
-
-    cur_val = _objective(source, field, link, scheme, n_cur, h_cur)
     face_n = np.arange(cfg.N_min, n_cap + 1)
+    eps = blep_average_simplified(link, N=face_n)
+
+    # n0 <= n_cap, the cap at the first grid shift, so at least one shift fits
+    n0 = min(max(80, cfg.N_min), n_cap)
+    h0 = max(1, int(shift_count(T, Ts, M, n0)) // 2) * Ts
+    n_cur, h_cur = np.full(len(W), n0), np.full(len(W), h0)
+    cur = _objective(source, W, link, scheme, n0, h0)
     face_h = shift_count(T, Ts, M, face_n) * Ts
-    face_vals = _objective(source, field, link, scheme, face_n, face_h)
-    face = int(np.argmin(face_vals))
+    face, face_val = _lane_argmin(lambda s: _objective(source, W[s, None], link, scheme,
+                                                       face_n, face_h, eps=eps),
+                                  len(W), face_n.size, M, np.full(len(W), face_n.size - 1))
 
-    rows, converged = [], False
+    rows = [[] for _ in W]  # each lane's (iteration, h, N, objective)
+    act = np.arange(len(W))  # the lanes still moving
     for i in range(1, cfg.I_max + 1):
-        h_prev, n_prev = h_cur, n_cur
-        h, val, _ = _time_shift_step(source, field, link, scheme, n_cur)
-        if val <= cur_val:
-            h_cur, cur_val = h, val
-        n, val, _ = _blocklength_step(source, field, link, scheme, cfg, h_cur)
-        if val <= cur_val:
-            n_cur, cur_val = n, val
-        if face_vals[face] < cur_val:
-            n_cur, h_cur = int(face_n[face]), float(face_h[face])
-            cur_val = float(face_vals[face])
-
-        rows.append((i, h_cur, n_cur, cur_val))
+        n_prev, h_prev = n_cur[act], h_cur[act]
+        k, val, _ = _time_shift_step(source, W[act], link, scheme, n_prev,
+                                     eps[n_prev - cfg.N_min])
+        take = val <= cur[act]
+        h_cur[act[take]], cur[act[take]] = k[take] * Ts, val[take]
+        n, val, _ = _blocklength_step(source, W[act], link, scheme, cfg, h_cur[act], eps)
+        take = val <= cur[act]
+        n_cur[act[take]], cur[act[take]] = n[take], val[take]
+        take = act[face_val[act] < cur[act]]
+        n_cur[take], h_cur[take] = face_n[face[take]], face_h[face[take]]
+        cur[take] = face_val[take]
+        for lane in act.tolist():
+            rows[lane].append((i, h_cur[lane], n_cur[lane], cur[lane]))
         # exact: N is an int and every step's h is the product k T_s
-        converged = (n_cur, h_cur) == (n_prev, h_prev)
-        if converged:
+        act = act[(n_cur[act] != n_prev) | (h_cur[act] != h_prev)]
+        if not act.size:
             break
 
-    hs, ns = np.array([row[1:3] for row in rows]).T
-    res_h, res_n = (np.abs(_dmse(source, field, link, scheme, ns, hs, wrt)).tolist()
+    counts = [len(r) for r in rows]
+    its, hs, ns, vals = np.array([row for r in rows for row in r]).T
+    weights = W[np.repeat(np.arange(len(W)), counts)]  # the lane of each row
+    res_h, res_n = (np.abs(_dmse(source, weights, link, scheme, ns, hs, wrt)).tolist()
                     for wrt in ("h", "N"))
     s2 = source.sigma2_x
-    trace = [TraceRow(i, h, n, s2 * val, r_h, r_n)
-             for (i, h, n, val), r_h, r_n in zip(rows, res_h, res_n)]
-    mse = average_mse(source, field, link.with_blocklength(n_cur),
-                      replace(scheme, h=h_cur))
-    return OptResult(scheme.scheme, n_cur, h_cur, mse, s2 * cur_val, len(trace),
-                     converged, "jtsbo", trace=trace)
+    flat = map(TraceRow, its.astype(int).tolist(), hs.tolist(), ns.astype(int).tolist(),
+               (s2 * vals).tolist(), res_h, res_n)
+    trace = [list(itertools.islice(flat, c)) for c in counts]
+    return _result(source, link, scheme, w, n_cur.tolist(), h_cur.tolist(),
+                   (s2 * cur).tolist(), iterations=sum(counts), converged=not act.size,
+                   branch=_per_vector(w, ["jtsbo"] * len(W)),
+                   trace=trace[0] if w.ndim == 1 else trace)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +498,11 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     n_hi = _blocklength_cap(T, Ts, cfg, 0.0 if syn else (M - 1) * Ts)
     Ns = np.arange(cfg.N_min, n_hi + 1)
     if syn:
-        cf = ClosedForm(source, T, Ns * Ts, lanes.shape[1])
-        vals = cf.mse(eps_of(link, N=Ns), lanes[:, None])  # (lanes, N)
-        at = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
-        best = vals[np.arange(len(lanes)), at]
-        bad = np.flatnonzero(~np.isfinite(best))
-        if bad.size:
-            raise BracketError(f"objective is {best[bad[0]]} at {Ns[at[bad[0]]]} "
-                               f"on [{cfg.N_min}, {n_hi}]")
-        n_star, h_star, points = Ns[at], [None] * len(lanes), Ns.size
+        cf, eps = ClosedForm(source, T, Ns * Ts, lanes.shape[1]), eps_of(link, N=Ns)
+        n_star, best, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
+                                       lanes.shape[1], cfg.N_min, cfg.N_min,
+                                       np.full(len(lanes), n_hi))
+        h_star, points = [None] * len(lanes), Ns.size
     else:
         steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
         points = int(steps.sum())
@@ -410,17 +533,9 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
                                        f"h = {hs[col]} on [{cfg.N_min}, {n_hi}]")
             i = j
         n_star, h_star = Ns[at[:, 0]], hs[at[:, 1]].tolist()
-    n_star = n_star.tolist()
-    mse = [average_mse(source, lane, link.with_blocklength(n),
-                       scheme if syn else replace(scheme, h=h))
-           for lane, n, h in zip(lanes, n_star, h_star)]
-
-    def out(x):  # a number for one vector, else an array of the stack's shape
-        return x[0] if w.ndim == 1 else np.reshape(x, w.shape[:-1])
-
-    return OptResult(scheme.scheme, out(n_star), None if syn else out(h_star), out(mse),
-                     out((source.sigma2_x * best).tolist()), 1, True, "exhaustive",
-                     evaluations=len(lanes) * points)
+    return _result(source, link, scheme, w, n_star.tolist(), h_star,
+                   (source.sigma2_x * best).tolist(), iterations=1, converged=True,
+                   branch="exhaustive", evaluations=len(lanes) * points)
 
 
 def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:

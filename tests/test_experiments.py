@@ -1169,9 +1169,10 @@ def test_non_finite_link_and_scheme_values_are_config_errors(section, key, value
 
 def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
     # the no-infer form reads no spatial weight: one step and one exhaustive
-    # scan per b_per_m group; the syn and asyn scans are one stacked call per
-    # group; the rows are those per-point calls would give
-    calls = {"optimize_blocklength": [], "exhaustive_search": []}
+    # scan per b_per_m group; the syn step, jtsbo and the syn and asyn scans
+    # are one stacked call per group; the rows are those per-point calls
+    # would give
+    calls = {"optimize_blocklength": [], "exhaustive_search": [], "jtsbo": []}
     for name, seen in calls.items():
         def counting(*args, _real=getattr(experiments, name), _seen=seen, **kwargs):
             _seen.append(args[3].scheme)
@@ -1180,9 +1181,10 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
     spec = load_spec("fig11_min_mse_vs_mssc")
     run_experiment(spec, tmp_path / "fig11")
     assert calls["optimize_blocklength"].count(sp.Scheme.NO_INFER) == 1
-    assert calls["optimize_blocklength"].count(sp.Scheme.SYN_INFER) == 9
+    assert calls["optimize_blocklength"].count(sp.Scheme.SYN_INFER) == 1
     assert calls["exhaustive_search"] == [sp.Scheme.NO_INFER, sp.Scheme.SYN_INFER,
                                           sp.Scheme.ASYN_INFER]
+    assert calls["jtsbo"] == [sp.Scheme.ASYN_INFER]
     rows = _read_rows(tmp_path / "fig11" / "fig11_min_mse_vs_mssc_optimize.csv")
     assert len(rows) == 9 * 6
     no_cfg = sp.SchemeConfig(sp.Scheme.NO_INFER, T=spec.scheme.T, M=1, m=1)
@@ -1203,8 +1205,10 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
         seen.clear()
     two = parse_spec(text)
     run_experiment(two, tmp_path / "snr")
-    assert [seen.count(sp.Scheme.NO_INFER) for seen in calls.values()] == [2, 2]
+    assert [seen.count(sp.Scheme.NO_INFER) for seen in calls.values()] == [2, 2, 0]
+    assert calls["optimize_blocklength"].count(sp.Scheme.SYN_INFER) == 2
     assert calls["exhaustive_search"].count(sp.Scheme.ASYN_INFER) == 2
+    assert calls["jtsbo"] == [sp.Scheme.ASYN_INFER] * 2
     # each point's rows and trace, in sweep order (b_per_m slowest), are
     # those of a run of that point alone
     name = "fig11_min_mse_vs_mssc"

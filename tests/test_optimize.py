@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,6 +603,185 @@ def test_stacked_exhaustive_equals_each_vector_alone(objective, chunk, monkeypat
     assert ex.objective_star.ravel().tolist() == [r.objective_star for r in alone[:4]]
 
 
+_FIG11_BS = (0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3)
+
+
+def _fig11_stack(field, scheme):
+    """The weight vectors of fig11's b_per_m points, one lane each."""
+    src = sp.SourceParams()
+    return np.stack([sp.scheme_weights(dataclasses.replace(src, b=b), field, scheme)
+                     for b in _FIG11_BS])
+
+
+# lanes per block of a blocklength step: _LANE_BUDGET of one lane (every
+# step), of two fig11 blocklength ranges of 5 sensors, and the default
+@pytest.mark.parametrize("budget", [1, 2 * 1490 * 5, optimize._LANE_BUDGET])
+@pytest.mark.parametrize("seed", [7, 14])
+def test_stacked_adaptation_equals_each_vector_alone(seed, budget, monkeypatch):
+    # fig11's geometry: one call over a stack of weight vectors gives each
+    # lane the bits of a call with its vector alone: the point, its
+    # objective and MSE, the branch and every trace row, residuals
+    # included; at I_max = 3 the lanes converge after 2 or 3 iterations, at
+    # I_max = 2 some stop unconverged
+    monkeypatch.setattr(optimize, "_LANE_BUDGET", budget)
+    src = sp.SourceParams(b=_FIG11_BS[0])  # a field gives the first lane's weights
+    field = sp.place_sensors(5, 10.0, seed=seed)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    T = 0.15
+    no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=T, M=1, m=1)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=5, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=5, m=1)
+    shifted = dataclasses.replace(asyn, h=0.02)
+    # the no-inference form reads no weight: one run, whatever the stack
+    res = sp.optimize_blocklength(src, _fig11_stack(field, syn)[:, :1], link, no)
+    assert res == sp.optimize_blocklength(src, field, link, no)
+    assert type(res.N_star) is int and type(res.branch) is str
+    runs = [(syn, lambda w: sp.optimize_blocklength(src, w, link, syn)),
+            (shifted, lambda w: sp.optimize_blocklength(src, w, link, shifted)),
+            (shifted, lambda w: sp.optimize_time_shift(src, w, link.with_blocklength(200),
+                                                       shifted)),
+            (asyn, lambda w: sp.jtsbo(src, w, link, asyn, sp.OptimizerConfig(I_max=3))),
+            (asyn, lambda w: sp.jtsbo(src, w, link, asyn, sp.OptimizerConfig(I_max=2)))]
+    lengths = []
+    for scheme, run in runs:
+        stack = _fig11_stack(field, scheme)
+        got = run(stack)
+        alone = [run(w) for w in stack]
+        assert alone[0] == run(field)
+        for name in ("N_star", "h_star", "objective_star", "mse_star", "branch"):
+            want, x = [getattr(r, name) for r in alone], getattr(got, name)
+            assert want == [None] * len(alone) if x is None else x.tolist() == want, name
+        assert all(type(r.N_star) is int and type(r.mse_star) is float
+                   and type(r.branch) is str for r in alone)
+        assert got.trace == [r.trace for r in alone]
+        assert got.iterations == sum(r.iterations for r in alone)
+        assert type(got.iterations) is int
+        assert got.converged is all(r.converged for r in alone)
+        if alone[0].branch == "jtsbo":
+            lengths.append(({len(r.trace) for r in alone}, {r.converged for r in alone}))
+        # a (3, 3, M) stack gives arrays of shape (3, 3) and one trace per lane
+        square = run(stack.reshape(3, 3, -1))
+        assert square.N_star.shape == square.branch.shape == square.mse_star.shape == (3, 3)
+        assert square.trace == got.trace
+    assert lengths == [({2, 3}, {True}), ({2}, {False, True})]
+
+
+def test_a_stack_raises_what_its_failing_lane_raises():
+    # the stacked call raises the type a failing lane raises alone, with
+    # that lane's message when one lane fails
+    src = sp.SourceParams()
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.15, M=5, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15, h=link.T_s, M=5, m=1)
+    dark = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=-40.0)
+    cases = [
+        # a NaN weight in lane 3: a non-finite minimum on that lane only
+        (sp.BracketError, link, sp.OptimizerConfig(), True),
+        # the simplified BLEP is 1 over the whole range
+        (sp.BracketError, dark, sp.OptimizerConfig(), False),
+        # N_min above every cap
+        (sp.InvalidConfigError, link, sp.OptimizerConfig(N_min=1500), False),
+    ]
+    for error, lk, cfg, nan in cases:
+        for run, scheme in ((sp.optimize_blocklength, syn), (sp.optimize_blocklength, asyn),
+                            (sp.jtsbo, asyn)):
+            stack = _fig11_stack(field, scheme)
+            if nan:
+                stack[3, 2] = np.nan
+            with pytest.raises(error) as alone:
+                run(src, stack[3], lk, scheme, cfg)
+            with pytest.raises(error) as stacked:
+                run(src, stack, lk, scheme, cfg)
+            assert str(stacked.value) == str(alone.value)
+            if nan:  # the other lanes run
+                run(src, np.delete(stack, 3, axis=0), lk, scheme, cfg)
+    # no grid shift fits the blocklength
+    stack, full = _fig11_stack(field, asyn), link.with_blocklength(1497)
+    with pytest.raises(sp.InvalidConfigError) as alone:
+        sp.optimize_time_shift(src, stack[3], full, asyn)
+    with pytest.raises(sp.InvalidConfigError) as stacked:
+        sp.optimize_time_shift(src, stack, full, asyn)
+    assert str(stacked.value) == str(alone.value) == (
+        "no feasible time shift at blocklength N=1497")
+
+
+def test_a_lane_range_past_the_sensor_array_budget_is_a_scale_limit(monkeypatch):
+    # one lane's (range x M) values, of 5 sensors: fig11's syn scan holds
+    # 1,490 blocklengths and jtsbo's face step 1,487, and the blocklength
+    # steps start at the plateau edge, N = 34; the budget is inclusive
+    from sptrecon import field as field_module
+    src = sp.SourceParams()
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.15, M=5, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15, h=link.T_s, M=5, m=1)
+    runs = [(1466, lambda: sp.optimize_blocklength(src, field, link, syn)),
+            (1490, lambda: sp.exhaustive_search(src, field, link, syn)),
+            (1463, lambda: sp.optimize_blocklength(src, field, link, asyn)),
+            (1487, lambda: sp.jtsbo(src, field, link, asyn))]
+    for width, run in runs:
+        monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * width * 5)
+        run()
+        monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * width * 5 - 1)
+        with pytest.raises(sp.ScaleLimitError, match=f"the {width}-point range of 5 sensors"):
+            run()
+
+
+# runs, in a process whose address space is capped at its first argument in
+# bytes, each optimizer on one weight vector of 8,192 sensors at T / T_s =
+# 150,000; prints one "name: error type: message" line per run
+_RANGE_UNDER_RLIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+import numpy as np
+import sptrecon as sp
+M = 8192
+src, link = sp.SourceParams(), sp.LinkParams(T_s=1e-6)
+w = np.full(M, 0.5)
+w[0] = 1.0
+syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=0.15, M=M, m=1)
+asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15, h=1e-6, M=M, m=1)
+for name, job in [
+        ("syn step", lambda: sp.optimize_blocklength(src, w, link, syn)),
+        ("asyn step", lambda: sp.optimize_blocklength(src, w, link, asyn)),
+        ("time shift", lambda: sp.optimize_time_shift(src, w, link, asyn)),
+        ("jtsbo", lambda: sp.jtsbo(src, w, link, asyn)),
+        ("syn scan", lambda: sp.exhaustive_search(src, w, link, syn))]:
+    try:
+        job()
+        print(name + ": ran")
+    except Exception as exc:
+        print(f"{name}: {type(exc).__name__}: {exc}")
+"""
+
+
+def test_an_optimizer_range_of_many_sensors_is_a_scale_limit_before_it_is_sized():
+    # 8,192 sensors pass the distance budget, and about 150,000 blocklengths
+    # the range budget, yet one lane's (range x M) values would take about 9
+    # GiB; each optimizer that scores the range raises before it is sized,
+    # in a process whose address space is capped, so a guard that fails to
+    # fire ends in MemoryError rather than taking the machine's memory; the
+    # time-shift step's 18 shifts of 8,192 sensors run
+    src = Path(sp.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _RANGE_UNDER_RLIMIT, str(768 << 20)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(src), "PATH": "", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    # a blocklength step scores from the plateau edge, N = 34, the face
+    # step and the scan from N_min
+    limit = "ScaleLimitError: the {}-point range of 8192 sensors would need {} GiB (> 1"
+    want = {"syn step": limit.format(149966, "9.15"),
+            "asyn step": limit.format(141776, "8.65"),
+            "time shift": "ran",
+            "jtsbo": limit.format(141800, "8.65"),
+            "syn scan": limit.format(149990, "9.15")}
+    assert sorted(got) == sorted(want)
+    for name, start in want.items():
+        assert got[name].startswith(start), (name, got[name])
+
+
 def test_a_nan_on_the_exhaustive_grid_is_a_bracket_error():
     # at a = 1e-300 the squared period correlation E rounds to 1, and where
     # the BLEP is saturated at 1 the eps factor is 0/0: the syn scan raised,
@@ -663,11 +845,13 @@ def test_syn_blocklength_range_stops_before_the_period():
 def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
                                                asyn_scheme, monkeypatch):
     # one _objective call over the whole index range, then one for the
-    # residual: the complex step of the objective at the returned integer
+    # residual: the complex step of the objective at the returned integer;
+    # the range call's other argument is the lane's own N or h, one value
     objective_calls = []
     monkeypatch.setattr(optimize, "_objective",
                         lambda *a, _fn=_objective, **kw: objective_calls.append(
-                            [x for x in a[4:] if np.ndim(x)]) or _fn(*a, **kw))
+                            [x for x in a[4:] if np.size(x) > 1 or np.iscomplexobj(x)])
+                        or _fn(*a, **kw))
     h, Ts = asyn_scheme.h, link.T_s
     # (step, its integer index and stepped argument, objective of the index)
     steps = [
