@@ -484,19 +484,19 @@ def _optimize_rows(spec):
         syn = optimize_blocklength(sources[0], syn_w, link, syn_cfg, cfg)
         asyn = jtsbo(sources[0], asyn_w, link, asyn_cfg, cfg)
         runs = [("no-infer", no_infer), ("syn-infer", syn), ("asyn-infer", asyn), *scans]
-        for lane, (i, source) in enumerate(zip(idx.tolist(), sources)):
-            # a run's lane, or the no-infer run's numbers for every point
-            points = [(tag, *(x if np.ndim(x) == 0 else x.item(lane)
-                              for x in (res.N_star, res.h_star, res.mse_star)))
-                      for tag, res in runs]
+        # each point's (tag, N, h, mse) per run: a run's lane, or the
+        # no-infer run's numbers for every point; eps_bar is one call
+        points = [[(tag, *(x if np.ndim(x) == 0 else x.item(lane)
+                           for x in (res.N_star, res.h_star, res.mse_star)))
+                   for tag, res in runs] for lane in range(len(sources))]
+        eps = iter(blep_average(link, N=[p[1] for pts in points for p in pts]).tolist())
+        for i, source, pts, steps in zip(idx.tolist(), sources, points, asyn.trace):
             rho = mssc(source, field)
-            rows = [list(map(_cell, [
-                tag, link.T_s, link.L, n, scheme.T, h, scheme.M,
-                rho, blep_average(link.with_blocklength(n)), mse, None, None]))
-                for tag, n, h, mse in points]
+            rows = [list(map(_cell, [tag, link.T_s, link.L, n, scheme.T, h, scheme.M, rho,
+                                     next(eps), mse, None, None])) for tag, n, h, mse in pts]
             trace = [list(map(_cell, [t.iteration, t.h_s, t.N, t.mse, t.residual_h,
                                       t.residual_N]))
-                     for t in asyn.trace[lane]]
+                     for t in steps]
             out[i] = (rows, [trace])
     return out
 

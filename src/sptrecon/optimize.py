@@ -29,12 +29,13 @@ each lane takes its argmin on its own row, the columns past its own range
 masked out.  A lane's entries go through the operations of a one-vector
 call, so a lane gives the bits of a call with its vector alone.  In
 ``jtsbo`` a lane freezes once an iteration leaves its point unchanged.
-For a stack the result's points and objectives are arrays of the stack's
-shape.  So is an adaptation's ``branch``; its ``trace`` holds one list per
-lane, ``iterations`` is the total over the lanes and ``converged`` is true
-when every lane converged (an exhaustive search is one scan).  Reported
-``mse_star`` values are re-evaluated with the closed-form average BLEP
-model.
+Every optimizer's result is made by ``_result``.  For a stack its points
+and objectives are arrays of the stack's shape.  So is an adaptation's
+``branch``; its ``trace`` holds one list per lane, ``iterations`` is the
+total over the lanes and ``converged`` is true when every lane converged
+(an exhaustive search is one scan).  ``mse_star`` is the objective at the
+exact BLEP, :func:`blep.blep_average`, so it is :func:`mse.average_mse` at
+the returned (N, h).
 
 The MSE is exactly linear in the source variance sigma2, so every step
 scores and compares the objective at unit variance.  sigma2 multiplies each
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .blep import LinkParams, _complex_step, blep_average, blep_average_simplifi
 from .errors import BracketError, InvalidConfigError, ScaleLimitError
 from .field import SensorField, SourceParams, _check_sensor_bytes
 from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _check_range,
-                  average_mse, max_blocklength, scheme_weights, shift_count)
+                  max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
 
@@ -283,25 +284,40 @@ def _time_shift_step(source, W, link, scheme, n, eps):
                         len(W), W.shape[-1], 1, 1, k_hi)
 
 
-def _per_vector(w, x):
-    """x, one entry per lane of the weights ``w``: its entry for one
-    vector, else an array of the stack's shape."""
-    return x[0] if w.ndim == 1 else np.reshape(x, w.shape[:-1])
+def _result(source, link, scheme, w, n, h, objective, branch, rows=None, slopes="",
+            converged=True, evaluations=None):
+    """The OptResult for the weights ``w``, one vector or a stack, of
+    per-lane arrays: N, h (None for no/syn), unit-variance objective and
+    branch (one str for a scan).  ``rows`` are the trace's columns, lane,
+    iteration, h, N and unit-variance objective, in any lane order, and
+    ``iterations`` counts them (a scan is one); a row's |J| and |F| are
+    one :func:`_dmse` call each over the rows for the coordinates in
+    ``slopes``, else 0.  ``mse_star`` is one :func:`_objective` call at
+    every lane's point, at one :func:`blep_average` call over their N.
+    sigma2 multiplies each value; each field is a number for one vector,
+    else an array of the stack's shape (a trace, one list per lane)."""
+    s2, W = source.sigma2_x, w.reshape(-1, w.shape[-1])
 
+    def per_lane(x):
+        x = np.asarray(x).tolist()
+        return x[0] if w.ndim == 1 else np.reshape(x, w.shape[:-1])
 
-def _result(source, link, scheme, w, n, h, objective, **fields):
-    """The OptResult of per-lane lists for the weights ``w``, one vector or
-    a stack: blocklengths ``n``, time shifts ``h`` (None entries for
-    no/syn) and objectives.  ``mse_star`` re-scores each lane's point with
-    the closed-form average BLEP.  Each is a number for one vector, else an
-    array of the stack's shape; ``fields`` pass through."""
-    lanes = w.reshape(-1, w.shape[-1])
-    mse = [average_mse(source, lane, link.with_blocklength(m),
-                       scheme if x is None else replace(scheme, h=x))
-           for lane, m, x in zip(lanes, n, h)]
-    return OptResult(scheme.scheme, _per_vector(w, n),
-                     None if h[0] is None else _per_vector(w, h), _per_vector(w, mse),
-                     _per_vector(w, objective), **fields)
+    trace, iterations = [], 1
+    if rows is not None:
+        lane, its, hs, ns, vals = rows
+        res = [np.abs(_dmse(source, W[lane], link, scheme, ns, hs, x)) if x in slopes
+               else np.zeros(lane.size) for x in "hN"]
+        at = np.argsort(lane, kind="stable")
+        flat = map(TraceRow, *(itertools.repeat(None) if c is None else c[at].tolist()
+                               for c in (its, hs, ns, s2 * vals, *res)))
+        trace = [list(itertools.islice(flat, c))
+                 for c in np.bincount(lane, minlength=len(W)).tolist()]
+        trace, iterations = trace[0] if w.ndim == 1 else trace, lane.size
+    mse = s2 * _objective(source, W, link, scheme, n, h, eps=blep_average(link, N=n))
+    return OptResult(scheme.scheme, per_lane(n), None if h is None else per_lane(h),
+                     per_lane(mse), per_lane(s2 * objective), iterations, converged,
+                     branch if isinstance(branch, str) else per_lane(branch), trace,
+                     evaluations)
 
 
 def optimize_blocklength(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
@@ -324,14 +340,11 @@ def optimize_blocklength(source, field_or_weights, link, scheme, cfg=None) -> Op
     n_hi = _blocklength_cap(scheme.T, link.T_s, cfg,
                             0.0 if hh is None else (scheme.M - 1) * hh)
     eps = blep_average_simplified(link, N=np.arange(cfg.N_min, n_hi + 1))
-    n, val, branch = _blocklength_step(
-        source, W, link, scheme, cfg, None if hh is None else np.full(len(W), hh), eps)
-    res = np.abs(_dmse(source, W, link, scheme, n.astype(float), hh)).tolist()
-    n, val = n.tolist(), (source.sigma2_x * val).tolist()
-    trace = [[TraceRow(1, hh, m, v, 0.0, r)] for m, v, r in zip(n, val, res)]
-    return _result(source, link, scheme, w, n, [hh] * len(W), val, iterations=len(W),
-                   converged=True, branch=_per_vector(w, branch.tolist()),
-                   trace=trace[0] if w.ndim == 1 else trace)
+    h = None if hh is None else np.full(len(W), hh)
+    n, val, branch = _blocklength_step(source, W, link, scheme, cfg, h, eps)
+    lane = np.arange(len(W))
+    return _result(source, link, scheme, w, n, h, val, branch,
+                   (lane, np.ones_like(lane), h, n, val), "N")
 
 
 def optimize_time_shift(source, field_or_weights, link, scheme) -> OptResult:
@@ -340,20 +353,19 @@ def optimize_time_shift(source, field_or_weights, link, scheme) -> OptResult:
     The step is the integer argmin over the grid index k = 1 ..
     :func:`mse.shift_count`, so the returned shift is h = k T_s; the trace
     row's residual is |J| there.  ``field_or_weights`` and the result's
-    fields are as in :func:`optimize_blocklength`.
+    fields are as in :func:`optimize_blocklength`.  A scheme that is not
+    asynchronous raises InvalidConfigError.
     """
+    if scheme.scheme is not Scheme.ASYN_INFER:
+        raise InvalidConfigError("optimize_time_shift needs an asynchronous config")
     w = scheme_weights(source, field_or_weights, scheme)
     W = w.reshape(-1, w.shape[-1])
     n = np.full(len(W), int(link.N))
     k, val, branch = _time_shift_step(source, W, link, scheme, n,
                                       blep_average_simplified(link, N=n))
-    h = k * link.T_s
-    res = np.abs(_dmse(source, W, link, scheme, n, h, wrt="h")).tolist()
-    n, h, val = n.tolist(), h.tolist(), (source.sigma2_x * val).tolist()
-    trace = [[TraceRow(1, x, m, v, r, 0.0)] for x, m, v, r in zip(h, n, val, res)]
-    return _result(source, link, scheme, w, n, h, val, iterations=len(W), converged=True,
-                   branch=_per_vector(w, branch.tolist()),
-                   trace=trace[0] if w.ndim == 1 else trace)
+    h, lane = k * link.T_s, np.arange(len(W))
+    return _result(source, link, scheme, w, n, h, val, branch,
+                   (lane, np.ones_like(lane), h, n, val), "h")
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +398,13 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     unchanged and gets no more trace rows; the steps run while any lane is
     still moving, up to ``I_max``.  A lane's entries take the operations of
     a one-vector call, so a lane gives the bits of a call with its vector
-    alone.  For a stack, ``N_star``, ``h_star``, ``mse_star``,
-    ``objective_star`` and ``branch`` are arrays of the stack's shape,
-    ``trace`` holds one list of rows per lane, in C order, ``iterations``
-    is the total over the lanes and ``converged`` is true when every lane
-    converged.  The residuals of every lane's rows are one :func:`_dmse`
-    call per coordinate.  When several lanes fail, the error is that of the
-    first lane to fail in the stack's step order.
+    alone; the result's fields are shaped as the module docstring says.
+    When several lanes fail, the error is that of the first lane to fail in
+    the stack's step order.  A scheme that is not asynchronous raises
+    InvalidConfigError.
     """
+    if scheme.scheme is not Scheme.ASYN_INFER:
+        raise InvalidConfigError("jtsbo needs an asynchronous config")
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
     w = scheme_weights(source, field_or_weights, scheme)
@@ -412,7 +423,7 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
                                                        face_n, face_h, eps=eps),
                                   len(W), face_n.size, M, np.full(len(W), face_n.size - 1))
 
-    rows = [[] for _ in W]  # each lane's (iteration, h, N, objective)
+    rows = []  # each iteration's (lane, iteration, h, N, objective) columns
     act = np.arange(len(W))  # the lanes still moving
     for i in range(1, cfg.I_max + 1):
         n_prev, h_prev = n_cur[act], h_cur[act]
@@ -426,26 +437,14 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
         take = act[face_val[act] < cur[act]]
         n_cur[take], h_cur[take] = face_n[face[take]], face_h[face[take]]
         cur[take] = face_val[take]
-        for lane in act.tolist():
-            rows[lane].append((i, h_cur[lane], n_cur[lane], cur[lane]))
+        rows.append((act, np.full(act.size, i), h_cur[act], n_cur[act], cur[act]))
         # exact: N is an int and every step's h is the product k T_s
         act = act[(n_cur[act] != n_prev) | (h_cur[act] != h_prev)]
         if not act.size:
             break
 
-    counts = [len(r) for r in rows]
-    its, hs, ns, vals = np.array([row for r in rows for row in r]).T
-    weights = W[np.repeat(np.arange(len(W)), counts)]  # the lane of each row
-    res_h, res_n = (np.abs(_dmse(source, weights, link, scheme, ns, hs, wrt)).tolist()
-                    for wrt in ("h", "N"))
-    s2 = source.sigma2_x
-    flat = map(TraceRow, its.astype(int).tolist(), hs.tolist(), ns.astype(int).tolist(),
-               (s2 * vals).tolist(), res_h, res_n)
-    trace = [list(itertools.islice(flat, c)) for c in counts]
-    return _result(source, link, scheme, w, n_cur.tolist(), h_cur.tolist(),
-                   (s2 * cur).tolist(), iterations=sum(counts), converged=not act.size,
-                   branch=_per_vector(w, ["jtsbo"] * len(W)),
-                   trace=trace[0] if w.ndim == 1 else trace)
+    return _result(source, link, scheme, w, n_cur, h_cur, cur, np.full(len(W), "jtsbo"),
+                   tuple(map(np.concatenate, zip(*rows))), "hN", converged=not act.size)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +479,9 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     only points that close to the minimum can trade places.  A lane's
     product has the shape of a one-vector call, so a lane's result has the
     same bits in a stack as alone.
-    ``N_star``, ``h_star`` (None for syn/no), ``mse_star`` (re-scored per
-    lane with the closed-form average BLEP) and ``objective_star`` are
-    numbers for a field or one vector, else arrays of the stack's shape.
+    ``N_star``, ``h_star`` (None for syn/no), ``mse_star`` (at the exact
+    BLEP for either ``objective``) and ``objective_star`` are numbers for
+    a field or one vector, else arrays of the stack's shape.
     ``evaluations`` counts scored points over every lane; a grid of more
     than ``_MAX_GRID`` points raises ScaleLimitError before any is scored.
     """
@@ -502,7 +501,7 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
         n_star, best, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
                                        lanes.shape[1], cfg.N_min, cfg.N_min,
                                        np.full(len(lanes), n_hi))
-        h_star, points = [None] * len(lanes), Ns.size
+        h_star, points = None, Ns.size
     else:
         steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
         points = int(steps.sum())
@@ -532,10 +531,9 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
                     raise BracketError(f"objective is nan at N = {Ns[i + row]}, "
                                        f"h = {hs[col]} on [{cfg.N_min}, {n_hi}]")
             i = j
-        n_star, h_star = Ns[at[:, 0]], hs[at[:, 1]].tolist()
-    return _result(source, link, scheme, w, n_star.tolist(), h_star,
-                   (source.sigma2_x * best).tolist(), iterations=1, converged=True,
-                   branch="exhaustive", evaluations=len(lanes) * points)
+        n_star, h_star = Ns[at[:, 0]], hs[at[:, 1]]
+    return _result(source, link, scheme, w, n_star, h_star, best, "exhaustive",
+                   evaluations=len(lanes) * points)
 
 
 def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:

@@ -1223,3 +1223,27 @@ def test_no_infer_runs_once_per_spatial_group(tmp_path, monkeypatch):
         assert rows[1 + 6 * i:7 + 6 * i] == own[1:], (b, db)
         assert ((tmp_path / "snr" / f"{name}_optimize_trace_{i}.csv").read_bytes()
                 == (tmp_path / f"alone{i}" / f"{name}_optimize_trace_0.csv").read_bytes())
+
+
+def test_eps_bar_column_is_one_blep_call_per_spatial_group(tmp_path, monkeypatch):
+    # a b_per_m group's eps_bar cells are one blep_average call over the N
+    # of its rows, each cell the exact BLEP at its own row's N
+    calls = []
+    monkeypatch.setattr(experiments, "blep_average", lambda link, N, _real=sp.blep_average:
+                        calls.append(list(N)) or _real(link, N=N))
+    spec = load_spec("fig11_min_mse_vs_mssc")
+    two = parse_spec(spec.raw_text.replace(
+        "b_per_m = 0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3",
+        "b_per_m = 0.0, 0.3\ngamma_r_bar_db = 5.0, 10.0"))
+    run_experiment(two, tmp_path)
+    rows = _read_rows(tmp_path / "fig11_min_mse_vs_mssc_optimize.csv")
+    points = list(itertools.product(*two.sweep.values()))  # b_per_m slowest
+    assert len(rows) == 6 * len(points) and len(calls) == 2
+    for g, db in enumerate(two.sweep["gamma_r_bar_db"]):
+        link = dataclasses.replace(two.link, gamma_r_bar=10 ** (db / 10.0))
+        group = [row for i, p in enumerate(points) if p[1] == db
+                 for row in rows[6 * i:6 * i + 6]]
+        assert calls[g] == [int(row["N"]) for row in group]
+        for row in group:
+            assert float(row["eps_bar"]) == sp.blep_average(
+                link.with_blocklength(int(row["N"])))

@@ -137,6 +137,46 @@ def test_optresult_reports_exact_model_mse(source, field, link, asyn_scheme):
     assert res.mse_star == direct
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_mse_star_is_average_mse_at_the_returned_point(field, link, stacked):
+    # every optimizer, every scheme and both exhaustive objectives: each
+    # lane's mse_star has the bits of average_mse, the closed form at the
+    # exact BLEP, at that lane's (N*, h*)
+    src = sp.SourceParams(sigma2_x=2.5, a=3.0)
+    T = 0.15
+    no = sp.SchemeConfig(sp.Scheme.NO_INFER, T=T, M=1, m=1)
+    syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=T, M=5, m=1)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=0.01, M=5, m=1)
+    runs = [(no, sp.optimize_blocklength), (syn, sp.optimize_blocklength),
+            (asyn, sp.optimize_blocklength), (asyn, sp.optimize_time_shift),
+            (asyn, sp.jtsbo)]
+    runs += [(scheme, lambda *a, obj=obj: sp.exhaustive_search(*a, objective=obj))
+             for scheme in (no, syn, asyn) for obj in ("simplified", "exact")]
+    for scheme, run in runs:
+        # fig11's weight vectors at b = 0, 0.02 and 0.3, or the field's own
+        lanes = _fig11_stack(field, scheme)[::4] if stacked else None
+        res = run(src, field if lanes is None else lanes, link, scheme)
+        if scheme is no or not stacked:
+            lanes = [sp.scheme_weights(src, field, scheme)]
+        ns, mses = np.ravel(res.N_star).tolist(), np.ravel(res.mse_star).tolist()
+        hs = [None] * len(ns) if res.h_star is None else np.ravel(res.h_star).tolist()
+        assert len(ns) == len(lanes)
+        for w, n, h, mse in zip(lanes, ns, hs, mses):
+            at = scheme if h is None else dataclasses.replace(scheme, h=h)
+            assert mse == sp.average_mse(src, w, link.with_blocklength(n), at)
+        assert type(res.mse_star) is (np.ndarray if stacked and scheme is not no else float)
+
+
+@pytest.mark.parametrize("run", [sp.optimize_time_shift, sp.jtsbo])
+def test_shift_optimizers_reject_a_scheme_without_shifts(source, field, link, syn_scheme,
+                                                         no_scheme, run):
+    # a syn config once gave h* = 0.0326 s labelled syn-infer, a no-infer
+    # config a bare ZeroDivisionError
+    for scheme in (syn_scheme, no_scheme):
+        with pytest.raises(sp.InvalidConfigError, match="needs an asynchronous config"):
+            run(source, field, link, scheme)
+
+
 def test_objective_convex_in_h(source, field, link):
     # second differences positive across the proven band T >= M h
     for T in (0.12, 0.2):
@@ -846,7 +886,9 @@ def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
                                                asyn_scheme, monkeypatch):
     # one _objective call over the whole index range, then one for the
     # residual: the complex step of the objective at the returned integer;
-    # the range call's other argument is the lane's own N or h, one value
+    # the range call's other argument is the lane's own N or h, one value;
+    # then the result's re-score at the returned point, with no range
+    # argument
     objective_calls = []
     monkeypatch.setattr(optimize, "_objective",
                         lambda *a, _fn=_objective, **kw: objective_calls.append(
@@ -870,8 +912,8 @@ def test_each_step_is_one_objective_array_call(source, field, link, syn_scheme,
         res = step()
         x, arg = point(res)
         assert res.branch == "interior-root"
-        assert [len(c) for c in objective_calls] == [1, 1]
-        (idx,), (stepped,) = objective_calls
+        assert [len(c) for c in objective_calls] == [1, 1, 0]
+        (idx,), (stepped,), () = objective_calls
         assert stepped.real.tolist() == [arg] and np.iscomplexobj(stepped)
         idx = idx / (Ts if isinstance(arg, float) else 1)
         _discrete_minimum(obj, round(idx[0]), round(idx[-1]), x)
@@ -926,17 +968,20 @@ def test_an_exhaustive_grid_past_the_budget_is_a_scale_limit(monkeypatch, source
 
 def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,
                                             syn_scheme, asyn_scheme):
+    # one call of the objective's BLEP model over the whole range, then one
+    # exact BLEP call for the result's re-score
     calls = []
     for name in ("blep_average", "blep_average_simplified"):
         real = getattr(optimize, name)
-        monkeypatch.setattr(optimize, name,
-                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+        monkeypatch.setattr(optimize, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
     for scheme in (syn_scheme, asyn_scheme):
-        for objective in ("simplified", "exact"):
+        for objective, model in (("simplified", "blep_average_simplified"),
+                                 ("exact", "blep_average")):
             calls.clear()
             sp.exhaustive_search(source, field, link, scheme,
                                  sp.OptimizerConfig(N_max=300), objective=objective)
-            assert len(calls) == 1
+            assert calls == [model, "blep_average"]
 
 
 # ---------------------------------------------------------------------------
