@@ -183,7 +183,7 @@ def _eps(link: LinkParams, eps_bar):
 # ---------------------------------------------------------------------------
 
 # sum over the last axis of an elementwise product, broadcasting the rest
-_vecdot = getattr(np, "vecdot", None) or (lambda x, y: (x * y).sum(axis=-1))
+_vecdot = functools.partial(np.einsum, "...i,...i->...")
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,8 +260,7 @@ class ClosedForm:
         return self.one_q + self.slot * self._eps_factor(eps)
 
     def _reduction(self, eps, weights):
-        """R with MSE = 1 - k R.  The real weights come first in each
-        ``_vecdot``, as ``np.vecdot`` conjugates its first argument."""
+        """R with MSE = 1 - k R."""
         if self.h is None:
             # R = (1-E) sum_s w_s A_s, A_s = eps^(s-1) (1-eps) / (1 - E eps^M)
             return (1.0 - self.E) * _vecdot(weights, self._eps_factor(eps))
