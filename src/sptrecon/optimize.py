@@ -363,7 +363,8 @@ def optimize_time_shift(source, field_or_weights, link, scheme) -> OptResult:
     n = np.full(len(W), int(link.N))
     k, val, branch = _time_shift_step(source, W, link, scheme, n,
                                       blep_average_simplified(link, N=n))
-    h, lane = k * link.T_s, np.arange(len(W))
+    h = k * link.T_s
+    lane = np.arange(len(W))
     return _result(source, link, scheme, w, n, h, val, branch,
                    (lane, np.ones_like(lane), h, n, val), "h")
 
