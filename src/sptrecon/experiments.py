@@ -474,15 +474,16 @@ def _optimize_rows(spec):
         # the stacked runs read the points' weights, not sources[0].b
         syn_w, asyn_w = (np.stack([scheme_weights(s, field, c) for s in sources])
                          for c in (syn_cfg, asyn_cfg))
+        # jtsbo first: an empty asyn range fails before the syn runs score M weights
+        asyn = jtsbo(sources[0], asyn_w, link, asyn_cfg, cfg)
         no_infer = optimize_blocklength(sources[0], field, link, no_cfg, cfg)
+        syn = optimize_blocklength(sources[0], syn_w, link, syn_cfg, cfg)
         scans = []
         if spec.include_exhaustive:
             scans = [(tag + ":exhaustive", exhaustive_search(sources[0], w, link, c, cfg))
                      for tag, w, c in (("no-infer", field, no_cfg),
                                        ("syn-infer", syn_w, syn_cfg),
                                        ("asyn-infer", asyn_w, asyn_cfg))]
-        syn = optimize_blocklength(sources[0], syn_w, link, syn_cfg, cfg)
-        asyn = jtsbo(sources[0], asyn_w, link, asyn_cfg, cfg)
         runs = [("no-infer", no_infer), ("syn-infer", syn), ("asyn-infer", asyn), *scans]
         # each point's (tag, N, h, mse) per run: a run's lane, or the
         # no-infer run's numbers for every point; eps_bar is one call

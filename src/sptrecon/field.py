@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +38,10 @@ _COV_JITTER = 1e-10
 # far below the 1.3e154 m separation whose squared distance overflows.
 _MAX_COORD_M = 1e150
 
-# bytes of the largest array over the sensors a run may size: the (M, M, 2)
-# coordinate differences behind the distance matrix (M up to 8,192), an
-# analytic sweep's (rows x M) weight stack or eps_star_asyn's (512 x M) scan.
-# 1 GiB, some 30,000 times the bundled specs' largest (850 rows x 5); a
-# run's peak is a few such arrays
+# bytes of the largest array over the sensors a run may size: an analytic
+# sweep's (rows x M) weight stack, eps_star_asyn's (512 x M) scan or one
+# lane's (range x M) optimizer values.  1 GiB, some 30,000 times the bundled
+# specs' largest (850 rows x 5); a run's peak is a few such arrays
 _MAX_SENSOR_BYTES = 1 << 30
 
 
@@ -116,20 +114,19 @@ class SensorField:
     def n_sensors(self) -> int:
         return self.positions.shape[0]
 
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """Symmetric (M, M) pairwise distance matrix, zero diagonal.
-        ScaleLimitError past the budget of :func:`_check_sensor_bytes`."""
-        M = self.n_sensors
-        _check_sensor_bytes(16 * M * M, f"the distances of M = {M} sensors")
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(d, 0.0)
-        return d
+    def _distances(self, i, j):
+        """Distances r_ij between the sensors at 0-based indices i and j, which
+        broadcast, formed per coordinate: k pairs size k values, not M^2."""
+        x, y = self.positions.T
+        dx, dy = np.asarray(x[i] - x[j]), y[i] - y[j]  # in place from here on
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
 
     def target_factors(self, b: float) -> np.ndarray:
         """Squared spatial weights exp(-2 b r_mn) from the target to each sensor."""
-        return np.exp(-2.0 * b * self.distances[self.target_index - 1])
+        return np.exp(-2.0 * b * self._distances(self.target_index - 1, slice(None)))
 
 
 def place_sensors(M, region_half_width, seed=None, target_index=1):
@@ -162,7 +159,7 @@ def correlation(params: SourceParams, field: SensorField, i, j, dt=0.0):
         raise InvalidQueryError(f"sensor index outside 1..{M}")
     if not np.min(dt) >= 0:  # NaN too
         raise InvalidQueryError(f"time lag must be >= 0, got {np.min(dt)}")
-    val = np.exp(-params.a * dt - params.b * field.distances[i - 1, j - 1])
+    val = np.exp(-params.a * dt - params.b * field._distances(i - 1, j - 1))
     return float(val) if val.ndim == 0 else val
 
 

@@ -656,9 +656,30 @@ def test_an_exhaustive_grid_past_the_budget_fails_before_scoring(tmp_path):
     assert manifest["error"].startswith("ScaleLimitError")
 
 
+def test_an_empty_asyn_range_fails_before_any_scan(tmp_path, monkeypatch):
+    # fig11 at M = 8000: even at the smallest shift h = T_s the shift time
+    # (M - 1) T_s = 0.8 s passes the 0.15 s period, so no asyn blocklength
+    # fits; jtsbo says so before the syn step or any exhaustive scan scores
+    # the syn weights of 8,000 sensors (some 8 s)
+    calls = []
+
+    def scored(*args, **kwargs):
+        calls.append(args[3].scheme)
+        raise AssertionError(f"{args[3].scheme} scored before the asyn range was checked")
+
+    monkeypatch.setattr(experiments, "exhaustive_search", scored)
+    monkeypatch.setattr(experiments, "optimize_blocklength", scored)
+    text = load_spec("fig11_min_mse_vs_mssc").raw_text
+    assert "\nM = 5\n" in text
+    with pytest.raises(InvalidConfigError, match=re.escape("empty blocklength range [10, -6499]")):
+        run_experiment(parse_spec(text.replace("\nM = 5\n", "\nM = 8000\n")), tmp_path)
+    assert calls == []
+
+
 # runs, in a process whose address space is capped at its first argument in
-# bytes, each bundled spec at M = 1e6 sensors and eps_star_asyn on a vector
-# of 3e5 weights; prints one "name: error type: message" line per run
+# bytes, each bundled spec at M = 1e6 sensors, the bundled sim at M = 8000
+# and 2,000 periods, and eps_star_asyn on a vector of 3e5 weights; prints one
+# "name: error type: message" or "name: ran" line per run
 _UNDER_RLIMIT = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
@@ -674,6 +695,9 @@ def run(name, job):
 for name in list_bundled_specs():
     text = load_spec(name).raw_text.replace("\\nM = 5\\n", "\\nM = 1000000\\n")
     run(name, lambda: run_experiment(parse_spec(text), sys.argv[2] + "/" + name))
+text = (load_spec("sim_vs_analytic_default").raw_text.replace("\\nM = 5\\n", "\\nM = 8000\\n")
+        .replace("\\nperiods = 100000\\n", "\\nperiods = 2000\\n"))
+run("sim at M = 8000", lambda: run_experiment(parse_spec(text), sys.argv[2] + "/m8000"))
 link = sp.LinkParams(T_s=1e-9)
 scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=1.0, h=1e-9, M=300000, m=1)
 run("eps_star_asyn", lambda: sp.eps_star_asyn(sp.SourceParams(), np.full(300000, 0.5),
@@ -682,27 +706,30 @@ run("eps_star_asyn", lambda: sp.eps_star_asyn(sp.SourceParams(), np.full(300000,
 
 
 def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
-    # at M = 1e6 the distance matrix's (M, M, 2) differences would take 14.6
-    # TiB, an 850-row analytic sweep's (rows x M) weight stack 6.33 GiB and
-    # eps_star_asyn's (512 x M) scan of 3e5 sensors 1.14 GiB; each raises
-    # before it is sized, in a process whose address space is capped, so a
-    # guard that fails to fire ends in MemoryError rather than taking the
-    # machine's memory
+    # at M = 1e6 an 850-row analytic sweep's (rows x M) weight stack would
+    # take 6.33 GiB, the sim's per-period arrays 93.1 GiB and eps_star_asyn's
+    # (512 x M) scan of 3e5 sensors 1.14 GiB; each raises before it is sized,
+    # in a process whose address space is capped, so a guard that fails to
+    # fire ends in MemoryError rather than taking the machine's memory.
+    # fig11's asyn range is empty from M = 1,492 on, (M - 1) T_s passing
+    # its period. No (M, M) array is sized: the sim at M = 8000 runs under
+    # the cap
     src = Path(sp.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _UNDER_RLIMIT, str(768 << 20),
                            str(tmp_path)], capture_output=True, text=True, timeout=300,
                           env={"PYTHONPATH": str(src), "PATH": "", "OMP_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     got = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
-    distances = "ScaleLimitError: the distances of M = 1000000 sensors would need 1.49e+04 GiB"
     stack = "ScaleLimitError: 850 analytic rows of 1000000 spatial weights would need 6.33 GiB"
     want = {
         "asyn_surface_short_shift": stack,
-        "fig11_min_mse_vs_mssc": distances,
+        "fig11_min_mse_vs_mssc": "InvalidConfigError: empty blocklength range [10, -998499]",
         "fig4_syn_surface": stack,
         # its thresholds read no weight: the time shift no longer fits first
         "regions_vs_period": "InvalidConfigError: time shift h=0.005 outside feasible band",
-        "sim_vs_analytic_default": distances,
+        "sim_vs_analytic_default": "ScaleLimitError: periods = 1e+05 would need 93.1 GiB "
+                                   "of per-period arrays",
+        "sim at M = 8000": "ran",
         "eps_star_asyn": "ScaleLimitError: the 512-point eps grid of 300000 sensors "
                          "would need 1.14 GiB",
     }
@@ -712,14 +739,9 @@ def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
 
 
 def test_the_sensor_array_budget_is_inclusive(tmp_path, monkeypatch):
-    # a run may size exactly the budget: 16 M^2 bytes of coordinate
-    # differences, 8 bytes per weight of an analytic group's rows
+    # a run may size exactly the budget: 8 bytes per weight of an analytic
+    # group's rows
     from sptrecon import field as field_module
-    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 16 * 5 * 5)
-    assert sp.place_sensors(5, 10.0, seed=7).distances.shape == (5, 5)
-    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 16 * 5 * 5 - 1)
-    with pytest.raises(ScaleLimitError, match="distances of M = 5 sensors"):
-        sp.place_sensors(5, 10.0, seed=7).distances
     spec = load_spec("fig4_syn_surface")
     monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * 850 * 5)
     run_experiment(spec, tmp_path / "at")

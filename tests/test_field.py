@@ -14,8 +14,8 @@ from sptrecon.errors import (
 
 def test_single_sensor_degenerate():
     f = sp.place_sensors(1, 10.0, seed=0)
-    assert f.distances.shape == (1, 1)
-    assert f.distances[0, 0] == 0.0
+    assert _matrix(f).shape == (1, 1)
+    assert f._distances(0, 0) == 0.0
     with pytest.raises(UndefinedMsscError):
         sp.mssc(sp.SourceParams(), f)
 
@@ -44,7 +44,7 @@ def test_coordinates_beyond_1e150_m_rejected(make):
 
 def test_coordinates_of_1e150_m_accepted():
     f = sp.SensorField(positions=np.array([[-1e150, 0.0], [1e150, 1e150]]))
-    assert f.distances[0, 1] == pytest.approx(math.sqrt(5.0) * 1e150, rel=1e-15)
+    assert f._distances(0, 1) == pytest.approx(math.sqrt(5.0) * 1e150, rel=1e-15)
     assert sp.mssc(sp.SourceParams(b=0.0), f) == 1.0
     assert sp.mssc(sp.SourceParams(b=0.01), f) == 0.0
 
@@ -64,9 +64,37 @@ def test_placement_deterministic_under_seed():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def _matrix(f):
+    """Every pairwise distance of field f, as one (M, M) query."""
+    i = np.arange(f.n_sensors)
+    return f._distances(i[:, None], i[None, :])
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed: sp.place_sensors(40, 10.0, seed=seed, target_index=7)
+      for seed in range(5)),
+    lambda: sp.SensorField(positions=np.random.default_rng(9).uniform(
+        -1e150, 1e150, size=(30, 2)), target_index=3),
+    lambda: sp.SensorField(positions=np.array([[-1e150, 1e150], [1e150, -1e150],
+                                               [1e150, 1e150], [0.0, -1e150]]),
+                           target_index=2),
+], ids=[*(f"placed-{seed}" for seed in range(5)), "random-1e150", "corners-1e150"])
+def test_pair_distances_are_the_matrix_bit_for_bit(make):
+    # reference: every distance as one reduction over (M, M, 2) coordinate
+    # differences, and the target's squared spatial weights from its row
+    f = make()
+    diff = f.positions[:, None, :] - f.positions[None, :, :]
+    old = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(old, 0.0)
+    assert np.array_equal(_matrix(f), old)
+    for b in (0.0, 0.01, 0.37, 1e-150):
+        assert np.array_equal(f.target_factors(b),
+                              np.exp(-2.0 * b * old[f.target_index - 1]))
+
+
 def test_distance_matrix_symmetric_zero_diagonal():
     f = sp.place_sensors(6, 10.0, seed=3)
-    d = f.distances
+    d = _matrix(f)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
@@ -111,8 +139,7 @@ def test_mean_pairwise_distance_matches_quadrature():
     rng_dists = []
     for seed in range(10_000):
         f = sp.place_sensors(5, 10.0, seed=seed)
-        iu = np.triu_indices(5, k=1)
-        rng_dists.append(f.distances[iu])
+        rng_dists.append(f._distances(*np.triu_indices(5, k=1)))
     emp = float(np.mean(np.concatenate(rng_dists)))
     assert emp == pytest.approx(val, rel=0.01)
 
@@ -177,7 +204,7 @@ def test_mssc_matches_direct_sum(source):
     f = sp.place_sensors(5, 10.0, seed=21)
     m = f.target_index - 1
     direct = sum(
-        np.exp(-2.0 * source.b * f.distances[m, n])
+        np.exp(-2.0 * source.b * f._distances(m, n))
         for n in range(5) if n != m
     ) / 4.0
     assert sp.mssc(source, f) == pytest.approx(direct, rel=1e-14)
@@ -220,7 +247,7 @@ def test_sampled_covariance_matches_model(source):
     emp = np.cov(x.T)
     ana = source.sigma2_x * np.exp(
         -source.a * np.abs(times[:, None] - times[None, :])
-        - source.b * f.distances[sensors[:, None] - 1, sensors[None, :] - 1])
+        - source.b * f._distances(sensors[:, None] - 1, sensors[None, :] - 1))
     # entrywise within 3 standard errors of a covariance estimate
     se = np.sqrt((ana ** 2 + np.outer(np.diag(ana), np.diag(ana))) / n)
     assert np.all(np.abs(emp - ana) < 3.0 * se + 1e-9)
