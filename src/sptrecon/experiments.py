@@ -30,15 +30,13 @@ import numpy as np
 
 from . import __version__
 from .blep import LinkParams, blep_average
-from .errors import (InvalidConfigError, InvariantError, RegionDegenerateError,
-                     ScaleLimitError)
-from .field import (SensorField, SourceParams, _check_sensor_bytes, load_field, mssc,
-                    place_sensors)
+from .errors import InvalidConfigError, InvariantError, RegionDegenerateError, _check_scale
+from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
-from .optimize import OptimizerConfig, exhaustive_search, jtsbo, optimize_blocklength
+from .optimize import (OptimizerConfig, _blocklength_cap, exhaustive_search, jtsbo,
+                       optimize_blocklength)
 from .regions import classify, threshold_asyn_over_syn, threshold_infer
-from .simulate import (_TRACE_BYTES, _check_period_bytes, batch_means_stderr,
-                       simulate_event_level)
+from .simulate import _TRACE_BYTES, batch_means_stderr, simulate_event_level
 
 ANALYTIC_COLUMNS = ["scheme", "T_s", "L", "N", "T", "h", "M", "mssc",
                     "eps_bar", "mse_analytic", "mse_lb", "mse_ub"]
@@ -324,8 +322,8 @@ def _analytic_rows(spec):
         source, link, scheme = _apply_point(spec, values)
         # the group's (rows x M) weight stack; no inference reads one weight
         width = 1 if scheme.scheme is Scheme.NO_INFER else scheme.M
-        _check_sensor_bytes(8 * len(idx) * width,
-                            f"{len(idx)} analytic rows of {width} spatial weights")
+        _check_scale("sensor_bytes", 8 * len(idx) * width,
+                     f"{len(idx)} analytic rows of {width} spatial weights")
         # a weight vector (MSSC-substituted) and an eps per swept value, else
         # the field's and the link's own, and each point's index among them
         rhos = spec.sweep.get("mssc")
@@ -393,25 +391,20 @@ def _verdict(rho, thr1, thr2):
     return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")
 
 
-# the simulated periods one sim row may run, periods x replicas, with each
-# replica counted as at least _REPLICA_PERIODS (its fixed cost, about 600 us
-# on a 2-vCPU Xeon VM, is that of some 4,000 periods).  2^30, about 1,000
-# times the oracle benchmark's 1e6 x 1: some 150 s of drawing there
-_MAX_SIM_PERIODS, _REPLICA_PERIODS = 1 << 30, 1 << 12
+# a replica counts against the sim scale limit as at least this many periods:
+# its fixed cost, about 600 us on a 2-vCPU Xeon VM, is that of some 4,000
+_REPLICA_PERIODS = 1 << 12
 
 
 def _sim_row(spec, values):
-    work = spec.replicas * max(spec.periods, _REPLICA_PERIODS)
-    if work > _MAX_SIM_PERIODS:
-        raise ScaleLimitError(
-            f"periods x replicas = {spec.periods} x {spec.replicas} would run "
-            f"{work:.3g} period equivalents (> {_MAX_SIM_PERIODS}, a replica "
-            f"counting as at least {_REPLICA_PERIODS}); reduce periods or replicas")
+    _check_scale("sim_periods", spec.replicas * max(spec.periods, _REPLICA_PERIODS),
+                 f"periods x replicas = {spec.periods} x {spec.replicas}, a replica "
+                 f"counting as at least {_REPLICA_PERIODS} periods,")
     source, link, scheme = _apply_point(spec, values)
     if spec.dump_trace:  # each replica's trace in its report, and their concatenation
         total = spec.periods * spec.replicas
         need = 2 * _TRACE_BYTES * total * len(scheme_weights(source, spec.field, scheme))
-        _check_period_bytes(need, f"periods x replicas = {total:.3g}")
+        _check_scale("period_bytes", need, f"periods x replicas = {total:.3g}")
     reports = [
         simulate_event_level(source, spec.field, link, scheme, spec.periods,
                              spec.seed, replica=r, collect_trace=spec.dump_trace)
@@ -469,12 +462,15 @@ def _optimize_rows(spec):
         asyn_cfg = SchemeConfig(Scheme.ASYN_INFER, T=scheme.T,
                                 h=scheme.h if scheme.h is not None else link.T_s,
                                 M=scheme.M, m=scheme.m)
+        # jtsbo's range, at the first grid shift: an empty one fails before
+        # any weight is formed
+        _blocklength_cap(scheme.T, link.T_s, cfg, (scheme.M - 1) * link.T_s)
         # the group's points take the swept b values in turn
         sources = [replace(source, b=b) for b in spec.sweep.get("b_per_m", [source.b])]
         # the stacked runs read the points' weights, not sources[0].b
         syn_w, asyn_w = (np.stack([scheme_weights(s, field, c) for s in sources])
                          for c in (syn_cfg, asyn_cfg))
-        # jtsbo first: an empty asyn range fails before the syn runs score M weights
+        # jtsbo first: its errors come before the syn runs score M weights
         asyn = jtsbo(sources[0], asyn_w, link, asyn_cfg, cfg)
         no_infer = optimize_blocklength(sources[0], field, link, no_cfg, cfg)
         syn = optimize_blocklength(sources[0], syn_w, link, syn_cfg, cfg)

@@ -26,7 +26,6 @@ from .errors import (
     DecompositionError,
     InvalidConfigError,
     InvalidQueryError,
-    ScaleLimitError,
     UndefinedMsscError,
 )
 
@@ -37,19 +36,6 @@ _COV_JITTER = 1e-10
 # Largest coordinate magnitude in metres: far beyond any physical field and
 # far below the 1.3e154 m separation whose squared distance overflows.
 _MAX_COORD_M = 1e150
-
-# bytes of the largest array over the sensors a run may size: an analytic
-# sweep's (rows x M) weight stack, eps_star_asyn's (512 x M) scan or one
-# lane's (range x M) optimizer values.  1 GiB, some 30,000 times the bundled
-# specs' largest (850 rows x 5); a run's peak is a few such arrays
-_MAX_SENSOR_BYTES = 1 << 30
-
-
-def _check_sensor_bytes(need, what):
-    """ScaleLimitError naming ``what`` when ``need`` bytes pass the budget."""
-    if need > _MAX_SENSOR_BYTES:
-        raise ScaleLimitError(f"{what} would need {need / 2**30:.3g} GiB "
-                              f"(> {_MAX_SENSOR_BYTES / 2**30:g} GiB); use fewer sensors")
 
 
 @dataclass(frozen=True)

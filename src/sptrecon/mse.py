@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blep import LinkParams, _complex_step, blep_average
-from .errors import BracketError, InvalidConfigError, ScaleLimitError
-from .field import SensorField, SourceParams, _check_sensor_bytes
+from .errors import BracketError, InvalidConfigError, _check_scale
+from .field import SensorField, SourceParams
 
 
 class Scheme(str, enum.Enum):
@@ -109,17 +109,6 @@ def reindex_by_correlation(params: SourceParams, field: SensorField) -> np.ndarr
 # to this many symbol durations
 _TIMING_TOL = 1e-9
 
-# the most blocklengths or shift indices one range may hold, about 700 times
-# the largest bundled range (1,490); its arrays and (range x M) temporaries
-_MAX_RANGE = 1 << 20
-
-
-def _check_range(size, what):
-    """ScaleLimitError naming ``what`` when ``size`` indices pass _MAX_RANGE."""
-    if not size <= _MAX_RANGE:  # inf too
-        raise ScaleLimitError(f"{what} would hold {size:.3g} values (> {_MAX_RANGE}); "
-                              "raise the symbol duration or shorten the period")
-
 
 def max_blocklength(T: float, T_s: float, shift=0.0):
     """Largest blocklength N with N T_s + shift <= T, where ``shift`` (a
@@ -141,7 +130,7 @@ def max_blocklength(T: float, T_s: float, shift=0.0):
 def shift_count(T: float, T_s: float, M: int, N):
     """Number of grid shifts h = T_s, 2 T_s, ... that fit blocklength(s) N:
     those with N <= max_blocklength(T, T_s, (M - 1) h).  Broadcasts over N."""
-    _check_range(T / T_s / (M - 1), "the time-shift range")
+    _check_scale("range", T / T_s / (M - 1), "the time-shift range")
     k = np.arange(1, int(T / T_s) // (M - 1) + 2)
     caps = max_blocklength(T, T_s, (M - 1) * (k * T_s))  # non-increasing in k
     return np.searchsorted(-caps, -np.asarray(N), side="right")
@@ -419,12 +408,12 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     than a single root chase is required for a valid bound.  The scan and
     the refine run at unit variance; only the returned minimum is scaled by
     sigma2.  A scheme that is not asynchronous raises InvalidConfigError, a
-    (grid_size x M) scan past the sensor-array budget ScaleLimitError.
+    (grid_size x M) scan past the sensor-array scale limit ScaleLimitError.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
-    _check_sensor_bytes(8 * grid_size * scheme.M,
-                        f"the {grid_size}-point eps grid of {scheme.M} sensors")
+    _check_scale("sensor_bytes", 8 * grid_size * scheme.M,
+                 f"the {grid_size}-point eps grid of {scheme.M} sensors")
     w = scheme_weights(source, field_or_weights, scheme)
     lanes = w.reshape(-1, scheme.M)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)

@@ -52,22 +52,18 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .blep import LinkParams, _complex_step, blep_average, blep_average_simplified
-from .errors import BracketError, InvalidConfigError, ScaleLimitError
-from .field import SensorField, SourceParams, _check_sensor_bytes
-from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _check_range,
-                  max_blocklength, scheme_weights, shift_count)
+from .errors import BracketError, InvalidConfigError, _check_scale
+from .field import SensorField, SourceParams
+from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, max_blocklength,
+                  scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its (rows x width) temporaries to about 128 kB each
 _GRID_CHUNK = 16384
-# the most (N, h) points one asynchronous exhaustive search may score, about
-# 240 times the largest bundled grid (277,140); at about 7 ns a point a full
-# grid takes about half a second
-_MAX_GRID = 1 << 26
 # (lanes x range x M) values one array call of a step may score: the lanes
-# of a stack are scored in blocks (see _lane_argmin), so each temporary stays
+# of a stack are scored in blocks (see _argmin_step), so each temporary stays
 # within 1 MiB of floats; fig11's 9 lanes of up to 1,490 blocklengths x 5
 # sensors are one block
 _LANE_BUDGET = 1 << 17
@@ -185,53 +181,46 @@ def _blocklength_cap(T, T_s, cfg, shift=0.0):
     """Largest blocklength of a step or a search: :func:`max_blocklength`
     at the shift time ``shift`` = (M - 1) h (an array gives one cap per
     entry), lowered to ``cfg.N_max``.  Raises InvalidConfigError when a
-    cap lies below ``cfg.N_min``, and ScaleLimitError past the range budget
-    of :func:`mse._check_range`."""
+    cap lies below ``cfg.N_min``, and ScaleLimitError past the range scale
+    limit."""
     n_hi = max_blocklength(T, T_s, shift)
     if cfg.N_max is not None:
         n_hi = np.minimum(n_hi, cfg.N_max)
     if np.min(n_hi) < cfg.N_min:
         raise InvalidConfigError(f"empty blocklength range [{cfg.N_min}, {np.min(n_hi)}]")
-    _check_range(np.max(n_hi) - cfg.N_min + 1,
+    _check_scale("range", np.max(n_hi) - cfg.N_min + 1,
                  f"the blocklength range from N_min = {cfg.N_min}")
     return n_hi
 
 
-def _lane_argmin(score, lanes, width, M, last):
-    """Each lane's first minimum, (column, value), of the (lanes, width)
-    values ``score(block)``, over its columns 0 .. last[lane].
+def _argmin_step(score, lanes, M, lo, start, hi):
+    """Each lane's integer minimizer of the (lanes, width) objective rows
+    ``score(block)``, scored at start, start + 1, ..., start + width - 1 =
+    max(hi), and taken over [start, hi[lane]]; ties go to the smallest.  A
+    NaN or an infinite minimum raises BracketError, for the first such lane.
 
     ``score`` gets a slice of the lanes and returns their rows.  A block
     holds at most ``_LANE_BUDGET // (width M)`` lanes, and at least one, so
     its (lanes x width x M) temporaries stay within the budget unless one
     lane's alone pass it; a row's values do not depend on its block.  One
-    lane's (width x M) past the sensor-array budget raises ScaleLimitError
-    before any is scored.
-    """
-    _check_sensor_bytes(8 * width * M, f"the {width}-point range of {M} sensors")
-    step = max(1, _LANE_BUDGET // (width * M))
-    at, best = [], []
-    for i in range(0, lanes, step):
-        vals = np.reshape(score(slice(i, i + step)), (-1, width))
-        vals[np.arange(width) > last[i:i + step, None]] = np.inf
-        j = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
-        at.append(j)
-        best.append(vals[np.arange(j.size), j])
-    return np.concatenate(at), np.concatenate(best)
-
-
-def _argmin_step(score, lanes, M, lo, start, hi):
-    """Each lane's integer minimizer of the objective rows ``score(block)``
-    (see :func:`_lane_argmin`), scored at start, start + 1, ... and taken
-    over [start, hi[lane]]; ties go to the smallest.  A NaN or an infinite
-    minimum raises BracketError, for the first such lane.
+    lane's (width x M) past the sensor-array scale limit raises
+    ScaleLimitError before any is scored.
 
     Returns (x, objective, branch), one entry per lane, the branch named by
     where x lies: "lower-boundary" at lo, "upper-boundary" at hi,
     "plateau-edge" at a start above lo, otherwise "interior-root".
     """
-    x, val = _lane_argmin(score, lanes, int(hi.max()) - start + 1, M, hi - start)
-    x += start
+    width = int(hi.max()) - start + 1
+    _check_scale("sensor_bytes", 8 * width * M, f"the {width}-point range of {M} sensors")
+    step = max(1, _LANE_BUDGET // (width * M))
+    at, best = [], []
+    for i in range(0, lanes, step):
+        vals = np.reshape(score(slice(i, i + step)), (-1, width))
+        vals[np.arange(width) > hi[i:i + step, None] - start] = np.inf
+        j = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
+        at.append(j)
+        best.append(vals[np.arange(j.size), j])
+    x, val = np.concatenate(at) + start, np.concatenate(best)
     bad = np.flatnonzero(~np.isfinite(val))
     if bad.size:
         j = bad[0]
@@ -381,7 +370,8 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     N-step at fixed h and a face step until the iteration cap or until an
     iteration leaves (N, h) exactly unchanged (``converged``).  The face
     step takes the best point of the constraint face on the grid, every N
-    at its last grid shift, scored once per call; it moves the iterate off
+    from the plateau edge at its last grid shift, scored once per call
+    (below the edge the objective is exactly 1); it moves the iterate off
     a corner where both coordinate steps stall.  Every candidate comparison
     keeps the incumbent, so the internal objective is non-increasing
     across iterations by construction.
@@ -391,7 +381,7 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     one weight vector or a (lanes, M) stack.  The lanes step together: the
     simplified BLEP over [N_min, cap], the plateau edge and the face step's
     N, h and BLEP are formed once per call, and each step scores the
-    (lanes, range) matrix in blocks of lanes (:func:`_lane_argmin`): the
+    (lanes, range) matrix in blocks of lanes (:func:`_argmin_step`): the
     time-shift step each lane's own N against k = 1 .. the largest shift
     count, the blocklength step each lane's own h against N from the edge
     to the largest cap, with the columns past a lane's own count or cap
@@ -420,9 +410,13 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     n_cur, h_cur = np.full(len(W), n0), np.full(len(W), h0)
     cur = _objective(source, W, link, scheme, n0, h0)
     face_h = shift_count(T, Ts, M, face_n) * Ts
-    face, face_val = _lane_argmin(lambda s: _objective(source, W[s, None], link, scheme,
-                                                       face_n, face_h, eps=eps),
-                                  len(W), face_n.size, M, np.full(len(W), face_n.size - 1))
+    # the face from the plateau edge: below it the objective is exactly 1
+    edge = int(np.argmax(eps < 1.0))
+    face, face_val, _ = _argmin_step(
+        lambda s: _objective(source, W[s, None], link, scheme, face_n[edge:],
+                             face_h[edge:], eps=eps[edge:]),
+        len(W), M, cfg.N_min, cfg.N_min + edge, np.full(len(W), n_cap))
+    face -= cfg.N_min
 
     rows = []  # each iteration's (lane, iteration, h, N, objective) columns
     act = np.arange(len(W))  # the lanes still moving
@@ -483,8 +477,8 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     ``N_star``, ``h_star`` (None for syn/no), ``mse_star`` (at the exact
     BLEP for either ``objective``) and ``objective_star`` are numbers for
     a field or one vector, else arrays of the stack's shape.
-    ``evaluations`` counts scored points over every lane; a grid of more
-    than ``_MAX_GRID`` points raises ScaleLimitError before any is scored.
+    ``evaluations`` counts scored points over every lane; a grid past the
+    grid scale limit raises ScaleLimitError before any point is scored.
     """
     cfg = cfg or OptimizerConfig()
     T, Ts, M = scheme.T, link.T_s, scheme.M
@@ -506,10 +500,7 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     else:
         steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
         points = int(steps.sum())
-        if points > _MAX_GRID:
-            raise ScaleLimitError(f"the exhaustive (N, h) grid would hold {points} "
-                                  f"points (> {_MAX_GRID}); raise the symbol "
-                                  "duration or shorten the period")
+        _check_scale("grid", points, "the exhaustive (N, h) grid")
         eps = eps_of(link, N=Ns)
         hs = Ts * np.arange(1, int(steps[0]) + 1)
         cf = ClosedForm(source, T, Ns * Ts, M, hs)

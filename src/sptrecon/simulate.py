@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .blep import blep_segmented
-from .errors import InvalidConfigError, ScaleLimitError
+from .errors import InvalidConfigError, _check_scale
 from .field import correlation, sample_joint_gaussian
 from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
 
@@ -81,20 +81,10 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # in cache between the steps that make the success mask
 _BLOCK = 1 << 15
 
-# bytes the event-level oracle may size per period before it draws: the
-# success mask and the SNR row(s), and a traced run's columns.  4 GiB, far
-# above the 165 MB of a traced 1e6-period run of 5 sensors; past it numpy
-# would fail untyped, or take most of the machine's memory first.  A traced
-# run keeps, per period and sensor, the mask's byte, the SNR and the
-# period, sensor and t_start_s columns
-_MAX_PERIOD_BYTES, _TRACE_BYTES = 1 << 32, 1 + 4 * 8
-
-
-def _check_period_bytes(need, what):
-    """ScaleLimitError naming ``what`` when ``need`` bytes pass the budget."""
-    if need > _MAX_PERIOD_BYTES:
-        raise ScaleLimitError(f"{what} would need {need / 2**30:.3g} GiB of per-period "
-                              f"arrays (> {_MAX_PERIOD_BYTES / 2**30:g} GiB); reduce periods")
+# bytes a traced run keeps per period and sensor, counted against the
+# per-period scale limit: the mask's byte, the SNR and the period, sensor
+# and t_start_s columns
+_TRACE_BYTES = 1 + 4 * 8
 
 
 def _first_success_rank(success, order):
@@ -160,8 +150,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
     keeps, per reception, ``gen_times_s`` and ``used_sensor``.  A run whose
     success mask and SNR row(s), with a trace its columns too
-    (``_TRACE_BYTES`` per attempt), would pass ``_MAX_PERIOD_BYTES`` raises
-    ScaleLimitError before it draws.
+    (``_TRACE_BYTES`` per attempt), would pass the per-period scale limit
+    raises ScaleLimitError before it draws.
     """
     if periods < 1 or n_batches < 1:
         raise InvalidConfigError("periods and n_batches must be >= 1")
@@ -181,8 +171,9 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     weights = field.target_factors(source.b)[sensors - 1]
     _check_timing(link, scheme, need_h=asyn)
     # untraced, the mask's byte per attempt and one reused SNR row
-    _check_period_bytes(periods * (drawn * _TRACE_BYTES if collect_trace else drawn + 8),
-                        f"periods = {periods:.3g}")
+    _check_scale("period_bytes",
+                 periods * (drawn * _TRACE_BYTES if collect_trace else drawn + 8),
+                 f"periods = {periods:.3g}")
 
     # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into
     # one buffer (a traced run's own gamma row), scaled block by block
@@ -295,9 +286,8 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
 # ---------------------------------------------------------------------------
 
 # the data-level oracle's midpoint evaluation instants per inter-update
-# interval, and its largest joint Gaussian (a dense k x k Cholesky, O(k^3))
+# interval
 _GRID_PER_INTERVAL = 16
-_MAX_ENTRIES = 2000
 
 
 def simulate_data_level(source, field, link, scheme, periods, seed,
@@ -324,12 +314,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     eval_times = gen[:-1, None] + link.tau + offsets * D[:, None]
 
     n_samp = len(gen)
-    total = n_samp + eval_times.size
-    if total > _MAX_ENTRIES:
-        raise ScaleLimitError(
-            f"joint covariance would need {total} entries (> {_MAX_ENTRIES}); "
-            "reduce periods"
-        )
+    _check_scale("data_entries", n_samp + eval_times.size, "joint covariance")
     # the held samples, then the target's states on the grid
     y, x = sample_joint_gaussian(
         source, field, np.concatenate((src_sensor, np.full(eval_times.size, m))),

@@ -1,6 +1,7 @@
 import pytest
 
 import sptrecon as sp
+from sptrecon.errors import _SCALE_LIMITS
 
 # default operating point used across the suite: M = 5 sensors in a
 # 20 m x 20 m square, unit sample variance, observation SNR 5,
@@ -42,3 +43,11 @@ def asyn_scheme():
 @pytest.fixture(scope="session")
 def no_scheme():
     return sp.SchemeConfig(sp.Scheme.NO_INFER, T=0.150, M=1, m=1)
+
+
+@pytest.fixture
+def set_scale_limit(monkeypatch):
+    """Sets one limit of the scale-limit table for the test: (kind, value)."""
+    def set_limit(kind, value):
+        monkeypatch.setitem(_SCALE_LIMITS, kind, (value, *_SCALE_LIMITS[kind][1:]))
+    return set_limit

@@ -1,31 +1,47 @@
 """The output contract across processes: checks that need a fresh
 interpreter with its own environment, each run in a subprocess."""
 
+import csv
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import sptrecon as sp
-from sptrecon.experiments import load_spec
+from sptrecon.experiments import list_bundled_specs, load_spec
 
 SRC = Path(sp.__file__).resolve().parents[1]
 
-# runs, through the command-line entry point, every bundled spec and then the
-# config at its second argument, each into its own folder under the first;
-# exits nonzero at the first run that fails
-_RUN_ALL = """
+# runs, through the command-line entry point, each (spec, output folder)
+# pair of its arguments in turn; exits nonzero at the first run that fails
+_RUN = """
 import sys
 from sptrecon.cli import main
-from sptrecon.experiments import list_bundled_specs
-out, traced = sys.argv[1:]
-names = list_bundled_specs()
-if not names:
-    sys.exit("no bundled spec")
-for name, spec in [*zip(names, names), ("traced", traced)]:
-    if main(["run", spec, "--out-dir", f"{out}/{name}"]):
-        sys.exit(f"{name} failed")
+for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    if main(["run", spec, "--out-dir", out]):
+        sys.exit(f"{spec} failed")
 """
+
+
+def _run(runs, **env):
+    """Runs the (spec, output folder) pairs in a fresh interpreter with
+    warnings as errors and ``env`` on top of this one's environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error", **env}
+    proc = subprocess.run([sys.executable, "-c", _RUN, *map(str, sum(runs, ()))],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _variant(path, name, *edits):
+    """Writes to ``path`` and returns it: the bundled spec ``name`` with
+    each (old, new) line replaced, every old line being in the spec."""
+    text = load_spec(name).raw_text
+    for old, new in edits:
+        assert f"\n{old}\n" in text, old
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path.write_text(text)
+    return path
 
 
 def _files(root):
@@ -37,22 +53,58 @@ def test_same_bytes_from_a_second_process(tmp_path):
     # run in two processes under different string-hash seeds, with warnings
     # as errors, write the same files, manifests included; the other tests
     # check determinism only within one process
-    text = load_spec("sim_vs_analytic_default").raw_text
-    assert "\nperiods = 100000\n" in text
-    traced = tmp_path / "traced.cfg"
-    traced.write_text(text.replace("\nperiods = 100000\n", "\nperiods = 2000\n")
-                      + "dump_trace = true\n")
+    traced = _variant(tmp_path / "traced.cfg", "sim_vs_analytic_default",
+                      ("periods = 100000", "periods = 2000\ndump_trace = true"))
+    names = list_bundled_specs()
+    assert names
     trees = []
     for hash_seed in ("0", "1"):
         out = tmp_path / f"hash{hash_seed}"
-        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed,
-               "PYTHONWARNINGS": "error"}
-        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, str(out), str(traced)],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
+        _run([*((name, out / name) for name in names), (traced, out / "traced")],
+             PYTHONHASHSEED=hash_seed)
         trees.append(out)
     first, again = trees
     assert sum(name.endswith(".manifest.json") for name in _files(again)) == 6
     assert _files(first) == _files(again)
     for name in _files(again):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_the_asyn_surface_runs_at_a_tiny_source_variance(tmp_path):
+    # every closed form, bound, slope and oracle integral is computed at unit
+    # variance and sigma2 is one multiply where a value leaves the package,
+    # so at sigma2 = 1e-300 the bound's refine sees the slopes of sigma2 = 1
+    # and every row stays within its bounds, with no warning
+    spec = _variant(tmp_path / "tiny_sigma2.cfg", "asyn_surface_short_shift",
+                    ("sigma2_x = 1.0", "sigma2_x = 1e-300"))
+    _run([(spec, tmp_path / "out")])
+
+
+def test_adaptation_residuals_stay_nonzero_at_a_tiny_source_variance(tmp_path):
+    # each slope is the complex step of the unit-variance objective, times
+    # sigma2, so at sigma2 = 1e-300 each jtsbo trace residual is finite and
+    # nonzero (the smallest about 7e-316), none underflowed to 0
+    spec = _variant(tmp_path / "tiny_sigma2.cfg", "fig11_min_mse_vs_mssc",
+                    ("sigma2_x = 1.0", "sigma2_x = 1e-300"))
+    _run([(spec, tmp_path / "out")])
+    files = sorted((tmp_path / "out").glob("*_optimize_trace_*.csv"))
+    cells = [float(row[c]) for f in files
+             for row in csv.DictReader(f.read_text().splitlines())
+             for c in ("residual_h", "residual_N")]
+    assert cells and all(math.isfinite(x) and x != 0 for x in cells), min(map(abs, cells),
+                                                                          default=None)
+
+
+def test_the_sim_z_score_stays_finite_at_extreme_source_variances(tmp_path):
+    # the oracle's batch means are errors in units of sigma2, in
+    # [1/(gamma_o + 1), 1], so their squares neither overflow nor underflow
+    # and the z-score stays finite at sigma2 = 1e300 and 1e-300
+    runs = [(_variant(tmp_path / f"sim_{s2}.cfg", "sim_vs_analytic_default",
+                      ("sigma2_x = 1.0", f"sigma2_x = {s2}"),
+                      ("periods = 100000", "periods = 2000")), tmp_path / s2)
+            for s2 in ("1e300", "1e-300")]
+    _run(runs)
+    for _, out in runs:
+        with open(out / "sim_vs_analytic_default_simulate.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert math.isfinite(float(row["z_score"])), (out.name, row)

@@ -17,10 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sptrecon as sp
-from sptrecon import experiments, optimize
+from sptrecon import experiments
 from sptrecon.cli import main as cli_main
-from sptrecon.errors import (BracketError, InvalidConfigError, InvariantError,
-                             RegionDegenerateError, ScaleLimitError)
+from sptrecon.errors import (_SCALE_LIMITS, BracketError, InvalidConfigError,
+                             InvariantError, RegionDegenerateError, ScaleLimitError)
 from sptrecon.experiments import (
     ANALYTIC_COLUMNS,
     compare_report,
@@ -647,8 +647,8 @@ def test_an_exhaustive_grid_past_the_budget_fails_before_scoring(tmp_path):
     text = load_spec("fig11_min_mse_vs_mssc").raw_text
     assert "period_s = 0.150" in text
     points = sp.expected_evaluation_count(7.0, 1e-4, 5)
-    assert points == 612_307_515 > optimize._MAX_GRID
-    with pytest.raises(ScaleLimitError, match=f"grid would hold {points} points"):
+    assert points == 612_307_515 > _SCALE_LIMITS["grid"][0]
+    with pytest.raises(ScaleLimitError, match=f"grid would need {points} points"):
         run_experiment(parse_spec(text.replace("period_s = 0.150", "period_s = 7")),
                        tmp_path)
     manifest = json.loads((tmp_path / "fig11_min_mse_vs_mssc.manifest.json").read_text())
@@ -674,6 +674,21 @@ def test_an_empty_asyn_range_fails_before_any_scan(tmp_path, monkeypatch):
     with pytest.raises(InvalidConfigError, match=re.escape("empty blocklength range [10, -6499]")):
         run_experiment(parse_spec(text.replace("\nM = 5\n", "\nM = 8000\n")), tmp_path)
     assert calls == []
+
+
+def test_an_empty_asyn_range_fails_before_any_weight_is_formed(tmp_path, monkeypatch):
+    # fig11 at M = 1e6 formed every point's syn and asyn weights, some 2 s
+    # and 265 MB of sorting and distance rows, before jtsbo found its range
+    # empty; the range reads no weight, so it is checked first
+    def formed(*args, **kwargs):
+        raise AssertionError("weights formed before the asyn range was checked")
+
+    monkeypatch.setattr(experiments, "scheme_weights", formed)
+    text = load_spec("fig11_min_mse_vs_mssc").raw_text
+    assert "\nM = 5\n" in text
+    with pytest.raises(InvalidConfigError,
+                       match=re.escape("empty blocklength range [10, -998499]")):
+        run_experiment(parse_spec(text.replace("\nM = 5\n", "\nM = 1000000\n")), tmp_path)
 
 
 # runs, in a process whose address space is capped at its first argument in
@@ -738,14 +753,13 @@ def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
         assert got[name].startswith(start), (name, got[name])
 
 
-def test_the_sensor_array_budget_is_inclusive(tmp_path, monkeypatch):
+def test_the_sensor_array_budget_is_inclusive(tmp_path, set_scale_limit):
     # a run may size exactly the budget: 8 bytes per weight of an analytic
     # group's rows
-    from sptrecon import field as field_module
     spec = load_spec("fig4_syn_surface")
-    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * 850 * 5)
+    set_scale_limit("sensor_bytes", 8 * 850 * 5)
     run_experiment(spec, tmp_path / "at")
-    monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * 850 * 5 - 1)
+    set_scale_limit("sensor_bytes", 8 * 850 * 5 - 1)
     with pytest.raises(ScaleLimitError, match="850 analytic rows of 5 spatial weights"):
         run_experiment(spec, tmp_path / "past")
 
@@ -755,7 +769,7 @@ def test_periods_times_replicas_past_the_budget_fails_before_any_draw(tmp_path,
     # replicas = 1e6 of the bundled 1e5 periods ran past 20 s; a run at the
     # budget reaches its first draw, one replica or period more raises at
     # once, a replica counting as at least _REPLICA_PERIODS periods
-    budget, floor = experiments._MAX_SIM_PERIODS, experiments._REPLICA_PERIODS
+    budget, floor = _SCALE_LIMITS["sim_periods"][0], experiments._REPLICA_PERIODS
     assert budget >= 1000 * 10 ** 6  # the oracle benchmark's 1e6 x 1, far below
 
     class Drawn(Exception):
@@ -777,7 +791,8 @@ def test_periods_times_replicas_past_the_budget_fails_before_any_draw(tmp_path,
                 continue
             with pytest.raises(ScaleLimitError, match="periods x replicas"):
                 run_experiment(past, tmp_path)
-    with pytest.raises(ScaleLimitError, match=r"= 100000 x 1000000 would run 1e\+11"):
+    with pytest.raises(ScaleLimitError, match=r"= 100000 x 1000000, a replica counting as "
+                       r"at least 4096 periods, would need 100000000000 period equivalents"):
         run_experiment(load_spec("sim_vs_analytic_default", replicas=10 ** 6), tmp_path)
 
 

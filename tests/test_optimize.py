@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import sptrecon as sp
 from sptrecon import optimize
+from sptrecon.errors import _SCALE_LIMITS
 from sptrecon.mse import max_blocklength, shift_count
 from sptrecon.optimize import _objective
 
@@ -746,11 +748,10 @@ def test_a_stack_raises_what_its_failing_lane_raises():
         "no feasible time shift at blocklength N=1497")
 
 
-def test_a_lane_range_past_the_sensor_array_budget_is_a_scale_limit(monkeypatch):
+def test_a_lane_range_past_the_sensor_array_budget_is_a_scale_limit(set_scale_limit):
     # one lane's (range x M) values, of 5 sensors: fig11's syn scan holds
-    # 1,490 blocklengths and jtsbo's face step 1,487, and the blocklength
-    # steps start at the plateau edge, N = 34; the budget is inclusive
-    from sptrecon import field as field_module
+    # 1,490 blocklengths, and the blocklength steps and jtsbo's face step
+    # start at the plateau edge, N = 34; the budget is inclusive
     src = sp.SourceParams()
     field = sp.place_sensors(5, 10.0, seed=7)
     link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
@@ -759,11 +760,11 @@ def test_a_lane_range_past_the_sensor_array_budget_is_a_scale_limit(monkeypatch)
     runs = [(1466, lambda: sp.optimize_blocklength(src, field, link, syn)),
             (1490, lambda: sp.exhaustive_search(src, field, link, syn)),
             (1463, lambda: sp.optimize_blocklength(src, field, link, asyn)),
-            (1487, lambda: sp.jtsbo(src, field, link, asyn))]
+            (1463, lambda: sp.jtsbo(src, field, link, asyn))]
     for width, run in runs:
-        monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * width * 5)
+        set_scale_limit("sensor_bytes", 8 * width * 5)
         run()
-        monkeypatch.setattr(field_module, "_MAX_SENSOR_BYTES", 8 * width * 5 - 1)
+        set_scale_limit("sensor_bytes", 8 * width * 5 - 1)
         with pytest.raises(sp.ScaleLimitError, match=f"the {width}-point range of 5 sensors"):
             run()
 
@@ -809,13 +810,13 @@ def test_an_optimizer_range_of_many_sensors_is_a_scale_limit_before_it_is_sized(
                           env={"PYTHONPATH": str(src), "PATH": "", "OMP_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
     got = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
-    # a blocklength step scores from the plateau edge, N = 34, the face
-    # step and the scan from N_min
+    # a blocklength step and the face step score from the plateau edge,
+    # N = 34, the scan from N_min
     limit = "ScaleLimitError: the {}-point range of 8192 sensors would need {} GiB (> 1"
     want = {"syn step": limit.format(149966, "9.15"),
             "asyn step": limit.format(141776, "8.65"),
             "time shift": "ran",
-            "jtsbo": limit.format(141800, "8.65"),
+            "jtsbo": limit.format(141776, "8.65"),
             "syn scan": limit.format(149990, "9.15")}
     assert sorted(got) == sorted(want)
     for name, start in want.items():
@@ -944,26 +945,43 @@ def test_a_range_past_the_budget_is_a_scale_limit(source, field, syn_scheme,
     # over M - 1 = 2 (at N = 1, shifts up to (2^21 - 1) / 2)
     budget, cfg = 1 << 20, sp.OptimizerConfig(N_min=1)
     assert optimize._blocklength_cap(budget + 1.0, 1.0, cfg) == budget
-    with pytest.raises(sp.ScaleLimitError, match=r"from N_min = 1 would hold 1\.05e\+06"):
+    with pytest.raises(sp.ScaleLimitError, match=r"from N_min = 1 would need 1048577 values"):
         optimize._blocklength_cap(budget + 2.0, 1.0, cfg)
     assert shift_count(2.0 * budget, 1.0, 3, 1) == budget - 1
     with pytest.raises(sp.ScaleLimitError, match="time-shift range"):
         shift_count(2.0 * budget + 2.0, 1.0, 3, 1)
 
 
-def test_an_exhaustive_grid_past_the_budget_is_a_scale_limit(monkeypatch, source, field,
-                                                            link, asyn_scheme):
+def test_an_exhaustive_grid_past_the_budget_is_a_scale_limit(monkeypatch, set_scale_limit,
+                                                            source, field, link,
+                                                            asyn_scheme):
     # the budget bounds the count that ``evaluations`` reports: a grid of
-    # exactly _MAX_GRID points is scored, one more raises before scoring
+    # exactly the grid limit's points is scored, one more raises before scoring
     n = sp.exhaustive_search(source, field, link, asyn_scheme).evaluations
     assert n == sp.expected_evaluation_count(asyn_scheme.T, link.T_s, asyn_scheme.M)
-    assert n < optimize._MAX_GRID
-    monkeypatch.setattr(optimize, "_MAX_GRID", n)
+    assert n < _SCALE_LIMITS["grid"][0]
+    set_scale_limit("grid", n)
     assert sp.exhaustive_search(source, field, link, asyn_scheme).evaluations == n
-    monkeypatch.setattr(optimize, "_MAX_GRID", n - 1)
+    set_scale_limit("grid", n - 1)
     monkeypatch.setattr(optimize, "ClosedForm", None)  # nothing is scored
-    with pytest.raises(sp.ScaleLimitError, match=f"grid would hold {n} points"):
+    with pytest.raises(sp.ScaleLimitError, match=f"grid would need {n} points"):
         sp.exhaustive_search(source, field, link, asyn_scheme)
+
+
+def test_the_face_step_starts_at_the_plateau_edge():
+    # at a = 1e-300 the squared period correlation E rounds to 1, so on the
+    # saturated face points, below the plateau edge, the objective is 0/0:
+    # the face step's minimum was NaN, silently never taken, with a
+    # RuntimeWarning.  From the edge on every face point is finite
+    src = sp.SourceParams(a=1e-300)
+    field = sp.place_sensors(5, 10.0, seed=7)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+    asyn = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.15, h=1e-4, M=5, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sp.jtsbo(src, field, link, asyn)
+    assert math.isfinite(res.objective_star) and math.isfinite(res.mse_star)
+    assert res.converged and res.N_star >= 34  # the plateau edge
 
 
 def test_exhaustive_blep_vector_in_one_call(monkeypatch, source, field, link,

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import sptrecon as sp
+from sptrecon.errors import _SCALE_LIMITS
 
 ROOT = Path(__file__).resolve().parents[1]
 REASONS = {"config", "cli", "oracle", "criterion", "paper", "error", "type"}
@@ -127,3 +128,40 @@ def test_each_row_names_one_reason_that_holds(name):
     elif reason == "paper":
         readme = (ROOT / "README.md").read_text()
         assert re.search(rf"(`|`sptrecon\.|sp\.){name}\b", readme), name
+
+
+# ---------------------------------------------------------------------------
+# the README's "Scale limits" table and the package's one table of limits
+# ---------------------------------------------------------------------------
+
+def _readme_limits(readme):
+    """kind -> limit of each row of the README's "Scale limits" table, the
+    limit read from its first word, 2^k or a number with thousands commas."""
+    section = readme.split("\n## Scale limits\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    limits = {}
+    for kind, _, limit, *_ in rows:
+        word = limit.split()[0]
+        base, _, power = word.partition("^")
+        limits[kind.strip().strip("`")] = (int(base) ** int(power) if power
+                                           else int(word.replace(",", "")))
+    return limits
+
+
+def _code_limits():
+    return {kind: entry[0] for kind, entry in _SCALE_LIMITS.items()}
+
+
+def test_the_readme_lists_every_scale_limit_and_its_value():
+    assert _readme_limits((ROOT / "README.md").read_text()) == _code_limits()
+
+
+def test_a_scale_limit_changed_on_one_side_fails_the_check(monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    assert "| 2^26 points |" in readme and "| `grid` |" in readme
+    for edited in (readme.replace("| 2^26 points |", "| 2^27 points |"),
+                   readme.replace("| `grid` |", "| `grid_points` |")):
+        assert _readme_limits(edited) != _code_limits()
+    monkeypatch.setitem(_SCALE_LIMITS, "grid", (1 << 27, *_SCALE_LIMITS["grid"][1:]))
+    assert _readme_limits(readme) != _code_limits()

@@ -7,7 +7,7 @@ import pytest
 
 import sptrecon as sp
 from sptrecon import experiments, simulate
-from sptrecon.errors import InvalidConfigError, ScaleLimitError
+from sptrecon.errors import _SCALE_LIMITS, InvalidConfigError, ScaleLimitError
 
 PERIODS = 30_000  # module-level runs; the acceptance suite uses 100k
 
@@ -384,7 +384,7 @@ def test_traced_budget_counts_the_trace_columns(tmp_path, monkeypatch, source, f
         return real_empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", small_empty)
-    over = simulate._MAX_PERIOD_BYTES // (5 * simulate._TRACE_BYTES) + 1
+    over = _SCALE_LIMITS["period_bytes"][0] // (5 * simulate._TRACE_BYTES) + 1
     assert over == 26_030_105
     with pytest.raises(ScaleLimitError, match=r"^periods = 2\.6e\+07 would need"):
         sp.simulate_event_level(source, field, link, syn_scheme, over, seed=1,
