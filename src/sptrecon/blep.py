@@ -141,15 +141,44 @@ def blep_instantaneous(link: LinkParams, gamma_r, N=None):
 
     Accepts scalars or arrays; strictly positive SNR required.
     """
-    g = np.asarray(gamma_r, dtype=float)
-    if np.any(g <= 0):
-        raise DomainError("instantaneous SNR must be > 0")
+    g = _positive_snr(gamma_r)
     n = float(link.N if N is None else N)
     capacity = np.log(1.0 + g)
     dispersion = 1.0 - (1.0 + g) ** -2
     arg = np.sqrt(n / dispersion) * (capacity - link.L / n)
     out = q_function(arg)
     return float(out) if np.isscalar(gamma_r) else out
+
+
+def _positive_snr(gamma_r):
+    """gamma_r as a float array, every entry of which must be > 0 (NaN is
+    not); an empty array passes."""
+    g = np.asarray(gamma_r, dtype=float)
+    if not np.min(g, initial=np.inf) > 0:
+        raise DomainError("instantaneous SNR must be > 0")
+    return g
+
+
+def _segment(link: LinkParams, N=None):
+    """The linear segment of :func:`blep_segmented`, unclipped, with its
+    constants formed once: a function (g, out) -> out that writes the
+    segment at the SNRs g into out and checks nothing."""
+    n = float(link.N if N is None else N)
+    f0, lam = _f0(link.L, n), _lam(link.L, n)
+    if f0 < 1.0 or link.L / n > _EXP_MAX:
+        def segment(g, out):
+            np.multiply(g, lam, out=out)
+            out += f0
+            return out
+    else:
+        eta = _eta(link.L, n)
+
+        def segment(g, out):
+            np.subtract(g, eta, out=out)
+            out *= lam
+            out += 0.5
+            return out
+    return segment
 
 
 def blep_segmented(link: LinkParams, gamma_r, N=None):
@@ -160,20 +189,10 @@ def blep_segmented(link: LinkParams, gamma_r, N=None):
     lambda (g - eta) + 1/2 clipped to [0, 1], computed in one new buffer.
     Where the lower knot is negative (F(0) < 1, see :func:`_f0`) or eta
     overflows, the same segment is evaluated as F(0) + lambda g.
+    Strictly positive SNR required.
     """
-    g = np.asarray(gamma_r, dtype=float)
-    if np.any(g <= 0):
-        raise DomainError("instantaneous SNR must be > 0")
-    n = float(link.N if N is None else N)
-    f0 = _f0(link.L, n)
-    out = np.empty_like(g)
-    if f0 < 1.0 or link.L / n > _EXP_MAX:
-        np.multiply(g, _lam(link.L, n), out=out)
-        out += f0
-    else:
-        np.subtract(g, _eta(link.L, n), out=out)
-        out *= _lam(link.L, n)
-        out += 0.5
+    g = _positive_snr(gamma_r)
+    out = _segment(link, N)(g, np.empty_like(g))
     np.clip(out, 0.0, 1.0, out=out)
     return float(out) if np.isscalar(gamma_r) else out
 

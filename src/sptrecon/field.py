@@ -172,7 +172,9 @@ def sample_joint_gaussian(params, field, sensors, times, seed=None, n_draws=1):
     noisy samples and the noise-free states.
 
     Draw order is fixed (all X innovations, then all noise) so results are
-    reproducible for a given seed regardless of how they are consumed.
+    reproducible for a given seed regardless of how they are consumed.  A
+    sensor outside 1..M or a time that is not finite raises
+    InvalidQueryError.
     """
     sensors = np.asarray(sensors, dtype=int)
     times = np.asarray(times, dtype=float)
@@ -180,10 +182,23 @@ def sample_joint_gaussian(params, field, sensors, times, seed=None, n_draws=1):
         raise InvalidConfigError("sensors and times must be nonempty 1-D arrays of "
                                  f"one length, got shapes {sensors.shape}, {times.shape}")
 
+    M = field.n_sensors
+    distinct, inv = np.unique(sensors, return_inverse=True)
+    if distinct[0] < 1 or distinct[-1] > M:
+        raise InvalidQueryError(f"sensor index outside 1..{M}")
+    if not np.isfinite(times).all():
+        raise InvalidQueryError("sample times must be finite")
+
+    # sigma2 exp(-a |dt| - b r), as :func:`correlation` forms it, with b r
+    # taken once per distinct sensor pair and gathered
     k = len(sensors)
-    dt = np.abs(times[:, None] - times[None, :])
-    cov = params.sigma2_x * correlation(params, field, sensors[:, None],
-                                        sensors[None, :], dt)
+    br = params.b * field._distances(distinct[:, None] - 1, distinct[None, :] - 1)
+    cov = np.subtract.outer(times, times)
+    np.abs(cov, out=cov)
+    cov *= -params.a
+    cov -= br[:, inv][inv]  # whole rows last: np.ix_ gathers 8x slower
+    np.exp(cov, out=cov)
+    cov *= params.sigma2_x
     cov[np.diag_indices(k)] += _COV_JITTER * params.sigma2_x
 
     try:
@@ -194,7 +209,7 @@ def sample_joint_gaussian(params, field, sensors, times, seed=None, n_draws=1):
             f"covariance not PSD after jitter (min eigenvalue {eigmin:.3e}, "
             f"size {k})"
         ) from exc
-    del cov, dt  # only the factor is needed from here on
+    del cov  # only the factor is needed from here on
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_draws, k)) @ chol.T

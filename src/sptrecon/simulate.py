@@ -12,8 +12,8 @@ Two independent checks:
   walked in groups of whole batches of about 32,768 periods, and only the
   per-batch sums of the interval integrals and durations are kept, so
   beside the success mask the footprint is fixed per group: at M = 5 the
-  tracemalloc peak is the draw stage's, about 14 bytes per period at 1e6
-  periods.  The integrals are taken in units of sigma2, whose one multiply
+  tracemalloc peak is the draw stage's, 13.3 bytes per period at 1e6
+  periods and 14.3 at 2e5.  The integrals are taken in units of sigma2, whose one multiply
   is the report's: the average error is sigma2 times the sum of the batch
   integrals over the sum of the batch durations.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .blep import blep_segmented
+from .blep import _positive_snr, _segment
 from .errors import InvalidConfigError, _check_scale
 from .field import correlation, sample_joint_gaussian
 from .mse import Scheme, _check_timing, reindex_by_correlation, scheme_weights
@@ -99,7 +99,7 @@ def _first_success_rank(success, order):
     for r in range(M - 1, -1, -1):
         # rank - r >= 1 here, so the unsigned difference never wraps
         np.subtract(rank, r, out=step)
-        step *= success[order[r]]
+        step *= success[order[r]].view(np.uint8)  # no cast from bool
         rank -= step
     ks = np.flatnonzero(rank < M)
     return ks, rank[ks]
@@ -176,11 +176,18 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
                  f"periods = {periods:.3g}")
 
     # per sensor: the stream of rng.exponential(gamma_r_bar, periods) into
-    # one buffer (a traced run's own gamma row), scaled block by block
+    # one buffer (a traced run's own gamma row), scaled block by block.  A
+    # packet fails where its uniform u is below the clipped segmented BLEP
+    # at its SNR; as 0 <= u < 1, u >= clip(v, 0, 1) exactly where u >= v,
+    # so the segment v is left unclipped (a NaN v fails both)
     gamma = np.empty((drawn, periods)) if collect_trace else None
     success = np.empty((drawn, periods), dtype=bool)
     snr = None if collect_trace else np.empty(periods)
     u = np.empty(min(periods, _BLOCK))
+    # the segment's block: an untraced run writes it over the SNRs, a
+    # traced one keeps them
+    v = np.empty_like(u) if collect_trace else None
+    segment = _segment(link)
     for row, sensor in enumerate(sensors.tolist()):
         rng = np.random.default_rng([seed, replica, sensor])
         g = gamma[row] if collect_trace else snr
@@ -190,9 +197,10 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             gb *= link.gamma_r_bar
             ub = u[:len(gb)]
             rng.random(out=ub)
-            fail = blep_segmented(link, gb) if p_fail is None else p_fail
+            vb = gb if v is None else v[:len(gb)]
+            fail = segment(_positive_snr(gb), vb) if p_fail is None else p_fail
             np.greater_equal(ub, fail, out=success[row, lo:lo + len(gb)])
-    del snr, g, gb, u, ub, fail  # the views too, so the buffers are freed
+    del snr, g, gb, u, ub, v, vb, fail  # the views too, so the buffers are freed
     # row by row: count_nonzero over an axis is about 10x slower
     rates = np.array([np.count_nonzero(r) for r in success]) / periods
 
@@ -223,16 +231,22 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
         b1 = min(b0 + step, n_batches)
         p0, p1 = edges[b0], edges[b1]
         if asyn:
-            # period-major slots k M + n - 1
-            period_of, row_of = np.divmod(np.flatnonzero(success[:, p0:p1].T), drawn)
+            # period-major slots k M + n - 1; stacking the group's rows
+            # makes the period-major copy twice as fast as flatnonzero's
+            # copy of the transposed view
+            slot = np.flatnonzero(np.stack(success[:, p0:p1], axis=1))
+            period_of = slot // drawn
+            row_of = slot - period_of * drawn
         else:
             period_of, rank = _first_success_rank(success[:, p0:p1], order)
-            row_of = order[rank]
+            row_of = order.take(rank)  # indexing casts rank to intp first
         if not len(period_of):
             continue
         period_of += p0
         receptions += len(period_of)
-        gen_times = period_of * T + offsets[row_of]
+        gen_times = period_of * T
+        if asyn:  # the other schemes' offsets are 0
+            gen_times += offsets[row_of]
         fac2 = fac[row_of[:-1]]
         if carry is not None:
             gen_times = np.concatenate(([carry[0]], gen_times))

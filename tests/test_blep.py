@@ -63,6 +63,18 @@ def test_instantaneous_limits(link):
         sp.blep_instantaneous(link, -1.0)
 
 
+@pytest.mark.parametrize("fn", [sp.blep_instantaneous, sp.blep_segmented])
+def test_instantaneous_snr_must_be_positive_and_not_nan(fn, link):
+    # NaN fails the positivity check as 0 and -1 do; an empty array is no
+    # violation, and an infinite SNR decodes surely
+    for bad in (np.nan, [1.0, np.nan], 0.0, [2.0, -1.0]):
+        with pytest.raises(DomainError, match="must be > 0"):
+            fn(link, bad)
+    assert fn(link, np.array([])).shape == (0,)
+    assert fn(link, np.inf) == 0.0
+    assert fn(link, [np.inf, link.eta]).tolist() == [0.0, fn(link, link.eta)]
+
+
 def test_segmented_midpoint_and_knots(link):
     eta, lam = link.eta, link.lam
     assert sp.blep_segmented(link, eta) == pytest.approx(0.5, abs=1e-15)

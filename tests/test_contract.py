@@ -2,11 +2,15 @@
 interpreter with its own environment, each run in a subprocess."""
 
 import csv
+import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sptrecon as sp
 from sptrecon.experiments import list_bundled_specs, load_spec
@@ -108,3 +112,33 @@ def test_the_sim_z_score_stays_finite_at_extreme_source_variances(tmp_path):
         with open(out / "sim_vs_analytic_default_simulate.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert math.isfinite(float(row["z_score"])), (out.name, row)
+
+
+def test_compare_passes_on_the_bundled_simulation(tmp_path):
+    # the bundled sim row's z-score and `sptrecon compare` follow one rule,
+    # so compare accepts the bundled spec's own analytic and simulate CSVs
+    out = tmp_path / "out"
+    _run([("sim_vs_analytic_default", out)])
+    csvs = [out / f"sim_vs_analytic_default_{kind}.csv" for kind in ("analytic", "simulate")]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-m", "sptrecon.cli", "compare", *map(str, csvs)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("scheme", [
+    "scheme = syn-infer", "scheme = asyn-infer\ntime_shift_s = 0.005"])
+def test_a_traced_dump_is_the_file_its_manifest_names(tmp_path, scheme):
+    # the events file is written from the oracle's trace arrays, 2,000
+    # periods x 5 sensors, one row per packet attempt, in chunks of rows;
+    # the manifest's SHA-256, taken chunk by chunk, is that of the bytes
+    spec = _variant(tmp_path / "traced.cfg", "sim_vs_analytic_default",
+                    ("scheme = syn-infer", scheme),
+                    ("periods = 100000", "periods = 2000\ndump_trace = true"))
+    out = tmp_path / "out"
+    _run([(spec, out)])
+    events = out / "sim_vs_analytic_default_events_0.csv"
+    assert events.read_bytes().count(b"\n") == 10_001  # as wc -l counts
+    manifest = json.loads((out / "sim_vs_analytic_default.manifest.json").read_text())
+    entry = next(o for o in manifest["outputs"] if o["file"] == events.name)
+    assert entry["sha256"] == hashlib.sha256(events.read_bytes()).hexdigest()

@@ -267,6 +267,53 @@ def test_sampler_returns_samples_and_states_per_draw(source, field):
             sp.sample_joint_gaussian(source, field, sensors, times)
 
 
+def _sample_with_correlation(params, field, sensors, times, seed, n_draws):
+    """The sampler's draws, with the covariance built by ``correlation``
+    over the whole (k, k) query."""
+    dt = np.abs(times[:, None] - times[None, :])
+    cov = params.sigma2_x * sp.correlation(params, field, sensors[:, None],
+                                           sensors[None, :], dt)
+    cov[np.diag_indices(len(sensors))] += 1e-10 * params.sigma2_x
+    chol = np.linalg.cholesky(cov)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_draws, len(sensors))) @ chol.T
+    y = rng.normal(scale=math.sqrt(params.noise_variance), size=x.shape)
+    y += x
+    return y, x
+
+
+def test_sampler_covariance_is_the_correlation_bit_for_bit():
+    # repeated, unordered sensors with some of 1..M absent: the covariance
+    # over the query's distinct sensors has the bits of the (k, k) one
+    params = sp.SourceParams(sigma2_x=1.7, gamma_o=5.0, a=2.0, b=0.03)
+    f = sp.place_sensors(7, 10.0, seed=21)
+    rng = np.random.default_rng(5)
+    sensors = rng.choice([2, 5, 7], size=60)
+    times = rng.uniform(0.0, 3.0, size=60)
+    times[10] = times[3]  # a zero lag between two entries
+    got = sp.sample_joint_gaussian(params, f, sensors, times, seed=[1, 2], n_draws=4)
+    want = _sample_with_correlation(params, f, sensors, times, [1, 2], 4)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("sensors, times", [
+    ([2, 0], [0.0, 1.0]), ([8, 2], [0.0, 1.0]), ([2, 5], [0.0, np.nan]),
+])
+def test_sampler_rejects_bad_queries(sensors, times):
+    f = sp.place_sensors(7, 10.0, seed=21)
+    with pytest.raises(InvalidQueryError):
+        sp.sample_joint_gaussian(sp.SourceParams(), f, sensors, times)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.inf], [-np.inf, 1.0], [np.inf]])
+def test_sampler_rejects_infinite_times_before_any_arithmetic(times):
+    # checked up front, so no inf - inf warns on the way to the error
+    f = sp.place_sensors(7, 10.0, seed=21)
+    with pytest.raises(InvalidQueryError, match="finite"):
+        sp.sample_joint_gaussian(sp.SourceParams(), f, [2] * len(times), times)
+
+
 def test_field_serialization_round_trip(tmp_path):
     f = sp.place_sensors(5, 10.0, seed=99)
     path = tmp_path / "field.txt"

@@ -552,6 +552,51 @@ def test_trace_frozen_values(source, field, link, asyn_scheme):
     assert events[-1] == (39, 5, 5.869999999999999, 3.4973254483837, False)
 
 
+# links for the success test: the eta form (the fixture link), the F(0)
+# form (F(0) < 1 at a small N), and L/N past blep._EXP_MAX, where the
+# segment is taken as F(0) + lambda g whatever F(0) is
+SUCCESS_LINKS = {
+    "eta": dict(L=160.0, N=80, gamma_r_bar_db=5.0),
+    "f0": dict(L=1.0, N=1, gamma_r_bar_db=5.0),
+    "past_exp_max": dict(L=1000.0, N=1, gamma_r_bar_db=5.0),
+}
+
+
+@pytest.mark.parametrize("override", [None, 0.0])
+@pytest.mark.parametrize("case", sorted(SUCCESS_LINKS))
+def test_success_is_a_uniform_against_the_clipped_segment(source, field, syn_scheme,
+                                                          case, override):
+    # per sensor, the stream holds every SNR draw, then every uniform; a
+    # packet succeeds where its uniform is at least the clipped segmented
+    # BLEP at its SNR (or the override), over three draw blocks
+    link = sp.LinkParams.from_db(T_s=1e-4, **SUCCESS_LINKS[case])
+    periods, seed, replica = 2 * simulate._BLOCK + 5, 9, 2
+    rep = sp.simulate_event_level(source, field, link, syn_scheme, periods, seed,
+                                  replica=replica, collect_trace=True,
+                                  success_prob_override=override)
+    trace = rep.aux["trace"]
+    gamma = trace["gamma_r"].reshape(-1, periods)
+    success = trace["success"].reshape(-1, periods)
+    for row, sensor in enumerate(range(1, syn_scheme.M + 1)):
+        rng = np.random.default_rng([seed, replica, sensor])
+        rng.standard_exponential(periods)
+        u = rng.random(periods)
+        fail = sp.blep_segmented(link, gamma[row]) if override is None else override
+        np.testing.assert_array_equal(success[row], u >= fail)
+    assert 0 < np.count_nonzero(success) < success.size or override == 0.0
+    # an untraced run takes the segment over its SNR buffer, in place
+    plain = sp.simulate_event_level(source, field, link, syn_scheme, periods, seed,
+                                    replica=replica, success_prob_override=override)
+    assert (plain.avg_mse, plain.stderr) == (rep.avg_mse, rep.stderr)
+
+
+def test_every_packet_fails_at_an_override_of_one(source, field, link, syn_scheme):
+    # each uniform is below 1, so no packet gets through
+    with pytest.raises(InvalidConfigError, match="fewer than two"):
+        sp.simulate_event_level(source, field, link, syn_scheme, 100, seed=0,
+                                success_prob_override=1.0)
+
+
 @pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16, 17, 70, 256, 300])
 def test_first_success_rank_matches_the_reordered_argmax(M):
     # the overwritten rank equals argmax over the reordered mask, also for
