@@ -136,13 +136,13 @@ def q_function(x):
     return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)), dtype=float)
 
 
-def blep_instantaneous(link: LinkParams, gamma_r, N=None):
+def blep_instantaneous(link: LinkParams, gamma_r):
     """Normal-approximation BLEP at instantaneous SNR gamma_r.
 
     Accepts scalars or arrays; strictly positive SNR required.
     """
     g = _positive_snr(gamma_r)
-    n = float(link.N if N is None else N)
+    n = float(link.N)
     capacity = np.log(1.0 + g)
     dispersion = 1.0 - (1.0 + g) ** -2
     arg = np.sqrt(n / dispersion) * (capacity - link.L / n)
@@ -159,12 +159,14 @@ def _positive_snr(gamma_r):
     return g
 
 
-def _segment(link: LinkParams, N=None):
+def _segment(link: LinkParams):
     """The linear segment of :func:`blep_segmented`, unclipped, with its
     constants formed once: a function (g, out) -> out that writes the
-    segment at the SNRs g into out and checks nothing."""
-    n = float(link.N if N is None else N)
-    f0, lam = _f0(link.L, n), _lam(link.L, n)
+    segment at the SNRs g into out and checks nothing.  lam is at most
+    -5e-324, so where it underflows (L/N past about 745) an infinite SNR
+    gives -inf, not inf * -0.0 = NaN."""
+    n = float(link.N)
+    f0, lam = _f0(link.L, n), min(_lam(link.L, n), -math.ulp(0.0))
     if f0 < 1.0 or link.L / n > _EXP_MAX:
         def segment(g, out):
             np.multiply(g, lam, out=out)
@@ -181,18 +183,18 @@ def _segment(link: LinkParams, N=None):
     return segment
 
 
-def blep_segmented(link: LinkParams, gamma_r, N=None):
+def blep_segmented(link: LinkParams, gamma_r):
     """Piecewise-linear BLEP: 1 below the linear band, 0 above it.
 
     The band is centred on eta with half-width -1/(2 lambda); the form is
     continuous at both knots, so it is the linear segment
     lambda (g - eta) + 1/2 clipped to [0, 1], computed in one new buffer.
     Where the lower knot is negative (F(0) < 1, see :func:`_f0`) or eta
-    overflows, the same segment is evaluated as F(0) + lambda g.
-    Strictly positive SNR required.
+    overflows, the same segment is evaluated as F(0) + lambda g.  An
+    infinite SNR gives 0 on every link.  Strictly positive SNR required.
     """
     g = _positive_snr(gamma_r)
-    out = _segment(link, N)(g, np.empty_like(g))
+    out = _segment(link)(g, np.empty_like(g))
     np.clip(out, 0.0, 1.0, out=out)
     return float(out) if np.isscalar(gamma_r) else out
 

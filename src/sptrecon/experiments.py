@@ -32,7 +32,8 @@ from . import __version__
 from .blep import LinkParams, blep_average
 from .errors import InvalidConfigError, InvariantError, RegionDegenerateError, _check_scale
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
-from .mse import BoundAxis, Scheme, SchemeConfig, _eps, average_mse, bounds, scheme_weights
+from .mse import (BoundAxis, Scheme, SchemeConfig, _eps, _unit_interval, average_mse, bounds,
+                  scheme_weights)
 from .optimize import (OptimizerConfig, _blocklength_cap, exhaustive_search, jtsbo,
                        optimize_blocklength)
 from .regions import classify, threshold_asyn_over_syn, threshold_infer
@@ -111,10 +112,7 @@ class ExperimentSpec:
                 raise InvalidConfigError(f"{key} must be at least {least}, "
                                          f"got {getattr(self, key)}")
         for axis in ("eps_bar", "mssc"):  # a probability, a mean squared correlation
-            bad = [v for v in self.sweep.get(axis, ()) if not 0.0 <= v <= 1.0]
-            if bad:  # NaN too
-                raise InvalidConfigError(f"sweep axis {axis} takes values in "
-                                         f"[0, 1], got {bad[0]}")
+            _unit_interval(self.sweep.get(axis, []), f"sweep axis {axis}")
 
 
 def parse_values(text):
@@ -361,34 +359,30 @@ def _analytic_rows(spec):
 
 
 def _region_rows(spec):
-    """Preference thresholds once per mssc group, the winner per row."""
+    """Preference thresholds and winners once per mssc group.
+
+    The group's BLEP is formed once and passed to both thresholds, neither
+    of which reads the MSSC; ``classify`` raises for every MSSC or for
+    none, so a degenerate group is degenerate in every row.
+    """
     rows = [None] * math.prod(map(len, spec.sweep.values()))
     for values, idx, _ in _groups(spec, "mssc"):
         source, link, scheme = _apply_point(spec, values)
-        eps = values.get("eps_bar")
-        # neither threshold reads the MSSC
+        eps = _eps(link, values.get("eps_bar"))
         thr1 = threshold_infer(source, link, scheme, eps_bar=eps)
-        try:
-            thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar=eps)
-        except RegionDegenerateError as exc:
-            thr2 = exc
-        head = ",".join(map(_cell, [scheme.T, 10.0 * math.log10(link.gamma_r_bar)]))
-        thr1_text = _cell(thr1)
         # the group's points take the swept MSSC values in turn
         rhos = spec.sweep.get("mssc") or [mssc(source, spec.field)]
-        for i, rho in zip(idx.tolist(), rhos):
-            rows[i] = [head, _cell(rho), thr1_text, *map(_cell, _verdict(rho, thr1, thr2))]
-    return [([row], None) for row in rows]
-
-
-def _verdict(rho, thr1, thr2):
-    """(thr2, winner) of one region row; ``thr2`` may be the degenerate error."""
-    if not isinstance(thr2, RegionDegenerateError):
         try:
-            return thr2, classify(rho, thr1, thr2).value
+            thr2 = threshold_asyn_over_syn(source, link, scheme, eps_bar=eps)
+            winners = [classify(rho, thr1, thr2).value for rho in rhos]
         except RegionDegenerateError as exc:
-            thr2 = exc
-    return math.inf, "degenerate:" + ("asyn" if thr2.always_superior else "syn/no")
+            thr2 = math.inf
+            winners = ["degenerate:" + ("asyn" if exc.always_superior else "syn/no")] * len(rhos)
+        head = ",".join(map(_cell, [scheme.T, 10.0 * math.log10(link.gamma_r_bar)]))
+        thr_text = ",".join(map(_cell, [thr1, thr2]))
+        for i, rho, winner in zip(idx.tolist(), rhos, winners):
+            rows[i] = [head, _cell(rho), thr_text, _cell(winner)]
+    return [([row], None) for row in rows]
 
 
 # a replica counts against the sim scale limit as at least this many periods:

@@ -152,19 +152,19 @@ def _check_timing(link: LinkParams, scheme: SchemeConfig, need_h: bool = False):
         )
 
 
+def _unit_interval(value, what: str):
+    """value, an average BLEP or an MSSC, as a float (a scalar) or a float
+    array; InvalidConfigError naming ``what`` unless it lies in [0, 1]."""
+    v = np.asarray(value, dtype=float)
+    outside = v[~((v >= 0.0) & (v <= 1.0))]
+    if outside.size:
+        raise InvalidConfigError(f"{what} takes values in [0, 1], got {float(outside[0])}")
+    return float(v) if v.ndim == 0 else v
+
+
 def _eps(link: LinkParams, eps_bar):
-    """eps_bar (the link's own average BLEP when None) checked to lie in
-    [0, 1]: a float for a scalar, else a float array."""
-    e = blep_average(link) if eps_bar is None else eps_bar
-    if isinstance(e, (int, float)) or np.ndim(e) == 0:
-        e = float(e)
-        outside = [] if 0.0 <= e <= 1.0 else [e]
-    else:
-        e = np.asarray(e, dtype=float)
-        outside = e[~((e >= 0.0) & (e <= 1.0))]  # NaN too
-    if len(outside):
-        raise InvalidConfigError(f"average BLEP must lie in [0, 1], got {outside[0]}")
-    return e
+    """eps_bar, the link's own average BLEP when None, in [0, 1]."""
+    return _unit_interval(blep_average(link) if eps_bar is None else eps_bar, "average BLEP")
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +323,20 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     syn/asyn : the field's weights in descending / transmission-slot order,
                or ``field_or_weights`` itself when it is a weight vector
                or a (..., M) stack of them
-    Raises InvalidConfigError unless there are M weights, or when a field's
-    target is not the scheme's target m.
+    Raises InvalidConfigError unless there are M weights, when a field's
+    target is not the scheme's target m, or when an MSSC value leaves
+    [0, 1], for every scheme.
     """
+    rho = None if mssc_value is None else _unit_interval(mssc_value, "MSSC")
     kind = scheme.scheme
     if kind is Scheme.NO_INFER:
         return _OWN
     asyn = kind is Scheme.ASYN_INFER
-    if mssc_value is not None:
+    if rho is not None:
         if scheme.M < 2:
             raise InvalidConfigError("the MSSC approximation needs M >= 2")
         # an array of MSSC values gives one weight vector per value
-        w = np.repeat(np.asarray(mssc_value, dtype=float)[..., None], scheme.M, axis=-1)
+        w = np.repeat(np.asarray(rho)[..., None], scheme.M, axis=-1)
         w[..., (scheme.m if asyn else 1) - 1] = 1.0
         return w
     if not isinstance(field_or_weights, SensorField):

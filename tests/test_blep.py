@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import sptrecon as sp
-from sptrecon.blep import _lam
+from sptrecon.blep import _lam, _segment
 from sptrecon.errors import DomainError, InvalidConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "blep_average_fixtures.csv"
@@ -73,6 +73,26 @@ def test_instantaneous_snr_must_be_positive_and_not_nan(fn, link):
     assert fn(link, np.array([])).shape == (0,)
     assert fn(link, np.inf) == 0.0
     assert fn(link, [np.inf, link.eta]).tolist() == [0.0, fn(link, link.eta)]
+
+
+def test_segmented_is_zero_at_an_infinite_snr_on_every_link(link):
+    # the eta form (the fixture link), the F(0) form (L = N = 1) and the
+    # F(0) form past exp overflow, where lam underflows to -0.0 and
+    # inf * lam would be NaN with a RuntimeWarning: each gives 0 at an
+    # infinite SNR, its unclipped segment -inf, so an oracle draw of inf
+    # succeeds, and the value at a finite SNR is the same in both calls
+    assert sp.LinkParams(L=1000.0, N=1).lam == 0.0
+    f0 = 0.5 + 1.0 / math.sqrt(2.0 * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lk in (link, sp.LinkParams(L=1.0, N=1), sp.LinkParams(L=1000.0, N=1),
+                   sp.LinkParams(L=1e300, N=1)):
+            assert sp.blep_segmented(lk, [1.0, np.inf]).tolist() == [
+                sp.blep_segmented(lk, 1.0), 0.0]
+            assert sp.blep_segmented(lk, np.inf) == 0.0
+            assert _segment(lk)(np.array([np.inf]), np.empty(1)).tolist() == [-np.inf]
+        assert sp.blep_segmented(sp.LinkParams(L=1000.0, N=1), 1.0) == pytest.approx(
+            f0, rel=1e-15)
 
 
 def test_segmented_midpoint_and_knots(link):

@@ -1,8 +1,10 @@
 """The output contract across processes: checks that need a fresh
 interpreter with its own environment, each run in a subprocess."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sptrecon as sp
@@ -30,11 +33,14 @@ for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):
 
 def _run(runs, **env):
     """Runs the (spec, output folder) pairs in a fresh interpreter with
-    warnings as errors and ``env`` on top of this one's environment."""
+    warnings as errors and ``env`` on top of this one's environment, where
+    a None value unsets the variable; returns the finished process."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error", **env}
     proc = subprocess.run([sys.executable, "-c", _RUN, *map(str, sum(runs, ()))],
-                          capture_output=True, text=True, timeout=300, env=env)
+                          capture_output=True, text=True, timeout=300,
+                          env={k: v for k, v in env.items() if v is not None})
     assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def _variant(path, name, *edits):
@@ -72,6 +78,32 @@ def test_same_bytes_from_a_second_process(tmp_path):
     assert _files(first) == _files(again)
     for name in _files(again):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def _numpy_links_openblas():
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_config()
+    return "openblas" in text.getvalue().lower()
+
+
+def test_same_bundled_bytes_on_the_avx2_blas_kernel(tmp_path):
+    # every bundled spec writes the same files, manifests included, on the
+    # kernel this CPU picks and on OpenBLAS's Haswell (AVX2) kernel, which
+    # some CI runners pick: no output byte depends on a BLAS kernel's
+    # summation order
+    names = list_bundled_specs()
+    assert names
+    default, haswell = tmp_path / "default", tmp_path / "haswell"
+    _run([(name, default / name) for name in names], OPENBLAS_CORETYPE=None)
+    proc = _run([(name, haswell / name) for name in names],
+                OPENBLAS_CORETYPE="Haswell", OPENBLAS_VERBOSE="2")
+    if _numpy_links_openblas():  # else the variables are no-ops
+        assert "Core: Haswell" in proc.stderr, proc.stderr
+    assert sum(name.endswith(".manifest.json") for name in _files(default)) == len(names)
+    assert _files(default) == _files(haswell)
+    for name in _files(default):
+        assert (default / name).read_bytes() == (haswell / name).read_bytes(), name
 
 
 def test_the_asyn_surface_runs_at_a_tiny_source_variance(tmp_path):

@@ -954,16 +954,25 @@ def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
         "scheme = syn-infer", SCHEME_SECTIONS["asyn-infer"])
     text += "\n[sweep]\nmssc = 0.1, 0.5, 0.95\ngamma_r_bar_db = -10, 5\n"
     spec = parse_spec(text)
-    calls = []
+    calls = {}
     real = experiments.threshold_asyn_over_syn
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def count(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(experiments, "threshold_asyn_over_syn", counting)
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((experiments, "threshold_asyn_over_syn"),
+                         (experiments, "threshold_infer"), (sp.mse, "blep_average"),
+                         (experiments, "blep_average")):
+        count(module, name)
     run_experiment(spec, tmp_path)
-    assert len(calls) == 2  # once per gamma_r_bar_db value
+    # once per gamma_r_bar_db value: each group forms its BLEP once, for
+    # both thresholds
+    assert calls == {"threshold_asyn_over_syn": 2, "threshold_infer": 2, "blep_average": 2}
     rows = _read_rows(tmp_path / "point_eval_regions.csv")
     points = _sweep_points(spec)
     assert len(rows) == len(points)

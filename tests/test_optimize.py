@@ -500,12 +500,19 @@ def test_jtsbo_follows_the_constraint_face_to_the_exhaustive_optimum(b):
 # ---------------------------------------------------------------------------
 
 def test_exhaustive_count_matches_closed_form(source, field, link):
-    for T, M in ((0.05, 5), (0.08, 3), (0.15, 5)):
+    # the floor-sum is a reference for the grid that shift_count sizes; the
+    # last four periods are a ratio T / T_s within 1e-15 of an integer,
+    # two below it and two above
+    for T, M in ((0.05, 5), (0.08, 3), (0.15, 5), (0.0301, 5), (0.0312, 4),
+                 (319 * 1e-4, 5), (387 * 1e-4, 2)):
         scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=T, h=link.T_s, M=M, m=1)
         fld = sp.place_sensors(M, 10.0, seed=1)
         ex = sp.exhaustive_search(source, fld, link, scheme)
         predicted = sp.expected_evaluation_count(T, link.T_s, M)
-        assert abs(ex.evaluations - predicted) <= 1
+        assert ex.evaluations == predicted, (T, M)
+    ratios = [T / link.T_s for T in (0.0301, 0.0312, 319 * 1e-4, 387 * 1e-4)]
+    assert all(r != round(r) and abs(r / round(r) - 1) < 1e-15 for r in ratios)
+    assert sum(r > round(r) for r in ratios) == 2
 
 
 def test_exhaustive_rejects_an_unknown_objective(source, field, link, syn_scheme):

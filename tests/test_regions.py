@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sptrecon as sp
 from sptrecon import regions
 from sptrecon.errors import InvalidConfigError, RegionDegenerateError
+from sptrecon.experiments import load_spec, parse_spec
 
 
 def as_kind(scheme, kind):
@@ -204,3 +205,39 @@ def test_oracle_scores_each_scheme_in_one_call(monkeypatch, source, link, asyn_s
                                mssc_value=rho)
                 for kind in order]
         assert winner is order[int(np.argmin(vals))]  # ties keep this order
+
+
+def _mssc_entry_points(source, field, link, asyn_scheme, rho):
+    """Every way an MSSC value enters the package, as (the name its error
+    gives it, the call): the weight rule and the closed forms under each
+    scheme tag, alone and inside an array, the region oracle, and a swept
+    config."""
+    for kind in sp.Scheme:
+        scheme = as_kind(asyn_scheme, kind)
+        yield "MSSC", lambda: sp.scheme_weights(source, field, scheme, rho)
+        yield "MSSC", lambda: sp.average_mse(source, None, link, scheme, mssc_value=rho)
+        yield "MSSC", lambda: sp.average_mse(source, None, link, scheme,
+                                             mssc_value=[0.5, rho])
+    yield "MSSC", lambda: sp.exhaustive_region_oracle(source, link, asyn_scheme, [0.5, rho])
+    text = load_spec("regions_vs_period").raw_text
+    old = "mssc = linspace:0.02:1.0:50"
+    assert old in text
+    yield "sweep axis mssc", lambda: parse_spec(text.replace(old, f"mssc = 0.5, {rho}"))
+
+
+@pytest.mark.parametrize("rho", [-0.5, 1.5, math.nan])
+def test_an_mssc_outside_the_unit_interval_fails_everywhere(source, field, link,
+                                                            asyn_scheme, rho):
+    # outside [0, 1] the closed forms return numbers past their own bounds
+    # (1.046 sigma2 at -0.5) and the oracle ranks NaN as a winner
+    for what, call in _mssc_entry_points(source, field, link, asyn_scheme, rho):
+        with pytest.raises(InvalidConfigError,
+                           match=rf"^{what} takes values in \[0, 1\], got {rho}$"):
+            call()
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0])
+def test_an_mssc_at_either_end_of_the_unit_interval_runs(source, field, link,
+                                                        asyn_scheme, rho):
+    for _, call in _mssc_entry_points(source, field, link, asyn_scheme, rho):
+        call()
