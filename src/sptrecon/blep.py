@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class LinkParams:
                                          f"(1e300 linear), got {gamma_r_bar_db}")
             kw["gamma_r_bar"] = 10 ** (gamma_r_bar_db / 10.0)
         return cls(**kw)
-
-    def with_blocklength(self, N: int) -> "LinkParams":
-        return replace(self, N=N)
 
     @property
     def tau(self) -> float:

@@ -76,6 +76,9 @@ _SCALE_LIMITS = {
     # counted as at least its fixed cost in periods.  2^30, about 1,000
     # times the oracle benchmark's 1e6 x 1: some 150 s of drawing there
     "sim_periods": (1 << 30, "period equivalents", "reduce periods or replicas"),
+    # points of one sweep (the product of its axis lengths) or of one
+    # linspace axis: about 1,200 times the largest bundled sweep (850)
+    "sweep_points": (1 << 20, "points", "sweep fewer values"),
     # entries of the data-level oracle's joint Gaussian, held samples and
     # evaluation instants: a dense (k x k) Cholesky, O(k^3)
     "data_entries": (2000, "entries", "reduce periods"),

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .blep import LinkParams, blep_average
-from .errors import InvalidConfigError, InvariantError, RegionDegenerateError, _check_scale
+from .errors import (InvalidConfigError, InvariantError, RegionDegenerateError,
+                     ScaleLimitError, _check_scale)
 from .field import SensorField, SourceParams, load_field, mssc, place_sensors
 from .mse import (BoundAxis, Scheme, SchemeConfig, _eps, _unit_interval, average_mse, bounds,
                   scheme_weights)
@@ -111,16 +112,19 @@ class ExperimentSpec:
             if getattr(self, key) < least:
                 raise InvalidConfigError(f"{key} must be at least {least}, "
                                          f"got {getattr(self, key)}")
+        _check_scale("sweep_points", math.prod(map(len, self.sweep.values())), "the sweep")
         for axis in ("eps_bar", "mssc"):  # a probability, a mean squared correlation
             _unit_interval(self.sweep.get(axis, []), f"sweep axis {axis}")
 
 
 def parse_values(text):
-    """Comma list of floats, or 'linspace:start:stop:num'."""
+    """Comma list of floats, or 'linspace:start:stop:num', num a whole number."""
     text = text.strip()
     if text.startswith("linspace:"):
         _, a, b, n = text.split(":")
-        return [float(v) for v in np.linspace(float(a), float(b), int(n))]
+        n = _integral(n, "the linspace count")
+        _check_scale("sweep_points", n, text)
+        return [float(v) for v in np.linspace(float(a), float(b), n)]
     return [float(v) for v in text.split(",") if v.strip()]
 
 
@@ -242,6 +246,8 @@ def _value(kind, key, section, text):
         return [o.strip() for o in text.split(",") if o.strip()]
     try:
         value = parse_values(text) if kind == "values" else kind(text)
+    except ScaleLimitError:
+        raise
     except ValueError:
         raise InvalidConfigError(f"{where} must be {_EXPECTED[kind]}, "
                                  f"got {text!r}") from None
@@ -626,11 +632,13 @@ def compare_report(analytic_csv, sim_csv, rel_bound=0.01, out_path=None):
     """Row-wise agreement check between an analytic and a simulation CSV.
 
     Adds z-score and relative-error columns; a row fails when |z| > 4 or
-    the relative error exceeds ``rel_bound``.  A row whose standard error
-    is zero, missing or not finite passes only when the value equals the
-    reference exactly (z = 0), and fails with z = inf otherwise.  Returns
-    (passed, rows) where rows are dicts including the verdict per row.
+    the relative error exceeds ``rel_bound`` (NaN or below 0 raises
+    InvalidConfigError).  A row whose standard error is zero, missing or
+    not finite passes only on an exact match (z = 0), and fails with
+    z = inf otherwise.  Returns (passed, rows), a verdict dict per row.
     """
+    if not rel_bound >= 0:
+        raise InvalidConfigError(f"rel_bound must be >= 0, got {rel_bound}")
     a_rows = _read_csv(analytic_csv)
     b_rows = _read_csv(sim_csv)
     if len(a_rows) != len(b_rows):

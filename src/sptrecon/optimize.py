@@ -39,8 +39,7 @@ the returned (N, h).
 
 The MSE is exactly linear in the source variance sigma2, so every step
 scores and compares the objective at unit variance.  sigma2 multiplies each
-slope once and each result once, in ``objective_star`` and the trace's
-``mse``.
+slope once and each result once, in ``mse_star`` and the trace's ``mse``.
 """
 
 from __future__ import annotations
@@ -103,14 +102,13 @@ class TraceRow:
 
 @dataclass
 class OptResult:
-    # N_star, h_star, mse_star and objective_star, and an adaptation's
-    # branch, are arrays of the stack's shape for a stack of weight vectors;
-    # an adaptation's trace is then one list per lane
+    # N_star, h_star and mse_star, and an adaptation's branch, are arrays
+    # of the stack's shape for a stack of weight vectors; an adaptation's
+    # trace is then one list per lane
     scheme: Scheme
     N_star: int
     h_star: float | None
     mse_star: float
-    objective_star: float
     iterations: int
     converged: bool
     branch: str
@@ -273,16 +271,16 @@ def _time_shift_step(source, W, link, scheme, n, eps):
                         len(W), W.shape[-1], 1, 1, k_hi)
 
 
-def _result(source, link, scheme, w, n, h, objective, branch, rows=None, slopes="",
+def _result(source, link, scheme, w, n, h, branch, rows=None, slopes="",
             converged=True, evaluations=None):
     """The OptResult for the weights ``w``, one vector or a stack, of
-    per-lane arrays: N, h (None for no/syn), unit-variance objective and
-    branch (one str for a scan).  ``rows`` are the trace's columns, lane,
-    iteration, h, N and unit-variance objective, in any lane order, and
-    ``iterations`` counts them (a scan is one); a row's |J| and |F| are
-    one :func:`_dmse` call each over the rows for the coordinates in
-    ``slopes``, else 0.  ``mse_star`` is one :func:`_objective` call at
-    every lane's point, at one :func:`blep_average` call over their N.
+    per-lane arrays: N, h (None for no/syn) and branch (one str for a
+    scan).  ``rows`` are the trace's columns, lane, iteration, h, N and
+    unit-variance objective, in any lane order, and ``iterations`` counts
+    them (a scan is one); a row's |J| and |F| are one :func:`_dmse` call
+    each over the rows for the coordinates in ``slopes``, else 0.
+    ``mse_star``, the one value of an optimum, is one :func:`_objective`
+    call at every lane's point, at one :func:`blep_average` call over their N.
     sigma2 multiplies each value; each field is a number for one vector,
     else an array of the stack's shape (a trace, one list per lane)."""
     s2, W = source.sigma2_x, w.reshape(-1, w.shape[-1])
@@ -304,7 +302,7 @@ def _result(source, link, scheme, w, n, h, objective, branch, rows=None, slopes=
         trace, iterations = trace[0] if w.ndim == 1 else trace, lane.size
     mse = s2 * _objective(source, W, link, scheme, n, h, eps=blep_average(link, N=n))
     return OptResult(scheme.scheme, per_lane(n), None if h is None else per_lane(h),
-                     per_lane(mse), per_lane(s2 * objective), iterations, converged,
+                     per_lane(mse), iterations, converged,
                      branch if isinstance(branch, str) else per_lane(branch), trace,
                      evaluations)
 
@@ -332,7 +330,7 @@ def optimize_blocklength(source, field_or_weights, link, scheme, cfg=None) -> Op
     h = None if hh is None else np.full(len(W), hh)
     n, val, branch = _blocklength_step(source, W, link, scheme, cfg, h, eps)
     lane = np.arange(len(W))
-    return _result(source, link, scheme, w, n, h, val, branch,
+    return _result(source, link, scheme, w, n, h, branch,
                    (lane, np.ones_like(lane), h, n, val), "N")
 
 
@@ -354,7 +352,7 @@ def optimize_time_shift(source, field_or_weights, link, scheme) -> OptResult:
                                       blep_average_simplified(link, N=n))
     h = k * link.T_s
     lane = np.arange(len(W))
-    return _result(source, link, scheme, w, n, h, val, branch,
+    return _result(source, link, scheme, w, n, h, branch,
                    (lane, np.ones_like(lane), h, n, val), "h")
 
 
@@ -438,7 +436,7 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
         if not act.size:
             break
 
-    return _result(source, link, scheme, w, n_cur, h_cur, cur, np.full(len(W), "jtsbo"),
+    return _result(source, link, scheme, w, n_cur, h_cur, np.full(len(W), "jtsbo"),
                    tuple(map(np.concatenate, zip(*rows))), "hN", converged=not act.size)
 
 
@@ -474,9 +472,9 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     only points that close to the minimum can trade places.  A lane's
     product has the shape of a one-vector call, so a lane's result has the
     same bits in a stack as alone.
-    ``N_star``, ``h_star`` (None for syn/no), ``mse_star`` (at the exact
-    BLEP for either ``objective``) and ``objective_star`` are numbers for
-    a field or one vector, else arrays of the stack's shape.
+    ``N_star``, ``h_star`` (None for syn/no) and ``mse_star`` (at the exact
+    BLEP for either ``objective``) are numbers for a field or one vector,
+    else arrays of the stack's shape.
     ``evaluations`` counts scored points over every lane; a grid past the
     grid scale limit raises ScaleLimitError before any point is scored.
     """
@@ -493,9 +491,9 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     Ns = np.arange(cfg.N_min, n_hi + 1)
     if syn:
         cf, eps = ClosedForm(source, T, Ns * Ts, lanes.shape[1]), eps_of(link, N=Ns)
-        n_star, best, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
-                                       lanes.shape[1], cfg.N_min, cfg.N_min,
-                                       np.full(len(lanes), n_hi))
+        n_star, _, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
+                                    lanes.shape[1], cfg.N_min, cfg.N_min,
+                                    np.full(len(lanes), n_hi))
         h_star, points = None, Ns.size
     else:
         steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing
@@ -524,7 +522,7 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
                                        f"h = {hs[col]} on [{cfg.N_min}, {n_hi}]")
             i = j
         n_star, h_star = Ns[at[:, 0]], hs[at[:, 1]]
-    return _result(source, link, scheme, w, n_star, h_star, best, "exhaustive",
+    return _result(source, link, scheme, w, n_star, h_star, "exhaustive",
                    evaluations=len(lanes) * points)
 
 

@@ -81,6 +81,9 @@ def expected_gap_asyn(T, eps_bar, M) -> float:
 # in cache between the steps that make the success mask
 _BLOCK = 1 << 15
 
+# contiguous batches of periods behind the batch-means standard error
+_BATCHES = 100
+
 # bytes a traced run keeps per period and sensor, counted against the
 # per-period scale limit: the mask's byte, the SNR and the period, sensor
 # and t_start_s columns
@@ -123,8 +126,7 @@ def batch_means_stderr(batch_integrals, batch_durations) -> float:
 
 
 def simulate_event_level(source, field, link, scheme, periods, seed,
-                         replica=0, n_batches=100, success_prob_override=None,
-                         collect_trace=False) -> SimReport:
+                         replica=0, collect_trace=False) -> SimReport:
     """Replay packet losses and integrate the reconstruction error exactly.
 
     A scheme is the sensors it draws (the target alone for no-infer, 1..M
@@ -134,32 +136,23 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     :func:`reindex_by_correlation`.  So no-infer is the one-sensor case of
     syn.
 
-    success_prob_override : fixed failure probability replacing the fading
-                            draw (0.0 forces every packet through)
-    collect_trace         : keep every packet attempt in ``aux["trace"]``, one
-                            flat array per events-file column (``period``,
-                            ``sensor``, ``t_start_s`` = k T + offset,
-                            ``gamma_r``, boolean ``success``), sensor by
-                            sensor, then period by period, and the
-                            per-reception arrays listed below
+    ``collect_trace`` keeps every packet attempt in ``aux["trace"]``, one
+    flat array per events-file column (``period``, ``sensor``, ``t_start_s``
+    = k T + offset, ``gamma_r``, boolean ``success``), sensor by sensor,
+    then period by period, and the per-reception arrays listed below.
 
     ``avg_mse`` is sigma2 sum(batch_integrals) / sum(batch_durations), and
     ``stderr`` sigma2 times the batch-means error of the integrals.  ``aux``
     keys: ``mean_gap_s``, ``receptions``, ``batch_integrals`` (in units of
-    sigma2) and ``batch_durations`` (per batch of contiguous periods) and
-    ``per_sensor_success_rate`` (per sensor drawn).  A traced run also
-    keeps, per reception, ``gen_times_s`` and ``used_sensor``.  A run whose
-    success mask and SNR row(s), with a trace its columns too
-    (``_TRACE_BYTES`` per attempt), would pass the per-period scale limit
-    raises ScaleLimitError before it draws.
+    sigma2) and ``batch_durations`` (per batch, ``_BATCHES`` batches of
+    contiguous periods) and ``per_sensor_success_rate`` (per sensor drawn).
+    A traced run also keeps, per reception, ``gen_times_s`` and
+    ``used_sensor``.  A run whose success mask and SNR row(s), with a trace
+    its columns too (``_TRACE_BYTES`` per attempt), would pass the
+    per-period scale limit raises ScaleLimitError before it draws.
     """
-    if periods < 1 or n_batches < 1:
-        raise InvalidConfigError("periods and n_batches must be >= 1")
-    p_fail = None if success_prob_override is None else float(success_prob_override)
-    if p_fail is not None and not 0.0 <= p_fail <= 1.0:  # NaN too
-        raise InvalidConfigError(
-            f"success_prob_override must be in [0, 1], got {success_prob_override}"
-        )
+    if periods < 1:
+        raise InvalidConfigError(f"periods must be >= 1, got {periods}")
     asyn = scheme.scheme is Scheme.ASYN_INFER
     # one sensor per term of the closed form (scheme_weights checks the
     # field's size and target for syn/asyn), from the head of the server's
@@ -198,9 +191,9 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
             ub = u[:len(gb)]
             rng.random(out=ub)
             vb = gb if v is None else v[:len(gb)]
-            fail = segment(_positive_snr(gb), vb) if p_fail is None else p_fail
-            np.greater_equal(ub, fail, out=success[row, lo:lo + len(gb)])
-    del snr, g, gb, u, ub, v, vb, fail  # the views too, so the buffers are freed
+            np.greater_equal(ub, segment(_positive_snr(gb), vb),
+                             out=success[row, lo:lo + len(gb)])
+    del snr, g, gb, u, ub, v, vb  # the views too, so the buffers are freed
     # row by row: count_nonzero over an axis is about 10x slower
     rates = np.array([np.count_nonzero(r) for r in success]) / periods
 
@@ -219,16 +212,16 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     # into the group is added to the carry's batch after that batch's own
     # sum: every batch sum is the sequential sum of its intervals.  Only a
     # traced run keeps the per-reception arrays
-    edges = np.ceil(np.linspace(0, periods, n_batches + 1)).astype(np.int64)
-    step = max(1, _BLOCK * n_batches // periods)
+    edges = np.ceil(np.linspace(0, periods, _BATCHES + 1)).astype(np.int64)
+    step = max(1, _BLOCK * _BATCHES // periods)
     order = None if asyn else np.searchsorted(sensors, ranked)
     T, tau, a, go = scheme.T, link.tau, source.a, source.gamma_o
     fac = weights * (go / (go + 1.0))
-    bi, bd = np.zeros(n_batches), np.zeros(n_batches)
+    bi, bd = np.zeros(_BATCHES), np.zeros(_BATCHES)
     carry = None  # (generation time, fac, batch) of the last reception
     receptions, kept = 0, []  # kept: a traced run's arrays, group by group
-    for b0 in range(0, n_batches, step):
-        b1 = min(b0 + step, n_batches)
+    for b0 in range(0, _BATCHES, step):
+        b1 = min(b0 + step, _BATCHES)
         p0, p1 = edges[b0], edges[b1]
         if asyn:
             # period-major slots k M + n - 1; stacking the group's rows

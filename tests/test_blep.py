@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import math
 import warnings
@@ -118,7 +119,7 @@ def test_segmented_matches_three_segment_reference(link):
     # the clipped linear segment against the nested 1 / linear / 0 form, on
     # a dense grid holding both knots and their floating-point neighbours
     for n in (link.N, 30, 400):
-        ln = link.with_blocklength(n)
+        ln = dataclasses.replace(link, N=n)
         eta, lam = ln.eta, float(ln.lam)
         lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         knots = [lo, hi, eta]
@@ -256,7 +257,7 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     ns = np.array([1, 10, 20])
     oracle = []
     for n in ns:
-        lk = link.with_blocklength(int(n))
+        lk = dataclasses.replace(link, N=int(n))
         lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
         val, err = quad(lambda g: math.exp(-g / gbar) / gbar
                         * sp.blep_segmented(lk, g), 0.0, 400.0,
@@ -278,7 +279,7 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     assert far == pytest.approx(0.5 + 1 / math.sqrt(2 * math.pi), rel=1e-12)
     # the positive-knot entries keep the unclipped closed form bit for bit
     for n, v in zip(ns[1:], vals[1:]):
-        lk = link.with_blocklength(int(n))
+        lk = dataclasses.replace(link, N=int(n))
         lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
         assert lo > 0.0
         assert v == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
@@ -347,7 +348,7 @@ def test_average_past_exp_overflow_is_the_segment_value(L, N, gbar, caplog):
     assert mixed[1] == sp.blep_average(link, N=80)
     if L / 80 <= 700:
         # N = 80 is in the plain range and keeps the closed form bit for bit
-        lk = link.with_blocklength(80)
+        lk = dataclasses.replace(link, N=80)
         lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
         assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
     # at L/N = 700 the lam term is still in the value: 0.8989029 at gbar = 1e300

@@ -20,11 +20,17 @@ from sptrecon.experiments import list_bundled_specs, load_spec
 
 SRC = Path(sp.__file__).resolve().parents[1]
 
+# makes SciPy unimportable before sptrecon is imported: only the tests
+# need it, so every run and compare below checks that the package does not
+_CLI_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from sptrecon.cli import main
+"""
+
 # runs, through the command-line entry point, each (spec, output folder)
 # pair of its arguments in turn; exits nonzero at the first run that fails
-_RUN = """
-import sys
-from sptrecon.cli import main
+_RUN = _CLI_WITHOUT_SCIPY + """
 for spec, out in zip(sys.argv[1::2], sys.argv[2::2]):
     if main(["run", spec, "--out-dir", out]):
         sys.exit(f"{spec} failed")
@@ -153,7 +159,8 @@ def test_compare_passes_on_the_bundled_simulation(tmp_path):
     _run([("sim_vs_analytic_default", out)])
     csvs = [out / f"sim_vs_analytic_default_{kind}.csv" for kind in ("analytic", "simulate")]
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"}
-    proc = subprocess.run([sys.executable, "-m", "sptrecon.cli", "compare", *map(str, csvs)],
+    script = _CLI_WITHOUT_SCIPY + "sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, "compare", *map(str, csvs)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -347,6 +347,17 @@ def test_cli_compare_non_numeric_cell_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["nan", "-1"])
+def test_cli_compare_rejects_a_bound_that_is_not_at_least_zero(tmp_path, capsys, bound):
+    # a bad flag is a usage error, exit 1, not a failed comparison, exit 2;
+    # an infinite bound is valid
+    run_experiment(parse_spec(SIM_SPEC), tmp_path)
+    csvs = [str(tmp_path / f"smallsim_{kind}.csv") for kind in ("analytic", "simulate")]
+    assert cli_main(["compare", *csvs, "--rel-bound", bound]) == 1
+    assert "config error: rel_bound must be >= 0" in capsys.readouterr().err
+    assert cli_main(["compare", *csvs, "--rel-bound", "inf"]) == 0
+
+
 @pytest.mark.parametrize("section, key", [("optimize", "include_exhaustive"),
                                           ("sim", "dump_trace")])
 def test_boolean_keys_parse_or_fail_loudly(section, key):
@@ -474,7 +485,7 @@ def _read_rows(path):
 def _scalar_analytic_row(spec, point):
     """One analytic row from the public scalar closed forms and bounds."""
     source, field = spec.source, spec.field
-    link = spec.link.with_blocklength(int(point["N"])) if "N" in point else spec.link
+    link = dataclasses.replace(spec.link, N=int(point["N"])) if "N" in point else spec.link
     scheme = spec.scheme
     if "T_period_s" in point:
         scheme = dataclasses.replace(scheme, T=point["T_period_s"])
@@ -764,6 +775,54 @@ def test_the_sensor_array_budget_is_inclusive(tmp_path, set_scale_limit):
         run_experiment(spec, tmp_path / "past")
 
 
+# parses, in a process whose address space is capped at its first argument
+# in bytes, fig4 with each of its sweep lines edited, and prints one
+# "error type: message" line per spec
+_SWEEP_UNDER_RLIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+from sptrecon.experiments import load_spec, parse_spec
+text = load_spec("fig4_syn_surface").raw_text
+for eps, rho in (("200000000", "25"), ("20000", "20000")):
+    edited = (text.replace("linspace:0.001:0.99:34", "linspace:0.001:0.99:" + eps)
+              .replace("linspace:0.02:1.0:25", "linspace:0.02:1.0:" + rho))
+    try:
+        parse_spec(edited)
+        print("parsed")
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def test_a_sweep_past_the_points_budget_is_a_scale_limit_before_it_is_sized():
+    # under a 1 GiB cap a linspace of 2e8 values (1.49 GiB) failed with an
+    # untyped MemoryError, and a 20,000 x 20,000 sweep parsed, and the runner
+    # then sized 4e8 row slots; each raises ScaleLimitError at parse now
+    src = Path(sp.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_UNDER_RLIMIT, str(1 << 30)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": str(src), "PATH": "", "OMP_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ScaleLimitError: linspace:0.001:0.99:200000000 would need 200000000 points "
+        "(> 1048576); sweep fewer values",
+        "ScaleLimitError: the sweep would need 400000000 points "
+        "(> 1048576); sweep fewer values"]
+
+
+def test_the_sweep_points_budget_is_inclusive(set_scale_limit):
+    # a linspace count and the product of the axis lengths may each equal
+    # the budget
+    set_scale_limit("sweep_points", 1000)
+    assert len(experiments.parse_values("linspace:0.001:0.99:1000")) == 1000
+    with pytest.raises(ScaleLimitError, match="would need 1001 points"):
+        experiments.parse_values("linspace:0.001:0.99:1001")
+    text = load_spec("fig4_syn_surface").raw_text
+    parse_spec(text.replace("0.99:34", "0.99:40"))  # 40 x 25
+    with pytest.raises(ScaleLimitError, match="the sweep would need 1025 points"):
+        parse_spec(text.replace("0.99:34", "0.99:41"))
+
+
 def test_periods_times_replicas_past_the_budget_fails_before_any_draw(tmp_path,
                                                                      monkeypatch):
     # replicas = 1e6 of the bundled 1e5 periods ran past 20 s; a run at the
@@ -998,6 +1057,16 @@ def test_swept_blocklength_must_be_an_integer(tmp_path):
     run_experiment(parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.0, 81\n"), tmp_path)
     with open(tmp_path / "point_eval_analytic.csv", newline="") as fh:
         assert [row["N"] for row in csv.DictReader(fh)] == ["80", "81"]
+
+
+def test_a_linspace_count_takes_any_float_notation():
+    # as every integer key does: 1e3 is 1,000 values, 34.5 is an error
+    text = load_spec("fig4_syn_surface").raw_text
+    spec = parse_spec(text.replace("0.99:34", "0.99:1e3"))
+    assert spec.sweep["eps_bar"] == experiments.parse_values("linspace:0.001:0.99:1000")
+    assert len(spec.sweep["eps_bar"]) == 1000
+    with pytest.raises(InvalidConfigError, match="eps_bar in .sweep. must be a comma list"):
+        parse_spec(text.replace("0.99:34", "0.99:34.5"))
 
 
 @pytest.mark.parametrize("section, key, whole", [
@@ -1292,4 +1361,4 @@ def test_eps_bar_column_is_one_blep_call_per_spatial_group(tmp_path, monkeypatch
         assert calls[g] == [int(row["N"]) for row in group]
         for row in group:
             assert float(row["eps_bar"]) == sp.blep_average(
-                link.with_blocklength(int(row["N"])))
+                dataclasses.replace(link, N=int(row["N"])))

@@ -135,7 +135,7 @@ def test_optresult_reports_exact_model_mse(source, field, link, asyn_scheme):
     res = sp.jtsbo(source, field, link, asyn_scheme)
     cfg = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=asyn_scheme.T, h=res.h_star,
                           M=asyn_scheme.M, m=asyn_scheme.m)
-    direct = sp.average_mse(source, field, link.with_blocklength(res.N_star), cfg)
+    direct = sp.average_mse(source, field, dataclasses.replace(link, N=res.N_star), cfg)
     assert res.mse_star == direct
 
 
@@ -165,7 +165,7 @@ def test_mse_star_is_average_mse_at_the_returned_point(field, link, stacked):
         assert len(ns) == len(lanes)
         for w, n, h, mse in zip(lanes, ns, hs, mses):
             at = scheme if h is None else dataclasses.replace(scheme, h=h)
-            assert mse == sp.average_mse(src, w, link.with_blocklength(n), at)
+            assert mse == sp.average_mse(src, w, dataclasses.replace(link, N=n), at)
         assert type(res.mse_star) is (np.ndarray if stacked and scheme is not no else float)
 
 
@@ -332,9 +332,9 @@ def test_blocklength_asyn_step_finds_the_minimum_a_sign_probe_missed():
                              M=6, m=1)
     res = sp.optimize_blocklength(src, field, link, scheme)
     assert (res.N_star, res.branch) == (20, "interior-root")
-    assert res.objective_star == pytest.approx(0.89384, abs=1e-5)
     obj = lambda n: _objective(src, field, link, scheme, n, h)
-    assert res.objective_star < obj(55) - 0.01
+    assert obj(res.N_star) == pytest.approx(0.89384, abs=1e-5)
+    assert obj(res.N_star) < obj(55) - 0.01
     _discrete_minimum(obj, 10, 808, res.N_star)
 
 
@@ -348,7 +348,7 @@ def test_time_shift_step_on_a_flat_saturated_objective():
     runs = [sp.optimize_time_shift(src, field, link, scheme) for _ in range(2)]
     for res in runs:
         assert (res.h_star, res.branch) == (link.T_s, "lower-boundary")
-        assert res.objective_star == src.sigma2_x
+        assert _objective(src, field, link, scheme, 99, res.h_star) == 1.0
     k_hi = shift_count(scheme.T, link.T_s, 2, 99)
     _discrete_minimum(lambda k: _objective(src, field, link, scheme, 99, k * link.T_s),
                       1, k_hi, 1)
@@ -374,7 +374,7 @@ def test_time_shift_lands_on_the_symbol_grid(b, N, m, branch):
     # constraint face (T - N T_s) / (M - 1) lies between two grid shifts
     src, field, link = _fig11(b, target_index=m)
     scheme = sp.SchemeConfig(sp.Scheme.ASYN_INFER, T=0.150, h=0.005, M=5, m=m)
-    res = sp.optimize_time_shift(src, field, link.with_blocklength(N), scheme)
+    res = sp.optimize_time_shift(src, field, dataclasses.replace(link, N=N), scheme)
     k = round(res.h_star / link.T_s)
     assert res.branch == branch
     assert res.h_star == k * link.T_s
@@ -468,7 +468,7 @@ def test_jtsbo_ends_at_a_discrete_coordinate_minimum(source, field, link,
     n_hi = max_blocklength(asyn_scheme.T, Ts, (asyn_scheme.M - 1) * h)
     _discrete_minimum(lambda nn: obj(nn, h), 10, n_hi, n)
     last = res.trace[-1]
-    assert last.residual_h == abs(sp.eval_J(source, field, link.with_blocklength(n),
+    assert last.residual_h == abs(sp.eval_J(source, field, dataclasses.replace(link, N=n),
                                             asyn_scheme, h))
     assert last.residual_N == abs(sp.eval_F(source, field, link,
                                             dataclasses.replace(asyn_scheme, h=h),
@@ -484,13 +484,14 @@ def test_jtsbo_follows_the_constraint_face_to_the_exhaustive_optimum(b):
     cfg = sp.OptimizerConfig(N_min=10, I_max=3)
     res = sp.jtsbo(src, field, link, scheme, cfg)
     ex = sp.exhaustive_search(src, field, link, scheme, cfg, objective="simplified")
-    assert res.objective_star <= 1.01 * ex.objective_star
+    obj = lambda r: _objective(src, field, link, scheme, r.N_star, r.h_star)
+    assert obj(res) <= 1.01 * obj(ex)
     vals = [t.mse for t in res.trace]
     assert all(x >= y for x, y in zip(vals, vals[1:]))
     # each row's residuals are |J| and |F| at the row's own (h, N)
     for t in res.trace:
         at = dataclasses.replace(scheme, h=t.h_s)
-        assert t.residual_h == abs(sp.eval_J(src, field, link.with_blocklength(t.N),
+        assert t.residual_h == abs(sp.eval_J(src, field, dataclasses.replace(link, N=t.N),
                                              at, t.h_s))
         assert t.residual_N == abs(sp.eval_F(src, field, link, at, float(t.N)))
 
@@ -555,11 +556,12 @@ def test_exhaustive_exact_ties_break_to_smallest_n_then_h(source, field, monkeyp
         monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
         ex = sp.exhaustive_search(source, field, link, asyn)
         assert (ex.N_star, ex.h_star) == (10, link.T_s)
-        assert ex.objective_star == source.sigma2_x
+        assert _objective(source, field, link, asyn, ex.N_star, ex.h_star) == 1.0
         assert ex.evaluations == sp.expected_evaluation_count(T, link.T_s, M)
         lanes = sp.exhaustive_search(source, stack, link, asyn)
         assert (lanes.N_star.tolist(), lanes.h_star.tolist()) == ([10] * 3, [link.T_s] * 3)
-        assert lanes.objective_star.tolist() == [source.sigma2_x] * 3
+        assert _objective(source, stack, link, asyn, lanes.N_star,
+                          lanes.h_star).tolist() == [1.0] * 3
         assert lanes.evaluations == 3 * ex.evaluations
     assert sp.exhaustive_search(source, field, link, syn).N_star == 10
     assert sp.exhaustive_search(source, stack, link, syn).N_star.tolist() == [10] * 3
@@ -590,7 +592,9 @@ def test_exhaustive_is_the_argmin_of_a_per_point_loop(objective, a, L, db,
         monkeypatch.setattr(optimize, "_GRID_CHUNK", chunk)
         ex = sp.exhaustive_search(src, field, link, scheme, objective=objective)
         assert (ex.N_star, ex.h_star) == best
-        assert ex.objective_star == pytest.approx(vals[best], rel=1e-13)
+        eps = None if objective == "simplified" else sp.blep_average(link, N=ex.N_star)
+        assert _objective(src, field, link, scheme, ex.N_star, ex.h_star,
+                          eps=eps) == pytest.approx(vals[best], rel=1e-13)
         assert ex.evaluations == len(vals)
 
 
@@ -631,10 +635,10 @@ def test_stacked_exhaustive_equals_each_vector_alone(objective, chunk, monkeypat
             assert ex.evaluations == max_blocklength(T, link.T_s) - cfg.N_min + 1
             continue
         got = [ex.N_star.tolist(), None if ex.h_star is None else ex.h_star.tolist(),
-               ex.objective_star.tolist(), ex.mse_star.tolist()]
+               ex.mse_star.tolist()]
         assert got == [[r.N_star for r in alone],
                        None if ex.h_star is None else [r.h_star for r in alone],
-                       [r.objective_star for r in alone], [r.mse_star for r in alone]]
+                       [r.mse_star for r in alone]]
         assert all(type(r.N_star) is int and type(r.mse_star) is float for r in alone)
         assert (ex.branch, ex.iterations, ex.converged) == ("exhaustive", 1, True)
         assert type(ex.evaluations) is int
@@ -649,7 +653,7 @@ def test_stacked_exhaustive_equals_each_vector_alone(objective, chunk, monkeypat
     # a (2, 2, M) stack gives arrays of shape (2, 2)
     ex = sp.exhaustive_search(src, stack[:4].reshape(2, 2, 5), link, scheme, cfg, objective)
     assert ex.N_star.shape == ex.h_star.shape == ex.mse_star.shape == (2, 2)
-    assert ex.objective_star.ravel().tolist() == [r.objective_star for r in alone[:4]]
+    assert ex.mse_star.ravel().tolist() == [r.mse_star for r in alone[:4]]
 
 
 _FIG11_BS = (0.0, 0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15, 0.3)
@@ -687,8 +691,8 @@ def test_stacked_adaptation_equals_each_vector_alone(seed, budget, monkeypatch):
     assert type(res.N_star) is int and type(res.branch) is str
     runs = [(syn, lambda w: sp.optimize_blocklength(src, w, link, syn)),
             (shifted, lambda w: sp.optimize_blocklength(src, w, link, shifted)),
-            (shifted, lambda w: sp.optimize_time_shift(src, w, link.with_blocklength(200),
-                                                       shifted)),
+            (shifted, lambda w: sp.optimize_time_shift(
+                src, w, dataclasses.replace(link, N=200), shifted)),
             (asyn, lambda w: sp.jtsbo(src, w, link, asyn, sp.OptimizerConfig(I_max=3))),
             (asyn, lambda w: sp.jtsbo(src, w, link, asyn, sp.OptimizerConfig(I_max=2)))]
     lengths = []
@@ -697,7 +701,7 @@ def test_stacked_adaptation_equals_each_vector_alone(seed, budget, monkeypatch):
         got = run(stack)
         alone = [run(w) for w in stack]
         assert alone[0] == run(field)
-        for name in ("N_star", "h_star", "objective_star", "mse_star", "branch"):
+        for name in ("N_star", "h_star", "mse_star", "branch"):
             want, x = [getattr(r, name) for r in alone], getattr(got, name)
             assert want == [None] * len(alone) if x is None else x.tolist() == want, name
         assert all(type(r.N_star) is int and type(r.mse_star) is float
@@ -746,7 +750,7 @@ def test_a_stack_raises_what_its_failing_lane_raises():
             if nan:  # the other lanes run
                 run(src, np.delete(stack, 3, axis=0), lk, scheme, cfg)
     # no grid shift fits the blocklength
-    stack, full = _fig11_stack(field, asyn), link.with_blocklength(1497)
+    stack, full = _fig11_stack(field, asyn), dataclasses.replace(link, N=1497)
     with pytest.raises(sp.InvalidConfigError) as alone:
         sp.optimize_time_shift(src, stack[3], full, asyn)
     with pytest.raises(sp.InvalidConfigError) as stacked:
@@ -987,7 +991,8 @@ def test_the_face_step_starts_at_the_plateau_edge():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = sp.jtsbo(src, field, link, asyn)
-    assert math.isfinite(res.objective_star) and math.isfinite(res.mse_star)
+    assert math.isfinite(_objective(src, field, link, asyn, res.N_star, res.h_star))
+    assert math.isfinite(res.mse_star)
     assert res.converged and res.N_star >= 34  # the plateau edge
 
 
@@ -1052,7 +1057,7 @@ def test_optimizers_stay_inside_the_timing_rule(K, offset, T_s, M, a, db, N):
             point = scheme if res.h_star is None else dataclasses.replace(
                 scheme, h=res.h_star)
             assert math.isfinite(sp.average_mse(
-                src, field, link.with_blocklength(res.N_star), point))
+                src, field, dataclasses.replace(link, N=res.N_star), point))
 
 
 def test_optimizers_accept_a_period_just_below_a_whole_symbol_count():
@@ -1081,7 +1086,8 @@ def test_plateau_edge_branch_ties_with_exhaustive():
     res = sp.optimize_blocklength(src, field, link, scheme)
     ex = sp.exhaustive_search(src, field, link, scheme)
     assert res.branch == "plateau-edge"
-    assert abs(res.objective_star - ex.objective_star) <= 1e-12 * src.sigma2_x
+    obj = lambda n: _objective(src, field, link, scheme, n)
+    assert abs(obj(res.N_star) - obj(ex.N_star)) <= 1e-12
     # the step scans from the edge, the first N whose BLEP is below 1, to the cap
     eps = sp.blep_average_simplified(link, N=np.arange(10, 600))
     edge = 10 + int(np.argmax(eps < 1.0))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,14 @@ from sptrecon.errors import _SCALE_LIMITS, InvalidConfigError, ScaleLimitError
 PERIODS = 30_000  # module-level runs; the acceptance suite uses 100k
 
 
+def _at_snr(link, gamma_r_bar):
+    """The link at mean SNR ``gamma_r_bar``.  The fixture link's segment is
+    about 3.61 - 0.487 g: at 1e300 it is below 0 unless a unit exponential
+    draw is below 1e-299, so every packet gets through, and at 1e-300 it is
+    above 1, so every packet fails, as at failure probabilities 0 and 1."""
+    return dataclasses.replace(link, gamma_r_bar=gamma_r_bar)
+
+
 def _attempts(rep):
     """A traced run's packet attempts as (period, sensor, t_start_s, gamma_r,
     success) tuples, sensor by sensor, then period by period."""
@@ -22,8 +31,8 @@ def _attempts(rep):
 
 def test_forced_success_single_sensor_exact(source, link, no_scheme):
     f1 = sp.SensorField(positions=np.array([[0.0, 0.0]]), target_index=1)
-    rep = sp.simulate_event_level(source, f1, link, no_scheme, periods=2_000,
-                                  seed=1, success_prob_override=0.0)
+    rep = sp.simulate_event_level(source, f1, _at_snr(link, 1e300), no_scheme,
+                                  periods=2_000, seed=1)
     ana = sp.average_mse(source, None, link, no_scheme, eps_bar=0.0)
     # per-interval integration is closed form, so this is exact
     assert rep.avg_mse == pytest.approx(ana, abs=1e-9)
@@ -72,11 +81,11 @@ def test_adding_sensor_keeps_existing_draws(source, link):
         assert ev_b[key] == val
 
 
-def test_partition_invariance(source, field, link, syn_scheme):
+def test_partition_invariance(source, field, link, syn_scheme, monkeypatch):
     # time-weighted recombination of contiguous batches reproduces the
     # overall average exactly
-    rep = sp.simulate_event_level(source, field, link, syn_scheme, 10_000, seed=5,
-                                  n_batches=2)
+    monkeypatch.setattr(simulate, "_BATCHES", 2)
+    rep = sp.simulate_event_level(source, field, link, syn_scheme, 10_000, seed=5)
     bi, bd = rep.aux["batch_integrals"], rep.aux["batch_durations"]
     combined = (bi[0] + bi[1]) / (bd[0] + bd[1])
     assert combined == pytest.approx(rep.avg_mse, abs=1e-12)
@@ -94,22 +103,8 @@ def test_success_rates_exchangeable_across_sensors(source, field, link, syn_sche
 
 def test_requires_enough_successes(source, field, link, syn_scheme):
     with pytest.raises(InvalidConfigError):
-        sp.simulate_event_level(source, field, link, syn_scheme, periods=1, seed=0,
-                                success_prob_override=1.0 - 1e-12)
-
-
-def test_rejects_no_batches(source, field, link, syn_scheme):
-    with pytest.raises(InvalidConfigError):
-        sp.simulate_event_level(source, field, link, syn_scheme, periods=100,
-                                seed=0, n_batches=0)
-
-
-@pytest.mark.parametrize("p_fail", [math.nan, math.inf, 1.5, -0.2])
-def test_success_prob_override_must_be_a_probability(source, field, link,
-                                                     syn_scheme, p_fail):
-    with pytest.raises(InvalidConfigError, match="success_prob_override"):
-        sp.simulate_event_level(source, field, link, syn_scheme, periods=100,
-                                seed=0, success_prob_override=p_fail)
+        sp.simulate_event_level(source, field, _at_snr(link, 1e-300), syn_scheme,
+                                periods=1, seed=0)
 
 
 def test_peak_memory_per_period(source, field, link, syn_scheme, asyn_scheme):
@@ -174,8 +169,8 @@ def test_gap_statistics_asyn(source, field, link, asyn_scheme):
 
 
 def test_gap_statistics_asyn_forced_success(source, field, link, asyn_scheme):
-    rep = sp.simulate_event_level(source, field, link, asyn_scheme, 2_000, seed=9,
-                                  success_prob_override=0.0, collect_trace=True)
+    rep = sp.simulate_event_level(source, field, _at_snr(link, 1e300), asyn_scheme,
+                                  2_000, seed=9, collect_trace=True)
     gaps = np.diff(rep.aux["gen_times_s"])
     h, T, M = asyn_scheme.h, asyn_scheme.T, asyn_scheme.M
     wrap = T - (M - 1) * h
@@ -425,12 +420,6 @@ FROZEN_EVENT_LEVEL = {
          411.5482976477572, 410.44348124494064, 407.97251422942855],
         [643.2149999999999, 643.3500000000001, 642.74, 644.1000000000001,
          642.1599999999994, 643.1900000000005, 642.6149999999998]),
-    "syn_override": (
-        0.4696166094846563, 0.000506025301874234, 27622,
-        [302.5344234344192, 302.2807712273647, 301.08838217446805, 303.6081680664152,
-         301.5377041812282, 301.850752176605, 301.07896633468],
-        [643.1999999999999, 643.0500000000001, 643.05, 643.2, 643.0499999999997,
-         643.0500000000002, 642.9000000000001]),
 }
 
 FROZEN_STEP_LAW = [
@@ -486,19 +475,19 @@ FROZEN_ACROSS_BLOCKS = {
 }
 
 
+@pytest.fixture
+def frozen_batch_count(monkeypatch):
+    monkeypatch.setattr(simulate, "_BATCHES", FROZEN_BATCHES)
+
+
 @pytest.fixture(scope="module")
 def frozen_runs(source, field, link, syn_scheme, asyn_scheme, no_scheme):
-    cases = {
-        "no": (no_scheme, {}),
-        "syn": (syn_scheme, {}),
-        "asyn": (asyn_scheme, {}),
-        "syn_override": (syn_scheme, {"success_prob_override": 0.6}),
-    }
-    return {name: sp.simulate_event_level(source, field, link, scheme,
-                                          FROZEN_PERIODS, seed=5,
-                                          n_batches=FROZEN_BATCHES,
-                                          collect_trace=True, **kw)
-            for name, (scheme, kw) in cases.items()}
+    cases = {"no": no_scheme, "syn": syn_scheme, "asyn": asyn_scheme}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BATCHES", FROZEN_BATCHES)
+        return {name: sp.simulate_event_level(source, field, link, scheme,
+                                              FROZEN_PERIODS, seed=5, collect_trace=True)
+                for name, scheme in cases.items()}
 
 
 @pytest.mark.parametrize("case", sorted(FROZEN_EVENT_LEVEL))
@@ -512,20 +501,19 @@ def test_event_level_frozen_values(frozen_runs, case):
 
 @pytest.mark.parametrize("case", sorted(FROZEN_ACROSS_BLOCKS))
 def test_event_level_frozen_values_across_draw_blocks(
-        source, field, link, syn_scheme, asyn_scheme, no_scheme, case):
+        source, field, link, syn_scheme, asyn_scheme, no_scheme, case, frozen_batch_count):
     scheme = {"no": no_scheme, "syn": syn_scheme, "asyn": asyn_scheme}[case]
     rep = sp.simulate_event_level(source, field, link, scheme,
-                                  FROZEN_BLOCKS_PERIODS, seed=5,
-                                  n_batches=FROZEN_BATCHES)
+                                  FROZEN_BLOCKS_PERIODS, seed=5)
     got = (rep.avg_mse, rep.stderr, rep.aux["receptions"],
            rep.aux["batch_integrals"].tolist(), rep.aux["batch_durations"].tolist())
     assert repr(got) == repr(FROZEN_ACROSS_BLOCKS[case])
 
 
-def test_traced_run_across_draw_blocks(source, field, link, no_scheme):
+def test_traced_run_across_draw_blocks(source, field, link, no_scheme, frozen_batch_count):
     # a traced run draws into its gamma rows, an untraced one into a reused
     # buffer; both must give the same report, over three draw blocks
-    kw = dict(periods=70_001, seed=5, n_batches=FROZEN_BATCHES)
+    kw = dict(periods=70_001, seed=5)
     traced = sp.simulate_event_level(source, field, link, no_scheme,
                                      collect_trace=True, **kw)
     plain = sp.simulate_event_level(source, field, link, no_scheme, **kw)
@@ -562,18 +550,23 @@ SUCCESS_LINKS = {
 }
 
 
-@pytest.mark.parametrize("override", [None, 0.0])
-@pytest.mark.parametrize("case", sorted(SUCCESS_LINKS))
+# p_fail: None for the case's link at 5 dB; 0.0 for its L and N at a mean
+# SNR of 1e300 (3000 dB), where every segment value is below 0 and every
+# packet gets through.  Past blep._EXP_MAX the slope is at most -5e-324, so
+# no SNR forces that case
+@pytest.mark.parametrize("case, p_fail", [*((c, None) for c in sorted(SUCCESS_LINKS)),
+                                          ("eta", 0.0), ("f0", 0.0)])
 def test_success_is_a_uniform_against_the_clipped_segment(source, field, syn_scheme,
-                                                          case, override):
+                                                          case, p_fail):
     # per sensor, the stream holds every SNR draw, then every uniform; a
     # packet succeeds where its uniform is at least the clipped segmented
-    # BLEP at its SNR (or the override), over three draw blocks
-    link = sp.LinkParams.from_db(T_s=1e-4, **SUCCESS_LINKS[case])
+    # BLEP at its SNR, over three draw blocks
+    kw = SUCCESS_LINKS[case] if p_fail is None else {**SUCCESS_LINKS[case],
+                                                     "gamma_r_bar_db": 3000.0}
+    link = sp.LinkParams.from_db(T_s=1e-4, **kw)
     periods, seed, replica = 2 * simulate._BLOCK + 5, 9, 2
     rep = sp.simulate_event_level(source, field, link, syn_scheme, periods, seed,
-                                  replica=replica, collect_trace=True,
-                                  success_prob_override=override)
+                                  replica=replica, collect_trace=True)
     trace = rep.aux["trace"]
     gamma = trace["gamma_r"].reshape(-1, periods)
     success = trace["success"].reshape(-1, periods)
@@ -581,20 +574,23 @@ def test_success_is_a_uniform_against_the_clipped_segment(source, field, syn_sch
         rng = np.random.default_rng([seed, replica, sensor])
         rng.standard_exponential(periods)
         u = rng.random(periods)
-        fail = sp.blep_segmented(link, gamma[row]) if override is None else override
+        fail = sp.blep_segmented(link, gamma[row])
         np.testing.assert_array_equal(success[row], u >= fail)
-    assert 0 < np.count_nonzero(success) < success.size or override == 0.0
+        if p_fail is not None:
+            np.testing.assert_array_equal(success[row], u >= p_fail)
+    assert 0 < np.count_nonzero(success) < success.size or p_fail == 0.0
     # an untraced run takes the segment over its SNR buffer, in place
     plain = sp.simulate_event_level(source, field, link, syn_scheme, periods, seed,
-                                    replica=replica, success_prob_override=override)
+                                    replica=replica)
     assert (plain.avg_mse, plain.stderr) == (rep.avg_mse, rep.stderr)
 
 
-def test_every_packet_fails_at_an_override_of_one(source, field, link, syn_scheme):
-    # each uniform is below 1, so no packet gets through
+def test_every_packet_fails_at_a_vanishing_snr(source, field, link, syn_scheme):
+    # each uniform is below 1 and each segment value above it, so no packet
+    # gets through
     with pytest.raises(InvalidConfigError, match="fewer than two"):
-        sp.simulate_event_level(source, field, link, syn_scheme, 100, seed=0,
-                                success_prob_override=1.0)
+        sp.simulate_event_level(source, field, _at_snr(link, 1e-300), syn_scheme, 100,
+                                seed=0)
 
 
 @pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16, 17, 70, 256, 300])
@@ -617,7 +613,7 @@ def test_first_success_rank_matches_the_reordered_argmax(M):
 # the batch walk against the full-array reception stage
 # ---------------------------------------------------------------------------
 
-def _full_array_receptions(source, field, link, scheme, rep, n_batches):
+def _full_array_receptions(source, field, link, scheme, rep, batches):
     """A traced run's receptions and batch sums rebuilt from its success
     mask by the full-array reception stage that the batch walk replaced:
     one array per reception quantity over the whole run, batches cut by
@@ -638,7 +634,7 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
         period_of, rank = simulate._first_success_rank(success, order)
         row_of = order[rank]
     gen_times = period_of * scheme.T + offsets[row_of]
-    edges = np.linspace(0, periods, n_batches + 1)
+    edges = np.linspace(0, periods, batches + 1)
     cuts = np.searchsorted(period_of[:-1], edges, side="left")
     go, tau, a = source.gamma_o, link.tau, source.a
     fac2 = weights[row_of[:-1]]
@@ -651,39 +647,40 @@ def _full_array_receptions(source, field, link, scheme, rep, n_batches):
     integrals /= 2.0 * a
     integrals *= fac2
     np.subtract(D, integrals, out=integrals)
-    batch_of = np.repeat(np.arange(n_batches), np.diff(cuts))
-    bi = np.bincount(batch_of, weights=integrals, minlength=n_batches)
-    bd = np.bincount(batch_of, weights=D, minlength=n_batches)
+    batch_of = np.repeat(np.arange(batches), np.diff(cuts))
+    bi = np.bincount(batch_of, weights=integrals, minlength=batches)
+    bd = np.bincount(batch_of, weights=D, minlength=batches)
     return {"batch_integrals": bi, "batch_durations": bd,
             "receptions": len(gen_times), "gen_times_s": gen_times,
             "used_sensor": sensors[row_of], "gaps": D,
             "stderr": source.sigma2_x * simulate.batch_means_stderr(bi, bd)}
 
 
-# case -> simulate_event_level keywords; _BLOCK = 32,768 periods
+# case -> (periods, seed, batch count, mean SNR in dB); _BLOCK = 32,768
+# periods.  At -2 dB the fixture link's average BLEP is 0.99994
 WALK_CASES = {
-    "fewer_periods_than_batches": dict(periods=60, n_batches=100, seed=1),
-    "one_batch": dict(periods=30_011, n_batches=1, seed=2),
-    "partial_last_group": dict(periods=100_003, n_batches=100, seed=3),
-    "groups_of_three_batches": dict(periods=70_001, n_batches=7, seed=4),
-    **{f"empty_groups_seed{s}": dict(periods=100_000, n_batches=100, seed=s,
-                                     success_prob_override=0.9999)
-       for s in range(6)},
+    "fewer_periods_than_batches": (60, 1, 100, 5.0),
+    "one_batch": (30_011, 2, 1, 5.0),
+    "partial_last_group": (100_003, 3, 100, 5.0),
+    "groups_of_three_batches": (70_001, 4, 7, 5.0),
+    **{f"empty_groups_seed{s}": (100_000, s, 100, -2.0) for s in range(6)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 @pytest.mark.parametrize("kind", ["no", "syn", "asyn"])
-def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme,
-                                                  asyn_scheme, no_scheme, kind, case):
+def test_batch_walk_matches_the_full_array_stage(source, field, syn_scheme, asyn_scheme,
+                                                  no_scheme, kind, case, monkeypatch):
     # bit for bit: each batch sum is the sequential sum of its intervals,
     # also across groups, through groups and batches with no reception
     scheme = {"no": no_scheme, "syn": syn_scheme, "asyn": asyn_scheme}[kind]
-    kw = WALK_CASES[case]
-    traced = sp.simulate_event_level(source, field, link, scheme,
-                                     collect_trace=True, **kw)
-    plain = sp.simulate_event_level(source, field, link, scheme, **kw)
-    want = _full_array_receptions(source, field, link, scheme, traced, kw["n_batches"])
+    periods, seed, batches, db = WALK_CASES[case]
+    monkeypatch.setattr(simulate, "_BATCHES", batches)
+    link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=db)
+    traced = sp.simulate_event_level(source, field, link, scheme, periods, seed,
+                                     collect_trace=True)
+    plain = sp.simulate_event_level(source, field, link, scheme, periods, seed)
+    want = _full_array_receptions(source, field, link, scheme, traced, batches)
     for rep in (traced, plain):
         for key in ("batch_integrals", "batch_durations"):
             np.testing.assert_array_equal(rep.aux[key], want[key])
@@ -699,8 +696,9 @@ def test_batch_walk_matches_the_full_array_stage(source, field, link, syn_scheme
     np.testing.assert_array_equal(np.diff(traced.aux["gen_times_s"]), want["gaps"])
     assert not plain.aux.keys() & set(per_reception)
     if case.startswith("empty_groups") and kind == "no":
-        # 4-14 receptions: the last group (batches 96-99) has none, and at
-        # seed 4 neither has the second (batches 32-63)
+        # 4-7 receptions: the last group (batches 96-99) has none, and
+        # neither has the second (batches 32-63) at seed 2 nor the third
+        # (batches 64-95) at seed 3
         assert want["receptions"] <= 14
         assert not want["batch_durations"][96:].any()
 
