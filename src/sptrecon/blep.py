@@ -88,11 +88,6 @@ class LinkParams:
         """Decoding-threshold SNR exp(L/N) - 1."""
         return float(_eta(self.L, self.N))
 
-    @property
-    def lam(self) -> float:
-        """Slope of the linear BLEP segment (negative)."""
-        return _lam(self.L, self.N)
-
 
 # the complex step d: far below the rounding of any real part, which stays
 # f(x) to the last bit, and far above the underflow of d f'

@@ -23,8 +23,9 @@ class DecompositionError(RuntimeError):
 
 class BracketError(RuntimeError):
     """A scalar search cannot give a trustworthy answer: an adaptation
-    step's objective is non-finite or saturated over its whole range, or
-    the ``eps_star_asyn`` refine meets a NaN slope or its step cap."""
+    step's or the eps scan's minimum is non-finite, a step's BLEP is
+    saturated over its whole range, or the ``eps_star_asyn`` refine meets a
+    NaN slope or its step cap."""
 
 
 class InvariantError(RuntimeError):
@@ -56,9 +57,10 @@ class ScaleLimitError(InvalidConfigError):
 # the same kinds and limits
 _SCALE_LIMITS = {
     # bytes of one array over the sensors: an analytic sweep's (rows x M)
-    # weight stack, eps_star_asyn's (512 x M) scan or one optimizer lane's
-    # (range x M) values.  1 GiB, some 30,000 times the bundled specs'
-    # largest (850 rows x 5); a run's peak is a few such arrays
+    # weight stack, or one scan lane's (width x M) values, eps_star_asyn's
+    # 512-point eps grid or an optimizer step's range.  1 GiB, some 30,000
+    # times the bundled specs' largest (850 rows x 5); a run's peak is a
+    # few such arrays
     "sensor_bytes": (1 << 30, "GiB", "use fewer sensors"),
     # blocklengths or shift indices of one range, about 700 times the
     # largest bundled range (1,490); its arrays and (range x M) temporaries

@@ -90,7 +90,8 @@ UNHONOURED_AXES = {
 
 @dataclass
 class ExperimentSpec:
-    """Parsed experiment description."""
+    """Parsed experiment description; a bad run key, output, unhonoured sweep
+    axis or swept value (:func:`_apply_point`) raises InvalidConfigError."""
 
     source: SourceParams
     field: SensorField
@@ -113,8 +114,20 @@ class ExperimentSpec:
                 raise InvalidConfigError(f"{key} must be at least {least}, "
                                          f"got {getattr(self, key)}")
         _check_scale("sweep_points", math.prod(map(len, self.sweep.values())), "the sweep")
+        if not self.outputs:
+            raise InvalidConfigError("at least one output must be requested")
+        for out in self.outputs:
+            if out not in OUTPUTS:
+                raise InvalidConfigError(f"unknown output kind {out!r}")
+            axes = sorted(UNHONOURED_AXES.get(out, set()) & set(self.sweep))
+            if axes:
+                raise InvalidConfigError(f"output {out!r} cannot honour the sweep "
+                                         f"axis {', '.join(map(repr, axes))}")
         for axis in ("eps_bar", "mssc"):  # a probability, a mean squared correlation
             _unit_interval(self.sweep.get(axis, []), f"sweep axis {axis}")
+        for axis in [a for a in self.sweep if a not in ("eps_bar", "mssc")]:
+            for value in self.sweep[axis]:  # checked by the class the axis configures
+                _apply_point(self, {axis: value})
 
 
 def parse_values(text):
@@ -194,7 +207,7 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
                 run[key] = int(override)
         if "include_exhaustive" in opt:
             run["include_exhaustive"] = opt.pop("include_exhaustive")
-        spec = ExperimentSpec(
+        return ExperimentSpec(
             source=SourceParams(**kw["source"]), field=field,
             link=LinkParams.from_db(**kw["link"]),
             scheme=SchemeConfig(**kw["scheme"], M=field.n_sensors,
@@ -206,16 +219,6 @@ def parse_spec(text, seed=None, replicas=None) -> ExperimentSpec:
         raise
     except ValueError as exc:
         raise InvalidConfigError(str(exc)) from exc
-    if not spec.outputs:
-        raise InvalidConfigError("at least one output must be requested")
-    for out in spec.outputs:
-        if out not in OUTPUTS:
-            raise InvalidConfigError(f"unknown output kind {out!r}")
-        axes = sorted(UNHONOURED_AXES.get(out, set()) & set(spec.sweep))
-        if axes:
-            raise InvalidConfigError(f"output {out!r} cannot honour the sweep "
-                                     f"axis {', '.join(map(repr, axes))}")
-    return spec
 
 
 # what a value of each SCHEMA type must look like, for the error message
@@ -401,9 +404,9 @@ def _sim_row(spec, values):
                  f"periods x replicas = {spec.periods} x {spec.replicas}, a replica "
                  f"counting as at least {_REPLICA_PERIODS} periods,")
     source, link, scheme = _apply_point(spec, values)
-    if spec.dump_trace:  # each replica's trace in its report, and their concatenation
+    if spec.dump_trace:  # each replica's trace, kept in its report until written
         total = spec.periods * spec.replicas
-        need = 2 * _TRACE_BYTES * total * len(scheme_weights(source, spec.field, scheme))
+        need = _TRACE_BYTES * total * len(scheme_weights(source, spec.field, scheme))
         _check_scale("period_bytes", need, f"periods x replicas = {total:.3g}")
     reports = [
         simulate_event_level(source, spec.field, link, scheme, spec.periods,
@@ -425,16 +428,15 @@ def _sim_row(spec, values):
     ana = average_mse(source, spec.field, link, scheme)
     row = list(map(_cell, [scheme.scheme.value, link.T_s, link.L, link.N, scheme.T,
                            scheme.h, scheme.M, mssc(source, spec.field), spec.periods,
-                           spec.seed,
-                           mse_mc, stderr, ana, _z_score(mse_mc, ana, stderr)]))
+                           spec.seed, mse_mc, stderr, ana, _z_score(mse_mc, ana, stderr)]))
     if not spec.dump_trace:
         return [row], None
-    cols = [np.concatenate([r.aux["trace"][c] for r in reports]) for c in EVENT_COLUMNS]
-    cols[-1] = cols[-1].view(np.uint8)  # success as 0/1
-    # the events file's rows, made one chunk at a time as it is written, each
-    # column's cells at once
-    return [row], (list(zip(*(map(_cell, c[i:i + _CHUNK_ROWS].tolist()) for c in cols)))
-                   for i in range(0, len(cols[0]), _CHUNK_ROWS))
+    # the events file's rows, replica by replica, made one chunk at a time as
+    # it is written, each column's cells at once (success as 0/1)
+    cols = [[r.aux["trace"][c] for c in EVENT_COLUMNS[:-1]]
+            + [r.aux["trace"]["success"].view(np.uint8)] for r in reports]
+    return [row], (list(zip(*(map(_cell, c[i:i + _CHUNK_ROWS].tolist()) for c in cs)))
+                   for cs in cols for i in range(0, len(cs[0]), _CHUNK_ROWS))
 
 
 def _z_score(val, ref, stderr):

@@ -307,6 +307,50 @@ class ClosedForm:
             yield np.subtract(1.0, S, out=S)
 
 
+# (lanes x range x M) values one array call of a step may score: the lanes
+# of a stack are scored in blocks (see _argmin_step), so each temporary stays
+# within 1 MiB of floats; fig11's 9 lanes of up to 1,490 blocklengths x 5
+# sensors are one block, as are 51 lanes of a 512-point eps scan
+_LANE_BUDGET = 1 << 17
+
+
+def _argmin_step(score, lanes, M, lo, start, hi):
+    """Each lane's integer minimizer of the (lanes, width) objective rows
+    ``score(block)``, scored at start, start + 1, ..., start + width - 1 =
+    max(hi), and taken over [start, hi[lane]]; ties go to the smallest.  A
+    NaN or an infinite minimum raises BracketError, for the first such lane.
+
+    ``score`` gets a slice of the lanes and returns their rows.  A block
+    holds at most ``_LANE_BUDGET // (width M)`` lanes, and at least one, so
+    its (lanes x width x M) temporaries stay within the budget unless one
+    lane's alone pass it; a row's values do not depend on its block.  One
+    lane's (width x M) past the sensor-array scale limit raises
+    ScaleLimitError before any is scored.
+
+    Returns (x, objective, branch), one entry per lane, the branch named by
+    where x lies: "lower-boundary" at lo, "upper-boundary" at hi,
+    "plateau-edge" at a start above lo, otherwise "interior-root".
+    """
+    width = int(hi.max()) - start + 1
+    _check_scale("sensor_bytes", 8 * width * M, f"the {width}-point range of {M} sensors")
+    step = max(1, _LANE_BUDGET // (width * M))
+    at, best = [], []
+    for i in range(0, lanes, step):
+        vals = np.reshape(score(slice(i, i + step)), (-1, width))
+        vals[np.arange(width) > hi[i:i + step, None] - start] = np.inf
+        j = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
+        at.append(j)
+        best.append(vals[np.arange(j.size), j])
+    x, val = np.concatenate(at) + start, np.concatenate(best)
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        j = bad[0]
+        raise BracketError(f"objective is {val[j]} at {x[j]} on [{start}, {hi[j]}]")
+    return x, val, np.select([x == lo, x == hi, x == start],
+                             ["lower-boundary", "upper-boundary", "plateau-edge"],
+                             "interior-root")
+
+
 # the weight vector of the M = 1 (no-inference) form: the target's own,
 # read-only because every no-inference caller shares it
 _OWN = np.broadcast_to(1.0, (1,))
@@ -394,36 +438,34 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     """Global minimizer of the asynchronous MSE over eps in [0, 1).
 
     One minimizer per weight vector of ``field_or_weights``: a field, one
-    vector or a (..., M) stack of them (:func:`scheme_weights`).  Scores a
-    dense grid of ``grid_size`` points for every vector in one
-    :class:`ClosedForm` call.  Where the analytic eps-derivative changes
-    sign across the best grid point's neighbours, its root is refined by
-    Illinois false position (Dowell & Jarratt 1971): secant steps inside the
-    bracket, halving the slope of an end kept twice in a row, until the
-    slope is exactly 0 or a step lands on an end, so the root sits at the
-    sign change to rounding.  The brackets step together, lane by lane, and
-    a lane leaves the refine when it ends.  A NaN slope or a lane with no
-    end within ``_REFINE_STEPS`` steps raises BracketError.  Returns
-    (eps_star, mse): two floats for a field or one vector, else two arrays
-    of the stack's shape.  The error is not convex in eps for every
-    geometry (it can rise, dip, then rise again), so a global scan rather
-    than a single root chase is required for a valid bound.  The scan and
-    the refine run at unit variance; only the returned minimum is scaled by
-    sigma2.  A scheme that is not asynchronous raises InvalidConfigError, a
-    (grid_size x M) scan past the sensor-array scale limit ScaleLimitError.
+    vector or a (..., M) stack of them (:func:`scheme_weights`).  Each
+    vector's scan of a dense grid of ``grid_size`` points is a lane of
+    :func:`_argmin_step`, under its rules: lane blocks, ties to the smallest
+    eps, BracketError for a non-finite minimum and ScaleLimitError for a
+    lane past the sensor-array scale limit.  Where the analytic
+    eps-derivative changes sign across the best grid point's neighbours,
+    its root is refined by Illinois false position (Dowell & Jarratt 1971):
+    secant steps inside the bracket, halving the slope of an end kept twice
+    in a row, until the slope is exactly 0 or a step lands on an end, so
+    the root sits at the sign change to rounding.  The brackets step
+    together, lane by lane, and a lane leaves the refine when it ends; a
+    NaN slope or a lane with no end within ``_REFINE_STEPS`` steps raises
+    BracketError.  Returns (eps_star, mse): two floats for a field or one
+    vector, else two arrays of the stack's shape.  The error is not convex
+    in eps for every geometry (it can rise, dip, then rise again), so a
+    global scan is required for a valid bound.  The scan and the refine run
+    at unit variance; only the returned minimum is scaled by sigma2.  A
+    scheme that is not asynchronous raises InvalidConfigError.
     """
     if scheme.scheme is not Scheme.ASYN_INFER:
         raise InvalidConfigError("eps_star_asyn needs an asynchronous config")
-    _check_scale("sensor_bytes", 8 * grid_size * scheme.M,
-                 f"the {grid_size}-point eps grid of {scheme.M} sensors")
     w = scheme_weights(source, field_or_weights, scheme)
     lanes = w.reshape(-1, scheme.M)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
     grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    vals = cf.mse(grid, lanes[:, None])  # (lanes, grid_size)
-    k = np.argmin(vals, axis=1)
-    eps, out = grid[k], vals[np.arange(len(k)), k]
-
+    k, out, _ = _argmin_step(lambda s: cf.mse(grid, lanes[s, None]), len(lanes), scheme.M,
+                             0, 0, np.full(len(lanes), grid_size - 1))
+    eps = grid[k]
     # the lanes whose slope changes sign across an interior best point
     r = np.flatnonzero(k)
     lo, hi = grid[k[r] - 1], grid[np.minimum(k[r] + 1, grid_size - 1)]

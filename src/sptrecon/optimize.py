@@ -24,11 +24,12 @@ runs a stack's vectors as lanes of one pass over the geometry: what reads
 no weight (the BLEP range, the plateau edge, the face step's points, the
 exhaustive grid's left factor, denominator and shift mask) is formed once
 per call.  A step scores the (lanes, range) matrix in blocks of lanes whose
-(lanes x range x M) temporaries stay within ``_LANE_BUDGET`` values, and
-each lane takes its argmin on its own row, the columns past its own range
-masked out.  A lane's entries go through the operations of a one-vector
-call, so a lane gives the bits of a call with its vector alone.  In
-``jtsbo`` a lane freezes once an iteration leaves its point unchanged.
+(lanes x range x M) temporaries stay within ``mse._LANE_BUDGET`` values,
+and each lane takes its argmin on its own row, the columns past its own
+range masked out (:func:`mse._argmin_step`, which :func:`mse.eps_star_asyn`
+shares).  A lane's entries go through the operations of a one-vector call,
+so a lane gives the bits of a call with its vector alone.  In ``jtsbo`` a
+lane freezes once an iteration leaves its point unchanged.
 Every optimizer's result is made by ``_result``.  For a stack its points
 and objectives are arrays of the stack's shape.  So is an adaptation's
 ``branch``; its ``trace`` holds one list per lane, ``iterations`` is the
@@ -53,19 +54,14 @@ import numpy as np
 from .blep import LinkParams, _complex_step, blep_average, blep_average_simplified
 from .errors import BracketError, InvalidConfigError, _check_scale
 from .field import SensorField, SourceParams
-from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, max_blocklength,
-                  scheme_weights, shift_count)
+from .mse import (_TIMING_TOL, ClosedForm, Scheme, SchemeConfig, _argmin_step,
+                  max_blocklength, scheme_weights, shift_count)
 
 DEFAULT_N_MIN = 10
 
 # (N, h) points the asynchronous exhaustive search scores per array call;
 # bounds its (rows x width) temporaries to about 128 kB each
 _GRID_CHUNK = 16384
-# (lanes x range x M) values one array call of a step may score: the lanes
-# of a stack are scored in blocks (see _argmin_step), so each temporary stays
-# within 1 MiB of floats; fig11's 9 lanes of up to 1,490 blocklengths x 5
-# sensors are one block
-_LANE_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -189,43 +185,6 @@ def _blocklength_cap(T, T_s, cfg, shift=0.0):
     _check_scale("range", np.max(n_hi) - cfg.N_min + 1,
                  f"the blocklength range from N_min = {cfg.N_min}")
     return n_hi
-
-
-def _argmin_step(score, lanes, M, lo, start, hi):
-    """Each lane's integer minimizer of the (lanes, width) objective rows
-    ``score(block)``, scored at start, start + 1, ..., start + width - 1 =
-    max(hi), and taken over [start, hi[lane]]; ties go to the smallest.  A
-    NaN or an infinite minimum raises BracketError, for the first such lane.
-
-    ``score`` gets a slice of the lanes and returns their rows.  A block
-    holds at most ``_LANE_BUDGET // (width M)`` lanes, and at least one, so
-    its (lanes x width x M) temporaries stay within the budget unless one
-    lane's alone pass it; a row's values do not depend on its block.  One
-    lane's (width x M) past the sensor-array scale limit raises
-    ScaleLimitError before any is scored.
-
-    Returns (x, objective, branch), one entry per lane, the branch named by
-    where x lies: "lower-boundary" at lo, "upper-boundary" at hi,
-    "plateau-edge" at a start above lo, otherwise "interior-root".
-    """
-    width = int(hi.max()) - start + 1
-    _check_scale("sensor_bytes", 8 * width * M, f"the {width}-point range of {M} sensors")
-    step = max(1, _LANE_BUDGET // (width * M))
-    at, best = [], []
-    for i in range(0, lanes, step):
-        vals = np.reshape(score(slice(i, i + step)), (-1, width))
-        vals[np.arange(width) > hi[i:i + step, None] - start] = np.inf
-        j = np.argmin(vals, axis=1)  # a NaN anywhere is its own argmin
-        at.append(j)
-        best.append(vals[np.arange(j.size), j])
-    x, val = np.concatenate(at) + start, np.concatenate(best)
-    bad = np.flatnonzero(~np.isfinite(val))
-    if bad.size:
-        j = bad[0]
-        raise BracketError(f"objective is {val[j]} at {x[j]} on [{start}, {hi[j]}]")
-    return x, val, np.select([x == lo, x == hi, x == start],
-                             ["lower-boundary", "upper-boundary", "plateau-edge"],
-                             "interior-root")
 
 
 def _blocklength_step(source, W, link, scheme, cfg, h, eps):

@@ -21,7 +21,7 @@ def quadrature_average(link):
     """Independent oracle: numerically integrate the segmented model
     against the exponential fading density."""
     gbar = link.gamma_r_bar
-    eta, lam = link.eta, link.lam
+    eta, lam = link.eta, _lam(link.L, link.N)
     u, w = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
 
     def seg(g):
@@ -82,7 +82,7 @@ def test_segmented_is_zero_at_an_infinite_snr_on_every_link(link):
     # inf * lam would be NaN with a RuntimeWarning: each gives 0 at an
     # infinite SNR, its unclipped segment -inf, so an oracle draw of inf
     # succeeds, and the value at a finite SNR is the same in both calls
-    assert sp.LinkParams(L=1000.0, N=1).lam == 0.0
+    assert _lam(1000.0, 1) == 0.0
     f0 = 0.5 + 1.0 / math.sqrt(2.0 * math.pi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -97,7 +97,7 @@ def test_segmented_is_zero_at_an_infinite_snr_on_every_link(link):
 
 
 def test_segmented_midpoint_and_knots(link):
-    eta, lam = link.eta, link.lam
+    eta, lam = link.eta, _lam(link.L, link.N)
     assert sp.blep_segmented(link, eta) == pytest.approx(0.5, abs=1e-15)
     lo = eta + 1 / (2 * lam)
     hi = eta - 1 / (2 * lam)
@@ -120,7 +120,7 @@ def test_segmented_matches_three_segment_reference(link):
     # a dense grid holding both knots and their floating-point neighbours
     for n in (link.N, 30, 400):
         ln = dataclasses.replace(link, N=n)
-        eta, lam = ln.eta, float(ln.lam)
+        eta, lam = ln.eta, float(_lam(ln.L, ln.N))
         lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         knots = [lo, hi, eta]
         near = [np.nextafter(k, d) for k in knots for d in (0.0, np.inf)]
@@ -252,13 +252,14 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     # then integrates the linear segment from 0 instead of overflowing to a
     # perfect link.  N = 10 and 20 have a positive lower knot
     link = sp.LinkParams.from_db(L=20, N=1, gamma_r_bar_db=10 * math.log10(5))
-    assert link.eta + 1 / (2 * link.lam) < 0.0
+    assert link.eta + 1 / (2 * _lam(link.L, link.N)) < 0.0
     gbar = link.gamma_r_bar
     ns = np.array([1, 10, 20])
     oracle = []
     for n in ns:
         lk = dataclasses.replace(link, N=int(n))
-        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+        lam = _lam(lk.L, lk.N)
+        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
         val, err = quad(lambda g: math.exp(-g / gbar) / gbar
                         * sp.blep_segmented(lk, g), 0.0, 400.0,
                         points=[max(lo, 0.0), min(hi, 400.0)], limit=400)
@@ -280,9 +281,10 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     # the positive-knot entries keep the unclipped closed form bit for bit
     for n, v in zip(ns[1:], vals[1:]):
         lk = dataclasses.replace(link, N=int(n))
-        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
+        lam = _lam(lk.L, lk.N)
+        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
         assert lo > 0.0
-        assert v == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+        assert v == 1 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
 
 
 @pytest.mark.parametrize("L", [400.0, 800.0])
@@ -296,7 +298,7 @@ def test_segmented_past_exp_overflow_is_the_segment_from_zero(L, caplog):
         warnings.simplefilter("error")
         vals = sp.blep_segmented(link, np.array([0.1, 1.0, 1e6]))
         scalar = sp.blep_segmented(link, 1.0)
-        lam = link.lam
+        lam = _lam(link.L, link.N)
     assert vals.tolist() == pytest.approx([f0] * 3, rel=1e-15)
     assert scalar == vals[1]
     assert lam <= 0.0 and math.isfinite(lam)
@@ -310,7 +312,7 @@ def test_lam_and_average_mix_overflowing_and_plain_blocklengths(caplog):
     ns = np.array([1, 2, 3, 80])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam = link.lam
+        lam = _lam(link.L, link.N)
         lams = _lam(400.0, ns.astype(float))
         avg = sp.blep_average(link, N=ns)
     stable = -math.sqrt(1 / (2 * math.pi)) * math.exp(-400.0) / math.sqrt(
@@ -349,14 +351,16 @@ def test_average_past_exp_overflow_is_the_segment_value(L, N, gbar, caplog):
     if L / 80 <= 700:
         # N = 80 is in the plain range and keeps the closed form bit for bit
         lk = dataclasses.replace(link, N=80)
-        lo, hi = lk.eta + 1 / (2 * lk.lam), lk.eta - 1 / (2 * lk.lam)
-        assert mixed[1] == 1 + gbar * lk.lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
+        lam = _lam(lk.L, lk.N)
+        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
+        assert mixed[1] == 1 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
     # at L/N = 700 the lam term is still in the value: 0.8989029 at gbar = 1e300
     edge = sp.LinkParams(L=700.0 * N, N=N, gamma_r_bar=gbar)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         edge_avg = sp.blep_average(edge)
-    assert edge_avg == pytest.approx(f0 + gbar * edge.lam if N == 1 else 1.0, rel=1e-15)
+    assert edge_avg == pytest.approx(f0 + gbar * _lam(edge.L, edge.N) if N == 1 else 1.0,
+                                     rel=1e-15)
     assert caplog.records == []
 
 

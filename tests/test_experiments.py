@@ -733,10 +733,11 @@ run("eps_star_asyn", lambda: sp.eps_star_asyn(sp.SourceParams(), np.full(300000,
 
 def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
     # at M = 1e6 an 850-row analytic sweep's (rows x M) weight stack would
-    # take 6.33 GiB, the sim's per-period arrays 93.1 GiB and eps_star_asyn's
-    # (512 x M) scan of 3e5 sensors 1.14 GiB; each raises before it is sized,
-    # in a process whose address space is capped, so a guard that fails to
-    # fire ends in MemoryError rather than taking the machine's memory.
+    # take 6.33 GiB, the sim's per-period arrays 93.1 GiB and one lane of
+    # eps_star_asyn's (512 x M) scan of 3e5 sensors 1.14 GiB; each raises
+    # before it is sized, in a process whose address space is capped, so a
+    # guard that fails to fire ends in MemoryError rather than taking the
+    # machine's memory.
     # fig11's asyn range is empty from M = 1,492 on, (M - 1) T_s passing
     # its period. No (M, M) array is sized: the sim at M = 8000 runs under
     # the cap
@@ -756,7 +757,7 @@ def test_a_million_sensors_is_a_scale_limit_before_any_array_is_sized(tmp_path):
         "sim_vs_analytic_default": "ScaleLimitError: periods = 1e+05 would need 93.1 GiB "
                                    "of per-period arrays",
         "sim at M = 8000": "ran",
-        "eps_star_asyn": "ScaleLimitError: the 512-point eps grid of 300000 sensors "
+        "eps_star_asyn": "ScaleLimitError: the 512-point range of 300000 sensors "
                          "would need 1.14 GiB",
     }
     assert sorted(got) == sorted(want)
@@ -1051,12 +1052,31 @@ def test_grouped_region_rows_equal_scalar_calls(tmp_path, monkeypatch):
 
 
 def test_swept_blocklength_must_be_an_integer(tmp_path):
-    spec = parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.7, 80.2\n")
     with pytest.raises(InvalidConfigError, match="must be an integer, got 80.7"):
-        run_experiment(spec, tmp_path / "bad")
+        parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.7, 80.2\n")
     run_experiment(parse_spec(POINT_SPEC + "\n[sweep]\nN = 80.0, 81\n"), tmp_path)
     with open(tmp_path / "point_eval_analytic.csv", newline="") as fh:
         assert [row["N"] for row in csv.DictReader(fh)] == ["80", "81"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("b_per_m = 0.01, -1", "spatial decay b must be nonnegative, got -1.0"),
+    ("T_period_s = 0.15, -0.1", "period T must be finite and > 0, got -0.1"),
+    ("gamma_r_bar_db = 5, 4000", "gamma_r_bar_db must be at most 3000 dB"),
+    ("h_s = 0.005, -0.001", "time shift must be > 0, got -0.001"),
+    ("N = 80, 80.5", "swept blocklength N must be an integer, got 80.5"),
+], ids=["b_per_m", "T_period_s", "gamma_r_bar_db", "h_s", "N"])
+def test_every_swept_value_is_checked_at_parse_time(tmp_path, capsys, line, message):
+    # the class each axis configures rejects the value while the spec is
+    # parsed, so the run writes nothing, where it used to fail midway and
+    # leave a partial manifest
+    path = tmp_path / "bad.cfg"
+    path.write_text(load_spec("asyn_surface_short_shift").raw_text + line + "\n")
+    with pytest.raises(InvalidConfigError, match=re.escape(message)):
+        load_spec(path)
+    assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_linspace_count_takes_any_float_notation():
@@ -1120,8 +1140,9 @@ def test_outputs_reject_sweep_axes_they_cannot_honour(output, axis):
     text = text.replace("scheme = syn-infer", SCHEME_SECTIONS["asyn-infer"])
     with pytest.raises(InvalidConfigError, match=rf"{output}.*'{axis}'"):
         parse_spec(text + f"\n[sweep]\n{axis} = 0.1, 0.9\n")
+    values = "80, 81" if axis == "N" else "0.005, 0.01"  # a blocklength is whole
     parse_spec(text.replace(f"outputs = {output}", "outputs = analytic")
-               + f"\n[sweep]\n{axis} = 0.005, 0.01\n")
+               + f"\n[sweep]\n{axis} = {values}\n")
 
 
 def test_blocklength_floor_is_the_optimizer_key(tmp_path):
@@ -1168,7 +1189,8 @@ NON_DEFAULT = [
     ("optimize", "N_max", "300", lambda s: s.optimizer.N_max, 300),
     ("optimize", "I_max", "5", lambda s: s.optimizer.I_max, 5),
     ("optimize", "include_exhaustive", "on", lambda s: s.include_exhaustive, True),
-] + [("sweep", axis, "0.1, 0.2", lambda s, axis=axis: s.sweep.get(axis), [0.1, 0.2])
+] + [("sweep", axis, "80, 81" if axis == "N" else "0.1, 0.2",
+      lambda s, axis=axis: s.sweep.get(axis), [80.0, 81.0] if axis == "N" else [0.1, 0.2])
      for axis in sorted(experiments.SWEEPABLE)]
 
 

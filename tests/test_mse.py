@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import sptrecon as sp
+from sptrecon import mse
 from sptrecon.errors import BracketError, InvalidConfigError
 from sptrecon.mse import _check_timing, max_blocklength, shift_count
 
@@ -477,6 +479,69 @@ def test_eps_star_lanes_match_the_scalar_reference(setup, gamma_o, how):
     w = np.vstack([sp.scheme_weights(src, f, scheme),
                    sp.scheme_weights(src, None, scheme, np.linspace(0.0, 1.0, 6))])
     assert how in _assert_lanes_match_the_reference(src, w, link, scheme)
+
+
+# lanes per block of the 512-point eps scan at M = 5: mse._LANE_BUDGET of
+# three lanes, and the default (51 lanes)
+@pytest.mark.parametrize("budget, lanes", [(3 * 512 * 5, 10), (mse._LANE_BUDGET, 120)])
+def test_eps_star_lanes_match_the_reference_across_lane_blocks(monkeypatch, budget, lanes):
+    # a lane's scan and refine have the bits of its vector alone in every
+    # lane block, refined lanes and lanes at the first point alike
+    monkeypatch.setattr(mse, "_LANE_BUDGET", budget)
+    src, f, scheme = dip_setup()
+    link = sp.LinkParams.from_db()
+    rng = np.random.default_rng(11)
+    w = sp.scheme_weights(src, f, scheme) * rng.uniform(0.9, 1.0, (lanes, 1))
+    rho = rng.uniform(0.0, 1.0, len(w[::4]))
+    rho[::2] = 1.0  # full correlation: the error rises from eps = 0
+    w[::4] = sp.scheme_weights(src, None, scheme, rho)
+    w[:, scheme.m - 1] = 1.0
+    scans = []
+    real_mse = sp.ClosedForm.mse
+
+    def counted(self, eps, weights):
+        if np.size(eps) == 512:
+            scans.append(len(weights))
+        return real_mse(self, eps, weights)
+
+    monkeypatch.setattr(sp.ClosedForm, "mse", counted)
+    sp.eps_star_asyn(src, w, link, scheme)
+    per_block = budget // (512 * 5)
+    assert scans == [per_block] * (lanes // per_block) + [lanes % per_block]
+    how = _assert_lanes_match_the_reference(src, w, link, scheme)
+    assert {"refined", "first point"} <= set(how)
+
+
+def test_eps_star_scan_memory_does_not_grow_with_the_lanes():
+    # the scan is scored in lane blocks: 20,000 MSSC lanes at M = 5 held
+    # two (lanes x 512) float arrays, a 156 MiB peak, when scored at once
+    src, f, scheme = dip_setup()
+    w = sp.scheme_weights(src, None, scheme, np.linspace(0.0, 1.0, 20_000))
+    tracemalloc.start()
+    try:
+        sp.eps_star_asyn(src, w, sp.LinkParams.from_db(), scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_eps_star_fails_loudly_on_a_nan_scan(monkeypatch):
+    # the scan takes the rule of every lane-wise argmin: a NaN or infinite
+    # minimum raises BracketError rather than becoming a NaN bound
+    src, f, scheme = dip_setup()
+    w = sp.scheme_weights(src, None, scheme, np.array([0.2, 0.5, 0.8]))
+    real_mse = sp.ClosedForm.mse
+
+    def nan_in_the_second_lane(self, eps, weights):
+        vals = real_mse(self, eps, weights)
+        if np.size(eps) == 512:
+            vals[1, 7] = math.nan
+        return vals
+
+    monkeypatch.setattr(sp.ClosedForm, "mse", nan_in_the_second_lane)
+    with pytest.raises(BracketError, match=r"objective is nan at 7 on \[0, 511\]"):
+        sp.eps_star_asyn(src, w, sp.LinkParams.from_db(), scheme)
 
 
 def test_eps_star_scores_each_root_as_a_float_call():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sptrecon as sp
-from sptrecon import optimize
+from sptrecon import mse, optimize
 from sptrecon.errors import _SCALE_LIMITS
 from sptrecon.mse import max_blocklength, shift_count
 from sptrecon.optimize import _objective
@@ -666,9 +666,9 @@ def _fig11_stack(field, scheme):
                      for b in _FIG11_BS])
 
 
-# lanes per block of a blocklength step: _LANE_BUDGET of one lane (every
-# step), of two fig11 blocklength ranges of 5 sensors, and the default
-@pytest.mark.parametrize("budget", [1, 2 * 1490 * 5, optimize._LANE_BUDGET])
+# lanes per block of a blocklength step: mse._LANE_BUDGET of one lane
+# (every step), of two fig11 blocklength ranges of 5 sensors, and the default
+@pytest.mark.parametrize("budget", [1, 2 * 1490 * 5, mse._LANE_BUDGET])
 @pytest.mark.parametrize("seed", [7, 14])
 def test_stacked_adaptation_equals_each_vector_alone(seed, budget, monkeypatch):
     # fig11's geometry: one call over a stack of weight vectors gives each
@@ -676,7 +676,7 @@ def test_stacked_adaptation_equals_each_vector_alone(seed, budget, monkeypatch):
     # objective and MSE, the branch and every trace row, residuals
     # included; at I_max = 3 the lanes converge after 2 or 3 iterations, at
     # I_max = 2 some stop unconverged
-    monkeypatch.setattr(optimize, "_LANE_BUDGET", budget)
+    monkeypatch.setattr(mse, "_LANE_BUDGET", budget)
     src = sp.SourceParams(b=_FIG11_BS[0])  # a field gives the first lane's weights
     field = sp.place_sensors(5, 10.0, seed=seed)
     link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)

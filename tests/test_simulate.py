@@ -384,13 +384,22 @@ def test_traced_budget_counts_the_trace_columns(tmp_path, monkeypatch, source, f
     with pytest.raises(ScaleLimitError, match=r"^periods = 2\.6e\+07 would need"):
         sp.simulate_event_level(source, field, link, syn_scheme, over, seed=1,
                                 collect_trace=True)
-    # half the periods fit one traced run, but not two replicas' traces and
-    # their concatenated columns
+    # a dump_trace row keeps each replica's trace once, written replica by
+    # replica: two replicas of half the periods fit and reach the draw, one
+    # period more each does not
     text = (experiments.load_spec("sim_vs_analytic_default").raw_text
-            .replace("periods = 100000", f"periods = {over // 2}")
             .replace("replicas = 1", "replicas = 2") + "dump_trace = true\n")
-    with pytest.raises(ScaleLimitError, match=r"periods x replicas = 2\.6e\+07"):
-        experiments.run_experiment(experiments.parse_spec(text), tmp_path)
+
+    def drawn(*args, **kwargs):
+        raise RuntimeError("drawn")
+
+    monkeypatch.setattr(experiments, "simulate_event_level", drawn)
+    for periods, error, match in ((over // 2, RuntimeError, "drawn"),
+                                  (over // 2 + 1, ScaleLimitError,
+                                   r"periods x replicas = 2\.6e\+07")):
+        spec = experiments.parse_spec(text.replace("periods = 100000", f"periods = {periods}"))
+        with pytest.raises(error, match=match):
+            experiments.run_experiment(spec, tmp_path / str(periods))
 
 
 # ---------------------------------------------------------------------------
