@@ -505,15 +505,16 @@ def _optimize_rows(spec):
 # ---------------------------------------------------------------------------
 
 # output kind -> (columns, output function, (side-file stem, side columns)).
-# An output function maps a spec to one (rows, side chunks or None) pair per
-# sweep point, in sweep order (see _groups), where side chunks is an
-# iterable of lists of rows; every row is a text row (see _write_csv); the
-# side file is written per sweep point that has them
+# An output function maps a spec to an iterable of one (rows, side chunks or
+# None) pair per sweep point, in sweep order (see _groups), where side chunks
+# is an iterable of lists of rows; every row is a text row (see _write_csv);
+# the side file is written per sweep point that has them, as the point
+# arrives, so a lazy output holds one point's side rows at a time
 OUTPUTS = {
     "analytic": (ANALYTIC_COLUMNS, _analytic_rows, None),
     "regions": (REGION_COLUMNS, _region_rows, None),
-    "simulate": (SIM_COLUMNS, lambda spec: [_sim_row(spec, values)
-                                            for values, _, _ in _groups(spec)],
+    "simulate": (SIM_COLUMNS, lambda spec: (_sim_row(spec, values)
+                                            for values, _, _ in _groups(spec)),
                  ("events", EVENT_COLUMNS)),
     "optimize": (ANALYTIC_COLUMNS, _optimize_rows, ("optimize_trace", TRACE_COLUMNS)),
 }
@@ -526,8 +527,11 @@ _CHUNK_ROWS = 1 << 14
 def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Execute every requested output; returns the manifest dict.
 
-    Sweep points are evaluated in sweep order.  Each output writes its CSV,
-    then its side files ``<name>_<stem>_<point index>.csv`` in point order.
+    Sweep points are evaluated in sweep order.  Each output writes its side
+    files ``<name>_<stem>_<point index>.csv`` in point order, each as its
+    point arrives, then its CSV; the manifest lists the CSV before its side
+    files.  A run that fails lists, in its partial manifest, the files it
+    has written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -545,13 +549,14 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     try:
         for kind in spec.outputs:
             columns, output_fn, side = OUTPUTS[kind]
-            results = output_fn(spec)
-            rows = [row for point_rows, _ in results for row in point_rows]
-            _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, [rows])
-            for idx, (_, side_chunks) in enumerate(results):
+            at, rows = len(manifest["outputs"]), []
+            for idx, (point_rows, side_chunks) in enumerate(output_fn(spec)):
+                rows += point_rows
                 if side_chunks is not None:
                     _record(manifest, out_dir / f"{spec.name}_{side[0]}_{idx}.csv",
                             side[1], side_chunks)
+            _record(manifest, out_dir / f"{spec.name}_{kind}.csv", columns, [rows])
+            manifest["outputs"].insert(at, manifest["outputs"].pop())
     except Exception as exc:
         manifest["status"] = "partial"
         manifest["error"] = f"{type(exc).__name__}: {exc}"

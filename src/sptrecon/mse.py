@@ -314,7 +314,7 @@ class ClosedForm:
 _LANE_BUDGET = 1 << 17
 
 
-def _argmin_step(score, lanes, M, lo, start, hi):
+def _argmin_step(score, lanes, M, start, hi):
     """Each lane's integer minimizer of the (lanes, width) objective rows
     ``score(block)``, scored at start, start + 1, ..., start + width - 1 =
     max(hi), and taken over [start, hi[lane]]; ties go to the smallest.  A
@@ -327,9 +327,7 @@ def _argmin_step(score, lanes, M, lo, start, hi):
     lane's (width x M) past the sensor-array scale limit raises
     ScaleLimitError before any is scored.
 
-    Returns (x, objective, branch), one entry per lane, the branch named by
-    where x lies: "lower-boundary" at lo, "upper-boundary" at hi,
-    "plateau-edge" at a start above lo, otherwise "interior-root".
+    Returns (x, objective), one entry per lane.
     """
     width = int(hi.max()) - start + 1
     _check_scale("sensor_bytes", 8 * width * M, f"the {width}-point range of {M} sensors")
@@ -346,9 +344,7 @@ def _argmin_step(score, lanes, M, lo, start, hi):
     if bad.size:
         j = bad[0]
         raise BracketError(f"objective is {val[j]} at {x[j]} on [{start}, {hi[j]}]")
-    return x, val, np.select([x == lo, x == hi, x == start],
-                             ["lower-boundary", "upper-boundary", "plateau-edge"],
-                             "interior-root")
+    return x, val
 
 
 # the weight vector of the M = 1 (no-inference) form: the target's own,
@@ -430,16 +426,18 @@ def average_mse(source: SourceParams, field_or_weights, link: LinkParams,
 # interior minimizer and MSSC threshold of the asynchronous form
 # ---------------------------------------------------------------------------
 
-# the cap on the refine's steps; on random geometries it ends in 4-13
+# the points of the eps scan, and the cap on the refine's steps; on random
+# geometries the refine ends in 4-13
+_GRID_SIZE = 512
 _REFINE_STEPS = 100
 
 
-def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
+def eps_star_asyn(source, field_or_weights, link, scheme):
     """Global minimizer of the asynchronous MSE over eps in [0, 1).
 
     One minimizer per weight vector of ``field_or_weights``: a field, one
     vector or a (..., M) stack of them (:func:`scheme_weights`).  Each
-    vector's scan of a dense grid of ``grid_size`` points is a lane of
+    vector's scan of a dense grid of ``_GRID_SIZE`` points is a lane of
     :func:`_argmin_step`, under its rules: lane blocks, ties to the smallest
     eps, BracketError for a non-finite minimum and ScaleLimitError for a
     lane past the sensor-array scale limit.  Where the analytic
@@ -462,13 +460,13 @@ def eps_star_asyn(source, field_or_weights, link, scheme, grid_size=512):
     w = scheme_weights(source, field_or_weights, scheme)
     lanes = w.reshape(-1, scheme.M)
     cf = ClosedForm(source, scheme.T, link.tau, scheme.M, scheme.h)
-    grid = np.linspace(0.0, 1.0 - 1e-9, grid_size)
-    k, out, _ = _argmin_step(lambda s: cf.mse(grid, lanes[s, None]), len(lanes), scheme.M,
-                             0, 0, np.full(len(lanes), grid_size - 1))
+    grid = np.linspace(0.0, 1.0 - 1e-9, _GRID_SIZE)
+    k, out = _argmin_step(lambda s: cf.mse(grid, lanes[s, None]), len(lanes), scheme.M,
+                          0, np.full(len(lanes), _GRID_SIZE - 1))
     eps = grid[k]
     # the lanes whose slope changes sign across an interior best point
     r = np.flatnonzero(k)
-    lo, hi = grid[k[r] - 1], grid[np.minimum(k[r] + 1, grid_size - 1)]
+    lo, hi = grid[k[r] - 1], grid[np.minimum(k[r] + 1, _GRID_SIZE - 1)]
     d_lo, d_hi = cf.dmse(np.stack([lo, hi], axis=1), lanes[r, None]).T
     inner = (d_lo < 0.0) & (d_hi > 0.0)
     r, lo, hi, d_lo, d_hi = r[inner], lo[inner], hi[inner], d_lo[inner], d_hi[inner]

@@ -203,15 +203,17 @@ def _blocklength_step(source, W, link, scheme, cfg, h, eps):
                                           0.0 if h is None else (scheme.M - 1) * h),
                          len(W))
     edge = int(np.argmax(eps < 1.0))  # 0 when every value is saturated
-    flat = np.flatnonzero((not eps[edge] < 1.0) | (cfg.N_min + edge > hi))
+    start = cfg.N_min + edge
+    flat = np.flatnonzero((not eps[edge] < 1.0) | (start > hi))
     if flat.size:
         raise BracketError(f"average BLEP saturated at 1 over the whole range "
                            f"[{cfg.N_min}, {hi[flat[0]]}]")
-    n = np.arange(cfg.N_min + edge, hi.max() + 1)
-    return _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n,
-                                             None if h is None else h[s, None],
-                                             eps=eps[edge:edge + n.size]),
-                        len(W), W.shape[-1], cfg.N_min, cfg.N_min + edge, hi)
+    n = np.arange(start, hi.max() + 1)
+    x, val = _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n,
+                                               None if h is None else h[s, None],
+                                               eps=eps[edge:edge + n.size]),
+                          len(W), W.shape[-1], start, hi)
+    return x, val, _branch(x, cfg.N_min, start, hi)
 
 
 def _time_shift_step(source, W, link, scheme, n, eps):
@@ -225,9 +227,19 @@ def _time_shift_step(source, W, link, scheme, n, eps):
     if bad.size:
         raise InvalidConfigError(f"no feasible time shift at blocklength N={n[bad[0]]}")
     k = np.arange(1, k_hi.max() + 1)
-    return _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n[s, None],
-                                             k * link.T_s, eps=eps[s, None]),
-                        len(W), W.shape[-1], 1, 1, k_hi)
+    x, val = _argmin_step(lambda s: _objective(source, W[s, None], link, scheme, n[s, None],
+                                               k * link.T_s, eps=eps[s, None]),
+                          len(W), W.shape[-1], 1, k_hi)
+    return x, val, _branch(x, 1, 1, k_hi)
+
+
+def _branch(x, lo, start, hi):
+    """Each lane's branch, named by where its step's minimizer x lies on
+    the lane's range [lo, hi], scored from ``start``: "lower-boundary" at
+    lo, "upper-boundary" at hi, "plateau-edge" at a start above lo,
+    otherwise "interior-root"."""
+    return np.select([x == lo, x == hi, x == start],
+                     ["lower-boundary", "upper-boundary", "plateau-edge"], "interior-root")
 
 
 def _result(source, link, scheme, w, n, h, branch, rows=None, slopes="",
@@ -369,10 +381,10 @@ def jtsbo(source, field_or_weights, link, scheme, cfg=None) -> OptResult:
     face_h = shift_count(T, Ts, M, face_n) * Ts
     # the face from the plateau edge: below it the objective is exactly 1
     edge = int(np.argmax(eps < 1.0))
-    face, face_val, _ = _argmin_step(
+    face, face_val = _argmin_step(
         lambda s: _objective(source, W[s, None], link, scheme, face_n[edge:],
                              face_h[edge:], eps=eps[edge:]),
-        len(W), M, cfg.N_min, cfg.N_min + edge, np.full(len(W), n_cap))
+        len(W), M, cfg.N_min + edge, np.full(len(W), n_cap))
     face -= cfg.N_min
 
     rows = []  # each iteration's (lane, iteration, h, N, objective) columns
@@ -450,9 +462,8 @@ def exhaustive_search(source, field_or_weights, link, scheme, cfg=None,
     Ns = np.arange(cfg.N_min, n_hi + 1)
     if syn:
         cf, eps = ClosedForm(source, T, Ns * Ts, lanes.shape[1]), eps_of(link, N=Ns)
-        n_star, _, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
-                                    lanes.shape[1], cfg.N_min, cfg.N_min,
-                                    np.full(len(lanes), n_hi))
+        n_star, _ = _argmin_step(lambda s: cf.mse(eps, lanes[s, None]), len(lanes),
+                                 lanes.shape[1], cfg.N_min, np.full(len(lanes), n_hi))
         h_star, points = None, Ns.size
     else:
         steps = shift_count(T, Ts, M, Ns)  # feasible shifts T_s .. steps*T_s, non-increasing

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import sptrecon as sp
 from sptrecon.experiments import list_bundled_specs, load_spec
 
 SRC = Path(sp.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # makes SciPy unimportable before sptrecon is imported: only the tests
 # need it, so every run and compare below checks that the package does not
@@ -84,6 +86,65 @@ def test_same_bytes_from_a_second_process(tmp_path):
     assert _files(first) == _files(again)
     for name in _files(again):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def _cell_moves(old, new):
+    """(moved cells, largest relative move) of a CSV text against its golden
+    text.  A numeric cell moves by |a - b| / max(|a|, |b|), a non-finite or
+    non-numeric one by inf, and so does each cell of a row that is missing
+    or of another length."""
+    moved, largest = 0, 0.0
+    rows = (csv.reader(io.StringIO(text)) for text in (old, new))
+    for a_row, b_row in itertools.zip_longest(*rows, fillvalue=()):
+        if len(a_row) != len(b_row):
+            moved, largest = moved + max(len(a_row), len(b_row)), math.inf
+            continue
+        for a, b in zip(a_row, b_row):
+            if a == b:
+                continue
+            moved += 1
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                x = y = math.inf
+            finite = math.isfinite(x) and math.isfinite(y)
+            largest = max(largest, abs(x - y) / max(abs(x), abs(y)) if finite else math.inf)
+    return moved, largest
+
+
+def test_bundled_outputs_match_the_golden_files(tmp_path):
+    # the output contract as committed files: every bundled spec, run with
+    # SciPy blocked, writes the files under golden/.  On the numpy
+    # major.minor that wrote them (golden/versions.json) every byte must
+    # match; on another, every numeric CSV cell must lie within 1e-12
+    # relative and every other cell and manifest line must match, each
+    # output's SHA-256 aside.  A change that moves bytes re-writes golden/
+    # in the same diff (`sptrecon run <spec> --out-dir tests/golden/<spec>`
+    # for every bundled spec, and versions.json) and lists the moves
+    names = list_bundled_specs()
+    assert names
+    _run([(name, tmp_path / name) for name in names])
+    written = json.loads((GOLDEN / "versions.json").read_text())
+    exact = np.__version__.split(".")[:2] == written["numpy"].split(".")[:2]
+    files = _files(tmp_path)
+    assert files == [f for f in _files(GOLDEN) if f != "versions.json"]
+    moved = []
+    for name in files:
+        old, new = ((root / name).read_bytes().decode() for root in (GOLDEN, tmp_path))
+        if old == new:
+            continue
+        if name.endswith(".csv"):
+            count, largest = _cell_moves(old, new)
+            if exact or largest > 1e-12:
+                moved.append(f"{name}: {count} cells moved, the largest by {largest:.3g}"
+                             " relative")
+            continue
+        lines = [(a, b) for a, b in itertools.zip_longest(old.splitlines(), new.splitlines())
+                 if a != b and (exact or '"sha256"' not in f"{a}{b}")]
+        if lines:
+            moved.append(f"{name}: {len(lines)} lines moved, the first {lines[0]}")
+    assert not moved, (f"numpy {np.__version__} against golden numpy {written['numpy']}:\n"
+                       + "\n".join(moved))
 
 
 def _numpy_links_openblas():

@@ -8,6 +8,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -239,6 +240,31 @@ def test_trace_dump_in_chunks(tmp_path, monkeypatch, chunk):
     data = (tmp_path / entry["file"]).read_bytes()
     assert hashlib.sha256(data).hexdigest() == entry["sha256"] == digest
     assert entry["rows"] == n_lines - 1
+
+
+def test_a_traced_sweep_holds_one_point_of_events_at_a_time(tmp_path, monkeypatch):
+    # each point's events file is written as its point arrives, so a
+    # three-point traced sweep peaks near a one-point run (building every
+    # point before writing any peaked at 2.3 times); small chunks keep the
+    # text rows being written out of the peak.  The manifest still lists the
+    # CSV before its side files
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", 64)
+    text = load_spec("sim_vs_analytic_default").raw_text
+    text = text.replace("outputs = analytic, simulate", "outputs = simulate")
+    text = text.replace("periods = 100000", "periods = 1500\ndump_trace = true")
+    peaks = []
+    for sweep in ("0.15", "0.15, 0.15, 0.15"):
+        spec = parse_spec(text + f"\n[sweep]\nT_period_s = {sweep}\n")
+        tracemalloc.start()
+        try:
+            manifest = run_experiment(spec, tmp_path / str(len(peaks)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+    assert [o["file"] for o in manifest["outputs"]] == [
+        "sim_vs_analytic_default_simulate.csv",
+        *(f"sim_vs_analytic_default_events_{i}.csv" for i in range(3))]
 
 
 def test_sim_row_zero_stderr_follows_the_compare_rule(tmp_path):
