@@ -4,17 +4,20 @@ Shows the Q-function form, its piecewise-linear surrogate, the closed-form
 fading average, and the simplified average used inside the optimizers.
 """
 
+import math
+
 import numpy as np
 
 import sptrecon as sp
 
 link = sp.LinkParams.from_db(L=160.0, N=80, T_s=1e-4, gamma_r_bar_db=5.0)
+eta = math.exp(link.L / link.N) - 1  # the decoding threshold
 print(f"link: L={link.L:g} bits, N={link.N} c.u., tau={1e3 * link.tau:g} ms, "
-      f"decoding threshold eta={link.eta:.3f}")
+      f"decoding threshold eta={eta:.3f}")
 
 print("\ninstantaneous BLEP around the decoding threshold:")
 print(f"{'snr':>8} {'q-form':>10} {'segmented':>10}")
-for g in np.linspace(0.3 * link.eta, 1.8 * link.eta, 9):
+for g in np.linspace(0.3 * eta, 1.8 * eta, 9):
     print(f"{g:8.3f} {sp.blep_instantaneous(link, g):10.4f} "
           f"{sp.blep_segmented(link, g):10.4f}")
 

@@ -83,11 +83,6 @@ class LinkParams:
         """Packet transmission delay N * T_s in seconds."""
         return self.N * self.T_s
 
-    @property
-    def eta(self) -> float:
-        """Decoding-threshold SNR exp(L/N) - 1."""
-        return float(_eta(self.L, self.N))
-
 
 # the complex step d: far below the rounding of any real part, which stays
 # f(x) to the last bit, and far above the underflow of d f'
@@ -101,6 +96,7 @@ def _complex_step(f, x):
 
 
 def _eta(L, N):
+    """Decoding-threshold SNR exp(L/N) - 1."""
     return np.exp(L / N) - 1.0
 
 

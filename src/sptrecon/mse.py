@@ -53,6 +53,16 @@ class Scheme(str, enum.Enum):
     ASYN_INFER = "asyn-infer"
 
 
+def _member(kind, value, what: str):
+    """value as a member of the enum ``kind``; InvalidConfigError naming
+    ``what`` and the allowed values unless it is one."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(v.value) for v in kind)
+        raise InvalidConfigError(f"{what} must be one of {allowed}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Transmission-scheme settings.
@@ -71,7 +81,7 @@ class SchemeConfig:
     m: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        object.__setattr__(self, "scheme", _member(Scheme, self.scheme, "scheme"))
         if not (self.T > 0 and math.isfinite(self.T)):
             raise InvalidConfigError(f"period T must be finite and > 0, got {self.T}")
         if self.h is not None and not math.isfinite(self.h):
@@ -114,8 +124,9 @@ def max_blocklength(T: float, T_s: float, shift=0.0):
     """Largest blocklength N with N T_s + shift <= T, where ``shift`` (a
     float or an array) is the shift time (M - 1) h.  Without shifts the
     delay must stay below the period, N T_s < T, and a ratio T / T_s within
-    the tolerance of an integer counts as that integer.  Raises
-    InvalidConfigError where a shifted cap has no 64-bit integer value."""
+    the tolerance of an integer counts as that integer; a zero entry of an
+    array shift takes that rule too.  Raises InvalidConfigError where a
+    shifted cap has no 64-bit integer value."""
     if np.ndim(shift) == 0 and shift == 0:
         return math.ceil(T / T_s - _TIMING_TOL) - 1
     ratio = (T - shift) / T_s + _TIMING_TOL
@@ -124,12 +135,18 @@ def max_blocklength(T: float, T_s: float, shift=0.0):
             f"blocklength cap (T - (M - 1) h) / T_s at T={T}, T_s={T_s} and "
             f"(M - 1) h up to {np.max(shift)} is outside the 64-bit integer range")
     n = np.floor(ratio).astype(int)
+    zero = np.equal(shift, 0)
+    if zero.any():
+        n[zero] = max_blocklength(T, T_s)
     return int(n) if n.ndim == 0 else n
 
 
 def shift_count(T: float, T_s: float, M: int, N):
     """Number of grid shifts h = T_s, 2 T_s, ... that fit blocklength(s) N:
-    those with N <= max_blocklength(T, T_s, (M - 1) h).  Broadcasts over N."""
+    those with N <= max_blocklength(T, T_s, (M - 1) h).  Broadcasts over N.
+    InvalidConfigError unless M >= 2."""
+    if M < 2:
+        raise InvalidConfigError(f"a time-shift grid needs M >= 2, got M={M}")
     _check_scale("range", T / T_s / (M - 1), "the time-shift range")
     k = np.arange(1, int(T / T_s) // (M - 1) + 2)
     caps = max_blocklength(T, T_s, (M - 1) * (k * T_s))  # non-increasing in k
@@ -175,17 +192,6 @@ def _eps(link: LinkParams, eps_bar):
 _vecdot = functools.partial(np.einsum, "...i,...i->...")
 
 
-@functools.lru_cache(maxsize=None)
-def _eps_powers(M: int, asyn: bool):
-    """Slot numbers n = 1..M and the eps power of rank n (synchronous) or
-    slot n (asynchronous)."""
-    n = np.arange(1.0, M + 1)
-    out = (n, M - n if asyn else n - 1.0)
-    for arr in out:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return out
-
-
 def _lift(x):
     """x as a float or complex array (0-d for a scalar, so a value does not
     depend on whether it is scored alone or in a batch), and x with a
@@ -225,14 +231,15 @@ class ClosedForm:
         self.E = math.exp(-2.0 * a * T)
         self.k = (source.gamma_o * np.exp(-2.0 * a * tau)
                   / (2.0 * a * T * (source.gamma_o + 1.0)))
-        self.n, self.p = _eps_powers(M, h is not None)
+        n = np.arange(1.0, M + 1)  # the slot numbers
+        self.p = n - 1.0 if h is None else M - n  # eps power of rank n (syn), slot n (asyn)
         if h is not None:
             h, hn = _lift(h)
             self.q = np.exp(-2.0 * a * h)
             self.one_q = 1.0 - _lift(self.q)[1]
             # exp(2 a h (n-1)) (q^M - E) as a difference of two terms in (0, 1]
-            self.slot = (np.exp(-2.0 * a * hn * (M - self.n + 1.0))
-                         - np.exp(-2.0 * a * (T - hn * (self.n - 1.0))))
+            self.slot = (np.exp(-2.0 * a * hn * (M - n + 1.0))
+                         - np.exp(-2.0 * a * (T - hn * (n - 1.0))))
 
     def _eps_factor(self, eps):
         """A_n = eps^(M-n) (1-eps) / (1 - E eps^M) on a new last axis
@@ -347,11 +354,6 @@ def _argmin_step(score, lanes, M, start, hi):
     return x, val
 
 
-# the weight vector of the M = 1 (no-inference) form: the target's own,
-# read-only because every no-inference caller shares it
-_OWN = np.broadcast_to(1.0, (1,))
-
-
 def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
                    mssc_value=None) -> np.ndarray:
     """Squared spatial weights of the ``scheme.scheme`` closed form, last
@@ -370,7 +372,7 @@ def scheme_weights(source: SourceParams, field_or_weights, scheme: SchemeConfig,
     rho = None if mssc_value is None else _unit_interval(mssc_value, "MSSC")
     kind = scheme.scheme
     if kind is Scheme.NO_INFER:
-        return _OWN
+        return np.ones(1)
     asyn = kind is Scheme.ASYN_INFER
     if rho is not None:
         if scheme.M < 2:
@@ -549,7 +551,7 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
     is an array of the stack's shape (:func:`eps_star_asyn`).  The
     no-inference scheme is treated as the synchronous scheme with M = 1.
     """
-    axis = BoundAxis(axis)
+    axis = _member(BoundAxis, axis, "bound axis")
     if axis is BoundAxis.SPATIAL:
         # every non-target weight at 1, then at 0
         vals = average_mse(source, None, link, scheme, eps_bar, np.array([1.0, 0.0]))
@@ -562,7 +564,7 @@ def bounds(source, field_or_weights, link, scheme, axis, eps_bar=None):
         return eps_star_asyn(source, field_or_weights, link, scheme)[1], source.sigma2_x
     # synchronous: at eps = 0 only the target's own term survives, the
     # no-inference form sigma2 (1 - k (1 - E))
-    unit = ClosedForm(source, scheme.T, link.tau, 1).mse(0.0, _OWN)
+    unit = ClosedForm(source, scheme.T, link.tau, 1).mse(0.0, np.ones(1))
     return source.sigma2_x * float(unit), source.sigma2_x
 
 

@@ -101,7 +101,6 @@ class OptResult:
     # N_star, h_star and mse_star, and an adaptation's branch, are arrays
     # of the stack's shape for a stack of weight vectors; an adaptation's
     # trace is then one list per lane
-    scheme: Scheme
     N_star: int
     h_star: float | None
     mse_star: float
@@ -272,7 +271,7 @@ def _result(source, link, scheme, w, n, h, branch, rows=None, slopes="",
                  for c in np.bincount(lane, minlength=len(W)).tolist()]
         trace, iterations = trace[0] if w.ndim == 1 else trace, lane.size
     mse = s2 * _objective(source, W, link, scheme, n, h, eps=blep_average(link, N=n))
-    return OptResult(scheme.scheme, per_lane(n), None if h is None else per_lane(h),
+    return OptResult(per_lane(n), None if h is None else per_lane(h),
                      per_lane(mse), iterations, converged,
                      branch if isinstance(branch, str) else per_lane(branch), trace,
                      evaluations)
@@ -501,7 +500,10 @@ def expected_evaluation_count(T, T_s, M, N_min=DEFAULT_N_MIN) -> int:
 
     sum over N of floor((T/T_s - N)/(M-1)) for N from N_min to
     T/T_s - (M-1); evaluated exactly via the floor-sum identity.
+    InvalidConfigError unless M >= 2.
     """
+    if M < 2:
+        raise InvalidConfigError(f"a time-shift grid needs M >= 2, got M={M}")
     K = int(math.floor(T / T_s + _TIMING_TOL))
     d = M - 1
     n_hi = K - d

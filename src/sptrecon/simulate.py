@@ -55,7 +55,6 @@ class SimReport:
     avg_mse: float
     stderr: float
     periods: int
-    scheme: Scheme
     aux: dict = dc_field(default_factory=dict)
 
 
@@ -285,7 +284,7 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
     })
     s2 = source.sigma2_x
     return SimReport(s2 * float(bi.sum() / bd.sum()), s2 * batch_means_stderr(bi, bd),
-                     periods, scheme.scheme, aux)
+                     periods, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +296,11 @@ def simulate_event_level(source, field, link, scheme, periods, seed,
 _GRID_PER_INTERVAL = 16
 
 
-def simulate_data_level(source, field, link, scheme, periods, seed,
-                        replica=0, n_draws=1000) -> SimReport:
+def simulate_data_level(source, field, link, scheme, periods, seed, n_draws=1000) -> SimReport:
     """Sampled-field check of the estimator itself.
 
     Reuses the event trace of :func:`simulate_event_level` at the same
-    (seed, replica), draws the joint Gaussian at all successful generation
+    seed and replica 0, draws the joint Gaussian at all successful generation
     instants plus the target's true state on an (interval, midpoint) grid,
     applies the conditional-mean estimate from the interval's held sample,
     and averages squared errors time-weighted over intervals.  The gap to the
@@ -311,8 +309,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     """
     if n_draws < 2:
         raise InvalidConfigError(f"n_draws must be >= 2, got {n_draws}")
-    ev = simulate_event_level(source, field, link, scheme, periods, seed,
-                              replica=replica, collect_trace=True)
+    ev = simulate_event_level(source, field, link, scheme, periods, seed, collect_trace=True)
     gen = ev.aux["gen_times_s"]
     src_sensor = ev.aux["used_sensor"]
     D = np.diff(gen)
@@ -325,7 +322,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     # the held samples, then the target's states on the grid
     y, x = sample_joint_gaussian(
         source, field, np.concatenate((src_sensor, np.full(eval_times.size, m))),
-        np.concatenate((gen, eval_times.ravel())), seed=[seed, replica, 986743],
+        np.concatenate((gen, eval_times.ravel())), seed=[seed, 0, 986743],
         n_draws=n_draws,
     )
     # the conditional-mean estimate from the held sample, then its squared
@@ -345,7 +342,7 @@ def simulate_data_level(source, field, link, scheme, periods, seed,
     avg = float(per_draw.mean())
     stderr = float(per_draw.std(ddof=1) / math.sqrt(n_draws))
 
-    return SimReport(avg, stderr, periods, scheme.scheme, {
+    return SimReport(avg, stderr, periods, {
         "event_level_mse": ev.avg_mse,
         "n_samples": n_samp,
         "n_eval_points": eval_times.size,

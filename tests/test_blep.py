@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import sptrecon as sp
-from sptrecon.blep import _lam, _segment
+from sptrecon.blep import _eta, _lam, _segment
 from sptrecon.errors import DomainError, InvalidConfigError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "blep_average_fixtures.csv"
@@ -21,7 +21,7 @@ def quadrature_average(link):
     """Independent oracle: numerically integrate the segmented model
     against the exponential fading density."""
     gbar = link.gamma_r_bar
-    eta, lam = link.eta, _lam(link.L, link.N)
+    eta, lam = _eta(link.L, link.N), _lam(link.L, link.N)
     u, w = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
 
     def seg(g):
@@ -40,7 +40,7 @@ def quadrature_average(link):
 
 def test_instantaneous_half_at_threshold(link):
     # capacity equals the coding rate exactly at gamma = e^{L/N} - 1
-    assert sp.blep_instantaneous(link, link.eta) == pytest.approx(0.5, abs=1e-12)
+    assert sp.blep_instantaneous(link, _eta(link.L, link.N)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_q_function_matches_scipy_erfc():
@@ -73,7 +73,8 @@ def test_instantaneous_snr_must_be_positive_and_not_nan(fn, link):
             fn(link, bad)
     assert fn(link, np.array([])).shape == (0,)
     assert fn(link, np.inf) == 0.0
-    assert fn(link, [np.inf, link.eta]).tolist() == [0.0, fn(link, link.eta)]
+    eta = _eta(link.L, link.N)
+    assert fn(link, [np.inf, eta]).tolist() == [0.0, fn(link, eta)]
 
 
 def test_segmented_is_zero_at_an_infinite_snr_on_every_link(link):
@@ -97,7 +98,7 @@ def test_segmented_is_zero_at_an_infinite_snr_on_every_link(link):
 
 
 def test_segmented_midpoint_and_knots(link):
-    eta, lam = link.eta, _lam(link.L, link.N)
+    eta, lam = _eta(link.L, link.N), _lam(link.L, link.N)
     assert sp.blep_segmented(link, eta) == pytest.approx(0.5, abs=1e-15)
     lo = eta + 1 / (2 * lam)
     hi = eta - 1 / (2 * lam)
@@ -109,7 +110,7 @@ def test_segmented_midpoint_and_knots(link):
 
 
 def test_segmented_non_increasing(link):
-    g = np.linspace(1e-3, 4 * link.eta, 2000)
+    g = np.linspace(1e-3, 4 * _eta(link.L, link.N), 2000)
     v = sp.blep_segmented(link, g)
     assert np.all(np.diff(v) <= 1e-15)
     assert np.all((v >= 0) & (v <= 1))
@@ -120,7 +121,7 @@ def test_segmented_matches_three_segment_reference(link):
     # a dense grid holding both knots and their floating-point neighbours
     for n in (link.N, 30, 400):
         ln = dataclasses.replace(link, N=n)
-        eta, lam = ln.eta, float(_lam(ln.L, ln.N))
+        eta, lam = _eta(ln.L, ln.N), float(_lam(ln.L, ln.N))
         lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         knots = [lo, hi, eta]
         near = [np.nextafter(k, d) for k in knots for d in (0.0, np.inf)]
@@ -131,13 +132,14 @@ def test_segmented_matches_three_segment_reference(link):
         assert np.max(np.abs(out - ref)) <= 2e-16
         assert np.all((out >= 0.0) & (out <= 1.0))
         assert not np.shares_memory(out, g)
-    assert isinstance(sp.blep_segmented(link, link.eta), float)
-    assert isinstance(sp.blep_segmented(link, np.float64(link.eta)), float)
+    assert isinstance(sp.blep_segmented(link, _eta(link.L, link.N)), float)
+    assert isinstance(sp.blep_segmented(link, np.float64(_eta(link.L, link.N))), float)
 
 
 def test_segmented_close_to_q_form_on_band(link):
     # frozen observed maximum over [eta/2, 2 eta] was 0.1205
-    g = np.linspace(link.eta / 2, 2 * link.eta, 4001)
+    eta = _eta(link.L, link.N)
+    g = np.linspace(eta / 2, 2 * eta, 4001)
     gap = np.max(np.abs(sp.blep_segmented(link, g) - sp.blep_instantaneous(link, g)))
     assert gap < 0.13
 
@@ -252,14 +254,15 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     # then integrates the linear segment from 0 instead of overflowing to a
     # perfect link.  N = 10 and 20 have a positive lower knot
     link = sp.LinkParams.from_db(L=20, N=1, gamma_r_bar_db=10 * math.log10(5))
-    assert link.eta + 1 / (2 * _lam(link.L, link.N)) < 0.0
+    assert _eta(link.L, link.N) + 1 / (2 * _lam(link.L, link.N)) < 0.0
     gbar = link.gamma_r_bar
     ns = np.array([1, 10, 20])
     oracle = []
     for n in ns:
         lk = dataclasses.replace(link, N=int(n))
         lam = _lam(lk.L, lk.N)
-        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
+        eta = _eta(lk.L, lk.N)
+        lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         val, err = quad(lambda g: math.exp(-g / gbar) / gbar
                         * sp.blep_segmented(lk, g), 0.0, 400.0,
                         points=[max(lo, 0.0), min(hi, 400.0)], limit=400)
@@ -282,7 +285,8 @@ def test_average_clips_a_negative_lower_knot_at_zero(caplog):
     for n, v in zip(ns[1:], vals[1:]):
         lk = dataclasses.replace(link, N=int(n))
         lam = _lam(lk.L, lk.N)
-        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
+        eta = _eta(lk.L, lk.N)
+        lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         assert lo > 0.0
         assert v == 1 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
 
@@ -352,7 +356,8 @@ def test_average_past_exp_overflow_is_the_segment_value(L, N, gbar, caplog):
         # N = 80 is in the plain range and keeps the closed form bit for bit
         lk = dataclasses.replace(link, N=80)
         lam = _lam(lk.L, lk.N)
-        lo, hi = lk.eta + 1 / (2 * lam), lk.eta - 1 / (2 * lam)
+        eta = _eta(lk.L, lk.N)
+        lo, hi = eta + 1 / (2 * lam), eta - 1 / (2 * lam)
         assert mixed[1] == 1 + gbar * lam * (np.exp(-lo / gbar) - np.exp(-hi / gbar))
     # at L/N = 700 the lam term is still in the value: 0.8989029 at gbar = 1e300
     edge = sp.LinkParams(L=700.0 * N, N=N, gamma_r_bar=gbar)

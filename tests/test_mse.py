@@ -140,6 +140,19 @@ def test_scheme_rejects_non_finite_values(name, kind, value):
         sp.SchemeConfig(kind, **{"T": 0.15, "h": 0.005, name: value})
 
 
+def test_unknown_scheme_is_a_config_error():
+    with pytest.raises(InvalidConfigError,
+                       match="scheme must be one of 'no-infer', 'syn-infer', "
+                             "'asyn-infer', got 'x'"):
+        sp.SchemeConfig(scheme="x")
+
+
+def test_unknown_bound_axis_is_a_config_error(source, field, link, syn_scheme):
+    with pytest.raises(InvalidConfigError,
+                       match="bound axis must be one of 'blep', 'spatial', got 'x'"):
+        sp.bounds(source, field, link, syn_scheme, axis="x")
+
+
 def test_syn_approx_exact_under_equidistant_symmetry(link):
     r = 5.0
     ang = np.linspace(0, 2 * np.pi, 5, endpoint=False)[:4]
@@ -843,8 +856,8 @@ def test_a_scalar_call_equals_its_entry_in_a_batch(M, a, T, b, h_frac, data):
 def test_scheme_weights_rule(source, field, syn_scheme, asyn_scheme, no_scheme):
     fac = field.target_factors(source.b)
     assert sp.scheme_weights(source, field, no_scheme).tolist() == [1.0]
-    # shared by every no-inference call, so a caller cannot overwrite it
-    assert not sp.scheme_weights(source, field, no_scheme).flags.writeable
+    # a fresh array per call, so a caller may overwrite it
+    assert sp.scheme_weights(source, field, no_scheme).flags.writeable
     assert sp.scheme_weights(source, field, asyn_scheme).tolist() == fac.tolist()
     assert sp.scheme_weights(source, field, syn_scheme).tolist() == sorted(
         fac.tolist(), reverse=True)
@@ -974,6 +987,25 @@ def test_timing_rule_tolerance_and_strict_delay():
     syn = sp.SchemeConfig(sp.Scheme.SYN_INFER, T=(500 + 5e-10) * T_s, M=5, m=1)
     with pytest.raises(InvalidConfigError, match="must exceed the packet delay"):
         _check_timing(sp.LinkParams(N=500, T_s=T_s), syn)
+
+
+def test_array_shift_takes_each_entry_the_scalar_cap():
+    # a zero entry of an array shift keeps the strict rule N T_s < T
+    T_s = 1e-4
+    shifts = [0.0, 4 * T_s, 0.0, 8 * T_s, 5e-10 * T_s]
+    for T in (500 * T_s, (500 - 5e-10) * T_s, (500 + 1e-6) * T_s, 0.15):
+        assert max_blocklength(T, T_s, np.array(shifts)).tolist() == [
+            max_blocklength(T, T_s, s) for s in shifts], T
+        assert max_blocklength(T, T_s, np.zeros((2, 2))).tolist() == [
+            [max_blocklength(T, T_s)] * 2] * 2, T
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_time_shift_grid_needs_two_sensors(M):
+    with pytest.raises(InvalidConfigError, match=f"M >= 2, got M={M}"):
+        shift_count(0.15, 1e-4, M, 80)
+    with pytest.raises(InvalidConfigError, match=f"M >= 2, got M={M}"):
+        sp.expected_evaluation_count(0.15, 1e-4, M)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
